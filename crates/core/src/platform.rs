@@ -2,42 +2,42 @@
 //!
 //! # Execution model
 //!
-//! The platform offers two equivalent steppers:
+//! The platform has one reference stepper and one epoch driver:
 //!
-//! - **Serial** ([`Platform::step`]/[`Platform::run`]): every cycle ticks
-//!   all FPGAs in index order, then pumps the PCIe fabric. With the host
-//!   fast path on (the default), [`Platform::run`] dispatches multi-FPGA
-//!   prototypes to a *serial epoch driver* that follows the exact epoch
-//!   schedule of the parallel stepper but advances the FPGAs one after
-//!   another on the calling thread — within an epoch no FPGA can observe
-//!   a peer, so each may warp its own quiet stretches independently
-//!   instead of being pinned by the busiest FPGA in a cycle-interleaved
-//!   loop. [`Platform::set_fast_path`]`(false)` restores the plain
-//!   cycle-by-cycle reference loop, bit-identically.
-//! - **Epoch-parallel** ([`Platform::run_parallel`]/[`Platform::step_epoch`]):
-//!   a conservative parallel-discrete-event scheme that exploits the PCIe
-//!   one-way latency `L` as *lookahead*. Anything an FPGA sends at cycle
-//!   `t` cannot reach a peer before `t + L`, so all FPGAs can be advanced
-//!   `L` cycles completely independently on worker threads; cross-FPGA
-//!   items are buffered with their send timestamps and exchanged at the
-//!   epoch barrier in a fixed `(from, to)` order. The result is
-//!   bit-identical to the serial stepper — same cycle count, same stats,
-//!   same console output.
+//! - **Reference** ([`Platform::step`]): every cycle ticks all FPGAs in
+//!   index order, then pumps the fabric. [`Platform::run`] falls back to it
+//!   (with globally quiet stretches warped) on single-FPGA and
+//!   zero-lookahead platforms and after [`Platform::set_fast_path`]`(false)`;
+//!   [`Platform::run_until`] and [`Platform::run_until_idle`] always use it.
+//!   Everything else is proven bit-identical against it.
+//! - **Epoch driver**: a conservative parallel-discrete-event scheme that
+//!   exploits link latency as *lookahead*. Anything sent at cycle `t` over
+//!   a link of one-way latency `L` cannot be observed before `t + L`, so
+//!   the two sides may each advance `L` cycles without looking at the
+//!   other; traffic is buffered with its send timestamp and exchanged at
+//!   the epoch barrier in a fixed order. The topology is cut into *units*
+//!   that advance independently for one epoch (`UnitPlan`), and an
+//!   executor decides which thread advances them: [`Platform::run`] walks
+//!   the units on the calling thread, [`Platform::run_parallel`],
+//!   [`Platform::step_epoch`] and [`Platform::run_until_idle_parallel`] give
+//!   every unit a worker thread. Within an epoch no unit can observe
+//!   another, so the order they run in is immaterial: same cycle count,
+//!   same stats, same snapshot bytes as the reference.
 //!
-//! # Topologies and grouped barriers
+//! # Topologies and units
 //!
 //! [`Topology::PcieStar`] joins every FPGA pair with a PCIe link — the
 //! paper's single-instance shape, capped by how many endpoints one host
-//! bridge fans out to. [`Topology::Ethernet`] attaches every FPGA to a
+//! bridge fans out to. Each FPGA is a unit; every link crosses units, so
+//! the barrier owns them all and the epoch is the minimum PCIe one-way
+//! latency. [`Topology::Ethernet`] attaches every FPGA to a
 //! switched-Ethernet fabric instead, and [`Topology::Hybrid`] mixes the
-//! two: PCIe inside each instance-sized group, Ethernet across groups.
-//! Network-attached platforms replace the flat epoch barrier with a
-//! *grouped* one ([`Platform::grouped_lookaheads`]): members of a switch
-//! group rendezvous every NIC-link latency, while groups synchronize with
-//! each other only at spine-latency boundaries — global coordination cost
-//! scales with the number of groups, not the number of FPGAs. Both the
-//! serial and the parallel grouped drivers are bit-identical to the
-//! per-cycle reference, exactly as for the PCIe-star steppers.
+//! two: PCIe inside each instance-sized group, Ethernet across groups. On
+//! these a unit is a switch group, which owns its switch and its internal
+//! PCIe links: members rendezvous every NIC-link latency inside the unit,
+//! units synchronize only at spine-latency boundaries
+//! ([`Platform::grouped_lookaheads`]) — global coordination cost scales
+//! with the number of groups, not the number of FPGAs.
 //!
 //! Idle stretches are warped over: when every FPGA is quiescent, the
 //! platform jumps straight to the next scheduled event (PCIe delivery,
@@ -58,7 +58,9 @@ use smappic_sim::{
 };
 use smappic_tile::{AddrMap, Engine};
 
-use crate::config::{Config, Topology, CLINT_BASE, PLIC_BASE, SD_CTL_BASE, UART0_BASE, UART1_BASE};
+#[cfg(doc)]
+use crate::config::Topology;
+use crate::config::{Config, CLINT_BASE, PLIC_BASE, SD_CTL_BASE, UART0_BASE, UART1_BASE};
 use crate::fpga::Fpga;
 use crate::node::Node;
 use crate::uart::HostSerial;
@@ -141,11 +143,88 @@ pub struct Platform {
     fast_path: bool,
 }
 
-/// One epoch's worth of work handed to an FPGA worker thread.
-struct EpochJob {
+/// How the topology decomposes into *units*: sets of FPGAs that advance
+/// one epoch without observing each other. Derived from the platform shape
+/// when a drive starts; the single owner of every lookahead figure.
+///
+/// - PCIe star (no Ethernet fabric): every FPGA is a unit, `local ==
+///   global == pcie`, and every link crosses units, so the barrier owns
+///   all of them.
+/// - Ethernet / Hybrid: every switch group is a unit that owns its switch
+///   and its internal PCIe links; no link crosses units — groups interact
+///   only through the spine, which the barrier exchanges.
+#[derive(Debug, Clone, Copy)]
+struct UnitPlan {
+    /// FPGAs per unit (the last unit may be smaller).
+    unit_size: usize,
+    /// Minimum PCIe one-way latency over all links; 0 without links.
+    pcie: u64,
+    /// Cycles a unit's members may advance between rendezvous inside the
+    /// unit; 0 when there is no lookahead to exploit.
+    local: u64,
+    /// Cycles all units may advance between barriers.
+    global: u64,
+}
+
+/// Which threads advance the units of an epoch.
+#[derive(Debug, Clone, Copy)]
+enum Exec {
+    /// The calling thread, one unit after another.
+    Inline,
+    /// One worker thread per unit, alive for the whole drive.
+    Threads,
+}
+
+/// A PCIe link and the `(lower, higher)` FPGA pair it joins.
+type Link = ((usize, usize), PcieLink);
+
+/// What one unit exclusively owns for the length of a drive.
+struct Unit<'a> {
+    /// Global index of `fpgas[0]`.
+    first: usize,
+    fpgas: &'a mut [Fpga],
+    /// Per-member idle bookkeeping, carried across epochs.
+    idle: &'a mut [bool],
+    /// The unit's internal links; `links[0]` is platform link `link_base`.
+    links: &'a mut [Link],
+    link_base: usize,
+    link_idx: &'a [usize],
+    /// Total FPGAs: the row stride of `link_idx`.
+    nf: usize,
+    /// [`UnitPlan::local`].
+    local: u64,
+    /// Record idle/activity bookkeeping (for `run_until_idle_parallel`).
+    track: bool,
+}
+
+/// One unit's share of an epoch: filled in by the barrier, advanced
+/// through by [`unit_epoch`], read back by the barrier.
+#[derive(Default)]
+struct Turn {
     /// First cycle of the epoch.
     start: Cycle,
-    /// Epoch length in cycles (at most the PCIe lookahead).
+    /// Epoch length in cycles (at most [`UnitPlan::global`]).
+    len: u64,
+    /// In: deliveries off the cross-unit links as `(arrival, sending fpga,
+    /// flight)`, in link order. Cross-unit links join single-FPGA units,
+    /// so these are all for the sole member.
+    inbound: Vec<(Cycle, usize, Flight)>,
+    /// Out: sends over cross-unit links as `(cycle, from, to, item)`, in
+    /// send order per member. The barrier drains them into the links.
+    sends: Vec<(Cycle, usize, usize, PcieItem)>,
+    /// Out: last cycle so far at which a member did observable work
+    /// (tracked drives).
+    last_active: Option<Cycle>,
+    /// Out: every member was idle after the epoch's final cycle (tracked
+    /// drives).
+    idle_at_end: bool,
+}
+
+/// One FPGA's share of a unit's local window.
+struct EpochJob {
+    /// First cycle of the window.
+    start: Cycle,
+    /// Window length in cycles (at most [`UnitPlan::local`]).
     len: u64,
     /// Pre-extracted PCIe deliveries as `(arrival, sending fpga, flight)`,
     /// sorted by `(arrival, from)` — the per-receiver order the serial
@@ -162,16 +241,13 @@ struct EpochJob {
     track: bool,
 }
 
-/// What an FPGA worker hands back at the epoch barrier.
+/// What [`fpga_epoch`] hands back at the end of its window.
 struct EpochOut {
-    worker: usize,
-    /// Cross-FPGA sends buffered during the epoch: `(cycle, to, item)` in
-    /// send order. Replayed into the links at the barrier.
+    /// Cross-FPGA sends buffered during the window: `(cycle, to, item)` in
+    /// send order.
     sends: Vec<(Cycle, usize, PcieItem)>,
     /// Last cycle at which this FPGA did observable work (tracked jobs).
     last_active: Option<Cycle>,
-    /// FPGA was idle after the epoch's final cycle (tracked jobs).
-    idle_at_end: bool,
 }
 
 /// Drains the shell's outbound side exactly like the serial pump: all
@@ -229,9 +305,18 @@ fn deliver_flight(fpga: &mut Fpga, now: Cycle, from: usize, flight: Flight) {
     }
 }
 
+/// Sends `item` from endpoint `from` over `link`.
+fn link_send(((a, _), link): &mut Link, now: Cycle, from: usize, item: PcieItem) {
+    if from == *a {
+        link.send_from_a(now, item);
+    } else {
+        link.send_from_b(now, item);
+    }
+}
+
 /// O(1) link send using the precomputed `(from, to) → link` table.
 fn link_send_indexed(
-    links: &mut [((usize, usize), PcieLink)],
+    links: &mut [Link],
     link_idx: &[usize],
     nf: usize,
     now: Cycle,
@@ -241,40 +326,13 @@ fn link_send_indexed(
 ) {
     let li = link_idx[from * nf + to];
     debug_assert!(li != usize::MAX, "links form a full mesh over the FPGAs");
-    let ((a, _), link) = &mut links[li];
-    if from == *a {
-        link.send_from_a(now, item);
-    } else {
-        link.send_from_b(now, item);
-    }
+    link_send(&mut links[li], now, from, item);
 }
 
-/// The body an FPGA worker thread runs for the lifetime of one parallel
-/// region: pull an epoch job, advance the FPGA through it cycle by cycle
-/// (tick, drain outbound into the send buffer, replay scheduled inbound
-/// deliveries at their exact cycles), report at the barrier, repeat until
-/// the job channel closes.
-fn epoch_worker(
-    w: usize,
-    fpga: &mut Fpga,
-    jobs: mpsc::Receiver<EpochJob>,
-    out: mpsc::Sender<EpochOut>,
-) {
-    let mut idle_now = fpga.is_idle();
-    while let Ok(job) = jobs.recv() {
-        let o = fpga_epoch(w, fpga, job, &mut idle_now);
-        if out.send(o).is_err() {
-            break;
-        }
-    }
-}
-
-/// One FPGA's epoch: advance through `job` cycle by cycle (or in quiet
+/// One FPGA's window: advance through `job` cycle by cycle (or in quiet
 /// warps), delivering the pre-extracted inbound flights at their exact
-/// cycles and buffering outbound sends for the barrier to replay. Shared
-/// by the parallel workers and the serial epoch driver — same code, same
-/// results.
-fn fpga_epoch(w: usize, fpga: &mut Fpga, job: EpochJob, idle_now: &mut bool) -> EpochOut {
+/// cycles and buffering outbound sends for [`unit_epoch`] to route.
+fn fpga_epoch(fpga: &mut Fpga, job: EpochJob, idle_now: &mut bool) -> EpochOut {
     // Oldest-first lists, consumed from the front: flip them once so
     // each delivery is an O(1) pop from the back.
     let mut inbound = job.inbound;
@@ -286,10 +344,10 @@ fn fpga_epoch(w: usize, fpga: &mut Fpga, job: EpochJob, idle_now: &mut bool) -> 
     let end = job.start + job.len;
     let mut t = job.start;
     while t < end {
-        // Quiet warp, per FPGA: within an epoch no external input can
+        // Quiet warp, per FPGA: within a window no external input can
         // arrive except the pre-extracted deliveries below, so when
         // the FPGA is provably quiet the skip ticks up to the earliest
-        // of (component wake, next delivery, epoch end) batch into one
+        // of (component wake, next delivery, window end) batch into one
         // warp — bit-identical to ticking through them.
         if let Some(bound) = fpga.quiet_bound(t) {
             let mut stop = bound.min(end);
@@ -339,71 +397,36 @@ fn fpga_epoch(w: usize, fpga: &mut Fpga, job: EpochJob, idle_now: &mut bool) -> 
         }
         t += 1;
     }
-    EpochOut { worker: w, sends, last_active, idle_at_end: *idle_now }
+    EpochOut { sends, last_active }
 }
 
-/// Sends `item` over the intra-group link joining `from` and `to`, found by
-/// scanning `links` (a group's links number at most `C(4,2) = 6`, so a
-/// linear scan beats carrying the global index table onto worker threads).
-fn link_send_local(
-    links: &mut [((usize, usize), PcieLink)],
-    now: Cycle,
-    from: usize,
-    to: usize,
-    item: PcieItem,
-) {
-    let key = (from.min(to), from.max(to));
-    for ((a, b), link) in links.iter_mut() {
-        if (*a, *b) == key {
-            if from == *a {
-                link.send_from_a(now, item);
-            } else {
-                link.send_from_b(now, item);
-            }
-            return;
-        }
-    }
-    panic!("no intra-group PCIe link for {from} -> {to}");
-}
-
-/// Advances one switch group over the global epoch `[tg, tg + glen)`: local
-/// windows of at most `local` cycles, each pre-extracting per-member PCIe
-/// and Ethernet deliveries, advancing every member via [`fpga_epoch`],
-/// replaying its sends (intra-group pairs onto their PCIe link, everything
-/// else into the switch), and forwarding the switch at the window boundary.
+/// The unit body: advances one unit through `turn`, in local windows of at
+/// most [`UnitPlan::local`] cycles. Each window gathers every member's PCIe
+/// and Ethernet deliveries, advances the member with [`fpga_epoch`], and
+/// routes its sends: into the unit's switch (`sw`) where the pair shares no
+/// link, onto the unit's own link where it has one, back to the barrier
+/// otherwise. The switch forwards at the window boundary.
 ///
-/// `fpgas[i]` is global member `first + i`; `links` holds (at least) the
-/// group's internal PCIe links — members of other groups never match the
-/// scan, so the serial driver passes the full platform list while the
-/// parallel driver passes a per-group partition. Shared by both drivers:
-/// same code, same results. Within a local window no member can observe a
-/// peer (the PCIe and NIC-link latencies both bound it), and groups only
-/// interact through the spine, whose latency bounds the global epoch — so
-/// this schedule is bit-identical to the per-cycle reference.
-#[allow(clippy::too_many_arguments)]
-fn group_epoch(
-    first: usize,
-    fpgas: &mut [Fpga],
-    links: &mut [((usize, usize), PcieLink)],
-    sw: &mut EthSwitch<PcieItem>,
-    topology: &Topology,
-    idle_flags: &mut [bool],
-    tg: Cycle,
-    glen: u64,
-    local: u64,
-) {
-    let mut t = tg;
-    while t < tg + glen {
-        let step = local.min(tg + glen - t);
-        let horizon = t + step;
-        for lm in 0..fpgas.len() {
-            let m = first + lm;
-            // Pre-extract this member's PCIe flights from its group links.
-            // A send replayed below matures at or after `horizon` (link
-            // latency >= step), so interleaving extraction with member
+/// Within a window no member can observe a peer (the PCIe and NIC-link
+/// latencies both bound it), and units interact only through what the
+/// barrier exchanges, whose latency bounds the epoch — so this schedule is
+/// bit-identical to the per-cycle reference on any thread, in any unit order.
+fn unit_epoch(unit: &mut Unit<'_>, mut sw: Option<&mut EthSwitch<PcieItem>>, turn: &mut Turn) {
+    let end = turn.start + turn.len;
+    debug_assert!(
+        turn.inbound.is_empty() || (unit.fpgas.len() == 1 && unit.local >= turn.len),
+        "cross-unit links join single-FPGA units whose window is the epoch"
+    );
+    let mut t = turn.start;
+    while t < end {
+        let horizon = end.min(t + unit.local);
+        for lm in 0..unit.fpgas.len() {
+            let m = unit.first + lm;
+            // A send routed below matures at or after `horizon` (link
+            // latency >= window), so interleaving extraction with member
             // advancement changes nothing.
-            let mut inbound: Vec<(Cycle, usize, Flight)> = Vec::new();
-            for ((a, b), link) in links.iter_mut() {
+            let mut inbound = std::mem::take(&mut turn.inbound);
+            for ((a, b), link) in unit.links.iter_mut() {
                 if *a == m {
                     for (c, fl) in link.take_flights_to_a_before(horizon) {
                         inbound.push((c, *b, fl));
@@ -414,25 +437,112 @@ fn group_epoch(
                     }
                 }
             }
+            // Stable: same-(cycle, from) flights keep their send order.
             inbound.sort_by_key(|&(c, f, _)| (c, f));
-            let job = EpochJob {
-                start: t,
-                len: step,
-                inbound,
-                eth_inbound: sw.take_delivered(m, horizon),
-                track: false,
-            };
-            let out = fpga_epoch(m, &mut fpgas[lm], job, &mut idle_flags[lm]);
+            let eth_inbound = sw.as_mut().map_or_else(Vec::new, |sw| sw.take_delivered(m, horizon));
+            let job =
+                EpochJob { start: t, len: horizon - t, inbound, eth_inbound, track: unit.track };
+            let out = fpga_epoch(&mut unit.fpgas[lm], job, &mut unit.idle[lm]);
+            turn.last_active = turn.last_active.max(out.last_active);
             for (u, to, item) in out.sends {
-                if topology.pcie_linked(m, to) {
-                    link_send_local(links, u, m, to, item);
-                } else {
+                let li = unit.link_idx[m * unit.nf + to];
+                if li == usize::MAX {
+                    let sw = sw.as_mut().expect("unlinked pair implies an Ethernet fabric");
                     sw.send(u, m, to, item.wire_bytes(), item);
+                } else if let Some(own) =
+                    li.checked_sub(unit.link_base).and_then(|i| unit.links.get_mut(i))
+                {
+                    link_send(own, u, m, item);
+                } else {
+                    turn.sends.push((u, m, to, item));
                 }
             }
         }
-        sw.process(horizon);
-        t += step;
+        if let Some(sw) = sw.as_mut() {
+            sw.process(horizon);
+        }
+        t = horizon;
+    }
+    turn.idle_at_end = unit.idle.iter().all(|&i| i);
+}
+
+/// What the barrier of the epoch driver owns for the length of a drive:
+/// everything units may not touch while they advance.
+struct Barrier<'a> {
+    plan: UnitPlan,
+    start_now: Cycle,
+    /// The cross-unit links (all of them on a star, none on a rack).
+    links: &'a mut [Link],
+    link_idx: &'a [usize],
+    nf: usize,
+    eth: Option<&'a mut EthFabric<PcieItem>>,
+    host_epochs: &'a mut Histogram,
+    host_trace: &'a mut TraceBuf,
+    epoch_count: &'a mut u64,
+}
+
+impl Barrier<'_> {
+    /// The epoch loop, once for every topology and executor: record the
+    /// epoch, exchange the spine, pre-extract what the cross-unit links
+    /// deliver inside it, let `run_units` advance unit `u` through
+    /// `turns[u]`, then replay the units' buffered sends into the links.
+    ///
+    /// Returns the cycles advanced and, when `track` stopped the loop at a
+    /// barrier where everything was idle, the first quiescent cycle.
+    fn epochs(
+        mut self,
+        units: usize,
+        budget: u64,
+        track: bool,
+        mut run_units: impl FnMut(Option<&mut EthFabric<PcieItem>>, &mut Vec<Turn>),
+    ) -> (u64, Option<Cycle>) {
+        let mut turns: Vec<Turn> = (0..units).map(|_| Turn::default()).collect();
+        let mut spent = 0u64;
+        while spent < budget {
+            let len = self.plan.global.min(budget - spent);
+            let start = self.start_now + spent;
+            let horizon = start + len;
+            self.host_epochs.record(len);
+            let index = *self.epoch_count;
+            *self.epoch_count += 1;
+            self.host_trace.record(start, || TraceEventKind::Epoch { index, width: len });
+            if let Some(eth) = self.eth.as_deref_mut() {
+                // Complete even for a truncated epoch: a frame arriving
+                // before `horizon` left its source group an uplink latency
+                // earlier, i.e. before `start` — already forwarded by the
+                // previous epoch.
+                eth.exchange(horizon);
+            }
+            for turn in &mut turns {
+                (turn.start, turn.len) = (start, len);
+            }
+            for ((a, b), link) in self.links.iter_mut() {
+                for (c, fl) in link.take_flights_to_b_before(horizon) {
+                    turns[*b / self.plan.unit_size].inbound.push((c, *a, fl));
+                }
+                for (c, fl) in link.take_flights_to_a_before(horizon) {
+                    turns[*a / self.plan.unit_size].inbound.push((c, *b, fl));
+                }
+            }
+            run_units(self.eth.as_deref_mut(), &mut turns);
+            // Replay sends in fixed (unit, send) order. Each link direction
+            // has a single sending FPGA, so replaying one unit's buffer in
+            // timestamp order reproduces the serial shaper state exactly.
+            for turn in &mut turns {
+                for (t, from, to, item) in turn.sends.drain(..) {
+                    link_send_indexed(self.links, self.link_idx, self.nf, t, from, to, item);
+                }
+            }
+            spent += len;
+            if track
+                && turns.iter().all(|t| t.idle_at_end)
+                && self.links.iter().all(|(_, l)| l.is_idle())
+            {
+                let last_active = turns.iter().filter_map(|t| t.last_active).max();
+                return (spent, Some(last_active.map_or(self.start_now, |t| t + 1)));
+            }
+        }
+        (spent, None)
     }
 }
 
@@ -697,22 +807,15 @@ impl Platform {
     /// without touching every component every cycle. Reference mode
     /// (fast path off) never warps.
     pub fn run(&mut self, cycles: u64) {
-        // Multi-FPGA fast path: drive the same epoch schedule the parallel
-        // stepper uses (bit-identical by construction), on this thread.
-        // Inside an epoch each FPGA warps its own quiet stretches
-        // independently — the cycle-interleaved loop below can only warp
-        // when *every* FPGA is quiet at once, so one busy FPGA pins all of
-        // its peers to per-cycle stepping.
-        if self.fast_path && cycles > 0 {
-            if self.eth.is_some() {
-                if self.grouped_lookaheads().0 > 0 {
-                    self.run_groups_serial(cycles);
-                    return;
-                }
-            } else if self.lookahead() > 0 {
-                self.run_epochs_serial(cycles);
-                return;
-            }
+        // Multi-FPGA fast path: the epoch driver, on this thread. Inside an
+        // epoch each FPGA warps its own quiet stretches independently — the
+        // cycle-interleaved loop below can only warp when *every* FPGA is
+        // quiet at once, so one busy FPGA pins all of its peers to
+        // per-cycle stepping.
+        let plan = self.unit_plan();
+        if self.fast_path && cycles > 0 && plan.local > 0 {
+            self.drive(plan, cycles, Exec::Inline, false);
+            return;
         }
         let mut spent = 0u64;
         while spent < cycles {
@@ -730,64 +833,19 @@ impl Platform {
         }
     }
 
-    /// The serial epoch driver: identical epoch schedule, pre-extraction,
-    /// and barrier replay order to [`Platform::run_epochs`], with the
-    /// FPGAs advanced one after another on this thread instead of on
-    /// workers. Within an epoch no FPGA can observe a peer (that is what
-    /// the lookahead guarantees), so sequential execution order is
-    /// immaterial and the result is bit-identical to both the threaded
-    /// epoch stepper and the cycle-interleaved serial stepper.
-    fn run_epochs_serial(&mut self, max_cycles: u64) {
-        let nf = self.fpgas.len();
-        let lookahead =
-            self.links.iter().map(|(_, l)| l.one_way_latency()).min().expect("links exist");
-        let start_now = self.now;
-        let mut idle_flags: Vec<bool> = self.fpgas.iter().map(|f| f.is_idle()).collect();
-        let mut spent = 0u64;
-        while spent < max_cycles {
-            let len = lookahead.min(max_cycles - spent);
-            let epoch_start = start_now + spent;
-            let horizon = epoch_start + len;
-            self.host_epochs.record(len);
-            let idx = self.epoch_count;
-            self.epoch_count += 1;
-            self.host_trace
-                .record(epoch_start, || TraceEventKind::Epoch { index: idx, width: len });
-            let mut schedules: Vec<Vec<(Cycle, usize, Flight)>> =
-                (0..nf).map(|_| Vec::new()).collect();
-            for ((a, b), link) in self.links.iter_mut() {
-                for (c, fl) in link.take_flights_to_b_before(horizon) {
-                    schedules[*b].push((c, *a, fl));
-                }
-                for (c, fl) in link.take_flights_to_a_before(horizon) {
-                    schedules[*a].push((c, *b, fl));
-                }
-            }
-            for q in &mut schedules {
-                // Stable: same-(cycle, from) flights keep their send order.
-                q.sort_by_key(|&(c, f, _)| (c, f));
-            }
-            let mut outs = Vec::with_capacity(nf);
-            for (w, fpga) in self.fpgas.iter_mut().enumerate() {
-                let job = EpochJob {
-                    start: epoch_start,
-                    len,
-                    inbound: std::mem::take(&mut schedules[w]),
-                    eth_inbound: Vec::new(),
-                    track: false,
-                };
-                outs.push(fpga_epoch(w, fpga, job, &mut idle_flags[w]));
-            }
-            // Barrier: replay sends in the same fixed (from, to) order the
-            // threaded stepper uses.
-            for o in &mut outs {
-                for (t, to, item) in o.sends.drain(..) {
-                    link_send_indexed(&mut self.links, &self.link_idx, nf, t, o.worker, to, item);
-                }
-            }
-            spent += len;
+    /// The unit plan of this platform's topology; see [`UnitPlan`].
+    fn unit_plan(&self) -> UnitPlan {
+        let min_pcie = self.links.iter().map(|(_, l)| l.one_way_latency()).min();
+        let pcie = min_pcie.unwrap_or(0);
+        match &self.eth {
+            None => UnitPlan { unit_size: 1, pcie, local: pcie, global: pcie },
+            Some(eth) => UnitPlan {
+                unit_size: eth.params().group_size,
+                pcie,
+                local: eth.local_lookahead().min(min_pcie.unwrap_or(Cycle::MAX)),
+                global: eth.global_lookahead(),
+            },
         }
-        self.now = start_now + spent;
     }
 
     /// The grouped lookaheads of a network-attached platform as
@@ -797,121 +855,113 @@ impl Platform {
     /// all groups may advance between spine exchanges (the uplink
     /// latency). `(0, 0)` without an Ethernet fabric.
     pub fn grouped_lookaheads(&self) -> (u64, u64) {
-        let Some(eth) = &self.eth else { return (0, 0) };
-        let mut local = eth.local_lookahead();
-        if let Some(min_pcie) = self.links.iter().map(|(_, l)| l.one_way_latency()).min() {
-            local = local.min(min_pcie);
+        let plan = self.unit_plan();
+        if self.eth.is_some() {
+            (plan.local, plan.global)
+        } else {
+            (0, 0)
         }
-        (local, eth.global_lookahead())
     }
 
-    /// The serial grouped-epoch driver for network-attached topologies:
-    /// per global epoch (bounded by the spine latency), exchange the
-    /// spine, then advance each switch group through its local windows
-    /// with [`group_epoch`], one group after another on this thread.
-    /// Groups interact only through the spine, and the exchange horizon
-    /// covers the whole epoch, so group order is immaterial and the
-    /// result is bit-identical to the per-cycle reference and to
-    /// [`Platform::run_groups_parallel`].
-    fn run_groups_serial(&mut self, max_cycles: u64) {
-        let (local, global) = self.grouped_lookaheads();
-        let start_now = self.now;
-        let mut idle_flags: Vec<bool> = self.fpgas.iter().map(|f| f.is_idle()).collect();
-        let mut spent = 0u64;
-        while spent < max_cycles {
-            let glen = global.min(max_cycles - spent);
-            let tg = start_now + spent;
-            self.host_epochs.record(glen);
-            let idx = self.epoch_count;
-            self.epoch_count += 1;
-            self.host_trace.record(tg, || TraceEventKind::Epoch { index: idx, width: glen });
-            let eth = self.eth.as_mut().expect("grouped driver needs an Ethernet fabric");
-            // Complete even for a truncated epoch: a frame arriving before
-            // `tg + glen` left its source group an uplink latency earlier,
-            // i.e. before `tg` — already forwarded by the previous epoch.
-            eth.exchange(tg + glen);
-            for g in 0..eth.groups() {
-                let range = eth.group_members(g);
-                group_epoch(
-                    range.start,
-                    &mut self.fpgas[range.clone()],
-                    &mut self.links,
-                    eth.switch_mut(g),
-                    &self.cfg.topology,
-                    &mut idle_flags[range],
-                    tg,
-                    glen,
-                    local,
-                );
-            }
-            spent += glen;
+    /// The epoch driver: advances `budget` cycles in epochs of at most
+    /// `plan.global`, the units of `plan` advanced by `exec`. With `track`,
+    /// stops at the first barrier where every FPGA and link is idle, trims
+    /// `now` back to the exact quiescent cycle, and returns true.
+    ///
+    /// Units are disjoint slices of the FPGAs and of the links between
+    /// their own members (links are ordered by lower endpoint, units are
+    /// FPGA ranges, so each unit's links are contiguous); the [`Barrier`]
+    /// keeps the rest. [`Exec::Threads`] spawns its workers once per drive:
+    /// they own their unit until the budget is spent, and a unit's switch
+    /// travels to its worker and back by value each epoch, because the
+    /// barrier needs the whole fabric for the spine exchange in between.
+    fn drive(&mut self, plan: UnitPlan, budget: u64, exec: Exec, track: bool) -> bool {
+        debug_assert!(plan.local > 0, "the epoch driver needs lookahead");
+        debug_assert!(!track || self.eth.is_none(), "idle tracking covers PCIe links only");
+        let (start_now, nf) = (self.now, self.fpgas.len());
+        let mut idle: Vec<bool> = self.fpgas.iter().map(Fpga::is_idle).collect();
+        let link_idx = &self.link_idx[..];
+        let owned = if self.eth.is_some() { self.links.len() } else { 0 };
+        let (mut own_links, cross_links) = self.links.split_at_mut(owned);
+        let mut units = Vec::with_capacity(nf.div_ceil(plan.unit_size));
+        let mut link_base = 0;
+        for (fpgas, idle) in
+            self.fpgas.chunks_mut(plan.unit_size).zip(idle.chunks_mut(plan.unit_size))
+        {
+            let first = units.len() * plan.unit_size;
+            let n = own_links.iter().take_while(|((a, _), _)| *a < first + fpgas.len()).count();
+            let (links, rest) = own_links.split_at_mut(n);
+            own_links = rest;
+            let local = plan.local;
+            units.push(Unit { first, fpgas, idle, links, link_base, link_idx, nf, local, track });
+            link_base += n;
         }
-        self.now = start_now + spent;
-    }
-
-    /// The parallel grouped-epoch driver: one worker thread per switch
-    /// group. For each global epoch the platform state is partitioned —
-    /// every group's thread exclusively owns its FPGAs, its internal PCIe
-    /// links, and its switch — and the spine exchange at the epoch
-    /// boundary is the only cross-group synchronization, mirroring how a
-    /// rack deployment gives each chassis its own host process. Bit-
-    /// identical to [`Platform::run_groups_serial`] (same schedule, same
-    /// per-group code) and therefore to the per-cycle reference.
-    fn run_groups_parallel(&mut self, max_cycles: u64) {
-        let (local, global) = self.grouped_lookaheads();
-        let start_now = self.now;
-        let mut idle_flags: Vec<bool> = self.fpgas.iter().map(|f| f.is_idle()).collect();
-        let mut spent = 0u64;
-        while spent < max_cycles {
-            let glen = global.min(max_cycles - spent);
-            let tg = start_now + spent;
-            self.host_epochs.record(glen);
-            let idx = self.epoch_count;
-            self.epoch_count += 1;
-            self.host_trace.record(tg, || TraceEventKind::Epoch { index: idx, width: glen });
-            let eth = self.eth.as_mut().expect("grouped driver needs an Ethernet fabric");
-            eth.exchange(tg + glen);
-            let ranges: Vec<_> = (0..eth.groups()).map(|g| eth.group_members(g)).collect();
-            // Partition ownership: links by the group of their (lower)
-            // endpoint — both endpoints share a group, links only join
-            // `pcie_linked` pairs — and one switch per worker.
-            let all_links = std::mem::take(&mut self.links);
-            let mut group_links: Vec<Vec<((usize, usize), PcieLink)>> =
-                (0..ranges.len()).map(|_| Vec::new()).collect();
-            for ((a, b), link) in all_links {
-                group_links[eth.group_of(a)].push(((a, b), link));
-            }
-            let mut switches: Vec<EthSwitch<PcieItem>> =
-                (0..ranges.len()).map(|g| eth.take_switch(g)).collect();
-            let topology = &self.cfg.topology;
-            std::thread::scope(|s| {
-                let mut rest_f: &mut [Fpga] = &mut self.fpgas;
-                let mut rest_i: &mut [bool] = &mut idle_flags;
-                for ((range, lk), sw) in
-                    ranges.iter().zip(group_links.iter_mut()).zip(switches.iter_mut())
-                {
-                    let (chunk_f, rf) = rest_f.split_at_mut(range.len());
-                    rest_f = rf;
-                    let (chunk_i, ri) = rest_i.split_at_mut(range.len());
-                    rest_i = ri;
-                    let first = range.start;
-                    s.spawn(move || {
-                        group_epoch(first, chunk_f, lk, sw, topology, chunk_i, tg, glen, local);
-                    });
+        let n_units = units.len();
+        let barrier = Barrier {
+            plan,
+            start_now,
+            links: cross_links,
+            link_idx,
+            nf,
+            eth: self.eth.as_mut(),
+            host_epochs: &mut self.host_epochs,
+            host_trace: &mut self.host_trace,
+            epoch_count: &mut self.epoch_count,
+        };
+        let (spent, idle_at) = match exec {
+            Exec::Inline => barrier.epochs(n_units, budget, track, |mut eth, turns| {
+                for (u, (unit, turn)) in units.iter_mut().zip(turns).enumerate() {
+                    unit_epoch(unit, eth.as_deref_mut().map(|e| e.switch_mut(u)), turn);
                 }
-            });
-            for (g, sw) in switches.into_iter().enumerate() {
-                eth.put_switch(g, sw);
-            }
-            let mut merged: Vec<((usize, usize), PcieLink)> =
-                group_links.into_iter().flatten().collect();
-            // Construction order is ascending (a, b); restoring it keeps
-            // `link_idx` valid.
-            merged.sort_by_key(|l| l.0);
-            self.links = merged;
-            spent += glen;
-        }
+            }),
+            Exec::Threads => std::thread::scope(|s| {
+                let workers: Vec<_> = units
+                    .into_iter()
+                    .map(|mut unit| {
+                        let (job_tx, job_rx) =
+                            mpsc::channel::<(Turn, Option<EthSwitch<PcieItem>>)>();
+                        let (out_tx, out_rx) = mpsc::channel();
+                        s.spawn(move || {
+                            while let Ok((mut turn, mut sw)) = job_rx.recv() {
+                                unit_epoch(&mut unit, sw.as_mut(), &mut turn);
+                                if out_tx.send((turn, sw)).is_err() {
+                                    break;
+                                }
+                            }
+                        });
+                        (job_tx, out_rx)
+                    })
+                    .collect();
+                barrier.epochs(n_units, budget, track, |mut eth, turns| {
+                    for (u, ((tx, _), turn)) in workers.iter().zip(turns.drain(..)).enumerate() {
+                        let sw = eth
+                            .as_deref_mut()
+                            .map(|e| std::mem::replace(e.switch_mut(u), EthSwitch::placeholder()));
+                        tx.send((turn, sw)).expect("worker alive");
+                    }
+                    // A channel per worker: turns come back in unit order,
+                    // and a worker that panicked fails its `recv` here
+                    // instead of leaving the barrier waiting.
+                    for (u, (_, rx)) in workers.iter().enumerate() {
+                        let (turn, sw) = rx.recv().expect("worker alive");
+                        if let (Some(eth), Some(sw)) = (eth.as_deref_mut(), sw) {
+                            *eth.switch_mut(u) = sw;
+                        }
+                        turns.push(turn);
+                    }
+                })
+            }),
+        };
         self.now = start_now + spent;
+        if let Some(resume) = idle_at {
+            // Units ran to the epoch boundary; trim back to the first
+            // quiescent cycle, undoing the overshoot's clock ticks.
+            for f in self.fpgas.iter_mut() {
+                f.rewind_idle(self.now - resume);
+            }
+            self.now = resume;
+        }
+        idle_at.is_some()
     }
 
     /// How many upcoming cycles are provably skippable from the current
@@ -1073,10 +1123,7 @@ impl Platform {
     /// each other. Zero when the platform has no usable lookahead (single
     /// FPGA, or a zero-latency link configuration).
     pub fn lookahead(&self) -> u64 {
-        if self.fpgas.len() < 2 {
-            return 0;
-        }
-        self.links.iter().map(|(_, l)| l.one_way_latency()).min().unwrap_or(0)
+        self.unit_plan().pcie
     }
 
     /// Runs for `cycles` cycles on worker threads, one per FPGA, advancing
@@ -1086,19 +1133,12 @@ impl Platform {
     /// The execution is bit-identical to [`Platform::run`]: identical
     /// cycle count, statistics, memory, and console output.
     pub fn run_parallel(&mut self, cycles: u64) {
-        if self.eth.is_some() {
-            if self.grouped_lookaheads().0 > 0 && cycles > 0 {
-                self.run_groups_parallel(cycles);
-            } else {
-                self.run(cycles);
-            }
-            return;
-        }
-        if self.lookahead() == 0 || cycles == 0 {
+        let plan = self.unit_plan();
+        if plan.local == 0 || cycles == 0 {
             self.run(cycles);
-            return;
+        } else {
+            self.drive(plan, cycles, Exec::Threads, false);
         }
-        self.run_epochs(cycles, false);
     }
 
     /// The cooperative preemption grain: the smallest run-length multiple
@@ -1119,8 +1159,7 @@ impl Platform {
     /// in whole-epoch multiples, so yield/idle checks stay off the hot
     /// path.
     pub fn preemption_grain(&self) -> u64 {
-        let natural =
-            if self.eth.is_some() { self.grouped_lookaheads().1 } else { self.lookahead() }.max(1);
+        let natural = self.unit_plan().global.max(1);
         natural * Self::PREEMPT_GRAIN_FLOOR.div_ceil(natural)
     }
 
@@ -1169,22 +1208,13 @@ impl Platform {
     /// worker thread per FPGA; returns the number of cycles advanced.
     /// Without lookahead this degenerates to a single serial step.
     pub fn step_epoch(&mut self) -> u64 {
-        if self.eth.is_some() {
-            let (local, global) = self.grouped_lookaheads();
-            if local == 0 {
-                self.step();
-                return 1;
-            }
-            self.run_groups_parallel(global);
-            return global;
-        }
-        let l = self.lookahead();
-        if l == 0 {
+        let plan = self.unit_plan();
+        if plan.local == 0 {
             self.step();
             return 1;
         }
-        self.run_epochs(l, false);
-        l
+        self.drive(plan, plan.global, Exec::Threads, false);
+        plan.global
     }
 
     /// Parallel [`Platform::run_until_idle`]: epoch-stepped on worker
@@ -1208,115 +1238,7 @@ impl Platform {
         if self.is_idle() {
             return true;
         }
-        self.run_epochs(max, true) || self.is_idle()
-    }
-
-    /// The epoch engine shared by the parallel run modes: persistent
-    /// worker threads (one per FPGA) advance lockstep epochs of at most
-    /// the PCIe lookahead; the barrier replays buffered sends into the
-    /// links in `(from, to)` order and pre-extracts the next epoch's
-    /// deliveries. Returns true when `stop_when_idle` observed global
-    /// quiescence (and trimmed `now` back to its exact cycle).
-    fn run_epochs(&mut self, max_cycles: u64, stop_when_idle: bool) -> bool {
-        let nf = self.fpgas.len();
-        let lookahead =
-            self.links.iter().map(|(_, l)| l.one_way_latency()).min().expect("links exist");
-        let start_now = self.now;
-        let fpgas = &mut self.fpgas;
-        let links = &mut self.links;
-        let link_idx = &self.link_idx;
-        let host_epochs = &mut self.host_epochs;
-        let host_trace = &mut self.host_trace;
-        let epoch_count = &mut self.epoch_count;
-        let (spent, went_idle, last_active) = std::thread::scope(|s| {
-            let (out_tx, out_rx) = mpsc::channel::<EpochOut>();
-            let mut job_txs = Vec::with_capacity(nf);
-            for (w, fpga) in fpgas.iter_mut().enumerate() {
-                let (tx, rx) = mpsc::channel::<EpochJob>();
-                job_txs.push(tx);
-                let out_tx = out_tx.clone();
-                s.spawn(move || epoch_worker(w, fpga, rx, out_tx));
-            }
-            drop(out_tx);
-            let mut spent = 0u64;
-            let mut went_idle = false;
-            let mut last_active: Option<Cycle> = None;
-            while spent < max_cycles {
-                let len = lookahead.min(max_cycles - spent);
-                let epoch_start = start_now + spent;
-                let horizon = epoch_start + len;
-                host_epochs.record(len);
-                let idx = *epoch_count;
-                *epoch_count += 1;
-                host_trace.record(epoch_start, || TraceEventKind::Epoch { index: idx, width: len });
-                // Pull everything the links deliver inside this epoch and
-                // schedule it at the receiving worker, keyed by sender.
-                let mut schedules: Vec<Vec<(Cycle, usize, Flight)>> =
-                    (0..nf).map(|_| Vec::new()).collect();
-                for ((a, b), link) in links.iter_mut() {
-                    for (c, fl) in link.take_flights_to_b_before(horizon) {
-                        schedules[*b].push((c, *a, fl));
-                    }
-                    for (c, fl) in link.take_flights_to_a_before(horizon) {
-                        schedules[*a].push((c, *b, fl));
-                    }
-                }
-                for q in &mut schedules {
-                    // Stable: same-(cycle, from) flights keep send order.
-                    q.sort_by_key(|&(c, f, _)| (c, f));
-                }
-                for (w, tx) in job_txs.iter().enumerate() {
-                    let job = EpochJob {
-                        start: epoch_start,
-                        len,
-                        inbound: std::mem::take(&mut schedules[w]),
-                        eth_inbound: Vec::new(),
-                        track: stop_when_idle,
-                    };
-                    tx.send(job).expect("worker alive");
-                }
-                let mut outs: Vec<Option<EpochOut>> = (0..nf).map(|_| None).collect();
-                for _ in 0..nf {
-                    let o = out_rx.recv().expect("worker alive");
-                    let w = o.worker;
-                    outs[w] = Some(o);
-                }
-                // Barrier: replay sends in fixed (from, to) order. Each
-                // link direction has a single sending FPGA, so replaying
-                // one worker's buffer in timestamp order reproduces the
-                // serial shaper state exactly.
-                let mut all_idle = true;
-                for slot in &mut outs {
-                    let o = slot.as_mut().expect("every worker reported");
-                    all_idle &= o.idle_at_end;
-                    if let Some(t) = o.last_active {
-                        last_active = Some(last_active.map_or(t, |p| p.max(t)));
-                    }
-                    for (t, to, item) in o.sends.drain(..) {
-                        link_send_indexed(links, link_idx, nf, t, o.worker, to, item);
-                    }
-                }
-                spent += len;
-                if stop_when_idle && all_idle && links.iter().all(|(_, l)| l.is_idle()) {
-                    went_idle = true;
-                    break;
-                }
-            }
-            (spent, went_idle, last_active)
-        });
-        if went_idle {
-            // Workers ran to the epoch boundary; trim back to the first
-            // quiescent cycle, undoing the overshoot's clock ticks.
-            let epoch_end = start_now + spent;
-            let resume = last_active.map_or(start_now, |t| t + 1);
-            for f in self.fpgas.iter_mut() {
-                f.rewind_idle(epoch_end - resume);
-            }
-            self.now = resume;
-        } else {
-            self.now = start_now + spent;
-        }
-        went_idle
+        self.drive(self.unit_plan(), max, Exec::Threads, true) || self.is_idle()
     }
 
     /// FNV-1a digest of this platform's configuration, embedded in every

@@ -964,7 +964,7 @@ fn final_sizes(p: &Platform, cfg: &SchedulerConfig) -> (Option<Vec<u8>>, u64, u6
         return (None, 0, 0);
     }
     let snap = p.snapshot();
-    let raw = snap.to_bytes().len() as u64;
+    let raw = snap.wire_len() as u64;
     let z = snap.to_stream_bytes(true);
     let zlen = z.len() as u64;
     (cfg.capture_final_snapshots.then_some(z), raw, zlen)
@@ -1075,7 +1075,7 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
             };
             if yield_now {
                 let snap = p.snapshot();
-                let raw = snap.to_bytes().len() as u64;
+                let raw = snap.wire_len() as u64;
                 let park = park_state(resumed_from.as_ref(), &snap);
                 return Segment::Parked { park, raw, spent, wd: wd.state(), perf: p.host_perf() };
             }

@@ -202,7 +202,7 @@ impl<T: Pack> SaveState for EthLink<T> {
         w.u64(self.free);
         w.u64(self.bytes_sent);
         // Ring only: the wire's meter samples occupancy at push/pop *call*
-        // time, which the batched grouped drivers legitimately shift
+        // time, which the batched epoch driver legitimately shifts
         // relative to the per-cycle pump. The frames in flight are
         // architectural; the meter is a host-side diagnostic.
         self.wire.save_ring_only(w);
@@ -222,7 +222,7 @@ type JitterKey = (Cycle, u32, u64, u8);
 /// A top-of-rack switch: per-member ingress/egress hops, one spine uplink,
 /// the remote-arrival queue fed by [`EthFabric::exchange`], and the
 /// per-member fault jitter stage. Owns everything its group's epoch driver
-/// touches, so grouped drivers can move whole switches onto worker threads.
+/// touches, so the epoch driver can move whole switches onto worker threads.
 #[derive(Debug, Clone)]
 pub struct EthSwitch<T> {
     params: EthParams,
@@ -298,8 +298,8 @@ impl<T: Clone> EthSwitch<T> {
         }
     }
 
-    /// A zero-member placeholder (used to swap a real switch onto a worker
-    /// thread and back).
+    /// A zero-member placeholder: what [`EthFabric::switch_mut`] holds while
+    /// the real switch is moved onto a worker thread and back.
     pub fn placeholder() -> Self {
         Self::new(usize::MAX, 0, 0, 0, &EthParams::default(), None)
     }
@@ -342,7 +342,7 @@ impl<T: Clone> EthSwitch<T> {
     ///
     /// Callers must not let `horizon` run more than `link_latency` past the
     /// youngest send, nor more than `uplink_latency` past the last
-    /// [`EthFabric::exchange`] — the grouped drivers' lookahead bounds.
+    /// [`EthFabric::exchange`] — the epoch driver's lookahead bounds.
     pub fn process(&mut self, horizon: Cycle) {
         loop {
             // Min event below the horizon: remote arrivals beat ingress at
@@ -659,8 +659,8 @@ impl<T: Clone> EthFabric<T> {
     }
 
     /// Forwards matured frames below `horizon` on every switch (the
-    /// per-cycle reference pump; grouped drivers call
-    /// [`EthFabric::switch_mut`] per group instead).
+    /// per-cycle reference pump; the epoch driver processes each group's
+    /// switch on its own instead).
     pub fn process_all(&mut self, horizon: Cycle) {
         for sw in &mut self.switches {
             sw.process(horizon);
@@ -674,21 +674,9 @@ impl<T: Clone> EthFabric<T> {
         self.switches[g].take_delivered(member, horizon)
     }
 
-    /// Mutable access to group `g`'s switch (for grouped epoch drivers).
+    /// Mutable access to group `g`'s switch (for the epoch driver).
     pub fn switch_mut(&mut self, g: usize) -> &mut EthSwitch<T> {
         &mut self.switches[g]
-    }
-
-    /// Moves group `g`'s switch out (leaving a placeholder) so a worker
-    /// thread can own it for a global epoch; pair with
-    /// [`EthFabric::put_switch`].
-    pub fn take_switch(&mut self, g: usize) -> EthSwitch<T> {
-        std::mem::replace(&mut self.switches[g], EthSwitch::placeholder())
-    }
-
-    /// Returns a switch taken with [`EthFabric::take_switch`].
-    pub fn put_switch(&mut self, g: usize, sw: EthSwitch<T>) {
-        self.switches[g] = sw;
     }
 
     /// True when no frame is in flight anywhere.

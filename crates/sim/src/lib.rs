@@ -7,10 +7,6 @@
 //!   layer every architectural queue sits behind: named, metered,
 //!   ring-backed bounded queues ([`PortMeter`] publishes per-port stall /
 //!   peak / occupancy metrics) and their fixed-latency variant,
-//! - [`Fifo`] — a bounded queue modeling an RTL FIFO with back-pressure
-//!   (a thin shim over [`Port`]),
-//! - [`DelayLine`] — a fixed-latency pipe (wires/pipeline stages/links; a
-//!   thin shim over [`DelayPort`]),
 //! - [`TrafficShaper`] — a latency + bandwidth model used by SMAPPIC for
 //!   everything that leaves the FPGA (inter-node links, DRAM interfaces),
 //! - [`SimRng`] — a tiny, deterministic xorshift RNG so whole-platform runs
@@ -34,15 +30,15 @@
 //! still only ever touched by one thread at a time).
 //!
 //! ```
-//! use smappic_sim::{Fifo, DelayLine};
+//! use smappic_sim::{DelayPort, Port};
 //!
-//! let mut f: Fifo<u32> = Fifo::new(2);
-//! assert!(f.push(1).is_ok());
-//! assert!(f.push(2).is_ok());
-//! assert!(f.push(3).is_err()); // full: back-pressure
+//! let mut f: Port<u32> = Port::bounded("fifo", 2);
+//! assert!(f.try_push(1).is_ok());
+//! assert!(f.try_push(2).is_ok());
+//! assert!(f.try_push(3).is_err()); // full: back-pressure
 //! assert_eq!(f.pop(), Some(1));
 //!
-//! let mut d: DelayLine<&str> = DelayLine::new(3);
+//! let mut d: DelayPort<&str> = DelayPort::new("wire", 3);
 //! d.push(0, "hello");
 //! assert_eq!(d.pop_ready(2), None);      // not yet visible
 //! assert_eq!(d.pop_ready(3), Some("hello"));
@@ -56,7 +52,6 @@ mod eth;
 mod fault;
 mod obs;
 mod port;
-mod queue;
 mod rng;
 mod shaper;
 mod snap;
@@ -69,7 +64,6 @@ pub use fault::{
 };
 pub use obs::{MetricsRegistry, TraceBuf, TraceEvent, TraceEventKind, TraceSink, TRACE_COMPILED};
 pub use port::{DelayPort, Port, PortMeter, Ring, ELASTIC_PREALLOC_CAP};
-pub use queue::{DelayLine, Fifo};
 pub use rng::SimRng;
 pub use shaper::TrafficShaper;
 pub use snap::{

@@ -536,8 +536,7 @@ impl<T> Port<T> {
 
 /// A cycle-stamped port: elements pushed at cycle `t` become poppable at
 /// `t + latency`, in push order. The flow-control layer's delay element,
-/// folding the old `DelayLine` into the port substrate with the same meter
-/// and naming scheme as [`Port`].
+/// with the same meter and naming scheme as [`Port`].
 ///
 /// ```
 /// use smappic_sim::DelayPort;
@@ -795,8 +794,8 @@ mod tests {
 
     #[test]
     fn large_bounded_port_does_not_start_small() {
-        // The old Fifo::new capped its preallocation at 64 slots, so deep
-        // FIFOs reallocated mid-run; ports must not.
+        // Bounded ports preallocate their whole capacity: a deep FIFO must
+        // never reallocate mid-run.
         let p: Port<u64> = Port::bounded("llc.noc_out", 1024);
         assert_eq!(p.ring.slots(), 1024);
     }

@@ -74,7 +74,7 @@ impl<T> TrafficShaper<T> {
         self.link_free_scaled = start + tx;
         // Visible once fully serialized plus propagation latency. Floor
         // division: an item finishing mid-cycle is visible at that cycle,
-        // which also makes `latency_only` exactly match a DelayLine.
+        // which also makes `latency_only` exactly match a `DelayPort`.
         let done = self.link_free_scaled / u128::from(self.bw_num);
         let ready = done as Cycle + self.latency;
         self.bytes_sent += bytes;

@@ -637,6 +637,12 @@ impl Snapshot {
         self.sections.iter().map(|(_, b)| b.len()).sum()
     }
 
+    /// Length of [`Snapshot::to_bytes`] without serializing: the 32-byte
+    /// header plus, per section, two `u32` lengths, the name and the data.
+    pub fn wire_len(&self) -> usize {
+        32 + self.sections.iter().map(|(n, b)| 8 + n.len() + b.len()).sum::<usize>()
+    }
+
     /// The name of the first architectural section on which `self` and
     /// `other` disagree, walking both section lists in order — or [`None`]
     /// when every architectural section matches bit-for-bit.
@@ -1662,7 +1668,9 @@ mod tests {
         let mut w = SnapWriter::new();
         build(&mut w);
         let snap = Snapshot::new(7, 100, w);
-        Snapshot::from_bytes(&snap.to_bytes()).expect("wire round-trip")
+        let wire = snap.to_bytes();
+        assert_eq!(snap.wire_len(), wire.len());
+        Snapshot::from_bytes(&wire).expect("wire round-trip")
     }
 
     #[test]

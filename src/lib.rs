@@ -14,7 +14,7 @@
 
 #![forbid(unsafe_code)]
 
-/// Simulation kernel: FIFOs, delay lines, shapers, RNG, statistics.
+/// Simulation kernel: credit-accounted ports, shapers, RNG, statistics.
 pub use smappic_sim as sim;
 
 /// Network-on-Chip: routers, mesh, NoC protocol messages.
