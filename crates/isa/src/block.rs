@@ -11,8 +11,9 @@
 //! Blocks are built from the execution trace itself: the first walk through
 //! a run of sequential pcs records `(raw bits, decoded op)` pairs, and the
 //! block is sealed when the run ends. Later visits dispatch straight-line
-//! from the cached block via an internal cursor, so a hit is an array index
-//! plus one raw-bits comparison — no re-decode.
+//! from the cached block via an internal cursor that holds a handle to the
+//! block itself, so a hit is an array index plus one raw-bits comparison —
+//! no re-decode, and one map probe per block *entry*, not per instruction.
 //!
 //! # Correctness
 //!
@@ -38,6 +39,7 @@
 //! saved, so fast and reference paths stay bit-identical.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::hart::{DecodedOp, Hart};
 
@@ -51,18 +53,41 @@ const PAGE: u64 = 4096;
 /// Blocks held before the cache wholesale-resets to bound memory.
 const MAX_BLOCKS: usize = 1 << 16;
 
+/// `(raw bits, decoded op)` of every instruction of one sealed block.
+type Ops = Arc<[(u32, DecodedOp)]>;
+
+/// Straight-line dispatch position inside one sealed block.
+///
+/// Holds the block itself, not its key, so advancing never probes the map.
+/// Whatever drops the block from the map drops the cursor with it
+/// ([`BlockCache::remove_block`], [`BlockCache::invalidate_all`]): a handle
+/// never outlives its block's residency.
+#[derive(Debug)]
+struct Cursor {
+    base: u64,
+    ops: Ops,
+    /// Index of the next op to dispatch; always `< ops.len()`.
+    idx: usize,
+}
+
+impl Cursor {
+    fn pc(&self) -> u64 {
+        self.base + 4 * self.idx as u64
+    }
+}
+
 /// A trace-built cache of decoded basic blocks (see the module docs).
 #[derive(Debug, Default)]
 pub struct BlockCache {
     /// Sealed blocks keyed by the pc of their first instruction.
-    blocks: HashMap<u64, Box<[(u32, DecodedOp)]>>,
+    blocks: HashMap<u64, Ops>,
     /// `page → bases of blocks overlapping that page`; the store-side
     /// invalidation filter.
     page_index: HashMap<u64, Vec<u64>>,
     /// The block currently being recorded from the execution trace.
     building: Option<(u64, Vec<(u32, DecodedOp)>)>,
-    /// Straight-line dispatch position: `(block base, next op index)`.
-    cursor: Option<(u64, usize)>,
+    /// Straight-line dispatch position, while inside a sealed block.
+    cursor: Option<Cursor>,
     hits: u64,
     misses: u64,
     built: u64,
@@ -79,27 +104,29 @@ impl BlockCache {
     /// current block covers `pc` with the same raw bits, otherwise by
     /// decoding now (and growing a block from the trace).
     pub fn lookup(&mut self, pc: u64, instr: u32) -> DecodedOp {
-        if let Some((base, idx)) = self.cursor {
-            if let Some(b) = self.blocks.get(&base) {
-                if base + 4 * idx as u64 == pc {
-                    let (raw, d) = b[idx];
-                    if raw == instr {
-                        self.hits += 1;
-                        self.cursor = (idx + 1 < b.len()).then_some((base, idx + 1));
-                        return d;
-                    }
-                    // Stale bits that escaped eager invalidation: the raw
-                    // comparison catches them; drop the whole block.
-                    self.remove_block(base);
-                }
-            }
-        }
-        self.cursor = None;
-        if let Some(b) = self.blocks.get(&pc) {
-            let (raw, d) = b[0];
+        if let Some(cur) = self.cursor.as_mut().filter(|c| c.pc() == pc) {
+            let (raw, d) = cur.ops[cur.idx];
             if raw == instr {
                 self.hits += 1;
-                self.cursor = (b.len() > 1).then_some((pc, 1));
+                cur.idx += 1;
+                if cur.idx == cur.ops.len() {
+                    self.cursor = None;
+                }
+                return d;
+            }
+            // Stale bits that escaped eager invalidation: the raw
+            // comparison catches them; drop the whole block.
+            let base = cur.base;
+            self.remove_block(base);
+        }
+        self.cursor = None;
+        if let Some(ops) = self.blocks.get(&pc) {
+            let (raw, d) = ops[0];
+            if raw == instr {
+                self.hits += 1;
+                if ops.len() > 1 {
+                    self.cursor = Some(Cursor { base: pc, ops: Arc::clone(ops), idx: 1 });
+                }
                 return d;
             }
             self.remove_block(pc);
@@ -108,6 +135,22 @@ impl BlockCache {
         let d = Hart::decode(instr);
         self.record(pc, instr, d);
         d
+    }
+
+    /// How many ops the next `lookup`s, starting at `pc`, will dispatch from
+    /// one cached block — the cursor's, or the one keyed at `pc` — that all
+    /// satisfy `quiet(pc, raw bits, op)`; zero when no cached block is next.
+    /// Lets a wrapper bound a run of instructions it can retire without
+    /// consulting anything outside itself. Counts nothing as dispatched.
+    pub fn quiet_run(&self, pc: u64, quiet: impl Fn(u64, u32, &DecodedOp) -> bool) -> usize {
+        let ops = match self.cursor.as_ref().filter(|c| c.pc() == pc) {
+            Some(cur) => &cur.ops[cur.idx..],
+            // Between blocks: the next `lookup` enters the block keyed at
+            // `pc`, if there is one.
+            None => self.blocks.get(&pc).map_or(&[][..], |ops| ops),
+        };
+        let ahead = ops.iter().zip((pc..).step_by(4));
+        ahead.take_while(|&(&(raw, ref d), pc)| quiet(pc, raw, d)).count()
     }
 
     /// Appends `(pc, instr, d)` to the block under construction, starting or
@@ -141,7 +184,7 @@ impl BlockCache {
                 v.push(base);
             }
         }
-        self.blocks.insert(base, ops.into_boxed_slice());
+        self.blocks.insert(base, ops.into());
         self.built += 1;
     }
 
@@ -158,7 +201,7 @@ impl BlockCache {
             }
             self.invalidated += 1;
         }
-        if self.cursor.is_some_and(|(b, _)| b == base) {
+        if self.cursor.as_ref().is_some_and(|c| c.base == base) {
             self.cursor = None;
         }
     }
@@ -302,5 +345,77 @@ mod tests {
         c.lookup(0x1000, ADDI);
         c.lookup(0x1004, ADDI);
         assert!(c.hits() >= 2);
+    }
+
+    /// Warms `[ADDI, ADDI, ADDI, JAL]` at 0x1000 and replays its first two
+    /// ops, leaving the cursor (and its block handle) live at 0x1008.
+    fn cursor_mid_block() -> BlockCache {
+        let mut c = BlockCache::new();
+        for (i, &instr) in [ADDI, ADDI, ADDI, JAL].iter().enumerate() {
+            c.lookup(0x1000 + 4 * i as u64, instr);
+        }
+        c.lookup(0x1000, ADDI);
+        c.lookup(0x1004, ADDI);
+        assert_eq!((c.hits(), c.misses(), c.len()), (2, 4, 1));
+        c
+    }
+
+    #[test]
+    fn invalidating_the_block_under_the_cursor_drops_the_handle_too() {
+        let mut c = cursor_mid_block();
+        c.invalidate_range(0x1000, 4);
+        assert!(c.is_empty());
+        // The cursor's handle kept the ops alive; it must not dispatch them.
+        // New bits at the cursor's pc prove it: a replay would return ADDI.
+        assert_eq!(c.lookup(0x1008, JAL), Hart::decode(JAL));
+        assert_eq!((c.hits(), c.misses()), (2, 5), "dropped block must decode afresh");
+        assert_eq!(c.lookup(0x1000, ADDI), Hart::decode(ADDI));
+        assert_eq!((c.hits(), c.misses()), (2, 6), "one count per dispatched op");
+    }
+
+    #[test]
+    fn raw_bits_mismatch_at_the_cursor_drops_the_block() {
+        let mut c = cursor_mid_block();
+        assert_eq!(c.lookup(0x1008, JAL), Hart::decode(JAL));
+        assert_eq!((c.hits(), c.misses()), (2, 5));
+        assert_eq!(c.invalidated(), 1);
+        // The whole block went, not just the op: its head misses again.
+        c.lookup(0x1000, ADDI);
+        assert_eq!((c.hits(), c.misses()), (2, 6));
+    }
+
+    #[test]
+    fn wholesale_reset_drops_a_live_cursor() {
+        let mut c = cursor_mid_block();
+        // Single-op blocks far from 0x1000 until the next seal resets.
+        let mut pc = 0x10_0000;
+        while c.len() < MAX_BLOCKS {
+            c.lookup(pc, JAL);
+            pc += 4;
+        }
+        c.lookup(0x1000, ADDI);
+        c.lookup(0x1004, ADDI); // cursor live at 0x1008 again
+        let (hits, misses) = (c.hits(), c.misses());
+        c.lookup(pc, JAL); // this seal finds the cache full
+        assert_eq!(c.len(), 1, "reset keeps only the block that triggered it");
+        assert_eq!(c.lookup(0x1008, JAL), Hart::decode(JAL));
+        assert_eq!((c.hits(), c.misses()), (hits, misses + 2));
+    }
+
+    #[test]
+    fn quiet_run_counts_from_the_cursor_or_a_block_head() {
+        let straight = |_, _, d: &DecodedOp| !d.ends_block();
+        let mut c = cursor_mid_block();
+        // At the cursor: the one ADDI left before the JAL.
+        assert_eq!(c.quiet_run(0x1008, straight), 1);
+        // Between blocks (cursor elsewhere): the block keyed at `pc`.
+        assert_eq!(c.quiet_run(0x1000, straight), 3);
+        assert_eq!(c.quiet_run(0x1004, straight), 0, "no block starts here");
+        // The count follows the cursor as ops dispatch.
+        c.lookup(0x1008, ADDI);
+        assert_eq!(c.quiet_run(0x100C, straight), 0);
+        assert_eq!((c.hits(), c.misses()), (3, 4), "asking is not dispatching");
+        // The predicate sees each op's own pc and raw bits.
+        assert_eq!(c.quiet_run(0x1000, |pc, raw, _| raw == ADDI && pc < 0x1008), 2);
     }
 }

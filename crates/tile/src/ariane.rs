@@ -1,7 +1,7 @@
 //! The Ariane core model: the RV64 interpreter behind a timing pipeline.
 
 use smappic_coherence::{CoreReq, CoreResp, MemOp};
-use smappic_isa::{BlockCache, DecodedOp, Hart, MemAmoOp, Outcome};
+use smappic_isa::{BlockCache, Csr, DecodedOp, Hart, MemAmoOp, Outcome};
 use smappic_noc::{Addr, AmoOp};
 use smappic_sim::{Cycle, Pack, SaveState, SnapReader, SnapWriter};
 
@@ -120,6 +120,34 @@ enum State {
     Wfi,
     /// Stopped (exit ecall, ebreak, or unhandled trap).
     Halted,
+}
+
+/// The TRI of a quiet window ([`Engine::advance_idle`] in `State::Run`): the
+/// horizon promised that no tick in the window reaches the TRI, so reaching
+/// it is a bug in the horizon, never something to paper over.
+struct QuietTri;
+
+impl Tri for QuietTri {
+    fn try_request(&mut self, _now: Cycle, req: CoreReq) -> Result<(), CoreReq> {
+        unreachable!("memory request inside a quiet window: {req:?}")
+    }
+    fn pop_resp(&mut self) -> Option<CoreResp> {
+        unreachable!("response poll inside a quiet window")
+    }
+}
+
+/// Ops that retire from registers alone: no TRI, no trap, no redirect, no CSR
+/// and no wrapper state beyond the stall counter. Loads, stores and CSR ops
+/// sit mid-block ([`DecodedOp::ends_block`] stops at none of them), so the
+/// quiet-run horizon cannot lean on block boundaries and keeps its own list.
+fn is_closed(d: &DecodedOp) -> bool {
+    matches!(
+        d,
+        DecodedOp::Lui { .. }
+            | DecodedOp::Auipc { .. }
+            | DecodedOp::Alu { .. }
+            | DecodedOp::AluImm { .. }
+    )
 }
 
 /// The Ariane core model.
@@ -252,6 +280,38 @@ impl ArianeCore {
         }
     }
 
+    /// The instruction word at `pc`, if its doubleword is L1I-resident.
+    fn fetch(&self, pc: u64) -> Option<u32> {
+        let bits = self.icache_lookup(pc & !7)?;
+        Some(if pc & 4 == 0 { bits as u32 } else { (bits >> 32) as u32 })
+    }
+
+    /// The quiet run: how many of the next instructions are certain to retire
+    /// one per `Run` dispatch without the core touching the TRI or anything
+    /// the tile observes. Those are the leading ops at the block cursor (or,
+    /// between blocks, of the block keyed at the pc) that are [`is_closed`]
+    /// and whose L1I-resident bits equal the bits the block was decoded from
+    /// (a block outlives a direct-mapped eviction of its doubleword:
+    /// `complete(IFetch)` invalidates only the *refilled* one), with no
+    /// interrupt deliverable. Inside the run nothing can change that: closed
+    /// ops write neither the L1I nor `mie`/`mstatus`, and `mip` moves only
+    /// through `set_irq`, which the tile wakes up for.
+    fn quiet_run(&self) -> u64 {
+        if self.hart.csrs().pending_interrupt().is_some() {
+            return 0;
+        }
+        let quiet = |pc, raw, d: &DecodedOp| is_closed(d) && self.fetch(pc) == Some(raw);
+        self.blocks.quiet_run(self.hart.pc(), quiet) as u64
+    }
+
+    /// WFI resumes whenever an interrupt is pending and locally enabled,
+    /// whatever `mstatus.MIE` says (privileged spec §3.3.3); only *taking*
+    /// the trap needs the global enable.
+    fn wfi_wakes(&self) -> bool {
+        let csrs = self.hart.csrs();
+        csrs.read(Csr::Mip) & csrs.read(Csr::Mie) != 0
+    }
+
     fn mem_req(&mut self, op: MemOp, pend: Pend) -> (CoreReq, Pend) {
         let token = self.token();
         (CoreReq { token, op }, pend)
@@ -323,9 +383,9 @@ impl ArianeCore {
             return;
         }
         let pc = self.hart.pc();
-        let dword = pc & !7;
-        let Some(bits) = self.icache_lookup(dword) else {
+        let Some(instr) = self.fetch(pc) else {
             // L1I miss: fetch the doubleword through the BPC.
+            let dword = pc & !7;
             let (req, pend) =
                 self.mem_req(MemOp::Load { addr: dword, size: 8 }, Pend::IFetch { dword });
             self.state = match tri.try_request(now, req) {
@@ -334,7 +394,6 @@ impl ArianeCore {
             };
             return;
         };
-        let instr = if pc & 4 == 0 { bits as u32 } else { (bits >> 32) as u32 };
         let d = if self.fast_decode { self.blocks.lookup(pc, instr) } else { Hart::decode(instr) };
         let outcome = self.hart.execute_decoded(&d);
         if matches!(d, DecodedOp::Fence { fencei: true }) {
@@ -388,7 +447,7 @@ impl ArianeCore {
                         self.hart.skip_instruction();
                     }
                     _ => {
-                        if self.hart.csrs().read(smappic_isa::Csr::Mtvec) != 0 {
+                        if self.hart.csrs().read(Csr::Mtvec) != 0 {
                             self.hart.raise_ecall();
                         } else {
                             self.exit_code = Some(u64::MAX);
@@ -402,7 +461,7 @@ impl ArianeCore {
                 self.state = State::Halted;
             }
             Outcome::Exception(t) => {
-                if self.hart.csrs().read(smappic_isa::Csr::Mtvec) != 0 {
+                if self.hart.csrs().read(Csr::Mtvec) != 0 {
                     self.hart.raise(t);
                     self.stall += self.cfg.taken_branch_penalty;
                 } else {
@@ -449,8 +508,10 @@ impl Engine for ArianeCore {
                 None => self.state = State::Wait(token, pend),
             },
             State::Wfi => {
-                if self.hart.take_interrupt().is_some() {
-                    self.state = State::Run;
+                if self.wfi_wakes() {
+                    // Resume after the wfi (state is already `Run`); with
+                    // `mstatus.MIE` set the trap is taken on the spot.
+                    self.hart.take_interrupt();
                 } else {
                     self.state = State::Wfi;
                 }
@@ -482,22 +543,35 @@ impl Engine for ArianeCore {
             // Waiting for a memory response: every tick until the tile
             // delivers one only ages mcycle (and drains any residual stall).
             State::Wait(..) => None,
-            // WFI with no deliverable interrupt: woken by set_irq only.
-            State::Wfi if self.hart.csrs().pending_interrupt().is_none() => None,
-            // Run/Issue (and WFI with a pending interrupt) dispatch as soon
-            // as the stall counter drains.
-            _ => Some(now + self.stall),
+            // WFI with nothing pending-and-enabled: woken by set_irq only.
+            State::Wfi if !self.wfi_wakes() => None,
+            // Run dispatches once the stall counter drains, and then stays
+            // inside the core for the quiet run: a lower bound on the first
+            // cycle it can need the TRI (mul/div penalties only push that
+            // cycle out), so sleeping to it is exact.
+            State::Run => Some(now + self.stall + self.quiet_run()),
+            // Issue (and WFI about to resume) act as soon as the stall
+            // counter drains.
+            State::Issue(..) | State::Wfi => Some(now + self.stall),
         }
     }
 
     fn advance_idle(&mut self, delta: u64) {
-        if matches!(self.state, State::Halted) {
-            return;
+        match self.state {
+            State::Halted => {}
+            // A quiet window is executed, lazily and cycle by cycle, by the
+            // one per-cycle body there is: architectural state is current at
+            // every cycle boundary (an IRQ landing mid-block is taken at its
+            // exact cycle), and a TRI access the horizon failed to foresee
+            // panics. `now` only ever reaches the TRI.
+            State::Run => (0..delta).for_each(|_| self.tick(0, &mut QuietTri)),
+            // What `delta` skipped ticks would have done: count the cycles,
+            // drain the stall counter.
+            _ => {
+                self.hart.csrs_mut().mcycle += delta;
+                self.stall -= self.stall.min(delta);
+            }
         }
-        // What `delta` skipped ticks would have done: count the cycles,
-        // drain the stall counter.
-        self.hart.csrs_mut().mcycle += delta;
-        self.stall -= self.stall.min(delta);
     }
 
     fn set_fast_path(&mut self, on: bool) {
@@ -756,6 +830,45 @@ mod tests {
             }
         }
         panic!("core never halted");
+    }
+
+    #[test]
+    fn wfi_resumes_without_trapping_when_mie_is_clear() {
+        // The idle-loop idiom: interrupts globally off, `wfi`, then poll.
+        // A pending-and-locally-enabled interrupt ends the wait; with
+        // mstatus.MIE clear it is not taken and execution falls through.
+        let (mut core, mut rig) = boot(
+            r#"
+            la   t0, handler
+            csrw mtvec, t0
+            li   t0, 0x80      # MTI enable; mstatus.MIE stays clear
+            csrw mie, t0
+            wfi
+            li   a7, 93
+            li   a0, 111
+            ecall
+        handler:
+            li   a7, 93
+            li   a0, 222
+            ecall
+        "#,
+        );
+        for now in 0..200_000 {
+            core.tick(now, &mut rig);
+            rig.pump(now);
+            if now == 5_000 {
+                assert!(matches!(core.state, State::Wfi), "must be parked in wfi by now");
+                assert_eq!(core.next_event_after(now + 1), None, "nothing pending: sleeps");
+                core.set_irq(7, true);
+                assert_eq!(core.next_event_after(now + 1), Some(now + 1), "pending: resumes");
+            }
+            if core.is_done() {
+                assert!(now > 5_000, "wfi must wait for the interrupt");
+                assert_eq!(core.exit_code(), Some(111), "MIE clear: resume, do not trap");
+                return;
+            }
+        }
+        panic!("core slept through a pending, locally enabled interrupt");
     }
 
     #[test]

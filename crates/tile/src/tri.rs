@@ -57,18 +57,26 @@ pub trait Engine: Send {
     /// Drives an interrupt wire (from the interrupt depacketizer, §3.3).
     fn set_irq(&mut self, _line: u16, _level: bool) {}
 
-    /// The engine's contribution to per-component event scheduling: the
-    /// first cycle at or after `now` at which ticking it could do more than
-    /// *age* (the bookkeeping [`Engine::advance_idle`] reproduces), assuming
-    /// no external input arrives in between.
+    /// The engine's contribution to per-component event scheduling: the end
+    /// of a *closed window* starting at `now` — a stretch of ticks that touch
+    /// neither the TRI nor anything the tile observes, assuming no external
+    /// input arrives in between. What such ticks do inside the engine is the
+    /// engine's business — aging a counter, or retiring register-only
+    /// instructions — as long as [`Engine::advance_idle`] reproduces it
+    /// exactly.
     ///
     /// - `Some(t)` with `t == now`: busy — the engine must be ticked now.
-    /// - `Some(t)` with `t > now`: every tick in `[now, t)` is a no-op
-    ///   modulo aging; a sleeping container may skip them and compensate
-    ///   with [`Engine::advance_idle`] before the tick at `t`.
-    /// - `None`: the engine schedules no event of its own; only external
-    ///   input ([`Engine::set_irq`], a memory response pushed into its
-    ///   tile) can make future ticks matter.
+    /// - `Some(t)` with `t > now`: ticks in `[now, t)` form a closed window;
+    ///   a sleeping container may skip them and compensate with
+    ///   [`Engine::advance_idle`] before the tick at `t`. `t` may be a lower
+    ///   bound: the tick at `t` is a real one and may well find nothing to
+    ///   do outside the engine either.
+    /// - `None`: the window never closes by itself; only external input
+    ///   ([`Engine::set_irq`], a memory response pushed into its tile) can
+    ///   make future ticks matter.
+    ///
+    /// External input ends a window early: the container applies the ticks
+    /// skipped so far, delivers the input, and asks again.
     ///
     /// The default is conservatively busy, so engines that don't opt in are
     /// never skipped.
@@ -76,11 +84,14 @@ pub trait Engine: Send {
         Some(now)
     }
 
-    /// Applies the aging effect of `delta` skipped ticks in one step —
-    /// exactly what `delta` consecutive calls of [`Engine::tick`] would
-    /// have done in a stretch [`Engine::next_event_after`] declared
-    /// skippable (e.g. `mcycle` advancing, stall/compute counters draining).
-    /// Must leave the engine bit-identical to having been ticked.
+    /// Executes `delta` skipped ticks of a closed window in one step —
+    /// exactly what `delta` consecutive calls of [`Engine::tick`] would have
+    /// done in a stretch [`Engine::next_event_after`] declared skippable
+    /// (`mcycle` advancing, stall/compute counters draining, closed
+    /// instructions retiring), without a TRI. Must leave the engine
+    /// bit-identical to having been ticked, for every split of the window
+    /// into calls (`advance_idle(1)` × n ≡ `advance_idle(n)`): a container
+    /// may be interrupted, snapshotted or inspected at any cycle boundary.
     fn advance_idle(&mut self, _delta: u64) {}
 
     /// Enables or disables host-side fast paths (decoded-block dispatch).

@@ -32,8 +32,8 @@ fn ariane_core(p: &Platform) -> &ArianeCore {
 }
 
 /// Runs `src` for `cycles` with the fast path on and off; asserts the two
-/// runs are bit-identical and returns the (shared) exit code.
-fn run_both(src: &str, cycles: u64, label: &str) -> Option<u64> {
+/// runs are bit-identical and returns them as `(fast, reference)`.
+fn run_pair(src: &str, cycles: u64, label: &str) -> (Platform, Platform) {
     let mut fast = ariane_platform(src);
     let mut reference = ariane_platform(src);
     reference.set_fast_path(false);
@@ -50,7 +50,12 @@ fn run_both(src: &str, cycles: u64, label: &str) -> Option<u64> {
         0,
         "{label}: reference run must not use the block cache"
     );
-    f.exit_code()
+    (fast, reference)
+}
+
+/// [`run_pair`], returning the (shared) exit code.
+fn run_both(src: &str, cycles: u64, label: &str) -> Option<u64> {
+    ariane_core(&run_pair(src, cycles, label).0).exit_code()
 }
 
 /// Full observable equality: simulated time, every stats counter, the
@@ -332,4 +337,192 @@ fn fast_serial_fast_parallel_and_reference_agree() {
         perf.skipped_tile_cycles > 0,
         "contention workload must let the scheduler elide some tile ticks"
     );
+}
+
+// ---- The quiet-run horizon -------------------------------------------------
+//
+// A fast-path Ariane tile sleeps through runs of register-only instructions
+// (`Engine::next_event_after` in `State::Run`) and executes them lazily in
+// `advance_idle`. These cases sit on the window's edges; each must leave the
+// fast run bit-identical to the reference, which never sleeps.
+
+/// CLINT `mtimecmp[0]`.
+const MTIMECMP: u64 = 0x6100_4000;
+
+/// `n` register-only instructions: one straight-line run of a decoded block.
+fn straight_line(n: usize) -> String {
+    "addi a0, a0, 1\n".repeat(n)
+}
+
+/// Tile ticks the fast run skipped; the windows are what skips them here.
+fn slept_cycles(fast: &Platform) -> u64 {
+    fast.host_perf().skipped_tile_cycles
+}
+
+#[test]
+fn timer_interrupt_lands_mid_window_at_its_exact_cycle() {
+    // The guest arms the CLINT 1500 cycles out and spins in a 57-op block
+    // (56 addi + the jump back). The Irq packet reaches the tile while it
+    // sleeps somewhere inside the block; the trap must be taken at the same
+    // instruction as in the reference — a0 (addis retired) is the exit code
+    // and a1 the byte offset of mepc into the block.
+    let src = format!(
+        r#"
+            la   t0, handler
+            csrw mtvec, t0
+            li   s0, {MTIME:#x}
+            ld   t2, 0(s0)
+            li   t3, 1500
+            add  t2, t2, t3
+            li   s1, {MTIMECMP:#x}
+            sd   t2, 0(s1)
+            li   t0, 0x80            # MTIE
+            csrw mie, t0
+            li   t0, 8               # mstatus.MIE
+            csrs mstatus, t0
+            li   a0, 0
+        spin:
+            {}
+            j    spin
+        handler:
+            csrr a1, mepc
+            la   a2, spin
+            sub  a1, a1, a2
+            li   a7, 93
+            ecall
+        "#,
+        straight_line(56)
+    );
+    let (fast, _) = run_pair(&src, 20_000, "timer mid-window");
+    let core = ariane_core(&fast);
+    assert!(core.exit_code().is_some_and(|n| n > 500), "the timer must fire well into the spin");
+    let landed = core.hart().reg(11) / 4;
+    assert!((1..56).contains(&landed), "mepc must fall inside the run, not on its edge: {landed}");
+    assert!(slept_cycles(&fast) > 500, "the spin must have been slept through");
+}
+
+#[test]
+fn aliasing_loops_evict_a_cached_blocks_dword() {
+    // Two hot loops 16 KiB apart share direct-mapped L1I slots: `far`
+    // evicts the tail doublewords of `a`'s block while the block itself
+    // stays cached (only a *refill* invalidates it). Re-entering `a` the
+    // horizon must stop at the evicted doubleword — the fetch there goes to
+    // the BPC, which a quiet window must never reach.
+    let base = DRAM_BASE + 0x1_0000;
+    let src = format!(
+        r#"
+            li   a0, 0
+            li   s1, 6
+        outer:
+            li   t0, 10
+        a:
+            {}
+            addi t0, t0, -1
+            bnez t0, a
+            j    far
+            .org {:#x}
+        far:
+            li   t0, 10
+        b:
+            addi a0, a0, 2
+            addi a0, a0, 2
+            addi a0, a0, 2
+            addi a0, a0, 2
+            addi t0, t0, -1
+            bnez t0, b
+            addi s1, s1, -1
+            beqz s1, done
+            j    outer
+        done:
+            li   a7, 93
+            ecall
+        "#,
+        straight_line(24),
+        base + 0x4040
+    );
+    let img = smappic::isa::assemble(&src, base).expect("assembles");
+    let overlap = (img.symbols["far"] - img.symbols["a"]) % 0x4000;
+    assert!((8..96).contains(&overlap), "`far` must alias the middle of `a`'s block: {overlap}");
+
+    let (fast, _) = run_pair(&src, 60_000, "aliasing loops");
+    assert_eq!(ariane_core(&fast).exit_code(), Some(6 * (10 * 24 + 10 * 4 * 2)));
+    assert!(slept_cycles(&fast) > 1000, "both loops must have been slept through");
+}
+
+#[test]
+fn mul_div_penalties_inside_a_window() {
+    // Long-latency ops are register-only, so they sit inside the window and
+    // their stalls drain there: the horizon is a lower bound, the wake tick
+    // finds the core mid-stall or mid-run, and every cycle must still count.
+    let src = format!(
+        r#"
+            li   a0, 1
+            li   a2, 7
+            li   s1, 200
+        loop:
+            {}
+            mul  a3, a0, a2
+            div  a4, a3, a2
+            remu a5, a3, s1
+            add  a0, a4, a5
+            mulw a3, a3, a2
+            addi s1, s1, -1
+            bnez s1, loop
+            li   a7, 93
+            ecall
+        "#,
+        straight_line(8)
+    );
+    let (fast, _) = run_pair(&src, 60_000, "mul/div in window");
+    assert!(ariane_core(&fast).exit_code().is_some(), "loop must finish");
+    assert!(slept_cycles(&fast) > 4000, "stall cycles and the ops around them are skippable");
+}
+
+/// An endless register-only loop: the tile is inside a window almost always.
+fn endless_alu_loop() -> String {
+    format!("li a0, 0\nli a2, 3\nspin:\n{}mul a3, a0, a2\nj spin\n", straight_line(40))
+}
+
+#[test]
+fn snapshot_taken_mid_window_resumes_bit_exactly() {
+    let src = endless_alu_loop();
+    let mut live = ariane_platform(&src);
+    // Stop with the tile asleep inside a window (not on a wake tick).
+    live.run(5_000);
+    while !live.node(0).tile(0).is_sleeping(live.now()) {
+        live.run(1);
+    }
+    let snap = live.snapshot();
+
+    let mut restored = ariane_platform(&src);
+    restored.restore(&snap).expect("clean restore");
+    assert_bit_identical(&live, &restored, "post-restore");
+    let resumed_for = 5_000;
+    live.run(resumed_for);
+    restored.run(resumed_for);
+    assert_bit_identical(&live, &restored, "restored vs uninterrupted fast run");
+    assert!(slept_cycles(&restored) > resumed_for / 2, "the restored tile must sleep again");
+
+    let mut reference = ariane_platform(&src);
+    reference.set_fast_path(false);
+    reference.run(live.now());
+    assert_bit_identical(&restored, &reference, "restored vs uninterrupted reference run");
+}
+
+#[test]
+fn single_cycle_runs_equal_one_long_run() {
+    // `run(1)` × N drives every skipped tick through the per-cycle skip path
+    // (`advance_idle(1)`); `run(N)` lets the FPGA warp whole windows
+    // (`advance_idle(delta)`). Same machine either way.
+    const N: u64 = 4_000;
+    let src = endless_alu_loop();
+    let mut stepped = ariane_platform(&src);
+    let mut warped = ariane_platform(&src);
+    for _ in 0..N {
+        stepped.run(1);
+    }
+    warped.run(N);
+    assert_bit_identical(&stepped, &warped, "run(1) x N vs run(N)");
+    assert_eq!(slept_cycles(&stepped), slept_cycles(&warped), "same ticks skipped either way");
+    assert!(slept_cycles(&warped) > N / 2, "the loop must be slept through");
 }
