@@ -1,6 +1,6 @@
 //! Address-decoded AXI4 crossbar with ID remapping.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use smappic_sim::{
     Cycle, FaultInjector, MetricsRegistry, Port, SaveState, SnapReader, SnapWriter, Stats,
@@ -18,8 +18,8 @@ use crate::txn::{AxiReq, AxiResp};
 /// - decodes the request address against a range map to select the slave,
 /// - remaps transaction IDs so concurrent masters cannot collide, and
 ///   restores the original ID on the response path,
-/// - arbitrates round-robin, forwarding at most one request per slave and
-///   one response per master per cycle.
+/// - arbitrates round-robin over the masters, forwarding at most one
+///   request per master and one response per slave port per cycle.
 ///
 /// Unmapped addresses complete with a DECERR-style error response instead
 /// of vanishing, matching AXI semantics.
@@ -32,7 +32,11 @@ pub struct Crossbar {
     s_req_out: Vec<Port<AxiReq>>,
     s_resp_in: Vec<Port<AxiResp>>,
     // remapped id -> (master index, original id)
-    inflight: HashMap<u16, (usize, u16)>,
+    inflight: BTreeMap<u16, (usize, u16)>,
+    /// Requests and responses queued across all four port banks, so the
+    /// per-cycle [`Crossbar::pump_is_noop`] probe is a compare. Derived
+    /// state: recomputed on restore, never serialized.
+    queued: usize,
     next_tag: u16,
     rr_master: usize,
     stats: Stats,
@@ -55,7 +59,8 @@ impl Crossbar {
             m_resp_out: (0..masters).map(|m| Port::bounded(format!("m{m}.resp_out"), 16)).collect(),
             s_req_out: (0..slaves).map(|s| Port::bounded(format!("s{s}.req_out"), 16)).collect(),
             s_resp_in: (0..slaves).map(|s| Port::bounded(format!("s{s}.resp_in"), 16)).collect(),
-            inflight: HashMap::new(),
+            inflight: BTreeMap::new(),
+            queued: 0,
             next_tag: 0,
             rr_master: 0,
             stats: Stats::new(),
@@ -109,7 +114,9 @@ impl Crossbar {
     /// Master `m` submits a request. Errors with the request when the input
     /// queue is full.
     pub fn master_push(&mut self, m: usize, req: AxiReq) -> Result<(), AxiReq> {
-        self.m_req_in[m].try_push(req)
+        self.m_req_in[m].try_push(req)?;
+        self.queued += 1;
+        Ok(())
     }
 
     /// True when master `m` may push a request this cycle.
@@ -119,17 +126,23 @@ impl Crossbar {
 
     /// Master `m` collects its next response.
     pub fn master_pop(&mut self, m: usize) -> Option<AxiResp> {
-        self.m_resp_out[m].pop()
+        let resp = self.m_resp_out[m].pop()?;
+        self.queued -= 1;
+        Some(resp)
     }
 
     /// Slave `s` takes its next routed request.
     pub fn slave_pop(&mut self, s: usize) -> Option<AxiReq> {
-        self.s_req_out[s].pop()
+        let req = self.s_req_out[s].pop()?;
+        self.queued -= 1;
+        Some(req)
     }
 
     /// Slave `s` returns a response. Errors with the response when full.
     pub fn slave_push(&mut self, s: usize, resp: AxiResp) -> Result<(), AxiResp> {
-        self.s_resp_in[s].try_push(resp)
+        self.s_resp_in[s].try_push(resp)?;
+        self.queued += 1;
+        Ok(())
     }
 
     /// True when slave `s` may push a response this cycle.
@@ -148,10 +161,14 @@ impl Crossbar {
     /// the ports. The round-robin pointer still advances every cycle; use
     /// [`Crossbar::tick_quiet`] when eliding a tick under this predicate.
     pub fn pump_is_noop(&self) -> bool {
-        self.m_req_in.iter().all(Port::is_empty)
-            && self.m_resp_out.iter().all(Port::is_empty)
-            && self.s_req_out.iter().all(Port::is_empty)
-            && self.s_resp_in.iter().all(Port::is_empty)
+        self.queued == 0
+    }
+
+    /// `queued` recomputed from the ports themselves.
+    fn scan_queued(&self) -> usize {
+        let reqs = self.m_req_in.iter().chain(&self.s_req_out).map(Port::len);
+        let resps = self.m_resp_out.iter().chain(&self.s_resp_in).map(Port::len);
+        reqs.sum::<usize>() + resps.sum::<usize>()
     }
 
     /// A [`Crossbar::tick`] reduced to its only state change when
@@ -172,11 +189,7 @@ impl Crossbar {
 
     /// True when no transaction is queued or outstanding.
     pub fn is_idle(&self) -> bool {
-        self.inflight.is_empty()
-            && self.m_req_in.iter().all(Port::is_empty)
-            && self.m_resp_out.iter().all(Port::is_empty)
-            && self.s_req_out.iter().all(Port::is_empty)
-            && self.s_resp_in.iter().all(Port::is_empty)
+        self.inflight.is_empty() && self.pump_is_noop()
     }
 
     /// Merges every port meter into `m` under `port.<prefix>.<name>.*`.
@@ -209,6 +222,7 @@ impl Crossbar {
 
     /// Advances the crossbar one cycle.
     pub fn tick(&mut self, now: Cycle) {
+        debug_assert_eq!(self.queued, self.scan_queued(), "crossbar queued count");
         // Request path: round-robin over masters; forward when the decoded
         // slave queue has space.
         for i in 0..self.masters {
@@ -245,7 +259,10 @@ impl Crossbar {
                             AxiResp::Read(crate::txn::AxiReadResp { id: r.id, data: vec![] })
                         }
                     };
-                    let _ = self.m_resp_out[m].try_push_traced(resp, now, &mut self.trace);
+                    let replied = self.m_resp_out[m].try_push_traced(resp, now, &mut self.trace);
+                    // The request left the ports; its reply took its place
+                    // in the count unless it was dropped.
+                    self.queued -= usize::from(replied.is_err());
                     self.stats.incr("xbar.decerr");
                 }
             }
@@ -258,6 +275,7 @@ impl Crossbar {
             let Some(&(m, orig)) = self.inflight.get(&resp.id()) else {
                 // Response to an unknown tag: drop defensively.
                 self.s_resp_in[s].pop();
+                self.queued -= 1;
                 self.stats.incr("xbar.orphan_resp");
                 continue;
             };
@@ -287,12 +305,8 @@ impl SaveState for Crossbar {
         for p in &self.s_resp_in {
             p.save(w);
         }
-        // HashMap state in sorted key order for deterministic bytes.
-        let mut tags: Vec<u16> = self.inflight.keys().copied().collect();
-        tags.sort_unstable();
-        w.usize(tags.len());
-        for t in tags {
-            let (m, orig) = self.inflight[&t];
+        w.usize(self.inflight.len());
+        for (&t, &(m, orig)) in &self.inflight {
             w.u16(t);
             w.usize(m);
             w.u16(orig);
@@ -315,6 +329,7 @@ impl SaveState for Crossbar {
         for p in &mut self.s_resp_in {
             p.restore(r);
         }
+        self.queued = self.scan_queued();
         self.inflight.clear();
         let n = r.usize();
         for _ in 0..n {
@@ -478,6 +493,74 @@ mod tests {
         assert_eq!(original.master_pop(1), restored.master_pop(1));
         assert!(original.is_idle() && restored.is_idle());
         assert_eq!(original.stats().get("xbar.req"), restored.stats().get("xbar.req"));
+    }
+
+    #[test]
+    fn queued_count_tracks_the_ports_through_every_path() {
+        use smappic_sim::{SimRng, Snapshot};
+
+        let build = || {
+            let mut x = Crossbar::new(3, 3);
+            for slave in 0..3 {
+                x.map_range(slave as u64 * 0x1000, 0x1000, slave);
+            }
+            x
+        };
+        let mut x = build();
+        let mut rng = SimRng::new(0xC0B4);
+        let mut taken: Vec<(usize, u16)> = Vec::new(); // (slave, remapped id) awaiting a response
+        let mut now = 0;
+        for step in 0..6_000 {
+            let port = rng.gen_range(3) as usize;
+            match rng.gen_range(8) {
+                // Master 0 sends only unmapped addresses and never collects,
+                // so its response port fills and later DECERR replies to it
+                // are dropped.
+                0 | 1 => {
+                    let addr = if port == 0 { 0x9000 } else { rng.gen_range(0x3000) };
+                    let _ = x.master_push(port, AxiReq::Read(AxiRead::new(addr, 8, step as u16)));
+                }
+                2 => {
+                    if let Some(req) = x.slave_pop(port) {
+                        taken.push((port, req.id()));
+                    }
+                }
+                3 if !taken.is_empty() => {
+                    let (s, id) = taken.swap_remove(rng.gen_range(taken.len() as u64) as usize);
+                    if x.slave_push(s, AxiResp::Read(AxiReadResp { id, data: vec![] })).is_err() {
+                        taken.push((s, id));
+                    }
+                }
+                // A response nobody asked for.
+                4 if rng.chance(0.1) => {
+                    let _ =
+                        x.slave_push(port, AxiResp::Write(AxiWriteResp { id: 0xFFFF, ok: true }));
+                }
+                5 if port != 0 => {
+                    x.master_pop(port);
+                }
+                6 if rng.chance(0.02) => {
+                    let mut w = SnapWriter::new();
+                    w.scoped("xbar", |w| x.save(w));
+                    let snap = Snapshot::new(0, now, w);
+                    x = build();
+                    let mut r = SnapReader::new(&snap);
+                    r.scoped("xbar", |r| x.restore(r));
+                    r.finish().expect("clean restore");
+                }
+                _ => {
+                    x.tick(now);
+                    now += 1;
+                }
+            }
+            assert_eq!(x.queued, x.scan_queued(), "after step {step}");
+            assert_eq!(x.pump_is_noop(), x.scan_queued() == 0, "after step {step}");
+        }
+        let moved = (x.stats().get("xbar.req"), x.stats().get("xbar.resp"));
+        assert!(moved.0 > 500 && moved.1 > 300, "requests and responses must flow: {moved:?}");
+        assert!(x.stats().get("xbar.orphan_resp") > 0, "an orphan response was dropped");
+        assert!(x.m_resp_out[0].is_full() && x.m_resp_out[0].meter().stalls() > 0);
+        assert!(x.stats().get("xbar.decerr") > 16, "DECERR replies met the full port");
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub struct HardShell {
     /// Inbound-request ID remap: shell id → (source peer, original id).
     /// Two peers may use colliding IDs; the shell, like the real XDMA
     /// bridge, keeps per-source context to route completions back.
-    inbound_ids: std::collections::HashMap<u16, (usize, u16)>,
+    inbound_ids: BTreeMap<u16, (usize, u16)>,
     next_inbound_id: u16,
     guard: Option<Guard>,
     stats: Stats,
@@ -108,7 +108,7 @@ impl HardShell {
             outbound_resp: Port::bounded("outbound_resp", 32),
             inbound_req: Port::bounded("inbound_req", 32),
             inbound_resp: Port::bounded("inbound_resp", 32),
-            inbound_ids: std::collections::HashMap::new(),
+            inbound_ids: BTreeMap::new(),
             next_inbound_id: 0,
             guard: None,
             stats: Stats::new(),
@@ -259,10 +259,9 @@ impl HardShell {
     /// Custom Logic submits a response to an inbound request; the shell
     /// restores the peer's original ID and remembers which link to answer.
     pub fn cl_push_resp(&mut self, resp: AxiResp) -> Result<(), AxiResp> {
-        let Some(&(peer, orig)) = self.inbound_ids.get(&resp.id()) else {
+        let Some((peer, orig)) = self.inbound_ids.remove(&resp.id()) else {
             return Err(resp); // response to an unknown inbound request
         };
-        self.inbound_ids.remove(&resp.id());
         self.outbound_resp.try_push((peer, resp.with_id(orig))).map_err(|(_, r)| r)
     }
 
@@ -370,12 +369,8 @@ impl SaveState for HardShell {
         self.outbound_resp.save(w);
         self.inbound_req.save(w);
         self.inbound_resp.save(w);
-        // HashMap state in sorted key order for deterministic bytes.
-        let mut ids: Vec<u16> = self.inbound_ids.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            let (peer, orig) = self.inbound_ids[&id];
+        w.usize(self.inbound_ids.len());
+        for (&id, &(peer, orig)) in &self.inbound_ids {
             w.u16(id);
             w.usize(peer);
             w.u16(orig);

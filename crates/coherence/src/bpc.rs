@@ -1,7 +1,7 @@
 //! The BYOC Private Cache (BPC): the core-side end of the coherence
 //! protocol, behind the Transaction-Response Interface.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use smappic_noc::{line_of, line_offset, Addr, AmoOp, Gid, LineData, Msg, Packet};
 use smappic_sim::{
@@ -183,7 +183,7 @@ impl BpcConfig {
 pub struct Bpc {
     cfg: BpcConfig,
     sets: Vec<Vec<Way>>,
-    mshrs: HashMap<Addr, Mshr>,
+    mshrs: BTreeMap<Addr, Mshr>,
     /// Outstanding non-cacheable / atomic operations, matched by address.
     nc_pending: Port<(Addr, u64)>,
     noc_in: Port<Packet>,
@@ -208,7 +208,7 @@ impl Bpc {
         Self {
             cfg,
             sets,
-            mshrs: HashMap::new(),
+            mshrs: BTreeMap::new(),
             nc_pending: Port::elastic_with("nc_pending", 8),
             noc_in: Port::elastic_with("noc_in", 16),
             noc_out: Port::bounded("noc_out", 64),
@@ -800,11 +800,8 @@ impl SaveState for Bpc {
         for set in &self.sets {
             set.pack(w);
         }
-        let mut lines: Vec<Addr> = self.mshrs.keys().copied().collect();
-        lines.sort_unstable();
-        w.usize(lines.len());
-        for line in lines {
-            let m = &self.mshrs[&line];
+        w.usize(self.mshrs.len());
+        for (&line, m) in &self.mshrs {
             w.u64(line);
             m.pending.save(w);
             w.u64(m.since);
@@ -854,6 +851,7 @@ mod tests {
     use super::*;
     use crate::homing::HomingMode;
     use smappic_noc::NodeId;
+    use std::collections::HashMap;
 
     fn bpc() -> Bpc {
         let homing = Homing::new(HomingMode::StripeAllNodes, 1, 4);

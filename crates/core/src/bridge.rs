@@ -1,7 +1,7 @@
 //! The inter-node bridge: NoC ↔ AXI4 encapsulation with credit-based flow
 //! control (§3.1, Fig 4).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use smappic_axi::{AxiRead, AxiReadResp, AxiReq, AxiResp, AxiWrite, AxiWriteResp};
 use smappic_noc::{NodeId, Packet};
@@ -66,16 +66,16 @@ pub struct InterNodeBridge {
     /// Packets blocked on credits, per destination node — unmetered
     /// micro-queues (the `bridge.credit_stall` counter already reports
     /// this congestion).
-    blocked: HashMap<u16, Ring<Packet>>,
-    credits: HashMap<u16, u32>,
-    credit_req_outstanding: HashMap<u16, bool>,
+    blocked: BTreeMap<u16, Ring<Packet>>,
+    credits: BTreeMap<u16, u32>,
+    credit_req_outstanding: BTreeMap<u16, bool>,
     /// Freed receive slots per source node, returned on credit reads.
-    freed: HashMap<u16, u32>,
+    freed: BTreeMap<u16, u32>,
     incoming: Port<Packet>,
     resp_for_peer: Port<(u16, AxiResp)>,
     next_id: u16,
     /// Outstanding credit reads: AXI id → destination node.
-    pending_reads: HashMap<u16, u16>,
+    pending_reads: BTreeMap<u16, u16>,
     stats: Stats,
 }
 
@@ -87,14 +87,14 @@ impl InterNodeBridge {
             node,
             shaper: TrafficShaper::new(bytes_per_cycle.max(1), 1, extra_latency),
             out_req: Port::elastic_with("out_req", 8),
-            blocked: HashMap::new(),
-            credits: HashMap::new(),
-            credit_req_outstanding: HashMap::new(),
-            freed: HashMap::new(),
+            blocked: BTreeMap::new(),
+            credits: BTreeMap::new(),
+            credit_req_outstanding: BTreeMap::new(),
+            freed: BTreeMap::new(),
             incoming: Port::elastic_with("incoming", 8),
             resp_for_peer: Port::elastic_with("resp_for_peer", 8),
             next_id: 0,
-            pending_reads: HashMap::new(),
+            pending_reads: BTreeMap::new(),
             stats: Stats::new(),
         }
     }
@@ -287,44 +287,36 @@ impl InterNodeBridge {
 
 impl SaveState for InterNodeBridge {
     fn save(&self, w: &mut SnapWriter) {
-        // Every HashMap is serialized in sorted key order for deterministic
-        // snapshot bytes. The node id and shaper timing are configuration.
+        // Every map is serialized in key order. The node id and shaper
+        // timing are configuration.
         self.shaper.save(w);
         self.out_req.save(w);
-        let mut dsts: Vec<u16> = self.blocked.keys().copied().collect();
-        dsts.sort_unstable();
-        w.usize(dsts.len());
-        for dst in dsts {
+        w.usize(self.blocked.len());
+        for (&dst, ring) in &self.blocked {
             w.u16(dst);
-            self.blocked[&dst].save(w);
+            ring.save(w);
         }
-        let sorted_u32_map = |w: &mut SnapWriter, m: &HashMap<u16, u32>| {
-            let mut keys: Vec<u16> = m.keys().copied().collect();
-            keys.sort_unstable();
-            w.usize(keys.len());
-            for k in keys {
+        let u32_map = |w: &mut SnapWriter, m: &BTreeMap<u16, u32>| {
+            w.usize(m.len());
+            for (&k, &v) in m {
                 w.u16(k);
-                w.u32(m[&k]);
+                w.u32(v);
             }
         };
-        sorted_u32_map(w, &self.credits);
-        let mut keys: Vec<u16> = self.credit_req_outstanding.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for k in keys {
+        u32_map(w, &self.credits);
+        w.usize(self.credit_req_outstanding.len());
+        for (&k, &v) in &self.credit_req_outstanding {
             w.u16(k);
-            w.bool(self.credit_req_outstanding[&k]);
+            w.bool(v);
         }
-        sorted_u32_map(w, &self.freed);
+        u32_map(w, &self.freed);
         self.incoming.save(w);
         self.resp_for_peer.save(w);
         w.u16(self.next_id);
-        let mut ids: Vec<u16> = self.pending_reads.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
+        w.usize(self.pending_reads.len());
+        for (&id, &dst) in &self.pending_reads {
             w.u16(id);
-            w.u16(self.pending_reads[&id]);
+            w.u16(dst);
         }
         self.stats.save(w);
     }
@@ -342,7 +334,7 @@ impl SaveState for InterNodeBridge {
             ring.restore(r);
             self.blocked.insert(dst, ring);
         }
-        let restore_u32_map = |r: &mut SnapReader, m: &mut HashMap<u16, u32>| {
+        let restore_u32_map = |r: &mut SnapReader, m: &mut BTreeMap<u16, u32>| {
             m.clear();
             for _ in 0..r.usize() {
                 if !r.ok() {

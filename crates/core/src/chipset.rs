@@ -1,8 +1,6 @@
 //! The node chipset: memory controller, UARTs, CLINT, virtual SD card,
 //! interrupt packetizer, and the inter-node bridge attachment.
 
-use std::collections::HashMap;
-
 use smappic_mem::MemController;
 use smappic_noc::{Gid, Msg, NodeId, Packet, TileId};
 use smappic_sim::{Cycle, MetricsRegistry, Port, SaveState, SnapReader, SnapWriter, Stats};
@@ -212,6 +210,11 @@ impl SaveState for SdController {
     }
 }
 
+/// The interrupt lines the packetizer drives into each hart — machine
+/// software, timer and external — in ascending order; a line's position
+/// here is its slot in `Chipset::irq_prev`.
+const IRQ_LINES: [u16; 3] = [3, 7, 11];
+
 /// The chipset of one node.
 ///
 /// Packets leaving the mesh through tile 0's north edge land here and are
@@ -233,7 +236,10 @@ pub struct Chipset {
     sd: SdController,
     plic: Plic,
     bridge: InterNodeBridge,
-    irq_prev: HashMap<(TileId, u16), bool>,
+    /// Packetizer edge detector: per hart, the last level sent on each of
+    /// [`IRQ_LINES`]; `None` until a line first rises (a snapshot lists
+    /// exactly the lines that have).
+    irq_prev: Vec<[Option<bool>; 3]>,
     /// Per-virtual-network egress toward the mesh (deadlock freedom).
     to_mesh: [Port<Packet>; 3],
     memctl_retry: Port<Packet>,
@@ -266,7 +272,7 @@ impl Chipset {
             sd: SdController::default(),
             plic: Plic::new(tiles),
             bridge,
-            irq_prev: HashMap::new(),
+            irq_prev: vec![[None; 3]; tiles],
             to_mesh: std::array::from_fn(|vn| Port::elastic_with(format!("to_mesh.vn{vn}"), 8)),
             memctl_retry: Port::elastic_with("memctl_retry", 8),
             stats: Stats::new(),
@@ -676,16 +682,17 @@ impl Chipset {
         let me = self.me();
         for hart in 0..self.tiles {
             let tile = hart as TileId;
+            // `IRQ_LINES` slots in emission order: timer, software, external.
             let wires = [
-                (7u16, self.clint.timer_level(hart)),
-                (3u16, self.clint.soft_level(hart)),
-                (11u16, self.plic.ext_level(hart)),
+                (1, self.clint.timer_level(hart)),
+                (0, self.clint.soft_level(hart)),
+                (2, self.plic.ext_level(hart)),
             ];
-            for (line_no, level) in wires {
-                let prev = self.irq_prev.get(&(tile, line_no)).copied().unwrap_or(false);
-                if prev != level {
-                    self.irq_prev.insert((tile, line_no), level);
-                    let msg = Msg::Irq { line_no, level };
+            for (slot, level) in wires {
+                let prev = &mut self.irq_prev[hart][slot];
+                if prev.unwrap_or(false) != level {
+                    *prev = Some(level);
+                    let msg = Msg::Irq { line_no: IRQ_LINES[slot], level };
                     self.push_to_mesh(Packet::on_canonical_vn(Gid::tile(self.node, tile), me, msg));
                     self.stats.incr("irq.packets");
                 }
@@ -740,14 +747,17 @@ impl SaveState for Chipset {
         w.scoped("sd", |w| self.sd.save(w));
         w.scoped("plic", |w| self.plic.save(w));
         w.scoped("bridge", |w| self.bridge.save(w));
-        // Packetizer edge-detector state, in sorted key order.
-        let mut keys: Vec<(TileId, u16)> = self.irq_prev.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for k in keys {
-            w.u16(k.0);
-            w.u16(k.1);
-            w.bool(self.irq_prev[&k]);
+        // Packetizer edge-detector state: the lines seen so far, in
+        // (hart, line) order.
+        w.usize(self.irq_prev.iter().flatten().flatten().count());
+        for (hart, slots) in self.irq_prev.iter().enumerate() {
+            for (line_no, level) in IRQ_LINES.iter().zip(slots) {
+                if let Some(level) = level {
+                    w.u16(hart as TileId);
+                    w.u16(*line_no);
+                    w.bool(*level);
+                }
+            }
         }
         for q in &self.to_mesh {
             q.save(w);
@@ -765,15 +775,22 @@ impl SaveState for Chipset {
         r.scoped("sd", |r| self.sd.restore(r));
         r.scoped("plic", |r| self.plic.restore(r));
         r.scoped("bridge", |r| self.bridge.restore(r));
-        self.irq_prev.clear();
+        self.irq_prev.fill([None; 3]);
         for _ in 0..r.usize() {
             if !r.ok() {
                 break;
             }
-            let tile = r.u16();
+            let hart = usize::from(r.u16());
             let line = r.u16();
             let level = r.bool();
-            self.irq_prev.insert((tile, line), level);
+            let slot = IRQ_LINES.iter().position(|&l| l == line);
+            match (self.irq_prev.get_mut(hart), slot) {
+                (Some(slots), Some(slot)) => slots[slot] = Some(level),
+                _ => {
+                    r.corrupt("irq edge-detector entry names a hart or line this chipset lacks");
+                    break;
+                }
+            }
         }
         for q in &mut self.to_mesh {
             q.restore(r);

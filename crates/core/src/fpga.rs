@@ -171,15 +171,20 @@ impl Fpga {
     }
 
     /// Advances one cycle: nodes, then the AXI plumbing between bridges,
-    /// the crossbar, and the shell.
-    pub fn tick(&mut self, now: Cycle) {
+    /// the crossbar, and the shell. Returns true when every node and the
+    /// AXI plumbing took their quiet paths. The epoch driver asks
+    /// [`Fpga::quiet_bound`] for a warp only after such a cycle, so a busy
+    /// stretch pays for no probes; the price is that the first quiet cycle
+    /// after one is ticked rather than warped, which is bit-identical.
+    pub fn tick(&mut self, now: Cycle) -> bool {
         // Retry guard-held PCIe deliveries first so a delivery that slots
         // in this cycle is visible to the shell-inbound drain below (no-op
         // without the fault guard). Both steppers tick every simulated
         // cycle, so retry timing is identical under each.
         self.shell.pump_guard(now);
+        let mut quiet = true;
         for n in &mut self.nodes {
-            n.tick(now);
+            quiet &= n.tick(now);
         }
         let b = self.nodes.len();
 
@@ -196,7 +201,7 @@ impl Fpga {
             && self.nodes.iter().all(|n| n.chipset().bridge_axi_quiet(now))
         {
             self.xbar.tick_quiet();
-            return;
+            return quiet;
         }
 
         // Node bridges → crossbar masters; responses back.
@@ -257,6 +262,7 @@ impl Fpga {
             let Some(resp) = self.shell.cl_pop_resp() else { break };
             self.xbar.slave_push(b, resp).expect("slave_can_push checked");
         }
+        false
     }
 
     /// The first global node index hosted here.

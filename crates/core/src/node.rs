@@ -213,8 +213,10 @@ impl Node {
         self.chipset.next_event_after(now)
     }
 
-    /// Advances the node one cycle.
-    pub fn tick(&mut self, now: Cycle) {
+    /// Advances the node one cycle. Returns true when the cycle took the
+    /// quiet path; see [`Fpga::tick`](crate::fpga::Fpga::tick) for what the
+    /// epoch driver does with that.
+    pub fn tick(&mut self, now: Cycle) -> bool {
         // Quiet path: when every tile and the chipset are provably taking
         // their skip paths and the mesh holds no packet, all the pumping
         // below moves nothing — the sleep predicates guarantee every queue
@@ -226,11 +228,8 @@ impl Node {
             && self.chipset.tick_is_noop(now)
             && self.tiles.iter().all(|t| t.is_sleeping(now))
         {
-            for t in &mut self.tiles {
-                t.tick(now);
-            }
-            self.chipset.tick(now);
-            return;
+            self.warp_quiet(now, 1);
+            return true;
         }
 
         for t in &mut self.tiles {
@@ -275,6 +274,7 @@ impl Node {
                 }
             }
         }
+        false
     }
 }
 

@@ -1,6 +1,6 @@
 //! The NoC-AXI4 memory controller (Fig 5 of the paper).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use smappic_axi::{AxiRead, AxiReq, AxiResp, AxiWrite};
 use smappic_noc::{line_of, line_offset, Gid, LineData, Msg, Packet, LINE_BYTES};
@@ -67,7 +67,7 @@ pub struct MemController {
     dram: Dram,
     noc_in: Port<Packet>,
     noc_out: Port<Packet>,
-    inflight: HashMap<u16, Inflight>,
+    inflight: BTreeMap<u16, Inflight>,
     next_id: u16,
     stats: Stats,
     /// Accept-to-response latency of DRAM transactions, in cycles.
@@ -84,7 +84,7 @@ impl MemController {
             dram,
             noc_in: Port::bounded("noc_in", depth),
             noc_out: Port::bounded("noc_out", depth.max(16)),
-            inflight: HashMap::new(),
+            inflight: BTreeMap::new(),
             next_id: 0,
             stats: Stats::new(),
             latency: Histogram::new(),
@@ -312,11 +312,8 @@ impl SaveState for MemController {
         w.scoped("dram", |w| self.dram.save(w));
         self.noc_in.save(w);
         self.noc_out.save(w);
-        let mut ids: Vec<u16> = self.inflight.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            let f = &self.inflight[&id];
+        w.usize(self.inflight.len());
+        for (&id, f) in &self.inflight {
             w.u16(id);
             f.origin.pack(w);
             w.u64(f.started);
