@@ -4,16 +4,11 @@
 //! evaluation section and prints it in the paper's shape (same rows, same
 //! series). Absolute numbers come from the simulated platform and the
 //! calibrated cost models; the DESIGN.md experiment index maps each to its
-//! implementing modules.
-//!
-//! The functions here are shared between the binaries and the bench
-//! targets (which run the same experiments at reduced scale, on the
-//! in-tree [`microbench`] harness, as simulator performance regressions).
+//! implementing modules. The simulator's own performance is measured in
+//! one place only, the `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod microbench;
 
 use smappic_core::{resources, Config, SystemParams};
 use smappic_costmodel::catalog::{F1, HOSTS};
@@ -279,8 +274,7 @@ pub fn fig13_hello() -> String {
 
 /// Renders the design-space sweep over one F1 FPGA: every feasible BxC
 /// arrangement scored by core-MHz per rental dollar (the §4.5
-/// cost-efficiency argument, generalized). Printed by `servebench
-/// --sweep`, the batch front end.
+/// cost-efficiency argument, generalized). Printed by the `sweep` bin.
 pub fn design_sweep() -> String {
     let mut out = String::from("Design-space sweep over one F1 FPGA ($1.65/hr):\n");
     out.push_str(&format!(
@@ -318,70 +312,6 @@ pub fn design_sweep() -> String {
     out
 }
 
-/// Throughput in jobs/hour, guarded against a sub-resolution wall time:
-/// a zero (or negative, on a clock hiccup) denominator yields 0.0
-/// instead of `inf`/`NaN`, which the hand-rolled JSON in
-/// `BENCH_SIMPERF.json` could not legally carry.
-pub fn jobs_per_hour(jobs: usize, wall_secs: f64) -> f64 {
-    if wall_secs > 0.0 {
-        jobs as f64 / (wall_secs / 3600.0)
-    } else {
-        0.0
-    }
-}
-
-/// Index of the brace/bracket closing the one opening at `open` (the
-/// hand-rolled JSON in this workspace never puts braces inside strings).
-pub fn match_brace(text: &str, open: usize) -> usize {
-    let bytes = text.as_bytes();
-    let mut depth = 0usize;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-    }
-    panic!("unbalanced JSON");
-}
-
-/// The raw value text of top-level `key` in `text`, if present.
-pub fn extract_key(text: &str, key: &str) -> Option<String> {
-    let k = text.find(&format!("\"{key}\":"))?;
-    let open = k + text[k..].find(['{', '['])?;
-    Some(text[open..=match_brace(text, open)].to_string())
-}
-
-/// Returns `text` with top-level `key` replaced by (or appended as)
-/// `value`, keeping every other key intact — how `simperf` (perf + scale
-/// sections) and `servebench` (service section) share one
-/// `BENCH_SIMPERF.json` without a JSON library.
-pub fn splice_key(text: &str, key: &str, value: &str) -> String {
-    let mut base = text.trim_end().to_string();
-    if let Some(k) = base.find(&format!("\"{key}\":")) {
-        let open = k + base[k..].find(['{', '[']).expect("value");
-        let end = match_brace(&base, open);
-        // Consume the comma separating the old entry from its neighbor —
-        // the preceding one, or (for a first entry) any trailing one.
-        let start = match base[..k].rfind(',') {
-            Some(c) => c,
-            None => base[..k].rfind('{').expect("object") + 1,
-        };
-        base.replace_range(start..=end, "");
-        while base[start..].starts_with(',') {
-            base.remove(start);
-        }
-    }
-    let close = base.rfind('}').expect("top-level object");
-    base.replace_range(close.., &format!(",\n  \"{key}\": {value}\n}}\n"));
-    base
-}
-
 /// Renders the Fig 14 series.
 pub fn fig14_render() -> String {
     let mut out = String::from(
@@ -396,25 +326,4 @@ pub fn fig14_render() -> String {
         fig14_crossover_days()
     ));
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn jobs_per_hour_is_finite_for_degenerate_wall_times() {
-        // The servebench regression: a fleet so small the wall clock
-        // reads 0.0 must emit a spliceable 0.0, never `inf`.
-        assert_eq!(jobs_per_hour(8, 0.0), 0.0);
-        assert_eq!(jobs_per_hour(8, -1.0), 0.0);
-        assert!(jobs_per_hour(0, 0.0).is_finite());
-        assert!((jobs_per_hour(8, 3600.0) - 8.0).abs() < 1e-9);
-        assert!((jobs_per_hour(2, 1.0) - 7200.0).abs() < 1e-9);
-        // And the spliced document stays parseable by its own tools.
-        let json = "{\n  \"x\": 1\n}\n";
-        let merged = splice_key(json, "jph", &format!("{{\"v\": {:.1}}}", jobs_per_hour(8, 0.0)));
-        assert!(extract_key(&merged, "jph").is_some());
-        assert!(extract_key(&merged, "x").is_some());
-    }
 }

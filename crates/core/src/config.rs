@@ -71,11 +71,6 @@ pub struct SystemParams {
     pub llc_latency: Cycle,
     /// Mesh hop latency (cycles).
     pub hop_latency: Cycle,
-    /// When true, every node's DRAM eagerly allocates a dense byte buffer
-    /// for its homed window instead of the default sparse copy-on-write
-    /// pages — the memory-hungry baseline the scale benchmark compares
-    /// peak RSS against. Guest-visible behaviour is identical.
-    pub dram_dense: bool,
 }
 
 impl Default for SystemParams {
@@ -102,7 +97,6 @@ impl Default for SystemParams {
             bpc_hit_latency: 2,
             llc_latency: 4,
             hop_latency: 1,
-            dram_dense: false,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! One node: a BYOC instance — tiles, mesh, and chipset.
 
 use smappic_coherence::{Bpc, BpcConfig, Geometry, Homing, LlcConfig, LlcSlice};
-use smappic_mem::{Dram, DramBacking, DramConfig, MemController, MemControllerConfig};
+use smappic_mem::{Dram, DramConfig, MemController, MemControllerConfig};
 use smappic_noc::{Gid, Mesh, MeshConfig, NodeId, TileId};
 use smappic_sim::{Cycle, MetricsRegistry, SaveState, SnapReader, SnapWriter};
 use smappic_tile::{Engine, IdleEngine, Tile};
@@ -45,14 +45,6 @@ impl Node {
         // capacity to cover every homed window or far accesses would trip
         // the out-of-bounds fault counter.
         let homed_top = crate::config::DRAM_BASE + cfg.total_nodes() as u64 * p.bytes_per_node;
-        let backing = if p.dram_dense {
-            DramBacking::Dense {
-                base: crate::config::DRAM_BASE + u64::from(id.0) * p.bytes_per_node,
-                bytes: p.bytes_per_node,
-            }
-        } else {
-            DramBacking::Sparse
-        };
         let dram = Dram::new(DramConfig {
             latency: p.dram_latency,
             // DDR4-2133 behind a 100 MHz fabric: ~17 GB/s ≈ 170 B/cycle;
@@ -60,7 +52,6 @@ impl Node {
             // many threads share one node (Fig 9's single-node case).
             bytes_per_cycle: 128,
             capacity: (16u64 << 30).max(homed_top),
-            backing,
         });
         let memctl = MemController::new(MemControllerConfig::new(Gid::chipset(id)), dram);
         let bridge = InterNodeBridge::new(id, p.bridge_extra_latency, p.bridge_bytes_per_cycle);

@@ -1174,25 +1174,18 @@ impl Platform {
     pub const PREEMPT_GRAIN_FLOOR: u64 = 512;
 
     /// Runs up to `budget` cycles in [`Platform::preemption_grain`]-sized
-    /// chunks, checking for quiescence and asking `should_yield` between
-    /// chunks; returns the cycles actually advanced. `parallel` selects
-    /// the epoch-parallel stepper ([`Platform::run_parallel`]) over the
-    /// serial one ([`Platform::run`]).
+    /// chunks, stopping early at the first chunk boundary where the
+    /// platform is quiescent; returns the cycles actually advanced.
+    /// `parallel` selects the epoch-parallel stepper
+    /// ([`Platform::run_parallel`]) over the serial one
+    /// ([`Platform::run`]).
     ///
     /// This is the service layer's execution primitive: a job advanced by
     /// any sequence of `run_preemptible` calls whose budgets are
     /// grain-multiples (plus one final remainder) produces snapshots
     /// bit-identical to a single uninterrupted call — the property
-    /// `tests/service_equivalence.rs` proves. `should_yield` receives the
-    /// platform and the cycles spent so far in this call; returning
-    /// `true` stops after the current chunk without consuming the rest of
-    /// the budget.
-    pub fn run_preemptible(
-        &mut self,
-        budget: u64,
-        parallel: bool,
-        mut should_yield: impl FnMut(&Platform, u64) -> bool,
-    ) -> u64 {
+    /// `tests/service_equivalence.rs` proves.
+    pub fn run_preemptible(&mut self, budget: u64, parallel: bool) -> u64 {
         let grain = self.preemption_grain();
         let mut spent = 0u64;
         while spent < budget {
@@ -1203,7 +1196,7 @@ impl Platform {
                 self.run(step);
             }
             spent += step;
-            if self.is_idle() || (spent < budget && should_yield(self, spent)) {
+            if self.is_idle() {
                 break;
             }
         }

@@ -19,27 +19,6 @@ pub const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// physical copy until a node dirties its view.
 pub type DramPage = Arc<[u8; PAGE_SIZE]>;
 
-/// How a channel backs its bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DramBacking {
-    /// Page-granular allocate-on-first-touch (the default): host memory
-    /// scales with *touched* pages, not configured capacity, and untouched
-    /// bytes read as zero. All-zero writes to untouched pages allocate
-    /// nothing.
-    Sparse,
-    /// Eagerly allocated flat buffer covering guest addresses
-    /// `[base, base + bytes)` — the pre-rack behavior, kept selectable so
-    /// the scale bench can record what dense backing costs at 64 FPGAs.
-    /// Accesses outside the window read zero / drop writes (counted as
-    /// `dram.dense_oob`).
-    Dense {
-        /// First guest address the buffer covers.
-        base: u64,
-        /// Buffer length in bytes.
-        bytes: u64,
-    },
-}
-
 /// Timing parameters of one DRAM channel.
 #[derive(Debug, Clone)]
 pub struct DramConfig {
@@ -51,48 +30,19 @@ pub struct DramConfig {
     /// Capacity in bytes (F1 cards carry 64 GiB across 4 channels; one
     /// channel default is 16 GiB).
     pub capacity: u64,
-    /// Backing strategy; see [`DramBacking`].
-    pub backing: DramBacking,
 }
 
 impl Default for DramConfig {
     fn default() -> Self {
-        Self { latency: 80, bytes_per_cycle: 32, capacity: 16 << 30, backing: DramBacking::Sparse }
-    }
-}
-
-/// The byte store behind a channel, per [`DramBacking`].
-#[derive(Debug, Clone)]
-enum Store {
-    Sparse(HashMap<u64, DramPage>),
-    Dense { base: u64, buf: Vec<u8> },
-}
-
-impl Store {
-    fn new(backing: &DramBacking) -> Self {
-        match *backing {
-            DramBacking::Sparse => Store::Sparse(HashMap::new()),
-            DramBacking::Dense { base, bytes } => {
-                let len = usize::try_from(bytes).expect("dense DRAM window exceeds usize");
-                let mut buf = vec![0; len];
-                // Commit every page up front. A zeroed Vec comes from the
-                // allocator lazily mapped; without the touch, "dense" would
-                // cost the same physical memory as sparse and the scale
-                // benchmark's RSS comparison would measure nothing. The
-                // opaque store defeats dead-store elimination.
-                for chunk in buf.chunks_mut(PAGE_SIZE) {
-                    chunk[0] = std::hint::black_box(0u8);
-                }
-                Store::Dense { base, buf }
-            }
-        }
+        Self { latency: 80, bytes_per_cycle: 32, capacity: 16 << 30 }
     }
 }
 
 /// One DRAM channel: a sparse byte store behind an AXI4 slave interface.
 ///
 /// Pages are allocated on first touch and read back as zeroes before that,
-/// like freshly trained DDR. The functional backdoor
+/// like freshly trained DDR, so host memory scales with *touched* pages,
+/// not configured capacity. The functional backdoor
 /// ([`Dram::write_bytes`]/[`Dram::read_bytes`]) is used by the host model to
 /// load programs and disk images without consuming simulated time.
 ///
@@ -105,7 +55,7 @@ impl Store {
 #[derive(Debug)]
 pub struct Dram {
     cfg: DramConfig,
-    store: Store,
+    pages: HashMap<u64, DramPage>,
     pending: TrafficShaper<AxiReq>,
     responses: Vec<AxiResp>,
     faults: Option<FaultInjector>,
@@ -119,10 +69,9 @@ impl Dram {
     /// Creates a DRAM channel with the given timing.
     pub fn new(cfg: DramConfig) -> Self {
         let pending = TrafficShaper::new(cfg.bytes_per_cycle, 1, cfg.latency);
-        let store = Store::new(&cfg.backing);
         Self {
             cfg,
-            store,
+            pages: HashMap::new(),
             pending,
             responses: Vec::new(),
             faults: None,
@@ -145,11 +94,10 @@ impl Dram {
         &self.cfg
     }
 
-    /// Functional write, bypassing timing (host/backdoor use). Sparse
-    /// backing allocates page-granularly on first touch, copy-on-write
-    /// when the page is shared, and elides allocation entirely when an
-    /// all-zero chunk lands on an untouched page (zeroing fresh DDR is a
-    /// no-op).
+    /// Functional write, bypassing timing (host/backdoor use). Allocates
+    /// page-granularly on first touch, copy-on-write when the page is
+    /// shared, and elides allocation entirely when an all-zero chunk lands
+    /// on an untouched page (zeroing fresh DDR is a no-op).
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         let mut off = 0usize;
         while off < bytes.len() {
@@ -157,28 +105,16 @@ impl Dram {
             let in_page = (a & (PAGE_SIZE as u64 - 1)) as usize;
             let chunk_len = (PAGE_SIZE - in_page).min(bytes.len() - off);
             let chunk = &bytes[off..off + chunk_len];
-            match &mut self.store {
-                Store::Sparse(pages) => {
-                    let idx = a >> PAGE_SHIFT;
-                    match pages.get_mut(&idx) {
-                        Some(page) => {
-                            Arc::make_mut(page)[in_page..in_page + chunk_len].copy_from_slice(chunk)
-                        }
-                        None if chunk.iter().all(|&b| b == 0) => {}
-                        None => {
-                            let mut page = [0u8; PAGE_SIZE];
-                            page[in_page..in_page + chunk_len].copy_from_slice(chunk);
-                            pages.insert(idx, Arc::new(page));
-                        }
-                    }
+            let idx = a >> PAGE_SHIFT;
+            match self.pages.get_mut(&idx) {
+                Some(page) => {
+                    Arc::make_mut(page)[in_page..in_page + chunk_len].copy_from_slice(chunk)
                 }
-                Store::Dense { base, buf } => {
-                    if a >= *base && a + chunk_len as u64 <= *base + buf.len() as u64 {
-                        let start = (a - *base) as usize;
-                        buf[start..start + chunk_len].copy_from_slice(chunk);
-                    } else {
-                        self.stats.incr("dram.dense_oob");
-                    }
+                None if chunk.iter().all(|&b| b == 0) => {}
+                None => {
+                    let mut page = [0u8; PAGE_SIZE];
+                    page[in_page..in_page + chunk_len].copy_from_slice(chunk);
+                    self.pages.insert(idx, Arc::new(page));
                 }
             }
             off += chunk_len;
@@ -193,55 +129,30 @@ impl Dram {
             let a = addr + off as u64;
             let in_page = (a & (PAGE_SIZE as u64 - 1)) as usize;
             let chunk_len = (PAGE_SIZE - in_page).min(len - off);
-            match &self.store {
-                Store::Sparse(pages) => {
-                    if let Some(page) = pages.get(&(a >> PAGE_SHIFT)) {
-                        out[off..off + chunk_len]
-                            .copy_from_slice(&page[in_page..in_page + chunk_len]);
-                    }
-                }
-                Store::Dense { base, buf } => {
-                    if a >= *base && a + chunk_len as u64 <= *base + buf.len() as u64 {
-                        let start = (a - *base) as usize;
-                        out[off..off + chunk_len].copy_from_slice(&buf[start..start + chunk_len]);
-                    }
-                }
+            if let Some(page) = self.pages.get(&(a >> PAGE_SHIFT)) {
+                out[off..off + chunk_len].copy_from_slice(&page[in_page..in_page + chunk_len]);
             }
             off += chunk_len;
         }
         out
     }
 
-    /// Shares every resident page as a cheap copy-on-write handle (sparse
-    /// backing only; dense returns nothing). The broadcast-load primitive:
-    /// install the handles into sibling channels with
-    /// [`Dram::install_page`] and all of them back the image with one
+    /// Shares every resident page as a cheap copy-on-write handle. The
+    /// broadcast-load primitive: install the handles into sibling channels
+    /// with [`Dram::install_page`] and all of them back the image with one
     /// physical copy until somebody writes.
     pub fn share_resident_pages(&self) -> Vec<(u64, DramPage)> {
-        match &self.store {
-            Store::Sparse(pages) => {
-                let mut out: Vec<(u64, DramPage)> =
-                    pages.iter().map(|(&idx, p)| (idx, Arc::clone(p))).collect();
-                out.sort_unstable_by_key(|&(idx, _)| idx);
-                out
-            }
-            Store::Dense { .. } => Vec::new(),
-        }
+        let mut out: Vec<(u64, DramPage)> =
+            self.pages.iter().map(|(&idx, p)| (idx, Arc::clone(p))).collect();
+        out.sort_unstable_by_key(|&(idx, _)| idx);
+        out
     }
 
     /// Installs a shared page at page index `idx` (guest address
-    /// `idx * PAGE_SIZE`). Sparse backing aliases the handle (O(1), COW on
-    /// later writes); dense backing copies the bytes in.
+    /// `idx * PAGE_SIZE`), aliasing the handle: O(1), copy-on-write on
+    /// later writes.
     pub fn install_page(&mut self, idx: u64, page: &DramPage) {
-        match &mut self.store {
-            Store::Sparse(pages) => {
-                pages.insert(idx, Arc::clone(page));
-            }
-            Store::Dense { .. } => {
-                let addr = idx << PAGE_SHIFT;
-                self.write_bytes(addr, &page[..]);
-            }
-        }
+        self.pages.insert(idx, Arc::clone(page));
     }
 
     /// Submits an AXI request; the response appears after the modeled
@@ -317,13 +228,9 @@ impl Dram {
         self.pending.is_empty() && self.responses.is_empty()
     }
 
-    /// Number of 4 KiB pages materialized so far. Dense backing counts its
-    /// whole eagerly-allocated window — that *is* what it keeps resident.
+    /// Number of 4 KiB pages materialized so far.
     pub fn resident_pages(&self) -> usize {
-        match &self.store {
-            Store::Sparse(pages) => pages.len(),
-            Store::Dense { buf, .. } => buf.len().div_ceil(PAGE_SIZE),
-        }
+        self.pages.len()
     }
 
     /// Debug: (pending count, ready time of the oldest pending request,
@@ -341,41 +248,23 @@ impl Default for Dram {
 
 impl SaveState for Dram {
     fn save(&self, w: &mut SnapWriter) {
-        // Pages in sorted index order for deterministic bytes, identical
-        // wire shape for both backings (dense emits only its non-zero
-        // pages, so a snapshot never balloons to configured capacity). The
+        // Pages in sorted index order for deterministic bytes. The
         // injector is a pure function of (seed, stream, seq) and lives in
         // configuration; req_seq is the mutable cursor into its stream.
-        match &self.store {
-            Store::Sparse(pages) => {
-                // All-zero pages are skipped: restore re-elides them (zero
-                // writes allocate nothing), so emitting them would break
-                // the save→restore→save byte fixed-point.
-                let mut idxs: Vec<u64> = pages
-                    .iter()
-                    .filter(|(_, p)| p.iter().any(|&b| b != 0))
-                    .map(|(&idx, _)| idx)
-                    .collect();
-                idxs.sort_unstable();
-                w.usize(idxs.len());
-                for idx in idxs {
-                    w.u64(idx);
-                    w.bytes(&pages[&idx][..]);
-                }
-            }
-            Store::Dense { base, buf } => {
-                let live: Vec<(u64, &[u8])> = buf
-                    .chunks(PAGE_SIZE)
-                    .enumerate()
-                    .filter(|(_, chunk)| chunk.iter().any(|&b| b != 0))
-                    .map(|(i, chunk)| ((*base >> PAGE_SHIFT) + i as u64, chunk))
-                    .collect();
-                w.usize(live.len());
-                for (idx, chunk) in live {
-                    w.u64(idx);
-                    w.bytes(chunk);
-                }
-            }
+        // All-zero pages are skipped: restore re-elides them (zero writes
+        // allocate nothing), so emitting them would break the
+        // save→restore→save byte fixed-point.
+        let mut idxs: Vec<u64> = self
+            .pages
+            .iter()
+            .filter(|(_, p)| p.iter().any(|&b| b != 0))
+            .map(|(&idx, _)| idx)
+            .collect();
+        idxs.sort_unstable();
+        w.usize(idxs.len());
+        for idx in idxs {
+            w.u64(idx);
+            w.bytes(&self.pages[&idx][..]);
         }
         self.pending.save(w);
         self.responses.pack(w);
@@ -384,7 +273,7 @@ impl SaveState for Dram {
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
-        self.store = Store::new(&self.cfg.backing);
+        self.pages = HashMap::new();
         let n = r.usize();
         for _ in 0..n {
             if !r.ok() {
@@ -398,9 +287,7 @@ impl SaveState for Dram {
                 r.corrupt("DRAM page exceeds 4 KiB");
                 break;
             }
-            // Dense pages may be saved short (the window need not be
-            // page-aligned at its end); write_bytes handles both backings
-            // and re-elides all-zero sparse pages.
+            // write_bytes re-elides all-zero pages.
             self.write_bytes(idx << PAGE_SHIFT, raw);
         }
         self.pending.restore(r);

@@ -29,4 +29,4 @@ mod controller;
 mod dram;
 
 pub use controller::{MemController, MemControllerConfig};
-pub use dram::{Dram, DramBacking, DramConfig, DramPage, PAGE_SHIFT, PAGE_SIZE};
+pub use dram::{Dram, DramConfig, DramPage, PAGE_SHIFT, PAGE_SIZE};

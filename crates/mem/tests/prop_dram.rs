@@ -1,11 +1,10 @@
-//! Property tests for the sparse copy-on-write DRAM backing: random
-//! read/write/snapshot sequences checked against a dense reference model,
-//! resident-page proportionality, COW isolation, and wire-format parity
-//! between the two backings.
+//! Property tests for the sparse copy-on-write DRAM store: random
+//! read/write/snapshot sequences checked against a byte-map reference
+//! model, resident-page proportionality, and COW isolation.
 
 use std::collections::{HashMap, HashSet};
 
-use smappic_mem::{Dram, DramBacking, DramConfig, PAGE_SIZE};
+use smappic_mem::{Dram, DramConfig, PAGE_SIZE};
 use smappic_sim::{SaveState, SimRng, SnapReader, SnapWriter, Snapshot};
 
 /// Guest window the random traffic lands in (64 pages above a base that is
@@ -17,15 +16,7 @@ fn sparse(capacity: u64) -> Dram {
     Dram::new(DramConfig { capacity, ..Default::default() })
 }
 
-fn dense(capacity: u64) -> Dram {
-    Dram::new(DramConfig {
-        capacity,
-        backing: DramBacking::Dense { base: BASE, bytes: SPAN },
-        ..Default::default()
-    })
-}
-
-/// One random backdoor op applied identically to every store under test.
+/// One random backdoor op applied identically to the store and its model.
 enum Op {
     Write { addr: u64, data: Vec<u8> },
     Read { addr: u64, len: usize },
@@ -50,7 +41,7 @@ fn random_ops(rng: &mut SimRng, count: usize) -> Vec<Op> {
         .collect()
 }
 
-/// A trivially-correct byte map the real stores are differenced against.
+/// A trivially-correct byte map the real store is differenced against.
 #[derive(Default)]
 struct Model {
     bytes: HashMap<u64, u8>,
@@ -69,23 +60,20 @@ impl Model {
 }
 
 #[test]
-fn sparse_and_dense_match_the_reference_model() {
+fn sparse_store_matches_the_reference_model() {
     for seed in 0..4u64 {
         let mut rng = SimRng::new(0xD1A0 + seed);
         let mut model = Model::default();
         let mut s = sparse(BASE + SPAN);
-        let mut d = dense(BASE + SPAN);
         for op in random_ops(&mut rng, 400) {
             match op {
                 Op::Write { addr, data } => {
                     model.write(addr, &data);
                     s.write_bytes(addr, &data);
-                    d.write_bytes(addr, &data);
                 }
                 Op::Read { addr, len } => {
                     let want = model.read(addr, len);
                     assert_eq!(s.read_bytes(addr, len), want, "sparse diverged (seed {seed})");
-                    assert_eq!(d.read_bytes(addr, len), want, "dense diverged (seed {seed})");
                 }
             }
         }
@@ -94,8 +82,8 @@ fn sparse_and_dense_match_the_reference_model() {
             let addr = BASE + page * PAGE_SIZE as u64;
             assert_eq!(
                 s.read_bytes(addr, PAGE_SIZE),
-                d.read_bytes(addr, PAGE_SIZE),
-                "page {page} differs between backings (seed {seed})"
+                model.read(addr, PAGE_SIZE),
+                "page {page} differs from the model (seed {seed})"
             );
         }
     }
@@ -133,14 +121,6 @@ fn resident_pages_track_touched_pages_exactly() {
 }
 
 #[test]
-fn dense_backing_keeps_its_whole_window_resident() {
-    let d = dense(BASE + SPAN);
-    assert_eq!(d.resident_pages(), (SPAN as usize) / PAGE_SIZE);
-    let s = sparse(BASE + SPAN);
-    assert_eq!(s.resident_pages(), 0);
-}
-
-#[test]
 fn cow_shared_pages_isolate_writers() {
     let mut origin = sparse(BASE + SPAN);
     let image: Vec<u8> = (0..3 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
@@ -163,13 +143,6 @@ fn cow_shared_pages_isolate_writers() {
     assert_eq!(a.read_bytes(BASE + 100, 8), vec![0xEE; 8]);
     assert_eq!(b.read_bytes(BASE + 100, 8), image[100..108].to_vec());
     assert_eq!(origin.read_bytes(BASE + 100, 8), image[100..108].to_vec());
-
-    // Dense receivers copy the bytes instead of aliasing.
-    let mut dd = dense(BASE + SPAN);
-    for (idx, page) in &shared {
-        dd.install_page(*idx, page);
-    }
-    assert_eq!(dd.read_bytes(BASE, image.len()), image);
 }
 
 fn snapshot_of(d: &Dram) -> Snapshot {
@@ -210,25 +183,4 @@ fn random_snapshots_round_trip_byte_exact() {
         let again = snapshot_of(&restored);
         assert_eq!(snap.sections(), again.sections(), "not a byte fixed point (seed {seed})");
     }
-}
-
-#[test]
-fn both_backings_serialize_to_identical_wire_bytes() {
-    // The snapshot format records touched pages, not backing strategy, so
-    // a platform can be saved sparse and analyzed dense (or vice versa).
-    let mut rng = SimRng::new(0xBEEF);
-    let mut s = sparse(BASE + SPAN);
-    let mut d = dense(BASE + SPAN);
-    for op in random_ops(&mut rng, 300) {
-        if let Op::Write { addr, data } = op {
-            s.write_bytes(addr, &data);
-            d.write_bytes(addr, &data);
-        }
-    }
-    assert_eq!(snapshot_of(&s).sections(), snapshot_of(&d).sections());
-
-    // And a sparse snapshot restores into a dense channel byte-exactly.
-    let mut d2 = dense(BASE + SPAN);
-    restore_into(&mut d2, &snapshot_of(&s));
-    assert_eq!(d2.read_bytes(BASE, SPAN as usize), s.read_bytes(BASE, SPAN as usize));
 }

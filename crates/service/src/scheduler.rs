@@ -475,7 +475,8 @@ impl Scheduler {
     }
 
     /// A one-worker, never-preempting scheduler: the serial
-    /// job-at-a-time baseline `servebench` measures the pool against.
+    /// job-at-a-time baseline every pooled run's digests are checked
+    /// against.
     pub fn serial() -> Self {
         Self::new(SchedulerConfig {
             workers: 1,
@@ -1022,7 +1023,7 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
         loop {
             let slice = quantum.min(budget - spent);
             let before = spent;
-            spent += p.run_preemptible(slice, parallel, |_, _| false);
+            spent += p.run_preemptible(slice, parallel);
             quanta += 1;
             // Epoch-grain accounting: the aging clock ticks and the
             // tenant's spend advances once per quantum slice.
@@ -1216,7 +1217,14 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn write_trace(p: &mut Platform, dir: &Path, job: usize, name: &str) -> Option<String> {
     std::fs::create_dir_all(dir).ok()?;
     let json = p.take_trace().to_perfetto_json(100);
-    let path = dir.join(format!("job{job}-{name}.trace.json"));
+    // The name is tenant-submitted and only validated as one non-empty
+    // token: keep path separators (and anything else exotic) out of the
+    // file name so the trace always lands directly inside `dir`.
+    let safe: String = name
+        .bytes()
+        .map(|b| if b.is_ascii_alphanumeric() || b"._-".contains(&b) { b as char } else { '_' })
+        .collect();
+    let path = dir.join(format!("job{job}-{safe}.trace.json"));
     std::fs::write(&path, json).ok()?;
     Some(path.to_string_lossy().into_owned())
 }
@@ -1473,6 +1481,22 @@ mod tests {
         assert_eq!(a[0].digest, b[0].digest);
         assert_eq!(a[0].cycles, b[0].cycles);
         assert_eq!(a[0].preemptions, 0);
+    }
+
+    #[test]
+    fn a_traced_job_with_a_path_like_name_writes_inside_trace_dir() {
+        let dir = std::env::temp_dir().join(format!("smappic-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = JobSpec::small("a/b", WorkloadSpec::AmoHeavy { ops: 10, seed: 9 });
+        spec.trace = true;
+        spec.validate().expect("a name with a slash is one valid token");
+        let cfg = SchedulerConfig { trace_dir: Some(dir.clone()), ..SchedulerConfig::default() };
+        let reports = Scheduler::new(cfg).run(&[spec]);
+        let path = reports[0].trace_path.as_deref().expect("a traced job reports its trace");
+        let path = Path::new(path);
+        assert!(path.is_file(), "{} must exist", path.display());
+        assert_eq!(path.parent(), Some(dir.as_path()), "the trace sits directly in trace_dir");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -46,9 +46,10 @@ pub enum StepperSpec {
     Parallel,
 }
 
-/// Workload selection. The trace workloads mirror the simperf duty-cycle
-/// profiles; `Sort` is the NPB-IS bucket sort from `crates/workloads`;
-/// `Poison` is the chaos-test job that panics mid-run.
+/// Workload selection. The trace workloads mirror the benchmark's
+/// `amo_saturated` / `bursty_sleep` duty-cycle profiles; `Sort` is the
+/// NPB-IS bucket sort from `crates/workloads`; `Poison` is the chaos-test
+/// job that panics mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadSpec {
     /// Saturated atomic contention: every core hammers a shared counter.

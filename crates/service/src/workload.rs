@@ -1,11 +1,12 @@
 //! Workload installation for service jobs, plus the chaos-test
 //! [`PoisonEngine`].
 //!
-//! The trace workloads mirror the simperf duty-cycle profiles but are
-//! *finite*: every core runs its program, arrives at a shared barrier,
-//! checksums the contended line, and quiesces — so a completed job is
-//! detectable via [`smappic_core::Platform::is_idle`] and its
-//! architectural digest is a pure function of the [`JobSpec`].
+//! The trace workloads mirror the benchmark's `amo_saturated` /
+//! `bursty_sleep` duty-cycle profiles but are *finite*: every core runs
+//! its program, arrives at a shared barrier, checksums the contended
+//! line, and quiesces — so a completed job is detectable via
+//! [`smappic_core::Platform::is_idle`] and its architectural digest is a
+//! pure function of the [`JobSpec`].
 
 use smappic_core::{Platform, DRAM_BASE};
 use smappic_sim::{Cycle, SaveState, SimRng, SnapReader, SnapWriter};

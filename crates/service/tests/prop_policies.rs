@@ -279,6 +279,41 @@ fn digests_are_identical_across_1_2_4_workers_with_elastic_resizing() {
     }
 }
 
+/// Drives an oversubscribed fleet and checks what saturation must never
+/// break: every spec reports exactly once, in order, as completed or as a
+/// typed rejection the metrics agree with; the recorded queue depth stays
+/// within the bound; and a sample of pooled digests matches isolated
+/// serial reruns. Returns `(completed, queue_full, cycle_quota)` counts.
+fn saturate(specs: &[JobSpec], cfg: SchedulerConfig) -> (usize, usize, usize) {
+    let bound = cfg.max_pending;
+    let fleet = Scheduler::new(cfg).run_fleet(specs);
+    assert_eq!(fleet.reports.len(), specs.len(), "zero lost jobs");
+    let (mut completed, mut queue_full, mut cycle_quota) = (Vec::new(), 0, 0);
+    for (i, r) in fleet.reports.iter().enumerate() {
+        assert_eq!(r.job, i);
+        match &r.exit {
+            JobExit::Completed { .. } => completed.push(r),
+            JobExit::Rejected { reason: RejectReason::QueueFull { limit } } => {
+                assert_eq!(*limit, bound);
+                queue_full += 1;
+            }
+            JobExit::Rejected { reason: RejectReason::CycleQuota { .. } } => cycle_quota += 1,
+            other => panic!("job {i}: unexpected exit {other:?}"),
+        }
+    }
+    let m = &fleet.metrics;
+    assert!(m.counter("sched.queue.peak_depth") <= bound as u64, "the queue bound must hold");
+    assert_eq!(m.counter("sched.rejected.queue_full"), queue_full as u64);
+    assert_eq!(m.counter("sched.rejected.cycle_quota"), cycle_quota as u64);
+    assert_eq!(m.counter("sched.rejected"), (queue_full + cycle_quota) as u64);
+    let sample: Vec<_> = completed.iter().step_by((completed.len() / 6).max(1)).take(6).collect();
+    let reruns: Vec<JobSpec> = sample.iter().map(|r| specs[r.job].clone()).collect();
+    for (serial, pooled) in Scheduler::serial().run(&reruns).iter().zip(sample) {
+        assert_eq!(serial.digest, pooled.digest, "job {}: pool digest != serial rerun", pooled.job);
+    }
+    (completed.len(), queue_full, cycle_quota)
+}
+
 #[test]
 fn saturation_gate_oversubscribed_fleet_bounded_queue_zero_lost_jobs() {
     // The CI saturation gate: submit far more jobs than the queue bound
@@ -301,23 +336,49 @@ fn saturation_gate_oversubscribed_fleet_bounded_queue_zero_lost_jobs() {
         max_pending: bound,
         ..SchedulerConfig::default()
     };
-    let fleet = Scheduler::new(cfg).run_fleet(&specs);
-    assert_eq!(fleet.reports.len(), specs.len(), "zero lost jobs");
-    let mut completed = 0;
-    let mut rejected = 0;
-    for (i, r) in fleet.reports.iter().enumerate() {
-        assert_eq!(r.job, i);
-        match &r.exit {
-            JobExit::Completed { .. } => completed += 1,
-            JobExit::Rejected { reason: RejectReason::QueueFull { limit } } => {
-                assert_eq!(*limit, bound);
-                rejected += 1;
-            }
-            other => panic!("job {i}: unexpected exit {other:?}"),
-        }
-    }
+    let (completed, queue_full, cycle_quota) = saturate(&specs, cfg);
     assert_eq!(completed, bound, "exactly the queue bound runs");
-    assert_eq!(rejected, specs.len() - bound, "the surplus is rejected, not dropped");
-    assert!(fleet.metrics.counter("sched.queue.peak_depth") <= bound as u64);
-    assert_eq!(fleet.metrics.counter("sched.rejected.queue_full"), rejected as u64);
+    assert_eq!(queue_full, specs.len() - bound, "the surplus is rejected, not dropped");
+    assert_eq!(cycle_quota, 0);
+
+    // The same gate under the full policy stack: four tenants in priority
+    // order (interactive jobs carry deadlines and an in-flight cap, batch a
+    // cycle budget covering half its share), preemption when outranked, an
+    // elastic pool, and a queue bound at three quarters of the fleet.
+    let tenants = [("interactive", 6), ("ci", 4), ("batch", 2), ("best-effort", 0)];
+    let budget = 400_000;
+    let specs: Vec<JobSpec> = (0..240)
+        .map(|i| {
+            let (tenant, priority) = tenants[i % tenants.len()];
+            let ops = 15 + (i as u64 % 5) * 5;
+            let mut s = JobSpec::small(
+                &format!("sat-{i}"),
+                WorkloadSpec::AmoHeavy { ops, seed: 0xA7_00 + i as u64 },
+            );
+            s.tenant = tenant.to_string();
+            s.priority = priority;
+            s.budget = budget;
+            s.deadline_cycles = (tenant == "interactive").then_some(budget);
+            s
+        })
+        .collect();
+    let per_tenant = (specs.len() / tenants.len()) as u64;
+    let cfg = SchedulerConfig {
+        quantum: 5_000,
+        preempt: PreemptMode::WhenOutranked,
+        max_pending: specs.len() * 3 / 4,
+        quotas: vec![
+            TenantQuota::in_flight("interactive", 2),
+            TenantQuota {
+                tenant: "batch".into(),
+                max_in_flight: 4,
+                cycle_budget: Some(per_tenant / 2 * budget),
+            },
+        ],
+        elastic: Some(ElasticPolicy::range(2, 4)),
+        ..SchedulerConfig::default()
+    };
+    let (_, queue_full, cycle_quota) = saturate(&specs, cfg);
+    assert_eq!(cycle_quota as u64, per_tenant / 2, "half of batch's share fits its budget");
+    assert!(queue_full > 0, "the fleet must overrun the queue bound");
 }

@@ -237,8 +237,8 @@ impl ArianeCore {
         (self.branches, self.mispredicts)
     }
 
-    /// (hits, misses) of the decoded-block cache — host-side diagnostics
-    /// for `simperf`; never part of architectural stats or snapshots.
+    /// (hits, misses) of the decoded-block cache — host-side diagnostics,
+    /// never part of architectural stats or snapshots.
     pub fn block_cache_stats(&self) -> (u64, u64) {
         (self.blocks.hits(), self.blocks.misses())
     }

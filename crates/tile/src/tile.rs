@@ -47,8 +47,8 @@ pub struct Tile {
     /// engine ([`Engine::advance_idle`]), so architectural counters are
     /// never stale.
     sleep_until: Option<Cycle>,
-    /// Host-side count of ticks skipped by the scheduler (diagnostics for
-    /// `simperf`; not an architectural stat).
+    /// Host-side count of ticks skipped by the scheduler (a diagnostic,
+    /// not an architectural stat).
     skipped_cycles: u64,
     /// Host fast-path switch. When false the tile never sleeps (every tick
     /// runs the full component pipeline) and the engine decodes every

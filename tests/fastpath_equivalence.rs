@@ -525,6 +525,19 @@ fn single_cycle_runs_equal_one_long_run() {
     assert_bit_identical(&stepped, &warped, "run(1) x N vs run(N)");
     assert_eq!(slept_cycles(&stepped), slept_cycles(&warped), "same ticks skipped either way");
     assert!(slept_cycles(&warped) > N / 2, "the loop must be slept through");
+
+    // Fast-path liveness in exact counters, so a dead block cache or a
+    // lost horizon fails on any host: once warm, every block of the loop
+    // comes from the cache and the tile sleeps through at least 90% of its
+    // cycles.
+    let warm = warped.host_perf();
+    warped.run(N);
+    let hot = warped.host_perf();
+    let hits = hot.block_cache_hits - warm.block_cache_hits;
+    let misses = hot.block_cache_misses - warm.block_cache_misses;
+    assert!(hits > 0 && hits * 100 >= (hits + misses) * 99, "block cache dead: {hits}/{misses}");
+    let slept = hot.skipped_tile_cycles - warm.skipped_tile_cycles;
+    assert!(slept * 10 >= N * 9, "quiet-run horizon lost: {slept} of {N} cycles slept");
 }
 
 // ---- Saturated message traffic ---------------------------------------------
@@ -566,7 +579,11 @@ fn amo_platform(rounds: u64, max_compute: u64) -> Platform {
 fn saturated_single_cycle_runs_equal_one_long_run_and_the_reference() {
     // `run(1)` x N opens a one-cycle window per call, so the epoch driver
     // asks for a warp on every cycle; `run(N)` asks only after a quiet tick.
-    for max_compute in [20, 400] {
+    // Fast-path liveness rides along as exact counters: the saturated fleet
+    // still skips some tile and chipset ticks, the bursty one (compute
+    // bursts of up to 400 cycles) more than 90% of its tile ticks — a lost
+    // sleep predicate fails here on any host, no wall clock involved.
+    for (max_compute, min_tile_skip_pct) in [(20, 0), (400, 90)] {
         const N: u64 = 6_000;
         let mut stepped = amo_platform(400, max_compute);
         let mut driven = amo_platform(400, max_compute);
@@ -586,6 +603,13 @@ fn saturated_single_cycle_runs_equal_one_long_run_and_the_reference() {
             "same chipset ticks skipped"
         );
         assert!(driven.stats().get("bridge.sent") > 100, "atomics must cross the FPGAs");
+        let tile_cycles = driven.config().total_tiles() as u64 * N;
+        assert!(
+            d.skipped_tile_cycles * 100 > tile_cycles * min_tile_skip_pct,
+            "compute<={max_compute}: {} of {tile_cycles} tile ticks skipped",
+            d.skipped_tile_cycles
+        );
+        assert!(d.skipped_chipset_cycles > 0, "compute<={max_compute}: no chipset tick skipped");
     }
 }
 

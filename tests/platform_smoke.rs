@@ -197,3 +197,42 @@ fn homing_modes_change_where_lines_live() {
         assert_eq!(c.last_load(), 5, "mode {mode:?}");
     }
 }
+
+/// Runs a fixed mixed read/write working set from tile 0 of a 2x1x2
+/// prototype under `homing`, with `extra` cycles added to the inter-node
+/// bridge, and returns the cycle it finished at.
+fn working_set_cycles(homing: Option<HomingMode>, extra: u64) -> u64 {
+    let mut cfg = Config::new(2, 1, 2);
+    cfg.homing = homing;
+    cfg.params.bridge_extra_latency = extra;
+    let mut p = Platform::new(cfg);
+    let mut ops = Vec::new();
+    for i in 0..256u64 {
+        ops.push(TraceOp::Store(DRAM_BASE + i * 64));
+        ops.push(TraceOp::Load(DRAM_BASE + ((i * 37) % 256) * 64));
+    }
+    p.set_engine(0, 0, Box::new(TraceCore::new("ws", ops)));
+    assert!(p.run_until(5_000_000, |p| trace_core_done(p, 0, 0)), "working set hung");
+    p.now()
+}
+
+#[test]
+fn homing_and_link_latency_ablations_have_the_documented_shape() {
+    // DESIGN.md §4's two ablations; the simulated cycle count is the result.
+    let striped_plus = |extra| working_set_cycles(Some(HomingMode::StripeAllNodes), extra);
+
+    // Homing: a working set inside node 0's window is all-local under
+    // SMAPPIC's partitioned default, exactly as under BYOC-style
+    // node-local homing; line-striping sends every other line across PCIe.
+    let partitioned = working_set_cycles(None, 0);
+    let striped = striped_plus(0);
+    assert_eq!(partitioned, working_set_cycles(Some(HomingMode::NodeLocal), 0));
+    assert!(partitioned < striped, "partitioned {partitioned} vs striped {striped}");
+
+    // Link latency (the §3.5 traffic shaper, striped to force remote
+    // traffic): runtime grows with the added cycles, and linearly — the
+    // working set is a dependent chain of remote misses.
+    let (plus100, plus400) = (striped_plus(100), striped_plus(400));
+    assert!(striped < plus100 && plus100 < plus400, "{striped} / {plus100} / {plus400}");
+    assert_eq!((plus100 - striped) * 4, plus400 - striped, "not linear in the added latency");
+}

@@ -158,6 +158,12 @@ fn tri_stepper_check(cfg: impl Fn() -> Config, fpgas: usize, cycles: u64, label:
     // The grouped drivers must have actually epoch-stepped.
     let widths = serial.metrics().histogram("host.epoch_width").map_or(0, |h| h.count());
     assert!(widths > 0, "{label}: serial driver never recorded a grouped epoch");
+    // Host memory follows touched pages, not configured capacity: the
+    // workload writes one private page per core plus the shared-counter
+    // page, so that bounds what the whole rack keeps resident.
+    let resident: usize =
+        (0..fpgas).map(|n| serial.node(n).chipset().memctl().dram().resident_pages()).sum();
+    assert!((1..=fpgas + 1).contains(&resident), "{label}: {resident} DRAM pages resident");
 }
 
 #[test]

@@ -97,7 +97,7 @@ fn assert_migrated_equals_uninterrupted(spec: JobSpec, label: &str) {
     // The scheduler is transparent over the bare platform: driving the
     // same spec directly produces the same bytes again.
     let mut p = spec.build();
-    p.run_preemptible(spec.budget, spec.parallel(), |_, _| false);
+    p.run_preemptible(spec.budget, spec.parallel());
     let direct = p.snapshot().to_bytes();
     assert_eq!(direct, bs, "[{label}] scheduler must match a directly-driven platform");
     assert_eq!(digest_platform(&p), b.digest, "[{label}] direct digest must agree");
@@ -147,7 +147,7 @@ fn parked_wire_bytes_resume_in_a_fresh_process_image() {
     let mut first = spec.build();
     let grain = first.preemption_grain();
     let cut = (spec.budget / 2 / grain).max(1) * grain;
-    first.run_preemptible(cut, spec.parallel(), |_, _| false);
+    first.run_preemptible(cut, spec.parallel());
     let parked = first.snapshot().to_bytes();
     drop(first);
 
@@ -158,7 +158,7 @@ fn parked_wire_bytes_resume_in_a_fresh_process_image() {
     let already = second.now();
     let mut spent = already;
     while spent < spec.budget && !second.is_idle() {
-        spent += second.run_preemptible(spec.budget - spent, replayed.parallel(), |_, _| false);
+        spent += second.run_preemptible(spec.budget - spent, replayed.parallel());
         if second.is_idle() {
             break;
         }

@@ -428,7 +428,8 @@ fn truncated_container_is_a_corrupt_error() {
 /// segments, emitting a delta at each boundary; applying the chain must
 /// reproduce the full snapshot *byte-for-byte* at every boundary, and a
 /// fresh platform restored through [`Platform::restore_chain`] must
-/// finish the run indistinguishably from the uninterrupted twin.
+/// finish the run indistinguishably from the uninterrupted twin, which
+/// is returned.
 fn assert_delta_chain_equals_full(
     mk: impl Fn() -> Platform,
     stride: u64,
@@ -436,7 +437,7 @@ fn assert_delta_chain_equals_full(
     tail: u64,
     step: impl Fn(&mut Platform, u64),
     label: &str,
-) {
+) -> Platform {
     let mut p = mk();
     let base = p.snapshot();
     let mut prev = base.clone();
@@ -476,6 +477,26 @@ fn assert_delta_chain_equals_full(
     step(&mut resumed, tail);
     step(&mut p, tail);
     assert_eq!(observe(&p), observe(&resumed), "{label}: chain-restored run diverged");
+    p
+}
+
+/// Counts what a [`StreamSink`] hands its writer, keeping nothing.
+#[derive(Default)]
+struct WriteMeter {
+    total: usize,
+    largest: usize,
+}
+
+impl std::io::Write for WriteMeter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.total += buf.len();
+        self.largest = self.largest.max(buf.len());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[test]
@@ -509,7 +530,25 @@ fn delta_chain_equals_full_at_64_fpgas_under_the_parallel_stepper() {
             Some(FaultSpec::links_only(plan.clone())),
         )
     };
-    assert_delta_chain_equals_full(mk, 1_000, 3, 4_000, |p, n| p.run_parallel(n), "delta-64");
+    let p =
+        assert_delta_chain_equals_full(mk, 1_000, 3, 4_000, |p, n| p.run_parallel(n), "delta-64");
+
+    // The rack's image streams compressed and in bounded memory: the
+    // stored payload stays below 40% of raw, and the sink never hands its
+    // writer more than one section at a time — a small fraction of the
+    // image, which is why a file-backed checkpoint peaks below an owned
+    // `Snapshot` of the same platform.
+    let mut meter = WriteMeter::default();
+    let mut sink = StreamSink::new(&mut meter, true);
+    p.snapshot_to(&mut sink).expect("streaming snapshot");
+    let (raw, stored) = (sink.raw_bytes(), sink.stored_bytes());
+    assert!(stored * 100 < raw * 40, "64-FPGA image: {stored} B stored vs {raw} B raw");
+    assert!(
+        meter.largest * 16 < meter.total,
+        "largest single write {} B of a {} B stream",
+        meter.largest,
+        meter.total
+    );
 }
 
 #[test]
