@@ -240,6 +240,13 @@ impl LlcSlice {
         self.cur = self.cur.max(now);
     }
 
+    /// Undoes `delta` cycles of [`LlcSlice::sync_quiet`] aging, for a
+    /// stepper that over-ran the quiescent cycle and trims back to it.
+    pub fn rewind_quiet(&mut self, delta: u64) {
+        debug_assert!(self.is_quiet(), "rewind_quiet requires a quiet slice");
+        self.cur -= delta;
+    }
+
     /// True when no transaction is in flight in this slice.
     pub fn is_idle(&self) -> bool {
         self.in_delay.is_empty()

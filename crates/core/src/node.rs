@@ -193,8 +193,12 @@ impl Node {
         self.chipset.advance_idle(delta);
     }
 
-    /// Rolls the guest clock back over `delta` over-run idle cycles.
+    /// Rolls the guest clock and every LLC slice clock back over `delta`
+    /// over-run idle cycles.
     pub fn rewind_idle(&mut self, delta: u64) {
+        for t in &mut self.tiles {
+            t.rewind_idle(delta);
+        }
         self.chipset.rewind_idle(delta);
     }
 

@@ -278,8 +278,7 @@ pub struct FleetResult {
 /// so the digest is a pure function of the job spec — identical across
 /// worker counts, steal orders, and preemption patterns.
 pub fn digest_platform(p: &Platform) -> u64 {
-    let text =
-        format!("{}\n{}\n{}", p.now(), p.stats(), p.metrics().architectural().snapshot_text());
+    let text = format!("{}\n{}\n{}", p.now(), p.stats(), p.metrics().architectural_text());
     fnv1a(text.as_bytes())
 }
 

@@ -527,15 +527,13 @@ impl MetricsRegistry {
     /// exist only under one stepper).
     pub fn architectural(&self) -> MetricsRegistry {
         let mut counters = Stats::new();
-        for (k, v) in self.counters.iter() {
-            if !k.starts_with("host.") {
-                counters.add(k, v);
-            }
+        for (k, v) in self.counters.iter().filter(|(k, _)| is_architectural(k)) {
+            counters.add(k, v);
         }
         let histograms = self
             .histograms
             .iter()
-            .filter(|(k, _)| !k.starts_with("host."))
+            .filter(|(k, _)| is_architectural(k))
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         MetricsRegistry { counters, histograms }
@@ -545,8 +543,21 @@ impl MetricsRegistry {
     /// [`Stats`] format), then one summary line per histogram with its
     /// populated log2 buckets.
     pub fn snapshot_text(&self) -> String {
-        let mut out = self.counters.to_string();
-        for (name, h) in &self.histograms {
+        self.text(|_| true)
+    }
+
+    /// `self.architectural().snapshot_text()`, byte for byte, rendered
+    /// from this registry without copying it first.
+    pub fn architectural_text(&self) -> String {
+        self.text(is_architectural)
+    }
+
+    fn text(&self, keep: impl Fn(&str) -> bool) -> String {
+        let mut out = String::new();
+        for (k, v) in self.counters.iter().filter(|(k, _)| keep(k)) {
+            let _ = writeln!(out, "{k:<40} {v}");
+        }
+        for (name, h) in self.histograms.iter().filter(|(k, _)| keep(k)) {
             if h.count() == 0 {
                 let _ = writeln!(out, "{name:<40} count=0");
                 continue;
@@ -570,6 +581,11 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+/// True for every metric name outside the reserved `host.` lane.
+fn is_architectural(name: &str) -> bool {
+    !name.starts_with("host.")
 }
 
 impl fmt::Display for MetricsRegistry {
@@ -692,6 +708,26 @@ mod tests {
         c.merge_histogram("host.epoch_width", &h);
         assert_ne!(b, c);
         assert_eq!(b.architectural(), c.architectural());
+    }
+
+    #[test]
+    fn architectural_text_is_the_text_of_the_architectural_view() {
+        let mut r = MetricsRegistry::new();
+        let mut s = Stats::new();
+        s.add("noc.flits", 3);
+        s.add("host.steps", 9);
+        s.add("xbar.req", 0);
+        r.merge_counters(&s);
+        let mut h = Histogram::new();
+        h.record(125);
+        h.record(7);
+        r.merge_histogram("pcie.rtt", &h);
+        r.merge_histogram("host.epoch_width", &h);
+        r.merge_histogram("bpc.miss_latency", &Histogram::new());
+        assert_eq!(r.architectural_text(), r.architectural().snapshot_text());
+        assert_ne!(r.architectural_text(), r.snapshot_text());
+        // Counters render exactly as `Stats` prints them.
+        assert!(r.snapshot_text().starts_with(&r.counters().to_string()));
     }
 
     #[test]

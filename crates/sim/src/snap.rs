@@ -36,7 +36,7 @@
 //! every architectural bit.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -158,6 +158,39 @@ pub trait Pack: Sized {
     fn unpack(r: &mut SnapReader) -> Self;
 }
 
+/// Cursor value for "no section open": past the end of any section list,
+/// so the per-field accessors fall into their cold path on it.
+const NO_SECTION: usize = usize::MAX;
+
+/// The dotted path of the innermost open scope, extended and cut back in
+/// place as scopes open and close.
+#[derive(Debug, Default)]
+struct ScopePath {
+    dotted: String,
+    /// Number of open scopes (`dotted` alone cannot tell a scope with an
+    /// empty name from no scope).
+    depth: usize,
+}
+
+impl ScopePath {
+    /// Opens `name` under the current scope; returns what `exit` needs to
+    /// close it again.
+    fn enter(&mut self, name: &str) -> usize {
+        let outer_len = self.dotted.len();
+        if self.depth > 0 {
+            self.dotted.push('.');
+        }
+        self.dotted.push_str(name);
+        self.depth += 1;
+        outer_len
+    }
+
+    fn exit(&mut self, outer_len: usize) {
+        self.depth -= 1;
+        self.dotted.truncate(outer_len);
+    }
+}
+
 /// Builds the named-section byte buffers of a snapshot.
 ///
 /// Scopes nest: [`SnapWriter::scoped`] pushes a path component, and
@@ -167,28 +200,52 @@ pub trait Pack: Sized {
 /// Opening a scope registers its section even when nothing is written —
 /// empty sections keep two snapshots structurally comparable.
 ///
+/// Names are resolved where scopes open and nowhere else: `scoped` looks
+/// the dotted path up once and leaves a cursor on that section's buffer,
+/// and every primitive write is a push through the cursor. Re-entering a
+/// path appends to the section it opened the first time; writes outside
+/// any scope go to the section named `""`.
+///
 /// A writer built with [`SnapWriter::streaming`] additionally hands every
 /// section to a [`SnapSink`] as soon as its *top-level* scope closes, so a
 /// full-platform walk holds at most one top-level component's sections in
 /// memory at a time — the bounded-memory checkpoint path. Streamed
 /// sections cannot be reopened; doing so is recorded as a
 /// [`SnapError::Corrupt`] surfaced by [`SnapWriter::finish`].
-#[derive(Default)]
 pub struct SnapWriter<'s> {
-    path: Vec<String>,
-    order: Vec<String>,
+    path: ScopePath,
+    /// Index into `sections` of the innermost open scope's section.
+    cur: usize,
+    /// `(name, bytes)` in first-open order. A streamed section keeps its
+    /// slot (its buffer freed) so reopening it can be told apart.
+    sections: Vec<(String, Vec<u8>)>,
+    /// Name to slot in `sections`; consulted only when a scope opens.
+    index: HashMap<String, usize>,
+    /// Sections below this slot have been handed to the sink.
     next_flush: usize,
-    bufs: HashMap<String, Vec<u8>>,
-    flushed: HashSet<String>,
     sink: Option<&'s mut dyn SnapSink>,
     error: Option<SnapError>,
+}
+
+impl Default for SnapWriter<'_> {
+    fn default() -> Self {
+        Self {
+            path: ScopePath::default(),
+            cur: NO_SECTION,
+            sections: Vec::new(),
+            index: HashMap::new(),
+            next_flush: 0,
+            sink: None,
+            error: None,
+        }
+    }
 }
 
 impl fmt::Debug for SnapWriter<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SnapWriter")
-            .field("path", &self.path)
-            .field("order", &self.order)
+            .field("path", &self.path.dotted)
+            .field("sections", &self.sections.len())
             .field("streaming", &self.sink.is_some())
             .field("error", &self.error)
             .finish_non_exhaustive()
@@ -209,47 +266,55 @@ impl<'s> SnapWriter<'s> {
         Self { sink: Some(sink), ..Self::default() }
     }
 
-    fn joined(&self) -> String {
-        self.path.join(".")
-    }
-
     fn fail(&mut self, e: SnapError) {
         if self.error.is_none() {
             self.error = Some(e);
         }
     }
 
+    /// Resolves `path` to its section, registering it on first open. The
+    /// one place a section name is hashed or allocated.
+    fn open_section(&mut self) -> usize {
+        let name = &self.path.dotted;
+        if let Some(&at) = self.index.get(name) {
+            if at < self.next_flush {
+                // Post-error writes land in the streamed section's dead
+                // buffer, which is never flushed again; the recorded
+                // error surfaces at `finish`.
+                let e = format!("section '{name}' reopened after it was streamed");
+                self.fail(SnapError::Corrupt(e));
+            }
+            return at;
+        }
+        let at = self.sections.len();
+        self.sections.push((name.clone(), Vec::new()));
+        self.index.insert(name.clone(), at);
+        at
+    }
+
+    /// The buffer primitive writes land in: the innermost open scope's,
+    /// or the `""` section's outside any scope.
+    #[inline]
     fn ensure_section(&mut self) -> &mut Vec<u8> {
-        let key = self.joined();
-        if self.flushed.contains(&key) {
-            self.fail(SnapError::Corrupt(format!(
-                "section '{key}' reopened after it was streamed"
-            )));
-            // Post-error writes land in a scratch buffer that is never
-            // flushed; the recorded error surfaces at `finish`.
-            return self.bufs.entry(key).or_default();
+        if self.cur >= self.sections.len() {
+            self.cur = self.open_section();
         }
-        if !self.bufs.contains_key(&key) {
-            self.order.push(key.clone());
-            self.bufs.insert(key.clone(), Vec::new());
-        }
-        self.bufs.get_mut(&key).expect("section just ensured")
+        &mut self.sections[self.cur].1
     }
 
     /// Hands every section opened so far (and not yet flushed) to the
     /// sink, in first-open order, freeing its buffer.
     fn flush_pending(&mut self) {
-        while self.next_flush < self.order.len() {
-            let key = self.order[self.next_flush].clone();
+        while self.next_flush < self.sections.len() {
+            let (name, buf) = &mut self.sections[self.next_flush];
             self.next_flush += 1;
-            let Some(buf) = self.bufs.remove(&key) else { continue };
-            self.flushed.insert(key.clone());
+            let buf = std::mem::take(buf);
             if self.error.is_some() {
                 continue;
             }
             if let Some(sink) = self.sink.as_deref_mut() {
-                if let Err(e) = sink.section(&key, &buf) {
-                    self.fail(e);
+                if let Err(e) = sink.section(name, &buf) {
+                    self.error = Some(e);
                 }
             }
         }
@@ -259,12 +324,16 @@ impl<'s> SnapWriter<'s> {
     /// new path is created immediately so it exists even when empty. When
     /// streaming, closing a top-level scope flushes its sections.
     pub fn scoped(&mut self, name: &str, f: impl FnOnce(&mut Self)) {
-        self.path.push(name.to_owned());
-        self.ensure_section();
+        let (outer, outer_len) = (self.cur, self.path.enter(name));
+        self.cur = self.open_section();
         f(self);
-        self.path.pop();
-        if self.path.is_empty() && self.sink.is_some() {
+        self.path.exit(outer_len);
+        self.cur = outer;
+        if self.path.depth == 0 && self.sink.is_some() {
             self.flush_pending();
+            // The `""` section, if open, has just been streamed with the
+            // rest: the next write outside a scope must look it up again.
+            self.cur = NO_SECTION;
         }
     }
 
@@ -319,8 +388,9 @@ impl<'s> SnapWriter<'s> {
     /// Writes a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         let len = u32::try_from(v.len()).expect("snapshot byte field exceeds u32::MAX");
-        self.u32(len);
-        self.ensure_section().extend_from_slice(v);
+        let buf = self.ensure_section();
+        buf.extend_from_slice(&len.to_le_bytes());
+        buf.extend_from_slice(v);
     }
 
     /// Writes a length-prefixed UTF-8 string.
@@ -330,15 +400,18 @@ impl<'s> SnapWriter<'s> {
 
     /// Finishes the writer, returning `(path, bytes)` sections in
     /// first-open order.
-    pub fn into_sections(mut self) -> Vec<(String, Vec<u8>)> {
-        self.order
-            .drain(..)
-            .map(|k| {
-                let buf = self.bufs.remove(&k).expect("ordered section exists");
-                (k, buf)
-            })
-            .collect()
+    pub fn into_sections(self) -> Vec<(String, Vec<u8>)> {
+        self.sections
     }
+}
+
+/// One section held by a [`SnapReader`]: its bytes and how far the
+/// restore walk has read into them.
+struct Frame<'a> {
+    data: Cow<'a, [u8]>,
+    at: usize,
+    /// A scope (or a read outside any scope) has opened this section.
+    visited: bool,
 }
 
 /// Reads named sections back in [`SnapWriter`] order.
@@ -351,6 +424,12 @@ impl<'s> SnapWriter<'s> {
 /// [`SnapError::TrailingBytes`], which is how unknown future fields are
 /// rejected instead of silently misread.
 ///
+/// Like the writer, the reader resolves a name only where a scope opens:
+/// `scoped` leaves a cursor on the section's `(bytes, offset)` frame and
+/// every primitive read is a bounds-checked slice through it. The offset
+/// lives with the section, so re-entering a path resumes where the last
+/// visit stopped; reads outside any scope use the section named `""`.
+///
 /// A reader built with [`SnapReader::from_source`] pulls sections on
 /// demand from a [`SectionSource`] (e.g. a [`StreamSource`] over a
 /// checkpoint file) and drops each one as its scope closes — the
@@ -358,9 +437,14 @@ impl<'s> SnapWriter<'s> {
 /// in the same order the platform wrote them, at most a handful of
 /// sections are resident at once.
 pub struct SnapReader<'a> {
-    path: Vec<String>,
-    sections: HashMap<String, (Cow<'a, [u8]>, usize)>,
-    visited: HashSet<String>,
+    path: ScopePath,
+    /// Index into `frames` of the innermost open scope's section, or
+    /// [`NO_SECTION`] when the snapshot has none for it.
+    cur: usize,
+    frames: Vec<Frame<'a>>,
+    /// Name to slot in `frames` for every resident section; consulted
+    /// only when a scope opens.
+    index: HashMap<Cow<'a, str>, usize>,
     source: Option<SectionSource<'a>>,
     error: Option<SnapError>,
 }
@@ -375,8 +459,8 @@ pub type SectionSource<'a> = Box<dyn FnMut() -> Result<Option<(String, Vec<u8>)>
 impl fmt::Debug for SnapReader<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SnapReader")
-            .field("path", &self.path)
-            .field("resident_sections", &self.sections.len())
+            .field("path", &self.path.dotted)
+            .field("resident_sections", &self.index.len())
             .field("streaming", &self.source.is_some())
             .field("error", &self.error)
             .finish_non_exhaustive()
@@ -384,47 +468,64 @@ impl fmt::Debug for SnapReader<'_> {
 }
 
 impl<'a> SnapReader<'a> {
+    fn with_source(source: Option<SectionSource<'a>>) -> Self {
+        Self {
+            path: ScopePath::default(),
+            cur: NO_SECTION,
+            frames: Vec::new(),
+            index: HashMap::new(),
+            source,
+            error: None,
+        }
+    }
+
     /// Creates a reader over a snapshot's sections.
     pub fn new(snapshot: &'a Snapshot) -> Self {
-        let mut sections = HashMap::new();
+        let mut r = Self::with_source(None);
         for (name, bytes) in &snapshot.sections {
-            sections.insert(name.clone(), (Cow::Borrowed(bytes.as_slice()), 0));
+            r.admit(Cow::Borrowed(name.as_str()), Cow::Borrowed(bytes.as_slice()));
         }
-        Self { path: Vec::new(), sections, visited: HashSet::new(), source: None, error: None }
+        r
     }
 
     /// Creates a streaming reader that pulls sections on demand from
     /// `source` and frees each one when its scope closes.
     pub fn from_source(source: SectionSource<'a>) -> Self {
-        Self {
-            path: Vec::new(),
-            sections: HashMap::new(),
-            visited: HashSet::new(),
-            source: Some(source),
-            error: None,
+        Self::with_source(Some(source))
+    }
+
+    /// Makes a section resident. A repeated name replaces the earlier
+    /// bytes and rewinds their cursor.
+    fn admit(&mut self, name: Cow<'a, str>, data: Cow<'a, [u8]>) {
+        match self.index.get(name.as_ref()) {
+            Some(&at) => {
+                let frame = &mut self.frames[at];
+                frame.data = data;
+                frame.at = 0;
+            }
+            None => {
+                self.index.insert(name, self.frames.len());
+                self.frames.push(Frame { data, at: 0, visited: false });
+            }
         }
     }
 
-    fn joined(&self) -> String {
-        self.path.join(".")
-    }
-
-    /// Pulls from the source until `key` is resident or the source ends.
-    fn pull_until(&mut self, key: &str) -> bool {
-        while !self.sections.contains_key(key) {
-            let Some(source) = self.source.as_mut() else { return false };
-            match source() {
-                Ok(Some((name, data))) => {
-                    self.sections.insert(name, (Cow::Owned(data), 0));
-                }
-                Ok(None) => return false,
+    /// The resident section named by the current path, pulling from the
+    /// source until it arrives or the source ends.
+    fn pull_until_open(&mut self) -> Option<usize> {
+        loop {
+            if let Some(&at) = self.index.get(self.path.dotted.as_str()) {
+                return Some(at);
+            }
+            match self.source.as_mut()?() {
+                Ok(Some((name, data))) => self.admit(Cow::Owned(name), Cow::Owned(data)),
+                Ok(None) => return None,
                 Err(e) => {
                     self.fail(e);
-                    return false;
+                    return None;
                 }
             }
         }
-        true
     }
 
     fn fail(&mut self, e: SnapError) {
@@ -443,56 +544,67 @@ impl<'a> SnapReader<'a> {
     /// Records a [`SnapError::Corrupt`] from a component's own validation
     /// (e.g. a restored queue exceeding its configured capacity).
     pub fn corrupt(&mut self, msg: &str) {
-        let path = self.joined();
-        self.fail(SnapError::Corrupt(format!("{msg} in '{path}'")));
+        let e = format!("{msg} in '{}'", self.path.dotted);
+        self.fail(SnapError::Corrupt(e));
     }
 
     /// Runs `f` with `name` pushed onto the scope path, then verifies the
     /// section was consumed exactly. In streaming mode the section is
     /// freed on scope exit.
     pub fn scoped(&mut self, name: &str, f: impl FnOnce(&mut Self)) {
-        self.path.push(name.to_owned());
-        let key = self.joined();
-        if self.pull_until(&key) {
-            self.visited.insert(key.clone());
-        } else {
-            self.fail(SnapError::MissingSection(key.clone()));
-        }
+        let (outer, outer_len) = (self.cur, self.path.enter(name));
+        self.cur = match self.pull_until_open() {
+            Some(at) => {
+                self.frames[at].visited = true;
+                at
+            }
+            None => {
+                self.fail(SnapError::MissingSection(self.path.dotted.clone()));
+                NO_SECTION
+            }
+        };
         f(self);
-        if self.error.is_none() {
-            if let Some((data, cur)) = self.sections.get(&key) {
-                if *cur != data.len() {
-                    self.fail(SnapError::TrailingBytes(key.clone()));
-                }
+        if let Some(frame) = self.frames.get_mut(self.cur) {
+            if self.error.is_none() && frame.at != frame.data.len() {
+                self.error = Some(SnapError::TrailingBytes(self.path.dotted.clone()));
+            }
+            if self.source.is_some() {
+                frame.data = Cow::Borrowed(&[]);
+                self.index.remove(self.path.dotted.as_str());
             }
         }
-        if self.source.is_some() {
-            self.sections.remove(&key);
-        }
-        self.path.pop();
+        self.path.exit(outer_len);
+        self.cur = outer;
     }
 
+    /// The next `n` bytes of the innermost open section.
+    #[inline]
     fn take(&mut self, n: usize) -> Option<&[u8]> {
         if self.error.is_some() {
             return None;
         }
-        let key = self.joined();
-        if !self.sections.contains_key(&key) {
-            self.fail(SnapError::MissingSection(key));
+        if self.cur >= self.frames.len() {
+            // Only a read outside any scope gets here without an error
+            // recorded: it uses the `""` section, if one is resident.
+            match self.index.get(self.path.dotted.as_str()) {
+                Some(&at) => {
+                    self.frames[at].visited = true;
+                    self.cur = at;
+                }
+                None => {
+                    self.error = Some(SnapError::MissingSection(self.path.dotted.clone()));
+                    return None;
+                }
+            }
+        }
+        let frame = &mut self.frames[self.cur];
+        if n > frame.data.len() - frame.at {
+            self.error = Some(SnapError::Truncated(self.path.dotted.clone()));
             return None;
         }
-        self.visited.insert(key.clone());
-        let (data, cur) = self.sections.get_mut(&key).expect("section is resident");
-        if *cur + n > data.len() {
-            self.fail(SnapError::Truncated(key));
-            return None;
-        }
-        let at = *cur;
-        *cur += n;
-        // Re-borrow immutably for the returned slice (the mutable borrow
-        // above must end before `self` can be borrowed for the return).
-        let (data, _) = self.sections.get(&key).expect("section is resident");
-        Some(&data[at..at + n])
+        let at = frame.at;
+        frame.at += n;
+        Some(&frame.data[at..at + n])
     }
 
     /// Reads one byte (0 after an error).
@@ -523,7 +635,7 @@ impl<'a> SnapReader<'a> {
     /// Reads a `usize` written by [`SnapWriter::usize`].
     pub fn usize(&mut self) -> usize {
         usize::try_from(self.u64()).unwrap_or_else(|_| {
-            self.fail(SnapError::Corrupt(format!("usize overflow in '{}'", self.joined())));
+            self.corrupt("usize overflow");
             0
         })
     }
@@ -534,7 +646,7 @@ impl<'a> SnapReader<'a> {
             0 => false,
             1 => true,
             b => {
-                self.fail(SnapError::Corrupt(format!("bool byte {b:#04x} in '{}'", self.joined())));
+                self.corrupt(&format!("bool byte {b:#04x}"));
                 false
             }
         }
@@ -559,7 +671,7 @@ impl<'a> SnapReader<'a> {
     pub fn str(&mut self) -> String {
         let raw = self.bytes();
         String::from_utf8(raw).unwrap_or_else(|_| {
-            self.fail(SnapError::Corrupt(format!("non-UTF-8 string in '{}'", self.joined())));
+            self.corrupt("non-UTF-8 string");
             String::new()
         })
     }
@@ -576,27 +688,16 @@ impl<'a> SnapReader<'a> {
         // verified even when the walk consumed every section early; any
         // section it still yields was never visited by a component.
         if let Some(mut source) = self.source.take() {
-            loop {
-                match source() {
-                    Ok(Some((name, data))) => {
-                        self.sections.insert(name, (Cow::Owned(data), 0));
-                    }
-                    Ok(None) => break,
-                    Err(e) => return Err(e),
-                }
+            while let Some((name, data)) = source()? {
+                self.admit(Cow::Owned(name), Cow::Owned(data));
             }
         }
-        let mut unvisited: Vec<&str> = self
-            .sections
-            .keys()
-            .map(String::as_str)
-            .filter(|k| !self.visited.contains(*k))
-            .collect();
-        unvisited.sort_unstable();
-        if let Some(first) = unvisited.first() {
-            return Err(SnapError::UnexpectedSection((*first).to_owned()));
+        let unvisited =
+            self.index.iter().filter(|(_, &at)| !self.frames[at].visited).map(|(name, _)| name);
+        match unvisited.min() {
+            Some(first) => Err(SnapError::UnexpectedSection(first.to_string())),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -605,7 +706,7 @@ impl<'a> SnapReader<'a> {
 /// The container is `(version, config digest, cycle, ordered named
 /// sections)`; [`Snapshot::to_bytes`]/[`Snapshot::from_bytes`] give it a
 /// length-prefixed wire form for cross-process checkpointing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Snapshot format version ([`SNAP_VERSION`] when written by this build).
     pub version: u32,
@@ -614,12 +715,43 @@ pub struct Snapshot {
     /// Platform cycle at which the snapshot was taken.
     pub cycle: u64,
     sections: Vec<(String, Vec<u8>)>,
+    /// The state digest a stream's trailer carried, once [`StreamSource`]
+    /// has verified it against these sections.
+    verified: Option<VerifiedDigest>,
 }
+
+/// A state digest together with the header fields it covers. Those are
+/// public on [`Snapshot`], so the digest is trusted only while they still
+/// read what was hashed.
+#[derive(Debug, Clone, Copy)]
+struct VerifiedDigest {
+    config_digest: u64,
+    cycle: u64,
+    digest: u64,
+}
+
+/// Snapshots are equal when they hold the same state; where the state
+/// digest came from is not part of it.
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Self) -> bool {
+        (self.version, self.config_digest, self.cycle)
+            == (other.version, other.config_digest, other.cycle)
+            && self.sections == other.sections
+    }
+}
+
+impl Eq for Snapshot {}
 
 impl Snapshot {
     /// Assembles a snapshot from a finished writer.
     pub fn new(config_digest: u64, cycle: u64, w: SnapWriter) -> Self {
-        Self { version: SNAP_VERSION, config_digest, cycle, sections: w.into_sections() }
+        Self {
+            version: SNAP_VERSION,
+            config_digest,
+            cycle,
+            sections: w.into_sections(),
+            verified: None,
+        }
     }
 
     /// The named sections in walk order.
@@ -652,31 +784,24 @@ impl Snapshot {
     /// epoch-parallel steppers. A section present on one side only is
     /// itself a divergence (reported by name).
     pub fn first_divergence(&self, other: &Snapshot) -> Option<String> {
-        let arch = |s: &'_ Snapshot| -> Vec<(String, Vec<u8>)> {
-            s.sections
-                .iter()
-                .filter(|(n, _)| !n.starts_with(HOST_SECTION_PREFIX) && n != "host")
-                .cloned()
-                .collect()
-        };
-        let a = arch(self);
-        let b = arch(other);
-        for i in 0..a.len().max(b.len()) {
-            match (a.get(i), b.get(i)) {
+        fn arch(s: &Snapshot) -> impl Iterator<Item = &(String, Vec<u8>)> {
+            s.sections.iter().filter(|(n, _)| !n.starts_with(HOST_SECTION_PREFIX) && n != "host")
+        }
+        let (mut a, mut b) = (arch(self), arch(other));
+        loop {
+            match (a.next(), b.next()) {
                 (Some((an, ab)), Some((bn, bb))) => {
                     if an != bn {
-                        return Some(an.clone().min(bn.clone()));
+                        return Some(an.min(bn).clone());
                     }
                     if ab != bb {
                         return Some(an.clone());
                     }
                 }
-                (Some((an, _)), None) => return Some(an.clone()),
-                (None, Some((bn, _))) => return Some(bn.clone()),
-                (None, None) => unreachable!("loop bounded by max len"),
+                (Some((n, _)), None) | (None, Some((n, _))) => return Some(n.clone()),
+                (None, None) => return None,
             }
         }
-        None
     }
 
     /// Serializes the snapshot to its wire form.
@@ -724,7 +849,7 @@ impl Snapshot {
         if c.at != bytes.len() {
             return Err(SnapError::Corrupt("trailing container bytes".into()));
         }
-        Ok(Self { version, config_digest, cycle, sections })
+        Ok(Self { version, config_digest, cycle, sections, verified: None })
     }
 
     /// FNV-1a digest of each section's payload, in walk order — the basis
@@ -739,7 +864,22 @@ impl Snapshot {
     /// in-memory container and the streamed wire forms. A delta records
     /// its base's state digest, which is how out-of-order chain
     /// application is rejected.
+    ///
+    /// A snapshot read from a stream returns the digest its trailer
+    /// carried, which [`StreamSource`] has already checked against the
+    /// sections; one built from a live walk, parsed from the `SMAPSNAP`
+    /// container or produced by [`Snapshot::apply_delta`] hashes them here.
     pub fn state_digest(&self) -> u64 {
+        match self.verified {
+            Some(v) if (v.config_digest, v.cycle) == (self.config_digest, self.cycle) => {
+                debug_assert_eq!(v.digest, self.compute_state_digest(), "carried digest is stale");
+                v.digest
+            }
+            _ => self.compute_state_digest(),
+        }
+    }
+
+    fn compute_state_digest(&self) -> u64 {
         let mut h = Fnv::new();
         digest_header(&mut h, self.config_digest, self.cycle);
         for (n, b) in &self.sections {
@@ -757,7 +897,7 @@ impl Snapshot {
     /// [`SnapError::DeltaBaseMismatch`] when `self` is not the exact base
     /// the delta was computed against (chains must apply in order), and
     /// [`SnapError::Corrupt`] when the delta names a section the base does
-    /// not have.
+    /// not have, or names its sections out of the base's walk order.
     pub fn apply_delta(&self, d: &SnapDelta) -> Result<Snapshot, SnapError> {
         if d.version != self.version {
             return Err(SnapError::VersionMismatch { found: d.version, expected: self.version });
@@ -775,19 +915,25 @@ impl Snapshot {
                 expected: d.base_digest,
             });
         }
-        let mut next = self.clone();
-        next.cycle = d.cycle;
-        for (name, data) in &d.sections {
-            match next.sections.iter_mut().find(|(n, _)| n == name) {
-                Some((_, slot)) => *slot = data.clone(),
-                None => {
-                    return Err(SnapError::Corrupt(format!(
-                        "delta section '{name}' not present in base"
-                    )));
-                }
-            }
+        // A delta lists its sections in the base's walk order, so one
+        // pass over the base merges it.
+        let mut dirty = d.sections.iter().peekable();
+        let sections = self
+            .sections
+            .iter()
+            .map(|(name, data)| {
+                let data = dirty.next_if(|(n, _)| n == name).map_or(data, |(_, fresh)| fresh);
+                (name.clone(), data.clone())
+            })
+            .collect();
+        if let Some((name, _)) = dirty.next() {
+            return Err(SnapError::Corrupt(format!(
+                "delta section '{name}' not present in base, or out of its walk order"
+            )));
         }
-        Ok(next)
+        // The sections changed: whatever digest the base carried is not
+        // this snapshot's.
+        Ok(Snapshot { cycle: d.cycle, sections, verified: None, ..*self })
     }
 
     /// Replays this snapshot into a sink: `begin`, every section in walk
@@ -1050,6 +1196,7 @@ impl MemorySink {
             config_digest: self.config_digest,
             cycle: self.cycle,
             sections: self.sections,
+            verified: None,
         }
     }
 }
@@ -1447,12 +1594,11 @@ pub fn read_stream(r: impl Read) -> Result<Snapshot, SnapError> {
     while let Some((name, data)) = src.next_section()? {
         sections.push((name, data));
     }
-    Ok(Snapshot {
-        version: src.version(),
-        config_digest: src.config_digest(),
-        cycle: src.cycle(),
-        sections,
-    })
+    let (config_digest, cycle) = (src.config_digest(), src.cycle());
+    // `next_section` returned `None`, so the trailer's digest has been
+    // checked against exactly these sections.
+    let verified = Some(VerifiedDigest { config_digest, cycle, digest: src.digest.finish() });
+    Ok(Snapshot { version: src.version(), config_digest, cycle, sections, verified })
 }
 
 /// Incremental FNV-1a, the streaming counterpart of [`fnv1a`].
@@ -1779,6 +1925,149 @@ mod tests {
     }
 
     #[test]
+    fn parent_fields_around_a_child_scope_land_in_the_parent_section() {
+        let mut w = SnapWriter::new();
+        w.scoped("node", |w| {
+            w.u8(1);
+            w.scoped("tile", |w| w.u8(9));
+            w.u8(2);
+        });
+        let snap = Snapshot::new(0, 0, w);
+        assert_eq!(snap.section("node"), Some(&[1u8, 2][..]));
+        assert_eq!(snap.section("node.tile"), Some(&[9u8][..]));
+        let mut r = SnapReader::new(&snap);
+        r.scoped("node", |r| {
+            assert_eq!(r.u8(), 1);
+            r.scoped("tile", |r| assert_eq!(r.u8(), 9));
+            assert_eq!(r.u8(), 2);
+        });
+        r.finish().expect("clean restore");
+    }
+
+    #[test]
+    fn reentering_a_scope_appends_and_resumes_at_the_saved_cursor() {
+        let mut w = SnapWriter::new();
+        w.scoped("a", |w| w.u8(1));
+        w.scoped("b", |w| w.u8(7));
+        w.scoped("a", |w| w.u8(2));
+        let snap = Snapshot::new(0, 0, w);
+        let names: Vec<&str> = snap.sections().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "b"], "re-entry opens no second section");
+        assert_eq!(snap.section("a"), Some(&[1u8, 2][..]));
+
+        let mut r = SnapReader::new(&snap);
+        r.scoped("a", |r| {
+            assert_eq!(r.u8(), 1);
+            assert_eq!(r.u8(), 2);
+        });
+        r.scoped("b", |r| assert_eq!(r.u8(), 7));
+        // Fully consumed: a later visit resumes at the end and reads nothing.
+        r.scoped("a", |_| {});
+        r.finish().expect("clean restore");
+
+        // A visit that stops short is a trailing-bytes error at that exit,
+        // even though a later visit would have read the rest.
+        let mut r = SnapReader::new(&snap);
+        r.scoped("a", |r| assert_eq!(r.u8(), 1));
+        r.scoped("a", |r| assert_eq!(r.u8(), 0, "post-error reads return defaults"));
+        assert_eq!(r.finish(), Err(SnapError::TrailingBytes("a".into())));
+    }
+
+    #[test]
+    fn fields_outside_any_scope_use_the_unnamed_section() {
+        let mut w = SnapWriter::new();
+        w.u8(1);
+        w.scoped("a", |w| w.u8(5));
+        w.u8(2);
+        let snap = Snapshot::new(0, 0, w);
+        let names: Vec<&str> = snap.sections().iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["", "a"]);
+        assert_eq!(snap.section(""), Some(&[1u8, 2][..]));
+        let mut r = SnapReader::new(&snap);
+        assert_eq!(r.u8(), 1);
+        r.scoped("a", |r| assert_eq!(r.u8(), 5));
+        assert_eq!(r.u8(), 2);
+        r.finish().expect("clean restore");
+
+        // Without such a section the first unscoped read is the error.
+        let mut w = SnapWriter::new();
+        w.scoped("a", |w| w.u8(5));
+        let snap = Snapshot::new(0, 0, w);
+        let mut r = SnapReader::new(&snap);
+        assert_eq!(r.u8(), 0);
+        assert_eq!(r.finish(), Err(SnapError::MissingSection(String::new())));
+
+        // A streaming writer flushes the unnamed section with the first
+        // top-level scope; writing to it again reopens a streamed section.
+        let mut sink = CountingSink::new();
+        sink.begin(SNAP_VERSION, 0, 0).expect("begin");
+        let mut w = SnapWriter::streaming(&mut sink);
+        w.u8(1);
+        w.scoped("a", |w| w.u8(5));
+        w.u8(2);
+        assert!(matches!(w.finish(), Err(SnapError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_missing_section_is_reported_once_and_later_scopes_stay_aligned() {
+        let mut w = SnapWriter::new();
+        w.scoped("a", |w| w.u8(1));
+        w.scoped("c", |w| w.scoped("d", |w| w.u8(3)));
+        let snap = Snapshot::new(0, 0, w);
+        let mut r = SnapReader::new(&snap);
+        r.scoped("a", |r| assert_eq!(r.u8(), 1));
+        r.scoped("b", |r| {
+            assert!(!r.ok());
+            assert_eq!(r.u64(), 0);
+            r.scoped("also-absent", |r| assert_eq!(r.u8(), 0));
+        });
+        // The walk carries on with defaults; paths still nest correctly,
+        // which `corrupt` shows by naming the scope it was called in.
+        r.scoped("c", |r| {
+            r.scoped("d", |r| {
+                assert_eq!(r.u8(), 0);
+                r.corrupt("ignored: not the first error");
+            });
+        });
+        assert_eq!(r.finish(), Err(SnapError::MissingSection("b".into())));
+
+        let mut r = SnapReader::new(&snap);
+        r.scoped("a", |r| assert_eq!(r.u8(), 1));
+        r.scoped("c", |r| r.scoped("d", |r| r.corrupt("bad")));
+        assert_eq!(r.finish(), Err(SnapError::Corrupt("bad in 'c.d'".into())));
+    }
+
+    #[test]
+    fn streaming_reader_frees_a_section_when_its_scope_closes() {
+        let snap = sample(4, 50);
+        let wire = snap.to_stream_bytes(false);
+        let mut src = StreamSource::open(&wire[..]).expect("open");
+        let mut r = SnapReader::from_source(Box::new(move || src.next_section()));
+        r.scoped("alpha", |r| {
+            let _ = (r.u64(), r.byte_slice());
+        });
+        assert!(r.index.is_empty(), "nothing resident between top-level scopes");
+        assert!(r.frames.iter().all(|f| f.data.is_empty()), "section bytes are dropped");
+        // A freed section is gone: asking for it again finds nothing.
+        r.scoped("alpha", |_| {});
+        assert_eq!(r.finish(), Err(SnapError::MissingSection("alpha".into())));
+    }
+
+    #[test]
+    fn streaming_writer_frees_a_section_when_its_top_level_scope_closes() {
+        let mut sink = MemorySink::new();
+        sink.begin(SNAP_VERSION, 0, 0).expect("begin");
+        let mut w = SnapWriter::streaming(&mut sink);
+        w.scoped("fpga0", |w| {
+            w.scoped("node0", |w| w.bytes(&[1; 64]));
+            assert!(w.sections.iter().any(|(_, b)| !b.is_empty()), "held until the top closes");
+        });
+        assert!(w.sections.iter().all(|(_, b)| b.capacity() == 0), "buffers handed over");
+        w.finish().expect("streamed walk");
+        assert_eq!(sink.into_snapshot().section("fpga0.node0").map(<[u8]>::len), Some(68));
+    }
+
+    #[test]
     fn wire_form_rejects_bad_magic_and_version() {
         let snap = roundtrip(|w| w.scoped("a", |w| w.u8(1)));
         let mut bytes = snap.to_bytes();
@@ -2042,6 +2331,62 @@ mod tests {
         // Re-applying an already-applied delta is likewise rejected.
         let s1_again = s0.apply_delta(&d01).expect("first apply");
         assert!(matches!(s1_again.apply_delta(&d01), Err(SnapError::DeltaBaseMismatch { .. })));
+    }
+
+    #[test]
+    fn a_stream_read_snapshot_carries_the_digest_its_trailer_verified() {
+        let walked = sample(3, 40);
+        let read = Snapshot::from_stream_bytes(&walked.to_stream_bytes(true)).expect("reads back");
+        assert!(walked.verified.is_none() && read.verified.is_some());
+        assert_eq!(read.state_digest(), read.compute_state_digest());
+        assert_eq!(read.state_digest(), walked.state_digest());
+        assert_eq!(read, walked, "where the digest came from is not part of equality");
+
+        // The header fields are public; a carried digest that no longer
+        // covers them is not returned.
+        let mut moved = read.clone();
+        moved.cycle += 1;
+        assert_eq!(moved.state_digest(), moved.compute_state_digest());
+        assert_ne!(moved.state_digest(), read.state_digest());
+
+        // A delta is the same whichever way its base was obtained.
+        let next = sample(5, 60);
+        assert_eq!(SnapDelta::between(&read, &next), SnapDelta::between(&walked, &next));
+    }
+
+    #[test]
+    fn apply_delta_never_carries_the_base_digest_forward() {
+        let wire = |s: &Snapshot| Snapshot::from_stream_bytes(&s.to_stream_bytes(true));
+        let s0 = wire(&sample(1, 10)).expect("s0");
+        let (s1, s2, s3) = (sample(2, 20), sample(3, 30), sample(4, 40));
+        let d01 = SnapDelta::between(&s0, &s1).expect("d01");
+        let d12 = SnapDelta::between(&s1, &s2).expect("d12");
+        let d23 = SnapDelta::between(&s2, &s3).expect("d23");
+        let r1 = s0.apply_delta(&d01).expect("first link");
+        assert!(r1.verified.is_none(), "the sections changed: recompute");
+        assert_eq!(r1.state_digest(), s1.state_digest());
+        let r3 = r1.apply_delta(&d12).and_then(|s| s.apply_delta(&d23)).expect("chain of three");
+        assert_eq!(r3, s3);
+        for skipped in [&d12, &d23] {
+            assert!(matches!(s0.apply_delta(skipped), Err(SnapError::DeltaBaseMismatch { .. })));
+        }
+        assert!(matches!(r1.apply_delta(&d23), Err(SnapError::DeltaBaseMismatch { .. })));
+    }
+
+    #[test]
+    fn apply_delta_rejects_unknown_and_out_of_order_sections() {
+        let base = sample(1, 10);
+        let good = SnapDelta::between(&base, &sample(2, 20)).expect("delta");
+        assert_eq!(good.sections().len(), 2);
+        let mut swapped = good.clone();
+        swapped.sections.reverse();
+        assert!(matches!(base.apply_delta(&swapped), Err(SnapError::Corrupt(_))));
+        let mut unknown = good.clone();
+        unknown.sections[1].0 = "gamma".into();
+        assert!(matches!(base.apply_delta(&unknown), Err(SnapError::Corrupt(_))));
+        let mut repeated = good;
+        repeated.sections.push(repeated.sections[0].clone());
+        assert!(matches!(base.apply_delta(&repeated), Err(SnapError::Corrupt(_))));
     }
 
     #[test]

@@ -177,6 +177,12 @@ impl Tile {
         self.skipped_cycles += delta;
     }
 
+    /// Undoes the LLC slice clock's share of `delta` over-run idle ticks
+    /// (a finished engine ages nothing else).
+    pub fn rewind_idle(&mut self, delta: u64) {
+        self.llc.rewind_quiet(delta);
+    }
+
     /// Toggles the tile's host-side fast path: the engine's decoded-block
     /// dispatch *and* the per-component sleep scheduling. Off yields the
     /// plain reference simulator (decode every instruction, tick every

@@ -623,10 +623,10 @@ fn saturated_parallel_idle_detection_stops_where_serial_does() {
         let mut parallel = amo_platform(60, max_compute);
         assert!(serial.run_until_idle(2_000_000), "serial run must quiesce");
         assert!(parallel.run_until_idle_parallel(2_000_000), "parallel run must quiesce");
-        // Not snapshots: the tracked drive trims `now` and the guest clock
-        // back from the epoch boundary it overshot to, but leaves each LLC
-        // slice's serialized clock there (as it did before this suite).
         assert_eq!(serial.now(), parallel.now(), "quiescent cycle diverged");
+        // Snapshots too: the tracked drive trims every free-running field
+        // back from the epoch boundary it overshot to.
+        assert_eq!(serial.snapshot().first_divergence(&parallel.snapshot()), None);
         assert_eq!(serial.stats().to_string(), parallel.stats().to_string());
         assert_eq!(serial.metrics().architectural(), parallel.metrics().architectural());
         assert!(serial.now() > 1_000 && serial.stats().get("bpc.amo") == 8 * 60);

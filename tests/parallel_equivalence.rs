@@ -118,6 +118,7 @@ fn run_until_idle_parallel_matches_serial_quiescence() {
     let b = parallel.run_until_idle_parallel(5_000_000);
     assert!(a && b, "both paths must reach quiescence");
     assert_equivalent(&serial, &parallel, "until-idle");
+    assert_eq!(serial.snapshot().first_divergence(&parallel.snapshot()), None);
 }
 
 #[test]

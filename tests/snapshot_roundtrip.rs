@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use smappic::platform::{Config, FaultSpec, Platform, Topology, DRAM_BASE};
 use smappic::sim::{
-    EthParams, FaultPlan, FaultProfile, SimRng, SnapDelta, SnapError, Snapshot, StreamSink,
+    CountingSink, EthParams, FaultPlan, FaultProfile, MemorySink, SimRng, SnapDelta, SnapError,
+    Snapshot, StreamSink,
 };
 use smappic::tile::{TraceCore, TraceOp};
 
@@ -651,4 +652,70 @@ fn streaming_sink_round_trips_through_a_file_and_rejects_truncation() {
         );
     }
     let _ = std::fs::remove_file(&path);
+}
+
+// ---------------------------------------------------------------------------
+// Wire pin: the image of one fixed platform, recorded before the
+// cursor-based writer/reader replaced the map-keyed ones.
+// ---------------------------------------------------------------------------
+
+/// A seeded 2x2x2 prototype (two FPGAs, two nodes each, two tiles per
+/// node) cut mid-contention at cycle 2,500.
+fn pinned_platform() -> Platform {
+    let cfg = Config::new(2, 2, 2);
+    let total = cfg.total_tiles();
+    let mut p = Platform::new(cfg);
+    let mut rng = SimRng::new(0x22_5EED);
+    for g in 0..total {
+        let mut ops = Vec::new();
+        let private = DRAM_BASE + 0x20_0000 + g as u64 * 4096;
+        for i in 0..12u64 {
+            ops.push(TraceOp::Compute(rng.gen_range(40) + 1));
+            ops.push(TraceOp::AmoAdd(COUNTER, 1));
+            if rng.chance(0.5) {
+                ops.push(TraceOp::StoreVal(private + (i % 8) * 64, g as u64 ^ i));
+            }
+        }
+        ops.push(TraceOp::Checksum(COUNTER));
+        p.set_engine(g / 2, (g % 2) as u16, Box::new(TraceCore::new(format!("c{g}"), ops)));
+    }
+    p.run(2_500);
+    p
+}
+
+/// `CountingSink::{raw_bytes, sections, state_digest}` of
+/// [`pinned_platform`], recorded at commit 4fb281e. These move only when
+/// the image format does, and then `SNAP_VERSION` moves with them.
+const PINNED_RAW_BYTES: u64 = 236_454;
+const PINNED_SECTIONS: usize = 102;
+const PINNED_STATE_DIGEST: u64 = 0x5464_b192_fa17_04ed;
+
+#[test]
+fn pinned_image_is_byte_stable_and_every_capture_path_agrees() {
+    let p = pinned_platform();
+    let mut count = CountingSink::new();
+    p.snapshot_to(&mut count).expect("counting walk");
+    assert!(!p.is_idle(), "the pin must cut a platform with work in flight");
+    assert_eq!(count.raw_bytes(), PINNED_RAW_BYTES);
+    assert_eq!(count.sections(), PINNED_SECTIONS);
+    assert_eq!(count.state_digest(), PINNED_STATE_DIGEST);
+
+    // snapshot() == snapshot_to(MemorySink) == stream round trip, section
+    // for section.
+    let walked = p.snapshot();
+    let mut mem = MemorySink::new();
+    p.snapshot_to(&mut mem).expect("memory sink");
+    let streamed = mem.into_snapshot();
+    let mut wire = Vec::new();
+    p.snapshot_to(&mut StreamSink::new(&mut wire, true)).expect("stream sink");
+    let read_back = Snapshot::from_stream_bytes(&wire).expect("stream reads back");
+    for other in [&streamed, &read_back] {
+        assert_eq!(walked.sections().len(), other.sections().len());
+        for (a, b) in walked.sections().iter().zip(other.sections()) {
+            assert_eq!(a.0, b.0, "section order");
+            assert_eq!(a.1, b.1, "section '{}' bytes", a.0);
+        }
+    }
+    assert_eq!(walked.state_digest(), PINNED_STATE_DIGEST);
+    assert_eq!(read_back.state_digest(), PINNED_STATE_DIGEST);
 }
