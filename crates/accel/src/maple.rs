@@ -122,11 +122,6 @@ impl Maple {
         }
     }
 
-    /// Values handed to the consumer so far.
-    pub fn values_popped(&self) -> u64 {
-        self.popped
-    }
-
     /// True while programmed work remains.
     pub fn busy(&self) -> bool {
         self.running

@@ -187,15 +187,6 @@ impl Crossbar {
         self.rr_master = (self.rr_master + (delta % self.masters as u64) as usize) % self.masters;
     }
 
-    /// Undoes `delta` [`Crossbar::tick_quiet`]s: the inverse of
-    /// [`Crossbar::advance_quiet`], for a stepper that over-ran the
-    /// quiescent cycle and trims back to it.
-    pub fn rewind_quiet(&mut self, delta: u64) {
-        debug_assert!(self.pump_is_noop(), "rewind_quiet requires empty ports");
-        let back = (delta % self.masters as u64) as usize;
-        self.rr_master = (self.rr_master + self.masters - back) % self.masters;
-    }
-
     /// True when no transaction is queued or outstanding.
     pub fn is_idle(&self) -> bool {
         self.inflight.is_empty() && self.pump_is_noop()

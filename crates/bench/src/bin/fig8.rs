@@ -1,6 +1,6 @@
 //! Regenerates Fig 8: integer-sort thread scaling, NUMA on/off.
 //!
-//! Flags: --keys N (default 9600; the paper used 134M on real FPGAs).
+//! Flags: --keys N (default 38400; the paper used 134M on real FPGAs).
 use smappic_core::Config;
 fn main() {
     let keys = smappic_bench::arg_usize("--keys", 38400);

@@ -193,11 +193,6 @@ impl LlcSlice {
         out
     }
 
-    /// Debug: replay-queue depth.
-    pub fn replay_depth(&self) -> usize {
-        self.replay.len()
-    }
-
     /// Memory-fetch latency histogram for LLC misses (issue to `MemData`).
     pub fn miss_latency(&self) -> &Histogram {
         &self.miss_latency
@@ -238,13 +233,6 @@ impl LlcSlice {
     pub fn sync_quiet(&mut self, now: Cycle) {
         debug_assert!(self.is_quiet(), "sync_quiet requires a quiet slice");
         self.cur = self.cur.max(now);
-    }
-
-    /// Undoes `delta` cycles of [`LlcSlice::sync_quiet`] aging, for a
-    /// stepper that over-ran the quiescent cycle and trims back to it.
-    pub fn rewind_quiet(&mut self, delta: u64) {
-        debug_assert!(self.is_quiet(), "rewind_quiet requires a quiet slice");
-        self.cur -= delta;
     }
 
     /// True when no transaction is in flight in this slice.

@@ -97,8 +97,8 @@ fn mp(p: &mut Platform, writer: usize, reader: usize, parallel: bool) {
         writer,
         vec![TraceOp::SpinUntilEq(rdy, 1), TraceOp::StoreVal(data, 42), TraceOp::StoreVal(flag, 1)],
     );
-    let done = if parallel { p.run_until_idle_parallel(BUDGET) } else { p.run_until_idle(BUDGET) };
-    assert!(done, "MP did not quiesce within {BUDGET} cycles");
+    let spent = p.run_preemptible(BUDGET, parallel);
+    assert!(spent < BUDGET && p.is_idle(), "MP did not quiesce within {BUDGET} cycles");
     let r = core(p, reader);
     assert_eq!(r.last_load(), 42, "reader saw the flag but stale data");
     // Fold of the two checksummed observations: 0 (stale) then 42.
@@ -131,9 +131,14 @@ fn mp_message_passing_four_tiles() {
 #[test]
 fn mp_message_passing_across_two_fpgas() {
     // Writer on FPGA 0, reader on FPGA 1: the invalidation and the flag
-    // propagate over the PCIe fabric, driven by the epoch-parallel stepper.
-    let mut p = platform(2, 1, 2);
-    mp(&mut p, 0, 2, true);
+    // propagate over the PCIe fabric — the same simulation under either
+    // executor of the epoch driver.
+    let (mut serial, mut parallel) = (platform(2, 1, 2), platform(2, 1, 2));
+    mp(&mut serial, 0, 2, false);
+    mp(&mut parallel, 0, 2, true);
+    assert_eq!(serial.now(), parallel.now(), "executors stopped at different cycles");
+    assert_eq!(serial.stats().to_string(), parallel.stats().to_string());
+    assert_eq!(serial.snapshot().first_divergence(&parallel.snapshot()), None);
 }
 
 #[test]

@@ -46,12 +46,6 @@ impl Clint {
         self.mtime += delta;
     }
 
-    /// Rewinds mtime by `delta` cycles, undoing ticks that the parallel
-    /// stepper executed past the platform's true quiescence point.
-    pub fn rewind(&mut self, delta: u64) {
-        self.mtime -= delta;
-    }
-
     /// Guest MMIO read.
     pub fn read(&self, offset: u64) -> u64 {
         if offset >= CLINT_MTIME {
@@ -306,18 +300,6 @@ impl Chipset {
     /// [`InterNodeBridge::has_incoming`] probe instead.
     pub fn bridge_mut(&mut self) -> &mut InterNodeBridge {
         &mut self.bridge
-    }
-
-    /// The CLINT (tests drive timers directly).
-    pub fn clint_mut(&mut self) -> &mut Clint {
-        self.sleep_until = None; // timer reprogramming moves the wake
-        &mut self.clint
-    }
-
-    /// The PLIC (tests drive sources directly).
-    pub fn plic_mut(&mut self) -> &mut Plic {
-        self.sleep_until = None; // source levels may change the wires
-        &mut self.plic
     }
 
     /// The inter-node bridge's counters.
@@ -705,13 +687,6 @@ impl Chipset {
     /// guest-visible mtime still advances one-per-cycle.
     pub fn advance_idle(&mut self, delta: u64) {
         self.clint.advance(delta);
-    }
-
-    /// Undoes `delta` ticks' worth of clock aging; the parallel stepper
-    /// uses it to roll the guest clock back to the true quiescence cycle
-    /// after a worker over-ran it inside an epoch.
-    pub fn rewind_idle(&mut self, delta: u64) {
-        self.clint.rewind(delta);
     }
 
     /// The next cycle after `now` at which ticking an otherwise-idle

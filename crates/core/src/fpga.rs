@@ -112,15 +112,6 @@ impl Fpga {
         }
     }
 
-    /// Rolls every free-running field back over `delta` over-run idle
-    /// cycles: each node's clocks and the crossbar's round-robin pointer.
-    pub fn rewind_idle(&mut self, delta: u64) {
-        for n in &mut self.nodes {
-            n.rewind_idle(delta);
-        }
-        self.xbar.rewind_quiet(delta);
-    }
-
     /// The next cycle after `now` at which ticking this (idle) FPGA would
     /// do observable work, folded over all nodes.
     pub fn next_event_after(&self, now: Cycle) -> Option<Cycle> {

@@ -193,15 +193,6 @@ impl Node {
         self.chipset.advance_idle(delta);
     }
 
-    /// Rolls the guest clock and every LLC slice clock back over `delta`
-    /// over-run idle cycles.
-    pub fn rewind_idle(&mut self, delta: u64) {
-        for t in &mut self.tiles {
-            t.rewind_idle(delta);
-        }
-        self.chipset.rewind_idle(delta);
-    }
-
     /// The next cycle after `now` at which ticking this (idle) node would
     /// do observable work; see [`Chipset::next_event_after`].
     pub fn next_event_after(&self, now: Cycle) -> Option<Cycle> {

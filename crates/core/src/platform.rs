@@ -18,11 +18,12 @@
 //!   the epoch barrier in a fixed order. The topology is cut into *units*
 //!   that advance independently for one epoch (`UnitPlan`), and an
 //!   executor decides which thread advances them: [`Platform::run`] walks
-//!   the units on the calling thread, [`Platform::run_parallel`],
-//!   [`Platform::step_epoch`] and [`Platform::run_until_idle_parallel`] give
-//!   every unit a worker thread. Within an epoch no unit can observe
-//!   another, so the order they run in is immaterial: same cycle count,
-//!   same stats, same snapshot bytes as the reference.
+//!   the units on the calling thread, [`Platform::run_parallel`] gives
+//!   every unit a worker thread, [`Platform::run_preemptible`] does either
+//!   and also stops at the first grain boundary where the platform is
+//!   idle. Within an epoch no unit can observe another, so the order they
+//!   run in is immaterial: same cycle count, same stats, same snapshot
+//!   bytes as the reference.
 //!
 //! # Topologies and units
 //!
@@ -175,6 +176,16 @@ enum Exec {
     Threads,
 }
 
+/// When a drive stops: after `budget` cycles, or earlier at an idle probe.
+#[derive(Debug, Clone, Copy)]
+struct Stop {
+    budget: u64,
+    /// Probe for quiescence at every barrier that closes a multiple of
+    /// this many cycles (a multiple of [`UnitPlan::global`]) or the budget,
+    /// and stop there when every FPGA, link and switch is idle.
+    idle_every: Option<u64>,
+}
+
 /// A PCIe link and the `(lower, higher)` FPGA pair it joins.
 type Link = ((usize, usize), PcieLink);
 
@@ -183,8 +194,6 @@ struct Unit<'a> {
     /// Global index of `fpgas[0]`.
     first: usize,
     fpgas: &'a mut [Fpga],
-    /// Per-member idle bookkeeping, carried across epochs.
-    idle: &'a mut [bool],
     /// The unit's internal links; `links[0]` is platform link `link_base`.
     links: &'a mut [Link],
     link_base: usize,
@@ -193,8 +202,6 @@ struct Unit<'a> {
     nf: usize,
     /// [`UnitPlan::local`].
     local: u64,
-    /// Record idle/activity bookkeeping (for `run_until_idle_parallel`).
-    track: bool,
 }
 
 /// One unit's share of an epoch: filled in by the barrier, advanced
@@ -212,12 +219,9 @@ struct Turn {
     /// Out: sends over cross-unit links as `(cycle, from, to, item)`, in
     /// send order per member. The barrier drains them into the links.
     sends: Vec<(Cycle, usize, usize, PcieItem)>,
-    /// Out: last cycle so far at which a member did observable work
-    /// (tracked drives).
-    last_active: Option<Cycle>,
-    /// Out: every member was idle after the epoch's final cycle (tracked
-    /// drives).
-    idle_at_end: bool,
+    /// In: this epoch ends at an idle probe ([`Stop::idle_every`]). Out:
+    /// it does, and the unit's members and links were all idle after it.
+    idle: bool,
 }
 
 /// One FPGA's share of a unit's local window.
@@ -237,17 +241,6 @@ struct EpochJob {
     /// Delivered after any same-cycle PCIe flights, matching the serial
     /// pump.
     eth_inbound: Vec<(Cycle, u32, u64, PcieItem)>,
-    /// Record idle/activity bookkeeping (for `run_until_idle_parallel`).
-    track: bool,
-}
-
-/// What [`fpga_epoch`] hands back at the end of its window.
-struct EpochOut {
-    /// Cross-FPGA sends buffered during the window: `(cycle, to, item)` in
-    /// send order.
-    sends: Vec<(Cycle, usize, PcieItem)>,
-    /// Last cycle at which this FPGA did observable work (tracked jobs).
-    last_active: Option<Cycle>,
 }
 
 /// Drains the shell's outbound side exactly like the serial pump: all
@@ -331,8 +324,9 @@ fn link_send_indexed(
 
 /// One FPGA's window: advance through `job` cycle by cycle (or in quiet
 /// warps), delivering the pre-extracted inbound flights at their exact
-/// cycles and buffering outbound sends for [`unit_epoch`] to route.
-fn fpga_epoch(fpga: &mut Fpga, job: EpochJob, idle_now: &mut bool) -> EpochOut {
+/// cycles and buffering outbound sends for [`unit_epoch`] to route:
+/// `(cycle, to, item)` in send order.
+fn fpga_epoch(fpga: &mut Fpga, job: EpochJob) -> Vec<(Cycle, usize, PcieItem)> {
     // Oldest-first lists, consumed from the front: flip them once so
     // each delivery is an O(1) pop from the back.
     let mut inbound = job.inbound;
@@ -340,7 +334,6 @@ fn fpga_epoch(fpga: &mut Fpga, job: EpochJob, idle_now: &mut bool) -> EpochOut {
     let mut eth_inbound = job.eth_inbound;
     eth_inbound.reverse();
     let mut sends: Vec<(Cycle, usize, PcieItem)> = Vec::new();
-    let mut last_active = None;
     let end = job.start + job.len;
     let mut t = job.start;
     // Whether to ask for a warp at `t`: at the window's start, and after
@@ -365,45 +358,26 @@ fn fpga_epoch(fpga: &mut Fpga, job: EpochJob, idle_now: &mut bool) -> EpochOut {
             }
             if stop > t {
                 fpga.warp_quiet(t, stop - t);
-                if job.track && !*idle_now {
-                    // A quiet-but-not-idle FPGA counts every cycle as
-                    // active, exactly as the per-cycle loop would.
-                    last_active = Some(stop - 1);
-                }
                 t = stop;
                 continue;
             }
         }
         probe = fpga.tick(t);
-        let sent_before = sends.len();
         drain_shell_outbound(fpga, |to, item| sends.push((t, to, item)));
-        let mut delivered = false;
         // `(arrival, from)` sort order reproduces the serial pump's
         // ascending-peer order at each cycle; Ethernet releases follow
         // same-cycle PCIe flights, as in the serial fabric pump.
         while inbound.last().is_some_and(|&(ready, _, _)| ready <= t) {
             let (_, from, flight) = inbound.pop().expect("last checked");
             deliver_flight(fpga, t, from, flight);
-            delivered = true;
         }
         while eth_inbound.last().is_some_and(|&(ready, _, _, _)| ready <= t) {
             let (_, src, seq, item) = eth_inbound.pop().expect("last checked");
             deliver_flight(fpga, t, src as usize, Flight { seq, item });
-            delivered = true;
-        }
-        if job.track {
-            // A cycle is active if the FPGA had work before or after
-            // the tick, or traffic moved. Quiescence is the cycle
-            // after the last active one.
-            let idle_after = fpga.is_idle();
-            if !*idle_now || !idle_after || delivered || sends.len() > sent_before {
-                last_active = Some(t);
-            }
-            *idle_now = idle_after;
         }
         t += 1;
     }
-    EpochOut { sends, last_active }
+    sends
 }
 
 /// The unit body: advances one unit through `turn`, in local windows of at
@@ -446,11 +420,8 @@ fn unit_epoch(unit: &mut Unit<'_>, mut sw: Option<&mut EthSwitch<PcieItem>>, tur
             // Stable: same-(cycle, from) flights keep their send order.
             inbound.sort_by_key(|&(c, f, _)| (c, f));
             let eth_inbound = sw.as_mut().map_or_else(Vec::new, |sw| sw.take_delivered(m, horizon));
-            let job =
-                EpochJob { start: t, len: horizon - t, inbound, eth_inbound, track: unit.track };
-            let out = fpga_epoch(&mut unit.fpgas[lm], job, &mut unit.idle[lm]);
-            turn.last_active = turn.last_active.max(out.last_active);
-            for (u, to, item) in out.sends {
+            let job = EpochJob { start: t, len: horizon - t, inbound, eth_inbound };
+            for (u, to, item) in fpga_epoch(&mut unit.fpgas[lm], job) {
                 let li = unit.link_idx[m * unit.nf + to];
                 if li == usize::MAX {
                     let sw = sw.as_mut().expect("unlinked pair implies an Ethernet fabric");
@@ -469,7 +440,9 @@ fn unit_epoch(unit: &mut Unit<'_>, mut sw: Option<&mut EthSwitch<PcieItem>>, tur
         }
         t = horizon;
     }
-    turn.idle_at_end = unit.idle.iter().all(|&i| i);
+    turn.idle = turn.idle
+        && unit.fpgas.iter().all(Fpga::is_idle)
+        && unit.links.iter().all(|(_, l)| l.is_idle());
 }
 
 /// What the barrier of the epoch driver owns for the length of a drive:
@@ -491,21 +464,20 @@ impl Barrier<'_> {
     /// The epoch loop, once for every topology and executor: record the
     /// epoch, exchange the spine, pre-extract what the cross-unit links
     /// deliver inside it, let `run_units` advance unit `u` through
-    /// `turns[u]`, then replay the units' buffered sends into the links.
+    /// `turns[u]`, then replay the units' buffered sends into the links
+    /// and, at an idle probe, stop if nothing is left to do.
     ///
-    /// Returns the cycles advanced and, when `track` stopped the loop at a
-    /// barrier where everything was idle, the first quiescent cycle.
+    /// Returns the cycles advanced.
     fn epochs(
         mut self,
         units: usize,
-        budget: u64,
-        track: bool,
+        stop: Stop,
         mut run_units: impl FnMut(Option<&mut EthFabric<PcieItem>>, &mut Vec<Turn>),
-    ) -> (u64, Option<Cycle>) {
+    ) -> u64 {
         let mut turns: Vec<Turn> = (0..units).map(|_| Turn::default()).collect();
         let mut spent = 0u64;
-        while spent < budget {
-            let len = self.plan.global.min(budget - spent);
+        while spent < stop.budget {
+            let len = self.plan.global.min(stop.budget - spent);
             let start = self.start_now + spent;
             let horizon = start + len;
             self.host_epochs.record(len);
@@ -519,8 +491,11 @@ impl Barrier<'_> {
                 // previous epoch.
                 eth.exchange(horizon);
             }
+            let probe = stop
+                .idle_every
+                .is_some_and(|g| (spent + len).is_multiple_of(g) || spent + len == stop.budget);
             for turn in &mut turns {
-                (turn.start, turn.len) = (start, len);
+                (turn.start, turn.len, turn.idle) = (start, len, probe);
             }
             for ((a, b), link) in self.links.iter_mut() {
                 for (c, fl) in link.take_flights_to_b_before(horizon) {
@@ -540,15 +515,15 @@ impl Barrier<'_> {
                 }
             }
             spent += len;
-            if track
-                && turns.iter().all(|t| t.idle_at_end)
+            if probe
+                && turns.iter().all(|t| t.idle)
                 && self.links.iter().all(|(_, l)| l.is_idle())
+                && self.eth.as_deref().is_none_or(EthFabric::is_idle)
             {
-                let last_active = turns.iter().filter_map(|t| t.last_active).max();
-                return (spent, Some(last_active.map_or(self.start_now, |t| t + 1)));
+                break;
             }
         }
-        (spent, None)
+        spent
     }
 }
 
@@ -778,11 +753,6 @@ impl Platform {
         self.node_mut(g).chipset_mut().memctl_mut().dram_mut().write_bytes(addr, bytes);
     }
 
-    /// Loads an image into one node of an independent-node prototype.
-    pub fn load_image_node(&mut self, g: usize, img: &Image) {
-        self.write_mem_node(g, img.base, &img.bytes);
-    }
-
     /// Host SD driver: injects a disk image into node `g`'s SD data region
     /// (the top half of that node's DRAM, §3.4.2).
     pub fn load_disk(&mut self, g: usize, image: &[u8]) {
@@ -818,9 +788,8 @@ impl Platform {
         // cycle-interleaved loop below can only warp when *every* FPGA is
         // quiet at once, so one busy FPGA pins all of its peers to
         // per-cycle stepping.
-        let plan = self.unit_plan();
-        if self.fast_path && cycles > 0 && plan.local > 0 {
-            self.drive(plan, cycles, Exec::Inline, false);
+        if let Some((plan, exec)) = self.epoch_exec(false) {
+            self.drive(plan, Stop { budget: cycles, idle_every: None }, exec);
             return;
         }
         let mut spent = 0u64;
@@ -854,6 +823,16 @@ impl Platform {
         }
     }
 
+    /// How the epoch driver advances this platform — the unit plan and the
+    /// executor `parallel` selects — or `None` when the per-cycle stepper
+    /// must: no lookahead to exploit, or a serial run in reference mode
+    /// (fast path off), which stays strictly per-cycle.
+    fn epoch_exec(&self, parallel: bool) -> Option<(UnitPlan, Exec)> {
+        let plan = self.unit_plan();
+        let exec = if parallel { Exec::Threads } else { Exec::Inline };
+        (plan.local > 0 && (parallel || self.fast_path)).then_some((plan, exec))
+    }
+
     /// The grouped lookaheads of a network-attached platform as
     /// `(local, global)`: how far a switch group may advance between local
     /// rendezvous (bounded by the NIC-to-switch link latency and by any
@@ -869,10 +848,9 @@ impl Platform {
         }
     }
 
-    /// The epoch driver: advances `budget` cycles in epochs of at most
-    /// `plan.global`, the units of `plan` advanced by `exec`. With `track`,
-    /// stops at the first barrier where every FPGA and link is idle, trims
-    /// `now` back to the exact quiescent cycle, and returns true.
+    /// The epoch driver: advances until `stop` says so in epochs of at most
+    /// `plan.global`, the units of `plan` advanced by `exec`; returns the
+    /// cycles advanced.
     ///
     /// Units are disjoint slices of the FPGAs and of the links between
     /// their own members (links are ordered by lower endpoint, units are
@@ -881,25 +859,24 @@ impl Platform {
     /// they own their unit until the budget is spent, and a unit's switch
     /// travels to its worker and back by value each epoch, because the
     /// barrier needs the whole fabric for the spine exchange in between.
-    fn drive(&mut self, plan: UnitPlan, budget: u64, exec: Exec, track: bool) -> bool {
+    fn drive(&mut self, plan: UnitPlan, stop: Stop, exec: Exec) -> u64 {
         debug_assert!(plan.local > 0, "the epoch driver needs lookahead");
-        debug_assert!(!track || self.eth.is_none(), "idle tracking covers PCIe links only");
+        if stop.budget == 0 {
+            return 0;
+        }
         let (start_now, nf) = (self.now, self.fpgas.len());
-        let mut idle: Vec<bool> = self.fpgas.iter().map(Fpga::is_idle).collect();
         let link_idx = &self.link_idx[..];
         let owned = if self.eth.is_some() { self.links.len() } else { 0 };
         let (mut own_links, cross_links) = self.links.split_at_mut(owned);
         let mut units = Vec::with_capacity(nf.div_ceil(plan.unit_size));
         let mut link_base = 0;
-        for (fpgas, idle) in
-            self.fpgas.chunks_mut(plan.unit_size).zip(idle.chunks_mut(plan.unit_size))
-        {
+        for fpgas in self.fpgas.chunks_mut(plan.unit_size) {
             let first = units.len() * plan.unit_size;
             let n = own_links.iter().take_while(|((a, _), _)| *a < first + fpgas.len()).count();
             let (links, rest) = own_links.split_at_mut(n);
             own_links = rest;
             let local = plan.local;
-            units.push(Unit { first, fpgas, idle, links, link_base, link_idx, nf, local, track });
+            units.push(Unit { first, fpgas, links, link_base, link_idx, nf, local });
             link_base += n;
         }
         let n_units = units.len();
@@ -914,8 +891,8 @@ impl Platform {
             host_trace: &mut self.host_trace,
             epoch_count: &mut self.epoch_count,
         };
-        let (spent, idle_at) = match exec {
-            Exec::Inline => barrier.epochs(n_units, budget, track, |mut eth, turns| {
+        let spent = match exec {
+            Exec::Inline => barrier.epochs(n_units, stop, |mut eth, turns| {
                 for (u, (unit, turn)) in units.iter_mut().zip(turns).enumerate() {
                     unit_epoch(unit, eth.as_deref_mut().map(|e| e.switch_mut(u)), turn);
                 }
@@ -938,7 +915,7 @@ impl Platform {
                         (job_tx, out_rx)
                     })
                     .collect();
-                barrier.epochs(n_units, budget, track, |mut eth, turns| {
+                barrier.epochs(n_units, stop, |mut eth, turns| {
                     for (u, ((tx, _), turn)) in workers.iter().zip(turns.drain(..)).enumerate() {
                         let sw = eth
                             .as_deref_mut()
@@ -959,15 +936,7 @@ impl Platform {
             }),
         };
         self.now = start_now + spent;
-        if let Some(resume) = idle_at {
-            // Units ran to the epoch boundary; trim back to the first
-            // quiescent cycle, undoing the overshoot's clock ticks.
-            for f in self.fpgas.iter_mut() {
-                f.rewind_idle(self.now - resume);
-            }
-            self.now = resume;
-        }
-        idle_at.is_some()
+        spent
     }
 
     /// How many upcoming cycles are provably skippable from the current
@@ -1139,11 +1108,11 @@ impl Platform {
     /// The execution is bit-identical to [`Platform::run`]: identical
     /// cycle count, statistics, memory, and console output.
     pub fn run_parallel(&mut self, cycles: u64) {
-        let plan = self.unit_plan();
-        if plan.local == 0 || cycles == 0 {
-            self.run(cycles);
-        } else {
-            self.drive(plan, cycles, Exec::Threads, false);
+        match self.epoch_exec(true) {
+            Some((plan, exec)) => {
+                self.drive(plan, Stop { budget: cycles, idle_every: None }, exec);
+            }
+            None => self.run(cycles),
         }
     }
 
@@ -1173,12 +1142,13 @@ impl Platform {
     /// [`Platform::preemption_grain`].
     pub const PREEMPT_GRAIN_FLOOR: u64 = 512;
 
-    /// Runs up to `budget` cycles in [`Platform::preemption_grain`]-sized
-    /// chunks, stopping early at the first chunk boundary where the
-    /// platform is quiescent; returns the cycles actually advanced.
-    /// `parallel` selects the epoch-parallel stepper
-    /// ([`Platform::run_parallel`]) over the serial one
-    /// ([`Platform::run`]).
+    /// Runs up to `budget` cycles, stopping early at the first multiple of
+    /// [`Platform::preemption_grain`] where the platform is quiescent;
+    /// returns the cycles actually advanced. `parallel` selects the
+    /// executor of [`Platform::run_parallel`] over that of
+    /// [`Platform::run`]: either way it is one drive whose barrier probes
+    /// for idleness at grain boundaries, and only a platform the epoch
+    /// driver cannot advance steps grain by grain instead.
     ///
     /// This is the service layer's execution primitive: a job advanced by
     /// any sequence of `run_preemptible` calls whose budgets are
@@ -1187,57 +1157,19 @@ impl Platform {
     /// `tests/service_equivalence.rs` proves.
     pub fn run_preemptible(&mut self, budget: u64, parallel: bool) -> u64 {
         let grain = self.preemption_grain();
+        if let Some((plan, exec)) = self.epoch_exec(parallel) {
+            return self.drive(plan, Stop { budget, idle_every: Some(grain) }, exec);
+        }
         let mut spent = 0u64;
         while spent < budget {
             let step = grain.min(budget - spent);
-            if parallel {
-                self.run_parallel(step);
-            } else {
-                self.run(step);
-            }
+            self.run(step);
             spent += step;
             if self.is_idle() {
                 break;
             }
         }
         spent
-    }
-
-    /// Advances one epoch (up to [`Platform::lookahead`] cycles) with one
-    /// worker thread per FPGA; returns the number of cycles advanced.
-    /// Without lookahead this degenerates to a single serial step.
-    pub fn step_epoch(&mut self) -> u64 {
-        let plan = self.unit_plan();
-        if plan.local == 0 {
-            self.step();
-            return 1;
-        }
-        self.drive(plan, plan.global, Exec::Threads, false);
-        plan.global
-    }
-
-    /// Parallel [`Platform::run_until_idle`]: epoch-stepped on worker
-    /// threads, up to `max` cycles. On quiescence, [`Platform::now`] lands
-    /// on the same cycle the serial path reports and guest clocks are
-    /// rolled back over any epoch overshoot.
-    ///
-    /// Caveat: workers always finish their epoch, so host-side UART output
-    /// that matures *after* quiescence but before the epoch boundary is
-    /// already drained to [`HostSerial`] when this returns (the serial
-    /// path surfaces those bytes on the next run call instead). Guest-
-    /// visible state is unaffected.
-    pub fn run_until_idle_parallel(&mut self, max: u64) -> bool {
-        if self.eth.is_some() || self.lookahead() == 0 {
-            // Network-attached topologies use the serial idle loop: it
-            // warps dead stretches to the next fabric event and lands on
-            // the exact quiescent cycle, which the grouped drivers (built
-            // for fixed-cycle runs) do not track.
-            return self.run_until_idle(max);
-        }
-        if self.is_idle() {
-            return true;
-        }
-        self.drive(self.unit_plan(), max, Exec::Threads, true) || self.is_idle()
     }
 
     /// FNV-1a digest of this platform's configuration, embedded in every
@@ -1627,8 +1559,8 @@ impl Platform {
     }
 
     /// [`Platform::run_until_idle`] under Watchdog supervision: runs in
-    /// `check_interval` chunks (serial or epoch-parallel stepper per
-    /// `parallel`), sampling the progress signature between chunks.
+    /// `check_interval` chunks, sampling the progress signature between
+    /// chunks.
     ///
     /// Returns `Ok(true)` on quiescence, `Ok(false)` when `max` ran out
     /// while still making progress, and `Err(report)` when the signature
@@ -1639,7 +1571,6 @@ impl Platform {
         &mut self,
         max: u64,
         wcfg: &WatchdogConfig,
-        parallel: bool,
     ) -> Result<bool, Box<FaultReport>> {
         let mut wd = Watchdog::new(wcfg.clone());
         wd.observe(self.now, self.progress_signature());
@@ -1647,12 +1578,7 @@ impl Platform {
         while spent < max {
             let chunk = wcfg.check_interval.max(1).min(max - spent);
             let before = self.now;
-            let done = if parallel {
-                self.run_until_idle_parallel(chunk)
-            } else {
-                self.run_until_idle(chunk)
-            };
-            if done {
+            if self.run_until_idle(chunk) {
                 return Ok(true);
             }
             // Guarantee termination even if a stepper made no visible

@@ -57,11 +57,6 @@ impl ToolModel {
         let hours = tool_seconds / 3600.0;
         hours * self.host().price_per_hour / f64::from(self.instances_per_host)
     }
-
-    /// Wall-clock hours to model `native_seconds` of target time.
-    pub fn modeling_hours(&self, native_seconds: f64) -> f64 {
-        native_seconds * self.slowdown / 3600.0
-    }
 }
 
 /// The calibrated tool models.

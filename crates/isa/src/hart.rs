@@ -135,11 +135,6 @@ impl Hart {
         self.pc
     }
 
-    /// Overrides the pc (used by loaders).
-    pub fn set_pc(&mut self, pc: u64) {
-        self.pc = pc;
-    }
-
     /// Reads register `x{i}`.
     pub fn reg(&self, i: usize) -> u64 {
         self.regs[i]

@@ -232,12 +232,6 @@ impl Dram {
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }
-
-    /// Debug: (pending count, ready time of the oldest pending request,
-    /// completed-but-unpopped responses).
-    pub fn queue_state(&self) -> (usize, Option<u64>, usize) {
-        (self.pending.len(), self.pending.front_ready_at(), self.responses.len())
-    }
 }
 
 impl Default for Dram {

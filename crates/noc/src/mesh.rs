@@ -305,11 +305,6 @@ impl Mesh {
         Ok(())
     }
 
-    /// True when the chipset can inject on `vn` through the edge port.
-    pub fn can_inject_edge(&self, vn: VirtNet) -> bool {
-        !self.routers[0].bufs[Port::North.index()][vn.index()].q.is_full()
-    }
-
     /// Removes the next packet leaving the node through the edge port.
     pub fn eject_edge(&mut self) -> Option<Packet> {
         let p = self.edge_out.pop();

@@ -153,42 +153,46 @@ fn no_starvation_under_sustained_high_priority_churn() {
 
 #[test]
 fn priority_preemption_parks_a_running_lower_priority_job() {
-    // The tenant-gate scenario: two max-priority jobs share a tenant
-    // capped at one in flight, so the second one *waits* while a
-    // priority-0 filler runs on the free worker. Under WhenOutranked the
-    // filler must park (via the ordinary snapshot path) while outranked.
-    let mk = |name: &str, tenant: &str, priority: u8, ops: u64| {
-        let mut s = JobSpec::small(name, WorkloadSpec::AmoHeavy { ops, seed: 0xCAFE });
-        s.tenant = tenant.into();
+    // One worker, so the schedule is a function of the quanta clock alone
+    // — no thread races another for a dispatch. `top` (max priority) runs
+    // first: others can tie it, never outrank it. Then `urgent` (priority
+    // 1) runs while `filler` (priority 0) waits, aging one step every
+    // AGING quanta, until the filler's effective priority passes 1 and
+    // `urgent` parks. Now the filler runs at base priority 0 while
+    // `urgent` waits at 1 or more: under WhenOutranked it must park (via
+    // the ordinary snapshot path) after its first quantum.
+    const AGING: u64 = 3;
+    let mk = |name: &str, priority: u8| {
+        let mut s = JobSpec::small(name, WorkloadSpec::AmoHeavy { ops: 60, seed: 0xCAFE });
         s.priority = priority;
         s.budget = 6_000_000;
         s
     };
-    let specs = vec![
-        mk("gate-0", "gate", JobSpec::MAX_PRIORITY, 60),
-        mk("gate-1", "gate", JobSpec::MAX_PRIORITY, 60),
-        mk("filler", "free", 0, 60),
-    ];
+    let specs = vec![mk("top", JobSpec::MAX_PRIORITY), mk("urgent", 1), mk("filler", 0)];
     let cfg = SchedulerConfig {
-        workers: 2,
+        workers: 1,
         quantum: 2_000,
         preempt: PreemptMode::WhenOutranked,
-        aging_quanta: 0, // keep effective == base so the scenario is pure
-        quotas: vec![TenantQuota::in_flight("gate", 1)],
+        aging_quanta: AGING,
         ..SchedulerConfig::default()
     };
-    let fleet = Scheduler::new(cfg).run_fleet(&specs);
+    let fleet = Scheduler::new(cfg.clone()).run_fleet(&specs);
     for r in &fleet.reports {
         assert!(r.is_completed(), "{} must complete, got {:?}", r.name, r.exit);
     }
-    let filler = &fleet.reports[2];
+    let [top, urgent, filler] = &fleet.reports[..] else { panic!("three reports") };
     assert!(
         filler.preemptions > 0,
-        "the low-priority filler must be parked while a max-priority job waits"
+        "the low-priority filler must be parked while a higher-priority job waits"
     );
-    // The high-priority jobs were never outranked, so they never parked.
-    assert_eq!(fleet.reports[0].preemptions, 0);
-    assert_eq!(fleet.reports[1].preemptions, 0);
+    assert!(urgent.preemptions > 0, "the aged filler must outrank the running priority-1 job");
+    // The max-priority job was never outranked, so it never parked.
+    assert_eq!(top.preemptions, 0);
+    // The schedule is reproducible, park for park.
+    let again = Scheduler::new(cfg).run(&specs);
+    for (r, a) in fleet.reports.iter().zip(&again) {
+        assert_eq!(r.preemptions, a.preemptions, "{}: one worker, one schedule", r.name);
+    }
     // And determinism survives the preemption churn.
     let baseline = Scheduler::serial().run(&specs);
     for (r, b) in fleet.reports.iter().zip(&baseline) {

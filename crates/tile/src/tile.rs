@@ -84,14 +84,6 @@ impl Tile {
         self.engine.as_ref()
     }
 
-    /// Mutable engine access (program loading, IRQ wires in tests). The
-    /// caller may change engine state the scheduler reasoned about, so any
-    /// sleep is cancelled.
-    pub fn engine_mut(&mut self) -> &mut dyn Engine {
-        self.sleep_until = None;
-        self.engine.as_mut()
-    }
-
     /// Replaces the compute engine (cores and accelerators are installed
     /// into freshly-built nodes before the run starts).
     pub fn set_engine(&mut self, engine: Box<dyn Engine>) {
@@ -175,12 +167,6 @@ impl Tile {
         self.engine.advance_idle(delta);
         self.llc.sync_quiet(now + delta - 1);
         self.skipped_cycles += delta;
-    }
-
-    /// Undoes the LLC slice clock's share of `delta` over-run idle ticks
-    /// (a finished engine ages nothing else).
-    pub fn rewind_idle(&mut self, delta: u64) {
-        self.llc.rewind_quiet(delta);
     }
 
     /// Toggles the tile's host-side fast path: the engine's decoded-block

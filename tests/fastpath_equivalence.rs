@@ -615,21 +615,26 @@ fn saturated_single_cycle_runs_equal_one_long_run_and_the_reference() {
 
 #[test]
 fn saturated_parallel_idle_detection_stops_where_serial_does() {
-    // The tracked drive records each FPGA's last active cycle around the
-    // same gated probe; quiescence must land on the cycle `run_until_idle`
+    // The drive's idle probe sits at the barrier behind the same gated
+    // quiet-bound probes: both executors must stop at the same grain
+    // boundary — the first one at or after the cycle `run_until_idle`
     // (per-cycle stepping, no epochs) finds.
     for max_compute in [20, 400] {
+        const BUDGET: u64 = 2_000_000;
+        let mut exact = amo_platform(60, max_compute);
         let mut serial = amo_platform(60, max_compute);
         let mut parallel = amo_platform(60, max_compute);
-        assert!(serial.run_until_idle(2_000_000), "serial run must quiesce");
-        assert!(parallel.run_until_idle_parallel(2_000_000), "parallel run must quiesce");
-        assert_eq!(serial.now(), parallel.now(), "quiescent cycle diverged");
-        // Snapshots too: the tracked drive trims every free-running field
-        // back from the epoch boundary it overshot to.
+        let spent = serial.run_preemptible(BUDGET, false);
+        assert_eq!(spent, parallel.run_preemptible(BUDGET, true), "executors spent differently");
+        assert!(serial.is_idle() && parallel.is_idle(), "both executors must quiesce");
+        assert_eq!(serial.now(), parallel.now(), "stop cycle diverged");
         assert_eq!(serial.snapshot().first_divergence(&parallel.snapshot()), None);
         assert_eq!(serial.stats().to_string(), parallel.stats().to_string());
         assert_eq!(serial.metrics().architectural(), parallel.metrics().architectural());
-        assert!(serial.now() > 1_000 && serial.stats().get("bpc.amo") == 8 * 60);
+        assert!(exact.run_until_idle(BUDGET), "serial run must quiesce");
+        assert_eq!(spent, exact.now().next_multiple_of(exact.preemption_grain()));
+        assert!(exact.now() > 1_000 && exact.stats().get("bpc.amo") == 8 * 60);
+        assert_eq!(exact.stats().to_string(), serial.stats().to_string());
     }
 }
 

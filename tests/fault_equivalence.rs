@@ -178,9 +178,19 @@ fn snapshot(p: &Platform) -> (u64, String, Vec<u8>, Vec<u8>) {
 /// transmitting; identical across compared runs, so determinism holds.
 const BUDGET: u64 = 20_000_000;
 
-fn run_to_idle(p: &mut Platform, parallel: bool, label: &str) {
-    let done = if parallel { p.run_until_idle_parallel(BUDGET) } else { p.run_until_idle(BUDGET) };
-    assert!(done, "{label}: workload failed to quiesce within {BUDGET} cycles");
+/// Serial, to the exact first quiescent cycle.
+fn run_to_idle(p: &mut Platform, label: &str) {
+    assert!(p.run_until_idle(BUDGET), "{label}: workload failed to quiesce within {BUDGET} cycles");
+}
+
+/// To the first preemption-grain boundary at which the platform is idle —
+/// the stop both executors of the epoch driver share. Returns the cycles
+/// spent.
+fn run_preemptible_to_idle(p: &mut Platform, parallel: bool, label: &str) -> u64 {
+    let spent = p.run_preemptible(BUDGET, parallel);
+    assert!(p.is_idle(), "{label}: workload failed to quiesce within {BUDGET} cycles");
+    assert!(spent < BUDGET, "{label}: quiescence must cut the run short");
+    spent
 }
 
 #[test]
@@ -192,8 +202,8 @@ fn quiet_plan_is_bitwise_transparent() {
     let quiet = Arc::new(FaultPlan::seeded(7, FaultProfile::quiet()));
     let mut clean = chaos_platform(2, 2, 4, 11, None);
     let mut faulted = chaos_platform(2, 2, 4, 11, Some(FaultSpec::all(quiet)));
-    run_to_idle(&mut clean, false, "clean");
-    run_to_idle(&mut faulted, false, "quiet-faulted");
+    run_to_idle(&mut clean, "clean");
+    run_to_idle(&mut faulted, "quiet-faulted");
     assert_eq!(clean.now(), faulted.now(), "quiet fault plumbing changed the cycle count");
     assert_eq!(arch_state(&mut clean), arch_state(&mut faulted));
     let s = faulted.stats();
@@ -240,13 +250,14 @@ fn faulted_serial_matches_faulted_parallel_bit_for_bit() {
             let plan = Arc::new(FaultPlan::seeded(seed, FaultProfile::light()));
             let mut serial = chaos_platform(fpgas, 2, 3, seed, Some(FaultSpec::all(plan.clone())));
             let mut parallel = chaos_platform(fpgas, 2, 3, seed, Some(FaultSpec::all(plan)));
-            run_to_idle(&mut serial, false, "serial");
-            run_to_idle(&mut parallel, true, "parallel");
+            let spent = run_preemptible_to_idle(&mut serial, false, "serial");
+            assert_eq!(spent, run_preemptible_to_idle(&mut parallel, true, "parallel"));
             assert_eq!(
                 snapshot(&serial),
                 snapshot(&parallel),
                 "steppers diverged: {fpgas} FPGAs, seed {seed}"
             );
+            assert_eq!(serial.snapshot().first_divergence(&parallel.snapshot()), None);
             assert_eq!(
                 arch_state(&mut serial),
                 arch_state(&mut parallel),
@@ -272,22 +283,28 @@ fn faulted_fast_path_matches_faulted_reference_bit_for_bit() {
     for seed in [1u64, 3] {
         let plan = Arc::new(FaultPlan::seeded(seed, FaultProfile::light()));
         let mut fast = chaos_platform(2, 2, 3, seed, Some(FaultSpec::all(plan.clone())));
+        let mut fast_cut = chaos_platform(2, 2, 3, seed, Some(FaultSpec::all(plan.clone())));
         let mut fast_par = chaos_platform(2, 2, 3, seed, Some(FaultSpec::all(plan.clone())));
         let mut reference = chaos_platform(2, 2, 3, seed, Some(FaultSpec::all(plan)));
         reference.set_fast_path(false);
-        run_to_idle(&mut fast, false, "fast-serial");
-        run_to_idle(&mut fast_par, true, "fast-parallel");
-        run_to_idle(&mut reference, false, "reference-serial");
+        run_to_idle(&mut fast, "fast-serial");
+        run_to_idle(&mut reference, "reference-serial");
         assert_eq!(
             snapshot(&fast),
             snapshot(&reference),
             "fast path diverged from reference under faults: seed {seed}"
         );
+        // Both executors of the epoch driver stop at the same grain
+        // boundary: the first one at or after the exact quiescent cycle.
+        let spent = run_preemptible_to_idle(&mut fast_cut, false, "fast-serial, preemptible");
+        assert_eq!(spent, run_preemptible_to_idle(&mut fast_par, true, "fast-parallel"));
+        assert_eq!(spent, fast.now().next_multiple_of(fast.preemption_grain()));
         assert_eq!(
-            snapshot(&fast),
+            snapshot(&fast_cut),
             snapshot(&fast_par),
             "fast steppers diverged under faults: seed {seed}"
         );
+        assert_eq!(fast_cut.snapshot().first_divergence(&fast_par.snapshot()), None);
         let want = arch_state(&mut reference);
         assert_eq!(want, arch_state(&mut fast), "fast-serial arch divergence: seed {seed}");
         assert_eq!(want, arch_state(&mut fast_par), "fast-parallel arch divergence: seed {seed}");
@@ -313,8 +330,8 @@ fn quiet_plan_stays_transparent_without_the_fast_path() {
     let mut faulted = chaos_platform(2, 2, 4, 11, Some(FaultSpec::all(quiet)));
     clean.set_fast_path(false);
     faulted.set_fast_path(false);
-    run_to_idle(&mut clean, false, "clean-reference");
-    run_to_idle(&mut faulted, false, "quiet-faulted-reference");
+    run_to_idle(&mut clean, "clean-reference");
+    run_to_idle(&mut faulted, "quiet-faulted-reference");
     assert_eq!(clean.now(), faulted.now(), "quiet plan changed reference cycle count");
     assert_eq!(arch_state(&mut clean), arch_state(&mut faulted));
 }
@@ -332,8 +349,8 @@ fn faulted_runs_preserve_architectural_state_vs_clean() {
             let plan = Arc::new(FaultPlan::seeded(seed, FaultProfile::heavy()));
             let mut clean = chaos_platform(fpgas, 2, 3, seed, None);
             let mut faulted = chaos_platform(fpgas, 2, 3, seed, Some(FaultSpec::all(plan)));
-            run_to_idle(&mut clean, false, "clean");
-            run_to_idle(&mut faulted, true, "faulted");
+            run_to_idle(&mut clean, "clean");
+            run_preemptible_to_idle(&mut faulted, true, "faulted");
             assert_eq!(
                 arch_state(&mut clean),
                 arch_state(&mut faulted),
@@ -358,7 +375,7 @@ fn duplicate_and_reorder_recovery_leaves_no_trace() {
     // we assert the recovery machinery itself was exercised.
     let plan = Arc::new(FaultPlan::seeded(3, FaultProfile::heavy()));
     let mut p = chaos_platform(4, 2, 4, 3, Some(FaultSpec::links_only(plan)));
-    run_to_idle(&mut p, false, "heavy links");
+    run_to_idle(&mut p, "heavy links");
     let s = p.stats();
     assert!(s.get("fault.link_delayed") > 0, "plan injected no delays");
     assert!(s.get("fault.link_duplicated") > 0, "plan injected no duplicates");
@@ -374,27 +391,25 @@ fn duplicate_and_reorder_recovery_leaves_no_trace() {
 fn watchdog_converts_blackhole_livelock_into_a_report() {
     // An unrecoverable fault: every PCIe link goes dark at cycle 2000,
     // stranding cross-FPGA AMOs and leaving spinning cores with a frozen
-    // progress signature. Both steppers must convert the hang into a
+    // progress signature. The watched run must convert the hang into a
     // structured FaultReport within the configured bound.
-    for parallel in [false, true] {
-        let plan = Arc::new(FaultPlan::seeded(0, FaultProfile::blackhole(2_000)));
-        let mut p = chaos_platform(2, 2, 4, 5, Some(FaultSpec::links_only(plan)));
-        let wcfg = WatchdogConfig { stall_limit: 30_000, check_interval: 1_000 };
-        let report = p
-            .run_until_idle_watched(BUDGET, &wcfg, parallel)
-            .expect_err("a blackholed link must be reported as livelock, not quiescence");
-        // Detection latency bound: stall_limit plus one sampling interval
-        // (plus the chunk that straddles the freeze point).
-        assert!(report.stalled_for >= wcfg.stall_limit, "fired early: {report}");
-        assert!(
-            report.detected_at - report.stalled_since <= wcfg.stall_limit + 2 * wcfg.check_interval,
-            "fired late (parallel={parallel}): {report}"
-        );
-        assert!(report.links_in_flight > 0, "blackholed items should be stuck in flight");
-        assert!(!report.fpga_idle.iter().all(|i| *i), "a livelocked platform is not idle");
-        let text = report.to_string();
-        assert!(text.contains("LIVELOCK"), "report must be self-describing: {text}");
-    }
+    let plan = Arc::new(FaultPlan::seeded(0, FaultProfile::blackhole(2_000)));
+    let mut p = chaos_platform(2, 2, 4, 5, Some(FaultSpec::links_only(plan)));
+    let wcfg = WatchdogConfig { stall_limit: 30_000, check_interval: 1_000 };
+    let report = p
+        .run_until_idle_watched(BUDGET, &wcfg)
+        .expect_err("a blackholed link must be reported as livelock, not quiescence");
+    // Detection latency bound: stall_limit plus one sampling interval
+    // (plus the chunk that straddles the freeze point).
+    assert!(report.stalled_for >= wcfg.stall_limit, "fired early: {report}");
+    assert!(
+        report.detected_at - report.stalled_since <= wcfg.stall_limit + 2 * wcfg.check_interval,
+        "fired late: {report}"
+    );
+    assert!(report.links_in_flight > 0, "blackholed items should be stuck in flight");
+    assert!(!report.fpga_idle.iter().all(|i| *i), "a livelocked platform is not idle");
+    let text = report.to_string();
+    assert!(text.contains("LIVELOCK"), "report must be self-describing: {text}");
 }
 
 #[test]
@@ -404,8 +419,8 @@ fn watchdog_passes_clean_runs_through() {
     let mut watched = chaos_platform(2, 2, 4, 9, None);
     let mut plain = chaos_platform(2, 2, 4, 9, None);
     let wcfg = WatchdogConfig { stall_limit: 200_000, check_interval: 1_000 };
-    assert!(watched.run_until_idle_watched(BUDGET, &wcfg, false).expect("no livelock"));
-    run_to_idle(&mut plain, false, "plain");
+    assert!(watched.run_until_idle_watched(BUDGET, &wcfg).expect("no livelock"));
+    run_to_idle(&mut plain, "plain");
     assert_eq!(watched.now(), plain.now(), "supervision changed the simulation");
     assert_eq!(arch_state(&mut watched), arch_state(&mut plain));
 }
@@ -421,8 +436,11 @@ fn stats_survive_a_stepper_switch_mid_run() {
     let mut reference = chaos_platform(2, 2, 4, 13, None);
     switched.run(25_000); // serial prefix...
     switched.run_parallel(60_000); // ...then the parallel stepper
-    assert!(switched.run_until_idle_parallel(BUDGET), "switched run hung");
-    run_to_idle(&mut reference, false, "reference");
+    reference.run(85_000);
+    let spent = run_preemptible_to_idle(&mut switched, true, "switched");
+    assert_eq!(spent, run_preemptible_to_idle(&mut reference, false, "reference"));
+    assert_eq!(switched.now(), reference.now());
+    assert_eq!(switched.snapshot().first_divergence(&reference.snapshot()), None);
     let (s, r) = (switched.stats(), reference.stats());
     assert!(s.get("shell.out_req") > 0, "workload never crossed the fabric");
     assert!(s.get("xbar.req") > 0, "crossbar counters missing from Platform::stats()");
@@ -445,8 +463,8 @@ fn ethernet_faults_preserve_architectural_state_and_the_guard_recovers() {
         let mut clean = rack_chaos_platform(4, 3, seed, topo(), None);
         let mut faulted =
             rack_chaos_platform(4, 3, seed, topo(), Some(FaultSpec::links_only(plan)));
-        run_to_idle(&mut clean, false, "eth-clean");
-        run_to_idle(&mut faulted, false, "eth-faulted");
+        run_to_idle(&mut clean, "eth-clean");
+        run_to_idle(&mut faulted, "eth-faulted");
         assert_eq!(
             arch_state(&mut clean),
             arch_state(&mut faulted),
@@ -516,7 +534,7 @@ fn watchdog_reports_a_blackholed_ethernet_fabric() {
     );
     let wcfg = WatchdogConfig { stall_limit: 30_000, check_interval: 1_000 };
     let report = p
-        .run_until_idle_watched(BUDGET, &wcfg, false)
+        .run_until_idle_watched(BUDGET, &wcfg)
         .expect_err("a blackholed fabric must be reported as livelock, not quiescence");
     assert!(report.links_in_flight > 0, "blackholed frames should be stuck in the fabric");
     assert!(!report.fpga_idle.iter().all(|i| *i), "a livelocked rack is not idle");
@@ -539,9 +557,9 @@ fn full_chaos_matrix() {
                 let mut clean = chaos_platform(fpgas, 2, 4, seed, None);
                 let mut serial = chaos_platform(fpgas, 2, 4, seed, Some(spec.clone()));
                 let mut parallel = chaos_platform(fpgas, 2, 4, seed, Some(spec));
-                run_to_idle(&mut clean, false, "clean");
-                run_to_idle(&mut serial, false, "serial");
-                run_to_idle(&mut parallel, true, "parallel");
+                run_to_idle(&mut clean, "clean");
+                let spent = run_preemptible_to_idle(&mut serial, false, "serial");
+                assert_eq!(spent, run_preemptible_to_idle(&mut parallel, true, "parallel"));
                 assert_eq!(
                     snapshot(&serial),
                     snapshot(&parallel),
@@ -574,9 +592,7 @@ fn watchdog_report_artifacts() {
         let plan = Arc::new(FaultPlan::seeded(seed, FaultProfile::blackhole(1_500)));
         let mut p = chaos_platform(2, 2, 4, seed, Some(FaultSpec::links_only(plan)));
         let wcfg = WatchdogConfig { stall_limit: 30_000, check_interval: 1_000 };
-        let report = p
-            .run_until_idle_watched(BUDGET, &wcfg, seed % 2 == 0)
-            .expect_err("blackhole must livelock");
+        let report = p.run_until_idle_watched(BUDGET, &wcfg).expect_err("blackhole must livelock");
         std::fs::write(dir.join(format!("fault_report_seed{seed}.txt")), report.to_string())
             .expect("write report");
     }

@@ -84,18 +84,18 @@ fn four_fpga_run_matches_serial_reference() {
 }
 
 #[test]
-fn step_epoch_advances_by_the_lookahead_and_stays_equivalent() {
+fn one_epoch_parallel_runs_tile_a_serial_run() {
     let mut serial = contention_platform(2, 1, 6, 0x57E9);
     let mut parallel = contention_platform(2, 1, 6, 0x57E9);
     let l = parallel.lookahead();
     assert!(l > 0, "multi-FPGA platforms must expose PCIe lookahead");
-    let mut advanced = 0;
+    // One drive (and one set of worker threads) per epoch.
     for _ in 0..40 {
-        advanced += parallel.step_epoch();
+        parallel.run_parallel(l);
     }
-    assert_eq!(advanced, 40 * l);
-    serial.run(advanced);
-    assert_equivalent(&serial, &parallel, "step_epoch");
+    assert_eq!(parallel.now(), 40 * l);
+    serial.run(40 * l);
+    assert_equivalent(&serial, &parallel, "one-epoch parallel runs");
 }
 
 #[test]
@@ -111,14 +111,20 @@ fn parallel_handles_epoch_tails_and_odd_cycle_counts() {
 }
 
 #[test]
-fn run_until_idle_parallel_matches_serial_quiescence() {
+fn preemptible_parallel_quiesces_where_preemptible_serial_does() {
+    const BUDGET: u64 = 5_000_000;
+    let mut exact = contention_platform(2, 2, 8, 0x1D1E);
     let mut serial = contention_platform(2, 2, 8, 0x1D1E);
     let mut parallel = contention_platform(2, 2, 8, 0x1D1E);
-    let a = serial.run_until_idle(5_000_000);
-    let b = parallel.run_until_idle_parallel(5_000_000);
-    assert!(a && b, "both paths must reach quiescence");
-    assert_equivalent(&serial, &parallel, "until-idle");
+    let spent = serial.run_preemptible(BUDGET, false);
+    assert_eq!(spent, parallel.run_preemptible(BUDGET, true), "executors spent differently");
+    assert!(serial.is_idle() && parallel.is_idle(), "both executors must reach quiescence");
+    assert_equivalent(&serial, &parallel, "preemptible until idle");
     assert_eq!(serial.snapshot().first_divergence(&parallel.snapshot()), None);
+    // The stop is the first grain boundary at or after the exact
+    // quiescent cycle, which the per-cycle idle loop finds.
+    assert!(exact.run_until_idle(BUDGET), "workload hung");
+    assert_eq!(spent, exact.now().next_multiple_of(exact.preemption_grain()));
 }
 
 #[test]

@@ -192,19 +192,19 @@ fn sixty_four_fpga_ethernet_three_steppers_bit_identical() {
 }
 
 #[test]
-fn step_epoch_advances_by_the_global_lookahead_on_ethernet() {
+fn one_epoch_parallel_runs_tile_a_serial_run_on_ethernet() {
     let mut serial = scale_platform(eth_cfg(8, 4), 2, 0x57EB);
     let mut stepped = scale_platform(eth_cfg(8, 4), 2, 0x57EB);
     let (local, global) = stepped.grouped_lookaheads();
     assert_eq!(local, 12, "local lookahead is the NIC link latency");
     assert_eq!(global, 40, "global lookahead is the spine latency");
-    let mut advanced = 0;
+    // One drive (and one set of worker threads) per epoch.
     for _ in 0..100 {
-        advanced += stepped.step_epoch();
+        stepped.run_parallel(global);
     }
-    assert_eq!(advanced, 100 * global);
-    serial.run(advanced);
-    assert_bit_identical(&serial, &stepped, "step_epoch on eth");
+    assert_eq!(stepped.now(), 100 * global);
+    serial.run(100 * global);
+    assert_bit_identical(&serial, &stepped, "one-epoch parallel runs on eth");
 }
 
 #[test]
