@@ -387,8 +387,9 @@ impl PcieLink {
 
     /// The earliest cycle at which either direction could deliver, or
     /// [`None`] when the link is empty. Part of the platform's idle-skip
-    /// scan; see [`Dir::next_delivery_at`] for the fault-stage caveat
-    /// (lower bound, never an overshoot).
+    /// scan. Exact without faults; with faults installed an item still in
+    /// the shaper reports its mature cycle, which its fault action can
+    /// only delay, so this is a lower bound and never an overshoot.
     pub fn next_delivery_at(&self) -> Option<Cycle> {
         match (self.a_to_b.next_delivery_at(), self.b_to_a.next_delivery_at()) {
             (Some(a), Some(b)) => Some(a.min(b)),

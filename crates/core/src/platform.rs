@@ -167,6 +167,14 @@ struct UnitPlan {
     global: u64,
 }
 
+impl UnitPlan {
+    /// [`Platform::preemption_grain`] of a platform with this plan.
+    fn preemption_grain(&self) -> u64 {
+        let natural = self.global.max(1);
+        natural * Platform::PREEMPT_GRAIN_FLOOR.div_ceil(natural)
+    }
+}
+
 /// Which threads advance the units of an epoch.
 #[derive(Debug, Clone, Copy)]
 enum Exec {
@@ -788,7 +796,7 @@ impl Platform {
         // cycle-interleaved loop below can only warp when *every* FPGA is
         // quiet at once, so one busy FPGA pins all of its peers to
         // per-cycle stepping.
-        if let Some((plan, exec)) = self.epoch_exec(false) {
+        if let (plan, Some(exec)) = self.epoch_exec(false) {
             self.drive(plan, Stop { budget: cycles, idle_every: None }, exec);
             return;
         }
@@ -823,14 +831,14 @@ impl Platform {
         }
     }
 
-    /// How the epoch driver advances this platform — the unit plan and the
-    /// executor `parallel` selects — or `None` when the per-cycle stepper
+    /// How the epoch driver advances this platform: its unit plan, and the
+    /// executor `parallel` selects — `None` when the per-cycle stepper
     /// must: no lookahead to exploit, or a serial run in reference mode
     /// (fast path off), which stays strictly per-cycle.
-    fn epoch_exec(&self, parallel: bool) -> Option<(UnitPlan, Exec)> {
+    fn epoch_exec(&self, parallel: bool) -> (UnitPlan, Option<Exec>) {
         let plan = self.unit_plan();
         let exec = if parallel { Exec::Threads } else { Exec::Inline };
-        (plan.local > 0 && (parallel || self.fast_path)).then_some((plan, exec))
+        (plan, (plan.local > 0 && (parallel || self.fast_path)).then_some(exec))
     }
 
     /// The grouped lookaheads of a network-attached platform as
@@ -1109,10 +1117,10 @@ impl Platform {
     /// cycle count, statistics, memory, and console output.
     pub fn run_parallel(&mut self, cycles: u64) {
         match self.epoch_exec(true) {
-            Some((plan, exec)) => {
+            (plan, Some(exec)) => {
                 self.drive(plan, Stop { budget: cycles, idle_every: None }, exec);
             }
-            None => self.run(cycles),
+            (_, None) => self.run(cycles),
         }
     }
 
@@ -1134,8 +1142,7 @@ impl Platform {
     /// in whole-epoch multiples, so yield/idle checks stay off the hot
     /// path.
     pub fn preemption_grain(&self) -> u64 {
-        let natural = self.unit_plan().global.max(1);
-        natural * Self::PREEMPT_GRAIN_FLOOR.div_ceil(natural)
+        self.unit_plan().preemption_grain()
     }
 
     /// Minimum cycles between cooperative preemption checkpoints; see
@@ -1156,8 +1163,9 @@ impl Platform {
     /// bit-identical to a single uninterrupted call — the property
     /// `tests/service_equivalence.rs` proves.
     pub fn run_preemptible(&mut self, budget: u64, parallel: bool) -> u64 {
-        let grain = self.preemption_grain();
-        if let Some((plan, exec)) = self.epoch_exec(parallel) {
+        let (plan, exec) = self.epoch_exec(parallel);
+        let grain = plan.preemption_grain();
+        if let Some(exec) = exec {
             return self.drive(plan, Stop { budget, idle_every: Some(grain) }, exec);
         }
         let mut spent = 0u64;
@@ -1239,14 +1247,16 @@ impl Platform {
     /// `base`, pinned to `base` by state digest so chains apply in order
     /// or not at all. `base.apply_delta(..)` (or
     /// [`Platform::restore_chain`]) reproduces the full snapshot
-    /// byte-for-byte.
+    /// byte-for-byte. The walk streams into the comparison, so the
+    /// current state is never held as a whole snapshot; only the dirty
+    /// sections are copied.
     ///
     /// # Errors
     ///
     /// [`SnapError::ConfigMismatch`] when `base` came from a different
-    /// config (delegated to [`SnapDelta::between`]).
+    /// config (delegated to [`SnapDelta::streamed`]).
     pub fn snapshot_delta(&self, base: &Snapshot) -> Result<SnapDelta, SnapError> {
-        SnapDelta::between(base, &self.snapshot())
+        SnapDelta::streamed(base, |sink| self.snapshot_to(sink))
     }
 
     /// Restores a snapshot taken from a platform with the same [`Config`],

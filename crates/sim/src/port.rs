@@ -80,7 +80,7 @@ pub struct Ring<T> {
 }
 
 impl<T> Ring<T> {
-    /// Creates a ring preallocating [`ELASTIC_PREALLOC_DEFAULT`] slots.
+    /// Creates a ring preallocating the default elastic hint (16 slots).
     pub fn new() -> Self {
         Self::with_prealloc(ELASTIC_PREALLOC_DEFAULT)
     }

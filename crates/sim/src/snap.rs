@@ -42,8 +42,10 @@ use std::io::{Read, Write};
 
 use crate::codec;
 
-/// Current snapshot container format version.
-pub const SNAP_VERSION: u32 = 1;
+/// Current snapshot container format version. Version 2 changed the
+/// state digest from byte-serial FNV-1a to a word-at-a-time hash; the
+/// section bytes are those of version 1.
+pub const SNAP_VERSION: u32 = 2;
 
 /// Container magic: the first eight bytes of every serialized snapshot.
 const SNAP_MAGIC: [u8; 8] = *b"SMAPSNAP";
@@ -852,12 +854,6 @@ impl Snapshot {
         Ok(Self { version, config_digest, cycle, sections, verified: None })
     }
 
-    /// FNV-1a digest of each section's payload, in walk order — the basis
-    /// for dirty-section detection in [`SnapDelta::between`].
-    pub fn section_digests(&self) -> Vec<(String, u64)> {
-        self.sections.iter().map(|(n, b)| (n.clone(), fnv1a(b))).collect()
-    }
-
     /// A digest over the full captured state: config digest, cycle, and
     /// every named section (name and payload, in order). The format
     /// version is excluded, so the digest is comparable across the
@@ -880,7 +876,7 @@ impl Snapshot {
     }
 
     fn compute_state_digest(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = StateHash::new();
         digest_header(&mut h, self.config_digest, self.cycle);
         for (n, b) in &self.sections {
             digest_section(&mut h, n, b);
@@ -1032,36 +1028,26 @@ impl SnapDelta {
     /// deltas cover content changes between checkpoints of one platform,
     /// never topology changes.
     pub fn between(base: &Snapshot, next: &Snapshot) -> Result<Self, SnapError> {
-        if next.version != base.version {
-            return Err(SnapError::VersionMismatch { found: next.version, expected: base.version });
-        }
-        if next.config_digest != base.config_digest {
-            return Err(SnapError::ConfigMismatch {
-                found: next.config_digest,
-                expected: base.config_digest,
-            });
-        }
-        if base.sections.len() != next.sections.len()
-            || base.sections.iter().zip(&next.sections).any(|((a, _), (b, _))| a != b)
-        {
-            return Err(SnapError::Corrupt(
-                "delta between structurally different snapshots".into(),
-            ));
-        }
-        let sections = base
-            .sections
-            .iter()
-            .zip(&next.sections)
-            .filter(|((_, a), (_, b))| a != b)
-            .map(|(_, (n, b))| (n.clone(), b.clone()))
-            .collect();
-        Ok(Self {
-            version: next.version,
-            config_digest: next.config_digest,
-            base_digest: base.state_digest(),
-            cycle: next.cycle,
-            sections,
-        })
+        Self::streamed(base, |sink| next.write_to(sink))
+    }
+
+    /// The delta [`SnapDelta::between`] `base` and the snapshot `save`
+    /// streams into the sink it is given, computed as the sections arrive:
+    /// a clean section is compared and dropped, so the successor is never
+    /// held in memory — only its dirty sections are copied.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SnapDelta::between`], plus whatever `save` returns.
+    pub fn streamed(
+        base: &Snapshot,
+        save: impl FnOnce(&mut dyn SnapSink) -> Result<(), SnapError>,
+    ) -> Result<Self, SnapError> {
+        let mut sink = DeltaSink { base, seen: 0, delta: None };
+        save(&mut sink)?;
+        let mut delta = sink.delta.ok_or_else(|| SnapError::Corrupt("no snapshot began".into()))?;
+        delta.base_digest = base.state_digest();
+        Ok(delta)
     }
 
     /// The dirty sections, in walk order.
@@ -1127,6 +1113,64 @@ impl SnapDelta {
             return Err(SnapError::Corrupt("trailing container bytes".into()));
         }
         Ok(Self { version, config_digest, base_digest, cycle, sections })
+    }
+}
+
+/// The sink behind [`SnapDelta::streamed`]: checks each arriving section
+/// against the base's section in the same position and keeps it only if
+/// its bytes differ.
+struct DeltaSink<'b> {
+    base: &'b Snapshot,
+    /// Sections received so far.
+    seen: usize,
+    /// Set by `begin`; `base_digest` is filled in once the walk is done.
+    delta: Option<SnapDelta>,
+}
+
+fn structurally_different() -> SnapError {
+    SnapError::Corrupt("delta between structurally different snapshots".into())
+}
+
+impl SnapSink for DeltaSink<'_> {
+    fn begin(&mut self, version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
+        let base = self.base;
+        if version != base.version {
+            return Err(SnapError::VersionMismatch { found: version, expected: base.version });
+        }
+        if config_digest != base.config_digest {
+            return Err(SnapError::ConfigMismatch {
+                found: config_digest,
+                expected: base.config_digest,
+            });
+        }
+        self.seen = 0;
+        let sections = Vec::new();
+        self.delta = Some(SnapDelta { version, config_digest, base_digest: 0, cycle, sections });
+        Ok(())
+    }
+
+    fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError> {
+        let (Some((base_name, base_data)), Some(delta)) =
+            (self.base.sections.get(self.seen), self.delta.as_mut())
+        else {
+            return Err(structurally_different());
+        };
+        if base_name != name {
+            return Err(structurally_different());
+        }
+        if base_data != data {
+            delta.sections.push((name.to_owned(), data.to_vec()));
+        }
+        self.seen += 1;
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), SnapError> {
+        if self.seen == self.base.sections.len() {
+            Ok(())
+        } else {
+            Err(structurally_different())
+        }
     }
 }
 
@@ -1224,12 +1268,12 @@ impl SnapSink for MemorySink {
 pub struct CountingSink {
     sections: usize,
     raw_bytes: u64,
-    digest: Fnv,
+    digest: StateHash,
 }
 
 impl Default for CountingSink {
     fn default() -> Self {
-        Self { sections: 0, raw_bytes: 0, digest: Fnv::new() }
+        Self { sections: 0, raw_bytes: 0, digest: StateHash::new() }
     }
 }
 
@@ -1260,7 +1304,7 @@ impl SnapSink for CountingSink {
     fn begin(&mut self, _version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
         self.sections = 0;
         self.raw_bytes = 0;
-        self.digest = Fnv::new();
+        self.digest = StateHash::new();
         digest_header(&mut self.digest, config_digest, cycle);
         Ok(())
     }
@@ -1298,9 +1342,11 @@ fn io_err(e: std::io::Error) -> SnapError {
 /// [`StreamSource`] rejects truncated or corrupted streams.
 pub struct StreamSink<W: Write> {
     w: W,
-    compress: bool,
+    /// The codec's match table, reused across sections; `None` writes
+    /// every payload raw.
+    encoder: Option<codec::Encoder>,
     count: u32,
-    digest: Fnv,
+    digest: StateHash,
     raw_bytes: u64,
     stored_bytes: u64,
 }
@@ -1308,7 +1354,7 @@ pub struct StreamSink<W: Write> {
 impl<W: Write> fmt::Debug for StreamSink<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamSink")
-            .field("compress", &self.compress)
+            .field("compress", &self.encoder.is_some())
             .field("count", &self.count)
             .field("raw_bytes", &self.raw_bytes)
             .field("stored_bytes", &self.stored_bytes)
@@ -1320,7 +1366,14 @@ impl<W: Write> StreamSink<W> {
     /// Creates a sink over `w`; with `compress`, section payloads go
     /// through the in-tree codec when that shrinks them.
     pub fn new(w: W, compress: bool) -> Self {
-        Self { w, compress, count: 0, digest: Fnv::new(), raw_bytes: 0, stored_bytes: 0 }
+        Self {
+            w,
+            encoder: compress.then(codec::Encoder::new),
+            count: 0,
+            digest: StateHash::new(),
+            raw_bytes: 0,
+            stored_bytes: 0,
+        }
     }
 
     /// Raw (uncompressed) payload bytes seen so far.
@@ -1345,14 +1398,14 @@ impl<W: Write> StreamSink<W> {
 impl<W: Write> SnapSink for StreamSink<W> {
     fn begin(&mut self, version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
         self.count = 0;
-        self.digest = Fnv::new();
+        self.digest = StateHash::new();
         self.raw_bytes = 0;
         self.stored_bytes = 0;
         self.w.write_all(&STREAM_MAGIC).map_err(io_err)?;
         self.w.write_all(&version.to_le_bytes()).map_err(io_err)?;
         self.w.write_all(&config_digest.to_le_bytes()).map_err(io_err)?;
         self.w.write_all(&cycle.to_le_bytes()).map_err(io_err)?;
-        let flags = if self.compress { STREAM_FLAG_COMPRESS } else { 0 };
+        let flags = if self.encoder.is_some() { STREAM_FLAG_COMPRESS } else { 0 };
         self.w.write_all(&[flags]).map_err(io_err)?;
         digest_header(&mut self.digest, config_digest, cycle);
         Ok(())
@@ -1361,16 +1414,17 @@ impl<W: Write> SnapSink for StreamSink<W> {
     fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError> {
         let nlen = u32::try_from(name.len()).expect("section name exceeds u32");
         let raw_len = u32::try_from(data.len()).expect("section data exceeds u32");
-        let z;
-        let stored: &[u8] = if self.compress {
-            z = codec::compress(data);
-            if z.len() < data.len() {
-                &z
-            } else {
-                data
+        let packed;
+        let stored: &[u8] = match &mut self.encoder {
+            Some(encoder) => {
+                packed = encoder.compress(data);
+                if packed.len() < data.len() {
+                    &packed
+                } else {
+                    data
+                }
             }
-        } else {
-            data
+            None => data,
         };
         self.w.write_all(&[REC_SECTION]).map_err(io_err)?;
         self.w.write_all(&nlen.to_le_bytes()).map_err(io_err)?;
@@ -1448,7 +1502,7 @@ pub struct StreamSource<R: Read> {
     cycle: u64,
     compressed: bool,
     count: u32,
-    digest: Fnv,
+    digest: StateHash,
     done: bool,
 }
 
@@ -1489,7 +1543,7 @@ impl<R: Read> StreamSource<R> {
         if flags & !STREAM_FLAG_COMPRESS != 0 {
             return Err(SnapError::Corrupt(format!("unknown stream flags {flags:#04x}")));
         }
-        let mut digest = Fnv::new();
+        let mut digest = StateHash::new();
         digest_header(&mut digest, config_digest, cycle);
         Ok(Self {
             r,
@@ -1601,33 +1655,61 @@ pub fn read_stream(r: impl Read) -> Result<Snapshot, SnapError> {
     Ok(Snapshot { version: src.version(), config_digest, cycle, sections, verified })
 }
 
-/// Incremental FNV-1a, the streaming counterpart of [`fnv1a`].
+/// The state digest: a word-at-a-time multiply–xorshift hash.
+///
+/// Each `write` folds its bytes in as little-endian 8-byte words, one
+/// multiply each; a last partial word is zero-padded with its length in
+/// the top byte. The xor-shift after the multiply carries high input bits
+/// into the low output bits, which a multiply alone never does. A digest
+/// is defined by the sequence of `write` calls, so every path that feeds
+/// it (`digest_header`, `digest_section`) makes the same calls.
+///
+/// Every step is a bijection of the running state for a fixed word, so
+/// two inputs that differ in a single word — any single-bit flip — never
+/// collide.
 #[derive(Debug, Clone)]
-struct Fnv(u64);
+struct StateHash(u64);
 
-impl Fnv {
+impl StateHash {
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
     fn new() -> Self {
         Self(0xcbf2_9ce4_8422_2325)
     }
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        let h = (self.0 ^ word).wrapping_mul(Self::MUL);
+        self.0 = h ^ (h >> 32);
+    }
+
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            last[7] = tail.len() as u8;
+            self.mix(u64::from_le_bytes(last));
         }
     }
+
     fn finish(&self) -> u64 {
         self.0
     }
 }
 
 /// Feeds the (config digest, cycle) header into a state digest.
-fn digest_header(h: &mut Fnv, config_digest: u64, cycle: u64) {
+fn digest_header(h: &mut StateHash, config_digest: u64, cycle: u64) {
     h.write(&config_digest.to_le_bytes());
     h.write(&cycle.to_le_bytes());
 }
 
 /// Feeds one named section into a state digest.
-fn digest_section(h: &mut Fnv, name: &str, data: &[u8]) {
+fn digest_section(h: &mut StateHash, name: &str, data: &[u8]) {
     h.write(&(name.len() as u32).to_le_bytes());
     h.write(name.as_bytes());
     h.write(&(data.len() as u32).to_le_bytes());
@@ -2407,6 +2489,36 @@ mod tests {
     }
 
     #[test]
+    fn a_streamed_delta_checks_the_walk_as_it_arrives() {
+        let base = sample(1, 10);
+        // A streaming walk of `sample(2, 20)`'s shape, cut to its first
+        // `take` sections and followed by `extra` ones.
+        let walk = |version: u32, take: usize, extra: &'static [&'static str]| {
+            move |sink: &mut dyn SnapSink| {
+                sink.begin(version, 42, 20)?;
+                let next = sample(2, 20);
+                for (name, data) in next.sections().iter().take(take) {
+                    sink.section(name, data)?;
+                }
+                for name in extra {
+                    sink.section(name, &[])?;
+                }
+                sink.finish()
+            }
+        };
+        let whole = SnapDelta::streamed(&base, walk(SNAP_VERSION, 4, &[])).expect("whole walk");
+        assert_eq!(Ok(whole), SnapDelta::between(&base, &sample(2, 20)));
+        let short = SnapDelta::streamed(&base, walk(SNAP_VERSION, 3, &[]));
+        assert!(matches!(short, Err(SnapError::Corrupt(_))), "{short:?}");
+        let long = SnapDelta::streamed(&base, walk(SNAP_VERSION, 4, &["gamma"]));
+        assert!(matches!(long, Err(SnapError::Corrupt(_))), "{long:?}");
+        let skewed = SnapDelta::streamed(&base, walk(SNAP_VERSION + 1, 4, &[]));
+        assert!(matches!(skewed, Err(SnapError::VersionMismatch { .. })), "{skewed:?}");
+        let silent = SnapDelta::streamed(&base, |_| Ok(()));
+        assert!(matches!(silent, Err(SnapError::Corrupt(_))), "{silent:?}");
+    }
+
+    #[test]
     fn delta_wire_round_trips_and_rejects_damage() {
         let base = sample(1, 10);
         let next = sample(2, 20);
@@ -2431,8 +2543,83 @@ mod tests {
         assert_eq!(a.state_digest(), sample(1, 10).state_digest());
         assert_ne!(a.state_digest(), sample(2, 10).state_digest());
         assert_ne!(a.state_digest(), sample(1, 11).state_digest());
-        let digests = a.section_digests();
-        assert_eq!(digests.len(), a.sections().len());
-        assert_eq!(digests[0].0, "alpha");
+    }
+
+    fn with_sections(sections: &[(&str, &[u8])]) -> Snapshot {
+        let sections = sections.iter().map(|(n, d)| (n.to_string(), d.to_vec())).collect();
+        Snapshot { version: SNAP_VERSION, config_digest: 42, cycle: 7, sections, verified: None }
+    }
+
+    #[test]
+    fn flipping_any_bit_of_a_section_changes_the_state_digest() {
+        // Four whole words and a five-byte tail.
+        let data: Vec<u8> = (0..37u8).map(|b| b.wrapping_mul(29)).collect();
+        let base = with_sections(&[("a", &[1, 2, 3]), ("beta", &data)]);
+        let digest = base.state_digest();
+        for byte in 0..data.len() {
+            for bit in 0..8 {
+                let mut flipped = base.clone();
+                flipped.sections[1].1[byte] ^= 1 << bit;
+                assert_ne!(flipped.state_digest(), digest, "byte {byte} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn section_order_and_boundaries_are_part_of_the_state_digest() {
+        let digest = with_sections(&[("alpha", &[1; 10]), ("beta", &[2; 10])]).state_digest();
+        let swapped = with_sections(&[("beta", &[2; 10]), ("alpha", &[1; 10])]);
+        assert_ne!(swapped.state_digest(), digest);
+        let mut moved = vec![b'a'];
+        moved.extend([1; 10]);
+        let name_into_payload = with_sections(&[("alph", &moved), ("beta", &[2; 10])]);
+        assert_ne!(name_into_payload.state_digest(), digest);
+        let across_sections =
+            with_sections(&[("alpha", &[1; 9]), ("beta", &[1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2])]);
+        assert_ne!(across_sections.state_digest(), digest);
+    }
+
+    #[test]
+    fn every_digest_path_agrees_for_every_tail_length() {
+        for len in 0..=17u8 {
+            let data: Vec<u8> = (0..len).collect();
+            let name = "n".repeat(usize::from(len % 9) + 1);
+            let snap = with_sections(&[(&name, &data), ("host.stepper", &[len; 3])]);
+            let digest = snap.compute_state_digest();
+            let mut count = CountingSink::new();
+            snap.write_to(&mut count).expect("count");
+            assert_eq!(count.state_digest(), digest, "CountingSink, tail {len}");
+            for compress in [false, true] {
+                let mut wire = Vec::new();
+                let mut sink = StreamSink::new(&mut wire, compress);
+                snap.write_to(&mut sink).expect("stream");
+                assert_eq!(sink.state_digest(), digest, "StreamSink, tail {len}");
+                let read = Snapshot::from_stream_bytes(&wire).expect("reads back");
+                let verified = read.verified.expect("the trailer was verified").digest;
+                assert_eq!(verified, digest, "verified on read, tail {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_stream_is_rejected_or_harmless() {
+        let snap = with_sections(&[("a", &[0; 40]), ("b", b"payload bytes"), ("c", &[])]);
+        for compress in [false, true] {
+            let wire = snap.to_stream_bytes(compress);
+            for cut in 0..wire.len() {
+                assert!(Snapshot::from_stream_bytes(&wire[..cut]).is_err(), "cut at {cut}");
+            }
+            for bit in 0..wire.len() * 8 {
+                let mut bad = wire.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                match Snapshot::from_stream_bytes(&bad) {
+                    Err(_) => {}
+                    // Toggling the compress flag of a stream whose payloads
+                    // all went raw changes nothing that is read.
+                    Ok(read) if bit == 28 * 8 && !compress => assert_eq!(read, snap),
+                    Ok(_) => panic!("bit {bit} flipped and the stream still read back"),
+                }
+            }
+        }
     }
 }

@@ -4,57 +4,14 @@
 //! growth. A counting global allocator makes that a number instead of a
 //! timing.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 use smappic_sim::{SnapReader, SnapWriter, Snapshot};
 
-thread_local! {
-    /// Allocations (fresh or growing) made by this thread. Per thread, so
-    /// tests running beside each other do not count one another's.
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-impl Counting {
-    fn note() {
-        // `try_with`: a thread being torn down may allocate after its
-        // thread-locals are gone; those allocations are nobody's to count.
-        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a `const`-initialised
-// `Cell` without a destructor, so touching it neither allocates nor
-// re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note();
-        // SAFETY: the caller's obligations for `alloc` are `System`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::note();
-        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
 /// Allocations this thread makes while `f` runs.
 fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
+    counting_alloc::measured(f).1.count
 }
 
 const FIELDS: u64 = 10_000;
@@ -62,17 +19,20 @@ const FIELDS: u64 = 10_000;
 #[test]
 fn ten_thousand_writes_in_one_scope_allocate_only_buffer_growth() {
     let mut w = SnapWriter::new();
-    let mut inside = 0;
+    let mut inside = None;
     w.scoped("fpga0.node0.tile0.bpc", |w| {
-        inside = allocations(|| {
+        inside = Some(counting_alloc::measured(|| {
             for i in 0..FIELDS {
                 w.u64(i);
             }
-        });
+        }));
     });
+    let ((), inside) = inside.expect("the scope ran");
     // 80,000 bytes of doubling growth is 15 reallocations; a writer that
     // names its section per field makes at least one per write.
-    assert!(inside <= 32, "{inside} allocations for {FIELDS} u64 writes");
+    assert!(inside.count <= 32, "{} allocations for {FIELDS} u64 writes", inside.count);
+    // And the largest is the section buffer, at most twice what it holds.
+    assert!(inside.largest <= 2 * 8 * FIELDS as usize, "{} bytes at once", inside.largest);
     let snap = Snapshot::new(0, 0, w);
     assert_eq!(snap.payload_bytes() as u64, 8 * FIELDS);
 }

@@ -6,8 +6,11 @@
 //! format-evolution guards: unknown trailing fields, unknown sections,
 //! version skew, and config skew are typed errors, never UB.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::pinned_platform;
 use smappic::platform::{Config, FaultSpec, Platform, Topology, DRAM_BASE};
 use smappic::sim::{
     CountingSink, EthParams, FaultPlan, FaultProfile, MemorySink, SimRng, SnapDelta, SnapError,
@@ -447,7 +450,14 @@ fn assert_delta_chain_equals_full(
     for _ in 0..strides {
         step(&mut p, stride);
         let full = p.snapshot();
-        deltas.push(p.snapshot_delta(&prev).expect("delta between consecutive boundaries"));
+        let delta = p.snapshot_delta(&prev).expect("delta between consecutive boundaries");
+        // The streamed delta is the one between the two whole snapshots.
+        assert_eq!(
+            Ok(&delta),
+            SnapDelta::between(&prev, &full).as_ref(),
+            "{label}: streamed delta"
+        );
+        deltas.push(delta);
         fulls.push(full.clone());
         prev = full;
     }
@@ -599,6 +609,11 @@ fn config_skewed_deltas_are_rejected() {
         Err(SnapError::ConfigMismatch { .. }) => {}
         other => panic!("expected ConfigMismatch, got {other:?}"),
     }
+    // Nor is a delta taken against it.
+    match p.snapshot_delta(&skewed) {
+        Err(SnapError::ConfigMismatch { .. }) => {}
+        other => panic!("expected ConfigMismatch, got {other:?}"),
+    }
 
     // And a truncated delta wire never parses.
     for cut in [7, 20, wire.len() / 2, wire.len() - 1] {
@@ -659,36 +674,16 @@ fn streaming_sink_round_trips_through_a_file_and_rejects_truncation() {
 // cursor-based writer/reader replaced the map-keyed ones.
 // ---------------------------------------------------------------------------
 
-/// A seeded 2x2x2 prototype (two FPGAs, two nodes each, two tiles per
-/// node) cut mid-contention at cycle 2,500.
-fn pinned_platform() -> Platform {
-    let cfg = Config::new(2, 2, 2);
-    let total = cfg.total_tiles();
-    let mut p = Platform::new(cfg);
-    let mut rng = SimRng::new(0x22_5EED);
-    for g in 0..total {
-        let mut ops = Vec::new();
-        let private = DRAM_BASE + 0x20_0000 + g as u64 * 4096;
-        for i in 0..12u64 {
-            ops.push(TraceOp::Compute(rng.gen_range(40) + 1));
-            ops.push(TraceOp::AmoAdd(COUNTER, 1));
-            if rng.chance(0.5) {
-                ops.push(TraceOp::StoreVal(private + (i % 8) * 64, g as u64 ^ i));
-            }
-        }
-        ops.push(TraceOp::Checksum(COUNTER));
-        p.set_engine(g / 2, (g % 2) as u16, Box::new(TraceCore::new(format!("c{g}"), ops)));
-    }
-    p.run(2_500);
-    p
-}
-
 /// `CountingSink::{raw_bytes, sections, state_digest}` of
-/// [`pinned_platform`], recorded at commit 4fb281e. These move only when
-/// the image format does, and then `SNAP_VERSION` moves with them.
+/// [`pinned_platform`] (a seeded 2x2x2 prototype cut mid-contention at
+/// cycle 2,500; `tests/common`). The sizes were recorded at commit 4fb281e; the
+/// digest was re-pinned when `SNAP_VERSION` 2 replaced the byte-serial
+/// FNV-1a state digest with the word-at-a-time one (the bytes it covers
+/// did not change). These move only when the image format does, and then
+/// `SNAP_VERSION` moves with them.
 const PINNED_RAW_BYTES: u64 = 236_454;
 const PINNED_SECTIONS: usize = 102;
-const PINNED_STATE_DIGEST: u64 = 0x5464_b192_fa17_04ed;
+const PINNED_STATE_DIGEST: u64 = 0x2082_059d_c51b_fbaf;
 
 #[test]
 fn pinned_image_is_byte_stable_and_every_capture_path_agrees() {
