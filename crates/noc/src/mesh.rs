@@ -654,10 +654,10 @@ mod tests {
             }
         }
 
-        fn save_bytes(&self) -> Vec<u8> {
+        fn saved(&self) -> smappic_sim::Snapshot {
             let mut w = SnapWriter::new();
             w.scoped("mesh", |w| self.save(w));
-            smappic_sim::Snapshot::new(0, 0, w).to_bytes()
+            smappic_sim::Snapshot::new(0, 0, w)
         }
     }
 
@@ -743,10 +743,10 @@ mod tests {
             }
             assert_eq!(masks.stats(), scan.stats(), "counters at {now} ({case})");
             if now % save_stride == 0 {
-                assert_eq!(masks.save_bytes(), scan.save_bytes(), "save bytes at {now} ({case})");
+                assert_eq!(masks.saved(), scan.saved(), "saved state at {now} ({case})");
             }
         }
-        assert_eq!(masks.save_bytes(), scan.save_bytes(), "final save bytes ({case})");
+        assert_eq!(masks.saved(), scan.saved(), "final saved state ({case})");
         let stats = masks.stats();
         assert!(stats.get("noc.flits") > 500, "traffic must flow ({case}): {stats:?}");
         assert_eq!(stats.get("noc.fault_stall") > 0, faulted, "fault stalls ({case})");

@@ -1,7 +1,7 @@
 //! Per-job result artifacts.
 
 use smappic_core::HostPerf;
-use smappic_sim::{SnapError, Snapshot};
+use smappic_sim::{read_stream, SnapError, Snapshot};
 
 /// Why the scheduler's admission control refused a job. Admission is a
 /// pure function of the submitted fleet and the [`crate::SchedulerConfig`]
@@ -109,18 +109,17 @@ pub struct JobReport {
     /// preemption pattern, or steal order. Zero for panicked and
     /// rejected jobs (no platform outcome exists).
     pub digest: u64,
-    /// Raw (`SMAPSNAP`) wire size of the final image; 0 when neither
-    /// snapshots nor checkpoints were requested (measuring costs a full
-    /// serialization walk).
+    /// Raw payload bytes of the final image (section contents, before
+    /// compression, without stream framing); 0 when neither snapshots nor
+    /// checkpoints were requested (measuring costs a full serialization
+    /// walk).
     pub snapshot_bytes: u64,
-    /// Compressed (`SMAPSTRM`) size of the same image; 0 when not
-    /// measured.
+    /// Compressed `SMAPSTRM` size of the same image; 0 when not measured.
     pub compressed_bytes: u64,
-    /// Cumulative raw wire bytes a full snapshot would have cost at each
-    /// preemption park.
+    /// Cumulative raw payload bytes of the image at each preemption park.
     pub park_raw_bytes: u64,
     /// Cumulative bytes the scheduler actually held for this job while
-    /// parked (compressed base image + compressed delta).
+    /// parked (one compressed image per park).
     pub park_stored_bytes: u64,
     /// Final image as compressed stream bytes, when the scheduler was
     /// asked to keep it ([`crate::SchedulerConfig::capture_final_snapshots`]).
@@ -141,14 +140,13 @@ impl JobReport {
         matches!(self.exit, JobExit::Rejected { .. })
     }
 
-    /// The final snapshot as raw `SMAPSNAP` wire bytes, decompressed
-    /// from the stream form the scheduler stores. `Ok(None)` when the
-    /// scheduler was not asked to keep final snapshots; `Err` when the
-    /// stored stream is corrupted (a torn artifact degrades into a typed
-    /// error instead of panicking the reader).
-    pub fn final_snapshot(&self) -> Result<Option<Vec<u8>>, SnapError> {
-        let Some(z) = self.final_snapshot_z.as_ref() else { return Ok(None) };
-        Ok(Some(Snapshot::from_stream_bytes(z)?.to_bytes()))
+    /// The final snapshot, read back from the compressed stream the
+    /// scheduler stores. `Ok(None)` when the scheduler was not asked to
+    /// keep final snapshots; `Err` when the stored stream is corrupted (a
+    /// torn artifact degrades into a typed error instead of panicking the
+    /// reader).
+    pub fn final_snapshot(&self) -> Result<Option<Snapshot>, SnapError> {
+        self.final_snapshot_z.as_deref().map(read_stream).transpose()
     }
 
     /// Compressed size of the final image over its raw size; 1.0 when

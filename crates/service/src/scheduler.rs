@@ -65,12 +65,11 @@
 //!
 //! ## Parked images
 //!
-//! A parked task holds a compressed `SMAPSTRM` full image plus, when it
-//! pays, a compressed [`SnapDelta`] against that image: after the first
-//! park only the sections the segment actually dirtied are re-stored.
-//! When the delta grows past half the base's size the park rebases to a
-//! fresh full image. The base uses the same wire format the checkpoint
-//! policy spills to disk, so parking and crash recovery share one path.
+//! A parked task holds one compressed `SMAPSTRM` image, streamed from the
+//! platform section by section and restored the same way, so neither a
+//! park nor a resume materialises a whole [`smappic_sim::Snapshot`]. The
+//! image is byte-for-byte what the checkpoint policy spills to disk as
+//! `state.bin`: parking and crash recovery share one path.
 //!
 //! ## Crash-recoverable checkpoints
 //!
@@ -108,9 +107,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use smappic_core::{HostPerf, Platform, Watchdog, WatchdogConfig};
-use smappic_sim::{
-    codec, fnv1a, Cycle, Histogram, MetricsRegistry, SnapDelta, Snapshot, StreamSink,
-};
+use smappic_sim::{fnv1a, read_stream, Cycle, Histogram, MetricsRegistry, SnapError, StreamSink};
 
 use crate::report::{JobExit, JobReport, RejectReason};
 use crate::spec::JobSpec;
@@ -282,23 +279,6 @@ pub fn digest_platform(p: &Platform) -> u64 {
     fnv1a(text.as_bytes())
 }
 
-/// A parked job's state: a compressed full image (the same `SMAPSTRM`
-/// wire form the checkpoint policy spills) plus, when it pays, a
-/// compressed delta against it holding only the dirty sections.
-#[derive(Debug)]
-struct ParkState {
-    /// Compressed stream bytes of the last full image.
-    base: Vec<u8>,
-    /// Codec-compressed `SMAPDLTA` wire bytes against `base`.
-    delta: Option<Vec<u8>>,
-}
-
-impl ParkState {
-    fn stored_bytes(&self) -> u64 {
-        (self.base.len() + self.delta.as_ref().map_or(0, Vec::len)) as u64
-    }
-}
-
 /// A job in flight: the spec plus everything a resume needs.
 #[derive(Debug)]
 struct Task {
@@ -306,8 +286,9 @@ struct Task {
     spec: JobSpec,
     /// Interned index into [`Shared::tenants`].
     tenant: usize,
-    /// Parked image; `None` before the first segment.
-    state: Option<ParkState>,
+    /// Parked image (compressed `SMAPSTRM` bytes); `None` before the
+    /// first segment.
+    image: Option<Vec<u8>>,
     /// Cycles executed so far.
     spent: u64,
     preemptions: u64,
@@ -323,10 +304,11 @@ struct Task {
     wd_change_at: Cycle,
     wall_secs: f64,
     perf: HostPerf,
-    /// Cumulative raw wire bytes a full snapshot would have cost at each
-    /// park (the baseline the compression ratio is measured against).
+    /// Cumulative raw payload bytes of the image at each park (the
+    /// baseline the compression ratio is measured against).
     park_raw_bytes: u64,
-    /// Cumulative bytes actually held while parked (base + delta).
+    /// Cumulative bytes of the compressed images actually held while
+    /// parked.
     park_stored_bytes: u64,
 }
 
@@ -336,7 +318,7 @@ impl Task {
             id,
             spec,
             tenant: 0,
-            state: None,
+            image: None,
             spent: 0,
             preemptions: 0,
             migrations: 0,
@@ -366,7 +348,7 @@ enum Segment {
         spent: u64,
     },
     Parked {
-        park: ParkState,
+        image: Vec<u8>,
         raw: u64,
         spent: u64,
         wd: (Option<u64>, Cycle),
@@ -938,34 +920,32 @@ fn worker_loop(w: usize, sh: &Shared, cfg: &SchedulerConfig) {
     }
 }
 
-/// Parks `snap`, preferring a compressed delta against the previous
-/// park's full image; rebases to a fresh compressed stream when there is
-/// no base or the delta stops paying (more than half the base's size).
-fn park_state(prev: Option<&ParkState>, snap: &Snapshot) -> ParkState {
-    if let Some(prev) = prev {
-        if let Ok(base) = Snapshot::from_stream_bytes(&prev.base) {
-            if let Ok(d) = SnapDelta::between(&base, snap) {
-                let dz = codec::compress(&d.to_bytes());
-                if dz.len().saturating_mul(2) <= prev.base.len() {
-                    return ParkState { base: prev.base.clone(), delta: Some(dz) };
-                }
-            }
-        }
-    }
-    ParkState { base: snap.to_stream_bytes(true), delta: None }
+/// Streams `p` into `w` as one compressed `SMAPSTRM` image — the single
+/// capture path behind a park, a final image and a disk spill. Returns
+/// the image's raw payload bytes and its state digest.
+fn stream_image(p: &Platform, w: impl std::io::Write) -> Result<(u64, u64), SnapError> {
+    let mut sink = StreamSink::new(w, true);
+    p.snapshot_to(&mut sink)?;
+    Ok((sink.raw_bytes(), sink.state_digest()))
 }
 
-/// Final-image capture and size accounting: the compressed bytes (when
-/// the scheduler keeps them), the raw wire size, and the compressed
+/// [`stream_image`] into memory: the image bytes and their raw payload
+/// size.
+fn image_of(p: &Platform) -> (Vec<u8>, u64) {
+    let mut image = Vec::new();
+    let (raw, _) = stream_image(p, &mut image).expect("in-memory stream sink cannot fail");
+    (image, raw)
+}
+
+/// Final-image capture and size accounting: the compressed image (when
+/// the scheduler keeps it), its raw payload size, and its compressed
 /// size. All zero/absent when neither snapshots nor checkpoints were
 /// requested — measuring would cost a full serialization walk.
 fn final_sizes(p: &Platform, cfg: &SchedulerConfig) -> (Option<Vec<u8>>, u64, u64) {
     if !cfg.capture_final_snapshots && cfg.checkpoint.is_none() {
         return (None, 0, 0);
     }
-    let snap = p.snapshot();
-    let raw = snap.wire_len() as u64;
-    let z = snap.to_stream_bytes(true);
+    let (z, raw) = image_of(p);
     let zlen = z.len() as u64;
     (cfg.capture_final_snapshots.then_some(z), raw, zlen)
 }
@@ -985,7 +965,7 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
     let spec = task.spec.clone();
     let budget = spec.budget;
     let tid = task.tenant;
-    let resumed_from = task.state.take();
+    let resumed_from = task.image.take();
     let spent0 = task.spent;
     let wd_state = (task.wd_sig, task.wd_change_at);
     // Frozen copies for checkpoint metadata written mid-segment.
@@ -994,17 +974,8 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
     let t0 = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut p = Box::new(spec.build());
-        if let Some(park) = &resumed_from {
-            let base = Snapshot::from_stream_bytes(&park.base).expect("parked stream parses");
-            let snap = match &park.delta {
-                Some(dz) => {
-                    let raw = codec::decompress(dz).expect("parked delta decompresses");
-                    let d = SnapDelta::from_bytes(&raw).expect("parked delta parses");
-                    base.apply_delta(&d).expect("parked delta applies to its base")
-                }
-                None => base,
-            };
-            p.restore(&snap).expect("parked snapshot restores");
+        if let Some(image) = &resumed_from {
+            p.restore_from(&image[..]).expect("parked image restores");
         }
         let parallel = spec.parallel();
         let mut wd = Watchdog::resume(cfg.watchdog.clone(), wd_state.0, wd_state.1);
@@ -1074,10 +1045,8 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
                 }
             };
             if yield_now {
-                let snap = p.snapshot();
-                let raw = snap.wire_len() as u64;
-                let park = park_state(resumed_from.as_ref(), &snap);
-                return Segment::Parked { park, raw, spent, wd: wd.state(), perf: p.host_perf() };
+                let (image, raw) = image_of(&p);
+                return Segment::Parked { image, raw, spent, wd: wd.state(), perf: p.host_perf() };
             }
         }
     }));
@@ -1177,13 +1146,13 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
             persist_terminal(cfg, &spec, &report);
             file_report(sh, report);
         }
-        Ok(Segment::Parked { park, raw, spent, wd, perf }) => {
+        Ok(Segment::Parked { image, raw, spent, wd, perf }) => {
             if cfg.elastic.is_some() {
                 note_throughput(sh, spent - spent0, seg_wall);
             }
             task.park_raw_bytes += raw;
-            task.park_stored_bytes += park.stored_bytes();
-            task.state = Some(park);
+            task.park_stored_bytes += image.len() as u64;
+            task.image = Some(image);
             task.spent = spent;
             task.preemptions += 1;
             (task.wd_sig, task.wd_change_at) = wd;
@@ -1268,12 +1237,8 @@ fn write_checkpoint(
         std::fs::write(&spec_path, spec.to_text()).map_err(io)?;
     }
     let tmp = dir.join("state.bin.tmp");
-    let digest = {
-        let file = std::fs::File::create(&tmp).map_err(io)?;
-        let mut sink = StreamSink::new(std::io::BufWriter::new(file), true);
-        p.snapshot_to(&mut sink).map_err(|e| e.to_string())?;
-        sink.state_digest()
-    };
+    let file = std::fs::File::create(&tmp).map_err(io)?;
+    let (_, digest) = stream_image(p, std::io::BufWriter::new(file)).map_err(|e| e.to_string())?;
     std::fs::rename(&tmp, dir.join("state.bin")).map_err(io)?;
     let wd_sig = meta.wd.0.map_or_else(|| "-".to_string(), |s| format!("{s:#x}"));
     let text = format!(
@@ -1362,12 +1327,12 @@ fn recover_job(root: &Path, id: usize, spec: &JobSpec) -> Recovered {
         return Recovered::Fresh;
     };
     let Some((digest, meta)) = parse_meta(&meta_text) else { return Recovered::Fresh };
-    let Ok(snap) = Snapshot::from_stream_bytes(&state) else { return Recovered::Fresh };
+    let Ok(snap) = read_stream(&state[..]) else { return Recovered::Fresh };
     if snap.state_digest() != digest {
         return Recovered::Fresh;
     }
     let mut task = Task::fresh(id, spec.clone());
-    task.state = Some(ParkState { base: state, delta: None });
+    task.image = Some(state);
     task.spent = meta.spent;
     task.preemptions = meta.preemptions;
     task.migrations = meta.migrations;
@@ -1519,6 +1484,29 @@ mod tests {
     }
 
     #[test]
+    fn the_park_image_is_the_spill_image() {
+        let spec = JobSpec::small("spill", WorkloadSpec::AmoHeavy { ops: 40, seed: 11 });
+        let mut p = spec.build();
+        p.run_preemptible(p.preemption_grain() * 4, spec.parallel());
+        assert!(!p.is_idle(), "the image must cut a job with work in flight");
+        let (image, _) = image_of(&p);
+
+        let root = std::env::temp_dir().join(format!("smappic-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let meta =
+            CkptMeta { spent: 0, preemptions: 0, migrations: 0, wall_secs: 0.0, wd: (None, 0) };
+        write_checkpoint(&root, 0, &spec, &p, &meta).expect("spills");
+        let spilled = std::fs::read(job_dir(&root, 0, &spec).join("state.bin")).expect("state.bin");
+        let _ = std::fs::remove_dir_all(&root);
+        assert!(spilled == image, "a park and a spill must write the same bytes");
+
+        let mut twin = spec.build();
+        twin.restore_from(&image[..]).expect("the image restores");
+        assert_eq!(twin.snapshot().first_divergence(&p.snapshot()), None);
+        assert_eq!(twin.now(), p.now());
+    }
+
+    #[test]
     fn parked_tasks_store_compressed_state() {
         let mut spec = JobSpec::small("parked", WorkloadSpec::AmoHeavy { ops: 60, seed: 7 });
         spec.budget = 4_000_000;
@@ -1536,8 +1524,8 @@ mod tests {
         assert!(r.park_raw_bytes > 0, "parks must account their raw baseline");
         assert!(
             r.park_stored_bytes < r.park_raw_bytes,
-            "parked images (compressed stream + deltas, {} B) must undercut \
-             the raw wire baseline ({} B)",
+            "parked images (compressed streams, {} B) must undercut \
+             their raw payload ({} B)",
             r.park_stored_bytes,
             r.park_raw_bytes
         );

@@ -1,5 +1,6 @@
-//! Deterministic snapshot/restore: the `SaveState` contract, the versioned
-//! length-prefixed binary format, and the [`Snapshot`] container.
+//! Deterministic snapshot/restore: the `SaveState` contract, the
+//! [`Snapshot`] container, and its one wire format — the section-framed
+//! `SMAPSTRM` stream ([`StreamSink`]/[`StreamSource`]).
 //!
 //! SMAPPIC experiments pay minutes of simulated boot per run (§4.1 of the
 //! paper); checkpointing amortizes that across every future workload, and a
@@ -46,9 +47,6 @@ use crate::codec;
 /// state digest from byte-serial FNV-1a to a word-at-a-time hash; the
 /// section bytes are those of version 1.
 pub const SNAP_VERSION: u32 = 2;
-
-/// Container magic: the first eight bytes of every serialized snapshot.
-const SNAP_MAGIC: [u8; 8] = *b"SMAPSNAP";
 
 /// Section-name prefix for host-side (non-architectural) stepper state.
 ///
@@ -706,8 +704,9 @@ impl<'a> SnapReader<'a> {
 /// A point-in-time capture of a platform's architectural state.
 ///
 /// The container is `(version, config digest, cycle, ordered named
-/// sections)`; [`Snapshot::to_bytes`]/[`Snapshot::from_bytes`] give it a
-/// length-prefixed wire form for cross-process checkpointing.
+/// sections)`. Its one wire form is the `SMAPSTRM` stream:
+/// [`Snapshot::write_to`] a [`StreamSink`] to serialize it, [`read_stream`]
+/// to parse it back.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Snapshot format version ([`SNAP_VERSION`] when written by this build).
@@ -771,12 +770,6 @@ impl Snapshot {
         self.sections.iter().map(|(_, b)| b.len()).sum()
     }
 
-    /// Length of [`Snapshot::to_bytes`] without serializing: the 32-byte
-    /// header plus, per section, two `u32` lengths, the name and the data.
-    pub fn wire_len(&self) -> usize {
-        32 + self.sections.iter().map(|(n, b)| 8 + n.len() + b.len()).sum::<usize>()
-    }
-
     /// The name of the first architectural section on which `self` and
     /// `other` disagree, walking both section lists in order — or [`None`]
     /// when every architectural section matches bit-for-bit.
@@ -806,54 +799,6 @@ impl Snapshot {
         }
     }
 
-    /// Serializes the snapshot to its wire form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.payload_bytes());
-        out.extend_from_slice(&SNAP_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.config_digest.to_le_bytes());
-        out.extend_from_slice(&self.cycle.to_le_bytes());
-        let count = u32::try_from(self.sections.len()).expect("section count exceeds u32");
-        out.extend_from_slice(&count.to_le_bytes());
-        for (name, data) in &self.sections {
-            let nlen = u32::try_from(name.len()).expect("section name exceeds u32");
-            out.extend_from_slice(&nlen.to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            let dlen = u32::try_from(data.len()).expect("section data exceeds u32");
-            out.extend_from_slice(&dlen.to_le_bytes());
-            out.extend_from_slice(data);
-        }
-        out
-    }
-
-    /// Parses a snapshot from its wire form, validating magic and version.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        let mut c = Cur { b: bytes, at: 0 };
-        if c.take(8)? != SNAP_MAGIC {
-            return Err(SnapError::BadMagic);
-        }
-        let version = c.u32()?;
-        if version != SNAP_VERSION {
-            return Err(SnapError::VersionMismatch { found: version, expected: SNAP_VERSION });
-        }
-        let config_digest = c.u64()?;
-        let cycle = c.u64()?;
-        let count = c.u32()? as usize;
-        let mut sections = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let nlen = c.u32()? as usize;
-            let name = String::from_utf8(c.take(nlen)?.to_vec())
-                .map_err(|_| SnapError::Corrupt("non-UTF-8 section name".into()))?;
-            let dlen = c.u32()? as usize;
-            let data = c.take(dlen)?.to_vec();
-            sections.push((name, data));
-        }
-        if c.at != bytes.len() {
-            return Err(SnapError::Corrupt("trailing container bytes".into()));
-        }
-        Ok(Self { version, config_digest, cycle, sections, verified: None })
-    }
-
     /// A digest over the full captured state: config digest, cycle, and
     /// every named section (name and payload, in order). The format
     /// version is excluded, so the digest is comparable across the
@@ -863,8 +808,8 @@ impl Snapshot {
     ///
     /// A snapshot read from a stream returns the digest its trailer
     /// carried, which [`StreamSource`] has already checked against the
-    /// sections; one built from a live walk, parsed from the `SMAPSNAP`
-    /// container or produced by [`Snapshot::apply_delta`] hashes them here.
+    /// sections; one built from a live walk or produced by
+    /// [`Snapshot::apply_delta`] hashes them here.
     pub fn state_digest(&self) -> u64 {
         match self.verified {
             Some(v) if (v.config_digest, v.cycle) == (self.config_digest, self.cycle) => {
@@ -946,54 +891,15 @@ impl Snapshot {
         sink.finish()
     }
 
-    /// Serializes to the [`StreamSink`] wire form in memory — the compact
-    /// format the service layer parks and spills jobs in.
+    /// Serializes to the `SMAPSTRM` wire form ([`StreamSink`]) in memory;
+    /// [`read_stream`] parses it back.
     pub fn to_stream_bytes(&self, compress: bool) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut sink = StreamSink::new(&mut buf, compress);
         self.write_to(&mut sink).expect("in-memory stream sink cannot fail");
         buf
     }
-
-    /// Parses a [`StreamSink`]-written byte stream back into a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Any [`StreamSource`] validation failure: bad magic/version, unknown
-    /// flags, truncation, codec corruption, or a count/digest trailer
-    /// mismatch.
-    pub fn from_stream_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        read_stream(bytes)
-    }
 }
-
-/// Little-endian cursor over a wire container, shared by
-/// [`Snapshot::from_bytes`] and [`SnapDelta::from_bytes`].
-struct Cur<'a> {
-    b: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
-        if self.at + n > self.b.len() {
-            return Err(SnapError::Corrupt("container truncated".into()));
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-    fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-}
-
-/// Delta container magic: the first eight bytes of a serialized
-/// [`SnapDelta`].
-const DELTA_MAGIC: [u8; 8] = *b"SMAPDLTA";
 
 /// The dirty sections between two snapshots of the same platform: a
 /// compact increment that [`Snapshot::apply_delta`] replays onto the base
@@ -1001,9 +907,8 @@ const DELTA_MAGIC: [u8; 8] = *b"SMAPDLTA";
 ///
 /// A delta pins its base by **state digest**, so a chain applies in order
 /// or not at all; the config digest and format version travel along
-/// exactly as in the full container, and wire parsing reuses the same
-/// validation discipline ([`SnapDelta::to_bytes`]/[`SnapDelta::from_bytes`]
-/// with magic `SMAPDLTA`).
+/// exactly as in the full container. A delta is an in-memory value with
+/// no wire form of its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapDelta {
     /// Snapshot format version ([`SNAP_VERSION`] when written by this build).
@@ -1058,61 +963,6 @@ impl SnapDelta {
     /// Total payload bytes across the dirty sections.
     pub fn payload_bytes(&self) -> usize {
         self.sections.iter().map(|(_, b)| b.len()).sum()
-    }
-
-    /// Serializes the delta to its wire form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.payload_bytes());
-        out.extend_from_slice(&DELTA_MAGIC);
-        out.extend_from_slice(&self.version.to_le_bytes());
-        out.extend_from_slice(&self.config_digest.to_le_bytes());
-        out.extend_from_slice(&self.base_digest.to_le_bytes());
-        out.extend_from_slice(&self.cycle.to_le_bytes());
-        let count = u32::try_from(self.sections.len()).expect("section count exceeds u32");
-        out.extend_from_slice(&count.to_le_bytes());
-        for (name, data) in &self.sections {
-            let nlen = u32::try_from(name.len()).expect("section name exceeds u32");
-            out.extend_from_slice(&nlen.to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            let dlen = u32::try_from(data.len()).expect("section data exceeds u32");
-            out.extend_from_slice(&dlen.to_le_bytes());
-            out.extend_from_slice(data);
-        }
-        out
-    }
-
-    /// Parses a delta from its wire form, validating magic and version.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::BadMagic`], [`SnapError::VersionMismatch`], or
-    /// [`SnapError::Corrupt`] on truncation / trailing bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        let mut c = Cur { b: bytes, at: 0 };
-        if c.take(8)? != DELTA_MAGIC {
-            return Err(SnapError::BadMagic);
-        }
-        let version = c.u32()?;
-        if version != SNAP_VERSION {
-            return Err(SnapError::VersionMismatch { found: version, expected: SNAP_VERSION });
-        }
-        let config_digest = c.u64()?;
-        let base_digest = c.u64()?;
-        let cycle = c.u64()?;
-        let count = c.u32()? as usize;
-        let mut sections = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let nlen = c.u32()? as usize;
-            let name = String::from_utf8(c.take(nlen)?.to_vec())
-                .map_err(|_| SnapError::Corrupt("non-UTF-8 section name".into()))?;
-            let dlen = c.u32()? as usize;
-            let data = c.take(dlen)?.to_vec();
-            sections.push((name, data));
-        }
-        if c.at != bytes.len() {
-            return Err(SnapError::Corrupt("trailing container bytes".into()));
-        }
-        Ok(Self { version, config_digest, base_digest, cycle, sections })
     }
 }
 
@@ -1896,9 +1746,7 @@ mod tests {
         let mut w = SnapWriter::new();
         build(&mut w);
         let snap = Snapshot::new(7, 100, w);
-        let wire = snap.to_bytes();
-        assert_eq!(snap.wire_len(), wire.len());
-        Snapshot::from_bytes(&wire).expect("wire round-trip")
+        read_stream(&snap.to_stream_bytes(true)[..]).expect("wire round-trip")
     }
 
     #[test]
@@ -2152,26 +2000,16 @@ mod tests {
     #[test]
     fn wire_form_rejects_bad_magic_and_version() {
         let snap = roundtrip(|w| w.scoped("a", |w| w.u8(1)));
-        let mut bytes = snap.to_bytes();
+        let mut bytes = snap.to_stream_bytes(false);
         bytes[0] = b'X';
-        assert_eq!(Snapshot::from_bytes(&bytes), Err(SnapError::BadMagic));
+        assert_eq!(read_stream(&bytes[..]), Err(SnapError::BadMagic));
 
-        let mut bytes = snap.to_bytes();
+        let mut bytes = snap.to_stream_bytes(false);
         bytes[8] = 0xFF; // version low byte
         assert!(matches!(
-            Snapshot::from_bytes(&bytes),
+            read_stream(&bytes[..]),
             Err(SnapError::VersionMismatch { expected: SNAP_VERSION, .. })
         ));
-    }
-
-    #[test]
-    fn wire_form_rejects_truncation_and_trailing_garbage() {
-        let snap = roundtrip(|w| w.scoped("a", |w| w.u64(42)));
-        let bytes = snap.to_bytes();
-        assert!(Snapshot::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut longer = bytes.clone();
-        longer.push(0);
-        assert!(Snapshot::from_bytes(&longer).is_err());
     }
 
     #[test]
@@ -2291,7 +2129,6 @@ mod tests {
         sink.finish().expect("finish");
         let streamed = sink.into_snapshot();
         assert_eq!(direct, streamed);
-        assert_eq!(direct.to_bytes(), streamed.to_bytes());
     }
 
     #[test]
@@ -2319,7 +2156,7 @@ mod tests {
         let snap = sample(0, 123);
         for compress in [false, true] {
             let wire = snap.to_stream_bytes(compress);
-            let back = Snapshot::from_stream_bytes(&wire).expect("stream round-trip");
+            let back = read_stream(&wire[..]).expect("stream round-trip");
             assert_eq!(back, snap);
         }
         // Zero-heavy payloads must actually shrink under compression.
@@ -2331,20 +2168,17 @@ mod tests {
         let snap = sample(1, 5);
         let wire = snap.to_stream_bytes(true);
         for cut in [0, 7, 8, 20, wire.len() / 2, wire.len() - 1] {
-            assert!(
-                Snapshot::from_stream_bytes(&wire[..cut]).is_err(),
-                "truncation at {cut} must not parse"
-            );
+            assert!(read_stream(&wire[..cut]).is_err(), "truncation at {cut} must not parse");
         }
         let mut bad = wire.clone();
         bad[0] = b'X';
-        assert_eq!(Snapshot::from_stream_bytes(&bad), Err(SnapError::BadMagic));
+        assert_eq!(read_stream(&bad[..]), Err(SnapError::BadMagic));
         let mut bad = wire.clone();
         *bad.last_mut().expect("non-empty") ^= 0xFF; // trailer digest
-        assert!(matches!(Snapshot::from_stream_bytes(&bad), Err(SnapError::Corrupt(_))));
+        assert!(matches!(read_stream(&bad[..]), Err(SnapError::Corrupt(_))));
         let mut bad = wire;
         bad[28] ^= 0x40; // flags byte: unknown flag bit
-        assert!(matches!(Snapshot::from_stream_bytes(&bad), Err(SnapError::Corrupt(_))));
+        assert!(matches!(read_stream(&bad[..]), Err(SnapError::Corrupt(_))));
     }
 
     #[test]
@@ -2386,7 +2220,6 @@ mod tests {
         assert_eq!(dirty, ["alpha", "beta"]);
         let rebuilt = base.apply_delta(&d).expect("apply");
         assert_eq!(rebuilt, next);
-        assert_eq!(rebuilt.to_bytes(), next.to_bytes());
     }
 
     #[test]
@@ -2418,7 +2251,7 @@ mod tests {
     #[test]
     fn a_stream_read_snapshot_carries_the_digest_its_trailer_verified() {
         let walked = sample(3, 40);
-        let read = Snapshot::from_stream_bytes(&walked.to_stream_bytes(true)).expect("reads back");
+        let read = read_stream(&walked.to_stream_bytes(true)[..]).expect("reads back");
         assert!(walked.verified.is_none() && read.verified.is_some());
         assert_eq!(read.state_digest(), read.compute_state_digest());
         assert_eq!(read.state_digest(), walked.state_digest());
@@ -2438,7 +2271,7 @@ mod tests {
 
     #[test]
     fn apply_delta_never_carries_the_base_digest_forward() {
-        let wire = |s: &Snapshot| Snapshot::from_stream_bytes(&s.to_stream_bytes(true));
+        let wire = |s: &Snapshot| read_stream(&s.to_stream_bytes(true)[..]);
         let s0 = wire(&sample(1, 10)).expect("s0");
         let (s1, s2, s3) = (sample(2, 20), sample(3, 30), sample(4, 40));
         let d01 = SnapDelta::between(&s0, &s1).expect("d01");
@@ -2519,25 +2352,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_wire_round_trips_and_rejects_damage() {
-        let base = sample(1, 10);
-        let next = sample(2, 20);
-        let d = SnapDelta::between(&base, &next).expect("delta");
-        let wire = d.to_bytes();
-        assert_eq!(SnapDelta::from_bytes(&wire).expect("round-trip"), d);
-        let mut bad = wire.clone();
-        bad[0] = b'X';
-        assert_eq!(SnapDelta::from_bytes(&bad), Err(SnapError::BadMagic));
-        let mut bad = wire.clone();
-        bad[8] = 0xFF;
-        assert!(matches!(SnapDelta::from_bytes(&bad), Err(SnapError::VersionMismatch { .. })));
-        assert!(SnapDelta::from_bytes(&wire[..wire.len() - 1]).is_err());
-        let mut longer = wire;
-        longer.push(0);
-        assert!(SnapDelta::from_bytes(&longer).is_err());
-    }
-
-    #[test]
     fn state_digest_tracks_content_cycle_and_config() {
         let a = sample(1, 10);
         assert_eq!(a.state_digest(), sample(1, 10).state_digest());
@@ -2594,7 +2408,7 @@ mod tests {
                 let mut sink = StreamSink::new(&mut wire, compress);
                 snap.write_to(&mut sink).expect("stream");
                 assert_eq!(sink.state_digest(), digest, "StreamSink, tail {len}");
-                let read = Snapshot::from_stream_bytes(&wire).expect("reads back");
+                let read = read_stream(&wire[..]).expect("reads back");
                 let verified = read.verified.expect("the trailer was verified").digest;
                 assert_eq!(verified, digest, "verified on read, tail {len}");
             }
@@ -2607,12 +2421,12 @@ mod tests {
         for compress in [false, true] {
             let wire = snap.to_stream_bytes(compress);
             for cut in 0..wire.len() {
-                assert!(Snapshot::from_stream_bytes(&wire[..cut]).is_err(), "cut at {cut}");
+                assert!(read_stream(&wire[..cut]).is_err(), "cut at {cut}");
             }
             for bit in 0..wire.len() * 8 {
                 let mut bad = wire.clone();
                 bad[bit / 8] ^= 1 << (bit % 8);
-                match Snapshot::from_stream_bytes(&bad) {
+                match read_stream(&bad[..]) {
                     Err(_) => {}
                     // Toggling the compress flag of a stream whose payloads
                     // all went raw changes nothing that is read.

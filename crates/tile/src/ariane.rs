@@ -915,7 +915,7 @@ mod tests {
         let mut w2 = SnapWriter::new();
         w2.scoped("engine", |w| core2.save_state(w));
         let snap2 = Snapshot::new(1, 700, w2);
-        assert_eq!(snap.to_bytes(), snap2.to_bytes(), "save/restore/save must be a fixed point");
+        assert_eq!(snap, snap2, "save/restore/save must be a fixed point");
     }
 
     #[test]

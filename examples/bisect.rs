@@ -7,7 +7,7 @@
 //! ```
 
 use smappic::platform::{bisect_first_divergence, Config, Platform, Stepper, DRAM_BASE};
-use smappic::sim::Snapshot;
+use smappic::sim::StreamSink;
 use smappic::tile::{TraceCore, TraceOp};
 
 /// A deterministic 2-FPGA contention workload: every tile hammers one
@@ -38,20 +38,20 @@ fn main() {
 
     let mut live = build(cfg.clone());
     live.run(15_000);
-    let snap = live.snapshot();
-    let wire = snap.to_bytes();
+    let mut wire = Vec::new();
+    let mut sink = StreamSink::new(&mut wire, true);
+    live.snapshot_to(&mut sink).expect("stream to memory");
+    let (raw, stored) = (sink.raw_bytes(), sink.stored_bytes());
     println!(
-        "snapshot at cycle {}: {} sections, {} bytes on the wire",
-        snap.cycle,
-        snap.sections().len(),
+        "snapshot at cycle {}: {raw} bytes of state, {stored} after compression, {} on the wire",
+        live.now(),
         wire.len()
     );
 
     // The wire form is what a checkpoint file holds; a fresh process
     // rebuilds the platform from the same Config and restores into it.
-    let snap = Snapshot::from_bytes(&wire).expect("wire round-trip");
     let mut resumed = build(cfg.clone());
-    resumed.restore(&snap).expect("restore into a fresh platform");
+    resumed.restore_from(&wire[..]).expect("restore into a fresh platform");
 
     live.run(25_000);
     resumed.run(25_000);

@@ -195,7 +195,7 @@ fn run_preemptible_is_the_grain_loop_it_replaced() {
                 // (`first_divergence` skips host sections but names the rest).
                 let (d, l) = (driven.snapshot(), looped.snapshot());
                 assert_eq!(d.first_divergence(&l), None, "{label}");
-                assert!(d.to_bytes() == l.to_bytes(), "{label}: host.stepper diverged");
+                assert!(d == l, "{label}: host.stepper diverged");
             }
         }
     }

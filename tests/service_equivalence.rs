@@ -1,6 +1,6 @@
 //! Service-layer determinism proof: a job that is preempted, snapshotted,
 //! migrated to another worker, and resumed must be *bit-identical* — full
-//! [`Snapshot`] wire-byte equality, not just digest equality — to the
+//! [`Snapshot`] equality, every section byte, not just digest equality — to the
 //! same job run uninterrupted. Proven for the serial fast-path stepper,
 //! the epoch-parallel stepper, the per-cycle reference stepper, and an
 //! Ethernet rack topology, all with a light deterministic `FaultPlan`
@@ -17,7 +17,7 @@ use smappic::service::{
     digest_platform, FaultProfileSpec, JobFaults, JobSpec, PreemptMode, Scheduler, SchedulerConfig,
     StepperSpec, TopoSpec, WorkloadSpec,
 };
-use smappic::sim::Snapshot;
+use smappic::sim::StreamSink;
 
 /// A cross-FPGA contention job with a light fault plan.
 fn job(stepper: StepperSpec, topology: TopoSpec, fpgas: usize) -> JobSpec {
@@ -76,19 +76,15 @@ fn assert_migrated_equals_uninterrupted(spec: JobSpec, label: &str) {
     assert!(b.preemptions == 0 && b.migrations == 0, "[{label}] baseline must run straight");
     assert!(c.workers.len() > 1, "[{label}] more than one worker must have executed segments");
 
-    // Bit-exact: the full snapshot wire bytes, architectural and
-    // host-stepper sections alike.
+    // Bit-exact: every snapshot section, architectural and host-stepper
+    // alike.
     let cs = c.final_snapshot().expect("stored stream parses").expect("churned captured");
     let bs = b.final_snapshot().expect("stored stream parses").expect("baseline captured");
     if cs != bs {
-        let (csnap, bsnap) = (
-            Snapshot::from_bytes(&cs).expect("churned bytes parse"),
-            Snapshot::from_bytes(&bs).expect("baseline bytes parse"),
-        );
         panic!(
             "[{label}] migrated run diverged from uninterrupted run; first divergent \
              section: {:?}",
-            csnap.first_divergence(&bsnap)
+            cs.first_divergence(&bs)
         );
     }
     assert_eq!(c.digest, b.digest, "[{label}] digests must agree");
@@ -98,8 +94,7 @@ fn assert_migrated_equals_uninterrupted(spec: JobSpec, label: &str) {
     // same spec directly produces the same bytes again.
     let mut p = spec.build();
     p.run_preemptible(spec.budget, spec.parallel());
-    let direct = p.snapshot().to_bytes();
-    assert_eq!(direct, bs, "[{label}] scheduler must match a directly-driven platform");
+    assert!(p.snapshot() == bs, "[{label}] scheduler must match a directly-driven platform");
     assert_eq!(digest_platform(&p), b.digest, "[{label}] direct digest must agree");
 }
 
@@ -148,13 +143,14 @@ fn parked_wire_bytes_resume_in_a_fresh_process_image() {
     let grain = first.preemption_grain();
     let cut = (spec.budget / 2 / grain).max(1) * grain;
     first.run_preemptible(cut, spec.parallel());
-    let parked = first.snapshot().to_bytes();
+    let mut parked = Vec::new();
+    first.snapshot_to(&mut StreamSink::new(&mut parked, true)).expect("parks to memory");
     drop(first);
 
     // "Another process": a fresh platform built from the replayed spec.
     let replayed = JobSpec::from_text(&spec.to_text()).expect("spec replays");
     let mut second = replayed.build();
-    second.restore(&Snapshot::from_bytes(&parked).expect("bytes parse")).expect("restores");
+    second.restore_from(&parked[..]).expect("restores");
     let already = second.now();
     let mut spent = already;
     while spent < spec.budget && !second.is_idle() {
@@ -164,9 +160,9 @@ fn parked_wire_bytes_resume_in_a_fresh_process_image() {
         }
     }
     assert_eq!(digest_platform(&second), baseline[0].digest);
-    assert_eq!(
-        second.snapshot().to_bytes(),
-        baseline[0].final_snapshot().expect("stored stream parses").expect("captured"),
+    assert!(
+        second.snapshot()
+            == baseline[0].final_snapshot().expect("stored stream parses").expect("captured"),
         "resumed-from-bytes run must be bit-identical to the uninterrupted one"
     );
     assert!(already > 0, "the parked snapshot must carry real progress");

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use common::pinned_platform;
 use smappic::platform::{Config, FaultSpec, Platform, Topology, DRAM_BASE};
 use smappic::sim::{
-    CountingSink, EthParams, FaultPlan, FaultProfile, MemorySink, SimRng, SnapDelta, SnapError,
-    Snapshot, StreamSink,
+    read_stream, CountingSink, EthParams, FaultPlan, FaultProfile, MemorySink, SimRng, SnapDelta,
+    SnapError, SnapSink, Snapshot, StreamSink,
 };
 use smappic::tile::{TraceCore, TraceOp};
 
@@ -90,8 +90,7 @@ fn assert_resume_transparent(
     assert_eq!(snap.cycle, cut, "{label}: snapshot cycle");
 
     // Cross-process shape: the snapshot survives its wire form.
-    let wire = snap.to_bytes();
-    let snap = Snapshot::from_bytes(&wire).expect("wire round-trip");
+    let snap = read_stream(&snap.to_stream_bytes(true)[..]).expect("wire round-trip");
 
     let mut resumed = mk();
     resumed.restore(&snap).unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
@@ -99,8 +98,7 @@ fn assert_resume_transparent(
 
     // Restore must be a fixed point: re-snapshotting the restored
     // platform reproduces the identical bytes.
-    let again = resumed.snapshot();
-    assert_eq!(again.to_bytes(), wire, "{label}: save/restore/save is not a fixed point");
+    assert!(resumed.snapshot() == snap, "{label}: save/restore/save is not a fixed point");
 
     step(&mut resumed, total - cut);
     assert_eq!(observe(&reference), observe(&resumed), "{label}: resumed run diverged");
@@ -325,42 +323,50 @@ fn ethernet_fault_roundtrip_covers_jitter_and_sequence_state() {
 // Format evolution: every mismatch is a typed error.
 // ---------------------------------------------------------------------------
 
-/// Offset of the section table in the wire form: magic(8) + version(4) +
-/// digest(8) + cycle(8) + count(4).
-const WIRE_SECTIONS_AT: usize = 32;
-const WIRE_COUNT_AT: usize = 28;
-
-/// Appends one unknown trailing byte to the first section of a serialized
-/// snapshot (simulating a field written by a newer build).
-fn grow_first_section(wire: &[u8]) -> Vec<u8> {
-    let mut out = wire.to_vec();
-    let nlen = u32::from_le_bytes(out[WIRE_SECTIONS_AT..WIRE_SECTIONS_AT + 4].try_into().unwrap())
-        as usize;
-    let dlen_at = WIRE_SECTIONS_AT + 4 + nlen;
-    let dlen = u32::from_le_bytes(out[dlen_at..dlen_at + 4].try_into().unwrap()) as usize;
-    out[dlen_at..dlen_at + 4].copy_from_slice(&((dlen + 1) as u32).to_le_bytes());
-    out.insert(dlen_at + 4 + dlen, 0xA5);
-    out
+/// What a newer build would capture: the real walk of a platform into a
+/// [`MemorySink`], with `trailing` bytes appended to the first section (a
+/// field this build does not know) and `extra` sections after the walk (a
+/// component this build does not have).
+struct NewerBuild<'a> {
+    inner: MemorySink,
+    trailing: &'a [u8],
+    extra: &'a [(&'a str, &'a [u8])],
+    seen: usize,
 }
 
-/// Appends a whole unknown section (a component a newer build snapshots).
-fn append_unknown_section(wire: &[u8], name: &str) -> Vec<u8> {
-    let mut out = wire.to_vec();
-    let count = u32::from_le_bytes(out[WIRE_COUNT_AT..WIRE_COUNT_AT + 4].try_into().unwrap());
-    out[WIRE_COUNT_AT..WIRE_COUNT_AT + 4].copy_from_slice(&(count + 1).to_le_bytes());
-    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    out.extend_from_slice(name.as_bytes());
-    out.extend_from_slice(&4u32.to_le_bytes());
-    out.extend_from_slice(&[1, 2, 3, 4]);
-    out
+impl SnapSink for NewerBuild<'_> {
+    fn begin(&mut self, version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
+        self.inner.begin(version, config_digest, cycle)
+    }
+
+    fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError> {
+        self.seen += 1;
+        if self.seen == 1 {
+            self.inner.section(name, &[data, self.trailing].concat())
+        } else {
+            self.inner.section(name, data)
+        }
+    }
+
+    fn finish(&mut self) -> Result<(), SnapError> {
+        for (name, data) in self.extra {
+            self.inner.section(name, data)?;
+        }
+        self.inner.finish()
+    }
+}
+
+fn newer_build_image(p: &Platform, trailing: &[u8], extra: &[(&str, &[u8])]) -> Snapshot {
+    let mut sink = NewerBuild { inner: MemorySink::new(), trailing, extra, seen: 0 };
+    p.snapshot_to(&mut sink).expect("memory capture");
+    sink.inner.into_snapshot()
 }
 
 #[test]
 fn unknown_trailing_fields_are_a_versioned_error_not_ub() {
     let mut p = workload(1, 2, 4, 0x71, None);
     p.run(5_000);
-    let wire = p.snapshot().to_bytes();
-    let grown = Snapshot::from_bytes(&grow_first_section(&wire)).expect("container still parses");
+    let grown = newer_build_image(&p, &[0xA5], &[]);
     let mut fresh = workload(1, 2, 4, 0x71, None);
     match fresh.restore(&grown) {
         Err(SnapError::TrailingBytes(section)) => {
@@ -374,9 +380,7 @@ fn unknown_trailing_fields_are_a_versioned_error_not_ub() {
 fn unknown_sections_are_rejected_by_name() {
     let mut p = workload(1, 1, 4, 0x72, None);
     p.run(5_000);
-    let wire = p.snapshot().to_bytes();
-    let grown = Snapshot::from_bytes(&append_unknown_section(&wire, "fpga0.node0.l2_prefetcher"))
-        .expect("container still parses");
+    let grown = newer_build_image(&p, &[], &[("fpga0.node0.l2_prefetcher", &[1, 2, 3, 4])]);
     let mut fresh = workload(1, 1, 4, 0x72, None);
     match fresh.restore(&grown) {
         Err(SnapError::UnexpectedSection(s)) => assert_eq!(s, "fpga0.node0.l2_prefetcher"),
@@ -388,9 +392,9 @@ fn unknown_sections_are_rejected_by_name() {
 fn version_skew_is_rejected_at_the_container() {
     let mut p = workload(1, 1, 4, 0x73, None);
     p.run(1_000);
-    let mut wire = p.snapshot().to_bytes();
+    let mut wire = p.snapshot().to_stream_bytes(false);
     wire[8..12].copy_from_slice(&999u32.to_le_bytes());
-    match Snapshot::from_bytes(&wire) {
+    match read_stream(&wire[..]) {
         Err(SnapError::VersionMismatch { found: 999, .. }) => {}
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
@@ -418,9 +422,9 @@ fn config_skew_is_rejected_before_any_state_is_touched() {
 fn truncated_container_is_a_corrupt_error() {
     let mut p = workload(1, 1, 2, 0x75, None);
     p.run(500);
-    let wire = p.snapshot().to_bytes();
+    let wire = p.snapshot().to_stream_bytes(false);
     for cut in [7, 20, wire.len() / 2, wire.len() - 1] {
-        assert!(Snapshot::from_bytes(&wire[..cut]).is_err(), "truncation at {cut} must not parse");
+        assert!(read_stream(&wire[..cut]).is_err(), "truncation at {cut} must not parse");
     }
 }
 
@@ -462,21 +466,11 @@ fn assert_delta_chain_equals_full(
         prev = full;
     }
 
-    // Deltas survive their wire form, like full snapshots do.
-    let deltas: Vec<SnapDelta> = deltas
-        .iter()
-        .map(|d| SnapDelta::from_bytes(&d.to_bytes()).expect("delta wire round-trip"))
-        .collect();
-
     // Byte-for-byte equivalence at every chain boundary.
     let mut acc = base.clone();
     for (i, (d, full)) in deltas.iter().zip(&fulls).enumerate() {
         acc = acc.apply_delta(d).unwrap_or_else(|e| panic!("{label}: delta {i} applies: {e}"));
-        assert_eq!(
-            acc.to_bytes(),
-            full.to_bytes(),
-            "{label}: base+chain differs from the full snapshot at boundary {i}"
-        );
+        assert!(acc == *full, "{label}: base+chain differs from the full snapshot at boundary {i}");
     }
 
     // Restore a fresh platform through the chain and finish the run.
@@ -597,8 +591,7 @@ fn config_skewed_deltas_are_rejected() {
     let mut p = workload(2, 1, 6, 0xD1, None);
     let s0 = p.snapshot();
     p.run(3_000);
-    let wire = p.snapshot_delta(&s0).expect("delta").to_bytes();
-    let d = SnapDelta::from_bytes(&wire).expect("delta wire round-trip");
+    let d = p.snapshot_delta(&s0).expect("delta");
 
     // A base from a twin with one Table 2 parameter changed digests
     // differently; the delta must refuse it before touching any section.
@@ -613,14 +606,6 @@ fn config_skewed_deltas_are_rejected() {
     match p.snapshot_delta(&skewed) {
         Err(SnapError::ConfigMismatch { .. }) => {}
         other => panic!("expected ConfigMismatch, got {other:?}"),
-    }
-
-    // And a truncated delta wire never parses.
-    for cut in [7, 20, wire.len() / 2, wire.len() - 1] {
-        assert!(
-            SnapDelta::from_bytes(&wire[..cut]).is_err(),
-            "delta truncation at {cut} must not parse"
-        );
     }
 }
 
@@ -651,11 +636,7 @@ fn streaming_sink_round_trips_through_a_file_and_rejects_truncation() {
     let bytes = std::fs::read(&path).expect("read stream back");
     let mut resumed = mk();
     resumed.restore_from(&bytes[..]).expect("streaming restore");
-    assert_eq!(
-        resumed.snapshot().to_bytes(),
-        p.snapshot().to_bytes(),
-        "a streamed image must restore bit-identically"
-    );
+    assert!(resumed.snapshot() == p.snapshot(), "a streamed image must restore bit-identically");
 
     // A truncated stream never validates: the count/digest trailer is
     // gone, so restore fails instead of resuming half a platform.
@@ -703,7 +684,7 @@ fn pinned_image_is_byte_stable_and_every_capture_path_agrees() {
     let streamed = mem.into_snapshot();
     let mut wire = Vec::new();
     p.snapshot_to(&mut StreamSink::new(&mut wire, true)).expect("stream sink");
-    let read_back = Snapshot::from_stream_bytes(&wire).expect("stream reads back");
+    let read_back = read_stream(&wire[..]).expect("stream reads back");
     for other in [&streamed, &read_back] {
         assert_eq!(walked.sections().len(), other.sections().len());
         for (a, b) in walked.sections().iter().zip(other.sections()) {
