@@ -1,8 +1,7 @@
 //! The Gaussian Noise Generator accelerator (§4.2 of the paper).
 
-use smappic_sim::{Cycle, SnapReader, SnapWriter};
+use smappic_sim::{Cycle, Ring, SaveState, SnapReader, SnapWriter};
 use smappic_tile::{Engine, MmioResp, Tri};
-use std::collections::VecDeque;
 
 /// Byte offset of the sample-fetch register within the GNG's MMIO window.
 /// Reading 2/4/8 bytes returns 1/2/4 packed 16-bit samples.
@@ -86,7 +85,7 @@ pub fn gng_reference(seed: u32, n: usize) -> Vec<i16> {
 #[derive(Debug)]
 pub struct Gng {
     rng: Tausworthe,
-    fifo: VecDeque<i16>,
+    fifo: Ring<i16>,
     capacity: usize,
     samples_per_cycle: u32,
     produced: u64,
@@ -99,7 +98,7 @@ impl Gng {
     pub fn new(seed: u32) -> Self {
         Self {
             rng: Tausworthe::new(seed),
-            fifo: VecDeque::new(),
+            fifo: Ring::new(),
             capacity: 32,
             samples_per_cycle: 2,
             produced: 0,
@@ -115,6 +114,31 @@ impl Gng {
     /// Total samples generated.
     pub fn samples_produced(&self) -> u64 {
         self.produced
+    }
+}
+
+impl SaveState for Gng {
+    fn save(&self, w: &mut SnapWriter) {
+        // capacity and samples_per_cycle are configuration.
+        let Self { rng, fifo, capacity: _, samples_per_cycle: _, produced, fetched } = self;
+        for s in &rng.s {
+            w.u32(*s);
+        }
+        fifo.save(w);
+        w.u64(*produced);
+        w.u64(*fetched);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader) {
+        for s in &mut self.rng.s {
+            *s = r.u32();
+        }
+        self.fifo.restore(r);
+        if self.fifo.len() > self.capacity {
+            r.corrupt("GNG FIFO deeper than its configured capacity");
+        }
+        self.produced = r.u64();
+        self.fetched = r.u64();
     }
 }
 
@@ -145,39 +169,6 @@ impl Engine for Gng {
         }
         self.fetched += wanted as u64;
         MmioResp::Data(packed)
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        // capacity and samples_per_cycle are configuration.
-        for s in &self.rng.s {
-            w.u32(*s);
-        }
-        w.usize(self.fifo.len());
-        for v in &self.fifo {
-            w.u16(*v as u16);
-        }
-        w.u64(self.produced);
-        w.u64(self.fetched);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) {
-        for s in &mut self.rng.s {
-            *s = r.u32();
-        }
-        self.fifo.clear();
-        let n = r.usize();
-        if n > self.capacity {
-            r.corrupt("GNG FIFO deeper than its configured capacity");
-            return;
-        }
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
-            self.fifo.push_back(r.u16() as i16);
-        }
-        self.produced = r.u64();
-        self.fetched = r.u64();
     }
 
     fn label(&self) -> &str {
@@ -271,8 +262,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_preserves_the_sample_stream() {
-        use smappic_sim::{SnapReader, SnapWriter, Snapshot};
-        use smappic_tile::Engine;
+        use smappic_sim::Snapshot;
 
         let mut g = Gng::new(9);
         let mut tri = NoTri;
@@ -283,12 +273,12 @@ mod tests {
         let _ = g.mmio(10, false, 0, 8, 0);
 
         let mut w = SnapWriter::new();
-        w.scoped("gng", |w| g.save_state(w));
+        w.scoped("gng", |w| g.save(w));
         let snap = Snapshot::new(1, 10, w);
 
         let mut g2 = Gng::new(0); // different seed: state must come from the snapshot
         let mut r = SnapReader::new(&snap);
-        r.scoped("gng", |r| g2.restore_state(r));
+        r.scoped("gng", |r| g2.restore(r));
         r.finish().expect("clean restore");
 
         assert_eq!(g2.samples_fetched(), g.samples_fetched());

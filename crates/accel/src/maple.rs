@@ -1,9 +1,7 @@
 //! The MAPLE decoupled-access engine (§4.3 of the paper).
 
-use std::collections::VecDeque;
-
 use smappic_coherence::{CoreReq, CoreResp, MemOp};
-use smappic_sim::{Cycle, Pack, SnapReader, SnapWriter};
+use smappic_sim::{Cycle, Pack, Ring, SaveState, SnapReader, SnapWriter};
 use smappic_tile::{Engine, MmioResp, Tri};
 
 /// Register offsets within MAPLE's MMIO window.
@@ -87,12 +85,12 @@ pub struct Maple {
     next_slot: u64,
     inflight: Vec<(u64, Inflight)>, // (token, stage)
     /// Second-hop data loads that hit TRI back-pressure: (slot, addr).
-    retry: VecDeque<(u64, u64)>,
+    retry: Ring<(u64, u64)>,
     /// Completed values, ordered by slot.
     done: Vec<(u64, u64)>, // (slot, value)
     /// Next slot to release to the queue (in-order delivery).
     next_release: u64,
-    queue: VecDeque<u64>,
+    queue: Ring<u64>,
     queue_capacity: usize,
     max_inflight: usize,
     next_token: u64,
@@ -111,10 +109,10 @@ impl Maple {
             running: false,
             next_slot: 0,
             inflight: Vec::new(),
-            retry: VecDeque::new(),
+            retry: Ring::new(),
             done: Vec::new(),
             next_release: 0,
-            queue: VecDeque::new(),
+            queue: Ring::new(),
             queue_capacity: 16,
             max_inflight: 4,
             next_token: 0,
@@ -143,6 +141,69 @@ impl Maple {
 impl Default for Maple {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl SaveState for Maple {
+    fn save(&self, w: &mut SnapWriter) {
+        // queue_capacity and max_inflight are configuration; the MMIO
+        // registers are architectural state (guests program them at runtime).
+        let Self {
+            mode,
+            base_a,
+            base_b,
+            count,
+            stride,
+            running,
+            next_slot,
+            inflight,
+            retry,
+            done,
+            next_release,
+            queue,
+            queue_capacity: _,
+            max_inflight: _,
+            next_token,
+            popped,
+        } = self;
+        w.u8(matches!(mode, MapleMode::Strided) as u8);
+        w.u64(*base_a);
+        w.u64(*base_b);
+        w.u64(*count);
+        w.u64(*stride);
+        w.bool(*running);
+        w.u64(*next_slot);
+        inflight.pack(w);
+        retry.save(w);
+        done.pack(w);
+        w.u64(*next_release);
+        queue.save(w);
+        w.u64(*next_token);
+        w.u64(*popped);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader) {
+        self.mode = match r.u8() {
+            0 => MapleMode::Indirect,
+            1 => MapleMode::Strided,
+            _ => {
+                r.corrupt("unknown MAPLE mode tag");
+                MapleMode::Indirect
+            }
+        };
+        self.base_a = r.u64();
+        self.base_b = r.u64();
+        self.count = r.u64();
+        self.stride = r.u64();
+        self.running = r.bool();
+        self.next_slot = r.u64();
+        self.inflight = Vec::unpack(r);
+        self.retry.restore(r);
+        self.done = Vec::unpack(r);
+        self.next_release = r.u64();
+        self.queue.restore(r);
+        self.next_token = r.u64();
+        self.popped = r.u64();
     }
 }
 
@@ -275,70 +336,6 @@ impl Engine for Maple {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        // queue_capacity and max_inflight are configuration; the MMIO
-        // registers are architectural state (guests program them at runtime).
-        w.u8(matches!(self.mode, MapleMode::Strided) as u8);
-        w.u64(self.base_a);
-        w.u64(self.base_b);
-        w.u64(self.count);
-        w.u64(self.stride);
-        w.bool(self.running);
-        w.u64(self.next_slot);
-        self.inflight.pack(w);
-        w.usize(self.retry.len());
-        for &(slot, addr) in &self.retry {
-            w.u64(slot);
-            w.u64(addr);
-        }
-        self.done.pack(w);
-        w.u64(self.next_release);
-        w.usize(self.queue.len());
-        for &v in &self.queue {
-            w.u64(v);
-        }
-        w.u64(self.next_token);
-        w.u64(self.popped);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) {
-        self.mode = match r.u8() {
-            0 => MapleMode::Indirect,
-            1 => MapleMode::Strided,
-            _ => {
-                r.corrupt("unknown MAPLE mode tag");
-                MapleMode::Indirect
-            }
-        };
-        self.base_a = r.u64();
-        self.base_b = r.u64();
-        self.count = r.u64();
-        self.stride = r.u64();
-        self.running = r.bool();
-        self.next_slot = r.u64();
-        self.inflight = Vec::unpack(r);
-        self.retry.clear();
-        for _ in 0..r.usize() {
-            if !r.ok() {
-                break;
-            }
-            let slot = r.u64();
-            let addr = r.u64();
-            self.retry.push_back((slot, addr));
-        }
-        self.done = Vec::unpack(r);
-        self.next_release = r.u64();
-        self.queue.clear();
-        for _ in 0..r.usize() {
-            if !r.ok() {
-                break;
-            }
-            self.queue.push_back(r.u64());
-        }
-        self.next_token = r.u64();
-        self.popped = r.u64();
-    }
-
     fn label(&self) -> &str {
         "maple"
     }
@@ -363,13 +360,13 @@ mod tests {
     struct SlowMem {
         data: HashMap<u64, LineData>,
         latency: u64,
-        pending: VecDeque<(u64, u64, u64)>, // (ready, token, addr)
+        pending: Ring<(u64, u64, u64)>, // (ready, token, addr)
         now: u64,
     }
 
     impl SlowMem {
         fn new(latency: u64) -> Self {
-            Self { data: HashMap::new(), latency, pending: VecDeque::new(), now: 0 }
+            Self { data: HashMap::new(), latency, pending: Ring::new(), now: 0 }
         }
         fn put(&mut self, addr: u64, v: u64) {
             self.data.entry(line_of(addr)).or_default().write(line_offset(addr), 8, v);
@@ -477,12 +474,12 @@ mod tests {
         assert!(m.busy(), "snapshot must land mid-gather");
 
         let mut w = SnapWriter::new();
-        w.scoped("maple", |w| m.save_state(w));
+        w.scoped("maple", |w| m.save(w));
         let snap = Snapshot::new(1, 120, w);
 
         let mut m2 = Maple::new();
         let mut r = SnapReader::new(&snap);
-        r.scoped("maple", |r| m2.restore_state(r));
+        r.scoped("maple", |r| m2.restore(r));
         r.finish().expect("clean restore");
 
         // The restored engine talks to an identical memory (SlowMem pending

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use smappic_sim::{
-    Cycle, FaultInjector, MetricsRegistry, Port, SaveState, SnapReader, SnapWriter, Stats,
+    Cycle, FaultInjector, MetricsRegistry, Pack, Port, SaveState, SnapReader, SnapWriter, Stats,
     TraceBuf, TraceEventKind,
 };
 
@@ -292,28 +292,38 @@ impl Crossbar {
 
 impl SaveState for Crossbar {
     fn save(&self, w: &mut SnapWriter) {
-        // Ports in merge_port_metrics order; masters/ranges are config.
-        for p in &self.m_req_in {
+        // Ports in merge_port_metrics order; masters/ranges are config,
+        // `queued` is derived from the ports, the trace lane is host-side.
+        let Self {
+            masters: _,
+            ranges: _,
+            m_req_in,
+            m_resp_out,
+            s_req_out,
+            s_resp_in,
+            inflight,
+            queued: _,
+            next_tag,
+            rr_master,
+            stats,
+            trace: _,
+        } = self;
+        for p in m_req_in {
             p.save(w);
         }
-        for p in &self.m_resp_out {
+        for p in m_resp_out {
             p.save(w);
         }
-        for p in &self.s_req_out {
+        for p in s_req_out {
             p.save(w);
         }
-        for p in &self.s_resp_in {
+        for p in s_resp_in {
             p.save(w);
         }
-        w.usize(self.inflight.len());
-        for (&t, &(m, orig)) in &self.inflight {
-            w.u16(t);
-            w.usize(m);
-            w.u16(orig);
-        }
-        w.u16(self.next_tag);
-        w.usize(self.rr_master);
-        self.stats.save(w);
+        inflight.pack(w);
+        w.u16(*next_tag);
+        w.usize(*rr_master);
+        stats.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -330,20 +340,9 @@ impl SaveState for Crossbar {
             p.restore(r);
         }
         self.queued = self.scan_queued();
-        self.inflight.clear();
-        let n = r.usize();
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
-            let t = r.u16();
-            let m = r.usize();
-            let orig = r.u16();
-            if m >= self.masters {
-                r.corrupt("inflight entry names a master this crossbar does not have");
-                break;
-            }
-            self.inflight.insert(t, (m, orig));
+        self.inflight = BTreeMap::unpack(r);
+        if self.inflight.values().any(|&(m, _)| m >= self.masters) {
+            r.corrupt("inflight entry names a master this crossbar does not have");
         }
         self.next_tag = r.u16();
         self.rr_master = r.usize() % self.masters.max(1);

@@ -455,26 +455,20 @@ impl PcieLink {
 
 impl SaveState for Dir {
     fn save(&self, w: &mut SnapWriter) {
-        self.shaper.save(w);
-        w.u64(self.drained);
-        self.sent_at.save(w);
+        let Self { shaper, drained, sent_at, faults } = self;
+        shaper.save(w);
+        w.u64(*drained);
+        sent_at.save(w);
         // The injector itself is a pure function of (seed, stream, seq) and
         // is reconstructed from configuration; only the held items and the
         // fault counters are mutable state.
-        match &self.faults {
+        match faults {
             None => w.bool(false),
-            Some(f) => {
+            Some(DirFaults { inj: _, jitter, delayed, duplicated }) => {
                 w.bool(true);
-                w.usize(f.jitter.len());
-                for (&(release, seq, copy), (item, sent)) in &f.jitter {
-                    w.u64(release);
-                    w.u64(seq);
-                    w.u8(copy);
-                    item.pack(w);
-                    w.u64(*sent);
-                }
-                w.u64(f.delayed);
-                w.u64(f.duplicated);
+                jitter.pack(w);
+                w.u64(*delayed);
+                w.u64(*duplicated);
             }
         }
     }
@@ -486,19 +480,7 @@ impl SaveState for Dir {
         let has_faults = r.bool();
         match (&mut self.faults, has_faults) {
             (Some(f), true) => {
-                f.jitter.clear();
-                let n = r.usize();
-                for _ in 0..n {
-                    if !r.ok() {
-                        break;
-                    }
-                    let release = r.u64();
-                    let seq = r.u64();
-                    let copy = r.u8();
-                    let item = PcieItem::unpack(r);
-                    let sent = r.u64();
-                    f.jitter.insert((release, seq, copy), (item, sent));
-                }
+                f.jitter = BTreeMap::unpack(r);
                 f.delayed = r.u64();
                 f.duplicated = r.u64();
             }
@@ -510,12 +492,14 @@ impl SaveState for Dir {
 
 impl SaveState for PcieLink {
     fn save(&self, w: &mut SnapWriter) {
-        w.scoped("a_to_b", |w| self.a_to_b.save(w));
-        w.scoped("b_to_a", |w| self.b_to_a.save(w));
-        self.rtt.save(w);
-        self.pending_req_ab.save(w);
-        self.pending_req_ba.save(w);
         // endpoints are config; the trace lane is host-side observability.
+        let Self { a_to_b, b_to_a, endpoints: _, rtt, pending_req_ab, pending_req_ba, trace: _ } =
+            self;
+        w.scoped("a_to_b", |w| a_to_b.save(w));
+        w.scoped("b_to_a", |w| b_to_a.save(w));
+        rtt.save(w);
+        pending_req_ab.save(w);
+        pending_req_ba.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {

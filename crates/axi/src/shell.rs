@@ -363,39 +363,58 @@ impl HardShell {
     }
 }
 
+/// A guard stream in the snapshot: the stream fields in declaration order,
+/// keyed by peer in the guard's map.
+impl Pack for PeerStream {
+    fn pack(&self, w: &mut SnapWriter) {
+        let Self { expected, pending, retry_at, backoff, timed_out } = self;
+        w.u64(*expected);
+        pending.pack(w);
+        retry_at.pack(w);
+        w.u64(*backoff);
+        w.bool(*timed_out);
+    }
+
+    fn unpack(r: &mut SnapReader) -> Self {
+        Self {
+            expected: r.u64(),
+            pending: BTreeMap::unpack(r),
+            retry_at: Option::unpack(r),
+            backoff: r.u64(),
+            timed_out: r.bool(),
+        }
+    }
+}
+
 impl SaveState for HardShell {
     fn save(&self, w: &mut SnapWriter) {
-        self.outbound_req.save(w);
-        self.outbound_resp.save(w);
-        self.inbound_req.save(w);
-        self.inbound_resp.save(w);
-        w.usize(self.inbound_ids.len());
-        for (&id, &(peer, orig)) in &self.inbound_ids {
-            w.u16(id);
-            w.usize(peer);
-            w.u16(orig);
-        }
-        w.u16(self.next_inbound_id);
-        match &self.guard {
+        // The FPGA index and count are configuration.
+        let Self {
+            fpga_index: _,
+            fpga_count: _,
+            outbound_req,
+            outbound_resp,
+            inbound_req,
+            inbound_resp,
+            inbound_ids,
+            next_inbound_id,
+            guard,
+            stats,
+        } = self;
+        outbound_req.save(w);
+        outbound_resp.save(w);
+        inbound_req.save(w);
+        inbound_resp.save(w);
+        inbound_ids.pack(w);
+        w.u16(*next_inbound_id);
+        match guard {
             None => w.bool(false),
-            Some(g) => {
+            Some(Guard { streams }) => {
                 w.bool(true);
-                w.usize(g.streams.len());
-                for (&from, s) in &g.streams {
-                    w.usize(from);
-                    w.u64(s.expected);
-                    w.usize(s.pending.len());
-                    for (&seq, item) in &s.pending {
-                        w.u64(seq);
-                        item.pack(w);
-                    }
-                    s.retry_at.pack(w);
-                    w.u64(s.backoff);
-                    w.bool(s.timed_out);
-                }
+                streams.pack(w);
             }
         }
-        self.stats.save(w);
+        stats.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -403,44 +422,9 @@ impl SaveState for HardShell {
         self.outbound_resp.restore(r);
         self.inbound_req.restore(r);
         self.inbound_resp.restore(r);
-        self.inbound_ids.clear();
-        let n = r.usize();
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
-            let id = r.u16();
-            let peer = r.usize();
-            let orig = r.u16();
-            self.inbound_ids.insert(id, (peer, orig));
-        }
+        self.inbound_ids = BTreeMap::unpack(r);
         self.next_inbound_id = r.u16();
-        if r.bool() {
-            let mut guard = Guard::default();
-            let n = r.usize();
-            for _ in 0..n {
-                if !r.ok() {
-                    break;
-                }
-                let from = r.usize();
-                let mut s = PeerStream { expected: r.u64(), ..PeerStream::default() };
-                let pending = r.usize();
-                for _ in 0..pending {
-                    if !r.ok() {
-                        break;
-                    }
-                    let seq = r.u64();
-                    s.pending.insert(seq, PcieItem::unpack(r));
-                }
-                s.retry_at = Option::<Cycle>::unpack(r);
-                s.backoff = r.u64();
-                s.timed_out = r.bool();
-                guard.streams.insert(from, s);
-            }
-            self.guard = Some(guard);
-        } else {
-            self.guard = None;
-        }
+        self.guard = r.bool().then(|| Guard { streams: BTreeMap::unpack(r) });
         self.stats.restore(r);
     }
 }

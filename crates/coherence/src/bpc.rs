@@ -794,26 +794,46 @@ impl Pack for Way {
     }
 }
 
+impl Pack for Mshr {
+    fn pack(&self, w: &mut SnapWriter) {
+        self.pending.pack(w);
+        w.u64(self.since);
+    }
+    fn unpack(r: &mut SnapReader) -> Self {
+        Mshr { pending: Ring::unpack(r), since: r.u64() }
+    }
+}
+
 impl SaveState for Bpc {
     fn save(&self, w: &mut SnapWriter) {
         // Set count and geometry are config; each set's occupancy is state.
-        for set in &self.sets {
+        // The trace lane is host-side observability.
+        let Self {
+            cfg: _,
+            sets,
+            mshrs,
+            nc_pending,
+            noc_in,
+            noc_out,
+            resp_delay,
+            resp_ready,
+            lru_clock,
+            counters,
+            miss_latency,
+            trace: _,
+        } = self;
+        for set in sets {
             set.pack(w);
         }
-        w.usize(self.mshrs.len());
-        for (&line, m) in &self.mshrs {
-            w.u64(line);
-            m.pending.save(w);
-            w.u64(m.since);
-        }
-        self.nc_pending.save(w);
-        self.noc_in.save(w);
-        self.noc_out.save(w);
-        self.resp_delay.save(w);
-        self.resp_ready.save(w);
-        w.u64(self.lru_clock);
-        self.counters.save(w);
-        self.miss_latency.save(w);
+        mshrs.pack(w);
+        nc_pending.save(w);
+        noc_in.save(w);
+        noc_out.save(w);
+        resp_delay.save(w);
+        resp_ready.save(w);
+        w.u64(*lru_clock);
+        counters.save(w);
+        miss_latency.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -823,18 +843,7 @@ impl SaveState for Bpc {
                 r.corrupt("restored BPC set exceeds its configured associativity");
             }
         }
-        self.mshrs.clear();
-        let n = r.usize();
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
-            let line = r.u64();
-            let mut pending = Ring::new();
-            pending.restore(r);
-            let since = r.u64();
-            self.mshrs.insert(line, Mshr { pending, since });
-        }
+        self.mshrs = BTreeMap::unpack(r);
         self.nc_pending.restore(r);
         self.noc_in.restore(r);
         self.noc_out.restore(r);

@@ -126,9 +126,6 @@ pub struct LlcSlice {
     noc_out: Port<Packet>,
     lru_clock: u64,
     counters: CounterSet,
-    /// Current cycle, stashed by `tick`/`noc_push` so the protocol handlers
-    /// (which are cycle-agnostic) can stamp latency observations.
-    cur: Cycle,
     /// Memory-fetch latency of LLC misses, issue to `MemData` arrival.
     miss_latency: Histogram,
     trace: TraceBuf,
@@ -149,7 +146,6 @@ impl LlcSlice {
             noc_out: Port::bounded("noc_out", 1024),
             lru_clock: 0,
             counters: CounterSet::new(LLC_KEYS),
-            cur: 0,
             miss_latency: Histogram::new(),
             trace: TraceBuf::new(2048),
         }
@@ -210,7 +206,6 @@ impl LlcSlice {
 
     /// Delivers a packet addressed to this slice.
     pub fn noc_push(&mut self, now: Cycle, pkt: Packet) {
-        self.cur = self.cur.max(now);
         self.in_delay.push(now, pkt);
     }
 
@@ -227,14 +222,6 @@ impl LlcSlice {
         self.in_delay.is_empty() && self.replay.is_empty() && self.noc_out.is_empty()
     }
 
-    /// Ages the slice clock to `now`, standing in for an elided tick. A
-    /// reference run executes `cur = cur.max(now)` every cycle; the clock
-    /// is serialized, so snapshots would otherwise expose the elision.
-    pub fn sync_quiet(&mut self, now: Cycle) {
-        debug_assert!(self.is_quiet(), "sync_quiet requires a quiet slice");
-        self.cur = self.cur.max(now);
-    }
-
     /// True when no transaction is in flight in this slice.
     pub fn is_idle(&self) -> bool {
         self.in_delay.is_empty()
@@ -243,9 +230,9 @@ impl LlcSlice {
             && self.sets.iter().all(|s| s.iter().all(|w| w.transient.is_none()))
     }
 
-    /// Advances one cycle.
+    /// Advances one cycle. The protocol handlers run inside the tick, and
+    /// `now` is the clock they stamp latency observations with.
     pub fn tick(&mut self, now: Cycle) {
-        self.cur = self.cur.max(now);
         // Keep protocol headroom: each handled message can emit a few
         // packets, and a resolve burst can serve every waiter at once
         // (data + invalidation fanout, bounded by core count).
@@ -260,7 +247,7 @@ impl LlcSlice {
         while budget > 0 {
             match self.in_delay.pop_ready(now) {
                 Some(pkt) => {
-                    self.handle(pkt.src, pkt.msg);
+                    self.handle(now, pkt.src, pkt.msg);
                     budget -= 1;
                 }
                 None => break,
@@ -271,7 +258,7 @@ impl LlcSlice {
         let mut rbudget = self.replay.len().min(2);
         while rbudget > 0 {
             let Some((src, msg)) = self.replay.pop() else { break };
-            self.handle(src, msg);
+            self.handle(now, src, msg);
             rbudget -= 1;
         }
     }
@@ -288,7 +275,7 @@ impl LlcSlice {
         self.sets[set].iter().position(|w| w.line == line).map(|i| (set, i))
     }
 
-    fn handle(&mut self, src: Gid, msg: Msg) {
+    fn handle(&mut self, now: Cycle, src: Gid, msg: Msg) {
         match msg {
             Msg::ReqS { .. } | Msg::ReqM { .. } | Msg::Amo { .. } => {
                 let line = match &msg {
@@ -296,13 +283,13 @@ impl LlcSlice {
                     Msg::ReqS { line } | Msg::ReqM { line } => *line,
                     _ => unreachable!(),
                 };
-                self.request(src, line, msg);
+                self.request(now, src, line, msg);
             }
-            Msg::WbData { line, data } => self.writeback(src, line, Some(data)),
-            Msg::WbClean { line } => self.writeback(src, line, None),
-            Msg::InvAck { line } => self.inv_ack(line),
+            Msg::WbData { line, data } => self.writeback(now, src, line, Some(data)),
+            Msg::WbClean { line } => self.writeback(now, src, line, None),
+            Msg::InvAck { line } => self.inv_ack(now, line),
             Msg::RecallData { line, data, dirty } => {
-                self.recall_done(src, line, Some((data, dirty)))
+                self.recall_done(now, src, line, Some((data, dirty)))
             }
             Msg::RecallNack { line } => {
                 // The owner's writeback travels the same VN and arrived
@@ -310,13 +297,13 @@ impl LlcSlice {
                 let _ = line;
                 self.counters.bump(K_RECALL_NACK);
             }
-            Msg::MemData { line, data } => self.mem_data(line, data),
+            Msg::MemData { line, data } => self.mem_data(now, line, data),
             other => panic!("LLC slice received unexpected message {other:?}"),
         }
     }
 
     /// Handles ReqS / ReqM / Amo.
-    fn request(&mut self, src: Gid, line: Addr, msg: Msg) {
+    fn request(&mut self, now: Cycle, src: Gid, line: Addr, msg: Msg) {
         if let Some((set, i)) = self.find(line) {
             if self.sets[set][i].transient.is_some() {
                 self.sets[set][i].waiters.push_back((src, msg));
@@ -346,16 +333,16 @@ impl LlcSlice {
             match self.evict(set, vi, (src, msg)) {
                 Some(park) => {
                     // Way freed synchronously; continue allocating below.
-                    return self.allocate(set, park.0, line, park.1);
+                    return self.allocate(now, set, park.0, line, park.1);
                 }
                 None => return, // eviction in progress; request parked
             }
         }
-        self.allocate(set, src, line, msg);
+        self.allocate(now, set, src, line, msg);
     }
 
     /// Allocates a fresh way for `line` and fetches it from memory.
-    fn allocate(&mut self, set: usize, src: Gid, line: Addr, msg: Msg) {
+    fn allocate(&mut self, now: Cycle, set: usize, src: Gid, line: Addr, msg: Msg) {
         self.lru_clock += 1;
         let mut waiters = Ring::with_prealloc(2);
         waiters.push_back((src, msg));
@@ -367,7 +354,7 @@ impl LlcSlice {
             transient: Some(Transient::FetchMem),
             waiters,
             lru: self.lru_clock,
-            fetch_at: self.cur,
+            fetch_at: now,
         });
         self.send(self.cfg.memctl, Msg::MemRd { line });
     }
@@ -514,7 +501,7 @@ impl LlcSlice {
         }
     }
 
-    fn writeback(&mut self, src: Gid, line: Addr, data: Option<LineData>) {
+    fn writeback(&mut self, now: Cycle, src: Gid, line: Addr, data: Option<LineData>) {
         let Some((set, i)) = self.find(line) else {
             panic!("writeback for a line the home does not hold: {line:#x}");
         };
@@ -532,8 +519,10 @@ impl LlcSlice {
                 match w.transient.take() {
                     // A downgraded owner that raced an eviction holds no
                     // copy anymore, so the line ends Uncached either way.
-                    Some(Transient::Recall) | Some(Transient::Downgrade) => self.resolve(set, i),
-                    Some(Transient::Evict { .. }) => self.finish_evict(set, i),
+                    Some(Transient::Recall) | Some(Transient::Downgrade) => {
+                        self.resolve(now, set, i)
+                    }
+                    Some(Transient::Evict { .. }) => self.finish_evict(now, set, i),
                     _ => unreachable!(),
                 }
             }
@@ -587,7 +576,7 @@ impl LlcSlice {
         self.counters.bump(K_WB);
     }
 
-    fn inv_ack(&mut self, line: Addr) {
+    fn inv_ack(&mut self, now: Cycle, line: Addr) {
         let Some((set, i)) = self.find(line) else {
             panic!("InvAck for a line the home does not hold: {line:#x}");
         };
@@ -597,21 +586,21 @@ impl LlcSlice {
                 *pending -= 1;
                 if *pending == 0 {
                     w.transient = None;
-                    self.resolve(set, i);
+                    self.resolve(now, set, i);
                 }
             }
             Some(Transient::Evict { pending, .. }) => {
                 *pending -= 1;
                 if *pending == 0 {
                     w.transient = None;
-                    self.finish_evict(set, i);
+                    self.finish_evict(now, set, i);
                 }
             }
             other => panic!("InvAck with transient {other:?}"),
         }
     }
 
-    fn recall_done(&mut self, src: Gid, line: Addr, payload: Option<(LineData, bool)>) {
+    fn recall_done(&mut self, now: Cycle, src: Gid, line: Addr, payload: Option<(LineData, bool)>) {
         let Some((set, i)) = self.find(line) else {
             panic!("RecallData for a line the home does not hold: {line:#x}");
         };
@@ -625,22 +614,22 @@ impl LlcSlice {
         match w.transient.take() {
             Some(Transient::Recall) => {
                 w.dir = Dir::Uncached;
-                self.resolve(set, i);
+                self.resolve(now, set, i);
             }
             Some(Transient::Downgrade) => {
                 // The old owner keeps an S copy.
                 w.dir = Dir::Shared(vec![src]);
-                self.resolve(set, i);
+                self.resolve(now, set, i);
             }
             Some(Transient::Evict { .. }) => {
                 w.dir = Dir::Uncached;
-                self.finish_evict(set, i);
+                self.finish_evict(now, set, i);
             }
             other => panic!("RecallData with transient {other:?}"),
         }
     }
 
-    fn mem_data(&mut self, line: Addr, data: LineData) {
+    fn mem_data(&mut self, now: Cycle, line: Addr, data: LineData) {
         let Some((set, i)) = self.find(line) else {
             panic!("MemData for a line the LLC did not request: {line:#x}");
         };
@@ -650,11 +639,11 @@ impl LlcSlice {
         w.data = data;
         w.dirty = false;
         w.transient = None;
-        let lat = self.cur.saturating_sub(w.fetch_at);
+        let lat = now.saturating_sub(w.fetch_at);
         self.miss_latency.record(lat);
-        let (slice, cur) = (self.tile(), self.cur);
-        self.trace.record(cur, || TraceEventKind::LlcMiss { slice, line, lat });
-        self.resolve(set, i);
+        let slice = self.tile();
+        self.trace.record(now, || TraceEventKind::LlcMiss { slice, line, lat });
+        self.resolve(now, set, i);
     }
 
     /// Serves a resolved line's waiters immediately through the request
@@ -664,25 +653,25 @@ impl LlcSlice {
     /// thrash livelock under heavy set conflicts. Serving in place either
     /// completes each waiter or re-parks it on a new transient of the same
     /// line, which preserves order.
-    fn resolve(&mut self, set: usize, i: usize) {
+    fn resolve(&mut self, now: Cycle, set: usize, i: usize) {
         self.lru_clock += 1;
         self.sets[set][i].lru = self.lru_clock;
         let mut waiters = std::mem::take(&mut self.sets[set][i].waiters);
         for (src, msg) in waiters.drain_all() {
-            self.handle(src, msg);
+            self.handle(now, src, msg);
         }
     }
 
     /// Completes an eviction: write back if dirty, free the way, then
     /// serve the parked requests (they re-miss and claim the freed way).
-    fn finish_evict(&mut self, set: usize, i: usize) {
+    fn finish_evict(&mut self, now: Cycle, set: usize, i: usize) {
         let mut w = self.sets[set].remove(i);
         if w.dirty {
             self.send(self.cfg.memctl, Msg::MemWr { line: w.line, data: w.data });
         }
         self.counters.bump(K_EVICT);
         for (src, msg) in w.waiters.drain_all() {
-            self.handle(src, msg);
+            self.handle(now, src, msg);
         }
     }
 }
@@ -756,7 +745,7 @@ impl Pack for Way {
         w.bool(self.dirty);
         self.dir.pack(w);
         self.transient.pack(w);
-        self.waiters.save(w);
+        self.waiters.pack(w);
         w.u64(self.lru);
         w.u64(self.fetch_at);
     }
@@ -766,8 +755,7 @@ impl Pack for Way {
         let dirty = r.bool();
         let dir = Dir::unpack(r);
         let transient = Option::<Transient>::unpack(r);
-        let mut waiters = Ring::new();
-        waiters.restore(r);
+        let waiters = Ring::unpack(r);
         Way { line, data, dirty, dir, transient, waiters, lru: r.u64(), fetch_at: r.u64() }
     }
 }
@@ -775,16 +763,27 @@ impl Pack for Way {
 impl SaveState for LlcSlice {
     fn save(&self, w: &mut SnapWriter) {
         // Set count and geometry are config; each set's occupancy is state.
-        for set in &self.sets {
+        // The trace lane is host-side observability.
+        let Self {
+            cfg: _,
+            sets,
+            in_delay,
+            replay,
+            noc_out,
+            lru_clock,
+            counters,
+            miss_latency,
+            trace: _,
+        } = self;
+        for set in sets {
             set.pack(w);
         }
-        self.in_delay.save(w);
-        self.replay.save(w);
-        self.noc_out.save(w);
-        w.u64(self.lru_clock);
-        self.counters.save(w);
-        w.u64(self.cur);
-        self.miss_latency.save(w);
+        in_delay.save(w);
+        replay.save(w);
+        noc_out.save(w);
+        w.u64(*lru_clock);
+        counters.save(w);
+        miss_latency.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -799,7 +798,6 @@ impl SaveState for LlcSlice {
         self.noc_out.restore(r);
         self.lru_clock = r.u64();
         self.counters.restore(r);
-        self.cur = r.u64();
         self.miss_latency.restore(r);
     }
 }

@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 use smappic_axi::{AxiRead, AxiReadResp, AxiReq, AxiResp, AxiWrite, AxiWriteResp};
 use smappic_noc::{NodeId, Packet};
 use smappic_sim::{
-    Cycle, MetricsRegistry, Port, Ring, SaveState, SnapReader, SnapWriter, Stats, TrafficShaper,
+    Cycle, MetricsRegistry, Pack, Port, Ring, SaveState, SnapReader, SnapWriter, Stats,
+    TrafficShaper,
 };
 
 use crate::codec::{decode_packet, encode_packet};
@@ -289,85 +290,44 @@ impl SaveState for InterNodeBridge {
     fn save(&self, w: &mut SnapWriter) {
         // Every map is serialized in key order. The node id and shaper
         // timing are configuration.
-        self.shaper.save(w);
-        self.out_req.save(w);
-        w.usize(self.blocked.len());
-        for (&dst, ring) in &self.blocked {
-            w.u16(dst);
-            ring.save(w);
-        }
-        let u32_map = |w: &mut SnapWriter, m: &BTreeMap<u16, u32>| {
-            w.usize(m.len());
-            for (&k, &v) in m {
-                w.u16(k);
-                w.u32(v);
-            }
-        };
-        u32_map(w, &self.credits);
-        w.usize(self.credit_req_outstanding.len());
-        for (&k, &v) in &self.credit_req_outstanding {
-            w.u16(k);
-            w.bool(v);
-        }
-        u32_map(w, &self.freed);
-        self.incoming.save(w);
-        self.resp_for_peer.save(w);
-        w.u16(self.next_id);
-        w.usize(self.pending_reads.len());
-        for (&id, &dst) in &self.pending_reads {
-            w.u16(id);
-            w.u16(dst);
-        }
-        self.stats.save(w);
+        let Self {
+            node: _,
+            shaper,
+            out_req,
+            blocked,
+            credits,
+            credit_req_outstanding,
+            freed,
+            incoming,
+            resp_for_peer,
+            next_id,
+            pending_reads,
+            stats,
+        } = self;
+        shaper.save(w);
+        out_req.save(w);
+        blocked.pack(w);
+        credits.pack(w);
+        credit_req_outstanding.pack(w);
+        freed.pack(w);
+        incoming.save(w);
+        resp_for_peer.save(w);
+        w.u16(*next_id);
+        pending_reads.pack(w);
+        stats.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
         self.shaper.restore(r);
         self.out_req.restore(r);
-        self.blocked.clear();
-        for _ in 0..r.usize() {
-            if !r.ok() {
-                break;
-            }
-            let dst = r.u16();
-            let mut ring = Ring::default();
-            ring.restore(r);
-            self.blocked.insert(dst, ring);
-        }
-        let restore_u32_map = |r: &mut SnapReader, m: &mut BTreeMap<u16, u32>| {
-            m.clear();
-            for _ in 0..r.usize() {
-                if !r.ok() {
-                    break;
-                }
-                let k = r.u16();
-                let v = r.u32();
-                m.insert(k, v);
-            }
-        };
-        restore_u32_map(r, &mut self.credits);
-        self.credit_req_outstanding.clear();
-        for _ in 0..r.usize() {
-            if !r.ok() {
-                break;
-            }
-            let k = r.u16();
-            let v = r.bool();
-            self.credit_req_outstanding.insert(k, v);
-        }
-        restore_u32_map(r, &mut self.freed);
+        self.blocked = BTreeMap::unpack(r);
+        self.credits = BTreeMap::unpack(r);
+        self.credit_req_outstanding = BTreeMap::unpack(r);
+        self.freed = BTreeMap::unpack(r);
         self.incoming.restore(r);
         self.resp_for_peer.restore(r);
         self.next_id = r.u16();
-        self.pending_reads.clear();
-        for _ in 0..r.usize() {
-            if !r.ok() {
-                break;
-            }
-            let id = r.u16();
-            let dst = r.u16();
-            self.pending_reads.insert(id, dst);
-        }
+        self.pending_reads = BTreeMap::unpack(r);
         self.stats.restore(r);
     }
 }

@@ -3,7 +3,7 @@
 
 use smappic_mem::MemController;
 use smappic_noc::{Gid, Msg, NodeId, Packet, TileId};
-use smappic_sim::{Cycle, MetricsRegistry, Port, SaveState, SnapReader, SnapWriter, Stats};
+use smappic_sim::{Cycle, MetricsRegistry, Pack, Port, SaveState, SnapReader, SnapWriter, Stats};
 
 use crate::bridge::InterNodeBridge;
 use crate::config::{CLINT_BASE, PLIC_BASE, SD_CTL_BASE, SD_DATA_BASE, UART0_BASE, UART1_BASE};
@@ -110,14 +110,12 @@ impl Clint {
 
 impl SaveState for Clint {
     fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.msip.len());
-        for m in &self.msip {
-            w.bool(*m);
-        }
-        for c in &self.mtimecmp {
+        let Self { msip, mtimecmp, mtime } = self;
+        msip.pack(w);
+        for c in mtimecmp {
             w.u64(*c);
         }
-        w.u64(self.mtime);
+        w.u64(*mtime);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -188,18 +186,19 @@ impl SdController {
 
 impl SaveState for SdController {
     fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.lba);
-        w.u64(self.buf);
-        smappic_sim::Pack::pack(&self.progress, w);
-        smappic_sim::Pack::pack(&self.loaded, w);
-        w.bool(self.waiting);
+        let Self { lba, buf, progress, loaded, waiting } = self;
+        w.u64(*lba);
+        w.u64(*buf);
+        progress.pack(w);
+        loaded.pack(w);
+        w.bool(*waiting);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
         self.lba = r.u64();
         self.buf = r.u64();
-        self.progress = <Option<u64> as smappic_sim::Pack>::unpack(r);
-        self.loaded = <Option<u64> as smappic_sim::Pack>::unpack(r);
+        self.progress = Option::unpack(r);
+        self.loaded = Option::unpack(r);
         self.waiting = r.bool();
     }
 }
@@ -715,17 +714,37 @@ impl Chipset {
 
 impl SaveState for Chipset {
     fn save(&self, w: &mut SnapWriter) {
-        w.scoped("memctl", |w| self.memctl.save(w));
-        w.scoped("uart0", |w| self.uart0.save(w));
-        w.scoped("uart1", |w| self.uart1.save(w));
-        w.scoped("clint", |w| self.clint.save(w));
-        w.scoped("sd", |w| self.sd.save(w));
-        w.scoped("plic", |w| self.plic.save(w));
-        w.scoped("bridge", |w| self.bridge.save(w));
+        // Node id and tile count are configuration; sleep, skip count and
+        // fast-path switch are host-side scheduler state.
+        let Self {
+            node: _,
+            tiles: _,
+            memctl,
+            uart0,
+            uart1,
+            clint,
+            sd,
+            plic,
+            bridge,
+            irq_prev,
+            to_mesh,
+            memctl_retry,
+            stats,
+            sleep_until: _,
+            skipped_cycles: _,
+            fast_path: _,
+        } = self;
+        w.scoped("memctl", |w| memctl.save(w));
+        w.scoped("uart0", |w| uart0.save(w));
+        w.scoped("uart1", |w| uart1.save(w));
+        w.scoped("clint", |w| clint.save(w));
+        w.scoped("sd", |w| sd.save(w));
+        w.scoped("plic", |w| plic.save(w));
+        w.scoped("bridge", |w| bridge.save(w));
         // Packetizer edge-detector state: the lines seen so far, in
-        // (hart, line) order.
-        w.usize(self.irq_prev.iter().flatten().flatten().count());
-        for (hart, slots) in self.irq_prev.iter().enumerate() {
+        // (hart, line) order — a `Vec<(TileId, u16, bool)>` on the wire.
+        w.usize(irq_prev.iter().flatten().flatten().count());
+        for (hart, slots) in irq_prev.iter().enumerate() {
             for (line_no, level) in IRQ_LINES.iter().zip(slots) {
                 if let Some(level) = level {
                     w.u16(hart as TileId);
@@ -734,11 +753,11 @@ impl SaveState for Chipset {
                 }
             }
         }
-        for q in &self.to_mesh {
+        for q in to_mesh {
             q.save(w);
         }
-        self.memctl_retry.save(w);
-        self.stats.save(w);
+        memctl_retry.save(w);
+        stats.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -751,13 +770,8 @@ impl SaveState for Chipset {
         r.scoped("plic", |r| self.plic.restore(r));
         r.scoped("bridge", |r| self.bridge.restore(r));
         self.irq_prev.fill([None; 3]);
-        for _ in 0..r.usize() {
-            if !r.ok() {
-                break;
-            }
-            let hart = usize::from(r.u16());
-            let line = r.u16();
-            let level = r.bool();
+        for (hart, line, level) in Vec::<(TileId, u16, bool)>::unpack(r) {
+            let hart = usize::from(hart);
             let slot = IRQ_LINES.iter().position(|&l| l == line);
             match (self.irq_prev.get_mut(hart), slot) {
                 (Some(slots), Some(slot)) => slots[slot] = Some(level),

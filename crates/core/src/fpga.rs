@@ -151,14 +151,13 @@ impl Fpga {
         Some(bound)
     }
 
-    /// Applies the `delta` quiet ticks of `[now, now + delta)` in one
-    /// step: exactly what that many per-cycle quiet paths would have done
-    /// across the FPGA, including the crossbar's round-robin pointer
-    /// advance. Caller guarantees [`Fpga::quiet_bound`] covers the whole
-    /// window.
-    pub fn warp_quiet(&mut self, now: Cycle, delta: u64) {
+    /// Applies `delta` quiet ticks in one step: exactly what that many
+    /// per-cycle quiet paths would have done across the FPGA, including the
+    /// crossbar's round-robin pointer advance. Caller guarantees
+    /// [`Fpga::quiet_bound`] covers the whole window.
+    pub fn warp_quiet(&mut self, delta: u64) {
         for n in &mut self.nodes {
-            n.warp_quiet(now, delta);
+            n.warp_quiet(delta);
         }
         self.xbar.advance_quiet(delta);
     }
@@ -268,12 +267,15 @@ impl SaveState for Fpga {
     fn save(&self, w: &mut SnapWriter) {
         // Nodes keyed by *global* index, matching the metrics layer's
         // `node{g}` naming, so divergence reports name the same component
-        // the dashboards do.
-        for (i, n) in self.nodes.iter().enumerate() {
-            w.scoped(&format!("node{}", self.first_global_node + i), |w| n.save(w));
+        // the dashboards do. Index and node counts are configuration; the
+        // fast-path switch is host-side.
+        let Self { index: _, nodes, xbar, shell, first_global_node, total_nodes: _, fast_path: _ } =
+            self;
+        for (i, n) in nodes.iter().enumerate() {
+            w.scoped(&format!("node{}", first_global_node + i), |w| n.save(w));
         }
-        w.scoped("xbar", |w| self.xbar.save(w));
-        w.scoped("shell", |w| self.shell.save(w));
+        w.scoped("xbar", |w| xbar.save(w));
+        w.scoped("shell", |w| shell.save(w));
     }
 
     fn restore(&mut self, r: &mut SnapReader) {

@@ -173,12 +173,12 @@ impl Node {
         Some(bound)
     }
 
-    /// Applies the `delta` quiet-path ticks of `[now, now + delta)` in one
-    /// step: exactly what that many per-cycle quiet paths would have done.
-    /// Caller guarantees [`Node::quiet_bound`] covers the whole window.
-    pub fn warp_quiet(&mut self, now: Cycle, delta: u64) {
+    /// Applies `delta` quiet-path ticks in one step: exactly what that
+    /// many per-cycle quiet paths would have done. Caller guarantees
+    /// [`Node::quiet_bound`] covers the whole window.
+    pub fn warp_quiet(&mut self, delta: u64) {
         for t in &mut self.tiles {
-            t.warp_quiet(now, delta);
+            t.warp_quiet(delta);
         }
         self.chipset.warp_quiet(delta);
     }
@@ -214,7 +214,7 @@ impl Node {
             && self.chipset.tick_is_noop(now)
             && self.tiles.iter().all(|t| t.is_sleeping(now))
         {
-            self.warp_quiet(now, 1);
+            self.warp_quiet(1);
             return true;
         }
 
@@ -266,11 +266,12 @@ impl Node {
 
 impl SaveState for Node {
     fn save(&self, w: &mut SnapWriter) {
-        w.scoped("mesh", |w| self.mesh.save(w));
-        for (t, tile) in self.tiles.iter().enumerate() {
+        let Self { id: _, mesh, tiles, chipset } = self; // id: configuration
+        w.scoped("mesh", |w| mesh.save(w));
+        for (t, tile) in tiles.iter().enumerate() {
             w.scoped(&format!("tile{t}"), |w| tile.save(w));
         }
-        w.scoped("chipset", |w| self.chipset.save(w));
+        w.scoped("chipset", |w| chipset.save(w));
     }
 
     fn restore(&mut self, r: &mut SnapReader) {

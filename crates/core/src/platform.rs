@@ -365,7 +365,7 @@ fn fpga_epoch(fpga: &mut Fpga, job: EpochJob) -> Vec<(Cycle, usize, PcieItem)> {
                 stop = stop.min(ready);
             }
             if stop > t {
-                fpga.warp_quiet(t, stop - t);
+                fpga.warp_quiet(stop - t);
                 t = stop;
                 continue;
             }
@@ -803,9 +803,8 @@ impl Platform {
         let mut spent = 0u64;
         while spent < cycles {
             if let Some(delta) = self.quiet_delta(cycles - spent) {
-                let now = self.now;
                 for f in &mut self.fpgas {
-                    f.warp_quiet(now, delta);
+                    f.warp_quiet(delta);
                 }
                 self.now += delta;
                 spent += delta;

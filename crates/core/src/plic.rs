@@ -176,17 +176,15 @@ impl Plic {
 
 impl smappic_sim::SaveState for Plic {
     fn save(&self, w: &mut smappic_sim::SnapWriter) {
-        for p in &self.priority {
+        let Self { priority, level, pending, claimed, enable, threshold } = self;
+        for p in priority {
             w.u32(*p);
         }
-        w.u32(self.level);
-        w.u32(self.pending);
-        w.u32(self.claimed);
-        w.usize(self.enable.len());
-        for e in &self.enable {
-            w.u32(*e);
-        }
-        for t in &self.threshold {
+        w.u32(*level);
+        w.u32(*pending);
+        w.u32(*claimed);
+        smappic_sim::Pack::pack(enable, w);
+        for t in threshold {
             w.u32(*t);
         }
     }

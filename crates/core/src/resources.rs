@@ -59,10 +59,15 @@ pub fn synthesize(nodes: usize, tiles_per_node: usize) -> Synthesis {
     Synthesis { frequency_mhz, lut_utilization: lut, feasible }
 }
 
+/// The most tiles per node any shape is considered with: the ceiling
+/// [`max_tiles`] scans up to, and the bound a submitted job's shape is
+/// held to.
+pub const MAX_TILES_PER_NODE: usize = 64;
+
 /// The largest tile count per node that fits at `nodes` nodes per FPGA
 /// (paper: "F1 FPGAs can fit at most 12 Ariane tiles").
 pub fn max_tiles(nodes: usize) -> usize {
-    (1..=64).take_while(|&c| synthesize(nodes, c).feasible).last().unwrap_or(0)
+    (1..=MAX_TILES_PER_NODE).take_while(|&c| synthesize(nodes, c).feasible).last().unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -184,14 +184,16 @@ impl SaveState for Uart16550 {
     fn save(&self, w: &mut SnapWriter) {
         // The baud rate (shaper timing) is configuration; bytes on the
         // wire, the RX FIFO, and the host-side buffers are state.
-        self.tx.save(w);
-        self.rx.save(w);
-        self.rx_ready.save(w);
-        self.host.output.save(w);
-        self.host.input.save(w);
-        w.u32(self.ier);
-        w.u64(self.bytes_tx);
-        w.u64(self.bytes_rx);
+        let Self { tx, rx, rx_ready, host: HostSerial { output, input }, ier, bytes_tx, bytes_rx } =
+            self;
+        tx.save(w);
+        rx.save(w);
+        rx_ready.save(w);
+        output.save(w);
+        input.save(w);
+        w.u32(*ier);
+        w.u64(*bytes_tx);
+        w.u64(*bytes_rx);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {

@@ -181,17 +181,24 @@ impl CsrFile {
 
 impl smappic_sim::SaveState for CsrFile {
     fn save(&self, w: &mut smappic_sim::SnapWriter) {
-        w.u64(self.mstatus);
-        w.u64(self.mie);
-        w.u64(self.mtvec);
-        w.u64(self.mscratch);
-        w.u64(self.mepc);
-        w.u64(self.mcause);
-        w.u64(self.mtval);
-        w.u64(self.mip);
-        w.u64(self.mhartid);
-        w.u64(self.mcycle);
-        w.u64(self.minstret);
+        let Self {
+            mstatus,
+            mie,
+            mtvec,
+            mscratch,
+            mepc,
+            mcause,
+            mtval,
+            mip,
+            mhartid,
+            mcycle,
+            minstret,
+        } = self;
+        let csrs =
+            [mstatus, mie, mtvec, mscratch, mepc, mcause, mtval, mip, mhartid, mcycle, minstret];
+        for csr in csrs {
+            w.u64(*csr);
+        }
     }
 
     fn restore(&mut self, r: &mut smappic_sim::SnapReader) {

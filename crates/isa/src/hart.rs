@@ -800,12 +800,13 @@ impl DecodedOp {
 
 impl smappic_sim::SaveState for Hart {
     fn save(&self, w: &mut smappic_sim::SnapWriter) {
-        for reg in &self.regs {
+        let Self { regs, pc, csrs, reservation } = self;
+        for reg in regs {
             w.u64(*reg);
         }
-        w.u64(self.pc);
-        self.csrs.save(w);
-        smappic_sim::Pack::pack(&self.reservation, w);
+        w.u64(*pc);
+        csrs.save(w);
+        smappic_sim::Pack::pack(reservation, w);
     }
 
     fn restore(&mut self, r: &mut smappic_sim::SnapReader) {

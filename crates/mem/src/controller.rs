@@ -307,39 +307,36 @@ impl Pack for Origin {
     }
 }
 
+impl Pack for Inflight {
+    fn pack(&self, w: &mut SnapWriter) {
+        self.origin.pack(w);
+        w.u64(self.started);
+        w.u32(self.bytes);
+    }
+    fn unpack(r: &mut SnapReader) -> Self {
+        Inflight { origin: Origin::unpack(r), started: r.u64(), bytes: r.u32() }
+    }
+}
+
 impl SaveState for MemController {
     fn save(&self, w: &mut SnapWriter) {
-        w.scoped("dram", |w| self.dram.save(w));
-        self.noc_in.save(w);
-        self.noc_out.save(w);
-        w.usize(self.inflight.len());
-        for (&id, f) in &self.inflight {
-            w.u16(id);
-            f.origin.pack(w);
-            w.u64(f.started);
-            w.u32(f.bytes);
-        }
-        w.u16(self.next_id);
-        self.stats.save(w);
-        self.latency.save(w);
+        // The config is fixed; the trace lane is host-side observability.
+        let Self { cfg: _, dram, noc_in, noc_out, inflight, next_id, stats, latency, trace: _ } =
+            self;
+        w.scoped("dram", |w| dram.save(w));
+        noc_in.save(w);
+        noc_out.save(w);
+        inflight.pack(w);
+        w.u16(*next_id);
+        stats.save(w);
+        latency.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
         r.scoped("dram", |r| self.dram.restore(r));
         self.noc_in.restore(r);
         self.noc_out.restore(r);
-        self.inflight.clear();
-        let n = r.usize();
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
-            let id = r.u16();
-            let origin = Origin::unpack(r);
-            let started = r.u64();
-            let bytes = r.u32();
-            self.inflight.insert(id, Inflight { origin, started, bytes });
-        }
+        self.inflight = BTreeMap::unpack(r);
         self.next_id = r.u16();
         self.stats.restore(r);
         self.latency.restore(r);

@@ -248,42 +248,36 @@ impl SaveState for Dram {
         // All-zero pages are skipped: restore re-elides them (zero writes
         // allocate nothing), so emitting them would break the
         // save→restore→save byte fixed-point.
-        let mut idxs: Vec<u64> = self
-            .pages
-            .iter()
-            .filter(|(_, p)| p.iter().any(|&b| b != 0))
-            .map(|(&idx, _)| idx)
-            .collect();
+        let Self { cfg: _, pages, pending, responses, faults: _, req_seq, stats } = self;
+        let mut idxs: Vec<u64> =
+            pages.iter().filter(|(_, p)| p.iter().any(|&b| b != 0)).map(|(&idx, _)| idx).collect();
         idxs.sort_unstable();
         w.usize(idxs.len());
         for idx in idxs {
             w.u64(idx);
-            w.bytes(&self.pages[&idx][..]);
+            w.bytes(&pages[&idx][..]);
         }
-        self.pending.save(w);
-        self.responses.pack(w);
-        w.u64(self.req_seq);
-        self.stats.save(w);
+        pending.save(w);
+        responses.pack(w);
+        w.u64(*req_seq);
+        stats.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
         self.pages = HashMap::new();
-        let n = r.usize();
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
+        r.seq(|r| {
             let idx = r.u64();
             // Borrowed read: pages go straight from the section buffer
             // into the backing store without an intermediate Vec.
             let raw = r.byte_slice();
             if raw.len() > PAGE_SIZE {
                 r.corrupt("DRAM page exceeds 4 KiB");
-                break;
+            } else {
+                // write_bytes re-elides all-zero pages.
+                self.write_bytes(idx << PAGE_SHIFT, raw);
             }
-            // write_bytes re-elides all-zero pages.
-            self.write_bytes(idx << PAGE_SHIFT, raw);
-        }
+        })
+        .for_each(drop);
         self.pending.restore(r);
         self.responses = Vec::unpack(r);
         self.req_seq = r.u64();

@@ -529,30 +529,47 @@ impl Mesh {
 
 impl SaveState for Mesh {
     fn save(&self, w: &mut SnapWriter) {
-        self.counters.save(w);
-        self.hops.save(w);
-        self.edge_out.save(w);
-        for rr in &self.eject_rr {
+        // Shape, routing functions and fault hook are configuration; the
+        // occupancy counts and masks are derived (recomputed on restore),
+        // and the fast-path switch and trace lane are host-side.
+        let Self {
+            cfg: _,
+            routers,
+            route_fns: _,
+            eject_q,
+            eject_rr,
+            edge_out,
+            total_occupancy: _,
+            output_occupancy: _,
+            fast_path: _,
+            counters,
+            faults: _,
+            hops,
+            trace: _,
+        } = self;
+        counters.save(w);
+        hops.save(w);
+        edge_out.save(w);
+        for rr in eject_rr {
             w.usize(*rr);
         }
-        for (t, qs) in self.eject_q.iter().enumerate() {
+        for (t, qs) in eject_q.iter().enumerate() {
             w.scoped(&format!("eject{t}"), |w| {
                 for q in qs {
                     q.save(w);
                 }
             });
         }
-        for (ri, r) in self.routers.iter().enumerate() {
+        for (ri, r) in routers.iter().enumerate() {
+            let RouterState { bufs, busy_until, rr, nonempty: _ } = r;
             w.scoped(&format!("r{ri}"), |w| {
-                for pb in &r.bufs {
-                    for b in pb {
-                        b.q.save(w);
-                    }
+                for InBuf { q } in bufs.iter().flatten() {
+                    q.save(w);
                 }
-                for busy in &r.busy_until {
+                for busy in busy_until {
                     w.u64(*busy);
                 }
-                for rr in &r.rr {
+                for rr in rr {
                     w.usize(*rr);
                 }
             });

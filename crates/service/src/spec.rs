@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use smappic_core::resources::MAX_TILES_PER_NODE;
 use smappic_core::{Config, FaultSpec, Platform, Topology};
 use smappic_sim::{fnv1a, EthParams, FaultPlan, FaultProfile};
 
@@ -216,13 +217,20 @@ impl JobSpec {
             }
         }
         if let WorkloadSpec::Sort { keys, threads } = self.workload {
-            let total = self.fpgas * self.nodes * self.tiles;
+            let total = self.fpgas.checked_mul(self.nodes).and_then(|n| n.checked_mul(self.tiles));
+            let total = total.ok_or("the shape's tile count overflows")?;
             if threads == 0 || threads > total {
                 return Err(format!("sort threads must be 1..={total}, got {threads}"));
             }
             if keys == 0 {
                 return Err("sort needs at least one key".into());
             }
+        }
+        if self.tiles > MAX_TILES_PER_NODE {
+            return Err(format!(
+                "tiles per node must be 1..={MAX_TILES_PER_NODE}, got {}",
+                self.tiles
+            ));
         }
         if self.budget == 0 {
             return Err("cycle budget must be positive".into());
@@ -578,6 +586,12 @@ mod tests {
         assert!(JobSpec::from_text("smappic-jobspec v2\n").is_err());
         let good = JobSpec::small("a", WorkloadSpec::Bursty { ops: 1, seed: 1 }).to_text();
         assert!(JobSpec::from_text(&good.replace("shape 2 1 2", "shape 9 1 2")).is_err());
+        // Shapes too large to build are rejected before anything is
+        // allocated, and a sort's thread ceiling never overflows.
+        assert!(JobSpec::from_text(&good.replace("shape 2 1 2", "shape 1 1 4000000000")).is_err());
+        let sort = JobSpec::small("s", WorkloadSpec::Sort { keys: 64, threads: 4 }).to_text();
+        let huge = sort.replace("shape 2 1 2", "shape 4 4 2305843009213693952");
+        assert!(JobSpec::from_text(&huge).is_err());
         assert!(JobSpec::from_text(&(good.clone() + "extra line\n")).is_err());
         assert!(JobSpec::from_text(&good.replace("faults none", "faults maybe 1 all")).is_err());
     }

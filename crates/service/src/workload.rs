@@ -96,7 +96,8 @@ impl PoisonEngine {
 
 impl SaveState for PoisonEngine {
     fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.ticks);
+        let Self { after: _, ticks } = self; // the fuse is configuration
+        w.u64(*ticks);
     }
     fn restore(&mut self, r: &mut SnapReader) {
         self.ticks = r.u64();
@@ -113,14 +114,6 @@ impl Engine for PoisonEngine {
 
     fn progress(&self) -> u64 {
         self.ticks
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.save(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) {
-        self.restore(r);
     }
 
     fn label(&self) -> &str {

@@ -199,13 +199,14 @@ impl<T> EthLink<T> {
 
 impl<T: Pack> SaveState for EthLink<T> {
     fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.free);
-        w.u64(self.bytes_sent);
+        let Self { bytes_per_cycle: _, free, bytes_sent, wire } = self; // bandwidth: configuration
+        w.u64(*free);
+        w.u64(*bytes_sent);
         // Ring only: the wire's meter samples occupancy at push/pop *call*
         // time, which the batched epoch driver legitimately shifts
         // relative to the per-cycle pump. The frames in flight are
         // architectural; the meter is a host-side diagnostic.
-        self.wire.save_ring_only(w);
+        wire.save_ring_only(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -507,30 +508,39 @@ impl<T: Clone> EthSwitch<T> {
 
 impl<T: Pack + Clone> SaveState for EthSwitch<T> {
     fn save(&self, w: &mut SnapWriter) {
-        for (i, hop) in self.ingress.iter().enumerate() {
+        // Shape and fault plan are configuration.
+        let Self {
+            params: _,
+            first: _,
+            members_total: _,
+            ingress,
+            egress,
+            uplink,
+            remote,
+            jitter,
+            seq,
+            plan: _,
+            frames,
+            frame_bytes,
+            delayed,
+            duplicated,
+        } = self;
+        for (i, hop) in ingress.iter().enumerate() {
             w.scoped(&format!("in{i}"), |w| hop.save(w));
         }
-        for (i, hop) in self.egress.iter().enumerate() {
+        for (i, hop) in egress.iter().enumerate() {
             w.scoped(&format!("out{i}"), |w| hop.save(w));
         }
-        w.scoped("uplink", |w| self.uplink.save(w));
-        w.usize(self.remote.len());
-        for (k, frame) in &self.remote {
-            k.pack(w);
-            frame.pack(w);
+        w.scoped("uplink", |w| uplink.save(w));
+        remote.pack(w);
+        for j in jitter {
+            j.pack(w);
         }
-        for j in &self.jitter {
-            w.usize(j.len());
-            for (k, payload) in j {
-                k.pack(w);
-                payload.pack(w);
-            }
-        }
-        self.seq.pack(w);
-        w.u64(self.frames);
-        w.u64(self.frame_bytes);
-        w.u64(self.delayed);
-        w.u64(self.duplicated);
+        seq.pack(w);
+        w.u64(*frames);
+        w.u64(*frame_bytes);
+        w.u64(*delayed);
+        w.u64(*duplicated);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -541,25 +551,9 @@ impl<T: Pack + Clone> SaveState for EthSwitch<T> {
             r.scoped(&format!("out{i}"), |r| self.egress[i].restore(r));
         }
         r.scoped("uplink", |r| self.uplink.restore(r));
-        self.remote.clear();
-        let n = r.usize();
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
-            let k = <(Cycle, u32, u64)>::unpack(r);
-            self.remote.insert(k, Frame::unpack(r));
-        }
+        self.remote = BTreeMap::unpack(r);
         for j in &mut self.jitter {
-            j.clear();
-            let n = r.usize();
-            for _ in 0..n {
-                if !r.ok() {
-                    break;
-                }
-                let k = JitterKey::unpack(r);
-                j.insert(k, T::unpack(r));
-            }
+            *j = BTreeMap::unpack(r);
         }
         self.seq = Vec::unpack(r);
         self.frames = r.u64();
@@ -735,7 +729,8 @@ impl<T: Clone> EthFabric<T> {
 
 impl<T: Pack + Clone> SaveState for EthFabric<T> {
     fn save(&self, w: &mut SnapWriter) {
-        for (g, sw) in self.switches.iter().enumerate() {
+        let Self { params: _, members: _, switches } = self; // shape: configuration
+        for (g, sw) in switches.iter().enumerate() {
             w.scoped(&format!("sw{g}"), |w| sw.save(w));
         }
     }

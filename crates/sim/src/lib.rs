@@ -67,7 +67,7 @@ pub use port::{DelayPort, Port, PortMeter, Ring, ELASTIC_PREALLOC_CAP};
 pub use rng::SimRng;
 pub use shaper::TrafficShaper;
 pub use snap::{
-    fnv1a, read_stream, CountingSink, MemorySink, Pack, SaveState, SectionSource, SnapDelta,
+    fnv1a, read_stream, CountingSink, MemorySink, Pack, SaveState, SectionSource, Seq, SnapDelta,
     SnapError, SnapReader, SnapSink, SnapWriter, Snapshot, StreamSink, StreamSource,
     HOST_SECTION_PREFIX, SNAP_VERSION,
 };

@@ -29,7 +29,9 @@
 //! [`MetricsRegistry::architectural`] so architectural snapshots compare
 //! equal across steppers.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+#[allow(clippy::disallowed_types)] // the trace buffer, below
+use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -179,6 +181,7 @@ pub struct TraceEvent {
 /// assert_eq!(t.dropped(), if TRACE_COMPILED { 1 } else { 0 });
 /// ```
 #[derive(Debug, Clone, Default)]
+#[allow(clippy::disallowed_types)] // host-side event log, outside the simulated machine
 pub struct TraceBuf {
     enabled: bool,
     cap: usize,
@@ -186,6 +189,7 @@ pub struct TraceBuf {
     dropped: u64,
 }
 
+#[allow(clippy::disallowed_types)] // the event log above
 impl TraceBuf {
     /// Creates a disabled buffer holding at most `cap` events.
     pub fn new(cap: usize) -> Self {

@@ -72,6 +72,7 @@ const ELASTIC_PREALLOC_DEFAULT: usize = 16;
 /// assert_eq!(r.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
+#[allow(clippy::disallowed_types)] // the one deque every architectural queue wraps
 pub struct Ring<T> {
     /// Slot storage. `VecDeque` is the one raw deque the platform keeps:
     /// everything architectural wraps it behind this type's preallocation
@@ -79,6 +80,7 @@ pub struct Ring<T> {
     buf: std::collections::VecDeque<T>,
 }
 
+#[allow(clippy::disallowed_types)] // `Ring`'s own buffer
 impl<T> Ring<T> {
     /// Creates a ring preallocating the default elastic hint (16 slots).
     pub fn new() -> Self {
@@ -159,6 +161,11 @@ impl<T> Ring<T> {
     /// Removes all elements, oldest first, returning them as a vector.
     pub fn drain_all(&mut self) -> Vec<T> {
         self.buf.drain(..).collect()
+    }
+
+    /// Removes all elements, keeping the allocated slots.
+    pub fn clear(&mut self) {
+        self.buf.clear();
     }
 }
 
@@ -666,33 +673,40 @@ impl<T> DelayPort<T> {
 
 impl<T: Pack> SaveState for Ring<T> {
     fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.len());
-        for item in self.iter() {
-            item.pack(w);
-        }
+        let Self { buf } = self;
+        buf.pack(w);
     }
 
+    /// Restores in place, so the ring keeps the slots it preallocated.
     fn restore(&mut self, r: &mut SnapReader) {
         self.buf.clear();
-        let n = r.usize();
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
-            self.buf.push_back(T::unpack(r));
-        }
+        self.buf.extend(r.seq(T::unpack));
+    }
+}
+
+/// A ring held inside another container (a map of per-destination
+/// queues, a cache way's waiters) packs as its [`SaveState`] image.
+impl<T: Pack> Pack for Ring<T> {
+    fn pack(&self, w: &mut SnapWriter) {
+        self.save(w);
+    }
+
+    fn unpack(r: &mut SnapReader) -> Self {
+        let mut ring = Ring::new();
+        ring.restore(r);
+        ring
     }
 }
 
 impl SaveState for PortMeter {
     fn save(&self, w: &mut SnapWriter) {
-        // The name is configuration (it comes from the component's
-        // constructor), so only the counters and histogram are state.
-        w.u64(self.pushes);
-        w.u64(self.pops);
-        w.u64(self.stalls);
-        w.u64(self.peak);
-        self.occupancy.save(w);
+        // The name comes from the component's constructor: configuration.
+        let Self { name: _, pushes, pops, stalls, peak, occupancy } = self;
+        w.u64(*pushes);
+        w.u64(*pops);
+        w.u64(*stalls);
+        w.u64(*peak);
+        occupancy.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -706,8 +720,11 @@ impl SaveState for PortMeter {
 
 impl<T: Pack> SaveState for Port<T> {
     fn save(&self, w: &mut SnapWriter) {
-        self.ring.save(w);
-        self.meter.save(w);
+        // The bound's capacity is configuration and its credits follow from
+        // the ring; the fault hook is configuration.
+        let Self { ring, bound: _, meter, faults: _ } = self;
+        ring.save(w);
+        meter.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -730,8 +747,9 @@ impl<T: Pack> SaveState for Port<T> {
 
 impl<T: Pack> SaveState for DelayPort<T> {
     fn save(&self, w: &mut SnapWriter) {
-        self.ring.save(w);
-        self.meter.save(w);
+        let Self { latency: _, ring, meter } = self; // latency: configuration
+        ring.save(w);
+        meter.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {

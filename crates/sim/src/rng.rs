@@ -82,7 +82,8 @@ impl Default for SimRng {
 
 impl crate::SaveState for SimRng {
     fn save(&self, w: &mut crate::SnapWriter) {
-        w.u64(self.state);
+        let Self { state } = self;
+        w.u64(*state);
     }
 
     fn restore(&mut self, r: &mut crate::SnapReader) {

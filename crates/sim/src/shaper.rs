@@ -1,6 +1,7 @@
 //! Traffic shaping: the latency + bandwidth performance model SMAPPIC puts in
 //! front of everything that leaves the FPGA fabric (§3.5 of the paper).
 
+#[allow(clippy::disallowed_types)] // the shaper's in-flight queue, below
 use std::collections::VecDeque;
 
 use crate::{Cycle, Pack, SaveState, SnapReader, SnapWriter};
@@ -25,6 +26,7 @@ use crate::{Cycle, Pack, SaveState, SnapReader, SnapWriter};
 /// assert_eq!(s.pop_ready(18), Some("pkt0"));
 /// ```
 #[derive(Debug, Clone)]
+#[allow(clippy::disallowed_types)] // a timed link model, not a credit-accounted queue
 pub struct TrafficShaper<T> {
     /// Bandwidth = `bytes_per_cycle_num / bytes_per_cycle_den` bytes/cycle.
     bw_num: u64,
@@ -37,6 +39,7 @@ pub struct TrafficShaper<T> {
     bytes_sent: u64,
 }
 
+#[allow(clippy::disallowed_types)] // the in-flight queue above
 impl<T> TrafficShaper<T> {
     /// Creates a shaper with bandwidth `bw_num / bw_den` bytes per cycle and
     /// a fixed `latency` in cycles.
@@ -154,28 +157,17 @@ impl<T: Pack> SaveState for TrafficShaper<T> {
         // Bandwidth and latency are configuration; the link's drain point,
         // in-flight items (with exact delivery cycles), and byte counter
         // are the mutable state.
-        w.u128(self.link_free_scaled);
-        w.u64(self.bytes_sent);
-        w.usize(self.inflight.len());
-        for (ready, item) in &self.inflight {
-            w.u64(*ready);
-            item.pack(w);
-        }
+        let Self { bw_num: _, bw_den: _, latency: _, link_free_scaled, inflight, bytes_sent } =
+            self;
+        w.u128(*link_free_scaled);
+        w.u64(*bytes_sent);
+        inflight.pack(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
         self.link_free_scaled = r.u128();
         self.bytes_sent = r.u64();
-        self.inflight.clear();
-        let n = r.usize();
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
-            let ready = r.u64();
-            let item = T::unpack(r);
-            self.inflight.push_back((ready, item));
-        }
+        self.inflight = Pack::unpack(r);
     }
 }
 

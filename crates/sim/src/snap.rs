@@ -30,6 +30,11 @@
 //! order (`HashMap`) must be serialized in sorted key order so identical
 //! states produce identical bytes.
 //!
+//! Every `save` begins by destructuring `Self` with no `..`, binding each
+//! field it does not write to `_` beside the reason (configuration,
+//! derived, host-side). A field added to the struct is then a compile
+//! error at that `save` until it is either saved or waived there.
+//!
 //! Host-side stepper diagnostics (epoch histograms, trace buffers) either
 //! stay out of the snapshot or live in sections under the `host.` prefix,
 //! which [`Snapshot::first_divergence`] skips — the serial and
@@ -37,16 +42,20 @@
 //! every architectural bit.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+#[allow(clippy::disallowed_types)] // the `VecDeque` codec below
+use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::{Read, Write};
 
 use crate::codec;
 
 /// Current snapshot container format version. Version 2 changed the
-/// state digest from byte-serial FNV-1a to a word-at-a-time hash; the
-/// section bytes are those of version 1.
-pub const SNAP_VERSION: u32 = 2;
+/// state digest from byte-serial FNV-1a to a word-at-a-time hash; version
+/// 3 dropped the LLC slice's copy of the platform clock (8 bytes per
+/// `*.llc` section), so an idle slice's section stops changing between
+/// snapshots.
+pub const SNAP_VERSION: u32 = 3;
 
 /// Section-name prefix for host-side (non-architectural) stepper state.
 ///
@@ -128,13 +137,15 @@ impl fmt::Display for SnapError {
 
 impl std::error::Error for SnapError {}
 
-/// The save/restore contract every stateful architectural component
-/// implements.
+/// The save/restore contract every stateful architectural component — and
+/// every tile engine — implements.
 ///
 /// `save` writes the component's mutable state into the writer's current
 /// scope; `restore` reads it back in the same order. Both sides use the
 /// same scope structure, so the section layout is self-describing and two
-/// snapshots of the same config are comparable section-by-section.
+/// snapshots of the same config are comparable section-by-section. `save`
+/// destructures `Self` exhaustively (see the module docs), so its field
+/// list is checked by the compiler.
 pub trait SaveState {
     /// Serializes mutable architectural state into `w`'s current scope.
     fn save(&self, w: &mut SnapWriter);
@@ -676,6 +687,17 @@ impl<'a> SnapReader<'a> {
         })
     }
 
+    /// Reads a count-prefixed sequence: the count [`SnapWriter::usize`]
+    /// wrote, then that many items, each read by `item` as the returned
+    /// iterator reaches it. Every collection decoder is this iterator,
+    /// collected (`Vec`, `VecDeque`, `BTreeMap`) or extended into in place
+    /// (`Ring::restore`); see [`Seq`] for why a corrupt count can neither
+    /// spin it nor make it allocate without bound.
+    pub fn seq<T, F: FnMut(&mut Self) -> T>(&mut self, item: F) -> Seq<'_, 'a, F> {
+        let left = self.usize();
+        Seq { r: self, left, item }
+    }
+
     /// Finishes the restore: the first recorded error, or an
     /// [`SnapError::UnexpectedSection`] if the snapshot held a section no
     /// component visited (a structural mismatch the per-scope checks
@@ -698,6 +720,43 @@ impl<'a> SnapReader<'a> {
             Some(first) => Err(SnapError::UnexpectedSection(first.to_string())),
             None => Ok(()),
         }
+    }
+}
+
+/// Most items a collection decoder preallocates room for, whatever count
+/// the section declares.
+const PREALLOC_ITEMS: usize = 4096;
+
+/// The items of a count-prefixed sequence, from [`SnapReader::seq`].
+///
+/// This is the one loop every collection in a snapshot is read by. It ends
+/// at the first recorded error, so a corrupt count cannot spin it, and its
+/// `size_hint` lower bound — what `collect` and `extend` preallocate — is
+/// the declared count capped at 4096 items, so a corrupt count cannot make
+/// them allocate without bound either. On a corrupt section it yields
+/// fewer items than that bound, which a hint permits.
+#[derive(Debug)]
+pub struct Seq<'r, 'a, F> {
+    r: &'r mut SnapReader<'a>,
+    /// Items the count declared that have not been read yet.
+    left: usize,
+    item: F,
+}
+
+impl<'a, T, F: FnMut(&mut SnapReader<'a>) -> T> Iterator for Seq<'_, 'a, F> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        let r = &mut *self.r;
+        if !r.ok() || self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        Some((self.item)(r))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left.min(PREALLOC_ITEMS), Some(self.left))
     }
 }
 
@@ -1670,6 +1729,18 @@ impl<T: Pack> Pack for Option<T> {
     }
 }
 
+impl Pack for i16 {
+    fn pack(&self, w: &mut SnapWriter) {
+        w.u16(*self as u16);
+    }
+    fn unpack(r: &mut SnapReader) -> Self {
+        r.u16() as i16
+    }
+}
+
+// Collections are a count and then their items, in iteration order —
+// sorted for `BTreeMap` — and read back through `SnapReader::seq`.
+
 impl<T: Pack> Pack for Vec<T> {
     fn pack(&self, w: &mut SnapWriter) {
         w.usize(self.len());
@@ -1678,17 +1749,34 @@ impl<T: Pack> Pack for Vec<T> {
         }
     }
     fn unpack(r: &mut SnapReader) -> Self {
-        let n = r.usize();
-        // Bound preallocation so a corrupt length cannot OOM, and bail on
-        // the first error so it cannot spin the loop either.
-        let mut out = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
-            out.push(T::unpack(r));
+        r.seq(T::unpack).collect()
+    }
+}
+
+/// The codec `Ring` and the traffic shaper's in-flight queue ride on.
+#[allow(clippy::disallowed_types)]
+impl<T: Pack> Pack for VecDeque<T> {
+    fn pack(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for v in self {
+            v.pack(w);
         }
-        out
+    }
+    fn unpack(r: &mut SnapReader) -> Self {
+        r.seq(T::unpack).collect()
+    }
+}
+
+impl<K: Pack + Ord, V: Pack> Pack for BTreeMap<K, V> {
+    fn pack(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for (k, v) in self {
+            k.pack(w);
+            v.pack(w);
+        }
+    }
+    fn unpack(r: &mut SnapReader) -> Self {
+        r.seq(<(K, V)>::unpack).collect()
     }
 }
 
@@ -2054,7 +2142,11 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_types)] // round-trips the `VecDeque` codec
     fn pack_round_trips_containers() {
+        let map: BTreeMap<u16, (u64, bool)> = [(9, (90, true)), (2, (20, false))].into();
+        let deque: VecDeque<i16> = [-3, 0, i16::MIN, i16::MAX].into();
+        let ring: crate::Ring<u64> = [5, 6, 7].into_iter().collect();
         let mut w = SnapWriter::new();
         w.scoped("p", |w| {
             Some(7u64).pack(w);
@@ -2062,6 +2154,11 @@ mod tests {
             vec![1u32, 2, 3].pack(w);
             (4u16, true).pack(w);
             (1u8, 2u64, String::from("x")).pack(w);
+            (-2i16).pack(w);
+            map.pack(w);
+            BTreeMap::<u64, u64>::new().pack(w);
+            deque.pack(w);
+            ring.pack(w);
         });
         let snap = Snapshot::new(0, 0, w);
         let mut r = SnapReader::new(&snap);
@@ -2071,8 +2168,39 @@ mod tests {
             assert_eq!(Vec::<u32>::unpack(r), vec![1, 2, 3]);
             assert_eq!(<(u16, bool)>::unpack(r), (4, true));
             assert_eq!(<(u8, u64, String)>::unpack(r), (1, 2, "x".into()));
+            assert_eq!(i16::unpack(r), -2);
+            assert_eq!(BTreeMap::unpack(r), map);
+            assert!(BTreeMap::<u64, u64>::unpack(r).is_empty());
+            assert_eq!(VecDeque::unpack(r), deque);
+            let back = crate::Ring::<u64>::unpack(r);
+            assert_eq!(back.iter().collect::<Vec<_>>(), ring.iter().collect::<Vec<_>>());
         });
         r.finish().expect("clean");
+    }
+
+    #[test]
+    fn a_sequence_stops_at_its_first_error() {
+        // The count promises three u64s; the section holds one and a half.
+        let mut w = SnapWriter::new();
+        w.scoped("s", |w| {
+            w.usize(3);
+            w.u64(11);
+            w.u32(0);
+        });
+        let snap = Snapshot::new(0, 0, w);
+        let mut r = SnapReader::new(&snap);
+        let mut reads = 0;
+        r.scoped("s", |r| {
+            let got: Vec<u64> = r
+                .seq(|r| {
+                    reads += 1;
+                    r.u64()
+                })
+                .collect();
+            assert_eq!(got, [11, 0], "the truncated read yields a default");
+        });
+        assert_eq!(reads, 2, "no item is read after the error");
+        assert_eq!(r.finish(), Err(SnapError::Truncated("s".into())));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::{SaveState, SnapReader, SnapWriter};
+use crate::{Pack, SaveState, SnapReader, SnapWriter};
 
 /// A named set of monotonically increasing counters.
 ///
@@ -309,31 +309,20 @@ impl SaveState for Stats {
     fn save(&self, w: &mut SnapWriter) {
         // BTreeMap iteration is already sorted, so identical states
         // serialize to identical bytes.
-        w.usize(self.counters.len());
-        for (k, v) in &self.counters {
-            w.str(k);
-            w.u64(*v);
-        }
+        let Self { counters } = self;
+        counters.pack(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
-        self.counters.clear();
-        let n = r.usize();
-        for _ in 0..n {
-            if !r.ok() {
-                break;
-            }
-            let k = r.str();
-            let v = r.u64();
-            self.counters.insert(k, v);
-        }
+        self.counters = BTreeMap::unpack(r);
     }
 }
 
 impl SaveState for CounterSet {
     fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.slots.len());
-        for v in self.slots.iter() {
+        let Self { keys: _, slots } = self; // keys: the static key table
+        w.usize(slots.len());
+        for v in slots.iter() {
             w.u64(*v);
         }
     }
@@ -352,11 +341,12 @@ impl SaveState for CounterSet {
 
 impl SaveState for Histogram {
     fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.u128(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-        for b in &self.buckets {
+        let Self { count, sum, min, max, buckets } = self;
+        w.u64(*count);
+        w.u128(*sum);
+        w.u64(*min);
+        w.u64(*max);
+        for b in buckets {
             w.u64(*b);
         }
     }

@@ -11,6 +11,9 @@
 //! - [`DelayPort`] never reorders equal-stamp items,
 //! - elastic ports grow without losing or reordering elements.
 
+// The model the ports are checked against is the plain deque they wrap.
+#![allow(clippy::disallowed_types)]
+
 use std::collections::VecDeque;
 
 use smappic_sim::{DelayPort, Port, Ring, SimRng, ELASTIC_PREALLOC_CAP};

@@ -1,13 +1,16 @@
 //! What a snapshot field costs, as an exact count: the writer and reader
 //! resolve a section's name once per scope, so primitive writes and reads
 //! inside a scope allocate nothing beyond the section buffer's own
-//! growth. A counting global allocator makes that a number instead of a
-//! timing.
+//! growth, and a collection whose count lies preallocates a bounded amount.
+//! A counting global allocator makes that a number instead of a timing.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
-use smappic_sim::{SnapReader, SnapWriter, Snapshot};
+use std::collections::BTreeMap;
+
+use counting_alloc::Allocs;
+use smappic_sim::{Pack, SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Allocations this thread makes while `f` runs.
 fn allocations(f: impl FnOnce()) -> usize {
@@ -91,4 +94,44 @@ fn opening_scopes_costs_a_bounded_number_of_allocations_each() {
     // The reader borrows names and bytes from the snapshot: opening a
     // scope only extends the path string in place.
     assert!(reading <= 8, "{reading} allocations to read {SCOPES} scopes");
+}
+
+/// A section whose count declares 2^40 items but whose bytes hold 16.
+fn hostile_section(payload: [u64; 2]) -> Snapshot {
+    let mut w = SnapWriter::new();
+    w.scoped("hostile", |w| {
+        w.usize(1 << 40);
+        for v in payload {
+            w.u64(v);
+        }
+    });
+    Snapshot::new(0, 0, w)
+}
+
+/// Decodes `T` from [`hostile_section`], returning it, the reader's verdict
+/// and what decoding allocated.
+fn decode_hostile<T: Pack>(payload: [u64; 2]) -> (T, Result<(), SnapError>, Allocs) {
+    let snap = hostile_section(payload);
+    let mut r = SnapReader::new(&snap);
+    let mut decoded = None;
+    r.scoped("hostile", |r| decoded = Some(counting_alloc::measured(|| T::unpack(r))));
+    let (value, allocs) = decoded.expect("the scope ran");
+    (value, r.finish(), allocs)
+}
+
+#[test]
+fn a_map_declaring_a_trillion_entries_reads_what_is_there_and_fails_within_a_mebibyte() {
+    let (map, verdict, allocs) = decode_hostile::<BTreeMap<u64, u64>>([7, 70]);
+    assert_eq!(map.get(&7), Some(&70), "the one entry the section holds is read");
+    assert_eq!(verdict, Err(SnapError::Truncated("hostile".into())));
+    assert!(allocs.largest <= 1 << 20, "{} bytes at once", allocs.largest);
+}
+
+#[test]
+#[allow(clippy::disallowed_types)] // the decoder under test
+fn a_deque_declaring_a_trillion_items_reads_what_is_there_and_fails_within_a_mebibyte() {
+    let (deque, verdict, allocs) = decode_hostile::<std::collections::VecDeque<u64>>([1, 2]);
+    assert_eq!(deque.iter().take(2).copied().collect::<Vec<_>>(), [1, 2]);
+    assert_eq!(verdict, Err(SnapError::Truncated("hostile".into())));
+    assert!(allocs.largest <= 1 << 20, "{} bytes at once", allocs.largest);
 }

@@ -481,6 +481,101 @@ impl ArianeCore {
     }
 }
 
+impl SaveState for ArianeCore {
+    fn save(&self, w: &mut SnapWriter) {
+        // The configuration and label are fixed at construction; the block
+        // cache and its switch are host-side derived state, rebuilt after
+        // restore.
+        let Self {
+            cfg: _,
+            label: _,
+            hart,
+            icache,
+            bht,
+            blocks: _,
+            fast_decode: _,
+            state,
+            stall,
+            next_token,
+            console,
+            exit_code,
+            retired_loads,
+            branches,
+            mispredicts,
+        } = self;
+        hart.save(w);
+        icache.pack(w);
+        bht.pack(w);
+        // State tags: 0=Run, 1=Issue, 2=Wait, 3=Wfi, 4=Halted.
+        match state {
+            State::Run => w.u8(0),
+            State::Issue(req, pend) => {
+                w.u8(1);
+                req.pack(w);
+                pend.pack(w);
+            }
+            State::Wait(token, pend) => {
+                w.u8(2);
+                w.u64(*token);
+                pend.pack(w);
+            }
+            State::Wfi => w.u8(3),
+            State::Halted => w.u8(4),
+        }
+        w.u64(*stall);
+        w.u64(*next_token);
+        w.bytes(console);
+        exit_code.pack(w);
+        w.u64(*retired_loads);
+        w.u64(*branches);
+        w.u64(*mispredicts);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader) {
+        self.hart.restore(r);
+        self.icache = Vec::unpack(r);
+        if self.icache.len() != self.cfg.icache_dwords {
+            r.corrupt("icache size does not match this core's configuration");
+            self.icache = vec![None; self.cfg.icache_dwords];
+        }
+        let bht = Vec::unpack(r);
+        if bht.len() == self.bht.len() {
+            self.bht = bht;
+        } else {
+            r.corrupt("BHT size does not match this core's configuration");
+        }
+        self.state = match r.u8() {
+            0 => State::Run,
+            1 => {
+                let req = CoreReq::unpack(r);
+                let pend = Pend::unpack(r);
+                State::Issue(req, pend)
+            }
+            2 => {
+                let token = r.u64();
+                let pend = Pend::unpack(r);
+                State::Wait(token, pend)
+            }
+            3 => State::Wfi,
+            4 => State::Halted,
+            _ => {
+                r.corrupt("unknown Ariane state tag");
+                State::Run
+            }
+        };
+        self.stall = r.u64();
+        self.next_token = r.u64();
+        self.console = r.bytes();
+        self.exit_code = Option::unpack(r);
+        self.retired_loads = r.u64();
+        self.branches = r.u64();
+        self.mispredicts = r.u64();
+        // The block cache is derived state: rebuild it from the restored
+        // machine rather than trusting blocks decoded from pre-restore code.
+        self.blocks.invalidate_all();
+    }
+}
+
 impl Engine for ArianeCore {
     fn tick(&mut self, now: Cycle, tri: &mut dyn Tri) {
         if matches!(self.state, State::Halted) {
@@ -583,84 +678,6 @@ impl Engine for ArianeCore {
 
     fn block_cache_stats(&self) -> Option<(u64, u64)> {
         Some(ArianeCore::block_cache_stats(self))
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.hart.save(w);
-        self.icache.pack(w);
-        w.usize(self.bht.len());
-        for c in &self.bht {
-            w.u8(*c);
-        }
-        // State tags: 0=Run, 1=Issue, 2=Wait, 3=Wfi, 4=Halted.
-        match &self.state {
-            State::Run => w.u8(0),
-            State::Issue(req, pend) => {
-                w.u8(1);
-                req.pack(w);
-                pend.pack(w);
-            }
-            State::Wait(token, pend) => {
-                w.u8(2);
-                w.u64(*token);
-                pend.pack(w);
-            }
-            State::Wfi => w.u8(3),
-            State::Halted => w.u8(4),
-        }
-        w.u64(self.stall);
-        w.u64(self.next_token);
-        w.bytes(&self.console);
-        self.exit_code.pack(w);
-        w.u64(self.retired_loads);
-        w.u64(self.branches);
-        w.u64(self.mispredicts);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) {
-        self.hart.restore(r);
-        self.icache = Vec::unpack(r);
-        if self.icache.len() != self.cfg.icache_dwords {
-            r.corrupt("icache size does not match this core's configuration");
-            self.icache = vec![None; self.cfg.icache_dwords];
-        }
-        let bht_len = r.usize();
-        if bht_len != self.bht.len() {
-            r.corrupt("BHT size does not match this core's configuration");
-        } else {
-            for c in &mut self.bht {
-                *c = r.u8();
-            }
-        }
-        self.state = match r.u8() {
-            0 => State::Run,
-            1 => {
-                let req = CoreReq::unpack(r);
-                let pend = Pend::unpack(r);
-                State::Issue(req, pend)
-            }
-            2 => {
-                let token = r.u64();
-                let pend = Pend::unpack(r);
-                State::Wait(token, pend)
-            }
-            3 => State::Wfi,
-            4 => State::Halted,
-            _ => {
-                r.corrupt("unknown Ariane state tag");
-                State::Run
-            }
-        };
-        self.stall = r.u64();
-        self.next_token = r.u64();
-        self.console = r.bytes();
-        self.exit_code = Option::unpack(r);
-        self.retired_loads = r.u64();
-        self.branches = r.u64();
-        self.mispredicts = r.u64();
-        // The block cache is derived state: rebuild it from the restored
-        // machine rather than trusting blocks decoded from pre-restore code.
-        self.blocks.invalidate_all();
     }
 
     fn label(&self) -> &str {
@@ -896,14 +913,14 @@ mod tests {
         assert!(!core.is_done(), "must snapshot mid-program");
 
         let mut w = SnapWriter::new();
-        w.scoped("engine", |w| core.save_state(w));
+        w.scoped("engine", |w| core.save(w));
         let snap = Snapshot::new(1, 700, w);
 
         let img = assemble(src, 0x1_0000).unwrap();
         let _ = img;
         let mut core2 = ArianeCore::new(ArianeConfig::new(0, 0x1_0000, AddrMap::new()));
         let mut r = SnapReader::new(&snap);
-        r.scoped("engine", |r| core2.restore_state(r));
+        r.scoped("engine", |r| core2.restore(r));
         r.finish().expect("clean restore");
 
         assert_eq!(core2.hart().pc(), core.hart().pc());
@@ -913,7 +930,7 @@ mod tests {
         // A re-save of the restored core must reproduce the exact bytes:
         // restore consumed every field and lost nothing.
         let mut w2 = SnapWriter::new();
-        w2.scoped("engine", |w| core2.save_state(w));
+        w2.scoped("engine", |w| core2.save(w));
         let snap2 = Snapshot::new(1, 700, w2);
         assert_eq!(snap, snap2, "save/restore/save must be a fixed point");
     }

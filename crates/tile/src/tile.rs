@@ -158,14 +158,12 @@ impl Tile {
         self.sleep_until
     }
 
-    /// Applies the `delta` skipped ticks of `[now, now + delta)` in one
-    /// step: exactly what that many per-cycle skip paths would have done
-    /// (engine aging, the LLC slice clock, the host skip counter). Caller
-    /// guarantees the sleep covers the whole window.
-    pub fn warp_quiet(&mut self, now: Cycle, delta: u64) {
+    /// Applies `delta` skipped ticks in one step: exactly what that many
+    /// per-cycle skip paths would have done (engine aging and the host skip
+    /// counter). Caller guarantees the sleep covers the whole window.
+    pub fn warp_quiet(&mut self, delta: u64) {
         debug_assert!(self.sleep_until.is_some(), "warp_quiet requires an armed sleep");
         self.engine.advance_idle(delta);
-        self.llc.sync_quiet(now + delta - 1);
         self.skipped_cycles += delta;
     }
 
@@ -202,13 +200,10 @@ impl Tile {
     pub fn tick(&mut self, now: Cycle) {
         if let Some(wake) = self.sleep_until {
             if now < wake {
-                // Skipped tick: provably a no-op except for engine aging
-                // and the LLC slice clock, which are applied eagerly so
-                // architectural state (mcycle, compute budgets, the
-                // serialized `cur`) is never stale.
-                self.engine.advance_idle(1);
-                self.llc.sync_quiet(now);
-                self.skipped_cycles += 1;
+                // Skipped tick: provably a no-op except for engine aging,
+                // which is applied eagerly so architectural state (mcycle,
+                // compute budgets) is never stale.
+                self.warp_quiet(1);
                 return;
             }
             self.sleep_until = None;
@@ -308,11 +303,24 @@ impl Tile {
 
 impl SaveState for Tile {
     fn save(&self, w: &mut SnapWriter) {
-        w.scoped("bpc", |w| self.bpc.save(w));
-        w.scoped("llc", |w| self.llc.save(w));
-        w.scoped("engine", |w| self.engine.save_state(w));
-        self.pending_mmio.save(w);
-        for q in &self.out {
+        // The id is configuration; sleep, skip count and fast-path switch
+        // are host-side scheduler state.
+        let Self {
+            id: _,
+            bpc,
+            llc,
+            engine,
+            pending_mmio,
+            out,
+            sleep_until: _,
+            skipped_cycles: _,
+            fast_path: _,
+        } = self;
+        w.scoped("bpc", |w| bpc.save(w));
+        w.scoped("llc", |w| llc.save(w));
+        w.scoped("engine", |w| engine.save(w));
+        pending_mmio.save(w);
+        for q in out {
             q.save(w);
         }
     }
@@ -323,7 +331,7 @@ impl SaveState for Tile {
         self.sleep_until = None;
         r.scoped("bpc", |r| self.bpc.restore(r));
         r.scoped("llc", |r| self.llc.restore(r));
-        r.scoped("engine", |r| self.engine.restore_state(r));
+        r.scoped("engine", |r| self.engine.restore(r));
         self.pending_mmio.restore(r);
         for q in &mut self.out {
             q.restore(r);
@@ -401,6 +409,12 @@ mod tests {
     fn mmio_pending_is_retried() {
         struct SlowDevice {
             countdown: u32,
+        }
+        impl SaveState for SlowDevice {
+            fn save(&self, _w: &mut SnapWriter) {
+                let Self { countdown: _ } = self; // never snapshotted here
+            }
+            fn restore(&mut self, _r: &mut SnapReader) {}
         }
         impl Engine for SlowDevice {
             fn tick(&mut self, _now: Cycle, _tri: &mut dyn Tri) {
@@ -545,6 +559,12 @@ mod tests {
         use std::sync::{Arc, Mutex};
         struct IrqProbe {
             seen: Arc<Mutex<Option<(u16, bool)>>>,
+        }
+        impl SaveState for IrqProbe {
+            fn save(&self, _w: &mut SnapWriter) {
+                let Self { seen: _ } = self; // a test probe, never snapshotted
+            }
+            fn restore(&mut self, _r: &mut SnapReader) {}
         }
         impl Engine for IrqProbe {
             fn tick(&mut self, _now: Cycle, _tri: &mut dyn Tri) {}

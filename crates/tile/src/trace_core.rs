@@ -2,7 +2,7 @@
 
 use smappic_coherence::{CoreReq, CoreResp, MemOp};
 use smappic_noc::{Addr, AmoOp};
-use smappic_sim::{Cycle, Pack, SnapReader, SnapWriter};
+use smappic_sim::{Cycle, Pack, SaveState, SnapReader, SnapWriter};
 
 use crate::addrmap::AddrMap;
 use crate::tri::{Engine, Tri};
@@ -272,6 +272,84 @@ impl TraceCore {
     }
 }
 
+impl SaveState for TraceCore {
+    fn save(&self, w: &mut SnapWriter) {
+        // The label, program and device map are configuration; everything
+        // a running core mutates is here. Wait tags: 0=None, 1=Mem, 2=Spin.
+        let Self {
+            label: _,
+            program: _,
+            pc,
+            wait,
+            compute_left,
+            next_token,
+            spinning,
+            posted,
+            finished_at,
+            mem_ops,
+            retired,
+            last_load,
+            checksum,
+            checksum_pending,
+            addr_map: _,
+        } = self;
+        w.usize(*pc);
+        match *wait {
+            Wait::None => {
+                w.u8(0);
+                w.u64(0);
+            }
+            Wait::Mem(t) => {
+                w.u8(1);
+                w.u64(t);
+            }
+            Wait::Spin(t) => {
+                w.u8(2);
+                w.u64(t);
+            }
+        }
+        w.u64(*compute_left);
+        w.u64(*next_token);
+        spinning.pack(w);
+        posted.pack(w);
+        finished_at.pack(w);
+        w.u64(*mem_ops);
+        w.u64(*retired);
+        w.u64(*last_load);
+        w.u64(*checksum);
+        w.bool(*checksum_pending);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader) {
+        self.pc = r.usize();
+        if self.pc > self.program.len() {
+            r.corrupt("trace pc beyond program end");
+            self.pc = self.program.len();
+        }
+        let tag = r.u8();
+        let token = r.u64();
+        self.wait = match tag {
+            0 => Wait::None,
+            1 => Wait::Mem(token),
+            2 => Wait::Spin(token),
+            _ => {
+                r.corrupt("unknown trace-core wait tag");
+                Wait::None
+            }
+        };
+        self.compute_left = r.u64();
+        self.next_token = r.u64();
+        self.spinning = Option::unpack(r);
+        self.posted = Vec::unpack(r);
+        self.finished_at = Option::unpack(r);
+        self.mem_ops = r.u64();
+        self.retired = r.u64();
+        self.last_load = r.u64();
+        self.checksum = r.u64();
+        self.checksum_pending = r.bool();
+    }
+}
+
 impl Engine for TraceCore {
     fn tick(&mut self, now: Cycle, tri: &mut dyn Tri) {
         // Drain every available response: posted-store completions are
@@ -419,65 +497,6 @@ impl Engine for TraceCore {
         // The only aging a skippable stretch performs is draining the
         // compute burst.
         self.compute_left -= self.compute_left.min(delta);
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        // The program, label, and addr_map are configuration; everything a
-        // running core mutates is here. Wait tags: 0=None, 1=Mem, 2=Spin.
-        w.usize(self.pc);
-        match self.wait {
-            Wait::None => {
-                w.u8(0);
-                w.u64(0);
-            }
-            Wait::Mem(t) => {
-                w.u8(1);
-                w.u64(t);
-            }
-            Wait::Spin(t) => {
-                w.u8(2);
-                w.u64(t);
-            }
-        }
-        w.u64(self.compute_left);
-        w.u64(self.next_token);
-        self.spinning.pack(w);
-        self.posted.pack(w);
-        self.finished_at.pack(w);
-        w.u64(self.mem_ops);
-        w.u64(self.retired);
-        w.u64(self.last_load);
-        w.u64(self.checksum);
-        w.bool(self.checksum_pending);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) {
-        self.pc = r.usize();
-        if self.pc > self.program.len() {
-            r.corrupt("trace pc beyond program end");
-            self.pc = self.program.len();
-        }
-        let tag = r.u8();
-        let token = r.u64();
-        self.wait = match tag {
-            0 => Wait::None,
-            1 => Wait::Mem(token),
-            2 => Wait::Spin(token),
-            _ => {
-                r.corrupt("unknown trace-core wait tag");
-                Wait::None
-            }
-        };
-        self.compute_left = r.u64();
-        self.next_token = r.u64();
-        self.spinning = Option::unpack(r);
-        self.posted = Vec::unpack(r);
-        self.finished_at = Option::unpack(r);
-        self.mem_ops = r.u64();
-        self.retired = r.u64();
-        self.last_load = r.u64();
-        self.checksum = r.u64();
-        self.checksum_pending = r.bool();
     }
 
     fn label(&self) -> &str {

@@ -2,7 +2,7 @@
 
 use smappic_coherence::{CoreReq, CoreResp};
 use smappic_noc::Addr;
-use smappic_sim::{Cycle, SnapReader, SnapWriter};
+use smappic_sim::{Cycle, SaveState, SnapReader, SnapWriter};
 
 /// The Transaction-Response Interface a compute element sees.
 ///
@@ -34,7 +34,11 @@ pub enum MmioResp {
 /// Engines are `Send` because the platform's parallel stepper moves whole
 /// FPGAs (tiles included) onto worker threads at epoch boundaries; an engine
 /// is still only ever ticked by one thread at a time.
-pub trait Engine: Send {
+///
+/// An engine's snapshot state is its [`SaveState`] impl (the tile opens an
+/// `engine` scope around it): every engine declares one, and a stateless
+/// engine declares an empty one.
+pub trait Engine: SaveState + Send {
     /// Advances one cycle; memory transactions go through `tri`.
     fn tick(&mut self, now: Cycle, tri: &mut dyn Tri);
 
@@ -113,17 +117,6 @@ pub trait Engine: Send {
         MmioResp::Data(0)
     }
 
-    /// Serializes the engine's mutable state into a snapshot section (the
-    /// tile opens an `engine` scope around this call). Stateless engines
-    /// keep the default no-op; stateful engines MUST override both this and
-    /// [`Engine::restore_state`] symmetrically, or restore fails the
-    /// scope-exit exact-consumption check.
-    fn save_state(&self, _w: &mut SnapWriter) {}
-
-    /// Restores state written by [`Engine::save_state`] into an engine of
-    /// the same configuration.
-    fn restore_state(&mut self, _r: &mut SnapReader) {}
-
     /// A short label for diagnostics.
     fn label(&self) -> &str;
 
@@ -140,6 +133,11 @@ pub trait Engine: Send {
 /// tiles in partially-populated prototypes.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdleEngine;
+
+impl SaveState for IdleEngine {
+    fn save(&self, _w: &mut SnapWriter) {}
+    fn restore(&mut self, _r: &mut SnapReader) {}
+}
 
 impl Engine for IdleEngine {
     fn tick(&mut self, _now: Cycle, _tri: &mut dyn Tri) {}

@@ -485,6 +485,56 @@ fn assert_delta_chain_equals_full(
     p
 }
 
+/// A bursty 2x2x2 trace fleet: every core alternates a 100–500-cycle
+/// compute burst with an atomic on one shared counter, so tiles spend
+/// most of the run asleep.
+fn bursty_fleet() -> Platform {
+    let cfg = Config::new(2, 2, 2);
+    let total = cfg.total_tiles();
+    let mut p = Platform::new(cfg);
+    let mut rng = SimRng::new(0xB025_7EE9);
+    for g in 0..total {
+        let ops = (0..150)
+            .flat_map(|_| [TraceOp::Compute(rng.gen_range(400) + 100), TraceOp::AmoAdd(COUNTER, 1)])
+            .collect();
+        p.set_engine(g / 2, (g % 2) as u16, Box::new(TraceCore::new(format!("b{g}"), ops)));
+    }
+    p
+}
+
+#[test]
+fn an_llc_slice_whose_tile_sleeps_through_a_stretch_stays_out_of_the_delta() {
+    // A tile that skips every cycle of a stretch received no packet in it,
+    // so nothing in its LLC slice moved: the slice's section must be
+    // byte-identical at both ends, and the delta must leave it out. The
+    // stretches are shorter than most compute bursts and end well before
+    // the programs do, so the sleepers are cores mid-run.
+    const STRETCH: u64 = 250;
+    let mut p = bursty_fleet();
+    let skipped = |p: &Platform| -> Vec<u64> {
+        (0..8).map(|g| p.node(g / 2).tile((g % 2) as u16).skipped_cycles()).collect()
+    };
+    let mut prev = p.snapshot();
+    let mut slept = 0;
+    for cut in 0..40 {
+        let before = skipped(&p);
+        p.run(STRETCH);
+        let delta = p.snapshot_delta(&prev).expect("delta between consecutive cuts");
+        let full = p.snapshot();
+        for (g, (b, a)) in before.into_iter().zip(skipped(&p)).enumerate() {
+            if a - b < STRETCH {
+                continue; // the tile woke at least once
+            }
+            let llc = format!("fpga{}.node{}.tile{}.llc", g / 4, g / 2, g % 2);
+            assert!(full.section(&llc) == prev.section(&llc), "cut {cut}: {llc} changed");
+            assert!(delta.sections().iter().all(|(n, _)| *n != llc), "cut {cut}: {llc} in delta");
+            slept += 1;
+        }
+        prev = full;
+    }
+    assert!(slept > 0, "no tile slept through a whole stretch: the check has no teeth");
+}
+
 /// Counts what a [`StreamSink`] hands its writer, keeping nothing.
 #[derive(Default)]
 struct WriteMeter {
@@ -660,11 +710,12 @@ fn streaming_sink_round_trips_through_a_file_and_rejects_truncation() {
 /// cycle 2,500; `tests/common`). The sizes were recorded at commit 4fb281e; the
 /// digest was re-pinned when `SNAP_VERSION` 2 replaced the byte-serial
 /// FNV-1a state digest with the word-at-a-time one (the bytes it covers
-/// did not change). These move only when the image format does, and then
-/// `SNAP_VERSION` moves with them.
-const PINNED_RAW_BYTES: u64 = 236_454;
+/// did not change), and both were when `SNAP_VERSION` 3 dropped the LLC
+/// slice clock (8 bytes from each of the 8 `*.llc` sections). These move
+/// only when the image format does, and then `SNAP_VERSION` moves with them.
+const PINNED_RAW_BYTES: u64 = 236_390;
 const PINNED_SECTIONS: usize = 102;
-const PINNED_STATE_DIGEST: u64 = 0x2082_059d_c51b_fbaf;
+const PINNED_STATE_DIGEST: u64 = 0x9645_f440_a35d_52e1;
 
 #[test]
 fn pinned_image_is_byte_stable_and_every_capture_path_agrees() {
