@@ -701,21 +701,10 @@ fn streaming_sink_round_trips_through_a_file_and_rejects_truncation() {
 }
 
 // ---------------------------------------------------------------------------
-// Wire pin: the image of one fixed platform, recorded before the
-// cursor-based writer/reader replaced the map-keyed ones.
+// The pinned image: one fixed platform, captured every way there is. Its
+// size, section count and state digest are pinned in the behaviour ledger
+// (`results/ledger/pinned_image.txt`, `tests/ledger.rs`).
 // ---------------------------------------------------------------------------
-
-/// `CountingSink::{raw_bytes, sections, state_digest}` of
-/// [`pinned_platform`] (a seeded 2x2x2 prototype cut mid-contention at
-/// cycle 2,500; `tests/common`). The sizes were recorded at commit 4fb281e; the
-/// digest was re-pinned when `SNAP_VERSION` 2 replaced the byte-serial
-/// FNV-1a state digest with the word-at-a-time one (the bytes it covers
-/// did not change), and both were when `SNAP_VERSION` 3 dropped the LLC
-/// slice clock (8 bytes from each of the 8 `*.llc` sections). These move
-/// only when the image format does, and then `SNAP_VERSION` moves with them.
-const PINNED_RAW_BYTES: u64 = 236_390;
-const PINNED_SECTIONS: usize = 102;
-const PINNED_STATE_DIGEST: u64 = 0x9645_f440_a35d_52e1;
 
 #[test]
 fn pinned_image_is_byte_stable_and_every_capture_path_agrees() {
@@ -723,9 +712,13 @@ fn pinned_image_is_byte_stable_and_every_capture_path_agrees() {
     let mut count = CountingSink::new();
     p.snapshot_to(&mut count).expect("counting walk");
     assert!(!p.is_idle(), "the pin must cut a platform with work in flight");
-    assert_eq!(count.raw_bytes(), PINNED_RAW_BYTES);
-    assert_eq!(count.sections(), PINNED_SECTIONS);
-    assert_eq!(count.state_digest(), PINNED_STATE_DIGEST);
+    let mut again = CountingSink::new();
+    p.snapshot_to(&mut again).expect("second counting walk");
+    assert_eq!(
+        (again.raw_bytes(), again.sections(), again.state_digest()),
+        (count.raw_bytes(), count.sections(), count.state_digest()),
+        "capturing an image must not change it"
+    );
 
     // snapshot() == snapshot_to(MemorySink) == stream round trip, section
     // for section.
@@ -743,6 +736,6 @@ fn pinned_image_is_byte_stable_and_every_capture_path_agrees() {
             assert_eq!(a.1, b.1, "section '{}' bytes", a.0);
         }
     }
-    assert_eq!(walked.state_digest(), PINNED_STATE_DIGEST);
-    assert_eq!(read_back.state_digest(), PINNED_STATE_DIGEST);
+    assert_eq!(walked.state_digest(), count.state_digest());
+    assert_eq!(read_back.state_digest(), count.state_digest());
 }
