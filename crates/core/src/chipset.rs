@@ -681,26 +681,6 @@ impl Chipset {
         }
     }
 
-    /// Applies `delta` cycles' worth of pure-clock aging without ticking:
-    /// the idle-skip path calls this for every warped-over cycle so the
-    /// guest-visible mtime still advances one-per-cycle.
-    pub fn advance_idle(&mut self, delta: u64) {
-        self.clint.advance(delta);
-    }
-
-    /// The next cycle after `now` at which ticking an otherwise-idle
-    /// chipset would do observable work (a UART wire event). The CLINT is
-    /// excluded: its per-cycle mtime increment is reproduced by
-    /// [`Chipset::advance_idle`], and a timer interrupt can only matter to
-    /// an engine that is not done — in which case the node is not idle and
-    /// no warp happens.
-    pub fn next_event_after(&self, now: Cycle) -> Option<Cycle> {
-        match (self.uart0.next_event_after(now), self.uart1.next_event_after(now)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// True when the chipset has no work in flight (SD idle, queues empty,
     /// memory controller drained).
     pub fn is_idle(&self) -> bool {

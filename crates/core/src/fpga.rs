@@ -104,20 +104,6 @@ impl Fpga {
         self.nodes.iter().all(Node::is_idle) && self.xbar.is_idle() && self.shell.is_idle()
     }
 
-    /// Ages every node's guest clock across `delta` warped-over idle
-    /// cycles (the idle-skip equivalent of `delta` no-op ticks).
-    pub fn advance_idle(&mut self, delta: u64) {
-        for n in &mut self.nodes {
-            n.advance_idle(delta);
-        }
-    }
-
-    /// The next cycle after `now` at which ticking this (idle) FPGA would
-    /// do observable work, folded over all nodes.
-    pub fn next_event_after(&self, now: Cycle) -> Option<Cycle> {
-        self.nodes.iter().filter_map(|n| n.next_event_after(now)).min()
-    }
-
     /// Which global node a bridge address targets.
     fn addr_node(addr: u64) -> usize {
         (addr / NODE_WINDOW) as usize

@@ -188,17 +188,6 @@ impl Node {
         self.tiles.iter().all(Tile::is_idle) && self.mesh.is_idle() && self.chipset.is_idle()
     }
 
-    /// Ages the guest clock across `delta` warped-over idle cycles.
-    pub fn advance_idle(&mut self, delta: u64) {
-        self.chipset.advance_idle(delta);
-    }
-
-    /// The next cycle after `now` at which ticking this (idle) node would
-    /// do observable work; see [`Chipset::next_event_after`].
-    pub fn next_event_after(&self, now: Cycle) -> Option<Cycle> {
-        self.chipset.next_event_after(now)
-    }
-
     /// Advances the node one cycle. Returns true when the cycle took the
     /// quiet path; see [`Fpga::tick`](crate::fpga::Fpga::tick) for what the
     /// epoch driver does with that.

@@ -8,7 +8,8 @@
 //!   index order, then pumps the fabric. [`Platform::run`] falls back to it
 //!   (with globally quiet stretches warped) on single-FPGA and
 //!   zero-lookahead platforms and after [`Platform::set_fast_path`]`(false)`;
-//!   [`Platform::run_until`] and [`Platform::run_until_idle`] always use it.
+//!   [`Platform::run_until`] and [`Platform::run_until_idle`] always use it
+//!   (the latter with the same quiet warps).
 //!   Everything else is proven bit-identical against it.
 //! - **Epoch driver**: a conservative parallel-discrete-event scheme that
 //!   exploits link latency as *lookahead*. Anything sent at cycle `t` over
@@ -40,11 +41,12 @@
 //! ([`Platform::grouped_lookaheads`]) — global coordination cost scales
 //! with the number of groups, not the number of FPGAs.
 //!
-//! Idle stretches are warped over: when every FPGA is quiescent, the
-//! platform jumps straight to the next scheduled event (PCIe delivery,
-//! Ethernet fabric event, or UART wire edge), aging the guest-visible
-//! CLINT clock by the skipped cycle count so software still observes one
-//! mtime tick per cycle.
+//! Quiet stretches are warped over: when every FPGA is provably on its
+//! skip paths, the per-cycle stepper jumps straight to the next cycle that
+//! may do work (a component wake, PCIe delivery, Ethernet fabric event,
+//! or UART wire edge) with one [`Fpga::warp_quiet`], which applies exactly
+//! what the skipped ticks would have: engine and CLINT aging, and the
+//! crossbars' round-robin advance.
 
 use std::sync::mpsc;
 
@@ -802,17 +804,23 @@ impl Platform {
         }
         let mut spent = 0u64;
         while spent < cycles {
-            if let Some(delta) = self.quiet_delta(cycles - spent) {
-                for f in &mut self.fpgas {
-                    f.warp_quiet(delta);
-                }
-                self.now += delta;
-                spent += delta;
-                continue;
-            }
-            self.step();
-            spent += 1;
+            spent += self.advance(cycles - spent);
         }
+    }
+
+    /// One move of the per-cycle stepper: a quiet warp of at most `budget`
+    /// cycles where [`Platform::quiet_delta`] proves one, otherwise one
+    /// [`Platform::step`]. Returns the cycles advanced.
+    fn advance(&mut self, budget: u64) -> u64 {
+        let Some(delta) = self.quiet_delta(budget) else {
+            self.step();
+            return 1;
+        };
+        for f in &mut self.fpgas {
+            f.warp_quiet(delta);
+        }
+        self.now += delta;
+        delta
     }
 
     /// The unit plan of this platform's topology; see [`UnitPlan`].
@@ -997,40 +1005,17 @@ impl Platform {
     /// `max` cycles of simulated time. Returns true on quiescence, with
     /// [`Platform::now`] at the exact first quiescent cycle.
     ///
-    /// Dead stretches are skipped: while every FPGA is idle and the only
-    /// pending work sits in PCIe links or UART wires, time warps straight
-    /// to the next scheduled event, aging the guest clocks by the skipped
-    /// cycles (each skipped cycle's tick would have been a no-op apart
-    /// from the mtime increment, which [`Fpga::advance_idle`] reproduces).
+    /// Quiet stretches are warped exactly as [`Platform::run`]'s per-cycle
+    /// loop warps them (never in reference mode). Nothing but aging
+    /// happens inside a warp, so quiescence cannot begin in the middle of
+    /// one.
     pub fn run_until_idle(&mut self, max: u64) -> bool {
         let mut spent = 0u64;
         while spent < max {
             if self.is_idle() {
                 return true;
             }
-            if self.fpgas.iter().all(Fpga::is_idle) {
-                let now = self.now;
-                let fpga_ev = self.fpgas.iter().filter_map(|f| f.next_event_after(now)).min();
-                let link_ev = self.links.iter().filter_map(|(_, l)| l.next_delivery_at()).min();
-                let eth_ev = self.eth.as_ref().and_then(EthFabric::earliest_event);
-                let target = [fpga_ev, link_ev, eth_ev].into_iter().flatten().min();
-                // Warp to the event cycle; the normal step below executes
-                // it. `target <= now` means a link item matured for this
-                // very cycle's pump — just step.
-                if let Some(target) = target {
-                    if target > now {
-                        let warp = (target - now).min(max - spent);
-                        for f in &mut self.fpgas {
-                            f.advance_idle(warp);
-                        }
-                        self.now += warp;
-                        spent += warp;
-                        continue;
-                    }
-                }
-            }
-            self.step();
-            spent += 1;
+            spent += self.advance(max - spent);
         }
         self.is_idle()
     }

@@ -477,12 +477,6 @@ impl<T: Clone> EthSwitch<T> {
         best
     }
 
-    /// The earliest cycle strictly after `now` at which this switch has an
-    /// event (hop maturity, remote arrival, or jitter release).
-    pub fn next_event_after(&self, now: Cycle) -> Option<Cycle> {
-        self.earliest_event().map(|t| t.max(now + 1))
-    }
-
     /// Total wire bytes serialized by this switch's hops (progress
     /// signature input).
     pub fn bytes_transferred(&self) -> u64 {
@@ -687,12 +681,6 @@ impl<T: Clone> EthFabric<T> {
     /// (see [`EthSwitch::earliest_event`]).
     pub fn earliest_event(&self) -> Option<Cycle> {
         self.switches.iter().filter_map(EthSwitch::earliest_event).min()
-    }
-
-    /// The earliest cycle strictly after `now` at which any switch has an
-    /// event.
-    pub fn next_event_after(&self, now: Cycle) -> Option<Cycle> {
-        self.switches.iter().filter_map(|sw| sw.next_event_after(now)).min()
     }
 
     /// Total wire bytes serialized fabric-wide (progress signature input).

@@ -523,13 +523,6 @@ impl<T> Port<T> {
         &self.meter
     }
 
-    /// A port holds no timed state — queued items are already poppable —
-    /// so it never schedules a future event. Exists so containers can fold
-    /// ports and delay ports through one idle-skip scan uniformly.
-    pub fn next_event_after(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
     #[cfg(test)]
     fn check_invariant(&self) -> bool {
         match self.bound {

@@ -488,6 +488,28 @@ fn ethernet_faults_preserve_architectural_state_and_the_guard_recovers() {
 }
 
 #[test]
+fn run_until_idle_lands_where_stepping_does() {
+    // Regression: `run_until_idle` once warped fully idle stretches with a
+    // warp of its own that aged the CLINTs but not the crossbars'
+    // round-robin pointers, which every stepped cycle advances. This
+    // faulted rack is the one workload whose quiescence it reached that
+    // way: same cycle, different crossbar state.
+    let plan = Arc::new(FaultPlan::seeded(2, FaultProfile::heavy()));
+    let build = || {
+        let topo = Topology::Ethernet(rack_eth_params(2));
+        rack_chaos_platform(4, 3, 2, topo, Some(FaultSpec::links_only(plan.clone())))
+    };
+    let mut warped = build();
+    run_to_idle(&mut warped, "warped");
+    let mut stepped = build();
+    while !stepped.is_idle() {
+        stepped.step();
+    }
+    assert_eq!(warped.now(), stepped.now(), "quiescence reached at a different cycle");
+    assert_eq!(warped.snapshot().first_divergence(&stepped.snapshot()), None);
+}
+
+#[test]
 fn faulted_ethernet_serial_matches_faulted_parallel_bit_for_bit() {
     // The grouped drivers under fire: the same Ethernet fault plan
     // replayed serial vs parallel (and against the per-cycle reference)
