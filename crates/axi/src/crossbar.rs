@@ -3,11 +3,22 @@
 use std::collections::BTreeMap;
 
 use smappic_sim::{
-    Cycle, FaultInjector, MetricsRegistry, Pack, Port, SaveState, SnapReader, SnapWriter, Stats,
-    TraceBuf, TraceEventKind,
+    meter_slots, Cycle, FaultInjector, Meters, Pack, Port, SaveState, SnapReader, SnapWriter,
+    Stats, TraceBuf, TraceEventKind,
 };
 
 use crate::txn::{AxiReq, AxiResp};
+
+meter_slots! {
+    /// The crossbar's counters.
+    struct XbarMeters {
+        req: counter("xbar.req"),
+        resp: counter("xbar.resp"),
+        decerr: counter("xbar.decerr"),
+        orphan_resp: counter("xbar.orphan_resp"),
+        fault_stall: counter("xbar.fault_stall"),
+    }
+}
 
 /// An N-master × M-slave AXI4 crossbar.
 ///
@@ -39,7 +50,8 @@ pub struct Crossbar {
     queued: usize,
     next_tag: u16,
     rr_master: usize,
-    stats: Stats,
+    meters: Meters,
+    slots: XbarMeters,
     trace: TraceBuf,
 }
 
@@ -52,18 +64,24 @@ impl Crossbar {
     /// Panics if either count is zero.
     pub fn new(masters: usize, slaves: usize) -> Self {
         assert!(masters > 0 && slaves > 0, "crossbar needs at least one master and one slave");
+        /// `n` 16-entry ports named `{side}{i}.{queue}`.
+        fn bank<T>(m: &mut Meters, n: usize, side: char, queue: &str) -> Vec<Port<T>> {
+            (0..n).map(|i| Port::bounded(m.port(format!("{side}{i}.{queue}")), 16)).collect()
+        }
+        let mut meters = Meters::new();
         Self {
             masters,
             ranges: Vec::new(),
-            m_req_in: (0..masters).map(|m| Port::bounded(format!("m{m}.req_in"), 16)).collect(),
-            m_resp_out: (0..masters).map(|m| Port::bounded(format!("m{m}.resp_out"), 16)).collect(),
-            s_req_out: (0..slaves).map(|s| Port::bounded(format!("s{s}.req_out"), 16)).collect(),
-            s_resp_in: (0..slaves).map(|s| Port::bounded(format!("s{s}.resp_in"), 16)).collect(),
+            m_req_in: bank(&mut meters, masters, 'm', "req_in"),
+            m_resp_out: bank(&mut meters, masters, 'm', "resp_out"),
+            s_req_out: bank(&mut meters, slaves, 's', "req_out"),
+            s_resp_in: bank(&mut meters, slaves, 's', "resp_in"),
             inflight: BTreeMap::new(),
             queued: 0,
             next_tag: 0,
             rr_master: 0,
-            stats: Stats::new(),
+            slots: XbarMeters::register(&mut meters),
+            meters,
             trace: TraceBuf::new(4096),
         }
     }
@@ -114,7 +132,7 @@ impl Crossbar {
     /// Master `m` submits a request. Errors with the request when the input
     /// queue is full.
     pub fn master_push(&mut self, m: usize, req: AxiReq) -> Result<(), AxiReq> {
-        self.m_req_in[m].try_push(req)?;
+        self.m_req_in[m].try_push(req, &mut self.meters)?;
         self.queued += 1;
         Ok(())
     }
@@ -140,7 +158,7 @@ impl Crossbar {
 
     /// Slave `s` returns a response. Errors with the response when full.
     pub fn slave_push(&mut self, s: usize, resp: AxiResp) -> Result<(), AxiResp> {
-        self.s_resp_in[s].try_push(resp)?;
+        self.s_resp_in[s].try_push(resp, &mut self.meters)?;
         self.queued += 1;
         Ok(())
     }
@@ -150,9 +168,14 @@ impl Crossbar {
         !self.s_resp_in[s].is_full()
     }
 
-    /// Counters (`xbar.req`, `xbar.resp`, `xbar.decerr`).
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// Counters (`xbar.req`, `xbar.resp`, `xbar.decerr`), rendered.
+    pub fn stats(&self) -> Stats {
+        self.meters.stats()
+    }
+
+    /// The crossbar's meters: `xbar.*` counters and every port's meter.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// True when a [`Crossbar::tick`] would move nothing: every request
@@ -192,22 +215,6 @@ impl Crossbar {
         self.inflight.is_empty() && self.pump_is_noop()
     }
 
-    /// Merges every port meter into `m` under `port.<prefix>.<name>.*`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        for p in &self.m_req_in {
-            p.meter().merge_into(prefix, m);
-        }
-        for p in &self.m_resp_out {
-            p.meter().merge_into(prefix, m);
-        }
-        for p in &self.s_req_out {
-            p.meter().merge_into(prefix, m);
-        }
-        for p in &self.s_resp_in {
-            p.meter().merge_into(prefix, m);
-        }
-    }
-
     fn alloc_tag(&mut self) -> u16 {
         // Linear probe for a free tag; 64K in-flight transactions would be
         // a bug elsewhere, so this terminates in practice immediately.
@@ -229,7 +236,7 @@ impl Crossbar {
             let m = (self.rr_master + i) % self.masters;
             let Some(req) = self.m_req_in[m].peek() else { continue };
             if self.m_req_in[m].fault_stalled(now) {
-                self.stats.incr("xbar.fault_stall");
+                self.meters.incr(self.slots.fault_stall);
                 continue;
             }
             match self.decode(req.addr()) {
@@ -238,8 +245,8 @@ impl Crossbar {
                     let orig = req.id();
                     let tag = self.alloc_tag();
                     self.inflight.insert(tag, (m, orig));
-                    self.s_req_out[s].push(req.with_id(tag)); // space checked above
-                    self.stats.incr("xbar.req");
+                    self.s_req_out[s].push(req.with_id(tag), &mut self.meters); // space checked above
+                    self.meters.incr(self.slots.req);
                     self.trace.record(now, || TraceEventKind::XbarGrant {
                         master: m as u8,
                         slave: s as u8,
@@ -259,11 +266,16 @@ impl Crossbar {
                             AxiResp::Read(crate::txn::AxiReadResp { id: r.id, data: vec![] })
                         }
                     };
-                    let replied = self.m_resp_out[m].try_push_traced(resp, now, &mut self.trace);
+                    let replied = self.m_resp_out[m].try_push_traced(
+                        resp,
+                        now,
+                        &mut self.trace,
+                        &mut self.meters,
+                    );
                     // The request left the ports; its reply took its place
                     // in the count unless it was dropped.
                     self.queued -= usize::from(replied.is_err());
-                    self.stats.incr("xbar.decerr");
+                    self.meters.incr(self.slots.decerr);
                 }
             }
         }
@@ -276,7 +288,7 @@ impl Crossbar {
                 // Response to an unknown tag: drop defensively.
                 self.s_resp_in[s].pop();
                 self.queued -= 1;
-                self.stats.incr("xbar.orphan_resp");
+                self.meters.incr(self.slots.orphan_resp);
                 continue;
             };
             if self.m_resp_out[m].is_full() {
@@ -284,16 +296,16 @@ impl Crossbar {
             }
             let resp = self.s_resp_in[s].pop().expect("peeked");
             self.inflight.remove(&resp.id());
-            self.m_resp_out[m].push(resp.with_id(orig)); // space checked above
-            self.stats.incr("xbar.resp");
+            self.m_resp_out[m].push(resp.with_id(orig), &mut self.meters); // space checked above
+            self.meters.incr(self.slots.resp);
         }
     }
 }
 
 impl SaveState for Crossbar {
     fn save(&self, w: &mut SnapWriter) {
-        // Ports in merge_port_metrics order; masters/ranges are config,
-        // `queued` is derived from the ports, the trace lane is host-side.
+        // Masters, ranges and meter slots are config, `queued` is derived
+        // from the ports, the trace lane is host-side.
         let Self {
             masters: _,
             ranges: _,
@@ -305,7 +317,8 @@ impl SaveState for Crossbar {
             queued: _,
             next_tag,
             rr_master,
-            stats,
+            meters,
+            slots: _,
             trace: _,
         } = self;
         for p in m_req_in {
@@ -323,7 +336,7 @@ impl SaveState for Crossbar {
         inflight.pack(w);
         w.u16(*next_tag);
         w.usize(*rr_master);
-        stats.save(w);
+        meters.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -346,7 +359,7 @@ impl SaveState for Crossbar {
         }
         self.next_tag = r.u16();
         self.rr_master = r.usize() % self.masters.max(1);
-        self.stats.restore(r);
+        self.meters.restore(r);
     }
 }
 
@@ -558,7 +571,7 @@ mod tests {
         let moved = (x.stats().get("xbar.req"), x.stats().get("xbar.resp"));
         assert!(moved.0 > 500 && moved.1 > 300, "requests and responses must flow: {moved:?}");
         assert!(x.stats().get("xbar.orphan_resp") > 0, "an orphan response was dropped");
-        assert!(x.m_resp_out[0].is_full() && x.m_resp_out[0].meter().stalls() > 0);
+        assert!(x.m_resp_out[0].is_full() && x.meters.stalls(x.m_resp_out[0].slot()) > 0);
         assert!(x.stats().get("xbar.decerr") > 16, "DECERR replies met the full port");
     }
 

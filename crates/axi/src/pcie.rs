@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 
 use smappic_sim::{
-    Cycle, FaultInjector, Histogram, Pack, Ring, SaveState, SnapReader, SnapWriter, TraceBuf,
-    TraceEventKind, TrafficShaper,
+    Cycle, FaultInjector, HistogramSlot, Meters, Pack, Ring, SaveState, SnapReader, SnapWriter,
+    TraceBuf, TraceEventKind, TrafficShaper,
 };
 
 use crate::txn::{AxiReq, AxiResp};
@@ -208,6 +208,8 @@ pub struct PcieLink {
     b_to_a: Dir,
     /// Global FPGA indices of endpoints A and B, for trace labelling.
     endpoints: (u8, u8),
+    /// The link's meters: the `pcie.rtt` histogram.
+    meters: Meters,
     /// Round-trip latencies: one-way latency of each delivered request,
     /// matched FIFO per AXI id against the response coming back the other
     /// way. Deterministic under both steppers because each direction
@@ -217,7 +219,7 @@ pub struct PcieLink {
     /// it is answered), skewing *which* pair a later same-id RTT reports
     /// — still deterministic, and faulted runs only ever compare against
     /// equally-faulted runs.
-    rtt: Histogram,
+    rtt: HistogramSlot,
     /// Outstanding request deliveries, oldest first: a response matches
     /// the oldest entry with its id. Scan length is bounded by the
     /// in-flight count (and [`RTT_PENDING_CAP`] under blackhole faults),
@@ -241,11 +243,13 @@ impl PcieLink {
     ///
     /// Panics if `bytes_per_cycle` is zero.
     pub fn new(one_way_latency: Cycle, bytes_per_cycle: u64) -> Self {
+        let mut meters = Meters::new();
         Self {
             a_to_b: Dir::new(bytes_per_cycle, one_way_latency),
             b_to_a: Dir::new(bytes_per_cycle, one_way_latency),
             endpoints: (0, 1),
-            rtt: Histogram::new(),
+            rtt: meters.histogram("pcie.rtt"),
+            meters,
             pending_req_ab: Ring::new(),
             pending_req_ba: Ring::new(),
             trace: TraceBuf::new(LINK_TRACE_CAP),
@@ -258,11 +262,11 @@ impl PcieLink {
         self.endpoints = (a, b);
     }
 
-    /// Round-trip latency histogram: one sample per request answered over
-    /// this link, in cycles of wire time (both one-way trips, including
-    /// serialization; endpoint processing excluded).
-    pub fn rtt(&self) -> &Histogram {
-        &self.rtt
+    /// The link's meters: `pcie.rtt`, one sample per request answered
+    /// over this link, in cycles of wire time (both one-way trips,
+    /// including serialization; endpoint processing excluded).
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// The link's trace lane (PCIe send/deliver events).
@@ -291,7 +295,7 @@ impl PcieLink {
                 let pos = pending_opposite.iter().position(|&(i, _)| i == id);
                 if let Some(pos) = pos {
                     let (_, l_req) = pending_opposite.remove(pos).expect("position is in range");
-                    self.rtt.record(l_req + lat);
+                    self.meters.record(self.rtt, l_req + lat);
                 }
                 false
             }
@@ -492,12 +496,21 @@ impl SaveState for Dir {
 
 impl SaveState for PcieLink {
     fn save(&self, w: &mut SnapWriter) {
-        // endpoints are config; the trace lane is host-side observability.
-        let Self { a_to_b, b_to_a, endpoints: _, rtt, pending_req_ab, pending_req_ba, trace: _ } =
-            self;
+        // Endpoints and the meter slot are config; the trace lane is
+        // host-side observability.
+        let Self {
+            a_to_b,
+            b_to_a,
+            endpoints: _,
+            meters,
+            rtt: _,
+            pending_req_ab,
+            pending_req_ba,
+            trace: _,
+        } = self;
         w.scoped("a_to_b", |w| a_to_b.save(w));
         w.scoped("b_to_a", |w| b_to_a.save(w));
-        rtt.save(w);
+        meters.save(w);
         pending_req_ab.save(w);
         pending_req_ba.save(w);
     }
@@ -505,7 +518,7 @@ impl SaveState for PcieLink {
     fn restore(&mut self, r: &mut SnapReader) {
         r.scoped("a_to_b", |r| self.a_to_b.restore(r));
         r.scoped("b_to_a", |r| self.b_to_a.restore(r));
-        self.rtt.restore(r);
+        self.meters.restore(r);
         self.pending_req_ab.restore(r);
         self.pending_req_ba.restore(r);
     }
@@ -546,8 +559,9 @@ mod tests {
         assert!((120..=135).contains(&rt), "round trip was {rt} cycles");
         // The link's RTT histogram observed the same trip from wire time
         // alone (send→deliver both ways, endpoint processing excluded).
-        assert_eq!(link.rtt().count(), 1);
-        let wire = link.rtt().max();
+        let rtt = link.meters.histogram_of(link.rtt);
+        assert_eq!(rtt.count(), 1);
+        let wire = rtt.max();
         assert!((120..=135).contains(&wire), "histogram RTT was {wire} cycles");
         assert!(wire <= rt, "wire time cannot exceed the end-to-end trip");
     }
@@ -592,7 +606,7 @@ mod tests {
                 }
             }
             assert!(link.is_idle());
-            link.rtt().clone()
+            link.meters.histogram_of(link.rtt).clone()
         };
         let (serial, epoch) = (run(false), run(true));
         assert_eq!(serial.count(), 6);
@@ -632,7 +646,8 @@ mod tests {
             }
         }
         assert!(link.is_idle());
-        assert_eq!(link.rtt().count(), total, "every pair must record exactly one RTT sample");
+        let samples = link.meters.histogram_of(link.rtt).count();
+        assert_eq!(samples, total, "every pair must record exactly one RTT sample");
     }
 
     #[test]
@@ -857,7 +872,11 @@ mod tests {
             }
         }
         assert!(original.is_idle() && restored.is_idle());
-        assert_eq!(original.rtt(), restored.rtt());
+        assert_eq!(original.meters.stats(), restored.meters.stats());
+        assert_eq!(
+            original.meters.histogram_of(original.rtt),
+            restored.meters.histogram_of(restored.rtt)
+        );
         assert_eq!(original.fault_counts(), restored.fault_counts());
     }
 

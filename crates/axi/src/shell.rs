@@ -3,7 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use smappic_sim::{Cycle, MetricsRegistry, Pack, Port, SaveState, SnapReader, SnapWriter, Stats};
+use smappic_sim::{
+    meter_slots, Cycle, Meters, Pack, Port, SaveState, SnapReader, SnapWriter, Stats,
+};
 
 use crate::pcie::PcieItem;
 use crate::txn::{AxiReq, AxiResp};
@@ -42,6 +44,18 @@ struct PeerStream {
     backoff: Cycle,
     /// Whether this stall episode already counted `shell.guard_timeout`.
     timed_out: bool,
+}
+
+meter_slots! {
+    /// The shell's counters.
+    struct ShellMeters {
+        out_req: counter("shell.out_req"),
+        in_req: counter("shell.in_req"),
+        guard_dup: counter("shell.guard_dup"),
+        guard_ooo: counter("shell.guard_ooo"),
+        guard_retry: counter("shell.guard_retry"),
+        guard_timeout: counter("shell.guard_timeout"),
+    }
 }
 
 /// The inbound fault guard: per-peer streams, keyed by peer FPGA index.
@@ -89,7 +103,8 @@ pub struct HardShell {
     inbound_ids: BTreeMap<u16, (usize, u16)>,
     next_inbound_id: u16,
     guard: Option<Guard>,
-    stats: Stats,
+    meters: Meters,
+    slots: ShellMeters,
 }
 
 /// Size of each FPGA's PCIe window (64 GiB, matching F1's per-card DRAM).
@@ -101,17 +116,19 @@ pub const FPGA_WINDOW_BASE: u64 = 0x8000_0000_0000;
 impl HardShell {
     /// Creates the shell for global FPGA index `fpga_index`.
     pub fn new(fpga_index: usize) -> Self {
+        let mut meters = Meters::new();
         Self {
             fpga_index,
             fpga_count: 8,
-            outbound_req: Port::bounded("outbound_req", 32),
-            outbound_resp: Port::bounded("outbound_resp", 32),
-            inbound_req: Port::bounded("inbound_req", 32),
-            inbound_resp: Port::bounded("inbound_resp", 32),
+            outbound_req: Port::bounded(meters.port("outbound_req"), 32),
+            outbound_resp: Port::bounded(meters.port("outbound_resp"), 32),
+            inbound_req: Port::bounded(meters.port("inbound_req"), 32),
+            inbound_resp: Port::bounded(meters.port("inbound_resp"), 32),
             inbound_ids: BTreeMap::new(),
             next_inbound_id: 0,
             guard: None,
-            stats: Stats::new(),
+            slots: ShellMeters::register(&mut meters),
+            meters,
         }
     }
 
@@ -140,10 +157,10 @@ impl HardShell {
         let mut guard = self.guard.take().expect("push_sequenced requires enable_guard");
         let stream = guard.streams.entry(from).or_default();
         if seq < stream.expected || stream.pending.contains_key(&seq) {
-            self.stats.incr("shell.guard_dup");
+            self.meters.incr(self.slots.guard_dup);
         } else {
             if seq > stream.expected {
-                self.stats.incr("shell.guard_ooo");
+                self.meters.incr(self.slots.guard_ooo);
             }
             stream.pending.insert(seq, item);
             // Respect an in-progress backoff: pump_guard owns the retry.
@@ -195,10 +212,10 @@ impl HardShell {
                     };
                     if stream.backoff == GUARD_BACKOFF_CAP && !stream.timed_out {
                         stream.timed_out = true;
-                        self.stats.incr("shell.guard_timeout");
+                        self.meters.incr(self.slots.guard_timeout);
                     }
                     stream.retry_at = Some(now + stream.backoff);
-                    self.stats.incr("shell.guard_retry");
+                    self.meters.incr(self.slots.guard_retry);
                     break;
                 }
             }
@@ -243,7 +260,7 @@ impl HardShell {
 
     /// Custom Logic submits an outbound request.
     pub fn cl_push_outbound(&mut self, req: AxiReq) -> Result<(), AxiReq> {
-        self.outbound_req.try_push(req)
+        self.outbound_req.try_push(req, &mut self.meters)
     }
 
     /// True when the CL may push an outbound request.
@@ -262,7 +279,9 @@ impl HardShell {
         let Some((peer, orig)) = self.inbound_ids.remove(&resp.id()) else {
             return Err(resp); // response to an unknown inbound request
         };
-        self.outbound_resp.try_push((peer, resp.with_id(orig))).map_err(|(_, r)| r)
+        self.outbound_resp
+            .try_push((peer, resp.with_id(orig)), &mut self.meters)
+            .map_err(|(_, r)| r)
     }
 
     /// Custom Logic collects the next inbound request.
@@ -279,7 +298,7 @@ impl HardShell {
     pub fn pop_outbound(&mut self) -> Option<(ShellRoute, AxiReq)> {
         let req = self.outbound_req.pop()?;
         let route = self.route(req.addr());
-        self.stats.incr("shell.out_req");
+        self.meters.incr(self.slots.out_req);
         Some((route, req))
     }
 
@@ -305,8 +324,8 @@ impl HardShell {
             }
         };
         self.inbound_ids.insert(id, (from, orig));
-        self.stats.incr("shell.in_req");
-        self.inbound_req.try_push(req.with_id(id)).map_err(|r| {
+        self.meters.incr(self.slots.in_req);
+        self.inbound_req.try_push(req.with_id(id), &mut self.meters).map_err(|r| {
             self.inbound_ids.remove(&id);
             r.with_id(orig)
         })
@@ -314,20 +333,24 @@ impl HardShell {
 
     /// Platform delivers a response arriving over PCIe.
     pub fn push_inbound_resp(&mut self, resp: AxiResp) -> Result<(), AxiResp> {
-        self.inbound_resp.try_push(resp)
+        self.inbound_resp.try_push(resp, &mut self.meters)
     }
 
-    /// Counters (`shell.out_req`, `shell.in_req`).
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// Counters (`shell.out_req`, `shell.in_req`, `shell.guard_*`),
+    /// rendered.
+    pub fn stats(&self) -> Stats {
+        self.meters.stats()
     }
 
-    /// Merges every port meter into `m` under `port.<prefix>.<name>.*`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        self.outbound_req.meter().merge_into(prefix, m);
-        self.outbound_resp.meter().merge_into(prefix, m);
-        self.inbound_req.meter().merge_into(prefix, m);
-        self.inbound_resp.meter().merge_into(prefix, m);
+    /// The shell's meters: `shell.*` counters and its four ports' meters.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
+    }
+
+    /// `(shell.in_req, shell.out_req)`: requests accepted from and sent to
+    /// peers, read straight from their slots.
+    pub fn request_counts(&self) -> (u64, u64) {
+        (self.meters.get(self.slots.in_req), self.meters.get(self.slots.out_req))
     }
 
     /// True when Custom Logic's per-cycle drain would move nothing: no
@@ -388,7 +411,7 @@ impl Pack for PeerStream {
 
 impl SaveState for HardShell {
     fn save(&self, w: &mut SnapWriter) {
-        // The FPGA index and count are configuration.
+        // The FPGA index, count and meter slots are configuration.
         let Self {
             fpga_index: _,
             fpga_count: _,
@@ -399,7 +422,8 @@ impl SaveState for HardShell {
             inbound_ids,
             next_inbound_id,
             guard,
-            stats,
+            meters,
+            slots: _,
         } = self;
         outbound_req.save(w);
         outbound_resp.save(w);
@@ -414,7 +438,7 @@ impl SaveState for HardShell {
                 streams.pack(w);
             }
         }
-        stats.save(w);
+        meters.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -425,7 +449,7 @@ impl SaveState for HardShell {
         self.inbound_ids = BTreeMap::unpack(r);
         self.next_inbound_id = r.u16();
         self.guard = r.bool().then(|| Guard { streams: BTreeMap::unpack(r) });
-        self.stats.restore(r);
+        self.meters.restore(r);
     }
 }
 

@@ -5,38 +5,35 @@ use std::collections::BTreeMap;
 
 use smappic_noc::{line_of, line_offset, Addr, AmoOp, Gid, LineData, Msg, Packet};
 use smappic_sim::{
-    CounterSet, Cycle, DelayPort, Histogram, MetricsRegistry, Pack, Port, Ring, SaveState,
-    SnapReader, SnapWriter, Stats, TraceBuf, TraceEventKind,
+    meter_slots, Cycle, DelayPort, Meters, Pack, Port, Ring, SaveState, SnapReader, SnapWriter,
+    Stats, TraceBuf, TraceEventKind,
 };
 
 use crate::homing::Homing;
 use crate::Geometry;
 
-// Pre-interned counter slots for the per-access hot path; see `CounterSet`.
-const BPC_KEYS: &[&str] = &[
-    "bpc.nc",
-    "bpc.mshr_merge",
-    "bpc.hit",
-    "bpc.upgrade",
-    "bpc.miss",
-    "bpc.wb",
-    "bpc.amo",
-    "bpc.invalidated",
-    "bpc.recalled",
-    "bpc.recall_nack",
-    "bpc.downgraded",
-];
-const K_NC: usize = 0;
-const K_MSHR_MERGE: usize = 1;
-const K_HIT: usize = 2;
-const K_UPGRADE: usize = 3;
-const K_MISS: usize = 4;
-const K_WB: usize = 5;
-const K_AMO: usize = 6;
-const K_INVALIDATED: usize = 7;
-const K_RECALLED: usize = 8;
-const K_RECALL_NACK: usize = 9;
-const K_DOWNGRADED: usize = 10;
+meter_slots! {
+    /// The cache's counters, bumped on the per-access hot path, and its
+    /// miss latency.
+    struct BpcMeters {
+        nc: counter("bpc.nc"),
+        mshr_merge: counter("bpc.mshr_merge"),
+        hit: counter("bpc.hit"),
+        upgrade: counter("bpc.upgrade"),
+        miss: counter("bpc.miss"),
+        wb: counter("bpc.wb"),
+        amo: counter("bpc.amo"),
+        invalidated: counter("bpc.invalidated"),
+        recalled: counter("bpc.recalled"),
+        recall_nack: counter("bpc.recall_nack"),
+        downgraded: counter("bpc.downgraded"),
+        /// Issue-to-retire latency of every miss/upgrade MSHR. For a line
+        /// homed on a remote node this spans the full NoC + PCIe round
+        /// trip, so local-vs-remote NUMA structure is readable from this
+        /// histogram alone (the paper-fidelity latency suite relies on it).
+        miss_latency: histogram("bpc.miss_latency"),
+    }
+}
 
 /// A memory operation issued by a core (or accelerator) through the TRI.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,12 +188,8 @@ pub struct Bpc {
     resp_delay: DelayPort<CoreResp>,
     resp_ready: Port<CoreResp>,
     lru_clock: u64,
-    counters: CounterSet,
-    /// Issue-to-retire latency of every miss/upgrade MSHR. For a line
-    /// homed on a remote node this spans the full NoC + PCIe round trip,
-    /// so local-vs-remote NUMA structure is readable from this histogram
-    /// alone (the paper-fidelity latency suite relies on it).
-    miss_latency: Histogram,
+    meters: Meters,
+    slots: BpcMeters,
     trace: TraceBuf,
 }
 
@@ -205,25 +198,21 @@ impl Bpc {
     pub fn new(cfg: BpcConfig) -> Self {
         let sets = (0..cfg.geometry.sets()).map(|_| Vec::new()).collect();
         let hit_latency = cfg.hit_latency;
+        let mut meters = Meters::new();
         Self {
             cfg,
             sets,
             mshrs: BTreeMap::new(),
-            nc_pending: Port::elastic_with("nc_pending", 8),
-            noc_in: Port::elastic_with("noc_in", 16),
-            noc_out: Port::bounded("noc_out", 64),
-            resp_delay: DelayPort::new("resp_delay", hit_latency),
-            resp_ready: Port::elastic_with("resp_ready", 8),
+            nc_pending: Port::elastic_with(meters.port("nc_pending"), 8),
+            noc_in: Port::elastic_with(meters.port("noc_in"), 16),
+            noc_out: Port::bounded(meters.port("noc_out"), 64),
+            resp_delay: DelayPort::new(meters.port("resp_delay"), hit_latency),
+            resp_ready: Port::elastic_with(meters.port("resp_ready"), 8),
             lru_clock: 0,
-            counters: CounterSet::new(BPC_KEYS),
-            miss_latency: Histogram::new(),
+            slots: BpcMeters::register(&mut meters),
+            meters,
             trace: TraceBuf::new(2048),
         }
-    }
-
-    /// Miss/upgrade latency histogram (MSHR issue to retire, cycles).
-    pub fn miss_latency(&self) -> &Histogram {
-        &self.miss_latency
     }
 
     /// The cache's trace lane (MESI transitions, miss completions).
@@ -261,24 +250,15 @@ impl Bpc {
     }
 
     /// Counters (`bpc.hit`, `bpc.miss`, `bpc.wb`, `bpc.upgrade`, ...),
-    /// materialized from indexed hot-path slots.
+    /// rendered.
     pub fn stats(&self) -> Stats {
-        self.counters.to_stats()
+        self.meters.stats()
     }
 
-    /// Merges this cache's counters into `out` without an intermediate map.
-    pub fn merge_stats_into(&self, out: &mut Stats) {
-        self.counters.merge_into(out);
-    }
-
-    /// Merges every port meter (pushes/stalls/peak/occupancy) into `m`
-    /// under `port.{prefix}.{local name}`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        self.noc_in.meter().merge_into(prefix, m);
-        self.noc_out.meter().merge_into(prefix, m);
-        self.resp_delay.meter().merge_into(prefix, m);
-        self.resp_ready.meter().merge_into(prefix, m);
-        self.nc_pending.meter().merge_into(prefix, m);
+    /// The cache's meters: `bpc.*` counters, the `bpc.miss_latency`
+    /// histogram and every port's meter.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// True when ticking this cache cannot do anything: no queued protocol
@@ -320,15 +300,15 @@ impl Bpc {
                 self.amo(now, req.token, addr, size, op, val, expected)
             }
             MemOp::NcLoad { addr, size, dst } => {
-                self.nc_pending.push((addr, req.token));
+                self.nc_pending.push((addr, req.token), &mut self.meters);
                 self.send(dst, Msg::NcLoad { addr, size });
-                self.counters.bump(K_NC);
+                self.meters.incr(self.slots.nc);
                 Ok(())
             }
             MemOp::NcStore { addr, size, data, dst } => {
-                self.nc_pending.push((addr, req.token));
+                self.nc_pending.push((addr, req.token), &mut self.meters);
                 self.send(dst, Msg::NcStore { addr, size, data });
-                self.counters.bump(K_NC);
+                self.meters.incr(self.slots.nc);
                 Ok(())
             }
         }
@@ -357,7 +337,7 @@ impl Bpc {
                 return Err(rebuild(store));
             }
             m.pending.push_back(rebuild(store));
-            self.counters.bump(K_MSHR_MERGE);
+            self.meters.incr(self.slots.mshr_merge);
             return Ok(());
         }
 
@@ -369,15 +349,15 @@ impl Bpc {
             match (store, w.state) {
                 (None, _) => {
                     let data = w.data.read(line_offset(addr), size as usize);
-                    self.resp_delay.push(now, CoreResp { token, data });
-                    self.counters.bump(K_HIT);
+                    self.resp_delay.push(now, CoreResp { token, data }, &mut self.meters);
+                    self.meters.incr(self.slots.hit);
                     return Ok(());
                 }
                 (Some(data), LineState::Modified | LineState::Exclusive) => {
                     w.data.write(line_offset(addr), size as usize, data);
                     w.state = LineState::Modified;
-                    self.resp_delay.push(now, CoreResp { token, data: 0 });
-                    self.counters.bump(K_HIT);
+                    self.resp_delay.push(now, CoreResp { token, data: 0 }, &mut self.meters);
+                    self.meters.incr(self.slots.hit);
                     return Ok(());
                 }
                 (Some(data), LineState::Shared) => {
@@ -391,7 +371,7 @@ impl Bpc {
                     self.mshrs.insert(line, Mshr { pending, since: now });
                     let home = self.cfg.homing.home(line, self.cfg.identity.node);
                     self.send(home, Msg::ReqM { line });
-                    self.counters.bump(K_UPGRADE);
+                    self.meters.incr(self.slots.upgrade);
                     return Ok(());
                 }
             }
@@ -407,7 +387,7 @@ impl Bpc {
         let home = self.cfg.homing.home(line, self.cfg.identity.node);
         let msg = if store.is_some() { Msg::ReqM { line } } else { Msg::ReqS { line } };
         self.send(home, msg);
-        self.counters.bump(K_MISS);
+        self.meters.incr(self.slots.miss);
         Ok(())
     }
 
@@ -438,12 +418,12 @@ impl Bpc {
                 Msg::WbClean { line }
             };
             self.send(home, msg);
-            self.counters.bump(K_WB);
+            self.meters.incr(self.slots.wb);
         }
         let home = self.cfg.homing.home(line, self.cfg.identity.node);
-        self.nc_pending.push((addr, token));
+        self.nc_pending.push((addr, token), &mut self.meters);
         self.send(home, Msg::Amo { addr, size, op, val, expected });
-        self.counters.bump(K_AMO);
+        self.meters.incr(self.slots.amo);
         Ok(())
     }
 
@@ -451,12 +431,12 @@ impl Bpc {
         let pkt = Packet::on_canonical_vn(dst, self.cfg.identity, msg);
         // `Port::push` panics on a full bounded port; every send site is
         // guarded by the protocol-headroom checks in `request` and `tick`.
-        self.noc_out.push(pkt);
+        self.noc_out.push(pkt, &mut self.meters);
     }
 
     /// Delivers a NoC packet addressed to this cache.
     pub fn noc_push(&mut self, pkt: Packet) {
-        self.noc_in.push(pkt);
+        self.noc_in.push(pkt, &mut self.meters);
     }
 
     /// Collects the next outgoing NoC packet.
@@ -473,7 +453,7 @@ impl Bpc {
     /// hit responses.
     pub fn tick(&mut self, now: Cycle) {
         while let Some(r) = self.resp_delay.pop_ready(now) {
-            self.resp_ready.push(r);
+            self.resp_ready.push(r, &mut self.meters);
         }
         // Process incoming packets; a fill that cannot allocate (every way
         // in its set locked by upgrades) is deferred, so scan for the first
@@ -527,7 +507,7 @@ impl Bpc {
                 // MSHR; the grant will arrive as full Data later.
                 let home = self.cfg.homing.home(line, self.cfg.identity.node);
                 self.send(home, Msg::InvAck { line });
-                self.counters.bump(K_INVALIDATED);
+                self.meters.incr(self.slots.invalidated);
             }
             Msg::Recall { line } => {
                 let set = self.cfg.geometry.set_of(line);
@@ -543,11 +523,11 @@ impl Bpc {
                         to: b'I',
                     });
                     self.send(home, Msg::RecallData { line, data: w.data, dirty });
-                    self.counters.bump(K_RECALLED);
+                    self.meters.incr(self.slots.recalled);
                 } else {
                     // Our writeback is already in flight ahead of this nack.
                     self.send(home, Msg::RecallNack { line });
-                    self.counters.bump(K_RECALL_NACK);
+                    self.meters.incr(self.slots.recall_nack);
                 }
             }
             Msg::Downgrade { line } => {
@@ -566,10 +546,10 @@ impl Bpc {
                         to: b'S',
                     });
                     self.send(home, Msg::RecallData { line, data, dirty });
-                    self.counters.bump(K_DOWNGRADED);
+                    self.meters.incr(self.slots.downgraded);
                 } else {
                     self.send(home, Msg::RecallNack { line });
-                    self.counters.bump(K_RECALL_NACK);
+                    self.meters.incr(self.slots.recall_nack);
                 }
             }
             Msg::AmoResp { addr, old } => self.nc_complete(now, addr, old),
@@ -587,7 +567,7 @@ impl Bpc {
             .position(|(a, _)| *a == addr)
             .unwrap_or_else(|| panic!("unmatched NC/AMO response for {addr:#x}"));
         let (_, token) = self.nc_pending.remove(pos).expect("position valid");
-        self.resp_delay.push(now, CoreResp { token, data });
+        self.resp_delay.push(now, CoreResp { token, data }, &mut self.meters);
     }
 
     /// Installs a line and drains its MSHR in order; stops at the first
@@ -624,7 +604,7 @@ impl Bpc {
                 Msg::WbClean { line: w.line }
             };
             self.send(home, msg);
-            self.counters.bump(K_WB);
+            self.meters.incr(self.slots.wb);
         }
         self.lru_clock += 1;
         let state = if excl { LineState::Exclusive } else { LineState::Shared };
@@ -659,20 +639,22 @@ impl Bpc {
             match req.op {
                 MemOp::Load { addr, size } => {
                     let data = w.data.read(line_offset(addr), size as usize);
-                    self.resp_delay.push(now, CoreResp { token: req.token, data });
+                    let resp = CoreResp { token: req.token, data };
+                    self.resp_delay.push(now, resp, &mut self.meters);
                 }
                 MemOp::Store { addr, size, data } => {
                     if matches!(w.state, LineState::Exclusive | LineState::Modified) {
                         w.data.write(line_offset(addr), size as usize, data);
                         w.state = LineState::Modified;
-                        self.resp_delay.push(now, CoreResp { token: req.token, data: 0 });
+                        let resp = CoreResp { token: req.token, data: 0 };
+                        self.resp_delay.push(now, resp, &mut self.meters);
                     } else {
                         // Got S but a store waits: upgrade with the rest.
                         w.locked = true;
                         mshr.pending.push_front(req);
                         let home = self.cfg.homing.home(line, self.cfg.identity.node);
                         self.send(home, Msg::ReqM { line });
-                        self.counters.bump(K_UPGRADE);
+                        self.meters.incr(self.slots.upgrade);
                         self.mshrs.insert(line, mshr);
                         return;
                     }
@@ -684,7 +666,7 @@ impl Bpc {
         // original `since`, so a store that found S counts once, with the
         // complete issue-to-M latency).
         let lat = now.saturating_sub(mshr.since);
-        self.miss_latency.record(lat);
+        self.meters.record(self.slots.miss_latency, lat);
         let tile = self.tile();
         self.trace.record(now, || TraceEventKind::BpcMiss { tile, line, lat });
     }
@@ -806,8 +788,8 @@ impl Pack for Mshr {
 
 impl SaveState for Bpc {
     fn save(&self, w: &mut SnapWriter) {
-        // Set count and geometry are config; each set's occupancy is state.
-        // The trace lane is host-side observability.
+        // Set count, geometry and meter slots are config; each set's
+        // occupancy is state. The trace lane is host-side observability.
         let Self {
             cfg: _,
             sets,
@@ -818,8 +800,8 @@ impl SaveState for Bpc {
             resp_delay,
             resp_ready,
             lru_clock,
-            counters,
-            miss_latency,
+            meters,
+            slots: _,
             trace: _,
         } = self;
         for set in sets {
@@ -832,8 +814,7 @@ impl SaveState for Bpc {
         resp_delay.save(w);
         resp_ready.save(w);
         w.u64(*lru_clock);
-        counters.save(w);
-        miss_latency.save(w);
+        meters.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -850,8 +831,7 @@ impl SaveState for Bpc {
         self.resp_delay.restore(r);
         self.resp_ready.restore(r);
         self.lru_clock = r.u64();
-        self.counters.restore(r);
-        self.miss_latency.restore(r);
+        self.meters.restore(r);
     }
 }
 

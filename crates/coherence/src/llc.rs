@@ -2,41 +2,33 @@
 
 use smappic_noc::{line_of, line_offset, Addr, Gid, LineData, Msg, Packet};
 use smappic_sim::{
-    CounterSet, Cycle, DelayPort, Histogram, MetricsRegistry, Pack, Port, Ring, SaveState,
-    SnapReader, SnapWriter, Stats, TraceBuf, TraceEventKind,
+    meter_slots, Cycle, DelayPort, Meters, Pack, Port, Ring, SaveState, SnapReader, SnapWriter,
+    Stats, TraceBuf, TraceEventKind,
 };
 
 use crate::Geometry;
 
-// Pre-interned counter slots for the per-access hot path; see `CounterSet`.
-const LLC_KEYS: &[&str] = &[
-    "llc.recall_nack",
-    "llc.miss",
-    "llc.evict",
-    "llc.evict_inv",
-    "llc.evict_recall",
-    "llc.hit",
-    "llc.downgrade",
-    "llc.recall",
-    "llc.inv",
-    "llc.amo",
-    "llc.stale_wbclean",
-    "llc.wb",
-    "llc.memdata",
-];
-const K_RECALL_NACK: usize = 0;
-const K_MISS: usize = 1;
-const K_EVICT: usize = 2;
-const K_EVICT_INV: usize = 3;
-const K_EVICT_RECALL: usize = 4;
-const K_HIT: usize = 5;
-const K_DOWNGRADE: usize = 6;
-const K_RECALL: usize = 7;
-const K_INV: usize = 8;
-const K_AMO: usize = 9;
-const K_STALE_WBCLEAN: usize = 10;
-const K_WB: usize = 11;
-const K_MEMDATA: usize = 12;
+meter_slots! {
+    /// The slice's counters, bumped on the per-access hot path, and its
+    /// miss latency.
+    struct LlcMeters {
+        recall_nack: counter("llc.recall_nack"),
+        miss: counter("llc.miss"),
+        evict: counter("llc.evict"),
+        evict_inv: counter("llc.evict_inv"),
+        evict_recall: counter("llc.evict_recall"),
+        hit: counter("llc.hit"),
+        downgrade: counter("llc.downgrade"),
+        recall: counter("llc.recall"),
+        inv: counter("llc.inv"),
+        amo: counter("llc.amo"),
+        stale_wbclean: counter("llc.stale_wbclean"),
+        wb: counter("llc.wb"),
+        memdata: counter("llc.memdata"),
+        /// Memory-fetch latency of LLC misses, issue to `MemData` arrival.
+        miss_latency: histogram("llc.miss_latency"),
+    }
+}
 
 /// Directory state of a line resident in this slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,9 +117,8 @@ pub struct LlcSlice {
     replay: Port<(Gid, Msg)>,
     noc_out: Port<Packet>,
     lru_clock: u64,
-    counters: CounterSet,
-    /// Memory-fetch latency of LLC misses, issue to `MemData` arrival.
-    miss_latency: Histogram,
+    meters: Meters,
+    slots: LlcMeters,
     trace: TraceBuf,
 }
 
@@ -136,17 +127,18 @@ impl LlcSlice {
     pub fn new(cfg: LlcConfig) -> Self {
         let sets = (0..cfg.geometry.sets()).map(|_| Vec::new()).collect();
         let latency = cfg.latency;
+        let mut meters = Meters::new();
         Self {
             cfg,
             sets,
-            in_delay: DelayPort::new("in_delay", latency),
-            replay: Port::elastic_with("replay", 8),
+            in_delay: DelayPort::new(meters.port("in_delay"), latency),
+            replay: Port::elastic_with(meters.port("replay"), 8),
             // Sized for worst-case waiter bursts: a resolve can serve every
             // core's parked request (plus invalidation fanout) in one tick.
-            noc_out: Port::bounded("noc_out", 1024),
+            noc_out: Port::bounded(meters.port("noc_out"), 1024),
             lru_clock: 0,
-            counters: CounterSet::new(LLC_KEYS),
-            miss_latency: Histogram::new(),
+            slots: LlcMeters::register(&mut meters),
+            meters,
             trace: TraceBuf::new(2048),
         }
     }
@@ -157,22 +149,15 @@ impl LlcSlice {
     }
 
     /// Counters (`llc.hit`, `llc.miss`, `llc.recall`, `llc.inv`, `llc.amo`),
-    /// materialized from indexed hot-path slots.
+    /// rendered.
     pub fn stats(&self) -> Stats {
-        self.counters.to_stats()
+        self.meters.stats()
     }
 
-    /// Merges this slice's counters into `out` without an intermediate map.
-    pub fn merge_stats_into(&self, out: &mut Stats) {
-        self.counters.merge_into(out);
-    }
-
-    /// Merges every port meter (pushes/stalls/peak/occupancy) into `m`
-    /// under `port.{prefix}.{local name}`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        self.in_delay.meter().merge_into(prefix, m);
-        self.replay.meter().merge_into(prefix, m);
-        self.noc_out.meter().merge_into(prefix, m);
+    /// The slice's meters: `llc.*` counters, the `llc.miss_latency`
+    /// histogram and every port's meter.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// Debug: lines currently in a transient state, with their waiter
@@ -189,11 +174,6 @@ impl LlcSlice {
         out
     }
 
-    /// Memory-fetch latency histogram for LLC misses (issue to `MemData`).
-    pub fn miss_latency(&self) -> &Histogram {
-        &self.miss_latency
-    }
-
     /// The slice's trace buffer, for enabling tracing and draining events.
     pub fn trace_mut(&mut self) -> &mut TraceBuf {
         &mut self.trace
@@ -206,7 +186,7 @@ impl LlcSlice {
 
     /// Delivers a packet addressed to this slice.
     pub fn noc_push(&mut self, now: Cycle, pkt: Packet) {
-        self.in_delay.push(now, pkt);
+        self.in_delay.push(now, pkt, &mut self.meters);
     }
 
     /// Collects the next outgoing packet.
@@ -267,7 +247,7 @@ impl LlcSlice {
         let pkt = Packet::on_canonical_vn(dst, self.cfg.identity, msg);
         // `Port::push` panics on a full bounded port; `tick` guarantees the
         // 256-slot protocol headroom before any handler runs.
-        self.noc_out.push(pkt);
+        self.noc_out.push(pkt, &mut self.meters);
     }
 
     fn find(&mut self, line: Addr) -> Option<(usize, usize)> {
@@ -295,7 +275,7 @@ impl LlcSlice {
                 // The owner's writeback travels the same VN and arrived
                 // first, clearing the transient; nothing to do.
                 let _ = line;
-                self.counters.bump(K_RECALL_NACK);
+                self.meters.incr(self.slots.recall_nack);
             }
             Msg::MemData { line, data } => self.mem_data(now, line, data),
             other => panic!("LLC slice received unexpected message {other:?}"),
@@ -315,7 +295,7 @@ impl LlcSlice {
             return;
         }
         // Miss: allocate a way, possibly evicting.
-        self.counters.bump(K_MISS);
+        self.meters.incr(self.slots.miss);
         let set = self.cfg.geometry.set_of(line);
         if self.sets[set].len() >= self.cfg.geometry.ways {
             // Pick a non-transient LRU victim.
@@ -327,7 +307,7 @@ impl LlcSlice {
                 .map(|(i, _)| i);
             let Some(vi) = victim else {
                 // Every way mid-transaction: retry when something resolves.
-                self.replay.push((src, msg));
+                self.replay.push((src, msg), &mut self.meters);
                 return;
             };
             match self.evict(set, vi, (src, msg)) {
@@ -370,7 +350,7 @@ impl LlcSlice {
                 if w.dirty {
                     self.send(self.cfg.memctl, Msg::MemWr { line: w.line, data: w.data });
                 }
-                self.counters.bump(K_EVICT);
+                self.meters.incr(self.slots.evict);
                 Some(park)
             }
             Dir::Shared(sharers) => {
@@ -382,7 +362,7 @@ impl LlcSlice {
                 let w = &mut self.sets[set][vi];
                 w.transient = Some(Transient::Evict { pending: n, via_recall: false });
                 w.waiters.push_back(park);
-                self.counters.bump(K_EVICT_INV);
+                self.meters.incr(self.slots.evict_inv);
                 None
             }
             Dir::Exclusive(owner) => {
@@ -391,7 +371,7 @@ impl LlcSlice {
                 let w = &mut self.sets[set][vi];
                 w.transient = Some(Transient::Evict { pending: 1, via_recall: true });
                 w.waiters.push_back(park);
-                self.counters.bump(K_EVICT_RECALL);
+                self.meters.incr(self.slots.evict_recall);
                 None
             }
         }
@@ -406,7 +386,7 @@ impl LlcSlice {
                 let data = self.sets[set][i].data;
                 self.sets[set][i].dir = Dir::Exclusive(src);
                 self.send(src, Msg::Data { line, data, excl: true });
-                self.counters.bump(K_HIT);
+                self.meters.incr(self.slots.hit);
             }
             (Msg::ReqS { .. }, Dir::Shared(mut sharers)) => {
                 let data = self.sets[set][i].data;
@@ -415,7 +395,7 @@ impl LlcSlice {
                 }
                 self.sets[set][i].dir = Dir::Shared(sharers);
                 self.send(src, Msg::Data { line, data, excl: false });
-                self.counters.bump(K_HIT);
+                self.meters.incr(self.slots.hit);
             }
             (Msg::ReqS { .. }, Dir::Exclusive(owner)) => {
                 // Downgrade the owner so it keeps a readable copy, pull any
@@ -424,7 +404,7 @@ impl LlcSlice {
                 let w = &mut self.sets[set][i];
                 w.transient = Some(Transient::Downgrade);
                 w.waiters.push_front((src, msg));
-                self.counters.bump(K_DOWNGRADE);
+                self.meters.incr(self.slots.downgrade);
             }
             (Msg::ReqM { .. }, Dir::Exclusive(owner)) => {
                 // Recall the line through the home, then replay.
@@ -432,14 +412,14 @@ impl LlcSlice {
                 let w = &mut self.sets[set][i];
                 w.transient = Some(Transient::Recall);
                 w.waiters.push_front((src, msg));
-                self.counters.bump(K_RECALL);
+                self.meters.incr(self.slots.recall);
             }
             // --- ReqM ---
             (Msg::ReqM { .. }, Dir::Uncached) => {
                 let data = self.sets[set][i].data;
                 self.sets[set][i].dir = Dir::Exclusive(src);
                 self.send(src, Msg::Data { line, data, excl: true });
-                self.counters.bump(K_HIT);
+                self.meters.incr(self.slots.hit);
             }
             (Msg::ReqM { .. }, Dir::Shared(sharers)) => {
                 let others: Vec<Gid> = sharers.iter().copied().filter(|s| *s != src).collect();
@@ -453,7 +433,7 @@ impl LlcSlice {
                         let data = self.sets[set][i].data;
                         self.send(src, Msg::Data { line, data, excl: true });
                     }
-                    self.counters.bump(K_HIT);
+                    self.meters.incr(self.slots.hit);
                 } else {
                     for s in &others {
                         self.send(*s, Msg::Inv { line });
@@ -465,7 +445,7 @@ impl LlcSlice {
                         if requester_was_sharer { Dir::Shared(vec![src]) } else { Dir::Uncached };
                     w.transient = Some(Transient::Inv { pending: others.len() as u32 });
                     w.waiters.push_front((src, msg));
-                    self.counters.bump(K_INV);
+                    self.meters.incr(self.slots.inv);
                 }
             }
             // --- Amo ---
@@ -478,7 +458,7 @@ impl LlcSlice {
                 w.data.write(off, size as usize, new);
                 w.dirty = true;
                 self.send(src, Msg::AmoResp { addr, old });
-                self.counters.bump(K_AMO);
+                self.meters.incr(self.slots.amo);
             }
             (Msg::Amo { .. }, Dir::Shared(sharers)) => {
                 for s in &sharers {
@@ -488,14 +468,14 @@ impl LlcSlice {
                 w.dir = Dir::Uncached;
                 w.transient = Some(Transient::Inv { pending: sharers.len() as u32 });
                 w.waiters.push_front((src, msg));
-                self.counters.bump(K_INV);
+                self.meters.incr(self.slots.inv);
             }
             (Msg::Amo { .. }, Dir::Exclusive(owner)) => {
                 self.send(owner, Msg::Recall { line });
                 let w = &mut self.sets[set][i];
                 w.transient = Some(Transient::Recall);
                 w.waiters.push_front((src, msg));
-                self.counters.bump(K_RECALL);
+                self.meters.incr(self.slots.recall);
             }
             (m, d) => panic!("unhandled resident request {m:?} with dir {d:?}"),
         }
@@ -568,12 +548,12 @@ impl LlcSlice {
                         if data.is_some() {
                             panic!("dirty writeback from {src} but directory is {d:?}");
                         }
-                        self.counters.bump(K_STALE_WBCLEAN);
+                        self.meters.incr(self.slots.stale_wbclean);
                     }
                 }
             }
         }
-        self.counters.bump(K_WB);
+        self.meters.incr(self.slots.wb);
     }
 
     fn inv_ack(&mut self, now: Cycle, line: Addr) {
@@ -633,14 +613,14 @@ impl LlcSlice {
         let Some((set, i)) = self.find(line) else {
             panic!("MemData for a line the LLC did not request: {line:#x}");
         };
-        self.counters.bump(K_MEMDATA);
+        self.meters.incr(self.slots.memdata);
         let w = &mut self.sets[set][i];
         assert_eq!(w.transient, Some(Transient::FetchMem), "MemData without FetchMem");
         w.data = data;
         w.dirty = false;
         w.transient = None;
         let lat = now.saturating_sub(w.fetch_at);
-        self.miss_latency.record(lat);
+        self.meters.record(self.slots.miss_latency, lat);
         let slice = self.tile();
         self.trace.record(now, || TraceEventKind::LlcMiss { slice, line, lat });
         self.resolve(now, set, i);
@@ -669,7 +649,7 @@ impl LlcSlice {
         if w.dirty {
             self.send(self.cfg.memctl, Msg::MemWr { line: w.line, data: w.data });
         }
-        self.counters.bump(K_EVICT);
+        self.meters.incr(self.slots.evict);
         for (src, msg) in w.waiters.drain_all() {
             self.handle(now, src, msg);
         }
@@ -762,19 +742,10 @@ impl Pack for Way {
 
 impl SaveState for LlcSlice {
     fn save(&self, w: &mut SnapWriter) {
-        // Set count and geometry are config; each set's occupancy is state.
-        // The trace lane is host-side observability.
-        let Self {
-            cfg: _,
-            sets,
-            in_delay,
-            replay,
-            noc_out,
-            lru_clock,
-            counters,
-            miss_latency,
-            trace: _,
-        } = self;
+        // Set count, geometry and meter slots are config; each set's
+        // occupancy is state. The trace lane is host-side observability.
+        let Self { cfg: _, sets, in_delay, replay, noc_out, lru_clock, meters, slots: _, trace: _ } =
+            self;
         for set in sets {
             set.pack(w);
         }
@@ -782,8 +753,7 @@ impl SaveState for LlcSlice {
         replay.save(w);
         noc_out.save(w);
         w.u64(*lru_clock);
-        counters.save(w);
-        miss_latency.save(w);
+        meters.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -797,8 +767,7 @@ impl SaveState for LlcSlice {
         self.replay.restore(r);
         self.noc_out.restore(r);
         self.lru_clock = r.u64();
-        self.counters.restore(r);
-        self.miss_latency.restore(r);
+        self.meters.restore(r);
     }
 }
 
@@ -1041,9 +1010,10 @@ mod tests {
                 assert!(now < 1_000);
             }
         }
-        assert_eq!(llc.miss_latency().count(), 2, "one sample per memory fetch");
+        let miss_latency = llc.meters.histogram_of(llc.slots.miss_latency);
+        assert_eq!(miss_latency.count(), 2, "one sample per memory fetch");
         // The fetch spans at least the pipeline delay on each side.
-        assert!(llc.miss_latency().min() >= 1, "fetch latency must be nonzero");
+        assert!(miss_latency.min() >= 1, "fetch latency must be nonzero");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use smappic_axi::{AxiRead, AxiReadResp, AxiReq, AxiResp, AxiWrite, AxiWriteResp};
 use smappic_noc::{NodeId, Packet};
 use smappic_sim::{
-    Cycle, MetricsRegistry, Pack, Port, Ring, SaveState, SnapReader, SnapWriter, Stats,
+    meter_slots, Cycle, Meters, Pack, Port, Ring, SaveState, SnapReader, SnapWriter, Stats,
     TrafficShaper,
 };
 
@@ -47,6 +47,18 @@ const INITIAL_CREDITS: u32 = 32;
 /// Below this many remaining credits the sender asks for returns.
 const LOW_WATER: u32 = 12;
 
+meter_slots! {
+    /// The bridge's counters.
+    struct BridgeMeters {
+        sent: counter("bridge.sent"),
+        recv: counter("bridge.recv"),
+        credit_stall: counter("bridge.credit_stall"),
+        credits_returned: counter("bridge.credits_returned"),
+        decode_error: counter("bridge.decode_error"),
+        orphan_resp: counter("bridge.orphan_resp"),
+    }
+}
+
 /// The inter-node bridge of one node.
 ///
 /// **Send path**: NoC packets whose destination is another node are
@@ -77,40 +89,42 @@ pub struct InterNodeBridge {
     next_id: u16,
     /// Outstanding credit reads: AXI id → destination node.
     pending_reads: BTreeMap<u16, u16>,
-    stats: Stats,
+    meters: Meters,
+    slots: BridgeMeters,
 }
 
 impl InterNodeBridge {
     /// Creates the bridge for `node` with the given shaper parameters
     /// (`extra_latency` cycles, `bytes_per_cycle` bandwidth).
     pub fn new(node: NodeId, extra_latency: Cycle, bytes_per_cycle: u64) -> Self {
+        let mut meters = Meters::new();
         Self {
             node,
             shaper: TrafficShaper::new(bytes_per_cycle.max(1), 1, extra_latency),
-            out_req: Port::elastic_with("out_req", 8),
+            out_req: Port::elastic_with(meters.port("out_req"), 8),
             blocked: BTreeMap::new(),
             credits: BTreeMap::new(),
             credit_req_outstanding: BTreeMap::new(),
             freed: BTreeMap::new(),
-            incoming: Port::elastic_with("incoming", 8),
-            resp_for_peer: Port::elastic_with("resp_for_peer", 8),
+            incoming: Port::elastic_with(meters.port("incoming"), 8),
+            resp_for_peer: Port::elastic_with(meters.port("resp_for_peer"), 8),
             next_id: 0,
             pending_reads: BTreeMap::new(),
-            stats: Stats::new(),
+            slots: BridgeMeters::register(&mut meters),
+            meters,
         }
     }
 
-    /// Counters (`bridge.sent`, `bridge.recv`, `bridge.credit_stall`).
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// Counters (`bridge.sent`, `bridge.recv`, `bridge.credit_stall`),
+    /// rendered.
+    pub fn stats(&self) -> Stats {
+        self.meters.stats()
     }
 
-    /// Merges the bridge's port meters (AXI egress, decoded ingress, peer
-    /// responses) into `m` under `port.{prefix}...`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        self.out_req.meter().merge_into(prefix, m);
-        self.incoming.meter().merge_into(prefix, m);
-        self.resp_for_peer.meter().merge_into(prefix, m);
+    /// The bridge's meters: `bridge.*` counters and the meters of its AXI
+    /// egress, decoded ingress and peer-response ports.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     fn alloc_id(&mut self) -> u16 {
@@ -131,7 +145,7 @@ impl InterNodeBridge {
         let credits = self.credits.entry(dst).or_insert(INITIAL_CREDITS);
         if *credits == 0 || self.blocked.get(&dst).is_some_and(|q| !q.is_empty()) {
             self.blocked.entry(dst).or_default().push_back(pkt);
-            self.stats.incr("bridge.credit_stall");
+            self.meters.incr(self.slots.credit_stall);
         } else {
             *credits -= 1;
             self.encode_and_ship(now, pkt);
@@ -145,7 +159,7 @@ impl InterNodeBridge {
         let wire = bytes.len() as u64;
         let req = AxiReq::Write(AxiWrite::new(addr, bytes, 0));
         self.shaper.push(now, wire, req);
-        self.stats.incr("bridge.sent");
+        self.meters.incr(self.slots.sent);
     }
 
     fn maybe_request_credits(&mut self, now: Cycle) {
@@ -178,7 +192,7 @@ impl InterNodeBridge {
     /// window when leaving the chip.
     pub fn axi_pop_req(&mut self, now: Cycle) -> Option<AxiReq> {
         if let Some(req) = self.shaper.pop_ready(now) {
-            self.out_req.push(req);
+            self.out_req.push(req, &mut self.meters);
         }
         self.out_req.pop()
     }
@@ -189,28 +203,22 @@ impl InterNodeBridge {
             AxiReq::Write(w) => {
                 match decode_packet(&w.data) {
                     Some(pkt) => {
-                        self.incoming.push(pkt);
-                        self.stats.incr("bridge.recv");
+                        self.incoming.push(pkt, &mut self.meters);
+                        self.meters.incr(self.slots.recv);
                     }
-                    None => self.stats.incr("bridge.decode_error"),
+                    None => self.meters.incr(self.slots.decode_error),
                 }
-                self.resp_for_peer.push((
-                    addr_src(w.addr).0,
-                    AxiResp::Write(AxiWriteResp { id: w.id, ok: true }),
-                ));
+                let ack = AxiResp::Write(AxiWriteResp { id: w.id, ok: true });
+                self.resp_for_peer.push((addr_src(w.addr).0, ack), &mut self.meters);
             }
             AxiReq::Read(r) => {
                 // Credit-return request: answer with freed slots.
                 let src = addr_src(r.addr).0;
                 let freed = self.freed.insert(src, 0).unwrap_or(0);
-                self.resp_for_peer.push((
-                    src,
-                    AxiResp::Read(AxiReadResp {
-                        id: r.id,
-                        data: u64::from(freed).to_le_bytes().to_vec(),
-                    }),
-                ));
-                self.stats.add("bridge.credits_returned", u64::from(freed));
+                let data = u64::from(freed).to_le_bytes().to_vec();
+                let resp = AxiResp::Read(AxiReadResp { id: r.id, data });
+                self.resp_for_peer.push((src, resp), &mut self.meters);
+                self.meters.add(self.slots.credits_returned, u64::from(freed));
             }
         }
     }
@@ -227,7 +235,7 @@ impl InterNodeBridge {
             AxiResp::Write(_) => {} // posted writes: acks are bookkeeping
             AxiResp::Read(r) => {
                 let Some(dst) = self.pending_reads.remove(&r.id) else {
-                    self.stats.incr("bridge.orphan_resp");
+                    self.meters.incr(self.slots.orphan_resp);
                     return;
                 };
                 self.credit_req_outstanding.insert(dst, false);
@@ -288,8 +296,8 @@ impl InterNodeBridge {
 
 impl SaveState for InterNodeBridge {
     fn save(&self, w: &mut SnapWriter) {
-        // Every map is serialized in key order. The node id and shaper
-        // timing are configuration.
+        // Every map is serialized in key order. The node id, shaper timing
+        // and meter slots are configuration.
         let Self {
             node: _,
             shaper,
@@ -302,7 +310,8 @@ impl SaveState for InterNodeBridge {
             resp_for_peer,
             next_id,
             pending_reads,
-            stats,
+            meters,
+            slots: _,
         } = self;
         shaper.save(w);
         out_req.save(w);
@@ -314,7 +323,7 @@ impl SaveState for InterNodeBridge {
         resp_for_peer.save(w);
         w.u16(*next_id);
         pending_reads.pack(w);
-        stats.save(w);
+        meters.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -328,7 +337,7 @@ impl SaveState for InterNodeBridge {
         self.resp_for_peer.restore(r);
         self.next_id = r.u16();
         self.pending_reads = BTreeMap::unpack(r);
-        self.stats.restore(r);
+        self.meters.restore(r);
     }
 }
 

@@ -3,7 +3,9 @@
 
 use smappic_mem::MemController;
 use smappic_noc::{Gid, Msg, NodeId, Packet, TileId};
-use smappic_sim::{Cycle, MetricsRegistry, Pack, Port, SaveState, SnapReader, SnapWriter, Stats};
+use smappic_sim::{
+    meter_slots, Cycle, Meters, Pack, Port, SaveState, SnapReader, SnapWriter, Stats,
+};
 
 use crate::bridge::InterNodeBridge;
 use crate::config::{CLINT_BASE, PLIC_BASE, SD_CTL_BASE, SD_DATA_BASE, UART0_BASE, UART1_BASE};
@@ -203,6 +205,14 @@ impl SaveState for SdController {
     }
 }
 
+meter_slots! {
+    /// The chipset's own counters.
+    struct ChipsetMeters {
+        sd_blocks_read: counter("sd.blocks_read"),
+        irq_packets: counter("irq.packets"),
+    }
+}
+
 /// The interrupt lines the packetizer drives into each hart — machine
 /// software, timer and external — in ascending order; a line's position
 /// here is its slot in `Chipset::irq_prev`.
@@ -236,7 +246,8 @@ pub struct Chipset {
     /// Per-virtual-network egress toward the mesh (deadlock freedom).
     to_mesh: [Port<Packet>; 3],
     memctl_retry: Port<Packet>,
-    stats: Stats,
+    meters: Meters,
+    slots: ChipsetMeters,
     /// Component sleep (host-side, derived — never serialized): when
     /// `Some(w)`, ticks before cycle `w` reduce to the CLINT's mtime
     /// increment plus cheap wake probes, provided the bridge and UARTs
@@ -255,6 +266,7 @@ pub struct Chipset {
 impl Chipset {
     /// Assembles a chipset.
     pub fn new(node: NodeId, tiles: usize, memctl: MemController, bridge: InterNodeBridge) -> Self {
+        let mut meters = Meters::new();
         Self {
             node,
             tiles,
@@ -266,9 +278,12 @@ impl Chipset {
             plic: Plic::new(tiles),
             bridge,
             irq_prev: vec![[None; 3]; tiles],
-            to_mesh: std::array::from_fn(|vn| Port::elastic_with(format!("to_mesh.vn{vn}"), 8)),
-            memctl_retry: Port::elastic_with("memctl_retry", 8),
-            stats: Stats::new(),
+            to_mesh: std::array::from_fn(|vn| {
+                Port::elastic_with(meters.port(format!("to_mesh.vn{vn}")), 8)
+            }),
+            memctl_retry: Port::elastic_with(meters.port("memctl_retry"), 8),
+            slots: ChipsetMeters::register(&mut meters),
+            meters,
             sleep_until: None,
             skipped_cycles: 0,
             fast_path: true,
@@ -301,9 +316,9 @@ impl Chipset {
         &mut self.bridge
     }
 
-    /// The inter-node bridge's counters.
-    pub fn bridge_stats(&self) -> &Stats {
-        self.bridge.stats()
+    /// Read-only inter-node bridge access.
+    pub fn bridge(&self) -> &InterNodeBridge {
+        &self.bridge
     }
 
     /// Read-only probe of the bridge's AXI side for the FPGA's quiet
@@ -318,23 +333,16 @@ impl Chipset {
         self.bridge.next_axi_ready()
     }
 
-    /// Counters.
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// Counters (`sd.blocks_read`, `irq.packets`), rendered.
+    pub fn stats(&self) -> Stats {
+        self.meters.stats()
     }
 
-    /// Merges every port meter in the chipset (mesh egress VN queues, the
-    /// memory-controller staging queue, then the controller's and bridge's
-    /// own ports under `.memctl` / `.bridge`) into `m`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        for q in &self.to_mesh {
-            q.meter().merge_into(prefix, m);
-        }
-        self.memctl_retry.meter().merge_into(prefix, m);
-        self.memctl.merge_port_metrics(&format!("{prefix}.memctl"), m);
-        self.bridge.merge_port_metrics(&format!("{prefix}.bridge"), m);
-        self.uart0.merge_port_metrics(&format!("{prefix}.uart0"), m);
-        self.uart1.merge_port_metrics(&format!("{prefix}.uart1"), m);
+    /// The chipset's own meters: its counters and the meters of its mesh
+    /// egress VN queues and memory-controller staging queue (the memory
+    /// controller, bridge and UARTs keep theirs).
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     fn me(&self) -> Gid {
@@ -391,7 +399,7 @@ impl Chipset {
         // Staged through an elastic queue so controller back-pressure never
         // forces the chipset to drop or reorder traffic; `tick` drains it
         // as buffer slots free up.
-        self.memctl_retry.push(pkt);
+        self.memctl_retry.push(pkt, &mut self.meters);
     }
 
     /// Reads a device register; `None` when the address is DRAM.
@@ -444,7 +452,7 @@ impl Chipset {
     }
 
     fn push_to_mesh(&mut self, pkt: Packet) {
-        self.to_mesh[pkt.vn.index()].push(pkt);
+        self.to_mesh[pkt.vn.index()].push(pkt, &mut self.meters);
     }
 
     /// Debug: depths of the per-VN mesh egress queues and the memory
@@ -468,7 +476,7 @@ impl Chipset {
 
     /// Returns a packet the mesh refused this cycle.
     pub fn unpop_to_mesh(&mut self, pkt: Packet) {
-        self.to_mesh[pkt.vn.index()].push_front(pkt);
+        self.to_mesh[pkt.vn.index()].push_front(pkt, &mut self.meters);
     }
 
     /// Advances the chipset one cycle.
@@ -619,7 +627,7 @@ impl Chipset {
         }
         if done >= SD_BLOCK {
             self.sd.progress = None;
-            self.stats.incr("sd.blocks_read");
+            self.meters.incr(self.slots.sd_blocks_read);
             return;
         }
         let me = self.me();
@@ -675,7 +683,7 @@ impl Chipset {
                     *prev = Some(level);
                     let msg = Msg::Irq { line_no: IRQ_LINES[slot], level };
                     self.push_to_mesh(Packet::on_canonical_vn(Gid::tile(self.node, tile), me, msg));
-                    self.stats.incr("irq.packets");
+                    self.meters.incr(self.slots.irq_packets);
                 }
             }
         }
@@ -694,8 +702,8 @@ impl Chipset {
 
 impl SaveState for Chipset {
     fn save(&self, w: &mut SnapWriter) {
-        // Node id and tile count are configuration; sleep, skip count and
-        // fast-path switch are host-side scheduler state.
+        // Node id, tile count and meter slots are configuration; sleep,
+        // skip count and fast-path switch are host-side scheduler state.
         let Self {
             node: _,
             tiles: _,
@@ -709,7 +717,8 @@ impl SaveState for Chipset {
             irq_prev,
             to_mesh,
             memctl_retry,
-            stats,
+            meters,
+            slots: _,
             sleep_until: _,
             skipped_cycles: _,
             fast_path: _,
@@ -737,7 +746,7 @@ impl SaveState for Chipset {
             q.save(w);
         }
         memctl_retry.save(w);
-        stats.save(w);
+        meters.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -765,7 +774,7 @@ impl SaveState for Chipset {
             q.restore(r);
         }
         self.memctl_retry.restore(r);
-        self.stats.restore(r);
+        self.meters.restore(r);
     }
 }
 

@@ -3,7 +3,7 @@
 use smappic_coherence::{Bpc, BpcConfig, Geometry, Homing, LlcConfig, LlcSlice};
 use smappic_mem::{Dram, DramConfig, MemController, MemControllerConfig};
 use smappic_noc::{Gid, Mesh, MeshConfig, NodeId, TileId};
-use smappic_sim::{Cycle, MetricsRegistry, SaveState, SnapReader, SnapWriter};
+use smappic_sim::{Cycle, SaveState, SnapReader, SnapWriter};
 use smappic_tile::{Engine, IdleEngine, Tile};
 
 use crate::bridge::InterNodeBridge;
@@ -89,35 +89,14 @@ impl Node {
         &self.chipset
     }
 
-    /// One mesh counter (diagnostics).
-    pub fn mesh_stats(&self, key: &str) -> u64 {
-        self.mesh.stats().get(key)
-    }
-
-    /// Merges all mesh counters into platform-wide stats.
-    pub fn merge_mesh_stats_into(&self, out: &mut smappic_sim::Stats) {
-        self.mesh.merge_stats_into(out);
-    }
-
-    /// The mesh's hop-count histogram (one sample per delivered packet).
-    pub fn mesh_hops(&self) -> &smappic_sim::Histogram {
-        self.mesh.hops()
+    /// The node's mesh.
+    pub fn mesh(&self) -> &Mesh {
+        &self.mesh
     }
 
     /// Mutable mesh access (fault-injection wiring).
     pub fn mesh_mut(&mut self) -> &mut Mesh {
         &mut self.mesh
-    }
-
-    /// Merges every port meter in the node — mesh routers, chipset
-    /// devices, and each tile's caches — into `m` under
-    /// `{prefix}.noc`, `{prefix}.chipset`, and `{prefix}.tile{t}`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        self.mesh.merge_port_metrics(&format!("{prefix}.noc"), m);
-        self.chipset.merge_port_metrics(&format!("{prefix}.chipset"), m);
-        for (t, tile) in self.tiles.iter().enumerate() {
-            tile.merge_port_metrics(&format!("{prefix}.tile{t}"), m);
-        }
     }
 
     /// Mutable chipset access (UART consoles, memory backdoor, bridge).

@@ -55,9 +55,9 @@ use smappic_coherence::Homing;
 use smappic_isa::Image;
 use smappic_noc::{line_of, Gid, NodeId, TileId};
 use smappic_sim::{
-    fault_streams, fnv1a, Cycle, EthFabric, EthSwitch, FaultInjector, Histogram, MetricsRegistry,
-    SaveState, SnapDelta, SnapError, SnapReader, SnapSink, SnapWriter, Snapshot, Stats,
-    StreamSource, TraceBuf, TraceEventKind, TraceSink,
+    fault_streams, fnv1a, Cycle, EthFabric, EthSwitch, FaultInjector, Histogram, Meters,
+    MetricsRegistry, SaveState, SnapDelta, SnapError, SnapReader, SnapSink, SnapWriter, Snapshot,
+    Stats, StreamSource, TraceBuf, TraceEventKind, TraceSink,
 };
 use smappic_tile::{AddrMap, Engine};
 
@@ -1345,30 +1345,58 @@ impl Platform {
         self.restore(&snap)
     }
 
-    /// Aggregated statistics across the whole platform.
-    pub fn stats(&self) -> Stats {
-        let mut s = Stats::new();
-        for f in &self.fpgas {
-            s.merge(f.shell().stats());
-            s.merge(f.xbar().stats());
-            for n in f.nodes() {
-                s.merge(n.chipset().stats());
-                s.merge(n.chipset().memctl().stats());
-                // The DRAM model's own counters (`dram.req`, `dram.bytes`,
-                // `dram.oob`, fault spikes) were historically dropped here
-                // — only the controller's `memctl.*` made it up.
-                s.merge(n.chipset().memctl().dram().stats());
-                s.merge(n.chipset().bridge_stats());
-                n.merge_mesh_stats_into(&mut s);
+    /// Every [`Meters`] block on the platform, with the root its ports
+    /// render under: the one topology walk [`Platform::stats`] and
+    /// [`Platform::metrics`] render from. Roots are stable dotted names
+    /// (`port.fpga0.shell`, `port.node3.tile1.bpc`, ...); the Ethernet hop
+    /// meters sample occupancy at pump-call time, which the grouped drivers
+    /// batch differently from the per-cycle reference, so they render
+    /// under `host.` and [`MetricsRegistry::architectural`] strips them.
+    fn meter_blocks(&self, mut visit: impl FnMut(&str, &Meters)) {
+        for (fi, f) in self.fpgas.iter().enumerate() {
+            visit(&format!("port.fpga{fi}.shell"), f.shell().meters());
+            visit(&format!("port.fpga{fi}.xbar"), f.xbar().meters());
+            for (li, n) in f.nodes().iter().enumerate() {
+                let node = format!("port.node{}", fi * self.cfg.nodes_per_fpga + li);
+                visit(&format!("{node}.noc"), n.mesh().meters());
                 for t in 0..n.tile_count() {
-                    n.tile(t as TileId).bpc().merge_stats_into(&mut s);
-                    n.tile(t as TileId).llc().merge_stats_into(&mut s);
+                    let (tile, root) = (n.tile(t as TileId), format!("{node}.tile{t}"));
+                    visit(&root, tile.meters());
+                    visit(&format!("{root}.bpc"), tile.bpc().meters());
+                    visit(&format!("{root}.llc"), tile.llc().meters());
                 }
+                let (c, root) = (n.chipset(), format!("{node}.chipset"));
+                visit(&root, c.meters());
+                visit(&format!("{root}.memctl"), c.memctl().meters());
+                visit(&format!("{root}.memctl.dram"), c.memctl().dram().meters());
+                visit(&format!("{root}.bridge"), c.bridge().meters());
+                visit(&format!("{root}.uart0"), c.uart0.meters());
+                visit(&format!("{root}.uart1"), c.uart1.meters());
             }
         }
-        if let Some(eth) = &self.eth {
-            eth.merge_stats(&mut s);
+        for ((a, b), link) in &self.links {
+            visit(&format!("port.pcie{a}-{b}"), link.meters());
         }
+        for sw in self.eth.iter().flat_map(EthFabric::switches) {
+            visit("port.eth", sw.meters());
+            visit("host.port.eth", sw.hop_meters());
+        }
+    }
+
+    /// Aggregated statistics across the whole platform: every touched
+    /// counter of every component, plus the fault counts of a platform
+    /// built with link faults.
+    pub fn stats(&self) -> Stats {
+        let mut s = Stats::new();
+        self.meter_blocks(|_, m| m.add_counters_to(&mut s));
+        self.add_fault_counts(&mut s);
+        s
+    }
+
+    /// `fault.link_*` (and, with an Ethernet fabric, `fault.eth_*`): the
+    /// links' delayed and duplicated items, rendered whenever link faults
+    /// are configured, even at zero.
+    fn add_fault_counts(&self, s: &mut Stats) {
         if self.cfg.fault.as_ref().is_some_and(|spec| spec.links) {
             let (delayed, duplicated) = self.links.iter().fold((0, 0), |(d, u), (_, l)| {
                 let (ld, lu) = l.fault_counts();
@@ -1382,7 +1410,6 @@ impl Platform {
                 s.add("fault.eth_duplicated", u);
             }
         }
-        s
     }
 
     /// Enables or disables cycle-stamped event tracing in every component:
@@ -1452,9 +1479,11 @@ impl Platform {
     }
 
     /// The platform's unified metrics: every counter from
-    /// [`Platform::stats`] plus the latency/shape histograms, merged in a
-    /// fixed component order so two equivalent runs produce bit-identical
-    /// registries.
+    /// [`Platform::stats`], every component histogram, every port's
+    /// `pushes`/`stalls`/`peak` counters and occupancy histogram, and the
+    /// epoch-width histogram, all rendered from one walk of the meter
+    /// blocks. Counters add and histograms merge order-insensitively, so
+    /// two equivalent runs produce bit-identical registries.
     ///
     /// Architectural entries (everything except the `host.`-prefixed
     /// stepper diagnostics) are identical between the serial and
@@ -1462,50 +1491,11 @@ impl Platform {
     /// [`MetricsRegistry::architectural`].
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
-        m.merge_counters(&self.stats());
-        for (_, link) in &self.links {
-            m.merge_histogram("pcie.rtt", link.rtt());
-        }
-        for f in &self.fpgas {
-            for n in f.nodes() {
-                m.merge_histogram("noc.hops", n.mesh_hops());
-                m.merge_histogram("dram.latency", n.chipset().memctl().latency());
-                for t in 0..n.tile_count() {
-                    m.merge_histogram("bpc.miss_latency", n.tile(t as TileId).bpc().miss_latency());
-                    m.merge_histogram("llc.miss_latency", n.tile(t as TileId).llc().miss_latency());
-                }
-            }
-        }
+        self.meter_blocks(|root, meters| meters.render(root, &mut m));
+        let mut faults = Stats::new();
+        self.add_fault_counts(&mut faults);
+        m.merge_counters(&faults);
         m.merge_histogram("host.epoch_width", &self.host_epochs);
-        // Flow-control layer: every Port's pushes/stalls/peak counters and
-        // occupancy histogram, under stable dotted names rooted in the
-        // topology (`port.fpga0.shell.in_req.*`, `port.node3.tile1.bpc
-        // .noc_out.*`, ...). Same fixed walk order as the stats merge, so
-        // equivalent runs produce bit-identical registries.
-        for (fi, f) in self.fpgas.iter().enumerate() {
-            f.shell().merge_port_metrics(&format!("fpga{fi}.shell"), &mut m);
-            f.xbar().merge_port_metrics(&format!("fpga{fi}.xbar"), &mut m);
-            for (li, n) in f.nodes().iter().enumerate() {
-                let g = fi * self.cfg.nodes_per_fpga + li;
-                n.merge_port_metrics(&format!("node{g}"), &mut m);
-            }
-        }
-        if let Some(eth) = &self.eth {
-            // Fabric hop meters sample occupancy at pump-call time, which
-            // the grouped drivers batch differently from the per-cycle
-            // reference — stepper diagnostics, so they live under `host.`
-            // and are stripped by [`MetricsRegistry::architectural`]. The
-            // deterministic fabric counters (`eth.frames`, `eth.bytes`)
-            // come in through [`Platform::stats`] above.
-            let mut fabric = MetricsRegistry::new();
-            eth.merge_port_metrics("eth", &mut fabric);
-            for (name, v) in fabric.counters().iter() {
-                m.add_counter(&format!("host.{name}"), v);
-            }
-            for (name, h) in fabric.histograms() {
-                m.merge_histogram(&format!("host.{name}"), h);
-            }
-        }
         m
     }
 
@@ -1530,10 +1520,11 @@ impl Platform {
         let fold = |h: u64, v: u64| (h ^ v).wrapping_mul(FNV_PRIME);
         let mut h = FNV_OFFSET;
         for f in &self.fpgas {
-            h = fold(h, f.shell().stats().get("shell.in_req"));
-            h = fold(h, f.shell().stats().get("shell.out_req"));
+            let (in_req, out_req) = f.shell().request_counts();
+            h = fold(h, in_req);
+            h = fold(h, out_req);
             for n in f.nodes() {
-                h = fold(h, n.mesh_stats("noc.delivered"));
+                h = fold(h, n.mesh().delivered());
                 for t in 0..n.tile_count() {
                     let tile = n.tile(t as TileId);
                     h = fold(h, tile.engine().progress());

@@ -6,9 +6,7 @@
 //! baud console and an "overclocked" ~1 Mbit/s data UART that carries a
 //! pppd network link (§4.4 uses it to put Nginx on the prototype).
 
-use smappic_sim::{
-    Cycle, MetricsRegistry, Port, Ring, SaveState, SnapReader, SnapWriter, TrafficShaper,
-};
+use smappic_sim::{Cycle, Meters, Port, Ring, SaveState, SnapReader, SnapWriter, TrafficShaper};
 
 /// Guest-visible 16550 register offsets (4-byte register stride).
 const REG_DATA: u64 = 0x00; // RBR (read) / THR (write)
@@ -53,6 +51,8 @@ pub struct Uart16550 {
     ier: u32,
     bytes_tx: u64,
     bytes_rx: u64,
+    /// The RX FIFO's port meter.
+    meters: Meters,
 }
 
 impl Uart16550 {
@@ -60,14 +60,16 @@ impl Uart16550 {
     /// 115200 baud ≈ 8680 cycles/byte; the overclocked 1 Mbit/s data UART
     /// ≈ 1000 cycles/byte.
     pub fn new(cycles_per_byte: u64) -> Self {
+        let mut meters = Meters::new();
         Self {
             tx: TrafficShaper::new(1, cycles_per_byte.max(1), 0),
             rx: TrafficShaper::new(1, cycles_per_byte.max(1), 0),
-            rx_ready: Port::elastic_with("rx_ready", 16),
+            rx_ready: Port::elastic_with(meters.port("rx_ready"), 16),
             host: HostSerial::default(),
             ier: 0,
             bytes_tx: 0,
             bytes_rx: 0,
+            meters,
         }
     }
 
@@ -137,14 +139,13 @@ impl Uart16550 {
             self.bytes_rx += 1;
         }
         while let Some(b) = self.rx.pop_ready(now) {
-            self.rx_ready.push(b);
+            self.rx_ready.push(b, &mut self.meters);
         }
     }
 
-    /// Merges the UART's port meters (the guest-visible RX FIFO) into `m`
-    /// under `port.{prefix}.rx_ready`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        self.rx_ready.meter().merge_into(prefix, m);
+    /// The UART's meters: the guest-visible RX FIFO's port meter.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// Total bytes transmitted by the guest.
@@ -184,8 +185,16 @@ impl SaveState for Uart16550 {
     fn save(&self, w: &mut SnapWriter) {
         // The baud rate (shaper timing) is configuration; bytes on the
         // wire, the RX FIFO, and the host-side buffers are state.
-        let Self { tx, rx, rx_ready, host: HostSerial { output, input }, ier, bytes_tx, bytes_rx } =
-            self;
+        let Self {
+            tx,
+            rx,
+            rx_ready,
+            host: HostSerial { output, input },
+            ier,
+            bytes_tx,
+            bytes_rx,
+            meters,
+        } = self;
         tx.save(w);
         rx.save(w);
         rx_ready.save(w);
@@ -194,6 +203,7 @@ impl SaveState for Uart16550 {
         w.u32(*ier);
         w.u64(*bytes_tx);
         w.u64(*bytes_rx);
+        meters.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -205,6 +215,7 @@ impl SaveState for Uart16550 {
         self.ier = r.u32();
         self.bytes_tx = r.u64();
         self.bytes_rx = r.u64();
+        self.meters.restore(r);
     }
 }
 

@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 use smappic_axi::{AxiRead, AxiReq, AxiResp, AxiWrite};
 use smappic_noc::{line_of, line_offset, Gid, LineData, Msg, Packet, LINE_BYTES};
 use smappic_sim::{
-    Cycle, Histogram, MetricsRegistry, Pack, Port, SaveState, SnapReader, SnapWriter, Stats,
-    TraceBuf, TraceEventKind,
+    meter_slots, Cycle, Meters, Pack, Port, SaveState, SnapReader, SnapWriter, Stats, TraceBuf,
+    TraceEventKind,
 };
 
 use crate::dram::Dram;
@@ -24,6 +24,17 @@ impl MemControllerConfig {
     /// Default: 16 outstanding requests.
     pub fn new(identity: Gid) -> Self {
         Self { identity, buffer_depth: 16 }
+    }
+}
+
+meter_slots! {
+    /// The controller's counters and latency histogram.
+    struct MemctlMeters {
+        rd: counter("memctl.rd"),
+        wr: counter("memctl.wr"),
+        nc: counter("memctl.nc"),
+        /// Accept-to-response latency of DRAM transactions, in cycles.
+        latency: histogram("dram.latency"),
     }
 }
 
@@ -69,9 +80,8 @@ pub struct MemController {
     noc_out: Port<Packet>,
     inflight: BTreeMap<u16, Inflight>,
     next_id: u16,
-    stats: Stats,
-    /// Accept-to-response latency of DRAM transactions, in cycles.
-    latency: Histogram,
+    meters: Meters,
+    slots: MemctlMeters,
     trace: TraceBuf,
 }
 
@@ -79,15 +89,16 @@ impl MemController {
     /// Creates a controller in front of `dram`.
     pub fn new(cfg: MemControllerConfig, dram: Dram) -> Self {
         let depth = cfg.buffer_depth;
+        let mut meters = Meters::new();
         Self {
             cfg,
             dram,
-            noc_in: Port::bounded("noc_in", depth),
-            noc_out: Port::bounded("noc_out", depth.max(16)),
+            noc_in: Port::bounded(meters.port("noc_in"), depth),
+            noc_out: Port::bounded(meters.port("noc_out"), depth.max(16)),
             inflight: BTreeMap::new(),
             next_id: 0,
-            stats: Stats::new(),
-            latency: Histogram::new(),
+            slots: MemctlMeters::register(&mut meters),
+            meters,
             trace: TraceBuf::new(2048),
         }
     }
@@ -105,7 +116,7 @@ impl MemController {
     /// Submits a NoC packet addressed to this controller. Errors with the
     /// packet when the deserializer buffer is full (back-pressure).
     pub fn push_noc(&mut self, pkt: Packet) -> Result<(), Packet> {
-        self.noc_in.try_push(pkt)
+        self.noc_in.try_push(pkt, &mut self.meters)
     }
 
     /// True when a packet can be pushed this cycle.
@@ -118,21 +129,15 @@ impl MemController {
         self.noc_out.pop()
     }
 
-    /// Counters (`memctl.rd`, `memctl.wr`, `memctl.nc`).
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// Counters (`memctl.rd`, `memctl.wr`, `memctl.nc`), rendered.
+    pub fn stats(&self) -> Stats {
+        self.meters.stats()
     }
 
-    /// Accept-to-response latency histogram of DRAM transactions.
-    pub fn latency(&self) -> &Histogram {
-        &self.latency
-    }
-
-    /// Merges the controller's port meters (NoC ingress/egress) into `m`
-    /// under `port.{prefix}.{noc_in,noc_out}`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        self.noc_in.meter().merge_into(prefix, m);
-        self.noc_out.meter().merge_into(prefix, m);
+    /// The controller's meters: `memctl.*` counters, the `dram.latency`
+    /// histogram and its NoC ports' meters.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// The controller's trace buffer, for enabling tracing and draining.
@@ -186,7 +191,7 @@ impl MemController {
         let src = pkt.src;
         match pkt.msg {
             Msg::MemRd { line } => {
-                self.stats.incr("memctl.rd");
+                self.meters.incr(self.slots.rd);
                 let id = self.alloc_id();
                 let origin = Origin::Line { requester: src, line };
                 self.inflight
@@ -194,7 +199,7 @@ impl MemController {
                 self.dram.push_req(now, AxiReq::Read(AxiRead::new(line, LINE_BYTES as u32, id)));
             }
             Msg::MemWr { line, data } => {
-                self.stats.incr("memctl.wr");
+                self.meters.incr(self.slots.wr);
                 let id = self.alloc_id();
                 self.inflight.insert(
                     id,
@@ -203,7 +208,7 @@ impl MemController {
                 self.dram.push_req(now, AxiReq::Write(AxiWrite::new(line, data.0.to_vec(), id)));
             }
             Msg::NcLoad { addr, size } => {
-                self.stats.incr("memctl.nc");
+                self.meters.incr(self.slots.nc);
                 let id = self.alloc_id();
                 let origin = Origin::NcLoad { requester: src, addr, size };
                 self.inflight.insert(id, Inflight { origin, started: now, bytes: size as u32 });
@@ -213,7 +218,7 @@ impl MemController {
                 self.dram.push_req(now, AxiReq::Read(AxiRead::new(line, LINE_BYTES as u32, id)));
             }
             Msg::NcStore { addr, size, data } => {
-                self.stats.incr("memctl.nc");
+                self.meters.incr(self.slots.nc);
                 let id = self.alloc_id();
                 let origin = Origin::NcStore { requester: src, addr };
                 self.inflight.insert(id, Inflight { origin, started: now, bytes: size as u32 });
@@ -237,7 +242,7 @@ impl MemController {
         let inflight =
             self.inflight.remove(&id).expect("DRAM produced a response for an unknown AXI ID");
         let lat = now.saturating_sub(inflight.started);
-        self.latency.record(lat);
+        self.meters.record(self.slots.latency, lat);
         let (node, bytes) = (self.cfg.identity.node.0, inflight.bytes);
         self.trace.record(now, || TraceEventKind::Dram { node, bytes, lat });
         let me = self.cfg.identity;
@@ -246,7 +251,7 @@ impl MemController {
                 let mut data = LineData::zeroed();
                 data.0.copy_from_slice(&r.data);
                 let msg = Msg::MemData { line, data };
-                self.noc_out.push(Packet::on_canonical_vn(requester, me, msg));
+                self.noc_out.push(Packet::on_canonical_vn(requester, me, msg), &mut self.meters);
             }
             (Origin::LineWb, AxiResp::Write(_)) => {
                 // Writebacks complete silently (posted).
@@ -256,10 +261,11 @@ impl MemController {
                 line.0.copy_from_slice(&r.data);
                 let data = line.read(line_offset(addr), size as usize);
                 let msg = Msg::NcData { addr, data };
-                self.noc_out.push(Packet::on_canonical_vn(requester, me, msg));
+                self.noc_out.push(Packet::on_canonical_vn(requester, me, msg), &mut self.meters);
             }
             (Origin::NcStore { requester, addr }, AxiResp::Write(_)) => {
-                self.noc_out.push(Packet::on_canonical_vn(requester, me, Msg::NcAck { addr }));
+                let ack = Packet::on_canonical_vn(requester, me, Msg::NcAck { addr });
+                self.noc_out.push(ack, &mut self.meters);
             }
             (origin, resp) => {
                 panic!("mismatched DRAM response {resp:?} for origin {origin:?}");
@@ -320,16 +326,16 @@ impl Pack for Inflight {
 
 impl SaveState for MemController {
     fn save(&self, w: &mut SnapWriter) {
-        // The config is fixed; the trace lane is host-side observability.
-        let Self { cfg: _, dram, noc_in, noc_out, inflight, next_id, stats, latency, trace: _ } =
+        // The config and meter slots are fixed; the trace lane is host-side
+        // observability.
+        let Self { cfg: _, dram, noc_in, noc_out, inflight, next_id, meters, slots: _, trace: _ } =
             self;
         w.scoped("dram", |w| dram.save(w));
         noc_in.save(w);
         noc_out.save(w);
         inflight.pack(w);
         w.u16(*next_id);
-        stats.save(w);
-        latency.save(w);
+        meters.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -338,8 +344,7 @@ impl SaveState for MemController {
         self.noc_out.restore(r);
         self.inflight = BTreeMap::unpack(r);
         self.next_id = r.u16();
-        self.stats.restore(r);
-        self.latency.restore(r);
+        self.meters.restore(r);
     }
 }
 
@@ -506,8 +511,9 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(c.latency().count(), 2, "read and writeback both sampled");
-        assert!(c.latency().min() > 0, "DRAM latency must be nonzero");
+        let latency = c.meters.histogram_of(c.slots.latency);
+        assert_eq!(latency.count(), 2, "read and writeback both sampled");
+        assert!(latency.min() > 0, "DRAM latency must be nonzero");
     }
 
     #[test]

@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use smappic_axi::{AxiReadResp, AxiReq, AxiResp, AxiWriteResp};
 use smappic_sim::{
-    Cycle, FaultInjector, Pack, SaveState, SnapReader, SnapWriter, Stats, TrafficShaper,
+    meter_slots, Cycle, FaultInjector, Meters, Pack, SaveState, SnapReader, SnapWriter, Stats,
+    TrafficShaper,
 };
 
 /// log2 of the backing-page size.
@@ -38,6 +39,16 @@ impl Default for DramConfig {
     }
 }
 
+meter_slots! {
+    /// The channel's counters.
+    struct DramMeters {
+        req: counter("dram.req"),
+        bytes: counter("dram.bytes"),
+        spike: counter("dram.spike"),
+        oob: counter("dram.oob"),
+    }
+}
+
 /// One DRAM channel: a sparse byte store behind an AXI4 slave interface.
 ///
 /// Pages are allocated on first touch and read back as zeroes before that,
@@ -62,13 +73,15 @@ pub struct Dram {
     /// Requests accepted so far; the per-request sequence number feeding
     /// the fault injector's spike decision.
     req_seq: u64,
-    stats: Stats,
+    meters: Meters,
+    slots: DramMeters,
 }
 
 impl Dram {
     /// Creates a DRAM channel with the given timing.
     pub fn new(cfg: DramConfig) -> Self {
         let pending = TrafficShaper::new(cfg.bytes_per_cycle, 1, cfg.latency);
+        let mut meters = Meters::new();
         Self {
             cfg,
             pages: HashMap::new(),
@@ -76,7 +89,8 @@ impl Dram {
             responses: Vec::new(),
             faults: None,
             req_seq: 0,
-            stats: Stats::new(),
+            slots: DramMeters::register(&mut meters),
+            meters,
         }
     }
 
@@ -166,15 +180,15 @@ impl Dram {
             AxiReq::Read(r) => u64::from(r.len),
             AxiReq::Write(w) => w.data.len() as u64,
         };
-        self.stats.incr("dram.req");
-        self.stats.add("dram.bytes", bytes);
+        self.meters.incr(self.slots.req);
+        self.meters.add(self.slots.bytes, bytes);
         let seq = self.req_seq;
         self.req_seq += 1;
         let mut at = now;
         if let Some(inj) = &self.faults {
             let extra = inj.extra_latency(seq);
             if extra > 0 {
-                self.stats.incr("dram.spike");
+                self.meters.incr(self.slots.spike);
                 // Pushing at an inflated `now` delays this request by
                 // `extra`; the shaper's monotone link-free time keeps the
                 // channel FIFO, so later requests queue behind the spike.
@@ -201,7 +215,7 @@ impl Dram {
         match req {
             AxiReq::Read(r) => {
                 if u64::from(r.len) + r.addr > self.cfg.capacity {
-                    self.stats.incr("dram.oob");
+                    self.meters.incr(self.slots.oob);
                     return AxiResp::Read(AxiReadResp { id: r.id, data: vec![] });
                 }
                 let data = self.read_bytes(r.addr, r.len as usize);
@@ -209,7 +223,7 @@ impl Dram {
             }
             AxiReq::Write(w) => {
                 if w.data.len() as u64 + w.addr > self.cfg.capacity {
-                    self.stats.incr("dram.oob");
+                    self.meters.incr(self.slots.oob);
                     return AxiResp::Write(AxiWriteResp { id: w.id, ok: false });
                 }
                 self.write_bytes(w.addr, &w.data);
@@ -218,9 +232,14 @@ impl Dram {
         }
     }
 
-    /// Counters (`dram.req`, `dram.bytes`, `dram.oob`).
-    pub fn stats(&self) -> &Stats {
-        &self.stats
+    /// Counters (`dram.req`, `dram.bytes`, `dram.oob`), rendered.
+    pub fn stats(&self) -> Stats {
+        self.meters.stats()
+    }
+
+    /// The channel's meters: its `dram.*` counters.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// True when no request is in flight.
@@ -248,7 +267,7 @@ impl SaveState for Dram {
         // All-zero pages are skipped: restore re-elides them (zero writes
         // allocate nothing), so emitting them would break the
         // save→restore→save byte fixed-point.
-        let Self { cfg: _, pages, pending, responses, faults: _, req_seq, stats } = self;
+        let Self { cfg: _, pages, pending, responses, faults: _, req_seq, meters, slots: _ } = self;
         let mut idxs: Vec<u64> =
             pages.iter().filter(|(_, p)| p.iter().any(|&b| b != 0)).map(|(&idx, _)| idx).collect();
         idxs.sort_unstable();
@@ -260,7 +279,7 @@ impl SaveState for Dram {
         pending.save(w);
         responses.pack(w);
         w.u64(*req_seq);
-        stats.save(w);
+        meters.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -281,7 +300,7 @@ impl SaveState for Dram {
         self.pending.restore(r);
         self.responses = Vec::unpack(r);
         self.req_seq = r.u64();
-        self.stats.restore(r);
+        self.meters.restore(r);
     }
 }
 

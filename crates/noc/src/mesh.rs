@@ -1,8 +1,8 @@
 //! The node-level mesh: routers, buffers, arbitration, and the edge port.
 
 use smappic_sim::{
-    CounterSet, Cycle, FaultInjector, Histogram, MetricsRegistry, Port as FlowPort, SaveState,
-    SnapReader, SnapWriter, Stats, TraceBuf, TraceEventKind,
+    meter_slots, Cycle, FaultInjector, Meters, Port as FlowPort, SaveState, SnapReader, SnapWriter,
+    Stats, TraceBuf, TraceEventKind,
 };
 
 use crate::packet::Packet;
@@ -13,22 +13,21 @@ use crate::types::{NodeId, TileId, VirtNet};
 /// [`Port::index`].
 const DIR_NAMES: [&str; 5] = ["north", "south", "east", "west", "local"];
 
-// Pre-interned counter slots: these are bumped on the per-flit hot path, so
-// they use indexed `CounterSet` slots instead of string-keyed `Stats`.
-const NOC_KEYS: &[&str] = &[
-    "noc.injected",
-    "noc.edge_in",
-    "noc.flits",
-    "noc.edge_out",
-    "noc.delivered",
-    "noc.fault_stall",
-];
-const K_INJECTED: usize = 0;
-const K_EDGE_IN: usize = 1;
-const K_FLITS: usize = 2;
-const K_EDGE_OUT: usize = 3;
-const K_DELIVERED: usize = 4;
-const K_FAULT_STALL: usize = 5;
+meter_slots! {
+    /// The mesh's counters, bumped on the per-flit hot path.
+    struct MeshMeters {
+        injected: counter("noc.injected"),
+        edge_in: counter("noc.edge_in"),
+        flits: counter("noc.flits"),
+        edge_out: counter("noc.edge_out"),
+        delivered: counter("noc.delivered"),
+        fault_stall: counter("noc.fault_stall"),
+        /// Manhattan hop count of every packet leaving the mesh (tile
+        /// delivery or edge exit), measured from its entry router — the XY
+        /// route length, independent of congestion stalls.
+        hops: histogram("noc.hops"),
+    }
+}
 
 /// Geometry and timing of one node's mesh.
 #[derive(Debug, Clone)]
@@ -115,10 +114,11 @@ struct RouterState {
 }
 
 impl RouterState {
-    fn new(router: usize, capacity: usize) -> Self {
+    fn new(router: usize, capacity: usize, meters: &mut Meters) -> Self {
         let bufs = std::array::from_fn(|p| {
-            std::array::from_fn(|vn| InBuf {
-                q: FlowPort::bounded(format!("r{router}.{}.vc{vn}", DIR_NAMES[p]), capacity),
+            std::array::from_fn(|vn| {
+                let slot = meters.port(format!("r{router}.{}.vc{vn}", DIR_NAMES[p]));
+                InBuf { q: FlowPort::bounded(slot, capacity) }
             })
         });
         Self { bufs, busy_until: [0; 5], rr: [0; 5], nonempty: 0 }
@@ -163,12 +163,9 @@ pub struct Mesh {
     /// scan is a no-op on an empty mesh either way, so results are
     /// bit-identical).
     fast_path: bool,
-    counters: CounterSet,
+    meters: Meters,
+    slots: MeshMeters,
     faults: Option<FaultInjector>,
-    /// Manhattan hop count of every packet leaving the mesh (tile
-    /// delivery or edge exit), measured from its entry router — the XY
-    /// route length, independent of congestion stalls.
-    hops: Histogram,
     trace: TraceBuf,
 }
 
@@ -182,32 +179,42 @@ impl Mesh {
                 Router::new(x, y, cfg.width, cfg.tiles as u16, cfg.node)
             })
             .collect();
+        let mut meters = Meters::new();
+        let slots = MeshMeters::register(&mut meters);
         Self {
-            routers: (0..n).map(|r| RouterState::new(r, cfg.input_buffer_capacity)).collect(),
+            routers: (0..n)
+                .map(|r| RouterState::new(r, cfg.input_buffer_capacity, &mut meters))
+                .collect(),
             route_fns,
             eject_q: (0..n)
                 .map(|t| {
                     std::array::from_fn(|vn| {
-                        FlowPort::elastic_with(format!("eject.t{t}.vc{vn}"), 8)
+                        FlowPort::elastic_with(meters.port(format!("eject.t{t}.vc{vn}")), 8)
                     })
                 })
                 .collect(),
             eject_rr: vec![0; n],
-            edge_out: FlowPort::bounded("edge_out", cfg.edge_capacity),
+            edge_out: FlowPort::bounded(meters.port("edge_out"), cfg.edge_capacity),
             total_occupancy: 0,
             output_occupancy: 0,
             fast_path: true,
             cfg,
-            counters: CounterSet::new(NOC_KEYS),
+            meters,
+            slots,
             faults: None,
-            hops: Histogram::new(),
             trace: TraceBuf::new(4096),
         }
     }
 
-    /// Per-packet hop-count histogram (XY route length at exit).
-    pub fn hops(&self) -> &Histogram {
-        &self.hops
+    /// The mesh's meters: `noc.*` counters, the `noc.hops` histogram and
+    /// every buffer's port meter.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
+    }
+
+    /// Packets delivered to tiles so far (`noc.delivered`).
+    pub fn delivered(&self) -> u64 {
+        self.meters.get(self.slots.delivered)
     }
 
     /// The mesh's trace lane (delivery events).
@@ -259,7 +266,7 @@ impl Mesh {
     pub fn inject(&mut self, tile: TileId, pkt: Packet) -> Result<(), Packet> {
         // Local injection is immediately visible to the router.
         self.push_input(tile as usize, Port::Local, 0, pkt)?;
-        self.counters.bump(K_INJECTED);
+        self.meters.incr(self.slots.injected);
         Ok(())
     }
 
@@ -268,7 +275,7 @@ impl Mesh {
     fn push_input(&mut self, r: usize, port: Port, at: Cycle, pkt: Packet) -> Result<(), Packet> {
         let (pi, vn) = (port.index(), pkt.vn.index());
         let rt = &mut self.routers[r];
-        rt.bufs[pi][vn].q.try_push((at, pkt)).map_err(|(_, pkt)| pkt)?;
+        rt.bufs[pi][vn].q.try_push((at, pkt), &mut self.meters).map_err(|(_, pkt)| pkt)?;
         rt.nonempty |= 1 << (3 * pi + vn);
         self.total_occupancy += 1;
         Ok(())
@@ -301,7 +308,7 @@ impl Mesh {
     /// Fails with the packet when the edge input buffer is full.
     pub fn inject_edge(&mut self, pkt: Packet) -> Result<(), Packet> {
         self.push_input(0, Port::North, 0, pkt)?;
-        self.counters.bump(K_EDGE_IN);
+        self.meters.incr(self.slots.edge_in);
         Ok(())
     }
 
@@ -322,17 +329,9 @@ impl Mesh {
     }
 
     /// Counters collected so far (`noc.injected`, `noc.delivered`,
-    /// `noc.flits`, `noc.edge_in`, `noc.edge_out`), materialized as string-
-    /// keyed [`Stats`]. The live counters are indexed [`CounterSet`] slots so
-    /// the per-flit hot path never hashes or compares key strings.
+    /// `noc.flits`, `noc.edge_in`, `noc.edge_out`), rendered.
     pub fn stats(&self) -> Stats {
-        self.counters.to_stats()
-    }
-
-    /// Merges this mesh's counters into `out` without materializing an
-    /// intermediate map.
-    pub fn merge_stats_into(&self, out: &mut Stats) {
-        self.counters.merge_into(out);
+        self.meters.stats()
     }
 
     /// True when no packet is buffered anywhere in the mesh.
@@ -343,24 +342,6 @@ impl Mesh {
                 .routers
                 .iter()
                 .all(|r| r.bufs.iter().all(|pb| pb.iter().all(|b| b.q.is_empty())))
-    }
-
-    /// Merges every port meter into `m` under `port.<prefix>.<name>.*`, in
-    /// a fixed order (router buffers, eject queues, edge-out).
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        for r in &self.routers {
-            for pb in &r.bufs {
-                for b in pb {
-                    b.q.meter().merge_into(prefix, m);
-                }
-            }
-        }
-        for qs in &self.eject_q {
-            for q in qs {
-                q.meter().merge_into(prefix, m);
-            }
-        }
-        self.edge_out.meter().merge_into(prefix, m);
     }
 
     fn neighbor(&self, tile: usize, port: Port) -> Option<usize> {
@@ -437,7 +418,7 @@ impl Mesh {
             // reaches routers with buffered traffic, so every counted stall
             // is a cycle where the fault could actually hold something up.
             if inj.stalled((r * 5 + oi) as u64, now) {
-                self.counters.bump(K_FAULT_STALL);
+                self.meters.incr(self.slots.fault_stall);
                 return None;
             }
         }
@@ -501,7 +482,7 @@ impl Mesh {
         let flits = pkt.flits();
         rt.busy_until[oi] = now + Cycle::from(flits);
         rt.rr[oi] = (c + 1) % 15;
-        self.counters.add(K_FLITS, u64::from(flits));
+        self.meters.add(self.slots.flits, u64::from(flits));
         if let Sink::Router(nb) = sink {
             self.push_input(nb, out.opposite(), now + self.cfg.hop_latency, pkt)
                 .expect("space checked by the arbiter");
@@ -509,7 +490,7 @@ impl Mesh {
         }
         let edge = matches!(sink, Sink::Edge);
         let h = self.manhattan(self.entry_router(&pkt), r);
-        self.hops.record(u64::from(h));
+        self.meters.record(self.slots.hops, u64::from(h));
         self.trace.record(now, || TraceEventKind::NocDeliver {
             dst: if edge { 0 } else { r as u16 },
             hops: h,
@@ -517,11 +498,11 @@ impl Mesh {
             edge,
         });
         if edge {
-            self.edge_out.push(pkt);
-            self.counters.bump(K_EDGE_OUT);
+            self.edge_out.push(pkt, &mut self.meters);
+            self.meters.incr(self.slots.edge_out);
         } else {
-            self.eject_q[r][vn].push(pkt);
-            self.counters.bump(K_DELIVERED);
+            self.eject_q[r][vn].push(pkt, &mut self.meters);
+            self.meters.incr(self.slots.delivered);
         }
         self.output_occupancy += 1;
     }
@@ -529,9 +510,11 @@ impl Mesh {
 
 impl SaveState for Mesh {
     fn save(&self, w: &mut SnapWriter) {
-        // Shape, routing functions and fault hook are configuration; the
-        // occupancy counts and masks are derived (recomputed on restore),
-        // and the fast-path switch and trace lane are host-side.
+        // Shape, routing functions, meter slots and fault hook are
+        // configuration; the occupancy counts and masks are derived
+        // (recomputed on restore), and the fast-path switch and trace lane
+        // are host-side. Every buffer's meter is in the one block saved
+        // here, so an idle router's section does not change.
         let Self {
             cfg: _,
             routers,
@@ -542,13 +525,12 @@ impl SaveState for Mesh {
             total_occupancy: _,
             output_occupancy: _,
             fast_path: _,
-            counters,
+            meters,
+            slots: _,
             faults: _,
-            hops,
             trace: _,
         } = self;
-        counters.save(w);
-        hops.save(w);
+        meters.save(w);
         edge_out.save(w);
         for rr in eject_rr {
             w.usize(*rr);
@@ -577,8 +559,7 @@ impl SaveState for Mesh {
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
-        self.counters.restore(r);
-        self.hops.restore(r);
+        self.meters.restore(r);
         self.edge_out.restore(r);
         for rr in &mut self.eject_rr {
             *rr = r.usize();
@@ -828,8 +809,9 @@ mod tests {
         // 5 hops; each hop ~1 cycle latency + arbitration.
         assert!((5..=20).contains(&t), "corner-to-corner took {t} cycles");
         // Tile 0 = (0,0) to tile 11 = (3,2): Manhattan distance 5.
-        assert_eq!(m.hops().count(), 1);
-        assert_eq!(m.hops().max(), 5, "hop histogram must see the XY route length");
+        let hops = m.meters.histogram_of(m.slots.hops);
+        assert_eq!(hops.count(), 1);
+        assert_eq!(hops.max(), 5, "hop histogram must see the XY route length");
     }
 
     #[test]
@@ -854,10 +836,11 @@ mod tests {
         );
         m.inject_edge(pkt).unwrap();
         run_until_eject(&mut m, 3, 100);
-        assert_eq!(m.hops().count(), 3);
-        assert_eq!(m.hops().min(), 0, "self-delivery is zero hops");
-        assert_eq!(m.hops().max(), 2);
-        assert_eq!(m.hops().bucket(1), 2, "both cross-mesh trips were 2 hops");
+        let hops = m.meters.histogram_of(m.slots.hops);
+        assert_eq!(hops.count(), 3);
+        assert_eq!(hops.min(), 0, "self-delivery is zero hops");
+        assert_eq!(hops.max(), 2);
+        assert_eq!(hops.bucket(1), 2, "both cross-mesh trips were 2 hops");
     }
 
     #[test]

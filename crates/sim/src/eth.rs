@@ -40,8 +40,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::{
-    fault_streams, Cycle, DelayPort, FaultInjector, FaultPlan, MetricsRegistry, Pack, SaveState,
-    SnapReader, SnapWriter, Stats,
+    fault_streams, meter_slots, Cycle, DelayPort, FaultInjector, FaultPlan, Meters, Pack, PortSlot,
+    SaveState, SnapReader, SnapWriter,
 };
 
 /// Shape of a switched-Ethernet fabric: hop latencies/bandwidths in member
@@ -143,25 +143,26 @@ pub struct EthLink<T> {
 }
 
 impl<T> EthLink<T> {
-    /// Creates a hop with the given propagation `latency` and bandwidth.
-    pub fn new(name: impl Into<String>, latency: Cycle, bytes_per_cycle: u64) -> Self {
+    /// Creates a hop with the given propagation `latency` and bandwidth,
+    /// its wire metered through `slot`.
+    pub fn new(slot: PortSlot, latency: Cycle, bytes_per_cycle: u64) -> Self {
         Self {
             bytes_per_cycle: bytes_per_cycle.max(1),
             free: 0,
             bytes_sent: 0,
-            wire: DelayPort::new(name, latency),
+            wire: DelayPort::new(slot, latency),
         }
     }
 
-    /// Enqueues `frame` at cycle `now`; returns the cycle it matures at the
-    /// far end. Pushes must be monotone in `now` (they are: every producer
-    /// pushes in event order).
-    pub fn push(&mut self, now: Cycle, frame: Frame<T>) -> Cycle {
+    /// Enqueues `frame` at cycle `now`, metering the wire into `meters`;
+    /// returns the cycle it matures at the far end. Pushes must be
+    /// monotone in `now` (they are: every producer pushes in event order).
+    pub fn push(&mut self, now: Cycle, frame: Frame<T>, meters: &mut Meters) -> Cycle {
         let ser = frame.bytes.div_ceil(self.bytes_per_cycle).max(1);
         let start = now.max(self.free);
         self.free = start + ser;
         self.bytes_sent += frame.bytes;
-        self.wire.push(start + ser, frame);
+        self.wire.push(start + ser, frame, meters);
         start + ser + self.wire.latency()
     }
 
@@ -190,11 +191,6 @@ impl<T> EthLink<T> {
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent
     }
-
-    /// The underlying wire's meter (for `port.*` metrics merging).
-    pub fn meter(&self) -> &crate::PortMeter {
-        self.wire.meter()
-    }
 }
 
 impl<T: Pack> SaveState for EthLink<T> {
@@ -202,23 +198,27 @@ impl<T: Pack> SaveState for EthLink<T> {
         let Self { bytes_per_cycle: _, free, bytes_sent, wire } = self; // bandwidth: configuration
         w.u64(*free);
         w.u64(*bytes_sent);
-        // Ring only: the wire's meter samples occupancy at push/pop *call*
-        // time, which the batched epoch driver legitimately shifts
-        // relative to the per-cycle pump. The frames in flight are
-        // architectural; the meter is a host-side diagnostic.
-        wire.save_ring_only(w);
+        wire.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
         self.free = r.u64();
         self.bytes_sent = r.u64();
-        self.wire.restore_ring_only(r);
+        self.wire.restore(r);
     }
 }
 
 /// Jitter key: `(release cycle, src member, seq, copy)` — `copy` is 0 for
 /// the clean delivery and 1 for a fault-injected ghost duplicate.
 type JitterKey = (Cycle, u32, u64, u8);
+
+meter_slots! {
+    /// The fabric counters a switch contributes to `Platform::stats()`.
+    struct SwitchMeters {
+        frames: counter("eth.frames"),
+        bytes: counter("eth.bytes"),
+    }
+}
 
 /// A top-of-rack switch: per-member ingress/egress hops, one spine uplink,
 /// the remote-arrival queue fed by [`EthFabric::exchange`], and the
@@ -243,8 +243,15 @@ pub struct EthSwitch<T> {
     /// flattened as `local * members_total + dst`.
     seq: Vec<u64>,
     plan: Option<Arc<FaultPlan>>,
-    frames: u64,
-    frame_bytes: u64,
+    /// `eth.frames` and `eth.bytes`, touched at construction so an idle
+    /// fabric still renders them.
+    meters: Meters,
+    slots: SwitchMeters,
+    /// The hops' port meters. Host-side and never saved: they sample
+    /// occupancy at push *call* time, which the batched epoch driver
+    /// legitimately shifts relative to the per-cycle pump, while the
+    /// frames in flight stay bit-identical.
+    hop_meters: Meters,
     delayed: u64,
     duplicated: u64,
 }
@@ -258,29 +265,25 @@ impl<T: Clone> EthSwitch<T> {
         params: &EthParams,
         plan: Option<Arc<FaultPlan>>,
     ) -> Self {
-        let ingress = (0..locals)
-            .map(|m| {
-                EthLink::new(
-                    format!("sw{index}.in{}", first + m),
-                    params.link_latency,
-                    params.link_bytes_per_cycle,
-                )
-            })
-            .collect();
-        let egress = (0..locals)
-            .map(|m| {
-                EthLink::new(
-                    format!("sw{index}.out{}", first + m),
-                    params.link_latency,
-                    params.link_bytes_per_cycle,
-                )
-            })
-            .collect();
+        let mut hop_meters = Meters::new();
+        let mut hops = |dir: &str| -> Vec<EthLink<T>> {
+            (0..locals)
+                .map(|m| {
+                    let slot = hop_meters.port(format!("sw{index}.{dir}{}", first + m));
+                    EthLink::new(slot, params.link_latency, params.link_bytes_per_cycle)
+                })
+                .collect()
+        };
+        let (ingress, egress) = (hops("in"), hops("out"));
         let uplink = EthLink::new(
-            format!("sw{index}.uplink"),
+            hop_meters.port(format!("sw{index}.uplink")),
             params.uplink_latency,
             params.uplink_bytes_per_cycle,
         );
+        let mut meters = Meters::new();
+        let slots = SwitchMeters::register(&mut meters);
+        meters.add(slots.frames, 0);
+        meters.add(slots.bytes, 0);
         Self {
             params: params.clone(),
             first,
@@ -292,8 +295,9 @@ impl<T: Clone> EthSwitch<T> {
             jitter: vec![BTreeMap::new(); locals],
             seq: vec![0; locals * members_total],
             plan,
-            frames: 0,
-            frame_bytes: 0,
+            meters,
+            slots,
+            hop_meters,
             delayed: 0,
             duplicated: 0,
         }
@@ -330,10 +334,10 @@ impl<T: Clone> EthSwitch<T> {
         let seq = self.seq[slot];
         self.seq[slot] += 1;
         let bytes = payload_bytes + self.params.frame_overhead_bytes;
-        self.frames += 1;
-        self.frame_bytes += bytes;
+        self.meters.incr(self.slots.frames);
+        self.meters.add(self.slots.bytes, bytes);
         let frame = Frame { src: src as u32, dst: dst as u32, seq, bytes, payload };
-        self.ingress[local].push(now, frame);
+        self.ingress[local].push(now, frame, &mut self.hop_meters);
     }
 
     /// Forwards every matured event strictly before `horizon`, in the
@@ -369,9 +373,9 @@ impl<T: Clone> EthSwitch<T> {
             let fwd = time + self.params.switch_latency;
             if self.is_local(frame.dst) {
                 let local = frame.dst as usize - self.first;
-                self.egress[local].push(fwd, frame);
+                self.egress[local].push(fwd, frame, &mut self.hop_meters);
             } else {
-                self.uplink.push(fwd, frame);
+                self.uplink.push(fwd, frame, &mut self.hop_meters);
             }
         }
     }
@@ -480,23 +484,18 @@ impl<T: Clone> EthSwitch<T> {
     /// Total wire bytes serialized by this switch's hops (progress
     /// signature input).
     pub fn bytes_transferred(&self) -> u64 {
-        self.frame_bytes
+        self.meters.get(self.slots.bytes)
     }
 
-    /// `(frames, wire bytes, fault-delayed, fault-duplicated)` counters.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (self.frames, self.frame_bytes, self.delayed, self.duplicated)
+    /// The switch's `eth.frames` and `eth.bytes` counters.
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
-    /// Merges all hop meters into `m` under `port.<prefix>.<hop name>.*`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        for hop in &self.ingress {
-            hop.meter().merge_into(prefix, m);
-        }
-        for hop in &self.egress {
-            hop.meter().merge_into(prefix, m);
-        }
-        self.uplink.meter().merge_into(prefix, m);
+    /// The hops' port meters (`sw<g>.{in,out}<member>`, `sw<g>.uplink`),
+    /// host-side: see the field.
+    pub fn hop_meters(&self) -> &Meters {
+        &self.hop_meters
     }
 }
 
@@ -514,8 +513,9 @@ impl<T: Pack + Clone> SaveState for EthSwitch<T> {
             jitter,
             seq,
             plan: _,
-            frames,
-            frame_bytes,
+            meters,
+            slots: _,
+            hop_meters: _,
             delayed,
             duplicated,
         } = self;
@@ -531,8 +531,7 @@ impl<T: Pack + Clone> SaveState for EthSwitch<T> {
             j.pack(w);
         }
         seq.pack(w);
-        w.u64(*frames);
-        w.u64(*frame_bytes);
+        meters.save(w);
         w.u64(*delayed);
         w.u64(*duplicated);
     }
@@ -550,8 +549,7 @@ impl<T: Pack + Clone> SaveState for EthSwitch<T> {
             *j = BTreeMap::unpack(r);
         }
         self.seq = Vec::unpack(r);
-        self.frames = r.u64();
-        self.frame_bytes = r.u64();
+        self.meters.restore(r);
         self.delayed = r.u64();
         self.duplicated = r.u64();
     }
@@ -667,6 +665,11 @@ impl<T: Clone> EthFabric<T> {
         &mut self.switches[g]
     }
 
+    /// Every switch, in group order.
+    pub fn switches(&self) -> &[EthSwitch<T>] {
+        &self.switches
+    }
+
     /// True when no frame is in flight anywhere.
     pub fn is_idle(&self) -> bool {
         self.switches.iter().all(EthSwitch::is_idle)
@@ -690,28 +693,7 @@ impl<T: Clone> EthFabric<T> {
 
     /// `(fault-delayed, fault-duplicated)` frame counts fabric-wide.
     pub fn fault_counts(&self) -> (u64, u64) {
-        self.switches.iter().fold((0, 0), |(d, p), sw| {
-            let (_, _, delayed, duplicated) = sw.counters();
-            (d + delayed, p + duplicated)
-        })
-    }
-
-    /// Merges fabric counters (`eth.frames`, `eth.bytes`) into `stats`.
-    pub fn merge_stats(&self, stats: &mut Stats) {
-        let (frames, bytes) = self.switches.iter().fold((0, 0), |(f, b), sw| {
-            let (frames, bytes, _, _) = sw.counters();
-            (f + frames, b + bytes)
-        });
-        stats.add("eth.frames", frames);
-        stats.add("eth.bytes", bytes);
-    }
-
-    /// Merges every hop meter into `m` under
-    /// `port.<prefix>.sw<g>.{in,out}<member>.*` names.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        for sw in &self.switches {
-            sw.merge_port_metrics(prefix, m);
-        }
+        self.switches.iter().fold((0, 0), |(d, p), sw| (d + sw.delayed, p + sw.duplicated))
     }
 }
 

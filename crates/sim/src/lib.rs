@@ -4,24 +4,24 @@
 //! provides the handful of primitives a cycle-driven hardware model needs:
 //!
 //! - [`Port`]/[`DelayPort`]/[`Ring`] — the credit-accounted flow-control
-//!   layer every architectural queue sits behind: named, metered,
-//!   ring-backed bounded queues ([`PortMeter`] publishes per-port stall /
-//!   peak / occupancy metrics) and their fixed-latency variant,
+//!   layer every architectural queue sits behind: ring-backed bounded
+//!   queues and their fixed-latency variant, each metered through a slot in
+//!   its owner's [`Meters`] block,
 //! - [`TrafficShaper`] — a latency + bandwidth model used by SMAPPIC for
 //!   everything that leaves the FPGA (inter-node links, DRAM interfaces),
 //! - [`SimRng`] — a tiny, deterministic xorshift RNG so whole-platform runs
 //!   are reproducible bit-for-bit,
-//! - [`Stats`]/[`Histogram`] — counters and latency histograms used by the
-//!   benchmark harnesses,
-//! - [`CounterSet`] — pre-interned fixed-key counters for per-cycle hot
-//!   paths (NoC flits, cache hits) that merge back into [`Stats`] cold,
+//! - [`Meters`] — one component's counters, histograms and port meters:
+//!   every event is one indexed add into a slot ([`meter_slots!`] names
+//!   them), rendered cold into a [`Stats`] of counters or a
+//!   [`MetricsRegistry`] with [`Histogram`]s and `port.*` lines,
 //! - [`FaultPlan`]/[`FaultInjector`] — deterministic, seed-driven *timing*
 //!   fault injection (delays, duplicates, stalls, latency spikes) whose
 //!   decisions are pure functions of `(seed, stream, seq)`, identical
 //!   under the serial and epoch-parallel steppers,
 //! - [`TraceBuf`]/[`TraceSink`]/[`MetricsRegistry`] — the cycle-stamped
 //!   observability layer: per-component ring-buffered trace events with a
-//!   compile-out fast path (`trace` feature), a unified counter +
+//!   compile-out fast path (`trace` feature), the rendered counter +
 //!   histogram registry, and Perfetto/text exporters.
 //!
 //! Everything here is sequential and allocation-light; the platform crate
@@ -30,16 +30,18 @@
 //! still only ever touched by one thread at a time).
 //!
 //! ```
-//! use smappic_sim::{DelayPort, Port};
+//! use smappic_sim::{DelayPort, Meters, Port};
 //!
-//! let mut f: Port<u32> = Port::bounded("fifo", 2);
-//! assert!(f.try_push(1).is_ok());
-//! assert!(f.try_push(2).is_ok());
-//! assert!(f.try_push(3).is_err()); // full: back-pressure
+//! let mut meters = Meters::new();
+//! let mut f: Port<u32> = Port::bounded(meters.port("fifo"), 2);
+//! assert!(f.try_push(1, &mut meters).is_ok());
+//! assert!(f.try_push(2, &mut meters).is_ok());
+//! assert!(f.try_push(3, &mut meters).is_err()); // full: back-pressure
 //! assert_eq!(f.pop(), Some(1));
+//! assert_eq!(meters.stalls(f.slot()), 1);
 //!
-//! let mut d: DelayPort<&str> = DelayPort::new("wire", 3);
-//! d.push(0, "hello");
+//! let mut d: DelayPort<&str> = DelayPort::new(meters.port("wire"), 3);
+//! d.push(0, "hello", &mut meters);
 //! assert_eq!(d.pop_ready(2), None);      // not yet visible
 //! assert_eq!(d.pop_ready(3), Some("hello"));
 //! ```
@@ -63,7 +65,7 @@ pub use fault::{
     BLACKHOLE_DELAY,
 };
 pub use obs::{MetricsRegistry, TraceBuf, TraceEvent, TraceEventKind, TraceSink, TRACE_COMPILED};
-pub use port::{DelayPort, Port, PortMeter, Ring, ELASTIC_PREALLOC_CAP};
+pub use port::{DelayPort, Port, Ring, ELASTIC_PREALLOC_CAP};
 pub use rng::SimRng;
 pub use shaper::TrafficShaper;
 pub use snap::{
@@ -71,7 +73,7 @@ pub use snap::{
     SnapError, SnapReader, SnapSink, SnapWriter, Snapshot, StreamSink, StreamSource,
     HOST_SECTION_PREFIX, SNAP_VERSION,
 };
-pub use stats::{CounterSet, Histogram, Stats};
+pub use stats::{CounterSlot, Histogram, HistogramSlot, Meters, PortSlot, Stats};
 
 /// A simulation timestamp in clock cycles of the component's own clock domain.
 pub type Cycle = u64;

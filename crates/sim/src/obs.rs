@@ -9,8 +9,8 @@
 //!   when it is off ([`TRACE_COMPILED`]), so hot-path timing is unaffected
 //!   with tracing disabled.
 //! - [`MetricsRegistry`] — named counters plus named [`Histogram`]s,
-//!   merged from component [`Stats`]/`CounterSet`s and latency histograms
-//!   in a fixed order so a snapshot is deterministic and comparable
+//!   rendered from every component's [`Meters`](crate::Meters) block into
+//!   sorted maps, so a snapshot is deterministic and comparable
 //!   bit-for-bit across the serial and epoch-parallel steppers.
 //! - Exporters — [`TraceSink::to_perfetto_json`] emits Chrome
 //!   `trace_event` JSON loadable in `ui.perfetto.dev`;
@@ -453,12 +453,12 @@ impl TraceSink {
 
 /// Named counters plus named latency histograms, merged deterministically.
 ///
-/// The registry unifies the string-keyed [`Stats`] counters (themselves
-/// fed from hot-path `CounterSet`s) with the [`Histogram`]s the
-/// observability layer accumulates (PCIe RTT, NoC hop counts, cache miss
-/// latencies, epoch widths). Builders must merge components in a fixed
-/// order; with that discipline two registries from equivalent runs
-/// compare bit-identical via `==`.
+/// The rendered form of the platform's meters: every component's
+/// [`Meters`](crate::Meters) block contributes its counters, its
+/// histograms (PCIe RTT, NoC hop counts, cache miss latencies) and its
+/// `port.*` lines, beside host-side histograms such as epoch widths.
+/// Counters add and histograms merge order-insensitively, so two
+/// registries from equivalent runs compare bit-identical via `==`.
 ///
 /// Host-side (non-architectural) metrics use the reserved `host.` name
 /// prefix — [`MetricsRegistry::architectural`] strips them so a

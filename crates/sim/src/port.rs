@@ -11,17 +11,16 @@
 //!   drop-in replacement for a grow-on-push `VecDeque` that allocates its
 //!   slots up front and doubles only when an elastic queue actually
 //!   overflows its preallocation.
-//! - [`Port`] — a named, credit-accounted queue over a [`Ring`], with
-//!   stall/peak-occupancy counters and an occupancy histogram
-//!   ([`PortMeter`]), optional [`FaultInjector`] interposition, and
-//!   [`TraceBuf`] stall events.
+//! - [`Port`] — a credit-accounted queue over a [`Ring`], with optional
+//!   [`FaultInjector`] interposition and [`TraceBuf`] stall events.
 //! - [`DelayPort`] — the cycle-stamped variant: a fixed-latency pipe whose
-//!   elements mature `latency` cycles after they are pushed, carrying the
-//!   same meter.
+//!   elements mature `latency` cycles after they are pushed.
 //!
-//! Ports have *local* dotted names (`"noc_out"`, `"r0.east.vc1"`); the
-//! platform composes them with topology prefixes when merging meters into a
-//! [`MetricsRegistry`], yielding stable global names such as
+//! Every port holds a [`PortSlot`] in its owner's [`Meters`] block, and a
+//! push records into that block: pushes, stalls, peak occupancy and an
+//! occupancy histogram. The slot carries the port's *local* dotted name
+//! (`"noc_out"`, `"r0.east.vc1"`); the platform renders each block under
+//! its topology root, yielding stable global names such as
 //! `port.node0.noc.r1.east.vc1.occupancy` and
 //! `port.fpga0.shell.inbound_req.stalls`.
 //!
@@ -36,8 +35,8 @@
 //! never reach, while growth keeps elastic semantics exact.
 
 use crate::{
-    Cycle, FaultInjector, Histogram, MetricsRegistry, Pack, SaveState, SnapReader, SnapWriter,
-    TraceBuf, TraceEventKind,
+    Cycle, FaultInjector, Meters, Pack, PortSlot, SaveState, SnapReader, SnapWriter, TraceBuf,
+    TraceEventKind,
 };
 
 /// Preallocation cap for elastic (unbounded-ish) ports and rings.
@@ -186,91 +185,6 @@ impl<T> FromIterator<T> for Ring<T> {
     }
 }
 
-/// A port's observability state: stable local name, stall and peak-occupancy
-/// counters, and an occupancy histogram sampled on every accepted push.
-///
-/// Meters merge into a [`MetricsRegistry`] under
-/// `port.<prefix>.<name>.{occupancy,stalls,peak,pushes}` via
-/// [`PortMeter::merge_into`]; the prefix carries the topology path
-/// (`node0.tile1.bpc`), the name the component-local queue identity
-/// (`noc_out`), so backpressure is attributable to one buffer.
-#[derive(Debug, Clone)]
-pub struct PortMeter {
-    name: String,
-    pushes: u64,
-    pops: u64,
-    stalls: u64,
-    peak: u64,
-    /// Boxed: a [`Histogram`] is ~600 bytes of mostly-cold bucket state,
-    /// and platforms embed hundreds of ports in hot structs (every router
-    /// direction x VC). One indirection per push keeps `Port<T>` small
-    /// enough that queue traffic stays cache-resident.
-    occupancy: Box<Histogram>,
-}
-
-impl PortMeter {
-    fn new(name: String) -> Self {
-        Self { name, pushes: 0, pops: 0, stalls: 0, peak: 0, occupancy: Box::new(Histogram::new()) }
-    }
-
-    /// The port's component-local dotted name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Accepted pushes.
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Completed pops.
-    pub fn pops(&self) -> u64 {
-        self.pops
-    }
-
-    /// Rejected pushes (back-pressure observed by the upstream producer).
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
-
-    /// High-watermark occupancy over the port's lifetime.
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-
-    /// Occupancy histogram: one sample per accepted push, of the occupancy
-    /// including the pushed element.
-    pub fn occupancy(&self) -> &Histogram {
-        &self.occupancy
-    }
-
-    #[inline]
-    fn on_push(&mut self, occupancy: usize) {
-        self.pushes += 1;
-        let occ = occupancy as u64;
-        if occ > self.peak {
-            self.peak = occ;
-        }
-        self.occupancy.record(occ);
-    }
-
-    /// Merges this meter into `m` under `port.<prefix>.<name>.*`.
-    ///
-    /// Build registries in a fixed component order (as
-    /// `Platform::metrics()` does) so snapshots stay bit-comparable.
-    pub fn merge_into(&self, prefix: &str, m: &mut MetricsRegistry) {
-        let base = if prefix.is_empty() {
-            format!("port.{}", self.name)
-        } else {
-            format!("port.{prefix}.{}", self.name)
-        };
-        m.add_counter(&format!("{base}.pushes"), self.pushes);
-        m.add_counter(&format!("{base}.stalls"), self.stalls);
-        m.add_counter(&format!("{base}.peak"), self.peak);
-        m.merge_histogram(&format!("{base}.occupancy"), &self.occupancy);
-    }
-}
-
 /// How a port bounds its occupancy.
 #[derive(Debug, Clone)]
 enum Bound {
@@ -281,25 +195,27 @@ enum Bound {
     Elastic,
 }
 
-/// A named, credit-accounted FIFO over preallocated ring storage.
+/// A credit-accounted FIFO over preallocated ring storage.
 ///
 /// The flow-control substrate of the platform: every architectural queue —
 /// NoC input buffers, Hard Shell AXI FIFOs, cache egress queues, bridge
 /// staging — is a `Port`, so capacity conventions, back-pressure counters,
-/// and fault interposition live in exactly one place.
+/// and fault interposition live in exactly one place. Pushes record into
+/// the port's slot in its owner's [`Meters`] block.
 ///
 /// Bounded ports hold explicit *credits* (free slots); [`Port::try_push`]
 /// consumes one and returns the rejected item when none remain, counting
 /// the stall. Elastic ports (see [`ELASTIC_PREALLOC_CAP`]) never reject.
 ///
 /// ```
-/// use smappic_sim::Port;
-/// let mut p = Port::bounded("xbar.req_in", 2);
+/// use smappic_sim::{Meters, Port};
+/// let mut meters = Meters::new();
+/// let mut p = Port::bounded(meters.port("xbar.req_in"), 2);
 /// assert_eq!(p.credits(), 2);
-/// p.try_push('a').unwrap();
-/// p.try_push('b').unwrap();
-/// assert_eq!(p.try_push('c'), Err('c')); // full: back-pressure
-/// assert_eq!(p.meter().stalls(), 1);
+/// p.try_push('a', &mut meters).unwrap();
+/// p.try_push('b', &mut meters).unwrap();
+/// assert_eq!(p.try_push('c', &mut meters), Err('c')); // full: back-pressure
+/// assert_eq!(meters.stalls(p.slot()), 1);
 /// assert_eq!(p.pop(), Some('a'));
 /// assert_eq!(p.credits(), 1);
 /// ```
@@ -307,7 +223,7 @@ enum Bound {
 pub struct Port<T> {
     ring: Ring<T>,
     bound: Bound,
-    meter: PortMeter,
+    slot: PortSlot,
     /// Optional fault hook: `(injector, lane)` consulted by
     /// [`Port::fault_stalled`].
     faults: Option<(FaultInjector, u64)>,
@@ -315,40 +231,35 @@ pub struct Port<T> {
 
 impl<T> Port<T> {
     /// Creates a bounded port holding at most `capacity` elements, with all
-    /// storage preallocated exactly (a bounded port never reallocates).
+    /// storage preallocated exactly (a bounded port never reallocates),
+    /// metered through `slot`.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero: a zero-capacity port cannot transfer
     /// data.
-    pub fn bounded(name: impl Into<String>, capacity: usize) -> Self {
+    pub fn bounded(slot: PortSlot, capacity: usize) -> Self {
         assert!(capacity > 0, "a zero-capacity port cannot transfer data");
         Self {
             ring: Ring::with_exact(capacity),
             bound: Bound::Credits(capacity),
-            meter: PortMeter::new(name.into()),
+            slot,
             faults: None,
         }
     }
 
-    /// Creates an elastic (logically unbounded) port preallocating the
-    /// default hint; see [`Port::elastic_with`].
-    pub fn elastic(name: impl Into<String>) -> Self {
-        Self::elastic_with(name, ELASTIC_PREALLOC_DEFAULT)
-    }
-
-    /// Creates an elastic port preallocating
+    /// Creates an elastic port metered through `slot`, preallocating
     /// `prealloc.min(`[`ELASTIC_PREALLOC_CAP`]`)` slots. Elastic ports
     /// model queues the architecture treats as unbounded (retry staging,
     /// egress spill); pushes always succeed and storage doubles on
     /// overflow.
-    pub fn elastic_with(name: impl Into<String>, prealloc: usize) -> Self {
-        Self {
-            ring: Ring::with_prealloc(prealloc),
-            bound: Bound::Elastic,
-            meter: PortMeter::new(name.into()),
-            faults: None,
-        }
+    pub fn elastic_with(slot: PortSlot, prealloc: usize) -> Self {
+        Self { ring: Ring::with_prealloc(prealloc), bound: Bound::Elastic, slot, faults: None }
+    }
+
+    /// The port's slot in its owner's [`Meters`] block.
+    pub fn slot(&self) -> PortSlot {
+        self.slot
     }
 
     /// Attaches a fault injector; [`Port::fault_stalled`] then consults it
@@ -367,38 +278,34 @@ impl<T> Port<T> {
     }
 
     /// Appends `item`, or returns it back when the port is out of credits,
-    /// counting the stall.
-    pub fn try_push(&mut self, item: T) -> Result<(), T> {
+    /// counting the stall in `meters`.
+    pub fn try_push(&mut self, item: T, meters: &mut Meters) -> Result<(), T> {
         match &mut self.bound {
             Bound::Credits(0) => {
-                self.meter.stalls += 1;
-                Err(item)
+                meters.port_stall(self.slot);
+                return Err(item);
             }
-            Bound::Credits(c) => {
-                *c -= 1;
-                self.ring.push_back(item);
-                self.meter.on_push(self.ring.len());
-                Ok(())
-            }
-            Bound::Elastic => {
-                self.ring.push_back(item);
-                self.meter.on_push(self.ring.len());
-                Ok(())
-            }
+            Bound::Credits(c) => *c -= 1,
+            Bound::Elastic => {}
         }
+        self.ring.push_back(item);
+        meters.port_push(self.slot, self.ring.len());
+        Ok(())
     }
 
     /// [`Port::try_push`] that records a [`TraceEventKind::PortStall`]
     /// event into `trace` when the push is rejected.
-    pub fn try_push_traced(&mut self, item: T, now: Cycle, trace: &mut TraceBuf) -> Result<(), T> {
+    pub fn try_push_traced(
+        &mut self,
+        item: T,
+        now: Cycle,
+        trace: &mut TraceBuf,
+        meters: &mut Meters,
+    ) -> Result<(), T> {
         let occupancy = self.ring.len() as u32;
-        match self.try_push(item) {
-            Ok(()) => Ok(()),
-            Err(item) => {
-                trace.record(now, || TraceEventKind::PortStall { occupancy });
-                Err(item)
-            }
-        }
+        self.try_push(item, meters).inspect_err(|_| {
+            trace.record(now, || TraceEventKind::PortStall { occupancy });
+        })
     }
 
     /// Appends `item` unconditionally. Elastic ports grow; a full bounded
@@ -407,14 +314,14 @@ impl<T> Port<T> {
     /// # Panics
     ///
     /// Panics when a bounded port is out of credits.
-    pub fn push(&mut self, item: T) {
+    pub fn push(&mut self, item: T, meters: &mut Meters) {
         match &mut self.bound {
-            Bound::Credits(0) => panic!("push on a full bounded port '{}'", self.meter.name),
+            Bound::Credits(0) => panic!("push on a full bounded port {:?}", self.slot),
             Bound::Credits(c) => *c -= 1,
             Bound::Elastic => {}
         }
         self.ring.push_back(item);
-        self.meter.on_push(self.ring.len());
+        meters.port_push(self.slot, self.ring.len());
     }
 
     /// Returns `item` to the head of the queue (the "un-pop" used when a
@@ -425,24 +332,20 @@ impl<T> Port<T> {
     /// # Panics
     ///
     /// Panics when a bounded port is out of credits.
-    pub fn push_front(&mut self, item: T) {
+    pub fn push_front(&mut self, item: T, meters: &mut Meters) {
         match &mut self.bound {
-            Bound::Credits(0) => panic!("push_front on a full bounded port '{}'", self.meter.name),
+            Bound::Credits(0) => panic!("push_front on a full bounded port {:?}", self.slot),
             Bound::Credits(c) => *c -= 1,
             Bound::Elastic => {}
         }
         self.ring.push_front(item);
-        let occ = self.ring.len() as u64;
-        if occ > self.meter.peak {
-            self.meter.peak = occ;
-        }
+        meters.port_refill(self.slot, self.ring.len());
     }
 
     /// Removes and returns the oldest element, returning its credit.
     pub fn pop(&mut self) -> Option<T> {
         let item = self.ring.pop_front();
         if item.is_some() {
-            self.meter.pops += 1;
             if let Bound::Credits(c) = &mut self.bound {
                 *c += 1;
             }
@@ -465,7 +368,6 @@ impl<T> Port<T> {
     pub fn remove(&mut self, i: usize) -> Option<T> {
         let item = self.ring.remove(i);
         if item.is_some() {
-            self.meter.pops += 1;
             if let Bound::Credits(c) = &mut self.bound {
                 *c += 1;
             }
@@ -518,11 +420,6 @@ impl<T> Port<T> {
         self.ring.iter()
     }
 
-    /// The port's meter: name, stall/peak counters, occupancy histogram.
-    pub fn meter(&self) -> &PortMeter {
-        &self.meter
-    }
-
     #[cfg(test)]
     fn check_invariant(&self) -> bool {
         match self.bound {
@@ -536,31 +433,35 @@ impl<T> Port<T> {
 
 /// A cycle-stamped port: elements pushed at cycle `t` become poppable at
 /// `t + latency`, in push order. The flow-control layer's delay element,
-/// with the same meter and naming scheme as [`Port`].
+/// metered like a [`Port`].
 ///
 /// ```
-/// use smappic_sim::DelayPort;
-/// let mut d = DelayPort::new("bpc.resp", 2);
-/// d.push(10, 'x');
+/// use smappic_sim::{DelayPort, Meters};
+/// let mut meters = Meters::new();
+/// let mut d = DelayPort::new(meters.port("bpc.resp"), 2);
+/// d.push(10, 'x', &mut meters);
 /// assert_eq!(d.pop_ready(11), None);
 /// assert_eq!(d.pop_ready(12), Some('x'));
+/// assert_eq!(meters.pushes(d.slot()), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DelayPort<T> {
     latency: Cycle,
     /// `(cycle the element matures, element)`, ready times monotone.
     ring: Ring<(Cycle, T)>,
-    meter: PortMeter,
+    slot: PortSlot,
 }
 
 impl<T> DelayPort<T> {
-    /// Creates a delay port with the given latency in cycles.
-    pub fn new(name: impl Into<String>, latency: Cycle) -> Self {
-        Self {
-            latency,
-            ring: Ring::with_prealloc(ELASTIC_PREALLOC_DEFAULT),
-            meter: PortMeter::new(name.into()),
-        }
+    /// Creates a delay port with the given latency in cycles, metered
+    /// through `slot`.
+    pub fn new(slot: PortSlot, latency: Cycle) -> Self {
+        Self { latency, ring: Ring::with_prealloc(ELASTIC_PREALLOC_DEFAULT), slot }
+    }
+
+    /// The port's slot in its owner's [`Meters`] block.
+    pub fn slot(&self) -> PortSlot {
+        self.slot
     }
 
     /// Inserts `item` at cycle `now`; it matures at `now + latency`.
@@ -569,25 +470,20 @@ impl<T> DelayPort<T> {
     ///
     /// Panics (debug builds) if pushes go backwards in time, which would
     /// violate the ordering invariant.
-    pub fn push(&mut self, now: Cycle, item: T) {
+    pub fn push(&mut self, now: Cycle, item: T, meters: &mut Meters) {
         let ready = now + self.latency;
         debug_assert!(
             self.ring.back().is_none_or(|(r, _)| *r <= ready),
             "DelayPort pushes must be monotone in time"
         );
         self.ring.push_back((ready, item));
-        self.meter.on_push(self.ring.len());
+        meters.port_push(self.slot, self.ring.len());
     }
 
     /// Removes and returns the oldest element whose delay has elapsed.
     /// Equal-stamp elements pop in push order.
     pub fn pop_ready(&mut self, now: Cycle) -> Option<T> {
-        if self.ring.front().is_some_and(|(ready, _)| *ready <= now) {
-            self.meter.pops += 1;
-            self.ring.pop_front().map(|(_, item)| item)
-        } else {
-            None
-        }
+        self.pop_before(now + 1).map(|(_, item)| item)
     }
 
     /// Removes and returns the oldest element maturing *strictly before*
@@ -597,7 +493,6 @@ impl<T> DelayPort<T> {
     /// [`TrafficShaper::pop_before`](crate::TrafficShaper::pop_before)).
     pub fn pop_before(&mut self, horizon: Cycle) -> Option<(Cycle, T)> {
         if self.ring.front().is_some_and(|(ready, _)| *ready < horizon) {
-            self.meter.pops += 1;
             self.ring.pop_front()
         } else {
             None
@@ -622,33 +517,6 @@ impl<T> DelayPort<T> {
     /// The configured latency in cycles.
     pub fn latency(&self) -> Cycle {
         self.latency
-    }
-
-    /// The port's meter.
-    pub fn meter(&self) -> &PortMeter {
-        &self.meter
-    }
-
-    /// Saves only the in-flight ring, without the meter. For hops pumped
-    /// in batched horizons (the Ethernet fabric), where pop *call* times —
-    /// and with them the meter's occupancy samples — are artifacts of the
-    /// stepper schedule while the ring contents are bit-identical across
-    /// steppers. Restore with [`DelayPort::restore_ring_only`], which
-    /// leaves the meter untouched (zeroed on a fresh platform), keeping
-    /// save → restore → save a byte fixed point.
-    pub fn save_ring_only(&self, w: &mut SnapWriter)
-    where
-        T: Pack,
-    {
-        self.ring.save(w);
-    }
-
-    /// Restores a [`DelayPort::save_ring_only`] image.
-    pub fn restore_ring_only(&mut self, r: &mut SnapReader)
-    where
-        T: Pack,
-    {
-        self.ring.restore(r);
     }
 
     /// Cycle at which the oldest in-flight element matures, if any — the
@@ -691,33 +559,12 @@ impl<T: Pack> Pack for Ring<T> {
     }
 }
 
-impl SaveState for PortMeter {
-    fn save(&self, w: &mut SnapWriter) {
-        // The name comes from the component's constructor: configuration.
-        let Self { name: _, pushes, pops, stalls, peak, occupancy } = self;
-        w.u64(*pushes);
-        w.u64(*pops);
-        w.u64(*stalls);
-        w.u64(*peak);
-        occupancy.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader) {
-        self.pushes = r.u64();
-        self.pops = r.u64();
-        self.stalls = r.u64();
-        self.peak = r.u64();
-        self.occupancy.restore(r);
-    }
-}
-
 impl<T: Pack> SaveState for Port<T> {
     fn save(&self, w: &mut SnapWriter) {
         // The bound's capacity is configuration and its credits follow from
-        // the ring; the fault hook is configuration.
-        let Self { ring, bound: _, meter, faults: _ } = self;
+        // the ring; the slot and the fault hook are configuration.
+        let Self { ring, bound: _, slot: _, faults: _ } = self;
         ring.save(w);
-        meter.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -734,20 +581,17 @@ impl<T: Pack> SaveState for Port<T> {
             }
             self.bound = Bound::Credits(cap.saturating_sub(self.ring.len()));
         }
-        self.meter.restore(r);
     }
 }
 
 impl<T: Pack> SaveState for DelayPort<T> {
     fn save(&self, w: &mut SnapWriter) {
-        let Self { latency: _, ring, meter } = self; // latency: configuration
+        let Self { latency: _, ring, slot: _ } = self; // latency, slot: configuration
         ring.save(w);
-        meter.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
         self.ring.restore(r);
-        self.meter.restore(r);
     }
 }
 
@@ -787,17 +631,25 @@ mod tests {
         assert_eq!(r.back(), Some(&'c'));
     }
 
+    /// A fresh block and one port slot in it.
+    fn block(name: &'static str) -> (Meters, PortSlot) {
+        let mut m = Meters::new();
+        let slot = m.port(name);
+        (m, slot)
+    }
+
     #[test]
     fn bounded_port_preallocates_exactly_and_rejects_when_full() {
-        let mut p = Port::bounded("t.q", 3);
+        let (mut m, slot) = block("t.q");
+        let mut p = Port::bounded(slot, 3);
         assert_eq!(p.capacity(), 3);
         assert_eq!(p.ring.slots(), 3, "bounded ports preallocate exactly");
         for i in 0..3 {
-            p.try_push(i).unwrap();
+            p.try_push(i, &mut m).unwrap();
         }
         assert!(p.is_full());
-        assert_eq!(p.try_push(9), Err(9));
-        assert_eq!(p.meter().stalls(), 1);
+        assert_eq!(p.try_push(9, &mut m), Err(9));
+        assert_eq!(m.stalls(slot), 1);
         assert_eq!(p.pop(), Some(0));
         assert_eq!(p.credits(), 1);
         assert!(p.check_invariant());
@@ -807,24 +659,25 @@ mod tests {
     fn large_bounded_port_does_not_start_small() {
         // Bounded ports preallocate their whole capacity: a deep FIFO must
         // never reallocate mid-run.
-        let p: Port<u64> = Port::bounded("llc.noc_out", 1024);
+        let p: Port<u64> = Port::bounded(block("llc.noc_out").1, 1024);
         assert_eq!(p.ring.slots(), 1024);
     }
 
     #[test]
     #[should_panic(expected = "zero-capacity")]
     fn zero_capacity_port_panics() {
-        let _ = Port::<u8>::bounded("t.zero", 0);
+        let _ = Port::<u8>::bounded(block("t.zero").1, 0);
     }
 
     #[test]
     fn elastic_port_grows_and_never_stalls() {
-        let mut p = Port::elastic_with("t.elastic", 2);
+        let (mut m, slot) = block("t.elastic");
+        let mut p = Port::elastic_with(slot, 2);
         for i in 0..100 {
-            p.try_push(i).unwrap();
+            p.try_push(i, &mut m).unwrap();
         }
-        assert_eq!(p.meter().stalls(), 0);
-        assert_eq!(p.meter().peak(), 100);
+        assert_eq!(m.stalls(slot), 0);
+        assert_eq!(m.peak(slot), 100);
         assert_eq!(p.credits(), usize::MAX);
         for i in 0..100 {
             assert_eq!(p.pop(), Some(i));
@@ -832,37 +685,41 @@ mod tests {
     }
 
     #[test]
-    fn port_meter_tracks_occupancy_and_merges() {
-        let mut p = Port::bounded("bpc.noc_out", 4);
-        p.try_push('a').unwrap();
-        p.try_push('b').unwrap();
+    fn port_meter_tracks_occupancy_and_renders() {
+        let (mut m, slot) = block("noc_out");
+        let mut p = Port::bounded(slot, 4);
+        p.try_push('a', &mut m).unwrap();
+        p.try_push('b', &mut m).unwrap();
         p.pop();
-        let mut m = MetricsRegistry::new();
-        p.meter().merge_into("node0.tile1", &mut m);
-        assert_eq!(m.counter("port.node0.tile1.bpc.noc_out.pushes"), 2);
-        assert_eq!(m.counter("port.node0.tile1.bpc.noc_out.peak"), 2);
-        assert_eq!(m.counter("port.node0.tile1.bpc.noc_out.stalls"), 0);
-        let h = m.histogram("port.node0.tile1.bpc.noc_out.occupancy").expect("histogram");
+        let mut r = crate::MetricsRegistry::new();
+        m.render("port.node0.tile1.bpc", &mut r);
+        assert_eq!(r.counter("port.node0.tile1.bpc.noc_out.pushes"), 2);
+        assert_eq!(r.counter("port.node0.tile1.bpc.noc_out.peak"), 2);
+        assert_eq!(r.counter("port.node0.tile1.bpc.noc_out.stalls"), 0);
+        let h = r.histogram("port.node0.tile1.bpc.noc_out.occupancy").expect("histogram");
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), 2);
     }
 
     #[test]
     fn unpop_restores_head_position() {
-        let mut p = Port::bounded("noc.out", 2);
-        p.try_push(1).unwrap();
-        p.try_push(2).unwrap();
+        let (mut m, slot) = block("noc.out");
+        let mut p = Port::bounded(slot, 2);
+        p.try_push(1, &mut m).unwrap();
+        p.try_push(2, &mut m).unwrap();
         let head = p.pop().unwrap();
-        p.push_front(head);
+        p.push_front(head, &mut m);
         assert_eq!(p.iter().copied().collect::<Vec<_>>(), [1, 2]);
         assert!(p.is_full());
+        assert_eq!((m.pushes(slot), m.peak(slot)), (2, 2), "an un-pop is not a push");
     }
 
     #[test]
     fn delay_port_matches_delay_line_semantics() {
-        let mut d = DelayPort::new("t.delay", 5);
-        d.push(100, 1u32);
-        d.push(101, 2u32);
+        let (mut m, slot) = block("t.delay");
+        let mut d = DelayPort::new(slot, 5);
+        d.push(100, 1u32, &mut m);
+        d.push(101, 2u32, &mut m);
         assert_eq!(d.pop_ready(104), None);
         assert_eq!(d.next_ready_at(), Some(105));
         assert_eq!(d.next_event_after(104), Some(105));
@@ -870,12 +727,12 @@ mod tests {
         assert_eq!(d.pop_ready(105), None);
         assert_eq!(d.pop_ready(106), Some(2));
         assert!(d.is_empty());
-        assert_eq!(d.meter().pushes(), 2);
+        assert_eq!(m.pushes(slot), 2);
     }
 
     #[test]
     fn fault_hook_defaults_to_clear() {
-        let p = Port::<u8>::bounded("t.q", 1);
+        let p = Port::<u8>::bounded(block("t.q").1, 1);
         assert!(!p.fault_stalled(0));
     }
 }

@@ -54,8 +54,10 @@ use crate::codec;
 /// state digest from byte-serial FNV-1a to a word-at-a-time hash; version
 /// 3 dropped the LLC slice's copy of the platform clock (8 bytes per
 /// `*.llc` section), so an idle slice's section stops changing between
-/// snapshots.
-pub const SNAP_VERSION: u32 = 3;
+/// snapshots. Version 4 saves each component's meters as one block in its
+/// own section instead of inside every port, drops the ports' unpublished
+/// pop counts, and keeps a counter's touched flag in its count.
+pub const SNAP_VERSION: u32 = 4;
 
 /// Section-name prefix for host-side (non-architectural) stepper state.
 ///

@@ -1,14 +1,16 @@
-//! Counters and histograms for instrumentation.
+//! Instrumentation: every component's [`Meters`] block, and the [`Stats`]
+//! and [`Histogram`] types it renders into.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::{Pack, SaveState, SnapReader, SnapWriter};
+use crate::{MetricsRegistry, SaveState, SnapReader, SnapWriter};
 
-/// A named set of monotonically increasing counters.
+/// A rendered, named set of counters: what [`Meters::stats`] and
+/// `Platform::stats()` return for harnesses to read and print.
 ///
-/// Components register events by name; harnesses read them back to print the
-/// paper's tables. `BTreeMap` keeps output deterministic and sorted.
+/// `BTreeMap` keeps output deterministic and sorted.
 ///
 /// ```
 /// use smappic_sim::Stats;
@@ -59,11 +61,6 @@ impl Stats {
             self.add(k, v);
         }
     }
-
-    /// Removes all counters.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-    }
 }
 
 impl fmt::Display for Stats {
@@ -75,92 +72,270 @@ impl fmt::Display for Stats {
     }
 }
 
-/// Fixed-key counters for per-cycle hot paths.
-///
-/// [`Stats`] keys counters by string, which costs an `O(log n)` string-keyed
-/// map walk per increment — fine for cold events (shell requests, SD blocks),
-/// but too slow for counters bumped on every NoC flit or cache access. A
-/// `CounterSet` is built once from a *static* key table, pre-interning every
-/// key to a dense index so the hot path is a single array add with no
-/// allocation and no comparisons. The cold path ([`CounterSet::merge_into`])
-/// materializes the counters back into a [`Stats`] under the same names, so
-/// harnesses see no difference.
-///
-/// ```
-/// use smappic_sim::{CounterSet, Stats};
-/// static KEYS: &[&str] = &["noc.flits", "noc.delivered"];
-/// const FLITS: usize = 0;
-/// const DELIVERED: usize = 1;
-/// let mut c = CounterSet::new(KEYS);
-/// c.add(FLITS, 3);
-/// c.bump(DELIVERED);
-/// assert_eq!(c.get(FLITS), 3);
-/// let mut s = Stats::new();
-/// c.merge_into(&mut s);
-/// assert_eq!(s.get("noc.delivered"), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CounterSet {
-    keys: &'static [&'static str],
-    slots: Box<[u64]>,
+/// A counter slot in a [`Meters`] block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterSlot(u32);
+
+/// A histogram slot in a [`Meters`] block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramSlot(u32);
+
+/// A port slot in a [`Meters`] block: one flow-control port's pushes,
+/// stalls and peak occupancy (three consecutive counts) and its occupancy
+/// histogram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortSlot {
+    counts: u32,
+    occupancy: u32,
 }
 
-impl CounterSet {
-    /// Creates a counter set over a static key table; one slot per key,
-    /// all starting at zero.
-    pub fn new(keys: &'static [&'static str]) -> Self {
-        Self { keys, slots: vec![0; keys.len()].into_boxed_slice() }
+/// Offsets of a port slot's counts.
+const PUSHES: usize = 0;
+const STALLS: usize = 1;
+const PEAK: usize = 2;
+
+/// Top bit of a counter's count: set by its first add, even of zero. A
+/// counter renders once touched, like a [`Stats`] key does.
+const TOUCHED: u64 = 1 << 63;
+
+/// How a name-table entry renders.
+#[derive(Debug, Clone, Copy)]
+enum Meter {
+    Counter(CounterSlot),
+    Histogram(HistogramSlot),
+    Port(PortSlot),
+}
+
+/// One component's counters, histograms and port meters: a `Vec<u64>` of
+/// counts and a `Vec<Histogram>`, named by a table filled once at
+/// construction.
+///
+/// Registering returns a slot ([`Meters::counter`], [`Meters::histogram`],
+/// [`Meters::port`]); every event is then one indexed add into the block.
+/// A component owns its block beside the ports that record into it, so a
+/// push such as `self.noc_out.push(pkt, &mut self.meters)` borrows two
+/// fields of one component and nothing crosses a component boundary.
+///
+/// Rendering ([`Meters::stats`], [`Meters::render`]) is the cold path: a
+/// counter renders once it has been added to, even when it sums to zero;
+/// histograms and ports always render, ports under
+/// `{root}.{name}.{pushes,stalls,peak,occupancy}`. The block is saved
+/// inside its owner's snapshot section; the names are configuration.
+///
+/// ```
+/// use smappic_sim::{Meters, MetricsRegistry, Port};
+/// let mut meters = Meters::new();
+/// let req = meters.counter("xbar.req");
+/// let mut q = Port::bounded(meters.port("m0.req_in"), 2);
+/// q.try_push('a', &mut meters).unwrap();
+/// meters.incr(req);
+/// assert_eq!(meters.stats().get("xbar.req"), 1);
+/// let mut m = MetricsRegistry::new();
+/// meters.render("port.fpga0.xbar", &mut m);
+/// assert_eq!(m.counter("port.fpga0.xbar.m0.req_in.pushes"), 1);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Meters {
+    counts: Vec<u64>,
+    histograms: Vec<Histogram>,
+    names: Vec<(Cow<'static, str>, Meter)>,
+}
+
+impl Meters {
+    /// An empty block.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Adds `delta` to the counter at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range for the key table.
+    /// Registers a counter that renders as `name`.
+    pub fn counter(&mut self, name: &'static str) -> CounterSlot {
+        let slot = CounterSlot(self.alloc_counts(1));
+        self.names.push((Cow::Borrowed(name), Meter::Counter(slot)));
+        slot
+    }
+
+    /// Registers a histogram that renders as `name`.
+    pub fn histogram(&mut self, name: &'static str) -> HistogramSlot {
+        let slot = HistogramSlot(self.alloc_histogram());
+        self.names.push((Cow::Borrowed(name), Meter::Histogram(slot)));
+        slot
+    }
+
+    /// Registers a port meter under the port's component-local dotted
+    /// `name` (`"noc_out"`, `"r0.east.vc1"`).
+    pub fn port(&mut self, name: impl Into<Cow<'static, str>>) -> PortSlot {
+        let slot = PortSlot { counts: self.alloc_counts(3), occupancy: self.alloc_histogram() };
+        self.names.push((name.into(), Meter::Port(slot)));
+        slot
+    }
+
+    fn alloc_counts(&mut self, n: usize) -> u32 {
+        let at = self.counts.len();
+        self.counts.resize(at + n, 0);
+        at as u32
+    }
+
+    fn alloc_histogram(&mut self) -> u32 {
+        self.histograms.push(Histogram::new());
+        (self.histograms.len() - 1) as u32
+    }
+
+    /// Adds `delta` to counter `c`.
     #[inline]
-    pub fn add(&mut self, idx: usize, delta: u64) {
-        self.slots[idx] += delta;
+    pub fn add(&mut self, c: CounterSlot, delta: u64) {
+        let v = &mut self.counts[c.0 as usize];
+        *v = (*v | TOUCHED) + delta;
     }
 
-    /// Increments the counter at `idx` by one.
+    /// Adds one to counter `c`.
     #[inline]
-    pub fn bump(&mut self, idx: usize) {
-        self.slots[idx] += 1;
+    pub fn incr(&mut self, c: CounterSlot) {
+        self.add(c, 1);
     }
 
-    /// Reads the counter at `idx`.
-    pub fn get(&self, idx: usize) -> u64 {
-        self.slots[idx]
+    /// Counter `c`'s value.
+    pub fn get(&self, c: CounterSlot) -> u64 {
+        self.counts[c.0 as usize] & !TOUCHED
     }
 
-    /// Reads a counter by key name (cold path; linear scan). Returns zero
-    /// for unknown names, mirroring [`Stats::get`].
-    pub fn get_by_name(&self, name: &str) -> u64 {
-        self.keys.iter().position(|k| *k == name).map_or(0, |i| self.slots[i])
+    /// Records one sample into histogram `h`.
+    #[inline]
+    pub fn record(&mut self, h: HistogramSlot, value: u64) {
+        self.histograms[h.0 as usize].record(value);
     }
 
-    /// The static key table this set was built over.
-    pub fn keys(&self) -> &'static [&'static str] {
-        self.keys
+    /// Histogram `h`.
+    pub fn histogram_of(&self, h: HistogramSlot) -> &Histogram {
+        &self.histograms[h.0 as usize]
     }
 
-    /// Adds every *touched* counter into `stats` under its key name.
-    /// Untouched (zero) counters are skipped so the merged [`Stats`] looks
-    /// exactly like one fed by [`Stats::incr`] calls.
-    pub fn merge_into(&self, stats: &mut Stats) {
-        for (k, v) in self.keys.iter().zip(self.slots.iter()) {
-            if *v != 0 {
-                stats.add(k, *v);
+    /// Counts an accepted push that left port `p` holding `occupancy`
+    /// elements.
+    #[inline]
+    pub(crate) fn port_push(&mut self, p: PortSlot, occupancy: usize) {
+        let occ = occupancy as u64;
+        let c = &mut self.counts[p.counts as usize..p.counts as usize + 3];
+        c[PUSHES] += 1;
+        c[PEAK] = c[PEAK].max(occ);
+        self.histograms[p.occupancy as usize].record(occ);
+    }
+
+    /// Counts a push port `p` rejected.
+    #[inline]
+    pub(crate) fn port_stall(&mut self, p: PortSlot) {
+        self.counts[p.counts as usize + STALLS] += 1;
+    }
+
+    /// Raises port `p`'s peak to `occupancy` without sampling it (an
+    /// element returned to the head was sampled when first pushed).
+    #[inline]
+    pub(crate) fn port_refill(&mut self, p: PortSlot, occupancy: usize) {
+        let peak = &mut self.counts[p.counts as usize + PEAK];
+        *peak = (*peak).max(occupancy as u64);
+    }
+
+    /// Pushes port `p` accepted.
+    pub fn pushes(&self, p: PortSlot) -> u64 {
+        self.counts[p.counts as usize + PUSHES]
+    }
+
+    /// Pushes port `p` rejected (back-pressure seen by its producer).
+    pub fn stalls(&self, p: PortSlot) -> u64 {
+        self.counts[p.counts as usize + STALLS]
+    }
+
+    /// Port `p`'s high-watermark occupancy.
+    pub fn peak(&self, p: PortSlot) -> u64 {
+        self.counts[p.counts as usize + PEAK]
+    }
+
+    /// Port `p`'s occupancy histogram: one sample per accepted push, of
+    /// the occupancy including the pushed element.
+    pub fn occupancy(&self, p: PortSlot) -> &Histogram {
+        &self.histograms[p.occupancy as usize]
+    }
+
+    /// Adds every touched counter into `s` under its name.
+    pub fn add_counters_to(&self, s: &mut Stats) {
+        for (name, meter) in &self.names {
+            if let Meter::Counter(c) = meter {
+                if self.counts[c.0 as usize] != 0 {
+                    s.add(name, self.get(*c));
+                }
             }
         }
     }
 
-    /// Materializes the touched counters as an owned [`Stats`].
-    pub fn to_stats(&self) -> Stats {
+    /// The touched counters, rendered.
+    pub fn stats(&self) -> Stats {
         let mut s = Stats::new();
-        self.merge_into(&mut s);
+        self.add_counters_to(&mut s);
         s
     }
+
+    /// Renders the whole block into `m`: touched counters and histograms
+    /// under their own names, ports under `{port_root}.{name}.*`.
+    pub fn render(&self, port_root: &str, m: &mut MetricsRegistry) {
+        for (name, meter) in &self.names {
+            match *meter {
+                Meter::Counter(c) => {
+                    if self.counts[c.0 as usize] != 0 {
+                        m.add_counter(name, self.get(c));
+                    }
+                }
+                Meter::Histogram(h) => m.merge_histogram(name, self.histogram_of(h)),
+                Meter::Port(p) => {
+                    let base = format!("{port_root}.{name}");
+                    m.add_counter(&format!("{base}.pushes"), self.pushes(p));
+                    m.add_counter(&format!("{base}.stalls"), self.stalls(p));
+                    m.add_counter(&format!("{base}.peak"), self.peak(p));
+                    m.merge_histogram(&format!("{base}.occupancy"), self.occupancy(p));
+                }
+            }
+        }
+    }
+}
+
+/// Declares a component's named meter slots: a struct of
+/// [`CounterSlot`]s and [`HistogramSlot`]s whose `register` adds each one
+/// to a [`Meters`] block under its name, in declaration order.
+///
+/// ```
+/// smappic_sim::meter_slots! {
+///     /// The crossbar's meters.
+///     struct XbarMeters {
+///         req: counter("xbar.req"),
+///         wait: histogram("xbar.wait"),
+///     }
+/// }
+/// let mut meters = smappic_sim::Meters::new();
+/// let m = XbarMeters::register(&mut meters);
+/// meters.incr(m.req);
+/// meters.record(m.wait, 12);
+/// assert_eq!(meters.stats().get("xbar.req"), 1);
+/// assert_eq!(meters.histogram_of(m.wait).max(), 12);
+/// ```
+#[macro_export]
+macro_rules! meter_slots {
+    (
+        $(#[$doc:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fdoc:meta])* $field:ident: $kind:ident($label:literal)),* $(,)?
+        }
+    ) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy)]
+        $vis struct $name { $($(#[$fdoc])* $field: $crate::meter_slots!(@slot $kind)),* }
+
+        impl $name {
+            /// Registers every slot in `meters`, in declaration order.
+            $vis fn register(meters: &mut $crate::Meters) -> Self {
+                Self { $($field: meters.$kind($label)),* }
+            }
+        }
+    };
+    (@slot counter) => { $crate::CounterSlot };
+    (@slot histogram) => { $crate::HistogramSlot };
 }
 
 /// A simple sample accumulator with min/max/mean and fixed log2 buckets.
@@ -305,36 +480,33 @@ impl Default for Histogram {
     }
 }
 
-impl SaveState for Stats {
+impl SaveState for Meters {
     fn save(&self, w: &mut SnapWriter) {
-        // BTreeMap iteration is already sorted, so identical states
-        // serialize to identical bytes.
-        let Self { counters } = self;
-        counters.pack(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader) {
-        self.counters = BTreeMap::unpack(r);
-    }
-}
-
-impl SaveState for CounterSet {
-    fn save(&self, w: &mut SnapWriter) {
-        let Self { keys: _, slots } = self; // keys: the static key table
-        w.usize(slots.len());
-        for v in slots.iter() {
+        let Self { counts, histograms, names: _ } = self; // names: configuration
+        w.usize(counts.len());
+        for v in counts {
             w.u64(*v);
         }
+        w.usize(histograms.len());
+        for h in histograms {
+            h.save(w);
+        }
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
-        let n = r.usize();
-        if n != self.slots.len() {
-            r.corrupt("counter-set slot count does not match this build's key table");
+        if r.usize() != self.counts.len() {
+            r.corrupt("meter count does not match this component's configuration");
             return;
         }
-        for v in self.slots.iter_mut() {
+        for v in &mut self.counts {
             *v = r.u64();
+        }
+        if r.usize() != self.histograms.len() {
+            r.corrupt("histogram count does not match this component's configuration");
+            return;
+        }
+        for h in &mut self.histograms {
+            h.restore(r);
         }
     }
 }
@@ -529,20 +701,94 @@ mod tests {
         assert_eq!(g.percentile(100.0), 1u64 << 63, "clamped to max below the saturated edge");
     }
 
+    /// Two blocks that share every name, as two tiles' caches do.
+    fn twin_blocks() -> [(Meters, CounterSlot, HistogramSlot, PortSlot); 2] {
+        std::array::from_fn(|_| {
+            let mut m = Meters::new();
+            let c = m.counter("bpc.hit");
+            let h = m.histogram("bpc.miss_latency");
+            let p = m.port("noc_out");
+            (m, c, h, p)
+        })
+    }
+
     #[test]
-    fn counter_set_matches_string_stats() {
-        static KEYS: &[&str] = &["a.x", "a.y", "a.z"];
-        let mut c = CounterSet::new(KEYS);
-        c.bump(0);
-        c.add(0, 4);
-        c.add(2, 7);
-        assert_eq!(c.get(0), 5);
-        assert_eq!(c.get_by_name("a.z"), 7);
-        assert_eq!(c.get_by_name("missing"), 0);
-        // Merging skips untouched keys, like string-keyed Stats would.
+    fn same_named_counters_from_several_blocks_sum() {
+        let [(mut a, ca, ..), (mut b, cb, ..)] = twin_blocks();
+        a.add(ca, 3);
+        b.incr(cb);
         let mut s = Stats::new();
-        s.add("a.x", 5);
-        s.add("a.z", 7);
-        assert_eq!(c.to_stats().to_string(), s.to_string());
+        a.add_counters_to(&mut s);
+        b.add_counters_to(&mut s);
+        assert_eq!(s.get("bpc.hit"), 4);
+        let mut m = MetricsRegistry::new();
+        a.render("port.a", &mut m);
+        b.render("port.b", &mut m);
+        assert_eq!(m.counter("bpc.hit"), 4);
+    }
+
+    #[test]
+    fn same_named_histograms_merge() {
+        let [(mut a, _, ha, _), (mut b, _, hb, _)] = twin_blocks();
+        a.record(ha, 5);
+        b.record(hb, 700);
+        let mut m = MetricsRegistry::new();
+        a.render("port.a", &mut m);
+        b.render("port.b", &mut m);
+        let h = m.histogram("bpc.miss_latency").expect("merged histogram");
+        assert_eq!((h.count(), h.min(), h.max()), (2, 5, 700));
+    }
+
+    #[test]
+    fn ports_render_under_their_root_with_four_suffixes() {
+        let [(mut a, _, _, p), _] = twin_blocks();
+        a.port_push(p, 1);
+        a.port_push(p, 2);
+        a.port_stall(p);
+        let mut m = MetricsRegistry::new();
+        a.render("port.node0.tile1.bpc", &mut m);
+        assert_eq!(m.counter("port.node0.tile1.bpc.noc_out.pushes"), 2);
+        assert_eq!(m.counter("port.node0.tile1.bpc.noc_out.stalls"), 1);
+        assert_eq!(m.counter("port.node0.tile1.bpc.noc_out.peak"), 2);
+        let h = m.histogram("port.node0.tile1.bpc.noc_out.occupancy").expect("occupancy");
+        assert_eq!((h.count(), h.max()), (2, 2));
+        assert!(a.stats().iter().all(|(k, _)| !k.contains("noc_out")), "ports stay out of stats");
+    }
+
+    #[test]
+    fn a_never_touched_counter_is_absent_and_an_added_zero_is_present() {
+        let [(mut a, c, h, p), (mut b, cb, ..)] = twin_blocks();
+        let mut m = MetricsRegistry::new();
+        a.render("port.a", &mut m);
+        assert!(!m.snapshot_text().contains("bpc.hit"), "untouched counter rendered");
+        // Histograms and ports render even when empty.
+        assert_eq!(m.histogram("bpc.miss_latency").map(Histogram::count), Some(0));
+        assert_eq!(m.counter("port.a.noc_out.pushes"), 0);
+        assert!(m.snapshot_text().contains("port.a.noc_out.peak"));
+        // An add of zero creates the line, as `Stats::add` does.
+        b.add(cb, 0);
+        assert_eq!(b.stats().iter().collect::<Vec<_>>(), vec![("bpc.hit", 0)]);
+        a.add(c, 7);
+        assert_eq!((a.get(c), a.histogram_of(h).count(), a.pushes(p)), (7, 0, 0));
+    }
+
+    #[test]
+    fn a_block_round_trips_with_its_touched_flags() {
+        use crate::Snapshot;
+        let [(mut a, c, h, p), (mut b, ..)] = twin_blocks();
+        a.add(c, 0);
+        a.record(h, 9);
+        a.port_push(p, 3);
+        let mut w = SnapWriter::new();
+        w.scoped("m", |w| a.save(w));
+        let snap = Snapshot::new(0, 0, w);
+        let mut r = SnapReader::new(&snap);
+        r.scoped("m", |r| b.restore(r));
+        r.finish().expect("clean restore");
+        assert_eq!(b.stats(), a.stats());
+        let (mut ma, mut mb) = (MetricsRegistry::new(), MetricsRegistry::new());
+        a.render("port.x", &mut ma);
+        b.render("port.x", &mut mb);
+        assert_eq!(ma, mb);
     }
 }

@@ -6,7 +6,9 @@
 //! Invariants covered (per the flow-control layer contract):
 //! - credits never go negative and always equal `capacity - len`,
 //! - push + pop conserves items (count and FIFO order),
-//! - the peak-occupancy watermark is monotone and exact,
+//! - the meters the owning [`Meters`] block holds for a port — pushes,
+//!   stalls, the peak-occupancy watermark (monotone and exact) and the
+//!   occupancy histogram — match the model's own tallies,
 //! - a push on a full port returns the rejected item untouched,
 //! - [`DelayPort`] never reorders equal-stamp items,
 //! - elastic ports grow without losing or reordering elements.
@@ -16,17 +18,19 @@
 
 use std::collections::VecDeque;
 
-use smappic_sim::{DelayPort, Port, Ring, SimRng, ELASTIC_PREALLOC_CAP};
+use smappic_sim::{DelayPort, Histogram, Meters, Port, Ring, SimRng, ELASTIC_PREALLOC_CAP};
 
 /// Drives a bounded port and a `VecDeque` model through the same random
 /// op sequence, checking structural invariants after every op.
 fn drive_bounded(seed: u64, capacity: usize, ops: usize) {
     let mut rng = SimRng::new(seed);
-    let mut port: Port<u64> = Port::bounded("prop.q", capacity);
+    let mut meters = Meters::new();
+    let mut port: Port<u64> = Port::bounded(meters.port("prop.q"), capacity);
+    let slot = port.slot();
     let mut model: VecDeque<u64> = VecDeque::new();
+    let mut occupancy = Histogram::new();
     let mut next_item = 0u64;
-    let mut pushed = 0u64;
-    let mut popped = 0u64;
+    let (mut pushed, mut popped, mut stalled) = (0u64, 0u64, 0u64);
     let mut peak_seen = 0u64;
     let mut last_peak = 0u64;
 
@@ -36,9 +40,10 @@ fn drive_bounded(seed: u64, capacity: usize, ops: usize) {
             0..=4 => {
                 let item = next_item;
                 next_item += 1;
-                match port.try_push(item) {
+                match port.try_push(item, &mut meters) {
                     Ok(()) => {
                         model.push_back(item);
+                        occupancy.record(model.len() as u64);
                         pushed += 1;
                     }
                     Err(back) => {
@@ -47,6 +52,7 @@ fn drive_bounded(seed: u64, capacity: usize, ops: usize) {
                         assert_eq!(back, item, "seed {seed} step {step}: rejected item mangled");
                         assert_eq!(model.len(), capacity, "rejected while not full");
                         assert_eq!(port.len(), capacity);
+                        stalled += 1;
                     }
                 }
             }
@@ -86,17 +92,18 @@ fn drive_bounded(seed: u64, capacity: usize, ops: usize) {
 
         // Watermark: monotone, exact, never exceeded by live occupancy.
         peak_seen = peak_seen.max(model.len() as u64);
-        let peak = port.meter().peak();
+        let peak = meters.peak(slot);
         assert!(peak >= last_peak, "seed {seed} step {step}: watermark regressed");
         assert_eq!(peak, peak_seen, "seed {seed} step {step}: watermark inexact");
         last_peak = peak;
+        assert_eq!(meters.stalls(slot), stalled, "seed {seed} step {step}: stalls drifted");
     }
 
     // Conservation: everything pushed is either popped or still queued,
-    // and the meter agrees with the model's arithmetic.
+    // and the block's meters agree with the model's arithmetic.
     assert_eq!(pushed - popped, model.len() as u64);
-    assert_eq!(port.meter().pushes(), pushed);
-    assert_eq!(port.meter().pops(), popped);
+    assert_eq!(meters.pushes(slot), pushed);
+    assert_eq!(meters.occupancy(slot), &occupancy, "seed {seed}: occupancy histogram drifted");
     let leftover: Vec<u64> = port.iter().copied().collect();
     assert_eq!(leftover, model.iter().copied().collect::<Vec<_>>());
 }
@@ -112,29 +119,32 @@ fn bounded_port_matches_model_across_seeds_and_capacities() {
 
 #[test]
 fn full_port_push_counts_a_stall_per_rejection() {
-    let mut p: Port<u32> = Port::bounded("prop.stall", 2);
-    p.try_push(1).unwrap();
-    p.try_push(2).unwrap();
+    let mut m = Meters::new();
+    let mut p: Port<u32> = Port::bounded(m.port("prop.stall"), 2);
+    p.try_push(1, &mut m).unwrap();
+    p.try_push(2, &mut m).unwrap();
     for k in 0..5u32 {
-        assert_eq!(p.try_push(100 + k), Err(100 + k));
+        assert_eq!(p.try_push(100 + k, &mut m), Err(100 + k));
     }
-    assert_eq!(p.meter().stalls(), 5);
+    assert_eq!(m.stalls(p.slot()), 5);
     assert_eq!(p.len(), 2, "rejections must not change occupancy");
     p.pop();
-    p.try_push(3).unwrap();
-    assert_eq!(p.meter().stalls(), 5, "accepted push must not count as stall");
+    p.try_push(3, &mut m).unwrap();
+    assert_eq!(m.stalls(p.slot()), 5, "accepted push must not count as stall");
+    assert_eq!(m.occupancy(p.slot()).count(), 3, "only accepted pushes are sampled");
 }
 
 #[test]
 fn elastic_port_conserves_order_through_growth() {
     for seed in 0..8u64 {
         let mut rng = SimRng::new(seed);
-        let mut port: Port<u64> = Port::elastic_with("prop.elastic", 2);
+        let mut m = Meters::new();
+        let mut port: Port<u64> = Port::elastic_with(m.port("prop.elastic"), 2);
         let mut model: VecDeque<u64> = VecDeque::new();
         let mut next = 0u64;
         for _ in 0..2_000 {
             if rng.chance(0.6) {
-                port.try_push(next).expect("elastic ports never reject");
+                port.try_push(next, &mut m).expect("elastic ports never reject");
                 model.push_back(next);
                 next += 1;
             } else {
@@ -143,7 +153,7 @@ fn elastic_port_conserves_order_through_growth() {
             assert_eq!(port.len(), model.len());
             assert_eq!(port.credits(), usize::MAX, "elastic credits are unbounded");
         }
-        assert_eq!(port.meter().stalls(), 0);
+        assert_eq!(m.stalls(port.slot()), 0);
         let rest: Vec<u64> = port.iter().copied().collect();
         assert_eq!(rest, model.iter().copied().collect::<Vec<_>>());
     }
@@ -154,14 +164,15 @@ fn delay_port_never_reorders_equal_stamp_items() {
     for seed in 0..16u64 {
         let mut rng = SimRng::new(seed);
         for latency in [0u64, 1, 4] {
-            let mut d: DelayPort<u64> = DelayPort::new("prop.delay", latency);
+            let mut m = Meters::new();
+            let mut d: DelayPort<u64> = DelayPort::new(m.port("prop.delay"), latency);
             let mut now = 0u64;
             let mut seq = 0u64;
             // Push in bursts: several items share one cycle stamp.
             for _ in 0..50 {
                 let burst = 1 + rng.gen_range(4);
                 for _ in 0..burst {
-                    d.push(now, seq);
+                    d.push(now, seq, &mut m);
                     seq += 1;
                 }
                 now += rng.gen_range(3);
@@ -177,14 +188,16 @@ fn delay_port_never_reorders_equal_stamp_items() {
             }
             assert_eq!(out, (0..seq).collect::<Vec<_>>(), "seed {seed} latency {latency}");
             assert!(d.is_empty());
+            assert_eq!(m.pushes(d.slot()), seq);
         }
     }
 }
 
 #[test]
 fn delay_port_pops_exactly_at_maturity() {
-    let mut d: DelayPort<u8> = DelayPort::new("prop.mature", 7);
-    d.push(100, 1);
+    let mut m = Meters::new();
+    let mut d: DelayPort<u8> = DelayPort::new(m.port("prop.mature"), 7);
+    d.push(100, 1, &mut m);
     assert_eq!(d.peek_ready(106), None);
     assert_eq!(d.pop_ready(106), None, "must not mature early");
     assert_eq!(d.next_ready_at(), Some(107));
@@ -235,6 +248,6 @@ fn ring_matches_model_under_mixed_front_back_ops() {
 fn elastic_prealloc_hint_is_capped() {
     let r: Ring<u8> = Ring::with_prealloc(1 << 20);
     assert_eq!(r.slots(), ELASTIC_PREALLOC_CAP, "hints must clamp to the documented cap");
-    let p: Port<u8> = Port::elastic_with("prop.capped", 1 << 20);
+    let p: Port<u8> = Port::elastic_with(Meters::new().port("prop.capped"), 1 << 20);
     assert_eq!(p.capacity(), usize::MAX);
 }

@@ -2,7 +2,7 @@
 
 use smappic_coherence::{Bpc, CoreReq, CoreResp, LlcSlice};
 use smappic_noc::{Gid, Msg, Packet};
-use smappic_sim::{Cycle, MetricsRegistry, Port, SaveState, SnapReader, SnapWriter};
+use smappic_sim::{Cycle, Meters, Port, SaveState, SnapReader, SnapWriter};
 
 use crate::tri::{Engine, MmioResp, Tri};
 
@@ -39,6 +39,8 @@ pub struct Tile {
     /// must never stall the responses queued behind them (protocol
     /// deadlock freedom depends on it).
     out: [Port<Packet>; 3],
+    /// The two queues' port meters.
+    meters: Meters,
     /// Per-component event scheduling: `Some(wake_at)` while ticks are
     /// being skipped because every queue is drained and the engine declared
     /// itself event-free until `wake_at` (see [`Engine::next_event_after`]).
@@ -60,14 +62,17 @@ pub struct Tile {
 impl Tile {
     /// Assembles a tile.
     pub fn new(id: Gid, bpc: Bpc, llc: LlcSlice, engine: Box<dyn Engine>) -> Self {
-        let out = std::array::from_fn(|vn| Port::elastic_with(format!("out.vn{vn}"), 8));
+        let mut meters = Meters::new();
+        let out =
+            std::array::from_fn(|vn| Port::elastic_with(meters.port(format!("out.vn{vn}")), 8));
         Self {
             id,
             bpc,
             llc,
             engine,
-            pending_mmio: Port::elastic_with("pending_mmio", 4),
+            pending_mmio: Port::elastic_with(meters.port("pending_mmio"), 4),
             out,
+            meters,
             sleep_until: None,
             skipped_cycles: 0,
             fast_path: true,
@@ -125,16 +130,10 @@ impl Tile {
             && self.out.iter().all(Port::is_empty)
     }
 
-    /// Merges every port meter in the tile (egress VN queues, MMIO retry
-    /// queue, then the BPC's and LLC slice's ports under `.bpc` / `.llc`)
-    /// into `m` under `port.{prefix}...`.
-    pub fn merge_port_metrics(&self, prefix: &str, m: &mut MetricsRegistry) {
-        for q in &self.out {
-            q.meter().merge_into(prefix, m);
-        }
-        self.pending_mmio.meter().merge_into(prefix, m);
-        self.bpc.merge_port_metrics(&format!("{prefix}.bpc"), m);
-        self.llc.merge_port_metrics(&format!("{prefix}.llc"), m);
+    /// The tile's own meters: its egress VN queues and MMIO retry queue
+    /// (the BPC and LLC slice keep theirs).
+    pub fn meters(&self) -> &Meters {
+        &self.meters
     }
 
     /// Ticks skipped by the per-component scheduler (host diagnostics).
@@ -215,17 +214,19 @@ impl Tile {
         // Retry the oldest pending MMIO access.
         if let Some((src, store, addr, size, data)) = self.pending_mmio.pop() {
             match self.engine.mmio(now, store, addr, size, data) {
-                MmioResp::Pending => self.pending_mmio.push_front((src, store, addr, size, data)),
+                MmioResp::Pending => {
+                    self.pending_mmio.push_front((src, store, addr, size, data), &mut self.meters)
+                }
                 resp => self.answer_mmio(src, store, addr, resp),
             }
         }
 
         // Drain cache outputs into the per-VN egress queues.
         while let Some(p) = self.bpc.noc_pop() {
-            self.out[p.vn.index()].push(p);
+            self.out[p.vn.index()].push(p, &mut self.meters);
         }
         while let Some(p) = self.llc.noc_pop() {
-            self.out[p.vn.index()].push(p);
+            self.out[p.vn.index()].push(p, &mut self.meters);
         }
 
         self.sleep_until = if self.fast_path { self.sleep_check(now + 1) } else { None };
@@ -239,7 +240,7 @@ impl Tile {
             (_, MmioResp::Pending) => unreachable!("caller filters Pending"),
         };
         let pkt = Packet::on_canonical_vn(src, self.id, msg);
-        self.out[pkt.vn.index()].push(pkt);
+        self.out[pkt.vn.index()].push(pkt, &mut self.meters);
     }
 
     /// Delivers a packet from the mesh.
@@ -262,14 +263,18 @@ impl Tile {
             Msg::NcLoad { addr, size } => {
                 let (addr, size, src) = (*addr, *size, pkt.src);
                 match self.engine.mmio(now, false, addr, size, 0) {
-                    MmioResp::Pending => self.pending_mmio.push((src, false, addr, size, 0)),
+                    MmioResp::Pending => {
+                        self.pending_mmio.push((src, false, addr, size, 0), &mut self.meters)
+                    }
                     resp => self.answer_mmio(src, false, addr, resp),
                 }
             }
             Msg::NcStore { addr, size, data } => {
                 let (addr, size, data, src) = (*addr, *size, *data, pkt.src);
                 match self.engine.mmio(now, true, addr, size, data) {
-                    MmioResp::Pending => self.pending_mmio.push((src, true, addr, size, data)),
+                    MmioResp::Pending => {
+                        self.pending_mmio.push((src, true, addr, size, data), &mut self.meters)
+                    }
                     resp => self.answer_mmio(src, true, addr, resp),
                 }
             }
@@ -297,7 +302,7 @@ impl Tile {
     /// Returns a popped packet to the head of its egress queue (used when
     /// the mesh refuses injection this cycle).
     pub fn unpop_noc(&mut self, pkt: Packet) {
-        self.out[pkt.vn.index()].push_front(pkt);
+        self.out[pkt.vn.index()].push_front(pkt, &mut self.meters);
     }
 }
 
@@ -312,6 +317,7 @@ impl SaveState for Tile {
             engine,
             pending_mmio,
             out,
+            meters,
             sleep_until: _,
             skipped_cycles: _,
             fast_path: _,
@@ -323,6 +329,7 @@ impl SaveState for Tile {
         for q in out {
             q.save(w);
         }
+        meters.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
@@ -336,6 +343,7 @@ impl SaveState for Tile {
         for q in &mut self.out {
             q.restore(r);
         }
+        self.meters.restore(r);
     }
 }
 
