@@ -3,8 +3,8 @@
 use std::collections::BTreeMap;
 
 use smappic_sim::{
-    meter_slots, Cycle, FaultInjector, Meters, Pack, Port, SaveState, SnapReader, SnapWriter,
-    Stats, TraceBuf, TraceEventKind,
+    meter_slots, Cycle, FaultInjector, Meters, MetersBuilder, Pack, Port, SaveState, SnapReader,
+    SnapWriter, Stats, TraceBuf, TraceEventKind,
 };
 
 use crate::txn::{AxiReq, AxiResp};
@@ -65,10 +65,10 @@ impl Crossbar {
     pub fn new(masters: usize, slaves: usize) -> Self {
         assert!(masters > 0 && slaves > 0, "crossbar needs at least one master and one slave");
         /// `n` 16-entry ports named `{side}{i}.{queue}`.
-        fn bank<T>(m: &mut Meters, n: usize, side: char, queue: &str) -> Vec<Port<T>> {
+        fn bank<T>(m: &mut MetersBuilder, n: usize, side: char, queue: &str) -> Vec<Port<T>> {
             (0..n).map(|i| Port::bounded(m.port(format!("{side}{i}.{queue}")), 16)).collect()
         }
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         Self {
             masters,
             ranges: Vec::new(),
@@ -81,7 +81,7 @@ impl Crossbar {
             next_tag: 0,
             rr_master: 0,
             slots: XbarMeters::register(&mut meters),
-            meters,
+            meters: meters.build(),
             trace: TraceBuf::new(4096),
         }
     }

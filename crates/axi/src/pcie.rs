@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 
 use smappic_sim::{
-    Cycle, FaultInjector, HistogramSlot, Meters, Pack, Ring, SaveState, SnapReader, SnapWriter,
-    TraceBuf, TraceEventKind, TrafficShaper,
+    Cycle, FaultInjector, HistogramSlot, Meters, MetersBuilder, Pack, Ring, SaveState, SnapReader,
+    SnapWriter, TraceBuf, TraceEventKind, TrafficShaper,
 };
 
 use crate::txn::{AxiReq, AxiResp};
@@ -243,13 +243,13 @@ impl PcieLink {
     ///
     /// Panics if `bytes_per_cycle` is zero.
     pub fn new(one_way_latency: Cycle, bytes_per_cycle: u64) -> Self {
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         Self {
             a_to_b: Dir::new(bytes_per_cycle, one_way_latency),
             b_to_a: Dir::new(bytes_per_cycle, one_way_latency),
             endpoints: (0, 1),
             rtt: meters.histogram("pcie.rtt"),
-            meters,
+            meters: meters.build(),
             pending_req_ab: Ring::new(),
             pending_req_ba: Ring::new(),
             trace: TraceBuf::new(LINK_TRACE_CAP),

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use smappic_sim::{
-    meter_slots, Cycle, Meters, Pack, Port, SaveState, SnapReader, SnapWriter, Stats,
+    meter_slots, Cycle, Meters, MetersBuilder, Pack, Port, SaveState, SnapReader, SnapWriter, Stats,
 };
 
 use crate::pcie::PcieItem;
@@ -116,7 +116,7 @@ pub const FPGA_WINDOW_BASE: u64 = 0x8000_0000_0000;
 impl HardShell {
     /// Creates the shell for global FPGA index `fpga_index`.
     pub fn new(fpga_index: usize) -> Self {
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         Self {
             fpga_index,
             fpga_count: 8,
@@ -128,7 +128,7 @@ impl HardShell {
             next_inbound_id: 0,
             guard: None,
             slots: ShellMeters::register(&mut meters),
-            meters,
+            meters: meters.build(),
         }
     }
 

@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 
 use smappic_noc::{line_of, line_offset, Addr, AmoOp, Gid, LineData, Msg, Packet};
 use smappic_sim::{
-    meter_slots, Cycle, DelayPort, Meters, Pack, Port, Ring, SaveState, SnapReader, SnapWriter,
-    Stats, TraceBuf, TraceEventKind,
+    meter_slots, Cycle, DelayPort, Meters, MetersBuilder, Pack, Port, Ring, SaveState, SnapReader,
+    SnapWriter, Stats, TraceBuf, TraceEventKind,
 };
 
 use crate::homing::Homing;
@@ -198,7 +198,7 @@ impl Bpc {
     pub fn new(cfg: BpcConfig) -> Self {
         let sets = (0..cfg.geometry.sets()).map(|_| Vec::new()).collect();
         let hit_latency = cfg.hit_latency;
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         Self {
             cfg,
             sets,
@@ -210,7 +210,7 @@ impl Bpc {
             resp_ready: Port::elastic_with(meters.port("resp_ready"), 8),
             lru_clock: 0,
             slots: BpcMeters::register(&mut meters),
-            meters,
+            meters: meters.build(),
             trace: TraceBuf::new(2048),
         }
     }

@@ -2,8 +2,8 @@
 
 use smappic_noc::{line_of, line_offset, Addr, Gid, LineData, Msg, Packet};
 use smappic_sim::{
-    meter_slots, Cycle, DelayPort, Meters, Pack, Port, Ring, SaveState, SnapReader, SnapWriter,
-    Stats, TraceBuf, TraceEventKind,
+    meter_slots, Cycle, DelayPort, Meters, MetersBuilder, Pack, Port, Ring, SaveState, SnapReader,
+    SnapWriter, Stats, TraceBuf, TraceEventKind,
 };
 
 use crate::Geometry;
@@ -127,7 +127,7 @@ impl LlcSlice {
     pub fn new(cfg: LlcConfig) -> Self {
         let sets = (0..cfg.geometry.sets()).map(|_| Vec::new()).collect();
         let latency = cfg.latency;
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         Self {
             cfg,
             sets,
@@ -138,7 +138,7 @@ impl LlcSlice {
             noc_out: Port::bounded(meters.port("noc_out"), 1024),
             lru_clock: 0,
             slots: LlcMeters::register(&mut meters),
-            meters,
+            meters: meters.build(),
             trace: TraceBuf::new(2048),
         }
     }

@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use smappic_axi::{AxiRead, AxiReadResp, AxiReq, AxiResp, AxiWrite, AxiWriteResp};
 use smappic_noc::{NodeId, Packet};
 use smappic_sim::{
-    meter_slots, Cycle, Meters, Pack, Port, Ring, SaveState, SnapReader, SnapWriter, Stats,
-    TrafficShaper,
+    meter_slots, Cycle, Meters, MetersBuilder, Pack, Port, Ring, SaveState, SnapReader, SnapWriter,
+    Stats, TrafficShaper,
 };
 
 use crate::codec::{decode_packet, encode_packet};
@@ -97,7 +97,7 @@ impl InterNodeBridge {
     /// Creates the bridge for `node` with the given shaper parameters
     /// (`extra_latency` cycles, `bytes_per_cycle` bandwidth).
     pub fn new(node: NodeId, extra_latency: Cycle, bytes_per_cycle: u64) -> Self {
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         Self {
             node,
             shaper: TrafficShaper::new(bytes_per_cycle.max(1), 1, extra_latency),
@@ -111,7 +111,7 @@ impl InterNodeBridge {
             next_id: 0,
             pending_reads: BTreeMap::new(),
             slots: BridgeMeters::register(&mut meters),
-            meters,
+            meters: meters.build(),
         }
     }
 

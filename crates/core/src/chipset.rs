@@ -4,7 +4,7 @@
 use smappic_mem::MemController;
 use smappic_noc::{Gid, Msg, NodeId, Packet, TileId};
 use smappic_sim::{
-    meter_slots, Cycle, Meters, Pack, Port, SaveState, SnapReader, SnapWriter, Stats,
+    meter_slots, Cycle, Meters, MetersBuilder, Pack, Port, SaveState, SnapReader, SnapWriter, Stats,
 };
 
 use crate::bridge::InterNodeBridge;
@@ -266,7 +266,7 @@ pub struct Chipset {
 impl Chipset {
     /// Assembles a chipset.
     pub fn new(node: NodeId, tiles: usize, memctl: MemController, bridge: InterNodeBridge) -> Self {
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         Self {
             node,
             tiles,
@@ -283,7 +283,7 @@ impl Chipset {
             }),
             memctl_retry: Port::elastic_with(meters.port("memctl_retry"), 8),
             slots: ChipsetMeters::register(&mut meters),
-            meters,
+            meters: meters.build(),
             sleep_until: None,
             skipped_cycles: 0,
             fast_path: true,

@@ -6,7 +6,9 @@
 //! baud console and an "overclocked" ~1 Mbit/s data UART that carries a
 //! pppd network link (§4.4 uses it to put Nginx on the prototype).
 
-use smappic_sim::{Cycle, Meters, Port, Ring, SaveState, SnapReader, SnapWriter, TrafficShaper};
+use smappic_sim::{
+    Cycle, Meters, MetersBuilder, Port, Ring, SaveState, SnapReader, SnapWriter, TrafficShaper,
+};
 
 /// Guest-visible 16550 register offsets (4-byte register stride).
 const REG_DATA: u64 = 0x00; // RBR (read) / THR (write)
@@ -60,7 +62,7 @@ impl Uart16550 {
     /// 115200 baud ≈ 8680 cycles/byte; the overclocked 1 Mbit/s data UART
     /// ≈ 1000 cycles/byte.
     pub fn new(cycles_per_byte: u64) -> Self {
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         Self {
             tx: TrafficShaper::new(1, cycles_per_byte.max(1), 0),
             rx: TrafficShaper::new(1, cycles_per_byte.max(1), 0),
@@ -69,7 +71,7 @@ impl Uart16550 {
             ier: 0,
             bytes_tx: 0,
             bytes_rx: 0,
-            meters,
+            meters: meters.build(),
         }
     }
 

@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 use smappic_axi::{AxiRead, AxiReq, AxiResp, AxiWrite};
 use smappic_noc::{line_of, line_offset, Gid, LineData, Msg, Packet, LINE_BYTES};
 use smappic_sim::{
-    meter_slots, Cycle, Meters, Pack, Port, SaveState, SnapReader, SnapWriter, Stats, TraceBuf,
-    TraceEventKind,
+    meter_slots, Cycle, Meters, MetersBuilder, Pack, Port, SaveState, SnapReader, SnapWriter,
+    Stats, TraceBuf, TraceEventKind,
 };
 
 use crate::dram::Dram;
@@ -89,7 +89,7 @@ impl MemController {
     /// Creates a controller in front of `dram`.
     pub fn new(cfg: MemControllerConfig, dram: Dram) -> Self {
         let depth = cfg.buffer_depth;
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         Self {
             cfg,
             dram,
@@ -98,7 +98,7 @@ impl MemController {
             inflight: BTreeMap::new(),
             next_id: 0,
             slots: MemctlMeters::register(&mut meters),
-            meters,
+            meters: meters.build(),
             trace: TraceBuf::new(2048),
         }
     }

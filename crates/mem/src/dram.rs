@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use smappic_axi::{AxiReadResp, AxiReq, AxiResp, AxiWriteResp};
 use smappic_sim::{
-    meter_slots, Cycle, FaultInjector, Meters, Pack, SaveState, SnapReader, SnapWriter, Stats,
-    TrafficShaper,
+    meter_slots, Cycle, FaultInjector, Meters, MetersBuilder, Pack, SaveState, SnapReader,
+    SnapWriter, Stats, TrafficShaper,
 };
 
 /// log2 of the backing-page size.
@@ -81,7 +81,7 @@ impl Dram {
     /// Creates a DRAM channel with the given timing.
     pub fn new(cfg: DramConfig) -> Self {
         let pending = TrafficShaper::new(cfg.bytes_per_cycle, 1, cfg.latency);
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         Self {
             cfg,
             pages: HashMap::new(),
@@ -90,7 +90,7 @@ impl Dram {
             faults: None,
             req_seq: 0,
             slots: DramMeters::register(&mut meters),
-            meters,
+            meters: meters.build(),
         }
     }
 

@@ -1,8 +1,8 @@
 //! The node-level mesh: routers, buffers, arbitration, and the edge port.
 
 use smappic_sim::{
-    meter_slots, Cycle, FaultInjector, Meters, Port as FlowPort, SaveState, SnapReader, SnapWriter,
-    Stats, TraceBuf, TraceEventKind,
+    meter_slots, Cycle, FaultInjector, Meters, MetersBuilder, Port as FlowPort, SaveState,
+    SnapReader, SnapWriter, Stats, TraceBuf, TraceEventKind,
 };
 
 use crate::packet::Packet;
@@ -114,7 +114,7 @@ struct RouterState {
 }
 
 impl RouterState {
-    fn new(router: usize, capacity: usize, meters: &mut Meters) -> Self {
+    fn new(router: usize, capacity: usize, meters: &mut MetersBuilder) -> Self {
         let bufs = std::array::from_fn(|p| {
             std::array::from_fn(|vn| {
                 let slot = meters.port(format!("r{router}.{}.vc{vn}", DIR_NAMES[p]));
@@ -179,7 +179,7 @@ impl Mesh {
                 Router::new(x, y, cfg.width, cfg.tiles as u16, cfg.node)
             })
             .collect();
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         let slots = MeshMeters::register(&mut meters);
         Self {
             routers: (0..n)
@@ -199,7 +199,7 @@ impl Mesh {
             output_occupancy: 0,
             fast_path: true,
             cfg,
-            meters,
+            meters: meters.build(),
             slots,
             faults: None,
             trace: TraceBuf::new(4096),

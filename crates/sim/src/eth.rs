@@ -40,8 +40,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::{
-    fault_streams, meter_slots, Cycle, DelayPort, FaultInjector, FaultPlan, Meters, Pack, PortSlot,
-    SaveState, SnapReader, SnapWriter,
+    fault_streams, meter_slots, Cycle, DelayPort, FaultInjector, FaultPlan, Meters, MetersBuilder,
+    Pack, PortSlot, SaveState, SnapReader, SnapWriter,
 };
 
 /// Shape of a switched-Ethernet fabric: hop latencies/bandwidths in member
@@ -265,7 +265,7 @@ impl<T: Clone> EthSwitch<T> {
         params: &EthParams,
         plan: Option<Arc<FaultPlan>>,
     ) -> Self {
-        let mut hop_meters = Meters::new();
+        let mut hop_meters = MetersBuilder::new();
         let mut hops = |dir: &str| -> Vec<EthLink<T>> {
             (0..locals)
                 .map(|m| {
@@ -280,8 +280,9 @@ impl<T: Clone> EthSwitch<T> {
             params.uplink_latency,
             params.uplink_bytes_per_cycle,
         );
-        let mut meters = Meters::new();
-        let slots = SwitchMeters::register(&mut meters);
+        let mut names = MetersBuilder::new();
+        let slots = SwitchMeters::register(&mut names);
+        let mut meters = names.build();
         meters.add(slots.frames, 0);
         meters.add(slots.bytes, 0);
         Self {
@@ -297,7 +298,7 @@ impl<T: Clone> EthSwitch<T> {
             plan,
             meters,
             slots,
-            hop_meters,
+            hop_meters: hop_meters.build(),
             delayed: 0,
             duplicated: 0,
         }

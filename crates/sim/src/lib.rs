@@ -11,10 +11,11 @@
 //!   everything that leaves the FPGA (inter-node links, DRAM interfaces),
 //! - [`SimRng`] — a tiny, deterministic xorshift RNG so whole-platform runs
 //!   are reproducible bit-for-bit,
-//! - [`Meters`] — one component's counters, histograms and port meters:
-//!   every event is one indexed add into a slot ([`meter_slots!`] names
-//!   them), rendered cold into a [`Stats`] of counters or a
-//!   [`MetricsRegistry`] with [`Histogram`]s and `port.*` lines,
+//! - [`Meters`] — one component's counters, histograms and port meters,
+//!   registered through a [`MetersBuilder`] ([`meter_slots!`] names them):
+//!   every event is one indexed add into a slot, rendered cold into a
+//!   [`Stats`] of counters or a [`MetricsRegistry`] with [`Histogram`]s
+//!   and `port.*` lines,
 //! - [`FaultPlan`]/[`FaultInjector`] — deterministic, seed-driven *timing*
 //!   fault injection (delays, duplicates, stalls, latency spikes) whose
 //!   decisions are pure functions of `(seed, stream, seq)`, identical
@@ -30,17 +31,18 @@
 //! still only ever touched by one thread at a time).
 //!
 //! ```
-//! use smappic_sim::{DelayPort, Meters, Port};
+//! use smappic_sim::{DelayPort, MetersBuilder, Port};
 //!
-//! let mut meters = Meters::new();
-//! let mut f: Port<u32> = Port::bounded(meters.port("fifo"), 2);
+//! let mut names = MetersBuilder::new();
+//! let mut f: Port<u32> = Port::bounded(names.port("fifo"), 2);
+//! let mut d: DelayPort<&str> = DelayPort::new(names.port("wire"), 3);
+//! let mut meters = names.build();
 //! assert!(f.try_push(1, &mut meters).is_ok());
 //! assert!(f.try_push(2, &mut meters).is_ok());
 //! assert!(f.try_push(3, &mut meters).is_err()); // full: back-pressure
 //! assert_eq!(f.pop(), Some(1));
 //! assert_eq!(meters.stalls(f.slot()), 1);
 //!
-//! let mut d: DelayPort<&str> = DelayPort::new(meters.port("wire"), 3);
 //! d.push(0, "hello", &mut meters);
 //! assert_eq!(d.pop_ready(2), None);      // not yet visible
 //! assert_eq!(d.pop_ready(3), Some("hello"));
@@ -73,7 +75,7 @@ pub use snap::{
     SnapError, SnapReader, SnapSink, SnapWriter, Snapshot, StreamSink, StreamSource,
     HOST_SECTION_PREFIX, SNAP_VERSION,
 };
-pub use stats::{CounterSlot, Histogram, HistogramSlot, Meters, PortSlot, Stats};
+pub use stats::{CounterSlot, Histogram, HistogramSlot, Meters, MetersBuilder, PortSlot, Stats};
 
 /// A simulation timestamp in clock cycles of the component's own clock domain.
 pub type Cycle = u64;

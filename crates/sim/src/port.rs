@@ -208,9 +208,10 @@ enum Bound {
 /// the stall. Elastic ports (see [`ELASTIC_PREALLOC_CAP`]) never reject.
 ///
 /// ```
-/// use smappic_sim::{Meters, Port};
-/// let mut meters = Meters::new();
-/// let mut p = Port::bounded(meters.port("xbar.req_in"), 2);
+/// use smappic_sim::{MetersBuilder, Port};
+/// let mut names = MetersBuilder::new();
+/// let mut p = Port::bounded(names.port("xbar.req_in"), 2);
+/// let mut meters = names.build();
 /// assert_eq!(p.credits(), 2);
 /// p.try_push('a', &mut meters).unwrap();
 /// p.try_push('b', &mut meters).unwrap();
@@ -436,9 +437,10 @@ impl<T> Port<T> {
 /// metered like a [`Port`].
 ///
 /// ```
-/// use smappic_sim::{DelayPort, Meters};
-/// let mut meters = Meters::new();
-/// let mut d = DelayPort::new(meters.port("bpc.resp"), 2);
+/// use smappic_sim::{DelayPort, MetersBuilder};
+/// let mut names = MetersBuilder::new();
+/// let mut d = DelayPort::new(names.port("bpc.resp"), 2);
+/// let mut meters = names.build();
 /// d.push(10, 'x', &mut meters);
 /// assert_eq!(d.pop_ready(11), None);
 /// assert_eq!(d.pop_ready(12), Some('x'));
@@ -633,9 +635,9 @@ mod tests {
 
     /// A fresh block and one port slot in it.
     fn block(name: &'static str) -> (Meters, PortSlot) {
-        let mut m = Meters::new();
+        let mut m = crate::MetersBuilder::new();
         let slot = m.port(name);
-        (m, slot)
+        (m.build(), slot)
     }
 
     #[test]

@@ -106,45 +106,24 @@ enum Meter {
     Port(PortSlot),
 }
 
-/// One component's counters, histograms and port meters: a `Vec<u64>` of
-/// counts and a `Vec<Histogram>`, named by a table filled once at
-/// construction.
+/// The names a component's meters render under, registered while the
+/// component is built; [`MetersBuilder::build`] then allocates the
+/// [`Meters`] block that holds them, exactly sized.
 ///
-/// Registering returns a slot ([`Meters::counter`], [`Meters::histogram`],
-/// [`Meters::port`]); every event is then one indexed add into the block.
-/// A component owns its block beside the ports that record into it, so a
-/// push such as `self.noc_out.push(pkt, &mut self.meters)` borrows two
-/// fields of one component and nothing crosses a component boundary.
-///
-/// Rendering ([`Meters::stats`], [`Meters::render`]) is the cold path: a
-/// counter renders once it has been added to, even when it sums to zero;
-/// histograms and ports always render, ports under
-/// `{root}.{name}.{pushes,stalls,peak,occupancy}`. The block is saved
-/// inside its owner's snapshot section; the names are configuration.
-///
-/// ```
-/// use smappic_sim::{Meters, MetricsRegistry, Port};
-/// let mut meters = Meters::new();
-/// let req = meters.counter("xbar.req");
-/// let mut q = Port::bounded(meters.port("m0.req_in"), 2);
-/// q.try_push('a', &mut meters).unwrap();
-/// meters.incr(req);
-/// assert_eq!(meters.stats().get("xbar.req"), 1);
-/// let mut m = MetricsRegistry::new();
-/// meters.render("port.fpga0.xbar", &mut m);
-/// assert_eq!(m.counter("port.fpga0.xbar.m0.req_in.pushes"), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Meters {
-    counts: Vec<u64>,
-    histograms: Vec<Histogram>,
+/// Registering returns a slot: [`MetersBuilder::counter`],
+/// [`MetersBuilder::histogram`], [`MetersBuilder::port`].
+#[derive(Debug, Default)]
+pub struct MetersBuilder {
+    counts: u32,
+    histograms: u32,
     names: Vec<(Cow<'static, str>, Meter)>,
 }
 
-impl Meters {
-    /// An empty block.
+impl MetersBuilder {
+    /// No meters yet, with room for a typical component's names so that
+    /// registering seldom reallocates.
     pub fn new() -> Self {
-        Self::default()
+        Self { names: Vec::with_capacity(16), ..Self::default() }
     }
 
     /// Registers a counter that renders as `name`.
@@ -169,17 +148,62 @@ impl Meters {
         slot
     }
 
-    fn alloc_counts(&mut self, n: usize) -> u32 {
-        let at = self.counts.len();
-        self.counts.resize(at + n, 0);
-        at as u32
+    fn alloc_counts(&mut self, n: u32) -> u32 {
+        self.counts += n;
+        self.counts - n
     }
 
     fn alloc_histogram(&mut self) -> u32 {
-        self.histograms.push(Histogram::new());
-        (self.histograms.len() - 1) as u32
+        self.histograms += 1;
+        self.histograms - 1
     }
 
+    /// The block every registered slot indexes, all meters at zero.
+    pub fn build(self) -> Meters {
+        Meters {
+            counts: vec![0; self.counts as usize],
+            histograms: vec![Histogram::new(); self.histograms as usize],
+            names: self.names,
+        }
+    }
+}
+
+/// One component's counters, histograms and port meters: a `Vec<u64>` of
+/// counts and a `Vec<Histogram>`, named by a table filled once, by the
+/// [`MetersBuilder`] the component registered its slots with.
+///
+/// Every event is one indexed add into the block. A component owns its
+/// block beside the ports that record into it, so a push such as
+/// `self.noc_out.push(pkt, &mut self.meters)` borrows two fields of one
+/// component and nothing crosses a component boundary.
+///
+/// Rendering ([`Meters::stats`], [`Meters::render`]) is the cold path: a
+/// counter renders once it has been added to, even when it sums to zero;
+/// histograms and ports always render, ports under
+/// `{root}.{name}.{pushes,stalls,peak,occupancy}`. The block is saved
+/// inside its owner's snapshot section; the names are configuration.
+///
+/// ```
+/// use smappic_sim::{MetersBuilder, MetricsRegistry, Port};
+/// let mut names = MetersBuilder::new();
+/// let req = names.counter("xbar.req");
+/// let mut q = Port::bounded(names.port("m0.req_in"), 2);
+/// let mut meters = names.build();
+/// q.try_push('a', &mut meters).unwrap();
+/// meters.incr(req);
+/// assert_eq!(meters.stats().get("xbar.req"), 1);
+/// let mut m = MetricsRegistry::new();
+/// meters.render("port.fpga0.xbar", &mut m);
+/// assert_eq!(m.counter("port.fpga0.xbar.m0.req_in.pushes"), 1);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Meters {
+    counts: Vec<u64>,
+    histograms: Vec<Histogram>,
+    names: Vec<(Cow<'static, str>, Meter)>,
+}
+
+impl Meters {
     /// Adds `delta` to counter `c`.
     #[inline]
     pub fn add(&mut self, c: CounterSlot, delta: u64) {
@@ -298,7 +322,7 @@ impl Meters {
 
 /// Declares a component's named meter slots: a struct of
 /// [`CounterSlot`]s and [`HistogramSlot`]s whose `register` adds each one
-/// to a [`Meters`] block under its name, in declaration order.
+/// to a [`MetersBuilder`] under its name, in declaration order.
 ///
 /// ```
 /// smappic_sim::meter_slots! {
@@ -308,8 +332,9 @@ impl Meters {
 ///         wait: histogram("xbar.wait"),
 ///     }
 /// }
-/// let mut meters = smappic_sim::Meters::new();
-/// let m = XbarMeters::register(&mut meters);
+/// let mut names = smappic_sim::MetersBuilder::new();
+/// let m = XbarMeters::register(&mut names);
+/// let mut meters = names.build();
 /// meters.incr(m.req);
 /// meters.record(m.wait, 12);
 /// assert_eq!(meters.stats().get("xbar.req"), 1);
@@ -329,7 +354,7 @@ macro_rules! meter_slots {
 
         impl $name {
             /// Registers every slot in `meters`, in declaration order.
-            $vis fn register(meters: &mut $crate::Meters) -> Self {
+            $vis fn register(meters: &mut $crate::MetersBuilder) -> Self {
                 Self { $($field: meters.$kind($label)),* }
             }
         }
@@ -704,11 +729,11 @@ mod tests {
     /// Two blocks that share every name, as two tiles' caches do.
     fn twin_blocks() -> [(Meters, CounterSlot, HistogramSlot, PortSlot); 2] {
         std::array::from_fn(|_| {
-            let mut m = Meters::new();
+            let mut m = MetersBuilder::new();
             let c = m.counter("bpc.hit");
             let h = m.histogram("bpc.miss_latency");
             let p = m.port("noc_out");
-            (m, c, h, p)
+            (m.build(), c, h, p)
         })
     }
 

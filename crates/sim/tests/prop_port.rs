@@ -18,14 +18,15 @@
 
 use std::collections::VecDeque;
 
-use smappic_sim::{DelayPort, Histogram, Meters, Port, Ring, SimRng, ELASTIC_PREALLOC_CAP};
+use smappic_sim::{DelayPort, Histogram, MetersBuilder, Port, Ring, SimRng, ELASTIC_PREALLOC_CAP};
 
 /// Drives a bounded port and a `VecDeque` model through the same random
 /// op sequence, checking structural invariants after every op.
 fn drive_bounded(seed: u64, capacity: usize, ops: usize) {
     let mut rng = SimRng::new(seed);
-    let mut meters = Meters::new();
-    let mut port: Port<u64> = Port::bounded(meters.port("prop.q"), capacity);
+    let mut names = MetersBuilder::new();
+    let mut port: Port<u64> = Port::bounded(names.port("prop.q"), capacity);
+    let mut meters = names.build();
     let slot = port.slot();
     let mut model: VecDeque<u64> = VecDeque::new();
     let mut occupancy = Histogram::new();
@@ -119,8 +120,9 @@ fn bounded_port_matches_model_across_seeds_and_capacities() {
 
 #[test]
 fn full_port_push_counts_a_stall_per_rejection() {
-    let mut m = Meters::new();
-    let mut p: Port<u32> = Port::bounded(m.port("prop.stall"), 2);
+    let mut names = MetersBuilder::new();
+    let mut p: Port<u32> = Port::bounded(names.port("prop.stall"), 2);
+    let mut m = names.build();
     p.try_push(1, &mut m).unwrap();
     p.try_push(2, &mut m).unwrap();
     for k in 0..5u32 {
@@ -138,8 +140,9 @@ fn full_port_push_counts_a_stall_per_rejection() {
 fn elastic_port_conserves_order_through_growth() {
     for seed in 0..8u64 {
         let mut rng = SimRng::new(seed);
-        let mut m = Meters::new();
-        let mut port: Port<u64> = Port::elastic_with(m.port("prop.elastic"), 2);
+        let mut names = MetersBuilder::new();
+        let mut port: Port<u64> = Port::elastic_with(names.port("prop.elastic"), 2);
+        let mut m = names.build();
         let mut model: VecDeque<u64> = VecDeque::new();
         let mut next = 0u64;
         for _ in 0..2_000 {
@@ -164,8 +167,9 @@ fn delay_port_never_reorders_equal_stamp_items() {
     for seed in 0..16u64 {
         let mut rng = SimRng::new(seed);
         for latency in [0u64, 1, 4] {
-            let mut m = Meters::new();
-            let mut d: DelayPort<u64> = DelayPort::new(m.port("prop.delay"), latency);
+            let mut names = MetersBuilder::new();
+            let mut d: DelayPort<u64> = DelayPort::new(names.port("prop.delay"), latency);
+            let mut m = names.build();
             let mut now = 0u64;
             let mut seq = 0u64;
             // Push in bursts: several items share one cycle stamp.
@@ -195,8 +199,9 @@ fn delay_port_never_reorders_equal_stamp_items() {
 
 #[test]
 fn delay_port_pops_exactly_at_maturity() {
-    let mut m = Meters::new();
-    let mut d: DelayPort<u8> = DelayPort::new(m.port("prop.mature"), 7);
+    let mut names = MetersBuilder::new();
+    let mut d: DelayPort<u8> = DelayPort::new(names.port("prop.mature"), 7);
+    let mut m = names.build();
     d.push(100, 1, &mut m);
     assert_eq!(d.peek_ready(106), None);
     assert_eq!(d.pop_ready(106), None, "must not mature early");
@@ -248,6 +253,6 @@ fn ring_matches_model_under_mixed_front_back_ops() {
 fn elastic_prealloc_hint_is_capped() {
     let r: Ring<u8> = Ring::with_prealloc(1 << 20);
     assert_eq!(r.slots(), ELASTIC_PREALLOC_CAP, "hints must clamp to the documented cap");
-    let p: Port<u8> = Port::elastic_with(Meters::new().port("prop.capped"), 1 << 20);
+    let p: Port<u8> = Port::elastic_with(MetersBuilder::new().port("prop.capped"), 1 << 20);
     assert_eq!(p.capacity(), usize::MAX);
 }

@@ -2,7 +2,7 @@
 
 use smappic_coherence::{Bpc, CoreReq, CoreResp, LlcSlice};
 use smappic_noc::{Gid, Msg, Packet};
-use smappic_sim::{Cycle, Meters, Port, SaveState, SnapReader, SnapWriter};
+use smappic_sim::{Cycle, Meters, MetersBuilder, Port, SaveState, SnapReader, SnapWriter};
 
 use crate::tri::{Engine, MmioResp, Tri};
 
@@ -62,7 +62,7 @@ pub struct Tile {
 impl Tile {
     /// Assembles a tile.
     pub fn new(id: Gid, bpc: Bpc, llc: LlcSlice, engine: Box<dyn Engine>) -> Self {
-        let mut meters = Meters::new();
+        let mut meters = MetersBuilder::new();
         let out =
             std::array::from_fn(|vn| Port::elastic_with(meters.port(format!("out.vn{vn}")), 8));
         Self {
@@ -72,7 +72,7 @@ impl Tile {
             engine,
             pending_mmio: Port::elastic_with(meters.port("pending_mmio"), 4),
             out,
-            meters,
+            meters: meters.build(),
             sleep_until: None,
             skipped_cycles: 0,
             fast_path: true,
