@@ -481,8 +481,8 @@ impl MetricsRegistry {
     }
 
     /// Adds `delta` to a single named counter (creating it at zero when
-    /// absent) — the entry point port meters use to publish their stall
-    /// and peak counters.
+    /// absent) — the entry point a [`Meters`](crate::Meters) block renders
+    /// its counters and port meters through.
     pub fn add_counter(&mut self, name: &str, delta: u64) {
         self.counters.add(name, delta);
     }
@@ -494,14 +494,6 @@ impl MetricsRegistry {
             cur.merge(h);
         } else {
             self.histograms.insert(name.to_owned(), h.clone());
-        }
-    }
-
-    /// Merges a whole registry into this one.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        self.counters.merge(&other.counters);
-        for (k, h) in &other.histograms {
-            self.merge_histogram(k, h);
         }
     }
 
