@@ -455,15 +455,6 @@ impl Chipset {
         self.to_mesh[pkt.vn.index()].push(pkt, &mut self.meters);
     }
 
-    /// Debug: depths of the per-VN mesh egress queues and the memory
-    /// controller staging queue.
-    pub fn queue_depths(&self) -> ([usize; 3], usize) {
-        (
-            [self.to_mesh[0].len(), self.to_mesh[1].len(), self.to_mesh[2].len()],
-            self.memctl_retry.len(),
-        )
-    }
-
     /// Next packet to inject into the mesh edge (any virtual network).
     pub fn pop_to_mesh(&mut self) -> Option<Packet> {
         self.to_mesh.iter_mut().find_map(Port::pop)

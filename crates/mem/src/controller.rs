@@ -145,11 +145,6 @@ impl MemController {
         &mut self.trace
     }
 
-    /// Debug: (noc_in, noc_out, inflight, dram in-flight) depths.
-    pub fn queue_depths(&self) -> (usize, usize, usize, bool) {
-        (self.noc_in.len(), self.noc_out.len(), self.inflight.len(), self.dram.is_idle())
-    }
-
     /// True when no request is anywhere in the pipeline.
     pub fn is_idle(&self) -> bool {
         self.noc_in.is_empty()

@@ -21,20 +21,18 @@
 //!   and deadline. Jobs are preempted cooperatively at epoch-grain
 //!   boundaries ([`smappic_core::Platform::run_preemptible`]) — under
 //!   [`PreemptMode::WhenOutranked`], as soon as a higher-priority task
-//!   waits — parked as a compressed stream image plus a delta of the
-//!   dirty sections, and may resume on a *different* worker —
-//!   bit-identically, proven by `tests/service_equivalence.rs` at the
-//!   repo root. An [`ElasticPolicy`] grows and shrinks the active pool
-//!   against a live cost model. A per-job [`smappic_core::Watchdog`]
-//!   converts livelocks into structured exits, and a panicking job (see
-//!   [`PoisonEngine`]) is isolated into its own error report while
-//!   sibling jobs complete untouched. With a [`CheckpointPolicy`], jobs
+//!   waits — parked as one compressed stream image, and may resume on
+//!   any worker — bit-identically, proven by
+//!   `tests/service_equivalence.rs` at the repo root. A per-job
+//!   [`smappic_core::Watchdog`] converts livelocks into structured
+//!   exits, and a panicking job (see [`PoisonEngine`]) is isolated into
+//!   its own error report while sibling jobs complete untouched. With a [`CheckpointPolicy`], jobs
 //!   spill their state to disk every N quanta and a killed fleet resumes
 //!   from those directories via [`Scheduler::resume`].
 //! - [`JobReport`] — the per-job artifact: exit status, cycles, cyc/s,
 //!   [`smappic_core::HostPerf`] accumulated across migrations, an
 //!   architectural digest (identical for identical specs regardless of
-//!   worker count or steal order), snapshot size accounting (raw vs
+//!   worker count or dispatch order), snapshot size accounting (raw vs
 //!   compressed), and optionally the final image and a Perfetto trace
 //!   path. [`Scheduler::run_fleet`] additionally returns a
 //!   [`FleetResult`] carrying the scheduler's own metrics registry
@@ -43,7 +41,7 @@
 //! ## Determinism contract
 //!
 //! A job's architectural results depend only on its [`JobSpec`] — never
-//! on the worker pool size, preemption pattern, or steal order. The
+//! on the worker pool size, preemption pattern, or dispatch order. The
 //! scheduler guarantees this by (1) cutting jobs only at multiples of
 //! [`smappic_core::Platform::preemption_grain`], so the epoch schedule of
 //! a sliced run matches an unsliced one byte-for-byte, and (2) parking
@@ -59,8 +57,8 @@ mod workload;
 
 pub use report::{JobExit, JobReport, RejectReason};
 pub use scheduler::{
-    digest_platform, CheckpointPolicy, ElasticPolicy, FleetResult, PreemptMode, Scheduler,
-    SchedulerConfig, TenantQuota,
+    digest_platform, CheckpointPolicy, FleetResult, PreemptMode, Scheduler, SchedulerConfig,
+    TenantQuota,
 };
 pub use spec::{FaultProfileSpec, JobFaults, JobSpec, StepperSpec, TopoSpec, WorkloadSpec};
 pub use workload::PoisonEngine;

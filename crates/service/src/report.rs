@@ -3,6 +3,8 @@
 use smappic_core::HostPerf;
 use smappic_sim::{read_stream, SnapError, Snapshot};
 
+use crate::spec::JobSpec;
+
 /// Why the scheduler's admission control refused a job. Admission is a
 /// pure function of the submitted fleet and the [`crate::SchedulerConfig`]
 /// in submission order, so the same fleet is rejected identically on
@@ -106,7 +108,7 @@ pub struct JobReport {
     /// Fingerprint of the job's architectural outcome (final cycle +
     /// platform statistics + architectural metrics). A pure function of
     /// the [`crate::JobSpec`]: identical regardless of worker count,
-    /// preemption pattern, or steal order. Zero for panicked and
+    /// preemption pattern, or dispatch order. Zero for panicked and
     /// rejected jobs (no platform outcome exists).
     pub digest: u64,
     /// Raw payload bytes of the final image (section contents, before
@@ -130,6 +132,34 @@ pub struct JobReport {
 }
 
 impl JobReport {
+    /// The report of job `job`, submitted as `spec`, that ended with
+    /// `exit` after `cycles` executed cycles. Identity fields come from
+    /// the spec and `deadline_missed` from its deadline; every execution
+    /// field starts zero or empty, for the caller to set the ones it owns.
+    pub(crate) fn new(job: usize, spec: &JobSpec, exit: JobExit, cycles: u64) -> Self {
+        Self {
+            job,
+            name: spec.name.clone(),
+            tenant: spec.tenant.clone(),
+            priority: spec.priority,
+            exit,
+            cycles,
+            deadline_missed: spec.deadline_cycles.is_some_and(|d| cycles > d),
+            wall_secs: 0.0,
+            preemptions: 0,
+            migrations: 0,
+            workers: Vec::new(),
+            host_perf: HostPerf::default(),
+            digest: 0,
+            snapshot_bytes: 0,
+            compressed_bytes: 0,
+            park_raw_bytes: 0,
+            park_stored_bytes: 0,
+            final_snapshot_z: None,
+            trace_path: None,
+        }
+    }
+
     /// True for [`JobExit::Completed`].
     pub fn is_completed(&self) -> bool {
         matches!(self.exit, JobExit::Completed { .. })

@@ -1,7 +1,6 @@
 //! The job scheduler: a multi-tenant resource manager over a pool of OS
 //! worker threads, with admission control, per-tenant quotas, priority
-//! scheduling with aging, cooperative epoch-boundary preemption, and an
-//! elastic pool sized against a live cost model.
+//! scheduling with aging, and cooperative epoch-boundary preemption.
 //!
 //! ## Execution model
 //!
@@ -49,19 +48,6 @@
 //! never out-spend its own budget, so the quota can never be exceeded
 //! mid-flight; per-quantum epoch-grain spend accounting feeds the
 //! metrics that prove it).
-//!
-//! ## Elastic pool
-//!
-//! With an [`ElasticPolicy`] the pool spans `min_workers..=max_workers`
-//! OS threads; surplus workers sleep. Between quanta the scheduler
-//! re-evaluates a simple live cost model: demand is the queue depth plus
-//! the jobs in flight, and capacity beyond the floor is kept only while
-//! the marginal worker's measured throughput (an EWMA of simulated
-//! cyc/s, fed by segment wall times and [`HostPerf`]-informed cycle
-//! counts) values above `worker_cost`. Resizing moves one worker per
-//! evaluation to damp oscillation. Because parking is deterministic and
-//! jobs are pure functions of their specs, elasticity never leaks into
-//! results — only into wall time.
 //!
 //! ## Parked images
 //!
@@ -115,17 +101,16 @@ use crate::spec::JobSpec;
 /// When a running job offers its preemption points to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreemptMode {
-    /// Run every segment to completion (serial batch semantics).
+    /// Run every segment to completion (serial batch semantics; what
+    /// [`Scheduler::serial`] uses).
     Never,
-    /// Yield only while other tasks are waiting in a queue — the
-    /// fair-sharing default.
-    WhenContended,
     /// Yield only while a *strictly higher* effective-priority task is
-    /// waiting — the multi-tenant priority-preemption policy. Equal
+    /// waiting — the multi-tenant priority-preemption default. Equal
     /// priorities run to quantum exhaustion without churn.
     WhenOutranked,
-    /// Yield at every quantum boundary (maximum churn; what the
-    /// determinism suites use to stress migration).
+    /// Yield at every quantum boundary: maximum park/resume churn, which
+    /// the determinism suites use to prove a preempted, resumed job is
+    /// bit-identical to an uninterrupted one.
     Always,
 }
 
@@ -151,35 +136,6 @@ impl TenantQuota {
     }
 }
 
-/// Elastic worker-pool policy: the pool spans `min_workers..=max_workers`
-/// threads and resizes between quanta against a live cost model (queue
-/// depth + measured throughput). See the module docs.
-#[derive(Debug, Clone)]
-pub struct ElasticPolicy {
-    /// Pool floor (always-on workers).
-    pub min_workers: usize,
-    /// Pool ceiling (OS threads actually spawned).
-    pub max_workers: usize,
-    /// Milliseconds between cost-model evaluations.
-    pub eval_ms: u64,
-    /// Cost of keeping one worker active, in abstract value units per
-    /// second.
-    pub worker_cost: f64,
-    /// Value of one million simulated cycles, in the same units. Growth
-    /// beyond the floor happens only while the marginal worker's EWMA
-    /// throughput times this value covers `worker_cost`.
-    pub mcycle_value: f64,
-}
-
-impl ElasticPolicy {
-    /// A policy spanning `min..=max` workers with the default cost model
-    /// (growth is worthwhile whenever measured throughput clears one
-    /// worker-cost per million cycles per second).
-    pub fn range(min_workers: usize, max_workers: usize) -> Self {
-        Self { min_workers, max_workers, eval_ms: 2, worker_cost: 1.0, mcycle_value: 1.0 }
-    }
-}
-
 /// Periodic spill-to-disk of every running job's state, for crash
 /// recovery via [`Scheduler::resume`].
 #[derive(Debug, Clone)]
@@ -196,8 +152,7 @@ pub struct CheckpointPolicy {
 /// Scheduler tuning.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// OS worker threads in the pool. Ignored when `elastic` is set (the
-    /// policy's `max_workers` is spawned instead).
+    /// OS worker threads in the pool.
     pub workers: usize,
     /// Target cycles per scheduling quantum; rounded up to the job's
     /// [`Platform::preemption_grain`] so cuts stay on epoch boundaries.
@@ -215,12 +170,6 @@ pub struct SchedulerConfig {
     /// Aging rate: a waiting task's effective priority rises one step
     /// every this many fleet-wide executed quanta (0 disables aging).
     pub aging_quanta: u64,
-    /// Elastic worker-pool policy; `None` keeps a fixed pool of
-    /// `workers` threads.
-    pub elastic: Option<ElasticPolicy>,
-    /// Forbid the worker that parked a job from resuming it while peers
-    /// exist — guarantees every preemption is a migration. Test knob.
-    pub force_migrate: bool,
     /// Keep each completed job's final image (compressed) in its report
     /// (the equivalence suite compares them; costs memory on big
     /// platforms).
@@ -242,12 +191,10 @@ impl Default for SchedulerConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             quantum: 50_000,
             watchdog: WatchdogConfig::default(),
-            preempt: PreemptMode::WhenContended,
+            preempt: PreemptMode::WhenOutranked,
             max_pending: 0,
             quotas: Vec::new(),
             aging_quanta: 64,
-            elastic: None,
-            force_migrate: false,
             capture_final_snapshots: false,
             checkpoint: None,
             trace_dir: None,
@@ -259,8 +206,8 @@ impl Default for SchedulerConfig {
 /// A fleet's full outcome: one report per submitted spec (in submission
 /// order) plus the scheduler's own observability registry — queue-depth
 /// and per-tenant wait/run histograms, admission and preemption
-/// counters, elastic-pool sizing — in the same [`MetricsRegistry`] idiom
-/// the platform uses for architectural metrics.
+/// counters — in the same [`MetricsRegistry`] idiom the platform uses
+/// for architectural metrics.
 #[derive(Debug)]
 pub struct FleetResult {
     /// One report per submitted spec, in submission order.
@@ -273,7 +220,7 @@ pub struct FleetResult {
 /// aggregated statistics, and the architectural metrics registry. Host
 /// diagnostics (wall time, fast-path counters) are deliberately excluded,
 /// so the digest is a pure function of the job spec — identical across
-/// worker counts, steal orders, and preemption patterns.
+/// worker counts, dispatch orders, and preemption patterns.
 pub fn digest_platform(p: &Platform) -> u64 {
     let text = format!("{}\n{}\n{}", p.now(), p.stats(), p.metrics().architectural_text());
     fnv1a(text.as_bytes())
@@ -297,8 +244,6 @@ struct Task {
     workers: Vec<usize>,
     /// Worker that parked the last segment (migration accounting).
     last_worker: Option<usize>,
-    /// Worker forbidden from resuming this task (`force_migrate`).
-    banned: Option<usize>,
     /// Watchdog stall state carried across segments.
     wd_sig: Option<u64>,
     wd_change_at: Cycle,
@@ -324,13 +269,27 @@ impl Task {
             migrations: 0,
             workers: Vec::new(),
             last_worker: None,
-            banned: None,
             wd_sig: None,
             wd_change_at: 0,
             wall_secs: 0.0,
             perf: HostPerf::default(),
             park_raw_bytes: 0,
             park_stored_bytes: 0,
+        }
+    }
+
+    /// The terminal report of this task: [`JobReport::new`] plus the
+    /// execution accounting the task carried across its segments.
+    fn report(self, exit: JobExit, cycles: u64) -> JobReport {
+        JobReport {
+            wall_secs: self.wall_secs,
+            preemptions: self.preemptions,
+            migrations: self.migrations,
+            workers: self.workers,
+            host_perf: self.perf,
+            park_raw_bytes: self.park_raw_bytes,
+            park_stored_bytes: self.park_stored_bytes,
+            ..JobReport::new(self.id, &self.spec, exit, cycles)
         }
     }
 }
@@ -397,31 +356,12 @@ struct ReadyQueue {
     dispatches: u64,
 }
 
-/// Elastic-pool state behind its own lock (touched at eval cadence, not
-/// per dispatch).
-struct ElasticState {
-    last_eval: Option<Instant>,
-    /// EWMA of fleet-aggregate simulated cycles per wall second.
-    ewma_cps: f64,
-    grow: u64,
-    shrink: u64,
-    sizes: Histogram,
-}
-
 struct Shared {
     ready: Mutex<ReadyQueue>,
     tenants: Vec<TenantState>,
-    /// OS threads actually spawned (the elastic ceiling, or `workers`).
-    pool: usize,
-    /// Workers currently allowed to dispatch; indexes >= this sleep.
-    active: AtomicUsize,
-    /// Tasks currently sitting in the ready queue (drives `WhenContended`).
-    queued: AtomicUsize,
     /// Best waiting effective priority + 1; 0 when the queue is empty
     /// (drives `WhenOutranked` without taking the queue lock).
     top_waiting: AtomicU64,
-    /// Segments executing right now (demand signal for the cost model).
-    running: AtomicUsize,
     /// Fleet-wide executed quanta: the aging clock.
     quanta: AtomicU64,
     /// Jobs not yet reported; workers exit when it reaches zero.
@@ -430,7 +370,6 @@ struct Shared {
     ckpts: AtomicU64,
     /// Simulated-crash flag: when set, workers stop dead.
     abandoned: AtomicBool,
-    elastic: Mutex<ElasticState>,
     reports: Mutex<Vec<JobReport>>,
 }
 
@@ -448,10 +387,6 @@ impl Scheduler {
     pub fn new(cfg: SchedulerConfig) -> Self {
         assert!(cfg.workers >= 1, "the pool needs at least one worker");
         assert!(cfg.quantum >= 1, "the quantum must be positive");
-        if let Some(e) = &cfg.elastic {
-            assert!(e.min_workers >= 1, "the elastic pool needs at least one worker");
-            assert!(e.max_workers >= e.min_workers, "elastic max_workers must be >= min_workers");
-        }
         Self { cfg }
     }
 
@@ -482,7 +417,7 @@ impl Scheduler {
 
     /// Like [`Scheduler::run`], but also returns the scheduler's own
     /// [`MetricsRegistry`] (queue depth, per-tenant wait/run histograms,
-    /// admission/preemption counters, elastic sizing).
+    /// admission/preemption counters).
     pub fn run_fleet(&self, specs: &[JobSpec]) -> FleetResult {
         self.launch(specs, false)
     }
@@ -536,7 +471,8 @@ impl Scheduler {
                     RejectReason::CycleQuota { .. } => rejected_quota += 1,
                 }
                 tenant_rejected[tid] += 1;
-                let report = rejected_report(id, spec, reason.clone());
+                let report =
+                    JobReport::new(id, spec, JobExit::Rejected { reason: reason.clone() }, 0);
                 persist_terminal(&self.cfg, spec, &report);
                 preloaded.push(report);
                 continue;
@@ -566,8 +502,6 @@ impl Scheduler {
             t.tenant = tid;
             tasks.push(t);
         }
-        let pool = self.cfg.elastic.as_ref().map_or(self.cfg.workers, |e| e.max_workers);
-        let active0 = self.cfg.elastic.as_ref().map_or(pool, |e| e.min_workers);
         let n_tenants = tenants.len();
         let shared = Shared {
             ready: Mutex::new(ReadyQueue {
@@ -582,29 +516,18 @@ impl Scheduler {
                 dispatches: 0,
             }),
             tenants,
-            pool,
-            active: AtomicUsize::new(active0),
-            queued: AtomicUsize::new(0),
             top_waiting: AtomicU64::new(0),
-            running: AtomicUsize::new(0),
             quanta: AtomicU64::new(0),
             outstanding: AtomicUsize::new(tasks.len()),
             ckpts: AtomicU64::new(0),
             abandoned: AtomicBool::new(false),
-            elastic: Mutex::new(ElasticState {
-                last_eval: None,
-                ewma_cps: 0.0,
-                grow: 0,
-                shrink: 0,
-                sizes: Histogram::new(),
-            }),
             reports: Mutex::new(Vec::with_capacity(specs.len())),
         };
         for task in tasks {
             enqueue(&shared, &self.cfg, task);
         }
         std::thread::scope(|scope| {
-            for w in 0..pool {
+            for w in 0..self.cfg.workers {
                 let shared = &shared;
                 let cfg = &self.cfg;
                 scope.spawn(move || worker_loop(w, shared, cfg));
@@ -619,7 +542,6 @@ impl Scheduler {
         // (they describe the host-side schedule), so everything lives
         // under the `sched.` namespace.
         let rq = shared.ready.into_inner().expect("queue lock");
-        let es = shared.elastic.into_inner().expect("elastic lock");
         let mut m = MetricsRegistry::new();
         m.add_counter("sched.jobs", specs.len() as u64);
         m.add_counter("sched.admitted", (specs.len() - rejections.iter().flatten().count()) as u64);
@@ -629,15 +551,10 @@ impl Scheduler {
         m.add_counter("sched.dispatches", rq.dispatches);
         m.add_counter("sched.queue.peak_depth", rq.depth_peak);
         m.add_counter("sched.quanta", shared.quanta.load(Ordering::SeqCst));
-        m.add_counter("sched.workers.pool", pool as u64);
+        m.add_counter("sched.workers.pool", self.cfg.workers as u64);
         m.merge_histogram("sched.queue.depth", &rq.depth);
         m.add_counter("sched.preemptions", reports.iter().map(|r| r.preemptions).sum());
         m.add_counter("sched.migrations", reports.iter().map(|r| r.migrations).sum());
-        if self.cfg.elastic.is_some() {
-            m.add_counter("sched.elastic.grow", es.grow);
-            m.add_counter("sched.elastic.shrink", es.shrink);
-            m.merge_histogram("sched.workers.active", &es.sizes);
-        }
         for (tid, t) in shared.tenants.iter().enumerate() {
             let k = |suffix: &str| format!("sched.tenant.{}.{suffix}", t.name);
             m.add_counter(&k("admitted"), tenant_admitted[tid]);
@@ -719,32 +636,6 @@ fn admit(
         .collect()
 }
 
-/// The terminal report for a job admission refused: zero cycles, zero
-/// digest, a typed reason.
-fn rejected_report(id: usize, spec: &JobSpec, reason: RejectReason) -> JobReport {
-    JobReport {
-        job: id,
-        name: spec.name.clone(),
-        tenant: spec.tenant.clone(),
-        priority: spec.priority,
-        exit: JobExit::Rejected { reason },
-        cycles: 0,
-        deadline_missed: false,
-        wall_secs: 0.0,
-        preemptions: 0,
-        migrations: 0,
-        workers: Vec::new(),
-        host_perf: HostPerf::default(),
-        digest: 0,
-        snapshot_bytes: 0,
-        compressed_bytes: 0,
-        park_raw_bytes: 0,
-        park_stored_bytes: 0,
-        final_snapshot_z: None,
-        trace_path: None,
-    }
-}
-
 /// Effective priority: the base boosted one step per `aging` fleet-wide
 /// quanta spent waiting, saturating at the maximum — the no-starvation
 /// rule.
@@ -782,15 +673,13 @@ fn enqueue(sh: &Shared, cfg: &SchedulerConfig, task: Task) {
     let depth = rq.items.len() as u64;
     rq.depth.record(depth);
     rq.depth_peak = rq.depth_peak.max(depth);
-    sh.queued.fetch_add(1, Ordering::SeqCst);
     refresh_top(&rq, sh, cfg);
 }
 
-/// Dispatches the best runnable task for worker `w`: highest effective
-/// priority, then earliest deadline, then submission order — skipping
-/// tasks whose tenant is at its in-flight cap and tasks banned for this
-/// worker (force-migrate; void when only one worker could ever run them).
-fn next_task(w: usize, sh: &Shared, cfg: &SchedulerConfig) -> Option<Task> {
+/// Dispatches the best runnable task: highest effective priority, then
+/// earliest deadline, then submission order — skipping tasks whose
+/// tenant is at its in-flight cap.
+fn next_task(sh: &Shared, cfg: &SchedulerConfig) -> Option<Task> {
     /// Dispatch order: effective priority, then EDF, then submission.
     type DispatchKey = (u8, std::cmp::Reverse<u64>, std::cmp::Reverse<u64>);
     let mut rq = sh.ready.lock().expect("queue lock");
@@ -798,13 +687,9 @@ fn next_task(w: usize, sh: &Shared, cfg: &SchedulerConfig) -> Option<Task> {
         return None;
     }
     let now_q = sh.quanta.load(Ordering::SeqCst);
-    let many = sh.pool > 1 && sh.active.load(Ordering::SeqCst) > 1;
     let mut best: Option<(usize, DispatchKey)> = None;
     for (i, q) in rq.items.iter().enumerate() {
         let t = &q.task;
-        if many && t.banned == Some(w) {
-            continue;
-        }
         let ts = &sh.tenants[t.tenant];
         if ts.max_in_flight > 0 && rq.running[t.tenant] >= ts.max_in_flight {
             continue;
@@ -827,8 +712,6 @@ fn next_task(w: usize, sh: &Shared, cfg: &SchedulerConfig) -> Option<Task> {
     rq.dispatches += 1;
     let wait = q.since.elapsed().as_micros().min(u64::MAX as u128) as u64;
     rq.wait_us[tid].record(wait);
-    sh.queued.fetch_sub(1, Ordering::SeqCst);
-    sh.running.fetch_add(1, Ordering::SeqCst);
     refresh_top(&rq, sh, cfg);
     Some(q.task)
 }
@@ -836,65 +719,9 @@ fn next_task(w: usize, sh: &Shared, cfg: &SchedulerConfig) -> Option<Task> {
 /// Dispatch-side bookkeeping when a segment ends for any reason: the
 /// tenant's in-flight slot frees and the segment wall time is recorded.
 fn segment_finished(sh: &Shared, tid: usize, wall_secs: f64) {
-    sh.running.fetch_sub(1, Ordering::SeqCst);
     let mut rq = sh.ready.lock().expect("queue lock");
     rq.running[tid] = rq.running[tid].saturating_sub(1);
     rq.run_us[tid].record((wall_secs * 1e6) as u64);
-}
-
-/// One cost-model evaluation: resize the active pool toward demand,
-/// gated on the marginal worker paying for itself. Cheap enough to call
-/// every loop iteration — the time gate and `try_lock` make it a no-op
-/// almost always.
-fn elastic_tick(sh: &Shared, pol: &ElasticPolicy) {
-    let Ok(mut st) = sh.elastic.try_lock() else { return };
-    let now = Instant::now();
-    if let Some(last) = st.last_eval {
-        if now.duration_since(last) < Duration::from_millis(pol.eval_ms) {
-            return;
-        }
-    }
-    st.last_eval = Some(now);
-    let demand = sh.queued.load(Ordering::SeqCst) + sh.running.load(Ordering::SeqCst);
-    let active = sh.active.load(Ordering::SeqCst);
-    let mut desired = demand.clamp(pol.min_workers, pol.max_workers);
-    if desired > active && st.ewma_cps > 0.0 {
-        // The live cost model: growth is worthwhile only while the
-        // marginal worker's expected throughput share values above its
-        // cost. Before any measurement exists the model is optimistic
-        // (a fleet that never runs can never measure).
-        let per_worker_value = st.ewma_cps / active.max(1) as f64 / 1e6 * pol.mcycle_value;
-        if per_worker_value < pol.worker_cost {
-            desired = active;
-        }
-    }
-    // One step per evaluation damps oscillation.
-    let next = match desired.cmp(&active) {
-        std::cmp::Ordering::Greater => active + 1,
-        std::cmp::Ordering::Less => active - 1,
-        std::cmp::Ordering::Equal => active,
-    }
-    .clamp(pol.min_workers, pol.max_workers);
-    match next.cmp(&active) {
-        std::cmp::Ordering::Greater => st.grow += 1,
-        std::cmp::Ordering::Less => st.shrink += 1,
-        std::cmp::Ordering::Equal => {}
-    }
-    if next != active {
-        sh.active.store(next, Ordering::SeqCst);
-    }
-    st.sizes.record(next as u64);
-}
-
-/// Feeds the cost model one finished segment's measured throughput.
-fn note_throughput(sh: &Shared, cycles: u64, wall: f64) {
-    if cycles == 0 || wall <= 0.0 {
-        return;
-    }
-    if let Ok(mut st) = sh.elastic.lock() {
-        let cps = cycles as f64 / wall;
-        st.ewma_cps = if st.ewma_cps > 0.0 { 0.7 * st.ewma_cps + 0.3 * cps } else { cps };
-    }
 }
 
 fn worker_loop(w: usize, sh: &Shared, cfg: &SchedulerConfig) {
@@ -905,15 +732,7 @@ fn worker_loop(w: usize, sh: &Shared, cfg: &SchedulerConfig) {
         if sh.outstanding.load(Ordering::SeqCst) == 0 {
             return; // graceful shutdown: every job reported
         }
-        if let Some(pol) = &cfg.elastic {
-            elastic_tick(sh, pol);
-            if w >= sh.active.load(Ordering::SeqCst) {
-                // Deactivated by the cost model: sleep until re-grown.
-                std::thread::sleep(Duration::from_micros(200));
-                continue;
-            }
-        }
-        match next_task(w, sh, cfg) {
+        match next_task(sh, cfg) {
             Some(task) => run_segment(w, task, sh, cfg),
             None => std::thread::sleep(Duration::from_micros(50)),
         }
@@ -961,7 +780,6 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
             task.migrations += 1;
         }
     }
-    task.banned = None;
     let spec = task.spec.clone();
     let budget = spec.budget;
     let tid = task.tenant;
@@ -1038,7 +856,6 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
             let yield_now = match cfg.preempt {
                 PreemptMode::Never => false,
                 PreemptMode::Always => true,
-                PreemptMode::WhenContended => sh.queued.load(Ordering::SeqCst) > 0,
                 PreemptMode::WhenOutranked => {
                     let top = sh.top_waiting.load(Ordering::SeqCst);
                     top > 0 && top - 1 > spec.priority as u64
@@ -1053,103 +870,49 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
     let seg_wall = t0.elapsed().as_secs_f64();
     task.wall_secs += seg_wall;
     segment_finished(sh, tid, seg_wall);
-    let deadline_missed = |cycles: u64| spec.deadline_cycles.is_some_and(|d| cycles > d);
     match result {
         Err(payload) => {
-            let message = payload_message(payload.as_ref());
-            let report = JobReport {
-                job: task.id,
-                name: task.spec.name.clone(),
-                tenant: task.spec.tenant.clone(),
-                priority: task.spec.priority,
-                exit: JobExit::Panicked { message },
-                cycles: task.spent,
-                deadline_missed: deadline_missed(task.spent),
-                wall_secs: task.wall_secs,
-                preemptions: task.preemptions,
-                migrations: task.migrations,
-                workers: task.workers,
-                host_perf: task.perf,
-                digest: 0,
-                snapshot_bytes: 0,
-                compressed_bytes: 0,
-                park_raw_bytes: task.park_raw_bytes,
-                park_stored_bytes: task.park_stored_bytes,
-                final_snapshot_z: None,
-                trace_path: None,
-            };
+            let exit = JobExit::Panicked { message: payload_message(payload.as_ref()) };
+            let cycles = task.spent;
+            let report = task.report(exit, cycles);
             persist_terminal(cfg, &spec, &report);
             file_report(sh, report);
         }
         Ok(Segment::Done { mut p, idle, spent }) => {
-            if cfg.elastic.is_some() {
-                note_throughput(sh, spent - spent0, seg_wall);
-            }
             let digest = digest_platform(&p);
             let (final_snapshot_z, snapshot_bytes, compressed_bytes) = final_sizes(&p, cfg);
-            let trace_path = if task.spec.trace {
+            let trace_path = if spec.trace {
                 cfg.trace_dir.as_deref().and_then(|d| write_trace(&mut p, d, task.id, &spec.name))
             } else {
                 None
             };
-            let mut perf = task.perf;
-            perf += p.host_perf();
+            task.perf += p.host_perf();
             let report = JobReport {
-                job: task.id,
-                name: task.spec.name.clone(),
-                tenant: task.spec.tenant.clone(),
-                priority: task.spec.priority,
-                exit: JobExit::Completed { idle },
-                cycles: spent,
-                deadline_missed: deadline_missed(spent),
-                wall_secs: task.wall_secs,
-                preemptions: task.preemptions,
-                migrations: task.migrations,
-                workers: task.workers,
-                host_perf: perf,
                 digest,
                 snapshot_bytes,
                 compressed_bytes,
-                park_raw_bytes: task.park_raw_bytes,
-                park_stored_bytes: task.park_stored_bytes,
                 final_snapshot_z,
                 trace_path,
+                ..task.report(JobExit::Completed { idle }, spent)
             };
             persist_terminal(cfg, &spec, &report);
             file_report(sh, report);
         }
         Ok(Segment::Livelocked { p, since, spent }) => {
             let (final_snapshot_z, snapshot_bytes, compressed_bytes) = final_sizes(&p, cfg);
-            let mut perf = task.perf;
-            perf += p.host_perf();
+            task.perf += p.host_perf();
+            let exit = JobExit::Livelocked { stalled_since: since, detected_at: p.now() };
             let report = JobReport {
-                job: task.id,
-                name: task.spec.name.clone(),
-                tenant: task.spec.tenant.clone(),
-                priority: task.spec.priority,
-                exit: JobExit::Livelocked { stalled_since: since, detected_at: p.now() },
-                cycles: spent,
-                deadline_missed: deadline_missed(spent),
-                wall_secs: task.wall_secs,
-                preemptions: task.preemptions,
-                migrations: task.migrations,
-                workers: task.workers,
-                host_perf: perf,
                 digest: digest_platform(&p),
                 snapshot_bytes,
                 compressed_bytes,
-                park_raw_bytes: task.park_raw_bytes,
-                park_stored_bytes: task.park_stored_bytes,
                 final_snapshot_z,
-                trace_path: None,
+                ..task.report(exit, spent)
             };
             persist_terminal(cfg, &spec, &report);
             file_report(sh, report);
         }
         Ok(Segment::Parked { image, raw, spent, wd, perf }) => {
-            if cfg.elastic.is_some() {
-                note_throughput(sh, spent - spent0, seg_wall);
-            }
             task.park_raw_bytes += raw;
             task.park_stored_bytes += image.len() as u64;
             task.image = Some(image);
@@ -1158,7 +921,6 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
             (task.wd_sig, task.wd_change_at) = wd;
             task.perf += perf;
             task.last_worker = Some(w);
-            task.banned = cfg.force_migrate.then_some(w);
             enqueue(sh, cfg, task);
         }
         Ok(Segment::Abandoned) => {
@@ -1331,6 +1093,12 @@ fn recover_job(root: &Path, id: usize, spec: &JobSpec) -> Recovered {
     if snap.state_digest() != digest {
         return Recovered::Fresh;
     }
+    // The digest covers the image's cycle but not the meta's own numbers:
+    // trust `spent` and the watchdog's last-change cycle only where the
+    // image agrees with them and the budget still has cycles left.
+    if meta.spent != snap.cycle || meta.spent >= spec.budget || meta.wd.1 > snap.cycle {
+        return Recovered::Fresh;
+    }
     let mut task = Task::fresh(id, spec.clone());
     task.image = Some(state);
     task.spent = meta.spent;
@@ -1407,25 +1175,13 @@ fn parse_report_marker(job: usize, spec: &JobSpec, text: &str) -> Option<JobRepo
     };
     let cycles = parse_u64(kv(&lines, "cycles")?)?;
     Some(JobReport {
-        job,
-        name: spec.name.clone(),
-        tenant: spec.tenant.clone(),
-        priority: spec.priority,
-        exit,
-        cycles,
-        deadline_missed: spec.deadline_cycles.is_some_and(|d| cycles > d),
         wall_secs: kv(&lines, "wall_secs")?.parse().ok()?,
         preemptions: parse_u64(kv(&lines, "preemptions")?)?,
         migrations: parse_u64(kv(&lines, "migrations")?)?,
-        workers: Vec::new(),
-        host_perf: HostPerf::default(),
         digest: parse_u64(kv(&lines, "digest")?)?,
         snapshot_bytes: parse_u64(kv(&lines, "snapshot_bytes")?)?,
         compressed_bytes: parse_u64(kv(&lines, "compressed_bytes")?)?,
-        park_raw_bytes: 0,
-        park_stored_bytes: 0,
-        final_snapshot_z: None,
-        trace_path: None,
+        ..JobReport::new(job, spec, exit, cycles)
     })
 }
 
@@ -1471,13 +1227,11 @@ mod tests {
             workers: 2,
             quantum: 2_000,
             preempt: PreemptMode::Always,
-            force_migrate: true,
             ..SchedulerConfig::default()
         };
         let reports = Scheduler::new(cfg).run(&[spec.clone()]);
         assert!(reports[0].is_completed());
         assert!(reports[0].preemptions > 0, "Always must preempt a long job");
-        assert!(reports[0].migrations > 0, "force_migrate must move it across workers");
         let baseline = Scheduler::serial().run(&[spec]);
         assert_eq!(reports[0].digest, baseline[0].digest);
         assert_eq!(reports[0].cycles, baseline[0].cycles);
@@ -1514,7 +1268,6 @@ mod tests {
             workers: 2,
             quantum: 2_000,
             preempt: PreemptMode::Always,
-            force_migrate: true,
             ..SchedulerConfig::default()
         };
         let reports = Scheduler::new(cfg).run(&[spec]);
@@ -1575,34 +1328,5 @@ mod tests {
         assert_eq!(effective_priority(0, 0, 64 * 99, 64), JobSpec::MAX_PRIORITY);
         assert_eq!(effective_priority(0, 0, u64::MAX, 0), 0, "aging 0 disables the boost");
         assert_eq!(effective_priority(6, 100, 164, 64), 7);
-    }
-
-    #[test]
-    fn elastic_pool_completes_the_fleet_with_identical_digests() {
-        let specs: Vec<JobSpec> = (0..4)
-            .map(|i| {
-                let mut s = JobSpec::small(
-                    &format!("e{i}"),
-                    WorkloadSpec::AmoHeavy { ops: 40, seed: 10 + i },
-                );
-                s.budget = 3_000_000;
-                s
-            })
-            .collect();
-        let cfg = SchedulerConfig {
-            workers: 1, // ignored: elastic policy wins
-            quantum: 5_000,
-            preempt: PreemptMode::Always,
-            elastic: Some(ElasticPolicy { eval_ms: 0, ..ElasticPolicy::range(1, 3) }),
-            ..SchedulerConfig::default()
-        };
-        let fleet = Scheduler::new(cfg).run_fleet(&specs);
-        let baseline = Scheduler::serial().run(&specs);
-        for (e, b) in fleet.reports.iter().zip(&baseline) {
-            assert!(e.is_completed());
-            assert_eq!(e.digest, b.digest, "elastic resizing must not leak into results");
-            assert_eq!(e.cycles, b.cycles);
-        }
-        assert!(fleet.metrics.counter("sched.elastic.grow") > 0, "demand of 4 must grow the pool");
     }
 }

@@ -21,8 +21,8 @@ fn good_job(i: usize) -> JobSpec {
 #[test]
 fn a_panicking_job_is_isolated_and_siblings_are_untouched() {
     let mut fleet: Vec<JobSpec> = (0..4).map(good_job).collect();
-    // Detonate mid-run, after the scheduler has had a chance to preempt
-    // and migrate the job at least once (the fuse spans several quanta).
+    // Detonate mid-run, after the scheduler has had a chance to park and
+    // resume the job at least once (the fuse spans several quanta).
     let mut saboteur = JobSpec::small("saboteur", WorkloadSpec::Poison { after: 9_000 });
     saboteur.budget = 1_000_000;
     fleet.insert(2, saboteur);
@@ -95,7 +95,7 @@ fn a_livelocked_job_reports_structured_error_while_the_pool_drains() {
         workers: 2,
         quantum: 4_000,
         watchdog: WatchdogConfig { stall_limit: 30_000, check_interval: 1_000 },
-        preempt: PreemptMode::WhenContended,
+        preempt: PreemptMode::WhenOutranked,
         ..SchedulerConfig::default()
     })
     .run(&fleet);

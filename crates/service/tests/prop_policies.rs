@@ -8,14 +8,13 @@
 //!    every admitted low-priority job still reaches a terminal state and
 //!    actually executes;
 //! 3. rejection determinism — the same fleet + config rejects the same
-//!    jobs with the same typed reasons regardless of worker count or
-//!    elastic resizing;
-//! 4. digest identity across 1/2/4 workers with elastic resizing on —
+//!    jobs with the same typed reasons regardless of worker count;
+//! 4. digest identity across 1/2/4 workers and every preemption mode —
 //!    the core determinism contract survives the resource manager.
 
 use smappic_service::{
-    ElasticPolicy, JobExit, JobSpec, PreemptMode, RejectReason, Scheduler, SchedulerConfig,
-    TenantQuota, WorkloadSpec,
+    JobExit, JobSpec, PreemptMode, RejectReason, Scheduler, SchedulerConfig, TenantQuota,
+    WorkloadSpec,
 };
 use smappic_sim::SimRng;
 
@@ -206,43 +205,38 @@ fn rejection_is_deterministic_across_pool_shapes() {
     let specs: Vec<JobSpec> = (0..12)
         .map(|i| tenant_job(&mut rng, i, ["quotad", "free"][(i % 2 != 0) as usize]))
         .collect();
-    let policy = |workers: usize, elastic: Option<ElasticPolicy>| SchedulerConfig {
+    let policy = |workers: usize| SchedulerConfig {
         workers,
         quantum: 4_000,
-        preempt: PreemptMode::WhenContended,
+        preempt: PreemptMode::WhenOutranked,
         max_pending: 7,
         quotas: vec![TenantQuota {
             tenant: "quotad".into(),
             max_in_flight: 1,
             cycle_budget: Some(5_000_000),
         }],
-        elastic,
         ..SchedulerConfig::default()
     };
-    let outcomes: Vec<Vec<Option<RejectReason>>> = [
-        policy(1, None),
-        policy(2, None),
-        policy(4, Some(ElasticPolicy { eval_ms: 0, ..ElasticPolicy::range(1, 4) })),
-    ]
-    .into_iter()
-    .map(|cfg| {
-        Scheduler::new(cfg)
-            .run(&specs)
-            .into_iter()
-            .map(|r| match r.exit {
-                JobExit::Rejected { reason } => Some(reason),
-                _ => None,
-            })
-            .collect()
-    })
-    .collect();
+    let outcomes: Vec<Vec<Option<RejectReason>>> = [policy(1), policy(2), policy(4)]
+        .into_iter()
+        .map(|cfg| {
+            Scheduler::new(cfg)
+                .run(&specs)
+                .into_iter()
+                .map(|r| match r.exit {
+                    JobExit::Rejected { reason } => Some(reason),
+                    _ => None,
+                })
+                .collect()
+        })
+        .collect();
     assert!(outcomes[0].iter().any(Option::is_some), "the scenario must actually reject something");
     assert_eq!(outcomes[0], outcomes[1], "worker count changed the rejected set");
-    assert_eq!(outcomes[0], outcomes[2], "elastic resizing changed the rejected set");
+    assert_eq!(outcomes[0], outcomes[2], "a four-worker pool changed the rejected set");
 }
 
 #[test]
-fn digests_are_identical_across_1_2_4_workers_with_elastic_resizing() {
+fn digests_are_identical_across_1_2_4_workers() {
     let mut rng = SimRng::new(0xe1_a5_7c);
     let specs: Vec<JobSpec> =
         (0..5).map(|i| tenant_job(&mut rng, i, ["a", "b"][(i % 2 != 0) as usize])).collect();
@@ -252,7 +246,6 @@ fn digests_are_identical_across_1_2_4_workers_with_elastic_resizing() {
             workers: 2,
             quantum: 4_000,
             preempt: PreemptMode::Always,
-            force_migrate: true,
             quotas: vec![TenantQuota::in_flight("a", 1)],
             ..SchedulerConfig::default()
         },
@@ -261,7 +254,6 @@ fn digests_are_identical_across_1_2_4_workers_with_elastic_resizing() {
             quantum: 6_000,
             preempt: PreemptMode::WhenOutranked,
             aging_quanta: 4,
-            elastic: Some(ElasticPolicy { eval_ms: 0, ..ElasticPolicy::range(1, 4) }),
             ..SchedulerConfig::default()
         },
     ]
@@ -347,8 +339,8 @@ fn saturation_gate_oversubscribed_fleet_bounded_queue_zero_lost_jobs() {
 
     // The same gate under the full policy stack: four tenants in priority
     // order (interactive jobs carry deadlines and an in-flight cap, batch a
-    // cycle budget covering half its share), preemption when outranked, an
-    // elastic pool, and a queue bound at three quarters of the fleet.
+    // cycle budget covering half its share), preemption when outranked, a
+    // four-worker pool, and a queue bound at three quarters of the fleet.
     let tenants = [("interactive", 6), ("ci", 4), ("batch", 2), ("best-effort", 0)];
     let budget = 400_000;
     let specs: Vec<JobSpec> = (0..240)
@@ -368,6 +360,7 @@ fn saturation_gate_oversubscribed_fleet_bounded_queue_zero_lost_jobs() {
         .collect();
     let per_tenant = (specs.len() / tenants.len()) as u64;
     let cfg = SchedulerConfig {
+        workers: 4,
         quantum: 5_000,
         preempt: PreemptMode::WhenOutranked,
         max_pending: specs.len() * 3 / 4,
@@ -379,7 +372,6 @@ fn saturation_gate_oversubscribed_fleet_bounded_queue_zero_lost_jobs() {
                 cycle_budget: Some(per_tenant / 2 * budget),
             },
         ],
-        elastic: Some(ElasticPolicy::range(2, 4)),
         ..SchedulerConfig::default()
     };
     let (_, queue_full, cycle_quota) = saturate(&specs, cfg);

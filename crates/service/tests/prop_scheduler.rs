@@ -2,11 +2,10 @@
 //! the workspace's in-tree proptest idiom):
 //!
 //! 1. every submitted job reaches a terminal state exactly once — no
-//!    lost and no duplicated jobs, however hard the pool preempts and
-//!    steals;
+//!    lost and no duplicated jobs, however hard the pool preempts;
 //! 2. `JobSpec` text round-trips losslessly for randomized specs;
-//! 3. reports are independent of worker count and steal order: the same
-//!    fleet produces the same digests/cycles/exits on 1, 2, and 3
+//! 3. reports are independent of worker count and dispatch order: the
+//!    same fleet produces the same digests/cycles/exits on 1, 2, and 3
 //!    workers with maximal preemption churn.
 
 use smappic_core::WatchdogConfig;
@@ -113,11 +112,8 @@ fn every_job_reaches_a_terminal_state_exactly_once() {
             workers: rng.gen_range(3) as usize + 1,
             quantum: 3_000,
             preempt: PreemptMode::Always,
-            force_migrate: rng.chance(0.5),
             ..SchedulerConfig::default()
         };
-        let force_migrate = cfg.force_migrate;
-        let workers = cfg.workers;
         let reports = Scheduler::new(cfg).run(&specs);
 
         assert_eq!(reports.len(), n, "round {round}: one report per job, none lost");
@@ -137,14 +133,6 @@ fn every_job_reaches_a_terminal_state_exactly_once() {
                 );
                 assert_ne!(r.digest, 0, "round {round}: completed jobs carry a digest");
             }
-            // With one worker the force-migrate ban is void (nobody else
-            // could ever resume the job), so the guarantee needs peers.
-            if force_migrate && workers > 1 && r.preemptions > 0 {
-                assert_eq!(
-                    r.preemptions, r.migrations,
-                    "round {round}: with force_migrate every preemption is a migration"
-                );
-            }
         }
     }
 }
@@ -159,7 +147,6 @@ fn reports_are_independent_of_worker_count_and_steal_order() {
             workers: 2,
             quantum: 4_000,
             preempt: PreemptMode::Always,
-            force_migrate: true,
             ..SchedulerConfig::default()
         },
         SchedulerConfig {
@@ -168,12 +155,14 @@ fn reports_are_independent_of_worker_count_and_steal_order() {
             preempt: PreemptMode::Always,
             ..SchedulerConfig::default()
         },
-        // A contended pool preempts data-dependently (queue occupancy),
-        // yet must still land on the same architectural outcome.
+        // Fast aging makes outranked preemption depend on what is
+        // waiting in the queue, yet it must still land on the same
+        // architectural outcome.
         SchedulerConfig {
             workers: 2,
             quantum: 6_000,
-            preempt: PreemptMode::WhenContended,
+            preempt: PreemptMode::WhenOutranked,
+            aging_quanta: 2,
             ..SchedulerConfig::default()
         },
     ]
@@ -198,7 +187,7 @@ fn reports_are_independent_of_worker_count_and_steal_order() {
 fn livelock_detection_is_schedule_invariant() {
     // A blackholed link freezes cross-FPGA progress; the per-job
     // watchdog must report the livelock at the same simulated cycle
-    // whether the job ran straight or was preempted/migrated throughout.
+    // whether the job ran straight or was parked and resumed throughout.
     let spec = JobSpec {
         name: "stuck".into(),
         fpgas: 2,
@@ -230,7 +219,6 @@ fn livelock_detection_is_schedule_invariant() {
     let churned = Scheduler::new(SchedulerConfig {
         workers: 2,
         preempt: PreemptMode::Always,
-        force_migrate: true,
         watchdog: wd,
         quantum: 5_000,
         ..SchedulerConfig::default()
@@ -243,7 +231,7 @@ fn livelock_detection_is_schedule_invariant() {
     let JobExit::Livelocked { stalled_since: c_since, detected_at: c_at } = c.exit else {
         panic!("churned run must livelock, got {:?}", c.exit);
     };
-    assert!(c.migrations > 0, "the churned run must actually migrate");
+    assert!(c.preemptions > 0, "the churned run must actually park and resume");
     assert_eq!((s_since, s_at), (c_since, c_at), "watchdog state must survive migration");
     assert_eq!(s.digest, c.digest, "the stuck state itself must be identical");
 }

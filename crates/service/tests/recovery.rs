@@ -65,6 +65,16 @@ fn job_dirs(root: &Path) -> Vec<PathBuf> {
     entries.map(|e| e.expect("dir entry").path()).collect()
 }
 
+/// Runs `specs` under [`ckpt_config`] until `k` checkpoints have been
+/// spilled, then simulates a crash; returns the checkpoint root. Every
+/// job must still be mid-flight.
+fn crashed_after(tag: &str, specs: &[JobSpec], k: u64) -> PathBuf {
+    let dir = scratch(tag);
+    let cfg = SchedulerConfig { abandon_after_checkpoints: Some(k), ..ckpt_config(dir.clone()) };
+    assert!(Scheduler::new(cfg).run(specs).is_empty(), "the job must die mid-flight");
+    dir
+}
+
 #[test]
 fn a_crashed_fleet_resumes_from_disk_with_identical_digests() {
     let specs = fleet();
@@ -158,14 +168,8 @@ fn a_state_one_checkpoint_ahead_of_its_meta_restarts_from_cycle_zero() {
     let whole_dir = scratch("window-whole");
     let whole = Scheduler::new(ckpt_config(whole_dir.clone())).run_fleet(specs);
     let quanta = whole.metrics.counter("sched.quanta");
-    let crashed_after = |k: u64| {
-        let dir = scratch(&format!("window-{k}"));
-        let cfg =
-            SchedulerConfig { abandon_after_checkpoints: Some(k), ..ckpt_config(dir.clone()) };
-        assert!(Scheduler::new(cfg).run(specs).is_empty(), "the job must die mid-flight");
-        dir
-    };
-    let (behind, ahead) = (crashed_after(1), crashed_after(2));
+    let (behind, ahead) =
+        (crashed_after("window-1", specs, 1), crashed_after("window-2", specs, 2));
     let state = |root: &Path| job_dirs(root)[0].join("state.bin");
     std::fs::copy(state(&ahead), state(&behind)).expect("state k+1 beside meta k");
 
@@ -181,6 +185,38 @@ fn a_state_one_checkpoint_ahead_of_its_meta_restarts_from_cycle_zero() {
     for dir in [behind, ahead, whole_dir] {
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn a_meta_whose_spent_disagrees_with_its_image_restarts_from_cycle_zero() {
+    // The meta's state digest covers the image, the image's cycle
+    // included, but not the meta's own `spent` line. A `spent` that is
+    // off by one grain, or past the budget, must not be trusted: the job
+    // restarts from cycle 0 and reports the uninterrupted run's result.
+    let specs = &fleet()[..1];
+    let whole_dir = scratch("spent-whole");
+    let whole = Scheduler::new(ckpt_config(whole_dir.clone())).run_fleet(specs);
+    let quanta = whole.metrics.counter("sched.quanta");
+    let grain = specs[0].build().preemption_grain();
+    for tag in ["ahead", "over"] {
+        let dir = crashed_after(&format!("spent-{tag}"), specs, 1);
+        let meta = job_dirs(&dir)[0].join("meta.txt");
+        let text = std::fs::read_to_string(&meta).expect("one checkpoint was published");
+        let spent: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("spent "))
+            .and_then(|v| v.parse().ok())
+            .expect("meta records spent");
+        let forged = if tag == "ahead" { spent + grain } else { specs[0].budget + 1 };
+        let text = text.replace(&format!("\nspent {spent}\n"), &format!("\nspent {forged}\n"));
+        std::fs::write(&meta, text).expect("rewrite the spent line");
+
+        let rerun = Scheduler::new(ckpt_config(dir.clone())).resume_fleet(specs);
+        assert_eq!(rerun.metrics.counter("sched.quanta"), quanta, "[{tag}] must restart from 0");
+        assert_recovered(&rerun.reports, &whole.reports);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&whole_dir);
 }
 
 /// Names the checkpoint root for [`killed_child_runs_the_long_fleet`];
