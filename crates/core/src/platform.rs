@@ -756,13 +756,6 @@ impl Platform {
         self.write_mem(img.base, &img.bytes);
     }
 
-    /// Host backdoor for independent-node prototypes (§4.5's 1x4x2): writes
-    /// into one specific node's DRAM, since without unified memory each
-    /// node is a separate system with its own address space.
-    pub fn write_mem_node(&mut self, g: usize, addr: u64, bytes: &[u8]) {
-        self.node_mut(g).chipset_mut().memctl_mut().dram_mut().write_bytes(addr, bytes);
-    }
-
     /// Host SD driver: injects a disk image into node `g`'s SD data region
     /// (the top half of that node's DRAM, §3.4.2).
     pub fn load_disk(&mut self, g: usize, image: &[u8]) {
@@ -1220,8 +1213,21 @@ impl Platform {
     /// Propagates the first sink error (e.g. I/O failure of a file-backed
     /// [`smappic_sim::StreamSink`]).
     pub fn snapshot_to(&self, sink: &mut dyn SnapSink) -> Result<(), SnapError> {
+        self.stream_walk(sink, None)
+    }
+
+    /// [`Platform::save_walk`] into `sink`, framed by `begin`/`finish`; a
+    /// delta walk names its base's state digest.
+    fn stream_walk(
+        &self,
+        sink: &mut dyn SnapSink,
+        delta_base: Option<u64>,
+    ) -> Result<(), SnapError> {
         sink.begin(smappic_sim::SNAP_VERSION, self.config_digest(), self.now)?;
-        let mut w = SnapWriter::streaming(sink);
+        let mut w = match delta_base {
+            Some(digest) => SnapWriter::streaming_delta(sink, digest),
+            None => SnapWriter::streaming(sink),
+        };
         self.save_walk(&mut w);
         w.finish()?;
         sink.finish()
@@ -1235,12 +1241,18 @@ impl Platform {
     /// current state is never held as a whole snapshot; only the dirty
     /// sections are copied.
     ///
+    /// A DRAM channel whose pages have not been written since they were
+    /// restored from `base` (by [`Platform::restore_from`], or by
+    /// [`Platform::restore`] of a snapshot read from a stream) declares
+    /// its `pages` section unchanged: it is neither serialised nor
+    /// compared.
+    ///
     /// # Errors
     ///
     /// [`SnapError::ConfigMismatch`] when `base` came from a different
     /// config (delegated to [`SnapDelta::streamed`]).
     pub fn snapshot_delta(&self, base: &Snapshot) -> Result<SnapDelta, SnapError> {
-        SnapDelta::streamed(base, |sink| self.snapshot_to(sink))
+        SnapDelta::streamed(base, |sink, base_digest| self.stream_walk(sink, Some(base_digest)))
     }
 
     /// Restores a snapshot taken from a platform with the same [`Config`],
@@ -1270,7 +1282,20 @@ impl Platform {
         self.restore_walk(&mut r);
         r.finish()?;
         self.now = snap.cycle;
+        if let Some(digest) = snap.carried_digest() {
+            self.note_pages_match(digest);
+        }
         Ok(())
+    }
+
+    /// Records in every DRAM channel that its pages equal their section in
+    /// the image with state digest `digest`, which was just restored.
+    fn note_pages_match(&mut self, digest: u64) {
+        for f in &mut self.fpgas {
+            for li in 0..f.nodes().len() {
+                f.node_mut(li).chipset_mut().memctl_mut().dram_mut().note_pages_match(digest);
+            }
+        }
     }
 
     /// The restore walk shared by [`Platform::restore`] and
@@ -1312,10 +1337,13 @@ impl Platform {
             return Err(SnapError::ConfigMismatch { found: src.config_digest(), expected });
         }
         let cycle = src.cycle();
-        let mut r = SnapReader::from_source(Box::new(move || src.next_section()));
+        let mut r = SnapReader::from_source(Box::new(|| src.next_section()));
         self.restore_walk(&mut r);
         r.finish()?;
         self.now = cycle;
+        // `finish` drained the source, so its trailer digest is verified.
+        let digest = src.verified_digest().expect("a finished restore read the trailer");
+        self.note_pages_match(digest);
         Ok(())
     }
 

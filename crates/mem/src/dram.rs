@@ -1,6 +1,5 @@
 //! Sparse copy-on-write DRAM with a latency + bandwidth performance model.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use smappic_axi::{AxiReadResp, AxiReq, AxiResp, AxiWriteResp};
@@ -66,7 +65,7 @@ meter_slots! {
 #[derive(Debug)]
 pub struct Dram {
     cfg: DramConfig,
-    pages: HashMap<u64, DramPage>,
+    pages: PageStore,
     pending: TrafficShaper<AxiReq>,
     responses: Vec<AxiResp>,
     faults: Option<FaultInjector>,
@@ -84,7 +83,7 @@ impl Dram {
         let mut meters = MetersBuilder::new();
         Self {
             cfg,
-            pages: HashMap::new(),
+            pages: PageStore::default(),
             pending,
             responses: Vec::new(),
             faults: None,
@@ -120,10 +119,8 @@ impl Dram {
             let chunk_len = (PAGE_SIZE - in_page).min(bytes.len() - off);
             let chunk = &bytes[off..off + chunk_len];
             let idx = a >> PAGE_SHIFT;
-            match self.pages.get_mut(&idx) {
-                Some(page) => {
-                    Arc::make_mut(page)[in_page..in_page + chunk_len].copy_from_slice(chunk)
-                }
+            match self.pages.page_mut(idx) {
+                Some(page) => page[in_page..in_page + chunk_len].copy_from_slice(chunk),
                 None if chunk.iter().all(|&b| b == 0) => {}
                 None => {
                     let mut page = [0u8; PAGE_SIZE];
@@ -143,7 +140,7 @@ impl Dram {
             let a = addr + off as u64;
             let in_page = (a & (PAGE_SIZE as u64 - 1)) as usize;
             let chunk_len = (PAGE_SIZE - in_page).min(len - off);
-            if let Some(page) = self.pages.get(&(a >> PAGE_SHIFT)) {
+            if let Some(page) = self.pages.get(a >> PAGE_SHIFT) {
                 out[off..off + chunk_len].copy_from_slice(&page[in_page..in_page + chunk_len]);
             }
             off += chunk_len;
@@ -157,7 +154,7 @@ impl Dram {
     /// physical copy until somebody writes.
     pub fn share_resident_pages(&self) -> Vec<(u64, DramPage)> {
         let mut out: Vec<(u64, DramPage)> =
-            self.pages.iter().map(|(&idx, p)| (idx, Arc::clone(p))).collect();
+            self.pages.iter().map(|(idx, p)| (idx, Arc::clone(p))).collect();
         out.sort_unstable_by_key(|&(idx, _)| idx);
         out
     }
@@ -167,6 +164,22 @@ impl Dram {
     /// later writes.
     pub fn install_page(&mut self, idx: u64, page: &DramPage) {
         self.pages.insert(idx, Arc::clone(page));
+    }
+
+    /// Records that the resident pages equal the `pages` section of the
+    /// image whose state digest is `digest`, which the caller has just
+    /// restored them from. Until the next write, a delta against that
+    /// image declares the section unchanged instead of serialising it
+    /// (see [`SnapWriter::scoped_matching`]).
+    pub fn note_pages_match(&mut self, digest: u64) {
+        self.pages.note_match(digest);
+    }
+
+    /// The state digest of the image whose `pages` section the resident
+    /// pages still equal: the one last given to
+    /// [`Dram::note_pages_match`], unless a page has been written since.
+    pub fn pages_match(&self) -> Option<u64> {
+        self.pages.matching_image()
     }
 
     /// Submits an AXI request; the response appears after the modeled
@@ -259,23 +272,79 @@ impl Default for Dram {
     }
 }
 
+/// The page map of one channel behind the only methods that mutate it,
+/// each of which bumps a write generation. Pages are private to this
+/// module, so a write that forgets the bump cannot be written.
+mod page_store {
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    use super::{DramPage, PAGE_SIZE};
+
+    #[derive(Debug, Default)]
+    pub(super) struct PageStore {
+        map: HashMap<u64, DramPage>,
+        /// Mutations so far.
+        generation: u64,
+        /// `(state digest, generation)`: the image whose `pages` section
+        /// this map equalled at that generation.
+        matched: Option<(u64, u64)>,
+    }
+
+    impl PageStore {
+        #[inline]
+        pub(super) fn get(&self, idx: u64) -> Option<&DramPage> {
+            self.map.get(&idx)
+        }
+
+        pub(super) fn iter(&self) -> impl Iterator<Item = (u64, &DramPage)> {
+            self.map.iter().map(|(&idx, p)| (idx, p))
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.map.len()
+        }
+
+        /// A resident page, unshared for writing (copy-on-write).
+        #[inline]
+        pub(super) fn page_mut(&mut self, idx: u64) -> Option<&mut [u8; PAGE_SIZE]> {
+            self.generation += 1;
+            self.map.get_mut(&idx).map(Arc::make_mut)
+        }
+
+        #[inline]
+        pub(super) fn insert(&mut self, idx: u64, page: DramPage) {
+            self.generation += 1;
+            self.map.insert(idx, page);
+        }
+
+        pub(super) fn clear(&mut self) {
+            self.generation += 1;
+            self.map.clear();
+        }
+
+        /// Records that the map equals the `pages` section of the image
+        /// with state digest `digest`.
+        pub(super) fn note_match(&mut self, digest: u64) {
+            self.matched = Some((digest, self.generation));
+        }
+
+        /// The state digest of the image whose `pages` section the map
+        /// still equals, if it has not been written since it was noted.
+        pub(super) fn matching_image(&self) -> Option<u64> {
+            self.matched.filter(|&(_, at)| at == self.generation).map(|(digest, _)| digest)
+        }
+    }
+}
+
+use page_store::PageStore;
+
 impl SaveState for Dram {
     fn save(&self, w: &mut SnapWriter) {
-        // Pages in sorted index order for deterministic bytes. The
-        // injector is a pure function of (seed, stream, seq) and lives in
-        // configuration; req_seq is the mutable cursor into its stream.
-        // All-zero pages are skipped: restore re-elides them (zero writes
-        // allocate nothing), so emitting them would break the
-        // save→restore→save byte fixed-point.
+        // The injector is a pure function of (seed, stream, seq) and lives
+        // in configuration; req_seq is the mutable cursor into its stream.
         let Self { cfg: _, pages, pending, responses, faults: _, req_seq, meters, slots: _ } = self;
-        let mut idxs: Vec<u64> =
-            pages.iter().filter(|(_, p)| p.iter().any(|&b| b != 0)).map(|(&idx, _)| idx).collect();
-        idxs.sort_unstable();
-        w.usize(idxs.len());
-        for idx in idxs {
-            w.u64(idx);
-            w.bytes(&pages[&idx][..]);
-        }
+        w.scoped_matching("pages", self.pages_match(), |w| save_pages(pages, w));
         pending.save(w);
         responses.pack(w);
         w.u64(*req_seq);
@@ -283,20 +352,8 @@ impl SaveState for Dram {
     }
 
     fn restore(&mut self, r: &mut SnapReader) {
-        self.pages = HashMap::new();
-        r.seq(|r| {
-            let idx = r.u64();
-            // Borrowed read: pages go straight from the section buffer
-            // into the backing store without an intermediate Vec.
-            let raw = r.byte_slice();
-            if raw.len() > PAGE_SIZE {
-                r.corrupt("DRAM page exceeds 4 KiB");
-            } else {
-                // write_bytes re-elides all-zero pages.
-                self.write_bytes(idx << PAGE_SHIFT, raw);
-            }
-        })
-        .for_each(drop);
+        let (pages, capacity) = (&mut self.pages, self.cfg.capacity);
+        r.scoped("pages", |r| restore_pages(pages, capacity, r));
         self.pending.restore(r);
         self.responses = Vec::unpack(r);
         self.req_seq = r.u64();
@@ -304,10 +361,54 @@ impl SaveState for Dram {
     }
 }
 
+/// Writes the `pages` section: nonzero pages in ascending index order, for
+/// deterministic bytes. All-zero pages are skipped: restore re-elides
+/// them, so emitting them would break the save→restore→save byte
+/// fixed-point.
+fn save_pages(pages: &PageStore, w: &mut SnapWriter) {
+    let mut idxs: Vec<u64> =
+        pages.iter().filter(|(_, p)| p.iter().any(|&b| b != 0)).map(|(idx, _)| idx).collect();
+    idxs.sort_unstable();
+    w.usize(idxs.len());
+    for idx in idxs {
+        w.u64(idx);
+        w.bytes(&pages.get(idx).expect("a listed page is resident")[..]);
+    }
+}
+
+/// Reads the `pages` section back. Only what [`save_pages`] writes is
+/// accepted: whole pages, inside the channel's capacity, in strictly
+/// ascending index order; anything else is a corrupt image.
+fn restore_pages(pages: &mut PageStore, capacity: u64, r: &mut SnapReader) {
+    pages.clear();
+    let page_count = capacity.div_ceil(PAGE_SIZE as u64);
+    let mut next_min = 0u64;
+    r.seq(|r| {
+        let idx = r.u64();
+        // Borrowed read: pages go straight from the section buffer into
+        // the backing store without an intermediate Vec.
+        let raw = r.byte_slice();
+        if idx >= page_count {
+            r.corrupt("DRAM page index past the channel's capacity");
+        } else if idx < next_min {
+            r.corrupt("DRAM page index repeated or out of order");
+        } else {
+            match <&[u8; PAGE_SIZE]>::try_from(raw) {
+                Err(_) => r.corrupt("DRAM page is not 4 KiB"),
+                Ok(page) if page.iter().all(|&b| b == 0) => {}
+                Ok(page) => pages.insert(idx, Arc::new(*page)),
+            }
+            next_min = idx + 1;
+        }
+    })
+    .for_each(drop);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use smappic_axi::{AxiRead, AxiWrite};
+    use smappic_sim::{SnapError, Snapshot};
 
     #[test]
     fn backdoor_roundtrip_across_pages() {
@@ -394,5 +495,60 @@ mod tests {
         let t = got_at.expect("spiked request still completes");
         assert!(t > 82, "spike_prob 1.0 must push past the clean 82-cycle time, got {t}");
         assert_eq!(d.stats().get("dram.spike"), 1);
+    }
+
+    /// Restores a fresh 64 KiB channel from an image whose `pages`
+    /// section is the records `(index, bytes)`, written the way `save`
+    /// frames them, and returns the channel and the outcome.
+    fn restore_pages_image(records: &[(u64, Vec<u8>)]) -> (Dram, Result<(), SnapError>) {
+        let cfg = DramConfig { capacity: 16 * PAGE_SIZE as u64, ..Default::default() };
+        let mut w = SnapWriter::new();
+        w.scoped("dram", |w| {
+            w.scoped("pages", |w| {
+                w.usize(records.len());
+                for (idx, bytes) in records {
+                    w.u64(*idx);
+                    w.bytes(bytes);
+                }
+            });
+            let Dram { pending, responses, req_seq, meters, .. } = Dram::new(cfg.clone());
+            pending.save(w);
+            responses.pack(w);
+            w.u64(req_seq);
+            meters.save(w);
+        });
+        let image = Snapshot::new(0, 0, w);
+        let mut d = Dram::new(cfg);
+        let mut r = SnapReader::new(&image);
+        r.scoped("dram", |r| d.restore(r));
+        (d, r.finish())
+    }
+
+    #[test]
+    fn well_formed_page_records_restore() {
+        let (d, res) = restore_pages_image(&[(1, vec![7; PAGE_SIZE]), (15, vec![9; PAGE_SIZE])]);
+        assert_eq!(res, Ok(()));
+        assert_eq!(d.read_bytes(PAGE_SIZE as u64, 2), vec![7, 7]);
+        assert_eq!(d.read_bytes(15 * PAGE_SIZE as u64, 2), vec![9, 9]);
+        assert_eq!(d.resident_pages(), 2);
+    }
+
+    #[test]
+    fn hostile_page_records_are_corrupt_images() {
+        let page = || vec![0xA5; PAGE_SIZE];
+        let cases = [
+            // 2^52 + 1 shifted by 12 wraps to page 1's address.
+            ("index aliasing a low page", vec![((1 << 52) + 1, page())]),
+            ("index past capacity", vec![(16, page())]),
+            ("repeated index", vec![(3, page()), (3, page())]),
+            ("decreasing index", vec![(5, page()), (2, page())]),
+            ("short page", vec![(1, vec![0xA5; 100])]),
+            ("long page", vec![(1, vec![0xA5; PAGE_SIZE + 1])]),
+        ];
+        for (what, records) in cases {
+            let (d, res) = restore_pages_image(&records);
+            assert!(matches!(res, Err(SnapError::Corrupt(_))), "{what}: {res:?}");
+            assert_eq!(d.read_bytes(PAGE_SIZE as u64, 1), vec![0], "{what}: page 1 written");
+        }
     }
 }

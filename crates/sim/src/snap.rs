@@ -56,8 +56,10 @@ use crate::codec;
 /// `*.llc` section), so an idle slice's section stops changing between
 /// snapshots. Version 4 saves each component's meters as one block in its
 /// own section instead of inside every port, drops the ports' unpublished
-/// pop counts, and keeps a counter's touched flag in its count.
-pub const SNAP_VERSION: u32 = 4;
+/// pop counts, and keeps a counter's touched flag in its count. Version 5
+/// moves each DRAM channel's pages into a `pages` section of their own,
+/// which a delta can declare unchanged without serialising it.
+pub const SNAP_VERSION: u32 = 5;
 
 /// Section-name prefix for host-side (non-architectural) stepper state.
 ///
@@ -225,6 +227,12 @@ impl ScopePath {
 /// memory at a time — the bounded-memory checkpoint path. Streamed
 /// sections cannot be reopened; doing so is recorded as a
 /// [`SnapError::Corrupt`] surfaced by [`SnapWriter::finish`].
+///
+/// A writer built with [`SnapWriter::streaming_delta`] streams a delta
+/// against a base image: a scope its owner opens with
+/// [`SnapWriter::scoped_matching`], naming that image, is handed to the
+/// sink as unchanged ([`SnapSink::unchanged`]) instead of being
+/// serialised.
 pub struct SnapWriter<'s> {
     path: ScopePath,
     /// Index into `sections` of the innermost open scope's section.
@@ -237,6 +245,10 @@ pub struct SnapWriter<'s> {
     /// Sections below this slot have been handed to the sink.
     next_flush: usize,
     sink: Option<&'s mut dyn SnapSink>,
+    /// State digest of the image a delta writer streams against.
+    delta_base: Option<u64>,
+    /// Slots of the sections declared unchanged against `delta_base`.
+    unchanged: Vec<usize>,
     error: Option<SnapError>,
 }
 
@@ -249,6 +261,8 @@ impl Default for SnapWriter<'_> {
             index: HashMap::new(),
             next_flush: 0,
             sink: None,
+            delta_base: None,
+            unchanged: Vec::new(),
             error: None,
         }
     }
@@ -277,6 +291,14 @@ impl<'s> SnapWriter<'s> {
     /// [`SnapWriter::finish`] after it.
     pub fn streaming(sink: &'s mut dyn SnapSink) -> Self {
         Self { sink: Some(sink), ..Self::default() }
+    }
+
+    /// Creates a streaming writer for a delta against the image whose
+    /// state digest is `base_digest`: like [`SnapWriter::streaming`], but
+    /// a [`SnapWriter::scoped_matching`] scope known to equal its section
+    /// in that image reaches `sink` as [`SnapSink::unchanged`].
+    pub fn streaming_delta(sink: &'s mut dyn SnapSink, base_digest: u64) -> Self {
+        Self { sink: Some(sink), delta_base: Some(base_digest), ..Self::default() }
     }
 
     fn fail(&mut self, e: SnapError) {
@@ -319,16 +341,28 @@ impl<'s> SnapWriter<'s> {
     /// sink, in first-open order, freeing its buffer.
     fn flush_pending(&mut self) {
         while self.next_flush < self.sections.len() {
-            let (name, buf) = &mut self.sections[self.next_flush];
+            let slot = self.next_flush;
+            let (name, buf) = &mut self.sections[slot];
             self.next_flush += 1;
             let buf = std::mem::take(buf);
             if self.error.is_some() {
                 continue;
             }
-            if let Some(sink) = self.sink.as_deref_mut() {
-                if let Err(e) = sink.section(name, &buf) {
-                    self.error = Some(e);
-                }
+            let Some(sink) = self.sink.as_deref_mut() else { continue };
+            let sent = if self.unchanged.contains(&slot) {
+                // Release builds leave `buf` empty; debug builds filled it
+                // to check the declaration against the base's bytes.
+                sink.unchanged(name).map(|base| {
+                    debug_assert!(
+                        base == &buf[..],
+                        "section '{name}' was declared unchanged but differs from the delta base"
+                    );
+                })
+            } else {
+                sink.section(name, &buf)
+            };
+            if let Err(e) = sent {
+                self.error = Some(e);
             }
         }
     }
@@ -348,6 +382,24 @@ impl<'s> SnapWriter<'s> {
             // rest: the next write outside a scope must look it up again.
             self.cur = NO_SECTION;
         }
+    }
+
+    /// Runs `f` under `name` like [`SnapWriter::scoped`], for a scope whose
+    /// owner knows it would write exactly its section in the image with
+    /// state digest `matches`. When this writer streams a delta against
+    /// that image ([`SnapWriter::streaming_delta`]), the section is
+    /// declared unchanged and `f` does not run; debug builds run it anyway
+    /// and assert its bytes equal the base's. Any other writer runs `f`.
+    pub fn scoped_matching(&mut self, name: &str, matches: Option<u64>, f: impl FnOnce(&mut Self)) {
+        if matches.is_none() || matches != self.delta_base {
+            return self.scoped(name, f);
+        }
+        self.scoped(name, |w| {
+            w.unchanged.push(w.cur);
+            if cfg!(debug_assertions) {
+                f(w);
+            }
+        });
     }
 
     /// Finishes a streaming writer: flushes any remaining sections and
@@ -872,13 +924,20 @@ impl Snapshot {
     /// sections; one built from a live walk or produced by
     /// [`Snapshot::apply_delta`] hashes them here.
     pub fn state_digest(&self) -> u64 {
-        match self.verified {
-            Some(v) if (v.config_digest, v.cycle) == (self.config_digest, self.cycle) => {
-                debug_assert_eq!(v.digest, self.compute_state_digest(), "carried digest is stale");
-                v.digest
-            }
-            _ => self.compute_state_digest(),
+        self.carried_digest().unwrap_or_else(|| self.compute_state_digest())
+    }
+
+    /// The state digest this snapshot's stream trailer carried, which
+    /// [`read_stream`] verified against its sections; [`None`] for a
+    /// snapshot built any other way, or whose header no longer reads what
+    /// was hashed. Never hashes in release builds.
+    pub fn carried_digest(&self) -> Option<u64> {
+        let v = self.verified?;
+        if (v.config_digest, v.cycle) != (self.config_digest, self.cycle) {
+            return None;
         }
+        debug_assert_eq!(v.digest, self.compute_state_digest(), "carried digest is stale");
+        Some(v.digest)
     }
 
     fn compute_state_digest(&self) -> u64 {
@@ -994,25 +1053,28 @@ impl SnapDelta {
     /// deltas cover content changes between checkpoints of one platform,
     /// never topology changes.
     pub fn between(base: &Snapshot, next: &Snapshot) -> Result<Self, SnapError> {
-        Self::streamed(base, |sink| next.write_to(sink))
+        Self::streamed(base, |sink, _| next.write_to(sink))
     }
 
     /// The delta [`SnapDelta::between`] `base` and the snapshot `save`
     /// streams into the sink it is given, computed as the sections arrive:
     /// a clean section is compared and dropped, so the successor is never
-    /// held in memory — only its dirty sections are copied.
+    /// held in memory — only its dirty sections are copied. `save` also
+    /// gets `base`'s state digest, so a [`SnapWriter::streaming_delta`]
+    /// walk can declare sections unchanged instead of sending them.
     ///
     /// # Errors
     ///
     /// As for [`SnapDelta::between`], plus whatever `save` returns.
     pub fn streamed(
         base: &Snapshot,
-        save: impl FnOnce(&mut dyn SnapSink) -> Result<(), SnapError>,
+        save: impl FnOnce(&mut dyn SnapSink, u64) -> Result<(), SnapError>,
     ) -> Result<Self, SnapError> {
+        let base_digest = base.state_digest();
         let mut sink = DeltaSink { base, seen: 0, delta: None };
-        save(&mut sink)?;
+        save(&mut sink, base_digest)?;
         let mut delta = sink.delta.ok_or_else(|| SnapError::Corrupt("no snapshot began".into()))?;
-        delta.base_digest = base.state_digest();
+        delta.base_digest = base_digest;
         Ok(delta)
     }
 
@@ -1029,7 +1091,8 @@ impl SnapDelta {
 
 /// The sink behind [`SnapDelta::streamed`]: checks each arriving section
 /// against the base's section in the same position and keeps it only if
-/// its bytes differ.
+/// its bytes differ. The only sink that accepts a section declared
+/// unchanged.
 struct DeltaSink<'b> {
     base: &'b Snapshot,
     /// Sections received so far.
@@ -1040,6 +1103,21 @@ struct DeltaSink<'b> {
 
 fn structurally_different() -> SnapError {
     SnapError::Corrupt("delta between structurally different snapshots".into())
+}
+
+impl<'b> DeltaSink<'b> {
+    /// Advances past the base's section in the arriving one's position,
+    /// which must be named `name`, and returns its bytes.
+    fn next_base_section(&mut self, name: &str) -> Result<&'b [u8], SnapError> {
+        let base = self.base;
+        match base.sections.get(self.seen) {
+            Some((base_name, data)) if base_name == name && self.delta.is_some() => {
+                self.seen += 1;
+                Ok(data)
+            }
+            _ => Err(structurally_different()),
+        }
+    }
 }
 
 impl SnapSink for DeltaSink<'_> {
@@ -1061,19 +1139,16 @@ impl SnapSink for DeltaSink<'_> {
     }
 
     fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError> {
-        let (Some((base_name, base_data)), Some(delta)) =
-            (self.base.sections.get(self.seen), self.delta.as_mut())
-        else {
-            return Err(structurally_different());
-        };
-        if base_name != name {
-            return Err(structurally_different());
-        }
+        let base_data = self.next_base_section(name)?;
         if base_data != data {
+            let delta = self.delta.as_mut().expect("next_base_section checked begin");
             delta.sections.push((name.to_owned(), data.to_vec()));
         }
-        self.seen += 1;
         Ok(())
+    }
+
+    fn unchanged(&mut self, name: &str) -> Result<&[u8], SnapError> {
+        self.next_base_section(name)
     }
 
     fn finish(&mut self) -> Result<(), SnapError> {
@@ -1119,6 +1194,18 @@ pub trait SnapSink {
     ///
     /// Sink-specific; a [`StreamSink`] surfaces I/O failures.
     fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError>;
+    /// Emits one named section, in walk order, that a
+    /// [`SnapWriter::streaming_delta`] walk declared equal to its section
+    /// in the delta's base, without its bytes; returns the base's bytes.
+    ///
+    /// # Errors
+    ///
+    /// Only the sink behind [`SnapDelta::streamed`] has a base to check
+    /// the name against; every other sink returns
+    /// [`SnapError::Corrupt`], so a full image can never omit a section.
+    fn unchanged(&mut self, name: &str) -> Result<&[u8], SnapError> {
+        Err(SnapError::Corrupt(format!("section '{name}' declared unchanged outside a delta")))
+    }
     /// Ends the snapshot: trailers are written and buffers flushed.
     ///
     /// # Errors
@@ -1483,6 +1570,12 @@ impl<R: Read> StreamSource<R> {
         self.cycle
     }
 
+    /// The trailer's state digest, once [`StreamSource::next_section`] has
+    /// reached the end record and checked it against every section.
+    pub fn verified_digest(&self) -> Option<u64> {
+        self.done.then(|| self.digest.finish())
+    }
+
     /// The next `(name, raw bytes)` section, or `Ok(None)` once the end
     /// record has been reached and its trailer verified.
     ///
@@ -1562,7 +1655,8 @@ pub fn read_stream(r: impl Read) -> Result<Snapshot, SnapError> {
     let (config_digest, cycle) = (src.config_digest(), src.cycle());
     // `next_section` returned `None`, so the trailer's digest has been
     // checked against exactly these sections.
-    let verified = Some(VerifiedDigest { config_digest, cycle, digest: src.digest.finish() });
+    let verified =
+        src.verified_digest().map(|digest| VerifiedDigest { config_digest, cycle, digest });
     Ok(Snapshot { version: src.version(), config_digest, cycle, sections, verified })
 }
 
@@ -2214,13 +2308,35 @@ mod tests {
     /// A small three-section snapshot with tweakable content.
     fn sample(x: u8, cycle: u64) -> Snapshot {
         let mut w = SnapWriter::new();
-        w.scoped("alpha", |w| {
+        sample_walk(&mut w, x, None);
+        Snapshot::new(42, cycle, w)
+    }
+
+    /// The walk behind [`sample`], its `alpha` scope declared to match the
+    /// image with state digest `alpha_matches`.
+    fn sample_walk(w: &mut SnapWriter, x: u8, alpha_matches: Option<u64>) {
+        w.scoped_matching("alpha", alpha_matches, |w| {
             w.u64(7);
             w.bytes(&vec![x; 4096]);
         });
         w.scoped("beta", |w| w.u8(x));
         w.scoped("host", |w| w.scoped("stepper", |w| w.u64(9)));
-        Snapshot::new(42, cycle, w)
+    }
+
+    /// The delta from `base` to `sample(x, 20)`, streamed by a delta
+    /// writer with `alpha` declared to match `alpha_matches`.
+    fn sample_delta(
+        base: &Snapshot,
+        x: u8,
+        alpha_matches: Option<u64>,
+    ) -> Result<SnapDelta, SnapError> {
+        SnapDelta::streamed(base, |sink, base_digest| {
+            sink.begin(SNAP_VERSION, 42, 20)?;
+            let mut w = SnapWriter::streaming_delta(sink, base_digest);
+            sample_walk(&mut w, x, alpha_matches);
+            w.finish()?;
+            sink.finish()
+        })
     }
 
     #[test]
@@ -2457,7 +2573,7 @@ mod tests {
         // A streaming walk of `sample(2, 20)`'s shape, cut to its first
         // `take` sections and followed by `extra` ones.
         let walk = |version: u32, take: usize, extra: &'static [&'static str]| {
-            move |sink: &mut dyn SnapSink| {
+            move |sink: &mut dyn SnapSink, _| {
                 sink.begin(version, 42, 20)?;
                 let next = sample(2, 20);
                 for (name, data) in next.sections().iter().take(take) {
@@ -2477,8 +2593,93 @@ mod tests {
         assert!(matches!(long, Err(SnapError::Corrupt(_))), "{long:?}");
         let skewed = SnapDelta::streamed(&base, walk(SNAP_VERSION + 1, 4, &[]));
         assert!(matches!(skewed, Err(SnapError::VersionMismatch { .. })), "{skewed:?}");
-        let silent = SnapDelta::streamed(&base, |_| Ok(()));
+        let silent = SnapDelta::streamed(&base, |_, _| Ok(()));
         assert!(matches!(silent, Err(SnapError::Corrupt(_))), "{silent:?}");
+    }
+
+    /// Records what a writer hands it; answers `unchanged` with `base`.
+    #[derive(Default)]
+    struct Spy {
+        base: Vec<u8>,
+        sent: Vec<String>,
+        unchanged: Vec<String>,
+    }
+
+    impl SnapSink for Spy {
+        fn begin(&mut self, _: u32, _: u64, _: u64) -> Result<(), SnapError> {
+            Ok(())
+        }
+        fn section(&mut self, name: &str, _: &[u8]) -> Result<(), SnapError> {
+            self.sent.push(name.to_owned());
+            Ok(())
+        }
+        fn unchanged(&mut self, name: &str) -> Result<&[u8], SnapError> {
+            self.unchanged.push(name.to_owned());
+            Ok(&self.base)
+        }
+        fn finish(&mut self) -> Result<(), SnapError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn only_a_delta_writer_naming_the_matched_image_declares_a_section_unchanged() {
+        let mut spy = Spy { base: vec![1], ..Spy::default() };
+        let mut ran = false;
+        let mut w = SnapWriter::streaming_delta(&mut spy, 5);
+        w.scoped_matching("a", Some(5), |w| {
+            ran = true;
+            w.u8(1);
+        });
+        w.scoped_matching("b", Some(6), |w| w.u8(1));
+        w.scoped_matching("c", None, |w| w.u8(1));
+        w.finish().expect("delta walk");
+        assert_eq!((spy.sent, spy.unchanged), (vec!["b".into(), "c".into()], vec!["a".into()]));
+        assert_eq!(ran, cfg!(debug_assertions), "only debug builds serialise it to check");
+
+        let mut spy = Spy::default();
+        let mut w = SnapWriter::streaming(&mut spy);
+        w.scoped_matching("a", Some(5), |w| w.u8(1));
+        w.finish().expect("full walk");
+        assert_eq!((spy.sent, spy.unchanged), (vec!["a".into()], vec![]));
+    }
+
+    #[test]
+    fn only_the_delta_sink_accepts_a_section_declared_unchanged() {
+        let walk = |sink: &mut dyn SnapSink| {
+            let mut w = SnapWriter::streaming_delta(sink, 5);
+            w.scoped_matching("a", Some(5), |_| {});
+            w.finish()
+        };
+        let mut buf = Vec::new();
+        let sinks: [&mut dyn SnapSink; 3] = [
+            &mut MemorySink::new(),
+            &mut CountingSink::new(),
+            &mut StreamSink::new(&mut buf, true),
+        ];
+        for sink in sinks {
+            assert!(matches!(walk(sink), Err(SnapError::Corrupt(_))));
+        }
+    }
+
+    #[test]
+    fn a_delta_with_a_section_declared_unchanged_is_the_delta_between_the_images() {
+        let base = sample(1, 10);
+        let elided = sample_delta(&base, 1, Some(base.state_digest())).expect("elided walk");
+        assert_eq!(Ok(&elided), SnapDelta::between(&base, &sample(1, 20)).as_ref());
+        assert!(elided.sections().iter().all(|(n, _)| n != "alpha"));
+        // Naming any other image sends `alpha` and compares it.
+        let other = sample_delta(&base, 2, Some(base.state_digest() ^ 1)).expect("full walk");
+        assert_eq!(Ok(&other), SnapDelta::between(&base, &sample(2, 20)).as_ref());
+        assert!(other.sections().iter().any(|(n, _)| n == "alpha"));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "declared unchanged but differs")]
+    fn declaring_a_differing_section_unchanged_panics() {
+        let base = sample(1, 10);
+        let _ = sample_delta(&base, 2, Some(base.state_digest()));
     }
 
     #[test]

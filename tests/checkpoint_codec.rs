@@ -273,7 +273,7 @@ fn random_bytes(rng: &mut SimRng, len: usize) -> Vec<u8> {
 #[test]
 fn every_section_of_the_pinned_image_encodes_as_the_reference_did() {
     let snap = common::pinned_platform().snapshot();
-    assert_eq!(snap.sections().len(), 102);
+    assert_eq!(snap.sections().len(), 106);
     assert_every_section_same("pinned 2x2x2", &snap);
 }
 

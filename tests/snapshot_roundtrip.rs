@@ -660,6 +660,162 @@ fn config_skewed_deltas_are_rejected() {
 }
 
 // ---------------------------------------------------------------------------
+// Deltas against a restored image skip the DRAM pages nothing wrote since.
+// ---------------------------------------------------------------------------
+
+/// Where [`with_patterned_dram`] puts node `g`'s pages.
+fn pattern_addr(p: &Platform, g: usize) -> u64 {
+    DRAM_BASE + g as u64 * p.config().params.bytes_per_node + 0x10_0000
+}
+
+/// `p` with 32 KiB of seeded bytes in every node's DRAM window, clear of
+/// the workloads' addresses, so every `pages` section carries pages.
+fn with_patterned_dram(mut p: Platform) -> Platform {
+    let mut rng = SimRng::new(0x9A6E_D3A4);
+    for g in 0..p.config().total_nodes() {
+        let bytes: Vec<u8> = (0..32 * 1024).map(|_| rng.gen_range(256) as u8).collect();
+        p.write_mem(pattern_addr(&p, g), &bytes);
+    }
+    p
+}
+
+fn pages_section(g: usize, nodes_per_fpga: usize) -> String {
+    format!("fpga{}.node{g}.chipset.memctl.dram.pages", g / nodes_per_fpga)
+}
+
+/// The `pages` sections a delta carries, sorted.
+fn pages_in(d: &SnapDelta) -> Vec<String> {
+    let mut names: Vec<String> = d
+        .sections()
+        .iter()
+        .map(|(n, _)| n)
+        .filter(|n| n.ends_with(".dram.pages"))
+        .cloned()
+        .collect();
+    names.sort();
+    names
+}
+
+fn sorted(mut names: Vec<String>) -> Vec<String> {
+    names.sort();
+    names
+}
+
+/// Cuts `mk()` at `cut`, restores a fresh twin from the stream image and
+/// runs it `stride` cycles. Deltas against that image leave out exactly
+/// the `pages` sections of the nodes nothing wrote to, a backdoor write
+/// puts its node's section back, and a delta against any other image
+/// leaves out nothing; each delta reproduces `snapshot()` byte for byte.
+fn assert_untouched_pages_are_elided(
+    mk: impl Fn() -> Platform,
+    cut: u64,
+    stride: u64,
+    label: &str,
+) {
+    let mut src = mk();
+    src.run(cut);
+    let wire = src.snapshot().to_stream_bytes(true);
+    let base = read_stream(&wire[..]).expect("wire round-trip");
+    let mut p = mk();
+    p.restore_from(&wire[..]).unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
+    p.run(stride);
+
+    let (nodes, per_fpga) = (p.config().total_nodes(), p.config().nodes_per_fpga);
+    let dram = |p: &Platform, g: usize| p.node(g).chipset().memctl().dram().pages_match();
+    let untouched: Vec<usize> =
+        (0..nodes).filter(|&g| dram(&p, g) == Some(base.state_digest())).collect();
+    assert!(!untouched.is_empty(), "{label}: every node's DRAM was written: no teeth");
+    let delta = p.snapshot_delta(&base).expect("delta against the restored image");
+    let full = p.snapshot();
+    assert!(base.apply_delta(&delta).expect("applies") == full, "{label}: base + delta");
+    let carried = pages_in(&delta);
+    for &g in &untouched {
+        let name = pages_section(g, per_fpga);
+        assert!(full.section(&name).is_some_and(|s| s.len() > 32 * 1024), "{label}: {name}");
+        assert!(!carried.contains(&name), "{label}: untouched {name} in the delta");
+    }
+
+    // A backdoor write puts exactly its node's section back.
+    let g = untouched[untouched.len() / 2];
+    p.write_mem(pattern_addr(&p, g), &[0x5A; 8]);
+    assert_eq!(dram(&p, g), None, "{label}: node {g} still claims its image");
+    let dirtied = p.snapshot_delta(&base).expect("delta after a backdoor write");
+    let full = p.snapshot();
+    assert!(base.apply_delta(&dirtied).expect("applies") == full, "{label}: base + dirtied");
+    let mut expected = carried;
+    expected.push(pages_section(g, per_fpga));
+    assert_eq!(pages_in(&dirtied), sorted(expected), "{label}: pages after the write");
+
+    // Against another image every node's pages differ, and every one of
+    // them is compared and sent.
+    let mut twin = mk();
+    for g in 0..nodes {
+        twin.write_mem(pattern_addr(&twin, g) + 8, &[0xC3; 8]);
+    }
+    twin.run(cut);
+    let other = read_stream(&twin.snapshot().to_stream_bytes(true)[..]).expect("twin image");
+    let d = p.snapshot_delta(&other).expect("delta against another image");
+    assert!(other.apply_delta(&d).expect("applies") == full, "{label}: other + delta");
+    let all: Vec<String> = (0..nodes).map(|g| pages_section(g, per_fpga)).collect();
+    assert_eq!(pages_in(&d), sorted(all), "{label}: pages against another image");
+}
+
+/// The checkpoint benchmark's rounds as a chain: each round restores a
+/// fresh twin from the last image, runs it `stride` cycles and takes the
+/// delta against that image, untouched pages elided. Restoring the first
+/// image plus the chain must land where the uninterrupted run does.
+fn assert_restored_rounds_chain_to_the_uninterrupted_run(
+    mk: impl Fn() -> Platform,
+    cut: u64,
+    stride: u64,
+    rounds: usize,
+    label: &str,
+) {
+    let mut reference = mk();
+    reference.run(cut);
+    let mut wire = reference.snapshot().to_stream_bytes(true);
+    let first = read_stream(&wire[..]).expect("first image");
+    let mut deltas = Vec::new();
+    for _ in 0..rounds {
+        let image = read_stream(&wire[..]).expect("round image");
+        let mut next = mk();
+        next.restore_from(&wire[..]).expect("round restore");
+        next.run(stride);
+        reference.run(stride);
+        deltas.push(next.snapshot_delta(&image).expect("round delta"));
+        wire = next.snapshot().to_stream_bytes(true);
+    }
+    let mut resumed = mk();
+    resumed.restore_chain(&first, &deltas).expect("restore_chain");
+    assert_eq!(resumed.snapshot().first_divergence(&reference.snapshot()), None, "{label}");
+    resumed.run(stride);
+    reference.run(stride);
+    assert_eq!(observe(&reference), observe(&resumed), "{label}: chain-restored run diverged");
+}
+
+#[test]
+fn deltas_against_a_restored_image_skip_untouched_pages_on_a_2x2x2() {
+    let mk = || with_patterned_dram(bursty_fleet());
+    assert_untouched_pages_are_elided(mk, 3_000, 1_500, "2x2x2");
+    assert_restored_rounds_chain_to_the_uninterrupted_run(mk, 3_000, 1_500, 3, "2x2x2 chain");
+}
+
+#[test]
+fn deltas_against_a_restored_image_skip_untouched_pages_on_the_16_fpga_rack() {
+    let mk = || {
+        with_patterned_dram(rack_workload(
+            16,
+            6,
+            0xE1DE,
+            Topology::Ethernet(rack_eth_params()),
+            None,
+        ))
+    };
+    assert_untouched_pages_are_elided(mk, 2_000, 1_500, "rack16");
+    assert_restored_rounds_chain_to_the_uninterrupted_run(mk, 2_000, 1_500, 3, "rack16 chain");
+}
+
+// ---------------------------------------------------------------------------
 // Streaming sinks: checkpoint through a file, restore from it.
 // ---------------------------------------------------------------------------
 
