@@ -1208,6 +1208,13 @@ impl Platform {
     /// time, so a 64-FPGA rack checkpoints to a file (or a
     /// [`smappic_sim::CountingSink`]) in bounded memory.
     ///
+    /// A compressing [`smappic_sim::StreamSink`] writes each DRAM
+    /// channel's `pages` section as the payload
+    /// [`Platform::restore_from`] read it as, if no page has been written
+    /// since, instead of compressing it again; that save takes the payload,
+    /// so the next one compresses. Every other sink leaves it in place.
+    /// The pages are still walked and digested either way.
+    ///
     /// # Errors
     ///
     /// Propagates the first sink error (e.g. I/O failure of a file-backed
@@ -1322,6 +1329,12 @@ impl Platform {
     /// whole snapshot: sections are pulled, validated, and freed as the
     /// restore walk consumes them, so memory stays bounded just like the
     /// [`Platform::snapshot_to`] capture path.
+    ///
+    /// Each DRAM channel keeps the compressed payload its `pages` section
+    /// was stored as, until a page is written or the next compressed
+    /// [`Platform::snapshot_to`] writes the payload out again instead of
+    /// recompressing the pages. A re-saved image therefore carries the
+    /// payload it was restored from.
     ///
     /// # Errors
     ///

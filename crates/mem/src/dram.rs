@@ -273,11 +273,12 @@ impl Default for Dram {
 }
 
 /// The page map of one channel behind the only methods that mutate it,
-/// each of which bumps a write generation. Pages are private to this
-/// module, so a write that forgets the bump cannot be written.
+/// each of which bumps a write generation and drops the compressed
+/// `pages` payload kept from a restore. Pages are private to this module,
+/// so a write that forgets either cannot be written.
 mod page_store {
     use std::collections::HashMap;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex, PoisonError};
 
     use super::{DramPage, PAGE_SIZE};
 
@@ -289,6 +290,10 @@ mod page_store {
         /// `(state digest, generation)`: the image whose `pages` section
         /// this map equalled at that generation.
         matched: Option<(u64, u64)>,
+        /// The compressed payload of the `pages` section this map was
+        /// restored from, until a write or a compressing save takes it.
+        /// Saves borrow the store shared, hence the lock.
+        compressed: Mutex<Option<Box<[u8]>>>,
     }
 
     impl PageStore {
@@ -305,22 +310,40 @@ mod page_store {
             self.map.len()
         }
 
+        /// Every mutation's first step.
+        #[inline]
+        fn wrote(&mut self) {
+            self.generation += 1;
+            *self.compressed.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+        }
+
         /// A resident page, unshared for writing (copy-on-write).
         #[inline]
         pub(super) fn page_mut(&mut self, idx: u64) -> Option<&mut [u8; PAGE_SIZE]> {
-            self.generation += 1;
+            self.wrote();
             self.map.get_mut(&idx).map(Arc::make_mut)
         }
 
         #[inline]
         pub(super) fn insert(&mut self, idx: u64, page: DramPage) {
-            self.generation += 1;
+            self.wrote();
             self.map.insert(idx, page);
         }
 
         pub(super) fn clear(&mut self) {
-            self.generation += 1;
+            self.wrote();
             self.map.clear();
+        }
+
+        /// Keeps `compressed`, the payload the `pages` section the map
+        /// was just restored from was stored as, for the next save.
+        pub(super) fn keep_compressed(&mut self, compressed: Box<[u8]>) {
+            *self.compressed.get_mut().unwrap_or_else(PoisonError::into_inner) = Some(compressed);
+        }
+
+        /// Hands the kept payload over; the store no longer has it.
+        pub(super) fn take_compressed(&self) -> Option<Box<[u8]>> {
+            self.compressed.lock().unwrap_or_else(PoisonError::into_inner).take()
         }
 
         /// Records that the map equals the `pages` section of the image
@@ -344,7 +367,10 @@ impl SaveState for Dram {
         // The injector is a pure function of (seed, stream, seq) and lives
         // in configuration; req_seq is the mutable cursor into its stream.
         let Self { cfg: _, pages, pending, responses, faults: _, req_seq, meters, slots: _ } = self;
-        w.scoped_matching("pages", self.pages_match(), |w| save_pages(pages, w));
+        w.scoped_matching("pages", self.pages_match(), |w| {
+            w.offer_compressed(|| pages.take_compressed());
+            save_pages(pages, w);
+        });
         pending.save(w);
         responses.pack(w);
         w.u64(*req_seq);
@@ -379,10 +405,16 @@ fn save_pages(pages: &PageStore, w: &mut SnapWriter) {
 /// Reads the `pages` section back. Only what [`save_pages`] writes is
 /// accepted: whole pages, inside the channel's capacity, in strictly
 /// ascending index order; anything else is a corrupt image.
+///
+/// The store keeps the compressed payload the section was stored as, if
+/// it was, for the next save to write instead of compressing the pages
+/// again — unless the section held an all-zero page, which restore elides
+/// and save leaves out, so the payload would not be what save writes.
 fn restore_pages(pages: &mut PageStore, capacity: u64, r: &mut SnapReader) {
     pages.clear();
     let page_count = capacity.div_ceil(PAGE_SIZE as u64);
     let mut next_min = 0u64;
+    let mut elided = false;
     r.seq(|r| {
         let idx = r.u64();
         // Borrowed read: pages go straight from the section buffer into
@@ -395,20 +427,23 @@ fn restore_pages(pages: &mut PageStore, capacity: u64, r: &mut SnapReader) {
         } else {
             match <&[u8; PAGE_SIZE]>::try_from(raw) {
                 Err(_) => r.corrupt("DRAM page is not 4 KiB"),
-                Ok(page) if page.iter().all(|&b| b == 0) => {}
+                Ok(page) if page.iter().all(|&b| b == 0) => elided = true,
                 Ok(page) => pages.insert(idx, Arc::new(*page)),
             }
             next_min = idx + 1;
         }
     })
     .for_each(drop);
+    if let Some(compressed) = r.take_compressed().filter(|_| !elided) {
+        pages.keep_compressed(compressed);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use smappic_axi::{AxiRead, AxiWrite};
-    use smappic_sim::{SnapError, Snapshot};
+    use smappic_sim::{read_stream, SnapError, SnapSink, Snapshot, StreamSink, StreamSource};
 
     #[test]
     fn backdoor_roundtrip_across_pages() {
@@ -497,11 +532,15 @@ mod tests {
         assert_eq!(d.stats().get("dram.spike"), 1);
     }
 
-    /// Restores a fresh 64 KiB channel from an image whose `pages`
-    /// section is the records `(index, bytes)`, written the way `save`
-    /// frames them, and returns the channel and the outcome.
-    fn restore_pages_image(records: &[(u64, Vec<u8>)]) -> (Dram, Result<(), SnapError>) {
-        let cfg = DramConfig { capacity: 16 * PAGE_SIZE as u64, ..Default::default() };
+    /// A 64 KiB channel.
+    fn small_cfg() -> DramConfig {
+        DramConfig { capacity: 16 * PAGE_SIZE as u64, ..Default::default() }
+    }
+
+    /// An image of a [`small_cfg`] channel, under the scope `dram`, whose
+    /// `pages` section is the records `(index, bytes)`, written the way
+    /// `save` frames them.
+    fn pages_image(records: &[(u64, Vec<u8>)]) -> Snapshot {
         let mut w = SnapWriter::new();
         w.scoped("dram", |w| {
             w.scoped("pages", |w| {
@@ -511,17 +550,66 @@ mod tests {
                     w.bytes(bytes);
                 }
             });
-            let Dram { pending, responses, req_seq, meters, .. } = Dram::new(cfg.clone());
+            let Dram { pending, responses, req_seq, meters, .. } = Dram::new(small_cfg());
             pending.save(w);
             responses.pack(w);
             w.u64(req_seq);
             meters.save(w);
         });
-        let image = Snapshot::new(0, 0, w);
-        let mut d = Dram::new(cfg);
+        Snapshot::new(0, 0, w)
+    }
+
+    /// Restores a fresh channel from [`pages_image`]`(records)` and
+    /// returns the channel and the outcome.
+    fn restore_pages_image(records: &[(u64, Vec<u8>)]) -> (Dram, Result<(), SnapError>) {
+        let image = pages_image(records);
+        let mut d = Dram::new(small_cfg());
         let mut r = SnapReader::new(&image);
         r.scoped("dram", |r| d.restore(r));
         (d, r.finish())
+    }
+
+    /// Restores a fresh channel from [`pages_image`]`(records)` through a
+    /// compressed stream, applies `then` to it and saves it to a
+    /// compressed stream, which must read back as the channel's state.
+    /// Returns the stored bytes of that save the encoder did not write.
+    fn resave_reused(records: &[(u64, Vec<u8>)], then: impl FnOnce(&mut Dram)) -> u64 {
+        let wire = pages_image(records).to_stream_bytes(true);
+        let mut d = Dram::new(small_cfg());
+        let mut src = StreamSource::open(&wire[..]).expect("open");
+        let mut r = SnapReader::from_source(Box::new(move || src.next_section()));
+        r.scoped("dram", |r| d.restore(r));
+        r.finish().expect("a well-formed image restores");
+        then(&mut d);
+
+        let mut out = Vec::new();
+        let mut sink = StreamSink::new(&mut out, true);
+        sink.begin(smappic_sim::SNAP_VERSION, 0, 0).expect("begin");
+        let mut w = SnapWriter::streaming(&mut sink);
+        w.scoped("dram", |w| d.save(w));
+        w.finish().expect("streamed save");
+        sink.finish().expect("finish");
+        let reused = sink.reused_bytes();
+        let mut walk = SnapWriter::new();
+        walk.scoped("dram", |w| d.save(w));
+        assert!(read_stream(&out[..]) == Ok(Snapshot::new(0, 0, walk)), "the save reads back");
+        reused
+    }
+
+    #[test]
+    fn a_restored_pages_payload_is_saved_again_only_while_save_would_write_it() {
+        let runs = |seed: u8| (0..PAGE_SIZE).map(|i| seed.wrapping_add((i / 64) as u8)).collect();
+        let records = vec![(1, runs(1)), (6, runs(9))];
+        assert!(resave_reused(&records, |_| {}) > 0, "an untouched channel hands it over");
+        let wrote = resave_reused(&records, |d| d.write_bytes(PAGE_SIZE as u64, &[0xEE]));
+        assert_eq!(wrote, 0, "a write drops it");
+        let installed = resave_reused(&records, |d| d.install_page(9, &Arc::new([3; PAGE_SIZE])));
+        assert_eq!(installed, 0, "an installed page drops it");
+        // Restore elides an all-zero page and save leaves it out, so the
+        // payload of a section holding one is not what save writes.
+        let mut padded = records.clone();
+        padded.insert(1, (3, vec![0; PAGE_SIZE]));
+        assert_eq!(resave_reused(&padded, |_| {}), 0, "a section with a zero page is not kept");
     }
 
     #[test]

@@ -1122,6 +1122,13 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
+/// A recorded `wall_secs`: finite and non-negative, as every writer
+/// records it. `f64::from_str` also accepts `NaN`, `inf` and negative
+/// values, which would render a report as invalid JSON.
+fn parse_wall_secs(s: &str) -> Option<f64> {
+    s.parse().ok().filter(|v: &f64| v.is_finite() && *v >= 0.0)
+}
+
 fn parse_meta(text: &str) -> Option<(u64, CkptMeta)> {
     let lines: Vec<&str> = text.lines().collect();
     if lines.first() != Some(&"smappic-ckpt v1") {
@@ -1131,7 +1138,7 @@ fn parse_meta(text: &str) -> Option<(u64, CkptMeta)> {
     let spent = parse_u64(kv(&lines, "spent")?)?;
     let preemptions = parse_u64(kv(&lines, "preemptions")?)?;
     let migrations = parse_u64(kv(&lines, "migrations")?)?;
-    let wall_secs: f64 = kv(&lines, "wall_secs")?.parse().ok()?;
+    let wall_secs = parse_wall_secs(kv(&lines, "wall_secs")?)?;
     let mut wd_parts = kv(&lines, "wd")?.split_whitespace();
     let sig = wd_parts.next()?;
     let wd_sig = if sig == "-" { None } else { Some(parse_u64(sig)?) };
@@ -1175,7 +1182,7 @@ fn parse_report_marker(job: usize, spec: &JobSpec, text: &str) -> Option<JobRepo
     };
     let cycles = parse_u64(kv(&lines, "cycles")?)?;
     Some(JobReport {
-        wall_secs: kv(&lines, "wall_secs")?.parse().ok()?,
+        wall_secs: parse_wall_secs(kv(&lines, "wall_secs")?)?,
         preemptions: parse_u64(kv(&lines, "preemptions")?)?,
         migrations: parse_u64(kv(&lines, "migrations")?)?,
         digest: parse_u64(kv(&lines, "digest")?)?,

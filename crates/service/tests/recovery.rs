@@ -219,6 +219,73 @@ fn a_meta_whose_spent_disagrees_with_its_image_restarts_from_cycle_zero() {
     let _ = std::fs::remove_dir_all(&whole_dir);
 }
 
+/// `wall_secs` values `f64::from_str` accepts but no writer records.
+const FORGED_WALL_SECS: [&str; 4] = ["NaN", "inf", "-inf", "-1.5"];
+
+/// `text` with the value on its `wall_secs` line replaced by `forged`.
+fn forge_wall_secs(text: &str, forged: &str) -> String {
+    let forged_line = format!("wall_secs {forged}");
+    let lines: Vec<&str> = text
+        .lines()
+        .map(|l| if l.starts_with("wall_secs ") { forged_line.as_str() } else { l })
+        .collect();
+    assert!(lines.contains(&forged_line.as_str()), "the text records wall_secs");
+    lines.join("\n") + "\n"
+}
+
+/// Every report's wall time is a finite, non-negative number, so its JSON
+/// rendering parses.
+fn assert_finite_wall_secs(reports: &[JobReport], forged: &str) {
+    for r in reports {
+        assert!(r.wall_secs.is_finite() && r.wall_secs >= 0.0, "[{forged}] wall {}", r.wall_secs);
+        let json = r.to_json();
+        for bad in ["NaN", "inf"] {
+            assert!(!json.contains(bad), "[{forged}] job {} renders {bad}:\n{json}", r.job);
+        }
+    }
+}
+
+#[test]
+fn a_meta_whose_wall_secs_no_writer_records_restarts_from_cycle_zero() {
+    let specs = &fleet()[..1];
+    let whole_dir = scratch("wall-whole");
+    let whole = Scheduler::new(ckpt_config(whole_dir.clone())).run_fleet(specs);
+    let quanta = whole.metrics.counter("sched.quanta");
+    for (i, forged) in FORGED_WALL_SECS.into_iter().enumerate() {
+        let dir = crashed_after(&format!("wall-meta-{i}"), specs, 1);
+        let meta = job_dirs(&dir)[0].join("meta.txt");
+        let text = std::fs::read_to_string(&meta).expect("one checkpoint was published");
+        std::fs::write(&meta, forge_wall_secs(&text, forged)).expect("forge the meta");
+
+        let rerun = Scheduler::new(ckpt_config(dir.clone())).resume_fleet(specs);
+        assert_eq!(rerun.metrics.counter("sched.quanta"), quanta, "[{forged}] must restart from 0");
+        assert_recovered(&rerun.reports, &whole.reports);
+        assert_finite_wall_secs(&rerun.reports, forged);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&whole_dir);
+}
+
+#[test]
+fn a_report_marker_whose_wall_secs_no_writer_records_reruns_the_job() {
+    let specs = &fleet()[..1];
+    for (i, forged) in FORGED_WALL_SECS.into_iter().enumerate() {
+        let dir = scratch(&format!("wall-marker-{i}"));
+        let first = Scheduler::new(ckpt_config(dir.clone())).run(specs);
+        let marker = job_dirs(&dir)[0].join("report.txt");
+        let text = std::fs::read_to_string(&marker).expect("the job left a marker");
+        std::fs::write(&marker, forge_wall_secs(&text, forged)).expect("forge the marker");
+
+        // The forged marker is not trusted: the job runs again, on a
+        // worker, to the same result.
+        let resumed = Scheduler::new(ckpt_config(dir.clone())).resume(specs);
+        assert_recovered(&resumed, &first);
+        assert!(!resumed[0].workers.is_empty(), "[{forged}] the job must run again");
+        assert_finite_wall_secs(&resumed, forged);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Names the checkpoint root for [`killed_child_runs_the_long_fleet`];
 /// nothing else reads it.
 const KILL_DIR_VAR: &str = "SMAPPIC_RECOVERY_KILL_DIR";

@@ -72,7 +72,7 @@ pub use rng::SimRng;
 pub use shaper::TrafficShaper;
 pub use snap::{
     fnv1a, read_stream, CountingSink, MemorySink, Pack, SaveState, SectionSource, Seq, SnapDelta,
-    SnapError, SnapReader, SnapSink, SnapWriter, Snapshot, StreamSink, StreamSource,
+    SnapError, SnapReader, SnapSink, SnapWriter, Snapshot, StreamSection, StreamSink, StreamSource,
     HOST_SECTION_PREFIX, SNAP_VERSION,
 };
 pub use stats::{CounterSlot, Histogram, HistogramSlot, Meters, MetersBuilder, PortSlot, Stats};

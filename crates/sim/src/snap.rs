@@ -233,6 +233,11 @@ impl ScopePath {
 /// [`SnapWriter::scoped_matching`], naming that image, is handed to the
 /// sink as unchanged ([`SnapSink::unchanged`]) instead of being
 /// serialised.
+///
+/// A scope whose owner still holds the compressed payload its section was
+/// restored from can offer it ([`SnapWriter::offer_compressed`]); a
+/// compressing sink then writes those bytes instead of compressing the
+/// section again.
 pub struct SnapWriter<'s> {
     path: ScopePath,
     /// Index into `sections` of the innermost open scope's section.
@@ -249,6 +254,8 @@ pub struct SnapWriter<'s> {
     delta_base: Option<u64>,
     /// Slots of the sections declared unchanged against `delta_base`.
     unchanged: Vec<usize>,
+    /// Compressed payloads owners handed off, by slot, for the sink.
+    compressed: Vec<(usize, Box<[u8]>)>,
     error: Option<SnapError>,
 }
 
@@ -263,6 +270,7 @@ impl Default for SnapWriter<'_> {
             sink: None,
             delta_base: None,
             unchanged: Vec::new(),
+            compressed: Vec::new(),
             error: None,
         }
     }
@@ -358,6 +366,9 @@ impl<'s> SnapWriter<'s> {
                         "section '{name}' was declared unchanged but differs from the delta base"
                     );
                 })
+            } else if let Some(at) = self.compressed.iter().position(|&(at, _)| at == slot) {
+                let (_, compressed) = self.compressed.swap_remove(at);
+                sink.section_compressed(name, &buf, compressed)
             } else {
                 sink.section(name, &buf)
             };
@@ -400,6 +411,24 @@ impl<'s> SnapWriter<'s> {
                 f(w);
             }
         });
+    }
+
+    /// Offers the sink the compressed payload the owner of the innermost
+    /// open scope holds for its section: the bytes a stream stored the
+    /// section as ([`SnapReader::take_compressed`]), which the owner knows
+    /// still decode to exactly what the scope writes. Only a compressing
+    /// sink ([`SnapSink::takes_compressed`]) spends it: then `take` runs,
+    /// handing the payload over, and the sink writes it instead of
+    /// compressing the section again. Any other writer leaves `take`
+    /// uncalled, so the owner keeps the payload for a later save.
+    pub fn offer_compressed(&mut self, take: impl FnOnce() -> Option<Box<[u8]>>) {
+        if !self.sink.as_deref().is_some_and(|sink| sink.takes_compressed()) {
+            return;
+        }
+        if let Some(compressed) = take() {
+            self.ensure_section();
+            self.compressed.push((self.cur, compressed));
+        }
     }
 
     /// Finishes a streaming writer: flushes any remaining sections and
@@ -477,6 +506,9 @@ struct Frame<'a> {
     at: usize,
     /// A scope (or a read outside any scope) has opened this section.
     visited: bool,
+    /// The compressed payload a stream stored the section as, until
+    /// [`SnapReader::take_compressed`] takes it or the scope closes.
+    compressed: Option<Box<[u8]>>,
 }
 
 /// Reads named sections back in [`SnapWriter`] order.
@@ -514,12 +546,24 @@ pub struct SnapReader<'a> {
     error: Option<SnapError>,
 }
 
-/// A pull source of `(name, bytes)` sections for a streaming restore.
+/// A pull source of [`StreamSection`]s for a streaming restore.
 ///
 /// Returns `Ok(None)` once the stream is exhausted — *after* validating
 /// any trailer it carries, so truncation surfaces as an error here rather
 /// than as a silent short restore.
-pub type SectionSource<'a> = Box<dyn FnMut() -> Result<Option<(String, Vec<u8>)>, SnapError> + 'a>;
+pub type SectionSource<'a> = Box<dyn FnMut() -> Result<Option<StreamSection>, SnapError> + 'a>;
+
+/// One section as a [`StreamSource`] reads it.
+#[derive(Debug)]
+pub struct StreamSection {
+    /// The section's dotted name.
+    pub name: String,
+    /// The raw section bytes.
+    pub data: Vec<u8>,
+    /// The compressed payload the stream stored the section as; [`None`]
+    /// when it was stored raw.
+    pub compressed: Option<Box<[u8]>>,
+}
 
 impl fmt::Debug for SnapReader<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -548,7 +592,7 @@ impl<'a> SnapReader<'a> {
     pub fn new(snapshot: &'a Snapshot) -> Self {
         let mut r = Self::with_source(None);
         for (name, bytes) in &snapshot.sections {
-            r.admit(Cow::Borrowed(name.as_str()), Cow::Borrowed(bytes.as_slice()));
+            r.admit(Cow::Borrowed(name.as_str()), Cow::Borrowed(bytes.as_slice()), None);
         }
         r
     }
@@ -561,18 +605,24 @@ impl<'a> SnapReader<'a> {
 
     /// Makes a section resident. A repeated name replaces the earlier
     /// bytes and rewinds their cursor.
-    fn admit(&mut self, name: Cow<'a, str>, data: Cow<'a, [u8]>) {
+    fn admit(&mut self, name: Cow<'a, str>, data: Cow<'a, [u8]>, compressed: Option<Box<[u8]>>) {
         match self.index.get(name.as_ref()) {
             Some(&at) => {
                 let frame = &mut self.frames[at];
                 frame.data = data;
                 frame.at = 0;
+                frame.compressed = compressed;
             }
             None => {
                 self.index.insert(name, self.frames.len());
-                self.frames.push(Frame { data, at: 0, visited: false });
+                self.frames.push(Frame { data, at: 0, visited: false, compressed });
             }
         }
+    }
+
+    /// Makes a section pulled from the source resident.
+    fn admit_pulled(&mut self, s: StreamSection) {
+        self.admit(Cow::Owned(s.name), Cow::Owned(s.data), s.compressed);
     }
 
     /// The resident section named by the current path, pulling from the
@@ -583,7 +633,7 @@ impl<'a> SnapReader<'a> {
                 return Some(at);
             }
             match self.source.as_mut()?() {
-                Ok(Some((name, data))) => self.admit(Cow::Owned(name), Cow::Owned(data)),
+                Ok(Some(s)) => self.admit_pulled(s),
                 Ok(None) => return None,
                 Err(e) => {
                     self.fail(e);
@@ -635,6 +685,7 @@ impl<'a> SnapReader<'a> {
             }
             if self.source.is_some() {
                 frame.data = Cow::Borrowed(&[]);
+                frame.compressed = None;
                 self.index.remove(self.path.dotted.as_str());
             }
         }
@@ -752,6 +803,24 @@ impl<'a> SnapReader<'a> {
         Seq { r: self, left, item }
     }
 
+    /// Takes the compressed payload the stream stored the innermost open
+    /// section as, for its owner to hand to a later save (see
+    /// [`SnapWriter::offer_compressed`]). It is returned only once the
+    /// section has been read to its end with no error recorded, so it
+    /// decodes to exactly the bytes the scope consumed; [`None`] for a
+    /// section stored raw or read from an in-memory [`Snapshot`], and on
+    /// every call after the first.
+    pub fn take_compressed(&mut self) -> Option<Box<[u8]>> {
+        if self.error.is_some() {
+            return None;
+        }
+        let frame = self.frames.get_mut(self.cur)?;
+        if frame.at != frame.data.len() {
+            return None;
+        }
+        frame.compressed.take()
+    }
+
     /// Finishes the restore: the first recorded error, or an
     /// [`SnapError::UnexpectedSection`] if the snapshot held a section no
     /// component visited (a structural mismatch the per-scope checks
@@ -764,8 +833,8 @@ impl<'a> SnapReader<'a> {
         // verified even when the walk consumed every section early; any
         // section it still yields was never visited by a component.
         if let Some(mut source) = self.source.take() {
-            while let Some((name, data)) = source()? {
-                self.admit(Cow::Owned(name), Cow::Owned(data));
+            while let Some(s) = source()? {
+                self.admit_pulled(s);
             }
         }
         let unvisited =
@@ -1206,6 +1275,32 @@ pub trait SnapSink {
     fn unchanged(&mut self, name: &str) -> Result<&[u8], SnapError> {
         Err(SnapError::Corrupt(format!("section '{name}' declared unchanged outside a delta")))
     }
+    /// True for a sink that compresses what it stores and so can use a
+    /// payload handed to [`SnapSink::section_compressed`]. A writer hands
+    /// payloads over only to a sink that says so; every other sink leaves
+    /// them with their owners.
+    fn takes_compressed(&self) -> bool {
+        false
+    }
+    /// Emits one named section, in walk order, with `compressed`: a
+    /// payload that decodes to exactly `data`, handed over by the
+    /// section's owner ([`SnapWriter::offer_compressed`]), which the sink
+    /// may store instead of compressing `data` again. Called only when
+    /// [`SnapSink::takes_compressed`] is true; by default the payload is
+    /// dropped and the section emitted as by [`SnapSink::section`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`SnapSink::section`].
+    fn section_compressed(
+        &mut self,
+        name: &str,
+        data: &[u8],
+        compressed: Box<[u8]>,
+    ) -> Result<(), SnapError> {
+        drop(compressed);
+        self.section(name, data)
+    }
     /// Ends the snapshot: trailers are written and buffers flushed.
     ///
     /// # Errors
@@ -1338,6 +1433,15 @@ fn io_err(e: std::io::Error) -> SnapError {
 /// cases are never ambiguous. The trailer carries the section count and
 /// the state digest over the *raw* section contents, which is how
 /// [`StreamSource`] rejects truncated or corrupted streams.
+///
+/// The stream is a function of the captured state, with one exception: a
+/// compressing sink writes a section handed to
+/// [`SnapSink::section_compressed`] as the payload it was restored from,
+/// which is what the encoder wrote when this build wrote that stream, but
+/// is re-emitted as read when another writer produced a different valid
+/// payload. Either way it decodes to the same raw section, so the trailer
+/// and every restore are unchanged; debug builds decode each such payload
+/// and assert it.
 pub struct StreamSink<W: Write> {
     w: W,
     /// The codec's match table, reused across sections; `None` writes
@@ -1347,6 +1451,7 @@ pub struct StreamSink<W: Write> {
     digest: StateHash,
     raw_bytes: u64,
     stored_bytes: u64,
+    reused_bytes: u64,
 }
 
 impl<W: Write> fmt::Debug for StreamSink<W> {
@@ -1356,6 +1461,7 @@ impl<W: Write> fmt::Debug for StreamSink<W> {
             .field("count", &self.count)
             .field("raw_bytes", &self.raw_bytes)
             .field("stored_bytes", &self.stored_bytes)
+            .field("reused_bytes", &self.reused_bytes)
             .finish_non_exhaustive()
     }
 }
@@ -1371,6 +1477,7 @@ impl<W: Write> StreamSink<W> {
             digest: StateHash::new(),
             raw_bytes: 0,
             stored_bytes: 0,
+            reused_bytes: 0,
         }
     }
 
@@ -1384,6 +1491,13 @@ impl<W: Write> StreamSink<W> {
         self.stored_bytes
     }
 
+    /// The part of [`StreamSink::stored_bytes`] written as payloads handed
+    /// over by [`SnapSink::section_compressed`], which the encoder did not
+    /// have to produce.
+    pub fn reused_bytes(&self) -> u64 {
+        self.reused_bytes
+    }
+
     /// The state digest accumulated so far — after the final section,
     /// equal to [`Snapshot::state_digest`] of the captured state (also
     /// what the trailer carries). Checkpoint metadata records it to
@@ -1391,39 +1505,12 @@ impl<W: Write> StreamSink<W> {
     pub fn state_digest(&self) -> u64 {
         self.digest.finish()
     }
-}
 
-impl<W: Write> SnapSink for StreamSink<W> {
-    fn begin(&mut self, version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
-        self.count = 0;
-        self.digest = StateHash::new();
-        self.raw_bytes = 0;
-        self.stored_bytes = 0;
-        self.w.write_all(&STREAM_MAGIC).map_err(io_err)?;
-        self.w.write_all(&version.to_le_bytes()).map_err(io_err)?;
-        self.w.write_all(&config_digest.to_le_bytes()).map_err(io_err)?;
-        self.w.write_all(&cycle.to_le_bytes()).map_err(io_err)?;
-        let flags = if self.encoder.is_some() { STREAM_FLAG_COMPRESS } else { 0 };
-        self.w.write_all(&[flags]).map_err(io_err)?;
-        digest_header(&mut self.digest, config_digest, cycle);
-        Ok(())
-    }
-
-    fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError> {
+    /// Writes one section record with payload `stored`: `data` itself, or
+    /// a strictly shorter payload that decodes to it.
+    fn write_section(&mut self, name: &str, data: &[u8], stored: &[u8]) -> Result<(), SnapError> {
         let nlen = u32::try_from(name.len()).expect("section name exceeds u32");
         let raw_len = u32::try_from(data.len()).expect("section data exceeds u32");
-        let packed;
-        let stored: &[u8] = match &mut self.encoder {
-            Some(encoder) => {
-                packed = encoder.compress(data);
-                if packed.len() < data.len() {
-                    &packed
-                } else {
-                    data
-                }
-            }
-            None => data,
-        };
         self.w.write_all(&[REC_SECTION]).map_err(io_err)?;
         self.w.write_all(&nlen.to_le_bytes()).map_err(io_err)?;
         self.w.write_all(name.as_bytes()).map_err(io_err)?;
@@ -1436,6 +1523,62 @@ impl<W: Write> SnapSink for StreamSink<W> {
         self.raw_bytes += data.len() as u64;
         self.stored_bytes += stored.len() as u64;
         Ok(())
+    }
+}
+
+impl<W: Write> SnapSink for StreamSink<W> {
+    fn begin(&mut self, version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
+        self.count = 0;
+        self.digest = StateHash::new();
+        self.raw_bytes = 0;
+        self.stored_bytes = 0;
+        self.reused_bytes = 0;
+        self.w.write_all(&STREAM_MAGIC).map_err(io_err)?;
+        self.w.write_all(&version.to_le_bytes()).map_err(io_err)?;
+        self.w.write_all(&config_digest.to_le_bytes()).map_err(io_err)?;
+        self.w.write_all(&cycle.to_le_bytes()).map_err(io_err)?;
+        let flags = if self.encoder.is_some() { STREAM_FLAG_COMPRESS } else { 0 };
+        self.w.write_all(&[flags]).map_err(io_err)?;
+        digest_header(&mut self.digest, config_digest, cycle);
+        Ok(())
+    }
+
+    fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError> {
+        let packed;
+        let stored: &[u8] = match &mut self.encoder {
+            Some(encoder) => {
+                packed = encoder.compress(data);
+                if packed.len() < data.len() {
+                    &packed
+                } else {
+                    data
+                }
+            }
+            None => data,
+        };
+        self.write_section(name, data, stored)
+    }
+
+    fn takes_compressed(&self) -> bool {
+        self.encoder.is_some()
+    }
+
+    fn section_compressed(
+        &mut self,
+        name: &str,
+        data: &[u8],
+        compressed: Box<[u8]>,
+    ) -> Result<(), SnapError> {
+        // A payload as long as the section would read back as raw bytes.
+        if self.encoder.is_none() || compressed.len() >= data.len() {
+            return self.section(name, data);
+        }
+        debug_assert!(
+            codec::decompress(&compressed).is_ok_and(|raw| raw == data),
+            "section '{name}': the handed-off payload does not decode to the section"
+        );
+        self.reused_bytes += compressed.len() as u64;
+        self.write_section(name, data, &compressed)
     }
 
     fn finish(&mut self) -> Result<(), SnapError> {
@@ -1576,15 +1719,17 @@ impl<R: Read> StreamSource<R> {
         self.done.then(|| self.digest.finish())
     }
 
-    /// The next `(name, raw bytes)` section, or `Ok(None)` once the end
-    /// record has been reached and its trailer verified.
+    /// The next section, or `Ok(None)` once the end record has been
+    /// reached and its trailer verified. A section stored compressed
+    /// keeps its payload beside the raw bytes, in a buffer of exactly its
+    /// length.
     ///
     /// # Errors
     ///
     /// [`SnapError::Corrupt`] on truncation, an unknown record tag, a
     /// codec failure, a decompressed-length mismatch, or a count/digest
     /// trailer mismatch; [`SnapError::Io`] on underlying read failures.
-    pub fn next_section(&mut self) -> Result<Option<(String, Vec<u8>)>, SnapError> {
+    pub fn next_section(&mut self) -> Result<Option<StreamSection>, SnapError> {
         if self.done {
             return Ok(None);
         }
@@ -1615,8 +1760,8 @@ impl<R: Read> StreamSource<R> {
                 let raw_len = read_u32_snap(&mut self.r)? as usize;
                 let stored_len = read_u32_snap(&mut self.r)? as usize;
                 let stored = read_vec_snap(&mut self.r, stored_len)?;
-                let data = if stored_len == raw_len {
-                    stored
+                let (data, compressed) = if stored_len == raw_len {
+                    (stored, None)
                 } else {
                     if !self.compressed {
                         return Err(SnapError::Corrupt(
@@ -1630,11 +1775,11 @@ impl<R: Read> StreamSource<R> {
                             "section '{name}' decompressed to the wrong length"
                         )));
                     }
-                    raw
+                    (raw, Some(stored.into_boxed_slice()))
                 };
                 digest_section(&mut self.digest, &name, &data);
                 self.count = self.count.wrapping_add(1);
-                Ok(Some((name, data)))
+                Ok(Some(StreamSection { name, data, compressed }))
             }
             t => Err(SnapError::Corrupt(format!("unknown stream record tag {t:#04x}"))),
         }
@@ -1649,8 +1794,8 @@ impl<R: Read> StreamSource<R> {
 pub fn read_stream(r: impl Read) -> Result<Snapshot, SnapError> {
     let mut src = StreamSource::open(r)?;
     let mut sections = Vec::new();
-    while let Some((name, data)) = src.next_section()? {
-        sections.push((name, data));
+    while let Some(s) = src.next_section()? {
+        sections.push((s.name, s.data));
     }
     let (config_digest, cycle) = (src.config_digest(), src.cycle());
     // `next_section` returned `None`, so the trailer's digest has been
@@ -2680,6 +2825,103 @@ mod tests {
     fn declaring_a_differing_section_unchanged_panics() {
         let base = sample(1, 10);
         let _ = sample_delta(&base, 2, Some(base.state_digest()));
+    }
+
+    #[test]
+    fn a_reader_hands_out_a_sections_compressed_payload_once_it_is_read_to_its_end() {
+        let snap = sample(6, 30);
+        let wire = snap.to_stream_bytes(true);
+        let mut src = StreamSource::open(&wire[..]).expect("open");
+        let mut r = SnapReader::from_source(Box::new(move || src.next_section()));
+        let mut packed = None;
+        r.scoped("alpha", |r| {
+            assert_eq!(r.u64(), 7);
+            assert!(r.take_compressed().is_none(), "the section is not read to its end yet");
+            let _ = r.byte_slice();
+            packed = r.take_compressed();
+            assert!(r.take_compressed().is_none(), "taken once");
+        });
+        let packed = packed.expect("alpha was stored compressed");
+        assert_eq!(codec::decompress(&packed).ok().as_deref(), snap.section("alpha"));
+        r.scoped("beta", |r| {
+            let _ = r.u8();
+            assert!(r.take_compressed().is_none(), "one byte is stored raw");
+        });
+        r.scoped("host", |r| r.scoped("stepper", |r| assert_eq!(r.u64(), 9)));
+        r.finish().expect("streamed restore");
+
+        let mut r = SnapReader::new(&snap);
+        r.scoped("alpha", |r| {
+            let _ = (r.u64(), r.byte_slice());
+            assert!(r.take_compressed().is_none(), "an in-memory snapshot has no payloads");
+        });
+    }
+
+    #[test]
+    fn only_a_compressing_stream_sink_takes_a_handed_off_payload() {
+        let page = vec![5u8; 4096];
+        let section = [&(page.len() as u32).to_le_bytes()[..], &page].concat();
+        let packed: Box<[u8]> = codec::compress(&section).into();
+        // Streams one section holding `page`, offering `offered`; returns
+        // whether the sink took it.
+        let walk = |sink: &mut dyn SnapSink, offered: &[u8]| {
+            let mut taken = false;
+            sink.begin(SNAP_VERSION, 0, 0).expect("begin");
+            let mut w = SnapWriter::streaming(sink);
+            w.scoped("a", |w| {
+                w.offer_compressed(|| {
+                    taken = true;
+                    Some(offered.into())
+                });
+                w.bytes(&page);
+            });
+            w.finish().expect("walk");
+            sink.finish().expect("finish");
+            taken
+        };
+        let mut raw = Vec::new();
+        let sinks: [&mut dyn SnapSink; 3] = [
+            &mut MemorySink::new(),
+            &mut CountingSink::new(),
+            &mut StreamSink::new(&mut raw, false),
+        ];
+        for sink in sinks {
+            assert!(!walk(sink, &packed), "only a compressing sink spends the payload");
+        }
+
+        let mut wire = Vec::new();
+        let mut sink = StreamSink::new(&mut wire, true);
+        assert!(walk(&mut sink, &packed));
+        assert_eq!(sink.reused_bytes(), packed.len() as u64);
+        assert_eq!(sink.stored_bytes(), packed.len() as u64);
+        // A payload no shorter than the section would read back as raw
+        // bytes: the encoder writes the section instead.
+        let mut again = Vec::new();
+        let mut long = StreamSink::new(&mut again, true);
+        assert!(walk(&mut long, &section));
+        assert_eq!(long.reused_bytes(), 0);
+        assert_eq!(again, wire, "both streams hold the encoder's bytes");
+        let back = read_stream(&wire[..]).expect("reads back");
+        assert_eq!(back.section("a"), Some(&section[..]));
+
+        // A delta writer never offers it either.
+        let base = read_stream(&wire[..]).expect("base");
+        let mut taken = false;
+        let delta = SnapDelta::streamed(&base, |sink, digest| {
+            sink.begin(SNAP_VERSION, 0, 0)?;
+            let mut w = SnapWriter::streaming_delta(sink, digest);
+            w.scoped("a", |w| {
+                w.offer_compressed(|| {
+                    taken = true;
+                    Some(packed.clone())
+                });
+                w.bytes(&page);
+            });
+            w.finish()?;
+            sink.finish()
+        });
+        assert!(delta.expect("delta").sections().is_empty());
+        assert!(!taken, "a delta writer leaves the payload with its owner");
     }
 
     #[test]

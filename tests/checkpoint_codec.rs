@@ -15,7 +15,11 @@
 //!   input declares. A checkpoint stream carries a state digest, so it
 //!   must read back as `Err` or as the exact original; a bare codec
 //!   stream has no checksum, so it must decode exactly as the reference
-//!   decoder does, errors included.
+//!   decoder does, errors included. A platform restored from a mutated
+//!   stream is saved again, compressed: its DRAM pages go out as the
+//!   payload they were read as, which must still read back to the
+//!   original's state digest (debug builds also assert, per payload, that
+//!   it decodes to the section it stands for).
 
 mod common;
 #[path = "../crates/sim/tests/support/counting_alloc.rs"]
@@ -591,21 +595,56 @@ fn mutate_stream(rng: &mut SimRng, wire: &mut Vec<u8>, layout: &StreamLayout) ->
     }
 }
 
-#[test]
-fn mutated_checkpoint_streams_restore_the_original_or_fail_within_a_bounded_allocation() {
-    let mut rng = SimRng::new(0x572E_A4F0);
-    let pinned = common::pinned_platform();
-    let original = pinned.snapshot();
+/// A compressed save of `p` and how many of its stored bytes were
+/// payloads handed over from a restore.
+fn resave(p: &Platform) -> (Vec<u8>, u64) {
     let mut wire = Vec::new();
-    pinned.snapshot_to(&mut StreamSink::new(&mut wire, true)).expect("stream to memory");
+    let mut sink = StreamSink::new(&mut wire, true);
+    p.snapshot_to(&mut sink).expect("stream to memory");
+    let reused = sink.reused_bytes();
+    (wire, reused)
+}
+
+/// `p` with 16 KiB of compressible pages in every node's DRAM, clear of
+/// the pinned workload's addresses: runs of 16 equal bytes, eight seeded
+/// bytes opening each page.
+fn with_dram_pages(mut p: Platform) -> Platform {
+    let mut rng = SimRng::new(0x9A6E_5A7E);
+    let per_node = p.config().params.bytes_per_node;
+    for g in 0..p.config().total_nodes() as u64 {
+        let base = DRAM_BASE + g * per_node + 0x10_0000;
+        for pg in 0..4u64 {
+            let mut page: Vec<u8> =
+                (0..4096).map(|i| ((pg * 5 + g + i / 16) & 0xFF) as u8).collect();
+            page[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
+            p.write_mem(base + pg * 4096, &page);
+        }
+    }
+    p
+}
+
+/// Mutates `source`'s compressed stream [`INPUTS`] times. Each mutation
+/// must read back as `Err` or as the original; every fifth also restores
+/// into a fresh pinned platform, which must agree, and a platform it
+/// restores is saved again and must read back to the original's state
+/// digest. Returns the stored bytes the unmutated stream's re-save took
+/// from the restore instead of the encoder.
+fn fuzz_checkpoint_stream(rng: &mut SimRng, label: &str, source: &Platform) -> u64 {
+    let original = source.snapshot();
+    let mut wire = Vec::new();
+    source.snapshot_to(&mut StreamSink::new(&mut wire, true)).expect("stream to memory");
     let layout = stream_layout(&wire);
-    assert!(!layout.payloads.is_empty(), "the pinned stream must have compressed sections");
+    assert!(!layout.payloads.is_empty(), "{label}: the stream must have compressed sections");
+    let mut fresh = common::pinned_fresh();
+    fresh.restore_from(&wire[..]).expect("the unmutated stream restores");
+    let (again, reused) = resave(&fresh);
+    assert!(again == wire, "{label}: a restored platform's save differs from its stream");
 
     let mut read_ok = 0;
     for n in 0..INPUTS {
         let mut input = wire.clone();
-        let kind = mutate_stream(&mut rng, &mut input, &layout);
-        let what = format!("stream input {n} ({kind})");
+        let kind = mutate_stream(rng, &mut input, &layout);
+        let what = format!("{label} stream input {n} ({kind})");
         let (read, allocs) = no_panic(&what, || read_stream(&input[..]));
         assert!(
             allocs.largest <= READ_AHEAD_CAP,
@@ -628,10 +667,25 @@ fn mutated_checkpoint_streams_restore_the_original_or_fail_within_a_bounded_allo
             );
             if res.is_ok() {
                 assert!(fresh.snapshot() == original, "{what}: restored a different state");
+                let (again, _) = resave(&fresh);
+                let back = read_stream(&again[..]).map(|s| s.state_digest());
+                assert_eq!(back, Ok(original.state_digest()), "{what}: the re-save reads back");
             }
         }
     }
     // Some mutations are harmless (a flipped compress flag, a rewritten
     // length that equals the old one); nearly all must be caught.
-    assert!(read_ok < INPUTS / 10, "{read_ok} of {INPUTS} mutated streams read back");
+    assert!(read_ok < INPUTS / 10, "{label}: {read_ok} of {INPUTS} mutated streams read back");
+    reused
+}
+
+#[test]
+fn mutated_checkpoint_streams_restore_the_original_or_fail_within_a_bounded_allocation() {
+    let mut rng = SimRng::new(0x572E_A4F0);
+    fuzz_checkpoint_stream(&mut rng, "pinned", &common::pinned_platform());
+    // With DRAM pages, mutations also land in the payloads a restore
+    // hands to the next save.
+    let paged = with_dram_pages(common::pinned_platform());
+    let reused = fuzz_checkpoint_stream(&mut rng, "pinned with pages", &paged);
+    assert!(reused > 0, "the paged stream must hand DRAM payloads to the next save");
 }

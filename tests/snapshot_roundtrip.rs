@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use common::pinned_platform;
 use smappic::platform::{Config, FaultSpec, Platform, Topology, DRAM_BASE};
+use smappic::sim::codec;
 use smappic::sim::{
     read_stream, CountingSink, EthParams, FaultPlan, FaultProfile, MemorySink, SimRng, SnapDelta,
     SnapError, SnapSink, Snapshot, StreamSink,
@@ -813,6 +814,132 @@ fn deltas_against_a_restored_image_skip_untouched_pages_on_the_16_fpga_rack() {
     };
     assert_untouched_pages_are_elided(mk, 2_000, 1_500, "rack16");
     assert_restored_rounds_chain_to_the_uninterrupted_run(mk, 2_000, 1_500, 3, "rack16 chain");
+}
+
+// ---------------------------------------------------------------------------
+// A compressed save of a restored platform writes the untouched pages as
+// the payload they were restored from.
+// ---------------------------------------------------------------------------
+
+/// `p` with [`with_patterned_dram`]'s 32 KiB per node filled with runs of
+/// 16 equal bytes instead, and one seeded byte per page, so every `pages`
+/// section is stored compressed.
+fn with_compressible_dram(mut p: Platform) -> Platform {
+    let mut rng = SimRng::new(0xC0DE_D4A3);
+    for g in 0..p.config().total_nodes() {
+        let mut bytes: Vec<u8> = (0..32 * 1024).map(|i| (g + i / 16) as u8).collect();
+        for page in bytes.chunks_mut(4096) {
+            page[0] = rng.gen_range(256) as u8;
+        }
+        p.write_mem(pattern_addr(&p, g), &bytes);
+    }
+    p
+}
+
+/// A compressed save of `p`, and how many of its stored bytes were
+/// handed-off payloads rather than encoder output.
+fn compressed_save(p: &Platform) -> (Vec<u8>, u64) {
+    let mut wire = Vec::new();
+    let mut sink = StreamSink::new(&mut wire, true);
+    p.snapshot_to(&mut sink).expect("compressed save");
+    let reused = sink.reused_bytes();
+    (wire, reused)
+}
+
+/// The payload bytes a compressed stream stores section `name` of `snap`
+/// as, when the encoder shrinks it; 0 when it is stored raw.
+fn compressed_len(snap: &Snapshot, name: &str) -> u64 {
+    let raw = snap.section(name).unwrap_or_else(|| panic!("no section {name}"));
+    let packed = codec::compress(raw);
+    if packed.len() < raw.len() {
+        packed.len() as u64
+    } else {
+        0
+    }
+}
+
+/// Cuts `mk()` at `cut` and restores two fresh twins from the compressed
+/// image; they and the uninterrupted platform run `stride` cycles. A
+/// twin's compressed save is byte-identical to the uninterrupted
+/// platform's and writes each untouched node's `pages` section as the
+/// payload it was restored from, after a counting walk, a raw save, two
+/// in-memory captures and a delta have all left that payload in place.
+/// The save spends it: the next one compresses again, to the same bytes.
+/// A one-byte write into one node, in both platforms, re-encodes exactly
+/// that node's section.
+fn assert_resaves_reuse_the_restored_pages(
+    mk: impl Fn() -> Platform,
+    cut: u64,
+    stride: u64,
+    label: &str,
+) {
+    let mut reference = mk();
+    reference.run(cut);
+    let (wire, reused) = compressed_save(&reference);
+    assert_eq!(reused, 0, "{label}: a platform never restored has nothing to reuse");
+    let base = read_stream(&wire[..]).expect("wire round-trip");
+    let twin = || {
+        let mut p = mk();
+        p.restore_from(&wire[..]).unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
+        p.run(stride);
+        p
+    };
+    let (p, mut q) = (twin(), twin());
+    reference.run(stride);
+
+    let (nodes, per_fpga) = (p.config().total_nodes(), p.config().nodes_per_fpga);
+    let dram = |p: &Platform, g: usize| p.node(g).chipset().memctl().dram().pages_match();
+    let untouched: Vec<usize> =
+        (0..nodes).filter(|&g| dram(&p, g) == Some(base.state_digest())).collect();
+    assert!(!untouched.is_empty(), "{label}: every node's DRAM was written: no teeth");
+    let pages_len = |g: usize| compressed_len(&base, &pages_section(g, per_fpga));
+    let expected: u64 = untouched.iter().map(|&g| pages_len(g)).sum();
+    assert!(expected > 0, "{label}: no untouched pages section was stored compressed");
+
+    // Only a compressing sink spends the hand-off.
+    p.snapshot_to(&mut CountingSink::new()).expect("counting walk");
+    p.snapshot_to(&mut StreamSink::new(Vec::new(), false)).expect("raw save");
+    p.snapshot_to(&mut MemorySink::new()).expect("memory sink");
+    let _ = p.snapshot();
+    p.snapshot_delta(&base).expect("delta against the restored image");
+
+    let (uninterrupted, _) = compressed_save(&reference);
+    let (resaved, reused) = compressed_save(&p);
+    assert!(resaved == uninterrupted, "{label}: the re-save differs from the uninterrupted save");
+    assert_eq!(reused, expected, "{label}: payload bytes written as restored");
+    let (again, reused) = compressed_save(&p);
+    assert!(again == uninterrupted, "{label}: the second re-save differs");
+    assert_eq!(reused, 0, "{label}: the first save spent the hand-off");
+
+    let g = untouched[untouched.len() / 2];
+    let at = pattern_addr(&q, g);
+    let flipped = [!q.read_mem(at, 1)[0]];
+    q.write_mem(at, &flipped);
+    reference.write_mem(at, &flipped);
+    let (uninterrupted, _) = compressed_save(&reference);
+    let (resaved, reused) = compressed_save(&q);
+    assert!(resaved == uninterrupted, "{label}: the re-save after a write differs");
+    assert_eq!(reused, expected - pages_len(g), "{label}: only node {g}'s pages re-encoded");
+}
+
+#[test]
+fn resaving_a_restored_image_reuses_the_untouched_pages_on_a_2x2x2() {
+    let mk = || with_compressible_dram(bursty_fleet());
+    assert_resaves_reuse_the_restored_pages(mk, 3_000, 1_500, "2x2x2");
+}
+
+#[test]
+fn resaving_a_restored_image_reuses_the_untouched_pages_on_the_16_fpga_rack() {
+    let mk = || {
+        with_compressible_dram(rack_workload(
+            16,
+            6,
+            0xE1DE,
+            Topology::Ethernet(rack_eth_params()),
+            None,
+        ))
+    };
+    assert_resaves_reuse_the_restored_pages(mk, 2_000, 1_500, "rack16");
 }
 
 // ---------------------------------------------------------------------------
