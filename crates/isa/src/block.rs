@@ -19,8 +19,11 @@
 //!
 //! A cached op is replayed only when the raw bits the wrapper fetched this
 //! cycle equal the bits the op was decoded from (checked on every hit), so
-//! a stale entry can never execute. On top of that belt-and-braces check,
-//! callers invalidate eagerly:
+//! a stale entry can never execute. [`BlockCache::replay`] dispatches a run
+//! of ops with no fetch to compare; its caller checks the same bits
+//! beforehand, through the predicate of [`BlockCache::quiet_run`], and
+//! must know nothing can change them during the run. On top of that
+//! belt-and-braces check, callers invalidate eagerly:
 //!
 //! - **Self-modifying stores** — [`BlockCache::invalidate_range`] for the
 //!   stored bytes (a page-level index makes the no-code-on-this-page case
@@ -32,11 +35,11 @@
 //!   serialized, and wrappers call [`BlockCache::invalidate_all`] on
 //!   restore so blocks are rebuilt from the restored machine.
 //!
-//! The cache changes no architectural behavior: every fetch still goes
-//! through the wrapper's timing model (instruction-cache lookups, misses,
+//! The cache changes no architectural behavior: every instruction still
+//! pays the wrapper's timing model (instruction-cache lookups, misses,
 //! stalls), and [`Hart::execute_decoded`] on a cached op is the same
-//! function the plain interpreter runs. Only host-side decode work is
-//! saved, so fast and reference paths stay bit-identical.
+//! function the plain interpreter runs. Only host-side work is saved, so
+//! fast and reference paths stay bit-identical.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -104,14 +107,10 @@ impl BlockCache {
     /// current block covers `pc` with the same raw bits, otherwise by
     /// decoding now (and growing a block from the trace).
     pub fn lookup(&mut self, pc: u64, instr: u32) -> DecodedOp {
-        if let Some(cur) = self.cursor.as_mut().filter(|c| c.pc() == pc) {
+        if let Some(cur) = self.cursor.as_ref().filter(|c| c.pc() == pc) {
             let (raw, d) = cur.ops[cur.idx];
             if raw == instr {
-                self.hits += 1;
-                cur.idx += 1;
-                if cur.idx == cur.ops.len() {
-                    self.cursor = None;
-                }
+                self.advance(1);
                 return d;
             }
             // Stale bits that escaped eager invalidation: the raw
@@ -123,10 +122,8 @@ impl BlockCache {
         if let Some(ops) = self.blocks.get(&pc) {
             let (raw, d) = ops[0];
             if raw == instr {
-                self.hits += 1;
-                if ops.len() > 1 {
-                    self.cursor = Some(Cursor { base: pc, ops: Arc::clone(ops), idx: 1 });
-                }
+                self.cursor = Some(Cursor { base: pc, ops: Arc::clone(ops), idx: 0 });
+                self.advance(1);
                 return d;
             }
             self.remove_block(pc);
@@ -135,6 +132,17 @@ impl BlockCache {
         let d = Hart::decode(instr);
         self.record(pc, instr, d);
         d
+    }
+
+    /// Counts `n` ops dispatched at the cursor as hits and moves it past
+    /// them; a block dispatched to its end leaves no cursor.
+    fn advance(&mut self, n: usize) {
+        self.hits += n as u64;
+        let cur = self.cursor.as_mut().expect("ops dispatch from the cursor");
+        cur.idx += n;
+        if cur.idx == cur.ops.len() {
+            self.cursor = None;
+        }
     }
 
     /// How many ops the next `lookup`s, starting at `pc`, will dispatch from
@@ -151,6 +159,29 @@ impl BlockCache {
         };
         let ahead = ops.iter().zip((pc..).step_by(4));
         ahead.take_while(|&(&(raw, ref d), pc)| quiet(pc, raw, d)).count()
+    }
+
+    /// Dispatches ops from the block the next `lookup` at `pc` would use, in
+    /// order, handing each to `f(pc, raw bits, op)` until `f` returns false
+    /// or the block ends; returns how many were dispatched. Counts them and
+    /// leaves the cursor exactly as that many successive hitting `lookup`s
+    /// would, without a fetch to compare: the caller vouches that the bits
+    /// it would fetch are the block's (see [`BlockCache::quiet_run`]).
+    pub fn replay(&mut self, pc: u64, mut f: impl FnMut(u64, u32, &DecodedOp) -> bool) -> usize {
+        if self.cursor.as_ref().is_none_or(|c| c.pc() != pc) {
+            let Some(ops) = self.blocks.get(&pc) else { return 0 };
+            self.cursor = Some(Cursor { base: pc, ops: Arc::clone(ops), idx: 0 });
+        }
+        let cur = self.cursor.as_ref().expect("positioned above");
+        let mut n = 0;
+        for (&(raw, ref d), at) in cur.ops[cur.idx..].iter().zip((pc..).step_by(4)) {
+            n += 1;
+            if !f(at, raw, d) {
+                break;
+            }
+        }
+        self.advance(n);
+        n
     }
 
     /// Appends `(pc, instr, d)` to the block under construction, starting or
@@ -417,5 +448,59 @@ mod tests {
         assert_eq!((c.hits(), c.misses()), (3, 4), "asking is not dispatching");
         // The predicate sees each op's own pc and raw bits.
         assert_eq!(c.quiet_run(0x1000, |pc, raw, _| raw == ADDI && pc < 0x1008), 2);
+    }
+
+    /// Warms a block of `n` ADDIs sealed by a JAL at 0x1000, then a second
+    /// walk dispatches its first `skip` ops.
+    fn warm(n: usize, skip: usize) -> BlockCache {
+        let mut c = BlockCache::new();
+        let ops: Vec<u32> = std::iter::repeat_n(ADDI, n).chain([JAL]).collect();
+        for walk in [ops.len(), skip] {
+            for (i, &instr) in ops[..walk].iter().enumerate() {
+                c.lookup(0x1000 + 4 * i as u64, instr);
+            }
+        }
+        c
+    }
+
+    /// Hits, misses and where the cursor stands, read without moving it.
+    fn probe(c: &BlockCache) -> (u64, u64, Option<(u64, usize)>) {
+        (c.hits(), c.misses(), c.cursor.as_ref().map(|cur| (cur.base, cur.idx)))
+    }
+
+    #[test]
+    fn replay_dispatches_as_successive_hitting_lookups_do() {
+        // From a block head (no cursor), mid-block (at the cursor) and at a
+        // block head while the cursor sits elsewhere; stopping inside the
+        // block, on its last op, and running off its end.
+        for (skip, start, take) in
+            [(0, 0, 2), (2, 2, 3), (2, 0, 1), (3, 3, 1), (0, 0, 9), (1, 1, 4)]
+        {
+            let (mut looked, mut replayed) = (warm(4, skip), warm(4, skip));
+            let pc = 0x1000 + 4 * start as u64;
+            let mut seen = Vec::new();
+            let n = replayed.replay(pc, |at, raw, d| {
+                seen.push((at, raw, *d));
+                seen.len() < take
+            });
+            let ops = [ADDI, ADDI, ADDI, ADDI, JAL];
+            let want: Vec<_> = (start..ops.len().min(start + take))
+                .map(|i| (0x1000 + 4 * i as u64, ops[i], Hart::decode(ops[i])))
+                .collect();
+            assert_eq!(seen, want, "skip {skip}, start {start}, take {take}");
+            assert_eq!(n, want.len());
+            for &(at, raw, _) in &want {
+                looked.lookup(at, raw);
+            }
+            assert_eq!(probe(&replayed), probe(&looked), "skip {skip}, start {start}, take {take}");
+        }
+    }
+
+    #[test]
+    fn replay_with_no_block_next_dispatches_nothing() {
+        let mut c = warm(4, 2);
+        let before = probe(&c);
+        assert_eq!(c.replay(0x1004, |_, _, _| panic!("no block starts at 0x1004")), 0);
+        assert_eq!((c.hits(), c.misses()), (before.0, before.1));
     }
 }

@@ -24,6 +24,9 @@ pub struct ArianeConfig {
     /// The node's MMIO address map.
     pub addr_map: AddrMap,
     /// Instruction cache capacity in 8-byte doublewords (16 KB default).
+    /// Must be a nonzero power of two: the direct-mapped slot is the
+    /// doubleword index masked by `icache_dwords - 1`.
+    /// [`ArianeCore::new`] panics otherwise.
     pub icache_dwords: usize,
     /// Branch-history-table entries (Table 2: 128; 2-bit counters).
     /// Zero disables prediction (every taken branch pays the penalty).
@@ -48,6 +51,19 @@ impl ArianeConfig {
             taken_branch_penalty: 2,
             mul_penalty: 1,
             div_penalty: 10,
+        }
+    }
+
+    /// The extra cycles a retired instruction pays for being a long-latency
+    /// integer op (RV64M `mul*`/`div*`/`rem*`), from its raw bits.
+    fn muldiv_penalty(&self, instr: u32) -> u64 {
+        let op = instr & 0x7F;
+        let f7 = instr >> 25;
+        let f3 = (instr >> 12) & 7;
+        match (op == 0x33 || op == 0x3B) && f7 == 1 {
+            false => 0,
+            true if f3 >= 4 => self.div_penalty,
+            true => self.mul_penalty,
         }
     }
 }
@@ -122,20 +138,6 @@ enum State {
     Halted,
 }
 
-/// The TRI of a quiet window ([`Engine::advance_idle`] in `State::Run`): the
-/// horizon promised that no tick in the window reaches the TRI, so reaching
-/// it is a bug in the horizon, never something to paper over.
-struct QuietTri;
-
-impl Tri for QuietTri {
-    fn try_request(&mut self, _now: Cycle, req: CoreReq) -> Result<(), CoreReq> {
-        unreachable!("memory request inside a quiet window: {req:?}")
-    }
-    fn pop_resp(&mut self) -> Option<CoreResp> {
-        unreachable!("response poll inside a quiet window")
-    }
-}
-
 /// Ops that retire from registers alone: no TRI, no trap, no redirect, no CSR
 /// and no wrapper state beyond the stall counter. Loads, stores and CSR ops
 /// sit mid-block ([`DecodedOp::ends_block`] stops at none of them), so the
@@ -148,6 +150,22 @@ fn is_closed(d: &DecodedOp) -> bool {
             | DecodedOp::Alu { .. }
             | DecodedOp::AluImm { .. }
     )
+}
+
+/// The direct-mapped L1I slot of `dword` (the length is a power of two,
+/// checked by [`ArianeCore::new`] and on restore).
+fn icache_slot(icache: &[Option<(Addr, u64)>], dword: Addr) -> usize {
+    (dword >> 3) as usize & (icache.len() - 1)
+}
+
+/// The instruction word at `pc`, if its doubleword is L1I-resident.
+fn fetch(icache: &[Option<(Addr, u64)>], pc: u64) -> Option<u32> {
+    let dword = pc & !7;
+    let bits = match icache[icache_slot(icache, dword)] {
+        Some((a, bits)) if a == dword => bits,
+        _ => return None,
+    };
+    Some(if pc & 4 == 0 { bits as u32 } else { (bits >> 32) as u32 })
 }
 
 /// The Ariane core model.
@@ -184,7 +202,16 @@ pub struct ArianeCore {
 
 impl ArianeCore {
     /// Creates a core.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.icache_dwords` is not a nonzero power of two.
     pub fn new(cfg: ArianeConfig) -> Self {
+        assert!(
+            cfg.icache_dwords.is_power_of_two(),
+            "ArianeConfig::icache_dwords must be a nonzero power of two, got {}",
+            cfg.icache_dwords
+        );
         let hart = Hart::new(cfg.hartid, cfg.reset_pc);
         let icache = vec![None; cfg.icache_dwords];
         let bht = vec![1u8; cfg.bht_entries.max(1)]; // weakly not-taken
@@ -252,7 +279,7 @@ impl ArianeCore {
         let last = (addr.saturating_add(len.max(1)) - 1) & !7;
         let mut dword = first;
         loop {
-            let slot = self.icache_slot(dword);
+            let slot = icache_slot(&self.icache, dword);
             if matches!(self.icache[slot], Some((a, _)) if a == dword) {
                 self.icache[slot] = None;
             }
@@ -269,23 +296,6 @@ impl ArianeCore {
         self.next_token
     }
 
-    fn icache_slot(&self, dword: Addr) -> usize {
-        ((dword >> 3) as usize) % self.cfg.icache_dwords
-    }
-
-    fn icache_lookup(&self, dword: Addr) -> Option<u64> {
-        match self.icache[self.icache_slot(dword)] {
-            Some((a, bits)) if a == dword => Some(bits),
-            _ => None,
-        }
-    }
-
-    /// The instruction word at `pc`, if its doubleword is L1I-resident.
-    fn fetch(&self, pc: u64) -> Option<u32> {
-        let bits = self.icache_lookup(pc & !7)?;
-        Some(if pc & 4 == 0 { bits as u32 } else { (bits >> 32) as u32 })
-    }
-
     /// The quiet run: how many of the next instructions are certain to retire
     /// one per `Run` dispatch without the core touching the TRI or anything
     /// the tile observes. Those are the leading ops at the block cursor (or,
@@ -300,7 +310,7 @@ impl ArianeCore {
         if self.hart.csrs().pending_interrupt().is_some() {
             return 0;
         }
-        let quiet = |pc, raw, d: &DecodedOp| is_closed(d) && self.fetch(pc) == Some(raw);
+        let quiet = |pc, raw, d: &DecodedOp| is_closed(d) && fetch(&self.icache, pc) == Some(raw);
         self.blocks.quiet_run(self.hart.pc(), quiet) as u64
     }
 
@@ -362,7 +372,7 @@ impl ArianeCore {
                 // refill (e.g. code written by another hart); decoded blocks
                 // mirror the I-cache, so they go first.
                 self.blocks.invalidate_range(dword, 8);
-                let slot = self.icache_slot(dword);
+                let slot = icache_slot(&self.icache, dword);
                 self.icache[slot] = Some((dword, data));
             }
             Pend::Load { rd, size, signed, reserve, addr } => {
@@ -376,6 +386,42 @@ impl ArianeCore {
         }
     }
 
+    /// Spends the `left` cycles of a quiet window (`mcycle` already counted,
+    /// the stall counter already drained) retiring its ops straight from
+    /// the decoded block: each cycle either dispatches one op or drains one
+    /// cycle of the mul/div stall an op before it left — what the same
+    /// cycles of `run_one` do for an op the horizon proved closed, L1I-hit
+    /// and uninterruptible, without re-proving it per op. Stops exactly
+    /// when the cycles are spent, so the window is only ever executed up
+    /// to the cycle it is asked for, and an IRQ that wakes the tile
+    /// mid-block is taken at its exact cycle. Debug builds check each op
+    /// against the horizon's promises, so a horizon that lies panics here
+    /// instead of diverging.
+    fn retire_quiet(&mut self, mut left: u64) {
+        let Self { cfg, hart, icache, blocks, stall, .. } = self;
+        let start = hart.pc();
+        blocks.replay(start, |pc, raw, d| {
+            debug_assert!(
+                is_closed(d)
+                    && fetch(icache, pc) == Some(raw)
+                    && hart.csrs().pending_interrupt().is_none(),
+                "quiet window at {pc:#x} reached {d:?}, which its horizon rules out"
+            );
+            let outcome = hart.execute_decoded(d);
+            debug_assert!(
+                matches!(outcome, Outcome::Retired) && hart.pc() == pc + 4,
+                "closed op {d:?} at {pc:#x} did not retire in line: {outcome:?}"
+            );
+            *stall += cfg.muldiv_penalty(raw);
+            left -= 1;
+            let drained = (*stall).min(left);
+            *stall -= drained;
+            left -= drained;
+            left > 0
+        });
+        debug_assert_eq!(left, 0, "quiet window from {start:#x} outran its block");
+    }
+
     fn run_one(&mut self, now: Cycle, tri: &mut dyn Tri) {
         // Deliverable interrupts preempt between instructions.
         if self.hart.take_interrupt().is_some() {
@@ -383,7 +429,7 @@ impl ArianeCore {
             return;
         }
         let pc = self.hart.pc();
-        let Some(instr) = self.fetch(pc) else {
+        let Some(instr) = fetch(&self.icache, pc) else {
             // L1I miss: fetch the doubleword through the BPC.
             let dword = pc & !7;
             let (req, pend) =
@@ -426,12 +472,7 @@ impl ArianeCore {
                     // Jumps and other redirects always pay (no BTB modeled).
                     self.stall += self.cfg.taken_branch_penalty;
                 }
-                // Long-latency integer ops.
-                let f7 = instr >> 25;
-                let f3 = (instr >> 12) & 7;
-                if (op == 0x33 || op == 0x3B) && f7 == 1 {
-                    self.stall += if f3 >= 4 { self.cfg.div_penalty } else { self.cfg.mul_penalty };
-                }
+                self.stall += self.cfg.muldiv_penalty(instr);
             }
             Outcome::Wfi => self.state = State::Wfi,
             Outcome::Ecall => {
@@ -652,20 +693,19 @@ impl Engine for ArianeCore {
     }
 
     fn advance_idle(&mut self, delta: u64) {
-        match self.state {
-            State::Halted => {}
-            // A quiet window is executed, lazily and cycle by cycle, by the
-            // one per-cycle body there is: architectural state is current at
-            // every cycle boundary (an IRQ landing mid-block is taken at its
-            // exact cycle), and a TRI access the horizon failed to foresee
-            // panics. `now` only ever reaches the TRI.
-            State::Run => (0..delta).for_each(|_| self.tick(0, &mut QuietTri)),
-            // What `delta` skipped ticks would have done: count the cycles,
-            // drain the stall counter.
-            _ => {
-                self.hart.csrs_mut().mcycle += delta;
-                self.stall -= self.stall.min(delta);
-            }
+        if matches!(self.state, State::Halted) {
+            return;
+        }
+        // What each skipped tick does first: count the cycle, and spend it
+        // draining the stall counter if that is not empty yet.
+        self.hart.csrs_mut().mcycle += delta;
+        let drained = self.stall.min(delta);
+        self.stall -= drained;
+        let left = delta - drained;
+        // Only a `Run` window has cycles past its stall that do more than age
+        // (its quiet run); anywhere else they are waits.
+        if left > 0 && matches!(self.state, State::Run) {
+            self.retire_quiet(left);
         }
     }
 
@@ -719,6 +759,29 @@ mod tests {
             }
         }
         panic!("program did not halt within {max} cycles (pc={:#x})", core.hart().pc());
+    }
+
+    fn with_icache(dwords: usize) -> ArianeCore {
+        let mut cfg = ArianeConfig::new(0, 0x1_0000, AddrMap::new());
+        cfg.icache_dwords = dwords;
+        ArianeCore::new(cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "icache_dwords must be a nonzero power of two, got 0")]
+    fn an_empty_icache_is_rejected() {
+        with_icache(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "icache_dwords must be a nonzero power of two, got 3")]
+    fn an_icache_size_that_is_not_a_power_of_two_is_rejected() {
+        with_icache(3);
+    }
+
+    #[test]
+    fn the_default_icache_size_builds() {
+        assert_eq!(with_icache(2048).icache.len(), 2048);
     }
 
     #[test]

@@ -14,6 +14,12 @@
 
 #![forbid(unsafe_code)]
 
+/// The README's Rust blocks, compiled and run as doctests so its tour
+/// cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// Simulation kernel: credit-accounted ports, shapers, RNG, statistics.
 pub use smappic_sim as sim;
 

@@ -540,6 +540,58 @@ fn single_cycle_runs_equal_one_long_run() {
     assert!(slept * 10 >= N * 9, "quiet-run horizon lost: {slept} of {N} cycles slept");
 }
 
+#[test]
+fn windows_at_block_seams_replay_as_single_cycles_do() {
+    // A window spans at most one decoded block, and a block seals at a
+    // control op or at `MAX_BLOCK_OPS` (64) ops. Straight-line loops of 63,
+    // 64, 65 and 200 closed ops put the seal before, on and past the jump,
+    // so windows end on a seam and the next one opens at a block head with
+    // no cursor; the mixed loop adds mul/div stalls that a window's end can
+    // cut in half. Each runs fast against the reference, and as one
+    // `run(N)` (whole windows replayed in bulk) against `run(1)` × N (one
+    // cycle per replay).
+    const N: u64 = 6_000;
+    let mixed = format!(
+        "{}mul a3, a0, a2\ndiv a4, a3, a2\n{}remu a5, a3, a2\nmulw a3, a3, a2\n{}",
+        straight_line(30),
+        straight_line(40),
+        straight_line(5)
+    );
+    let bodies = [63, 64, 65, 200].map(|n| (format!("{n} ops"), straight_line(n)));
+    for (label, body) in bodies.into_iter().chain([("mul/div mix".to_string(), mixed)]) {
+        let src = format!("li a0, 0\nli a2, 3\nspin:\n{body}j spin\n");
+        run_pair(&src, N, &label);
+        let mut stepped = ariane_platform(&src);
+        let mut warped = ariane_platform(&src);
+        for _ in 0..N {
+            stepped.run(1);
+        }
+        warped.run(N);
+        assert_bit_identical(&stepped, &warped, &format!("{label}: run(1) x N vs run(N)"));
+        assert_eq!(
+            ariane_core(&stepped).block_cache_stats(),
+            ariane_core(&warped).block_cache_stats(),
+            "{label}: the same ops dispatched from the same blocks"
+        );
+        assert_eq!(slept_cycles(&stepped), slept_cycles(&warped), "{label}: same ticks skipped");
+        assert!(slept_cycles(&warped) > N / 2, "{label}: the loop must be slept through");
+    }
+}
+
+#[test]
+fn every_retired_op_of_a_slept_loop_is_one_block_dispatch() {
+    // Fast mode dispatches each retired instruction from the block cache
+    // exactly once, whether the tick or a quiet window's replay retired it,
+    // and the windows skip exactly the ticks they always have (recorded
+    // when windows were still replayed one tick body per cycle).
+    const SLEPT: u64 = 18_922;
+    let mut fast = ariane_platform(&endless_alu_loop());
+    fast.run(20_000);
+    let (hits, misses) = ariane_core(&fast).block_cache_stats();
+    assert_eq!(hits + misses, ariane_core(&fast).hart().csrs().minstret);
+    assert_eq!(slept_cycles(&fast), SLEPT);
+}
+
 // ---- Saturated message traffic ---------------------------------------------
 //
 // The mesh arbiter's candidate masks, the crossbar's queued count and the
