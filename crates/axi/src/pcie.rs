@@ -201,7 +201,7 @@ impl Dir {
 /// every delivery carries its send-order [`Flight::seq`] so the receiver
 /// can undo the scrambling. Injected delays only ever *add* to the clean
 /// delivery time, so the link's one-way latency remains a valid lookahead
-/// for the epoch-parallel stepper.
+/// for the epoch driver.
 #[derive(Debug)]
 pub struct PcieLink {
     a_to_b: Dir,
@@ -404,10 +404,10 @@ impl PcieLink {
     /// Drains every item headed for B that matures strictly before
     /// `horizon`, with its exact delivery cycle, oldest first.
     ///
-    /// Epoch extraction for the parallel stepper: at an epoch barrier the
+    /// Epoch extraction for the epoch driver: at an epoch barrier the
     /// platform pulls out everything the next epoch will deliver so the
-    /// receiving FPGA's worker can replay the deliveries cycle-accurately
-    /// without touching the (shared) link.
+    /// receiving FPGA can replay the deliveries cycle-accurately without
+    /// touching the link, which the barrier owns.
     pub fn take_to_b_before(&mut self, horizon: Cycle) -> Vec<(Cycle, PcieItem)> {
         self.take_flights_to_b_before(horizon).into_iter().map(|(t, f)| (t, f.item)).collect()
     }

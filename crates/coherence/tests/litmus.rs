@@ -75,7 +75,7 @@ fn assert_mesi_invariants(p: &Platform, addrs: &[u64]) {
 /// Message passing: the writer publishes data then raises a flag; a reader
 /// that observes the flag must observe the data (no stale read after the
 /// invalidation round that the flag store forces).
-fn mp(p: &mut Platform, writer: usize, reader: usize, parallel: bool) {
+fn mp(p: &mut Platform, writer: usize, reader: usize) {
     let data = DRAM_BASE + 0x1_0000;
     let flag = DRAM_BASE + 0x2_0000;
     let rdy = DRAM_BASE + 0x8_0000;
@@ -97,7 +97,7 @@ fn mp(p: &mut Platform, writer: usize, reader: usize, parallel: bool) {
         writer,
         vec![TraceOp::SpinUntilEq(rdy, 1), TraceOp::StoreVal(data, 42), TraceOp::StoreVal(flag, 1)],
     );
-    let spent = p.run_preemptible(BUDGET, parallel);
+    let spent = p.run_preemptible(BUDGET);
     assert!(spent < BUDGET && p.is_idle(), "MP did not quiesce within {BUDGET} cycles");
     let r = core(p, reader);
     assert_eq!(r.last_load(), 42, "reader saw the flag but stale data");
@@ -113,7 +113,7 @@ fn mp(p: &mut Platform, writer: usize, reader: usize, parallel: bool) {
 #[test]
 fn mp_message_passing_single_fpga() {
     let mut p = platform(1, 1, 2);
-    mp(&mut p, 0, 1, false);
+    mp(&mut p, 0, 1);
 }
 
 #[test]
@@ -125,20 +125,21 @@ fn mp_message_passing_four_tiles() {
     for g in [1, 2] {
         install(&mut p, g, vec![TraceOp::Checksum(data), TraceOp::Compute(50)]);
     }
-    mp(&mut p, 0, 3, false);
+    mp(&mut p, 0, 3);
 }
 
 #[test]
 fn mp_message_passing_across_two_fpgas() {
     // Writer on FPGA 0, reader on FPGA 1: the invalidation and the flag
-    // propagate over the PCIe fabric — the same simulation under either
-    // executor of the epoch driver.
-    let (mut serial, mut parallel) = (platform(2, 1, 2), platform(2, 1, 2));
-    mp(&mut serial, 0, 2, false);
-    mp(&mut parallel, 0, 2, true);
-    assert_eq!(serial.now(), parallel.now(), "executors stopped at different cycles");
-    assert_eq!(serial.stats().to_string(), parallel.stats().to_string());
-    assert_eq!(serial.snapshot().first_divergence(&parallel.snapshot()), None);
+    // propagate over the PCIe fabric — the same simulation under the
+    // epoch driver and the per-cycle reference.
+    let (mut driven, mut reference) = (platform(2, 1, 2), platform(2, 1, 2));
+    reference.set_fast_path(false);
+    mp(&mut driven, 0, 2);
+    mp(&mut reference, 0, 2);
+    assert_eq!(driven.now(), reference.now(), "steppers stopped at different cycles");
+    assert_eq!(driven.stats().to_string(), reference.stats().to_string());
+    assert_eq!(driven.snapshot().first_divergence(&reference.snapshot()), None);
 }
 
 #[test]

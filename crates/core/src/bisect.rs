@@ -1,9 +1,10 @@
 //! First-divergence bisector: pinpoint where two supposedly-equivalent
 //! runs first disagree, by epoch, cycle, and component.
 //!
-//! Two platform builds that *should* behave identically — serial vs
-//! epoch-parallel stepper, a refactored component vs its reference, twin
-//! configs that differ in something believed non-architectural — can
+//! Two platform builds that *should* behave identically — the fast path
+//! vs the per-cycle reference ([`Platform::set_fast_path`]), a refactored
+//! component vs its reference, twin configs that differ in something
+//! believed non-architectural — can
 //! silently diverge millions of cycles into a run. Diffing final state
 //! says *that* they diverged; this module says *where*:
 //!
@@ -23,7 +24,8 @@
 //!    dotted path the metrics layer uses) are reported.
 //!
 //! Host-side stepper diagnostics (`host.*` sections) are excluded from
-//! every comparison — the two steppers legitimately disagree there.
+//! every comparison — the fast and reference steppers legitimately
+//! disagree there.
 
 use smappic_sim::{Cycle, SnapDelta, SnapError, Snapshot};
 
@@ -65,26 +67,6 @@ impl Chain {
     }
 }
 
-/// Which stepper drives a platform through the bisection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stepper {
-    /// [`Platform::run`]: one cycle at a time, all FPGAs in index order.
-    Serial,
-    /// [`Platform::run_parallel`]: conservative epoch-parallel execution
-    /// (bit-identical to serial by contract — which this bisector is
-    /// built to check).
-    EpochParallel,
-}
-
-impl Stepper {
-    fn advance(self, p: &mut Platform, cycles: u64) {
-        match self {
-            Stepper::Serial => p.run(cycles),
-            Stepper::EpochParallel => p.run_parallel(cycles),
-        }
-    }
-}
-
 /// Where two runs first disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BisectReport {
@@ -116,9 +98,11 @@ fn differs(a: &Snapshot, b: &Snapshot) -> bool {
     a.first_divergence(b).is_some()
 }
 
-/// Runs `a` and `b` forward `max_cycles` cycles and reports where their
-/// architectural state first diverges, or [`Ok`]`(None)` when they agree
-/// at every checkpoint boundary.
+/// Runs `a` and `b` forward `max_cycles` cycles with [`Platform::run`] and
+/// reports where their architectural state first diverges, or
+/// [`Ok`]`(None)` when they agree at every checkpoint boundary. Each
+/// platform keeps its own stepper mode: set one's fast path off to check
+/// the fast path against the per-cycle reference.
 ///
 /// `interval` is the checkpoint stride: smaller strides cost more
 /// snapshot memory in the forward pass but bound the lockstep
@@ -128,7 +112,7 @@ fn differs(a: &Snapshot, b: &Snapshot) -> bool {
 /// state.
 ///
 /// The monotonicity the binary search relies on — once bit-equal, always
-/// bit-equal forward — holds because both steppers are deterministic
+/// bit-equal forward — holds because both platforms step as deterministic
 /// functions of architectural state. A transiently-divergent-then-
 /// reconverged pair (possible only if the divergent state is unobservable
 /// forward) is reported as equal, which is the right answer for "do these
@@ -141,9 +125,7 @@ fn differs(a: &Snapshot, b: &Snapshot) -> bool {
 /// asymmetric, which is exactly worth surfacing loudly.
 pub fn bisect_first_divergence(
     a: &mut Platform,
-    sa: Stepper,
     b: &mut Platform,
-    sb: Stepper,
     max_cycles: u64,
     interval: u64,
 ) -> Result<Option<BisectReport>, SnapError> {
@@ -157,8 +139,8 @@ pub fn bisect_first_divergence(
     let mut remaining = max_cycles;
     while remaining > 0 {
         let len = interval.min(remaining);
-        sa.advance(a, len);
-        sb.advance(b, len);
+        a.run(len);
+        b.run(len);
         chain_a.push(a.snapshot())?;
         chain_b.push(b.snapshot())?;
         remaining -= len;
@@ -198,8 +180,8 @@ pub fn bisect_first_divergence(
     let lo_cycle = if lo == 0 { chain_a.base.cycle } else { chain_a.deltas[lo - 1].cycle };
     let stride = snap_a_hi.cycle - lo_cycle;
     for _ in 0..stride {
-        sa.advance(a, 1);
-        sb.advance(b, 1);
+        a.run(1);
+        b.run(1);
         let (x, y) = (a.snapshot(), b.snapshot());
         if let Some(component) = x.first_divergence(&y) {
             return Ok(Some(BisectReport { epoch: lo as u64, cycle: x.cycle, component, probes }));

@@ -43,7 +43,7 @@ pub mod resources;
 mod uart;
 mod watchdog;
 
-pub use bisect::{bisect_first_divergence, BisectReport, Stepper};
+pub use bisect::{bisect_first_divergence, BisectReport};
 pub use bridge::{addr_dst, addr_src, bridge_addr, InterNodeBridge, NODE_WINDOW};
 pub use chipset::{Chipset, Clint};
 pub use codec::{decode_packet, encode_packet};

@@ -17,14 +17,15 @@
 //!   the two sides may each advance `L` cycles without looking at the
 //!   other; traffic is buffered with its send timestamp and exchanged at
 //!   the epoch barrier in a fixed order. The topology is cut into *units*
-//!   that advance independently for one epoch (`UnitPlan`), and an
-//!   executor decides which thread advances them: [`Platform::run`] walks
-//!   the units on the calling thread, [`Platform::run_parallel`] gives
-//!   every unit a worker thread, [`Platform::run_preemptible`] does either
-//!   and also stops at the first grain boundary where the platform is
-//!   idle. Within an epoch no unit can observe another, so the order they
-//!   run in is immaterial: same cycle count, same stats, same snapshot
-//!   bytes as the reference.
+//!   that advance independently for one epoch (`UnitPlan`), and the
+//!   calling thread walks them one after another: [`Platform::run`] for a
+//!   fixed budget, [`Platform::run_preemptible`] stopping early at the
+//!   first grain boundary where the platform is idle. Within an epoch no
+//!   unit can observe another, so the order they run in is immaterial:
+//!   same cycle count, same stats, same snapshot bytes as the reference.
+//!   Parallelism lives across runs instead (the service layer's worker
+//!   pool): a thread per unit lost to this inline walk on every measured
+//!   shape.
 //!
 //! # Topologies and units
 //!
@@ -47,8 +48,6 @@
 //! or UART wire edge) with one [`Fpga::warp_quiet`], which applies exactly
 //! what the skipped ticks would have: engine and CLINT aging, and the
 //! crossbars' round-robin advance.
-
-use std::sync::mpsc;
 
 use smappic_axi::{AxiReq, Flight, HardShell, PcieItem, PcieLink, ShellRoute};
 use smappic_coherence::Homing;
@@ -133,8 +132,8 @@ pub struct Platform {
     /// FPGA not reachable over a PCIe link exchanges traffic through it.
     eth: Option<EthFabric<PcieItem>>,
     now: Cycle,
-    /// Epoch widths chosen by the parallel stepper (host-side metric; not
-    /// part of the architectural state — see [`MetricsRegistry::architectural`]).
+    /// Epoch widths chosen by the epoch driver (host-side metric; not part
+    /// of the architectural state — see [`MetricsRegistry::architectural`]).
     host_epochs: Histogram,
     /// Host-side trace lane: epoch boundaries.
     host_trace: TraceBuf,
@@ -175,15 +174,6 @@ impl UnitPlan {
         let natural = self.global.max(1);
         natural * Platform::PREEMPT_GRAIN_FLOOR.div_ceil(natural)
     }
-}
-
-/// Which threads advance the units of an epoch.
-#[derive(Debug, Clone, Copy)]
-enum Exec {
-    /// The calling thread, one unit after another.
-    Inline,
-    /// One worker thread per unit, alive for the whole drive.
-    Threads,
 }
 
 /// When a drive stops: after `budget` cycles, or earlier at an idle probe.
@@ -400,7 +390,7 @@ fn fpga_epoch(fpga: &mut Fpga, job: EpochJob) -> Vec<(Cycle, usize, PcieItem)> {
 /// Within a window no member can observe a peer (the PCIe and NIC-link
 /// latencies both bound it), and units interact only through what the
 /// barrier exchanges, whose latency bounds the epoch — so this schedule is
-/// bit-identical to the per-cycle reference on any thread, in any unit order.
+/// bit-identical to the per-cycle reference in any unit order.
 fn unit_epoch(unit: &mut Unit<'_>, mut sw: Option<&mut EthSwitch<PcieItem>>, turn: &mut Turn) {
     let end = turn.start + turn.len;
     debug_assert!(
@@ -471,20 +461,15 @@ struct Barrier<'a> {
 }
 
 impl Barrier<'_> {
-    /// The epoch loop, once for every topology and executor: record the
-    /// epoch, exchange the spine, pre-extract what the cross-unit links
-    /// deliver inside it, let `run_units` advance unit `u` through
-    /// `turns[u]`, then replay the units' buffered sends into the links
-    /// and, at an idle probe, stop if nothing is left to do.
+    /// The epoch loop, once for every topology: record the epoch, exchange
+    /// the spine, pre-extract what the cross-unit links deliver inside it,
+    /// advance each unit through its turn with [`unit_epoch`], then replay
+    /// the units' buffered sends into the links and, at an idle probe, stop
+    /// if nothing is left to do.
     ///
     /// Returns the cycles advanced.
-    fn epochs(
-        mut self,
-        units: usize,
-        stop: Stop,
-        mut run_units: impl FnMut(Option<&mut EthFabric<PcieItem>>, &mut Vec<Turn>),
-    ) -> u64 {
-        let mut turns: Vec<Turn> = (0..units).map(|_| Turn::default()).collect();
+    fn epochs(mut self, units: &mut [Unit<'_>], stop: Stop) -> u64 {
+        let mut turns: Vec<Turn> = units.iter().map(|_| Turn::default()).collect();
         let mut spent = 0u64;
         while spent < stop.budget {
             let len = self.plan.global.min(stop.budget - spent);
@@ -515,7 +500,9 @@ impl Barrier<'_> {
                     turns[*a / self.plan.unit_size].inbound.push((c, *b, fl));
                 }
             }
-            run_units(self.eth.as_deref_mut(), &mut turns);
+            for (u, (unit, turn)) in units.iter_mut().zip(&mut turns).enumerate() {
+                unit_epoch(unit, self.eth.as_deref_mut().map(|e| e.switch_mut(u)), turn);
+            }
             // Replay sends in fixed (unit, send) order. Each link direction
             // has a single sending FPGA, so replaying one unit's buffer in
             // timestamp order reproduces the serial shaper state exactly.
@@ -567,8 +554,8 @@ impl Platform {
         if let Some(spec) = &cfg.fault {
             // Every injector draws from the shared plan on its own stream,
             // so each fault decision is a pure function of (seed, stream,
-            // seq) — identical under the serial and epoch-parallel
-            // steppers regardless of evaluation order.
+            // seq) — identical under the per-cycle reference and the
+            // epoch driver regardless of evaluation order.
             let plan = &spec.plan;
             if spec.links {
                 for ((i, j), link) in &mut links {
@@ -687,8 +674,8 @@ impl Platform {
 
     /// Host-side performance diagnostics of the fast path: ticks elided by
     /// the per-component scheduler and decoded-block cache totals. Never
-    /// part of architectural stats, metrics, or snapshots — serial and
-    /// parallel steppers may legitimately differ here.
+    /// part of architectural stats, metrics, or snapshots — the reference
+    /// and fast steppers legitimately differ here.
     pub fn host_perf(&self) -> HostPerf {
         let mut p = HostPerf::default();
         for f in &self.fpgas {
@@ -791,8 +778,8 @@ impl Platform {
         // cycle-interleaved loop below can only warp when *every* FPGA is
         // quiet at once, so one busy FPGA pins all of its peers to
         // per-cycle stepping.
-        if let (plan, Some(exec)) = self.epoch_exec(false) {
-            self.drive(plan, Stop { budget: cycles, idle_every: None }, exec);
+        if let Some(plan) = self.epoch_plan() {
+            self.drive(plan, Stop { budget: cycles, idle_every: None });
             return;
         }
         let mut spent = 0u64;
@@ -831,14 +818,12 @@ impl Platform {
         }
     }
 
-    /// How the epoch driver advances this platform: its unit plan, and the
-    /// executor `parallel` selects — `None` when the per-cycle stepper
-    /// must: no lookahead to exploit, or a serial run in reference mode
-    /// (fast path off), which stays strictly per-cycle.
-    fn epoch_exec(&self, parallel: bool) -> (UnitPlan, Option<Exec>) {
+    /// The unit plan the epoch driver advances this platform by, or `None`
+    /// when the per-cycle stepper must: no lookahead to exploit, or
+    /// reference mode (fast path off), which stays strictly per-cycle.
+    fn epoch_plan(&self) -> Option<UnitPlan> {
         let plan = self.unit_plan();
-        let exec = if parallel { Exec::Threads } else { Exec::Inline };
-        (plan, (plan.local > 0 && (parallel || self.fast_path)).then_some(exec))
+        (plan.local > 0 && self.fast_path).then_some(plan)
     }
 
     /// The grouped lookaheads of a network-attached platform as
@@ -857,17 +842,14 @@ impl Platform {
     }
 
     /// The epoch driver: advances until `stop` says so in epochs of at most
-    /// `plan.global`, the units of `plan` advanced by `exec`; returns the
-    /// cycles advanced.
+    /// `plan.global`, the units of `plan` advanced one after another on the
+    /// calling thread; returns the cycles advanced.
     ///
     /// Units are disjoint slices of the FPGAs and of the links between
     /// their own members (links are ordered by lower endpoint, units are
     /// FPGA ranges, so each unit's links are contiguous); the [`Barrier`]
-    /// keeps the rest. [`Exec::Threads`] spawns its workers once per drive:
-    /// they own their unit until the budget is spent, and a unit's switch
-    /// travels to its worker and back by value each epoch, because the
-    /// barrier needs the whole fabric for the spine exchange in between.
-    fn drive(&mut self, plan: UnitPlan, stop: Stop, exec: Exec) -> u64 {
+    /// keeps the rest.
+    fn drive(&mut self, plan: UnitPlan, stop: Stop) -> u64 {
         debug_assert!(plan.local > 0, "the epoch driver needs lookahead");
         if stop.budget == 0 {
             return 0;
@@ -887,7 +869,6 @@ impl Platform {
             units.push(Unit { first, fpgas, links, link_base, link_idx, nf, local });
             link_base += n;
         }
-        let n_units = units.len();
         let barrier = Barrier {
             plan,
             start_now,
@@ -899,50 +880,7 @@ impl Platform {
             host_trace: &mut self.host_trace,
             epoch_count: &mut self.epoch_count,
         };
-        let spent = match exec {
-            Exec::Inline => barrier.epochs(n_units, stop, |mut eth, turns| {
-                for (u, (unit, turn)) in units.iter_mut().zip(turns).enumerate() {
-                    unit_epoch(unit, eth.as_deref_mut().map(|e| e.switch_mut(u)), turn);
-                }
-            }),
-            Exec::Threads => std::thread::scope(|s| {
-                let workers: Vec<_> = units
-                    .into_iter()
-                    .map(|mut unit| {
-                        let (job_tx, job_rx) =
-                            mpsc::channel::<(Turn, Option<EthSwitch<PcieItem>>)>();
-                        let (out_tx, out_rx) = mpsc::channel();
-                        s.spawn(move || {
-                            while let Ok((mut turn, mut sw)) = job_rx.recv() {
-                                unit_epoch(&mut unit, sw.as_mut(), &mut turn);
-                                if out_tx.send((turn, sw)).is_err() {
-                                    break;
-                                }
-                            }
-                        });
-                        (job_tx, out_rx)
-                    })
-                    .collect();
-                barrier.epochs(n_units, stop, |mut eth, turns| {
-                    for (u, ((tx, _), turn)) in workers.iter().zip(turns.drain(..)).enumerate() {
-                        let sw = eth
-                            .as_deref_mut()
-                            .map(|e| std::mem::replace(e.switch_mut(u), EthSwitch::placeholder()));
-                        tx.send((turn, sw)).expect("worker alive");
-                    }
-                    // A channel per worker: turns come back in unit order,
-                    // and a worker that panicked fails its `recv` here
-                    // instead of leaving the barrier waiting.
-                    for (u, (_, rx)) in workers.iter().enumerate() {
-                        let (turn, sw) = rx.recv().expect("worker alive");
-                        if let (Some(eth), Some(sw)) = (eth.as_deref_mut(), sw) {
-                            *eth.switch_mut(u) = sw;
-                        }
-                        turns.push(turn);
-                    }
-                })
-            }),
-        };
+        let spent = barrier.epochs(&mut units, stop);
         self.now = start_now + spent;
         spent
     }
@@ -1086,19 +1024,11 @@ impl Platform {
         self.unit_plan().pcie
     }
 
-    /// Runs for `cycles` cycles on worker threads, one per FPGA, advancing
-    /// in epochs of [`Platform::lookahead`] cycles. Falls back to the
-    /// serial stepper when there is no lookahead to exploit.
-    ///
-    /// The execution is bit-identical to [`Platform::run`]: identical
-    /// cycle count, statistics, memory, and console output.
+    /// [`Platform::run`] under the name the benchmark harness still calls
+    /// it by; the epoch driver has one executor, the calling thread. Kept
+    /// only until the benchmark's call sites move to `run`.
     pub fn run_parallel(&mut self, cycles: u64) {
-        match self.epoch_exec(true) {
-            (plan, Some(exec)) => {
-                self.drive(plan, Stop { budget: cycles, idle_every: None }, exec);
-            }
-            (_, None) => self.run(cycles),
-        }
+        self.run(cycles);
     }
 
     /// The cooperative preemption grain: the smallest run-length multiple
@@ -1128,23 +1058,22 @@ impl Platform {
 
     /// Runs up to `budget` cycles, stopping early at the first multiple of
     /// [`Platform::preemption_grain`] where the platform is quiescent;
-    /// returns the cycles actually advanced. `parallel` selects the
-    /// executor of [`Platform::run_parallel`] over that of
-    /// [`Platform::run`]: either way it is one drive whose barrier probes
-    /// for idleness at grain boundaries, and only a platform the epoch
-    /// driver cannot advance steps grain by grain instead.
+    /// returns the cycles actually advanced. Where [`Platform::run`] would
+    /// use the epoch driver this is one drive whose barrier probes for
+    /// idleness at grain boundaries; any other platform steps grain by
+    /// grain instead.
     ///
     /// This is the service layer's execution primitive: a job advanced by
     /// any sequence of `run_preemptible` calls whose budgets are
     /// grain-multiples (plus one final remainder) produces snapshots
     /// bit-identical to a single uninterrupted call — the property
     /// `tests/service_equivalence.rs` proves.
-    pub fn run_preemptible(&mut self, budget: u64, parallel: bool) -> u64 {
-        let (plan, exec) = self.epoch_exec(parallel);
-        let grain = plan.preemption_grain();
-        if let Some(exec) = exec {
-            return self.drive(plan, Stop { budget, idle_every: Some(grain) }, exec);
+    pub fn run_preemptible(&mut self, budget: u64) -> u64 {
+        if let Some(plan) = self.epoch_plan() {
+            let stop = Stop { budget, idle_every: Some(plan.preemption_grain()) };
+            return self.drive(plan, stop);
         }
+        let grain = self.preemption_grain();
         let mut spent = 0u64;
         while spent < budget {
             let step = grain.min(budget - spent);
@@ -1527,8 +1456,8 @@ impl Platform {
     /// two equivalent runs produce bit-identical registries.
     ///
     /// Architectural entries (everything except the `host.`-prefixed
-    /// stepper diagnostics) are identical between the serial and
-    /// epoch-parallel steppers; compare with
+    /// stepper diagnostics) are identical between the per-cycle reference
+    /// and the epoch driver; compare with
     /// [`MetricsRegistry::architectural`].
     pub fn metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();

@@ -795,7 +795,6 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
         if let Some(image) = &resumed_from {
             p.restore_from(&image[..]).expect("parked image restores");
         }
-        let parallel = spec.parallel();
         let mut wd = Watchdog::resume(cfg.watchdog.clone(), wd_state.0, wd_state.1);
         if resumed_from.is_none() {
             // Baseline sample so `stalled_since` is exact from cycle 0.
@@ -811,7 +810,7 @@ fn run_segment(w: usize, mut task: Task, sh: &Shared, cfg: &SchedulerConfig) {
         loop {
             let slice = quantum.min(budget - spent);
             let before = spent;
-            spent += p.run_preemptible(slice, parallel);
+            spent += p.run_preemptible(slice);
             quanta += 1;
             // Epoch-grain accounting: the aging clock ticks and the
             // tenant's spend advances once per quantum slice.
@@ -972,6 +971,28 @@ struct CkptMeta {
     wd: (Option<u64>, Cycle),
 }
 
+impl CkptMeta {
+    /// Whether recovery may resume from this meta beside an image at
+    /// `image_cycle`. The meta's state digest covers the image's cycle but
+    /// not the meta's own numbers: trust `spent` and the watchdog's
+    /// last-change cycle only where the image agrees with them and
+    /// `budget` still has cycles left.
+    fn fits(&self, image_cycle: Cycle, budget: u64) -> bool {
+        self.spent == image_cycle && self.spent < budget && self.wd.1 <= image_cycle
+    }
+
+    /// The `meta.txt` text beside an image whose state digest is `digest`;
+    /// [`parse_meta`] reads it back.
+    fn to_text(&self, digest: u64) -> String {
+        let wd_sig = self.wd.0.map_or_else(|| "-".to_string(), |s| format!("{s:#x}"));
+        format!(
+            "smappic-ckpt v1\nstate_digest {digest:#018x}\nspent {}\npreemptions {}\n\
+             migrations {}\nwall_secs {:.6}\nwd {wd_sig} {}\n",
+            self.spent, self.preemptions, self.migrations, self.wall_secs, self.wd.1
+        )
+    }
+}
+
 /// The per-job checkpoint directory: id for human navigation, spec
 /// digest so a stale directory from a different fleet can never be
 /// mistaken for this job's.
@@ -1002,14 +1023,8 @@ fn write_checkpoint(
     let file = std::fs::File::create(&tmp).map_err(io)?;
     let (_, digest) = stream_image(p, std::io::BufWriter::new(file)).map_err(|e| e.to_string())?;
     std::fs::rename(&tmp, dir.join("state.bin")).map_err(io)?;
-    let wd_sig = meta.wd.0.map_or_else(|| "-".to_string(), |s| format!("{s:#x}"));
-    let text = format!(
-        "smappic-ckpt v1\nstate_digest {digest:#018x}\nspent {}\npreemptions {}\n\
-         migrations {}\nwall_secs {:.6}\nwd {wd_sig} {}\n",
-        meta.spent, meta.preemptions, meta.migrations, meta.wall_secs, meta.wd.1
-    );
     let mtmp = dir.join("meta.txt.tmp");
-    std::fs::write(&mtmp, text).map_err(io)?;
+    std::fs::write(&mtmp, meta.to_text(digest)).map_err(io)?;
     std::fs::rename(&mtmp, dir.join("meta.txt")).map_err(io)
 }
 
@@ -1027,6 +1042,14 @@ fn write_report_marker(dir: &Path, spec: &JobSpec, r: &JobReport) -> Result<(), 
     if !spec_path.exists() {
         std::fs::write(&spec_path, spec.to_text()).map_err(io)?;
     }
+    let tmp = dir.join("report.txt.tmp");
+    std::fs::write(&tmp, report_marker_text(r)).map_err(io)?;
+    std::fs::rename(&tmp, dir.join("report.txt")).map_err(io)
+}
+
+/// The `report.txt` marker text of a terminal report;
+/// [`parse_report_marker`] reads it back.
+fn report_marker_text(r: &JobReport) -> String {
     let exit = match &r.exit {
         JobExit::Completed { idle } => format!("completed {idle}"),
         JobExit::Livelocked { stalled_since, detected_at } => {
@@ -1040,7 +1063,7 @@ fn write_report_marker(dir: &Path, spec: &JobSpec, r: &JobReport) -> Result<(), 
             }
         },
     };
-    let text = format!(
+    format!(
         "smappic-report v1\nexit {exit}\ncycles {}\ndigest {:#018x}\nwall_secs {:.6}\n\
          preemptions {}\nmigrations {}\nsnapshot_bytes {}\ncompressed_bytes {}\n",
         r.cycles,
@@ -1050,10 +1073,7 @@ fn write_report_marker(dir: &Path, spec: &JobSpec, r: &JobReport) -> Result<(), 
         r.migrations,
         r.snapshot_bytes,
         r.compressed_bytes
-    );
-    let tmp = dir.join("report.txt.tmp");
-    std::fs::write(&tmp, text).map_err(io)?;
-    std::fs::rename(&tmp, dir.join("report.txt")).map_err(io)
+    )
 }
 
 /// What recovery found in one job's checkpoint directory.
@@ -1093,10 +1113,7 @@ fn recover_job(root: &Path, id: usize, spec: &JobSpec) -> Recovered {
     if snap.state_digest() != digest {
         return Recovered::Fresh;
     }
-    // The digest covers the image's cycle but not the meta's own numbers:
-    // trust `spent` and the watchdog's last-change cycle only where the
-    // image agrees with them and the budget still has cycles left.
-    if meta.spent != snap.cycle || meta.spent >= spec.budget || meta.wd.1 > snap.cycle {
+    if !meta.fits(snap.cycle, spec.budget) {
         return Recovered::Fresh;
     }
     let mut task = Task::fresh(id, spec.clone());
@@ -1146,6 +1163,10 @@ fn parse_meta(text: &str) -> Option<(u64, CkptMeta)> {
     Some((digest, CkptMeta { spent, preemptions, migrations, wall_secs, wd: (wd_sig, wd_at) }))
 }
 
+/// Rebuilds job `job`'s terminal report from its `report.txt` marker, or
+/// `None` for a marker no writer records: malformed, a `wall_secs` that is
+/// not a finite non-negative number, or more `cycles` than `spec.budget`
+/// (which recovery would add to the tenant's spend past its reservation).
 fn parse_report_marker(job: usize, spec: &JobSpec, text: &str) -> Option<JobReport> {
     let lines: Vec<&str> = text.lines().collect();
     if lines.first() != Some(&"smappic-report v1") {
@@ -1180,7 +1201,7 @@ fn parse_report_marker(job: usize, spec: &JobSpec, text: &str) -> Option<JobRepo
     } else {
         return None;
     };
-    let cycles = parse_u64(kv(&lines, "cycles")?)?;
+    let cycles = parse_u64(kv(&lines, "cycles")?).filter(|&c| c <= spec.budget)?;
     Some(JobReport {
         wall_secs: parse_wall_secs(kv(&lines, "wall_secs")?)?,
         preemptions: parse_u64(kv(&lines, "preemptions")?)?,
@@ -1196,6 +1217,7 @@ fn parse_report_marker(job: usize, spec: &JobSpec, text: &str) -> Option<JobRepo
 mod tests {
     use super::*;
     use crate::spec::WorkloadSpec;
+    use smappic_sim::SimRng;
 
     #[test]
     fn a_single_job_completes_and_digests_deterministically() {
@@ -1248,7 +1270,7 @@ mod tests {
     fn the_park_image_is_the_spill_image() {
         let spec = JobSpec::small("spill", WorkloadSpec::AmoHeavy { ops: 40, seed: 11 });
         let mut p = spec.build();
-        p.run_preemptible(p.preemption_grain() * 4, spec.parallel());
+        p.run_preemptible(p.preemption_grain() * 4);
         assert!(!p.is_idle(), "the image must cut a job with work in flight");
         let (image, _) = image_of(&p);
 
@@ -1326,6 +1348,156 @@ mod tests {
         assert_eq!(fleet.metrics.counter("sched.rejected.cycle_quota"), 1);
         assert_eq!(fleet.metrics.counter("sched.tenant.a.peak_in_flight"), 1);
         assert!(fleet.metrics.counter("sched.tenant.a.spent_cycles") <= 1_500_000);
+    }
+
+    /// Values no writer records: past `u64`, negative, not a number.
+    const ODD_VALUES: &[&str] = &[
+        "18446744073709551615",
+        "18446744073709551616",
+        "0xffffffffffffffff",
+        "-1",
+        "NaN",
+        "inf",
+        "-inf",
+        "1e308",
+        "0",
+        "",
+    ];
+
+    /// One seeded mutation of a spill-metadata text: a flipped bit, a
+    /// truncation, a dropped, duplicated or swapped line, or an odd value.
+    fn mutate_spill_text(rng: &mut SimRng, text: &str) -> String {
+        let bytes = text.as_bytes();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        if bytes.is_empty() || lines.is_empty() {
+            return "smappic-report v1\n".to_string();
+        }
+        let pick = |rng: &mut SimRng, n: usize| rng.gen_range(n as u64) as usize;
+        match rng.gen_range(6) {
+            0 => {
+                let mut flipped = bytes.to_vec();
+                flipped[pick(rng, bytes.len())] ^= 1 << rng.gen_range(8);
+                return String::from_utf8_lossy(&flipped).into_owned();
+            }
+            1 => return String::from_utf8_lossy(&bytes[..pick(rng, bytes.len())]).into_owned(),
+            2 => {
+                lines.remove(pick(rng, lines.len()));
+            }
+            3 => {
+                let line = lines[pick(rng, lines.len())].clone();
+                lines.insert(pick(rng, lines.len() + 1), line);
+            }
+            4 => {
+                let (a, b) = (pick(rng, lines.len()), pick(rng, lines.len()));
+                lines.swap(a, b);
+            }
+            _ => {
+                let l = pick(rng, lines.len());
+                let mut toks: Vec<&str> = lines[l].split(' ').collect();
+                let odd = ODD_VALUES[pick(rng, ODD_VALUES.len())];
+                if toks.len() > 1 {
+                    let t = 1 + pick(rng, toks.len() - 1);
+                    toks[t] = odd;
+                } else {
+                    toks.push(odd);
+                }
+                lines[l] = toks.join(" ");
+            }
+        }
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn mutated_spill_metadata_parses_or_fails_and_every_parse_is_trusted() {
+        const INPUTS: usize = if cfg!(debug_assertions) { 2_000 } else { 20_000 };
+        let spec = JobSpec::small("fuzz", WorkloadSpec::AmoHeavy { ops: 10, seed: 1 });
+        let metas = [
+            CkptMeta {
+                spent: 4_096,
+                preemptions: 3,
+                migrations: 1,
+                wall_secs: 0.25,
+                wd: (Some(0xDEAD_BEEF), 4_000),
+            },
+            CkptMeta { spent: 0, preemptions: 0, migrations: 0, wall_secs: 0.0, wd: (None, 0) },
+        ];
+        let meta_texts: Vec<String> =
+            metas.iter().map(|m| m.to_text(0x0123_4567_89AB_CDEF)).collect();
+        let quota = RejectReason::CycleQuota { tenant: "acme".into(), needed: 9, remaining: 4 };
+        let exits = [
+            (JobExit::Completed { idle: true }, 123_456),
+            (JobExit::Completed { idle: false }, spec.budget),
+            (JobExit::Livelocked { stalled_since: 1_000, detected_at: 31_000 }, 31_000),
+            (JobExit::Panicked { message: "poison engine detonated".into() }, 700),
+            (JobExit::Rejected { reason: RejectReason::QueueFull { limit: 8 } }, 0),
+            (JobExit::Rejected { reason: quota }, 0),
+        ];
+        let marker_texts: Vec<String> = exits
+            .into_iter()
+            .map(|(exit, cycles)| {
+                let mut r = JobReport::new(7, &spec, exit, cycles);
+                (r.digest, r.wall_secs, r.preemptions, r.snapshot_bytes) = (0xFEED, 1.5, 2, 4_096);
+                report_marker_text(&r)
+            })
+            .collect();
+        for text in &meta_texts {
+            assert!(parse_meta(text).is_some(), "a written meta parses:\n{text}");
+        }
+        for text in &marker_texts {
+            assert!(parse_report_marker(7, &spec, text).is_some(), "a marker parses:\n{text}");
+        }
+        let over = marker_texts[1].replace(
+            &format!("\ncycles {}\n", spec.budget),
+            &format!("\ncycles {}\n", spec.budget + 1),
+        );
+        assert!(parse_report_marker(7, &spec, &over).is_none(), "a marker past its budget");
+
+        let mut rng = SimRng::new(0x5B11_1ED5);
+        let (mut parsed, mut rejected) = (0, 0);
+        for n in 0..INPUTS {
+            let seed = if n % 2 == 0 { &meta_texts[n / 2 % 2] } else { &marker_texts[n / 2 % 6] };
+            let mut text = seed.clone();
+            for _ in 0..1 + rng.gen_range(3) {
+                text = mutate_spill_text(&mut rng, &text);
+            }
+            let what = format!("spill input {n}:\n{text}");
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if n % 2 == 0 {
+                    let (digest, meta) = parse_meta(&text)?;
+                    // The rules recover_job applies: a finite, non-negative
+                    // wall time, and a meta that fits its image leaves the
+                    // budget cycles to run and a watchdog no later than it.
+                    assert!(meta.wall_secs.is_finite() && meta.wall_secs >= 0.0, "{what}");
+                    if meta.fits(meta.spent, spec.budget) {
+                        assert!(spec.budget.checked_sub(meta.spent).is_some_and(|left| left > 0));
+                        assert!(meta.wd.1 <= meta.spent, "{what}");
+                    }
+                    let again = meta.to_text(digest);
+                    let reparsed = parse_meta(&again).map(|(d, m)| m.to_text(d));
+                    assert_eq!(reparsed.as_ref(), Some(&again), "{what}a meta does not round-trip");
+                } else {
+                    let r = parse_report_marker(7, &spec, &text)?;
+                    assert!(r.cycles <= spec.budget, "{what}a marker past its budget was trusted");
+                    assert!(r.wall_secs.is_finite() && r.wall_secs >= 0.0, "{what}");
+                    assert_eq!((r.job, r.name.as_str()), (7, "fuzz"), "{what}");
+                    let again = report_marker_text(&r);
+                    let reparsed =
+                        parse_report_marker(7, &spec, &again).map(|r| report_marker_text(&r));
+                    assert_eq!(
+                        reparsed.as_ref(),
+                        Some(&again),
+                        "{what}a marker does not round-trip"
+                    );
+                }
+                Some(())
+            }));
+            match outcome {
+                Err(_) => panic!("{what}the parser or a check on its result panicked"),
+                Ok(None) => rejected += 1,
+                Ok(Some(())) => parsed += 1,
+            }
+        }
+        assert!(parsed > 0 && rejected > 0, "{parsed} parsed, {rejected} rejected: no teeth");
     }
 
     #[test]

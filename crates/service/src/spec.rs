@@ -7,6 +7,14 @@
 //! through a line-oriented text format (the same idiom as
 //! [`FaultPlan::to_text`]), so the spec printed into a [`crate::JobReport`]
 //! is sufficient to replay the job exactly.
+//!
+//! `stepper parallel`, the name of a threaded epoch executor that no longer
+//! exists, still parses, as a synonym of `stepper serial`: it always ran
+//! the same simulation. [`JobSpec::to_text`] writes it back as `serial`,
+//! so the text, its digest and the job's checkpoint directory change. A
+//! checkpoint persisted under the old text therefore no longer matches its
+//! spec and the job restarts from cycle 0, which is safe because jobs are
+//! deterministic.
 
 use std::sync::Arc;
 
@@ -42,9 +50,8 @@ pub enum StepperSpec {
     /// per-cycle reference).
     Reference,
     /// Serial stepper with the fast path on (epoch driver + quiet warps).
+    /// Spec text may also name it `parallel`.
     Serial,
-    /// Epoch-parallel stepper on worker threads.
-    Parallel,
 }
 
 /// Workload selection. The trace workloads mirror the benchmark's
@@ -307,12 +314,6 @@ impl JobSpec {
         p
     }
 
-    /// Whether the scheduler should drive this job with the
-    /// epoch-parallel stepper.
-    pub fn parallel(&self) -> bool {
-        self.stepper == StepperSpec::Parallel
-    }
-
     /// A stable fingerprint of the spec text — names replay artifacts.
     pub fn digest(&self) -> u64 {
         fnv1a(self.to_text().as_bytes())
@@ -336,7 +337,6 @@ impl JobSpec {
         let stepper = match self.stepper {
             StepperSpec::Reference => "reference",
             StepperSpec::Serial => "serial",
-            StepperSpec::Parallel => "parallel",
         };
         out.push_str(&format!("stepper {stepper}\n"));
         match self.workload {
@@ -383,7 +383,8 @@ impl JobSpec {
     }
 
     /// Parses [`JobSpec::to_text`] output. Line order is fixed; every
-    /// field is mandatory.
+    /// field is mandatory. `stepper parallel` parses as
+    /// [`StepperSpec::Serial`] (see the module docs).
     ///
     /// # Errors
     ///
@@ -433,8 +434,7 @@ impl JobSpec {
         let st = field("stepper")?;
         let stepper = match st.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
             ["reference"] => StepperSpec::Reference,
-            ["serial"] => StepperSpec::Serial,
-            ["parallel"] => StepperSpec::Parallel,
+            ["serial" | "parallel"] => StepperSpec::Serial,
             _ => return Err(format!("bad stepper {st:?}")),
         };
         let wl = field("workload")?;
@@ -541,7 +541,7 @@ mod tests {
             nodes: 1,
             tiles: 2,
             topology: TopoSpec::Ethernet { group_size: 4 },
-            stepper: StepperSpec::Parallel,
+            stepper: StepperSpec::Reference,
             workload: WorkloadSpec::AmoHeavy { ops: 500, seed: 0xBEEF },
             faults: Some(JobFaults {
                 profile: FaultProfileSpec::Blackhole { at: 9000 },
@@ -578,6 +578,18 @@ mod tests {
         // Duplicate or out-of-order trailer keys are rejected.
         assert!(JobSpec::from_text(&(text.clone() + "tenant a\ntenant b\n")).is_err());
         assert!(JobSpec::from_text(&(text + "deadline 5\npriority 1\n")).is_err());
+    }
+
+    #[test]
+    fn stepper_parallel_parses_as_serial_and_writes_back_as_serial() {
+        let serial = JobSpec::small("old", WorkloadSpec::AmoHeavy { ops: 9, seed: 3 });
+        let text = serial.to_text();
+        assert!(text.contains("\nstepper serial\n"));
+        let old = text.replace("\nstepper serial\n", "\nstepper parallel\n");
+        let parsed = JobSpec::from_text(&old).expect("the old stepper name still parses");
+        assert_eq!(parsed, serial);
+        assert_eq!(parsed.to_text(), text, "to_text writes the synonym as serial");
+        assert_ne!(parsed.digest(), fnv1a(old.as_bytes()), "the old text names another job");
     }
 
     #[test]

@@ -30,8 +30,7 @@ fn random_spec(rng: &mut SimRng, i: usize) -> JobSpec {
     let tiles = rng.gen_range(2) as usize + 1;
     let stepper = match rng.gen_range(3) {
         0 => StepperSpec::Reference,
-        1 => StepperSpec::Serial,
-        _ => StepperSpec::Parallel,
+        _ => StepperSpec::Serial,
     };
     let workload = match rng.gen_range(3) {
         0 => WorkloadSpec::AmoHeavy { ops: rng.gen_range(30) + 5, seed: rng.next_u64() },

@@ -286,6 +286,64 @@ fn a_report_marker_whose_wall_secs_no_writer_records_reruns_the_job() {
     }
 }
 
+#[test]
+fn a_report_marker_past_its_budget_reruns_the_job() {
+    // No writer records more cycles than the budget. Trusting such a
+    // marker would return a report that overran its budget and add its
+    // cycles to the tenant's spend past what admission reserved.
+    let specs = &fleet()[..1];
+    let dir = scratch("marker-over");
+    let first = Scheduler::new(ckpt_config(dir.clone())).run(specs);
+    let marker = job_dirs(&dir)[0].join("report.txt");
+    let text = std::fs::read_to_string(&marker).expect("the job left a marker");
+    let cycles = first[0].cycles;
+    let forged = format!("\ncycles {}\n", specs[0].budget + 1);
+    let forged_text = text.replace(&format!("\ncycles {cycles}\n"), &forged);
+    assert_ne!(forged_text, text, "the marker records its cycles");
+    std::fs::write(&marker, forged_text).expect("forge the marker");
+
+    let resumed = Scheduler::new(ckpt_config(dir.clone())).resume_fleet(specs);
+    assert_recovered(&resumed.reports, &first);
+    assert!(!resumed.reports[0].workers.is_empty(), "the job must run again");
+    let tenant = |key: &str| {
+        resumed.metrics.counter(&format!("sched.tenant.{}.{key}", JobSpec::DEFAULT_TENANT))
+    };
+    assert_eq!(tenant("reserved_cycles"), specs[0].budget);
+    assert!(
+        tenant("spent_cycles") <= tenant("reserved_cycles"),
+        "spent {} past reserved {}",
+        tenant("spent_cycles"),
+        tenant("reserved_cycles")
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_whose_spec_says_stepper_parallel_restarts_from_cycle_zero() {
+    // `stepper parallel` still parses, as `serial`, but `to_text` writes
+    // `serial`: a checkpoint persisted under the old text no longer
+    // matches its spec, and the job reruns from cycle 0 to the same result.
+    let specs = &fleet()[..1];
+    let whole_dir = scratch("parallel-whole");
+    let whole = Scheduler::new(ckpt_config(whole_dir.clone())).run_fleet(specs);
+    let quanta = whole.metrics.counter("sched.quanta");
+    let dir = crashed_after("parallel-spec", specs, 1);
+    let spec_txt = job_dirs(&dir)[0].join("spec.txt");
+    let text = std::fs::read_to_string(&spec_txt).expect("the spill wrote its spec");
+    let old = text.replace("\nstepper serial\n", "\nstepper parallel\n");
+    assert_ne!(old, text, "the spec names its stepper");
+    std::fs::write(&spec_txt, &old).expect("write the old spec text");
+    let resubmitted = [JobSpec::from_text(&old).expect("the old stepper name parses")];
+    assert_eq!(resubmitted[0], specs[0], "`parallel` is a synonym of `serial`");
+
+    let rerun = Scheduler::new(ckpt_config(dir.clone())).resume_fleet(&resubmitted);
+    assert_eq!(rerun.metrics.counter("sched.quanta"), quanta, "must restart from cycle 0");
+    assert_recovered(&rerun.reports, &whole.reports);
+    for dir in [dir, whole_dir] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Names the checkpoint root for [`killed_child_runs_the_long_fleet`];
 /// nothing else reads it.
 const KILL_DIR_VAR: &str = "SMAPPIC_RECOVERY_KILL_DIR";

@@ -22,7 +22,6 @@ fn seeds() -> Vec<String> {
     let mut rack = JobSpec::small("rack", WorkloadSpec::Sort { keys: 1024, threads: 16 });
     rack.fpgas = 8;
     rack.topology = TopoSpec::Ethernet { group_size: 4 };
-    rack.stepper = StepperSpec::Parallel;
     rack.faults = Some(JobFaults {
         profile: FaultProfileSpec::Blackhole { at: 9000 },
         seed: 42,

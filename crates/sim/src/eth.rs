@@ -222,8 +222,8 @@ meter_slots! {
 
 /// A top-of-rack switch: per-member ingress/egress hops, one spine uplink,
 /// the remote-arrival queue fed by [`EthFabric::exchange`], and the
-/// per-member fault jitter stage. Owns everything its group's epoch driver
-/// touches, so the epoch driver can move whole switches onto worker threads.
+/// per-member fault jitter stage. Owns everything its group touches inside
+/// an epoch, so the epoch driver hands each unit its own switch.
 #[derive(Debug, Clone)]
 pub struct EthSwitch<T> {
     params: EthParams,
@@ -302,12 +302,6 @@ impl<T: Clone> EthSwitch<T> {
             delayed: 0,
             duplicated: 0,
         }
-    }
-
-    /// A zero-member placeholder: what [`EthFabric::switch_mut`] holds while
-    /// the real switch is moved onto a worker thread and back.
-    pub fn placeholder() -> Self {
-        Self::new(usize::MAX, 0, 0, 0, &EthParams::default(), None)
     }
 
     /// Members attached to this switch.

@@ -7,9 +7,9 @@
 //! or held behind a transient stall, and when ports/channels freeze for a
 //! window of cycles. Every decision is a *pure function* of
 //! `(plan, stream, sequence-or-cycle)` — no mutable RNG state is consumed
-//! at injection time — so the serial and epoch-parallel steppers, which
-//! evaluate the decisions in different orders and at different wall-clock
-//! moments, see exactly the same faults.
+//! at injection time — so the per-cycle reference and the epoch driver,
+//! which evaluate the decisions in different orders, see exactly the same
+//! faults.
 //!
 //! Faults are strictly timing faults: an item's payload is never touched,
 //! and the platform's recovery layer (sequence-restoring Hard Shell guard)

@@ -19,16 +19,15 @@
 //! - [`FaultPlan`]/[`FaultInjector`] — deterministic, seed-driven *timing*
 //!   fault injection (delays, duplicates, stalls, latency spikes) whose
 //!   decisions are pure functions of `(seed, stream, seq)`, identical
-//!   under the serial and epoch-parallel steppers,
+//!   under the per-cycle reference and the epoch driver,
 //! - [`TraceBuf`]/[`TraceSink`]/[`MetricsRegistry`] — the cycle-stamped
 //!   observability layer: per-component ring-buffered trace events with a
 //!   compile-out fast path (`trace` feature), the rendered counter +
 //!   histogram registry, and Perfetto/text exporters.
 //!
 //! Everything here is sequential and allocation-light; the platform crate
-//! ticks components in a fixed order each cycle (and, for multi-FPGA
-//! prototypes, may tick whole FPGAs on worker threads — each component is
-//! still only ever touched by one thread at a time).
+//! ticks components in a fixed order each cycle, on the calling thread
+//! (for multi-FPGA prototypes, one epoch-driver unit after another).
 //!
 //! ```
 //! use smappic_sim::{DelayPort, MetersBuilder, Port};

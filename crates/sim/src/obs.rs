@@ -11,7 +11,7 @@
 //! - [`MetricsRegistry`] — named counters plus named [`Histogram`]s,
 //!   rendered from every component's [`Meters`](crate::Meters) block into
 //!   sorted maps, so a snapshot is deterministic and comparable
-//!   bit-for-bit across the serial and epoch-parallel steppers.
+//!   bit-for-bit across the per-cycle reference and the epoch driver.
 //! - Exporters — [`TraceSink::to_perfetto_json`] emits Chrome
 //!   `trace_event` JSON loadable in `ui.perfetto.dev`;
 //!   [`MetricsRegistry::snapshot_text`] emits a sorted text dump.
@@ -133,7 +133,7 @@ pub enum TraceEventKind {
         /// Channel latency in cycles.
         lat: Cycle,
     },
-    /// The epoch-parallel stepper committed an epoch `width` cycles wide.
+    /// The epoch driver committed an epoch `width` cycles wide.
     Epoch {
         /// Monotonic epoch index within the run.
         index: u64,
@@ -462,7 +462,7 @@ impl TraceSink {
 ///
 /// Host-side (non-architectural) metrics use the reserved `host.` name
 /// prefix — [`MetricsRegistry::architectural`] strips them so a
-/// serial-stepper registry can be compared to an epoch-parallel one.
+/// reference-stepper registry can be compared to an epoch-driven one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: Stats,
@@ -518,9 +518,9 @@ impl MetricsRegistry {
     }
 
     /// The registry with every `host.`-prefixed entry removed: the
-    /// architectural view, identical across the serial and
-    /// epoch-parallel steppers (host metrics like `host.epoch_width`
-    /// exist only under one stepper).
+    /// architectural view, identical across the per-cycle reference and
+    /// the epoch driver (host metrics like `host.epoch_width` exist only
+    /// under the epoch driver).
     pub fn architectural(&self) -> MetricsRegistry {
         let mut counters = Stats::new();
         for (k, v) in self.counters.iter().filter(|(k, _)| is_architectural(k)) {

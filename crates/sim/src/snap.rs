@@ -37,9 +37,9 @@
 //!
 //! Host-side stepper diagnostics (epoch histograms, trace buffers) either
 //! stay out of the snapshot or live in sections under the `host.` prefix,
-//! which [`Snapshot::first_divergence`] skips — the serial and
-//! epoch-parallel steppers legitimately differ there while agreeing on
-//! every architectural bit.
+//! which [`Snapshot::first_divergence`] skips — the per-cycle reference
+//! and the epoch driver legitimately differ there while agreeing on every
+//! architectural bit.
 
 use std::borrow::Cow;
 #[allow(clippy::disallowed_types)] // the `VecDeque` codec below
@@ -64,9 +64,9 @@ pub const SNAP_VERSION: u32 = 5;
 /// Section-name prefix for host-side (non-architectural) stepper state.
 ///
 /// Sections under this prefix are restored normally but ignored by
-/// [`Snapshot::first_divergence`]: the serial and epoch-parallel steppers
-/// differ here by construction (epoch widths, epoch counts) while agreeing
-/// on all architectural state.
+/// [`Snapshot::first_divergence`]: the per-cycle reference and the epoch
+/// driver differ here by construction (epoch widths, epoch counts) while
+/// agreeing on all architectural state.
 pub const HOST_SECTION_PREFIX: &str = "host.";
 
 /// A typed snapshot format error.
@@ -957,9 +957,9 @@ impl Snapshot {
     /// when every architectural section matches bit-for-bit.
     ///
     /// Sections under [`HOST_SECTION_PREFIX`] are skipped: host stepper
-    /// diagnostics legitimately differ between the serial and
-    /// epoch-parallel steppers. A section present on one side only is
-    /// itself a divergence (reported by name).
+    /// diagnostics legitimately differ between the per-cycle reference and
+    /// the epoch driver. A section present on one side only is itself a
+    /// divergence (reported by name).
     pub fn first_divergence(&self, other: &Snapshot) -> Option<String> {
         fn arch(s: &Snapshot) -> impl Iterator<Item = &(String, Vec<u8>)> {
             s.sections.iter().filter(|(n, _)| !n.starts_with(HOST_SECTION_PREFIX) && n != "host")
@@ -2364,9 +2364,9 @@ mod tests {
             w.scoped("host", |w| w.scoped("stepper", |w| w.u64(epochs)));
             Snapshot::new(0, 0, w)
         };
-        let serial = build(0);
-        let parallel = build(99);
-        assert_eq!(serial.first_divergence(&parallel), None);
+        let reference = build(0);
+        let driven = build(99);
+        assert_eq!(reference.first_divergence(&driven), None);
     }
 
     #[test]

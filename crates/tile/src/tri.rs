@@ -31,9 +31,11 @@ pub enum MmioResp {
 
 /// A compute element occupying a tile: a core model or an accelerator.
 ///
-/// Engines are `Send` because the platform's parallel stepper moves whole
-/// FPGAs (tiles included) onto worker threads at epoch boundaries; an engine
-/// is still only ever ticked by one thread at a time.
+/// Engines are `Send` so a whole platform, tiles included, can move
+/// between threads: a scheduler that keeps a preempted job's platform live,
+/// instead of parking it as an image, resumes it on whichever worker
+/// dispatches it next. An engine is still only ever ticked by one thread at
+/// a time.
 ///
 /// An engine's snapshot state is its [`SaveState`] impl (the tile opens an
 /// `engine` scope around it): every engine declares one, and a stateless

@@ -6,7 +6,7 @@
 //! cargo run --release --example bisect
 //! ```
 
-use smappic::platform::{bisect_first_divergence, Config, Platform, Stepper, DRAM_BASE};
+use smappic::platform::{bisect_first_divergence, Config, Platform, DRAM_BASE};
 use smappic::sim::StreamSink;
 use smappic::tile::{TraceCore, TraceOp};
 
@@ -64,39 +64,28 @@ fn main() {
 
     // --- Part 2: bisecting a divergence --------------------------------
     // Two configurations someone might believe equivalent: identical but
-    // for one cycle of DRAM latency. Where do they first disagree?
+    // for one cycle of DRAM latency. Where do they first disagree? One
+    // twin runs the fast path (the epoch driver), the other the per-cycle
+    // reference, so the hunt also spans the two steppers.
     println!("== bisecting two 'equivalent' configurations ==");
     let mut slow_cfg = cfg.clone();
     slow_cfg.params.dram_latency += 1;
 
     let mut a = build(cfg.clone());
     let mut b = build(slow_cfg);
-    let report = bisect_first_divergence(
-        &mut a,
-        Stepper::Serial,
-        &mut b,
-        Stepper::EpochParallel,
-        40_000,
-        2_000,
-    )
-    .expect("clean restores")
-    .expect("the perturbed twin must diverge");
+    b.set_fast_path(false);
+    let report = bisect_first_divergence(&mut a, &mut b, 40_000, 2_000)
+        .expect("clean restores")
+        .expect("the perturbed twin must diverge");
     println!("{report}");
     println!("(both platforms are parked at cycle {} for post-mortem inspection)", a.now());
 
-    // And the control: identical twins, one serial, one epoch-parallel —
-    // the bisector certifies the steppers bit-identical over the window.
+    // And the control: identical twins, one fast, one per-cycle reference
+    // — the bisector certifies the steppers bit-identical over the window.
     let mut c = build(cfg.clone());
     let mut d = build(cfg);
-    let clean = bisect_first_divergence(
-        &mut c,
-        Stepper::Serial,
-        &mut d,
-        Stepper::EpochParallel,
-        40_000,
-        2_000,
-    )
-    .expect("clean restores");
+    d.set_fast_path(false);
+    let clean = bisect_first_divergence(&mut c, &mut d, 40_000, 2_000).expect("clean restores");
     assert!(clean.is_none(), "steppers must agree");
-    println!("control pair (serial vs epoch-parallel twins): no divergence — ok");
+    println!("control pair (fast vs reference twins): no divergence — ok");
 }

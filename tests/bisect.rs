@@ -2,7 +2,7 @@
 //! report exactly the epoch, cycle, and component a brute-force
 //! cycle-by-cycle scan finds, at logarithmic snapshot-comparison cost.
 
-use smappic::platform::{bisect_first_divergence, Config, Platform, Stepper, DRAM_BASE};
+use smappic::platform::{bisect_first_divergence, Config, Platform, DRAM_BASE};
 use smappic::tile::{TraceCore, TraceOp};
 
 /// A small two-node workload: each tile increments a shared counter and
@@ -52,27 +52,19 @@ fn linear_first_divergence(
 fn identical_twins_report_no_divergence() {
     let mut a = workload(Config::new(2, 1, 2));
     let mut b = workload(Config::new(2, 1, 2));
-    let report =
-        bisect_first_divergence(&mut a, Stepper::Serial, &mut b, Stepper::Serial, 20_000, 1_000)
-            .expect("no restore errors");
+    let report = bisect_first_divergence(&mut a, &mut b, 20_000, 1_000).expect("no restore errors");
     assert!(report.is_none(), "identical twins must not diverge: {report:?}");
 }
 
 #[test]
-fn serial_and_epoch_parallel_twins_are_equivalent_under_the_bisector() {
-    // The bisector's headline use: checking the two steppers against each
-    // other. They are bit-identical by contract, so no divergence.
+fn fast_and_reference_twins_are_equivalent_under_the_bisector() {
+    // The bisector's headline use: checking the epoch driver against the
+    // per-cycle reference. They are bit-identical by contract, so no
+    // divergence.
     let mut a = workload(Config::new(2, 1, 2));
     let mut b = workload(Config::new(2, 1, 2));
-    let report = bisect_first_divergence(
-        &mut a,
-        Stepper::Serial,
-        &mut b,
-        Stepper::EpochParallel,
-        30_000,
-        2_000,
-    )
-    .expect("no restore errors");
+    b.set_fast_path(false);
+    let report = bisect_first_divergence(&mut a, &mut b, 30_000, 2_000).expect("no restore errors");
     assert!(report.is_none(), "steppers diverged: {report:?}");
 }
 
@@ -95,10 +87,9 @@ fn perturbed_dram_latency_is_pinpointed_to_the_memory_controller() {
 
     let mut a = workload(Config::new(2, 1, 2));
     let mut b = workload(slow());
-    let report =
-        bisect_first_divergence(&mut a, Stepper::Serial, &mut b, Stepper::Serial, 20_000, 1_000)
-            .expect("no restore errors")
-            .expect("perturbed twin must diverge");
+    let report = bisect_first_divergence(&mut a, &mut b, 20_000, 1_000)
+        .expect("no restore errors")
+        .expect("perturbed twin must diverge");
 
     assert_eq!(report.cycle, ref_cycle, "bisector missed the first divergent cycle");
     assert_eq!(report.component, ref_component, "bisector named the wrong component");
@@ -125,10 +116,9 @@ fn perturbed_initial_memory_diverges_at_the_starting_state() {
     // lockstep pass.
     a.write_mem(DRAM_BASE + 0x9100, &[1]);
     b.write_mem(DRAM_BASE + 0x9100, &[2]);
-    let report =
-        bisect_first_divergence(&mut a, Stepper::Serial, &mut b, Stepper::Serial, 5_000, 500)
-            .expect("no restore errors")
-            .expect("twins differ from the start");
+    let report = bisect_first_divergence(&mut a, &mut b, 5_000, 500)
+        .expect("no restore errors")
+        .expect("twins differ from the start");
     assert_eq!(report.epoch, 0);
     assert_eq!(report.cycle, 0);
     assert!(

@@ -1,7 +1,6 @@
-//! Epoch-driver differential table: one driver serves every topology and
-//! both executors, so every (topology, budget shape) cell must be the same
-//! simulation under the per-cycle reference, `run` (units on the calling
-//! thread) and `run_parallel` (a worker per unit).
+//! Epoch-driver differential table: one driver serves every topology, so
+//! every (topology, budget shape) cell must be the same simulation under
+//! the per-cycle reference and `run` (the epoch driver).
 //!
 //! The budgets are the cases the per-topology suites leave open: a budget
 //! of `k * global + 17` ends in a truncated epoch on the racks as well as
@@ -12,7 +11,7 @@
 //! The second table is the stop rule: `run_preemptible` is one drive whose
 //! barrier probes for idleness at grain boundaries, and must be the same
 //! run — `host.stepper` epoch schedule included — as the loop of
-//! grain-sized `run`/`run_parallel` calls it replaced.
+//! grain-sized `run` calls it replaced.
 
 use smappic::platform::{Config, Platform, Topology, DRAM_BASE};
 use smappic::sim::{EthParams, SimRng};
@@ -80,7 +79,7 @@ fn epoch_widths(p: &Platform) -> (u64, u128) {
 }
 
 #[test]
-fn reference_inline_and_threads_agree_on_every_topology_and_budget_shape() {
+fn reference_and_epoch_driver_agree_on_every_topology_and_budget_shape() {
     let table = [
         ("2-FPGA star", Config::new(2, 1, 1)),
         ("4-FPGA star", Config::new(4, 1, 1)),
@@ -97,21 +96,17 @@ fn reference_inline_and_threads_agree_on_every_topology_and_budget_shape() {
             let label = format!("{name}, {} call(s)", calls.len());
             let mut reference = build(cfg.clone());
             reference.set_fast_path(false);
-            let mut inline = build(cfg.clone());
-            let mut threads = build(cfg.clone());
+            let mut driven = build(cfg.clone());
             for &n in &calls {
                 reference.run(n);
-                inline.run(n);
-                threads.run_parallel(n);
+                driven.run(n);
             }
             assert_eq!(reference.now(), budget);
-            assert_bit_identical(&reference, &inline, &format!("{label}: reference vs run"));
-            assert_bit_identical(&reference, &threads, &format!("{label}: reference vs parallel"));
+            assert_bit_identical(&reference, &driven, &format!("{label}: reference vs run"));
 
-            // Both executors walked the same epoch schedule, truncated
+            // The driver's epoch schedule tiles the budget, truncated
             // epochs included; the reference recorded none.
-            let (count, sum) = epoch_widths(&inline);
-            assert_eq!((count, sum), epoch_widths(&threads), "{label}: epoch schedules differ");
+            let (count, sum) = epoch_widths(&driven);
             assert_eq!(sum, u128::from(budget), "{label}: epochs must tile the budget");
             assert_eq!(count, 60 + calls.len() as u64, "{label}: one truncated epoch per call");
             assert_eq!(epoch_widths(&reference), (0, 0));
@@ -131,17 +126,13 @@ fn reference_inline_and_threads_agree_on_every_topology_and_budget_shape() {
 }
 
 /// `run_preemptible` as it was before the idle probe moved into the drive:
-/// one `run`/`run_parallel` call per grain, idleness checked in between.
-fn grain_loop(p: &mut Platform, budget: u64, parallel: bool) -> u64 {
+/// one `run` call per grain, idleness checked in between.
+fn grain_loop(p: &mut Platform, budget: u64) -> u64 {
     let grain = p.preemption_grain();
     let mut spent = 0;
     while spent < budget {
         let step = grain.min(budget - spent);
-        if parallel {
-            p.run_parallel(step);
-        } else {
-            p.run(step);
-        }
+        p.run(step);
         spent += step;
         if p.is_idle() {
             break;
@@ -171,32 +162,30 @@ fn run_preemptible_is_the_grain_loop_it_replaced() {
             vec![0],
             vec![2 * grain, PAST_IDLE],
         ];
-        for parallel in [false, true] {
-            for calls in &budgets {
-                let label = format!("{name}, parallel={parallel}, budgets {calls:?}");
-                let mut looped = build_rounds(cfg.clone(), *rounds);
-                let mut driven = build_rounds(cfg.clone(), *rounds);
-                looped.set_fast_path(*fast_path);
-                driven.set_fast_path(*fast_path);
-                for &budget in calls {
-                    let spent = grain_loop(&mut looped, budget, parallel);
-                    assert_eq!(driven.run_preemptible(budget, parallel), spent, "{label}: spent");
-                    assert_eq!(driven.is_idle(), looped.is_idle(), "{label}: idleness");
-                    // Not vacuous: the short budgets cut a live workload,
-                    // the long ones stop at quiescence well before the end.
-                    assert_eq!(driven.is_idle(), budget == PAST_IDLE, "{label}: where it stopped");
-                    assert!(
-                        spent == budget || spent.is_multiple_of(grain),
-                        "{label}: stop off the grain"
-                    );
-                }
-                assert_eq!(driven.now(), looped.now(), "{label}: now");
-                // Every byte, the epoch schedule in `host.stepper` included
-                // (`first_divergence` skips host sections but names the rest).
-                let (d, l) = (driven.snapshot(), looped.snapshot());
-                assert_eq!(d.first_divergence(&l), None, "{label}");
-                assert!(d == l, "{label}: host.stepper diverged");
+        for calls in &budgets {
+            let label = format!("{name}, budgets {calls:?}");
+            let mut looped = build_rounds(cfg.clone(), *rounds);
+            let mut driven = build_rounds(cfg.clone(), *rounds);
+            looped.set_fast_path(*fast_path);
+            driven.set_fast_path(*fast_path);
+            for &budget in calls {
+                let spent = grain_loop(&mut looped, budget);
+                assert_eq!(driven.run_preemptible(budget), spent, "{label}: spent");
+                assert_eq!(driven.is_idle(), looped.is_idle(), "{label}: idleness");
+                // Not vacuous: the short budgets cut a live workload,
+                // the long ones stop at quiescence well before the end.
+                assert_eq!(driven.is_idle(), budget == PAST_IDLE, "{label}: where it stopped");
+                assert!(
+                    spent == budget || spent.is_multiple_of(grain),
+                    "{label}: stop off the grain"
+                );
             }
+            assert_eq!(driven.now(), looped.now(), "{label}: now");
+            // Every byte, the epoch schedule in `host.stepper` included
+            // (`first_divergence` skips host sections but names the rest).
+            let (d, l) = (driven.snapshot(), looped.snapshot());
+            assert_eq!(d.first_divergence(&l), None, "{label}");
+            assert!(d == l, "{label}: host.stepper diverged");
         }
     }
 }

@@ -320,17 +320,13 @@ fn snapshot_restore_with_fast_path_stays_bit_exact() {
 }
 
 #[test]
-fn fast_serial_fast_parallel_and_reference_agree() {
-    // The satellite matrix in one place: fast-serial ≡ fast-parallel ≡
-    // reference-serial on a cross-FPGA contention workload.
+fn fast_serial_and_reference_agree() {
+    // Fast-serial ≡ reference-serial on a cross-FPGA contention workload.
     let mut fast_serial = contention_platform();
-    let mut fast_parallel = contention_platform();
     let mut reference = contention_platform();
     reference.set_fast_path(false);
     fast_serial.run(120_000);
-    fast_parallel.run_parallel(120_000);
     reference.run(120_000);
-    assert_bit_identical(&fast_serial, &fast_parallel, "fast serial vs fast parallel");
     assert_bit_identical(&fast_serial, &reference, "fast serial vs reference serial");
     let perf = fast_serial.host_perf();
     assert!(
@@ -666,23 +662,18 @@ fn saturated_single_cycle_runs_equal_one_long_run_and_the_reference() {
 }
 
 #[test]
-fn saturated_parallel_idle_detection_stops_where_serial_does() {
+fn saturated_idle_detection_stops_at_the_first_grain_after_quiescence() {
     // The drive's idle probe sits at the barrier behind the same gated
-    // quiet-bound probes: both executors must stop at the same grain
-    // boundary — the first one at or after the cycle `run_until_idle`
-    // (per-cycle stepping, no epochs) finds.
+    // quiet-bound probes: it must stop at the first grain boundary at or
+    // after the cycle `run_until_idle` (per-cycle stepping, no epochs)
+    // finds.
     for max_compute in [20, 400] {
         const BUDGET: u64 = 2_000_000;
         let mut exact = amo_platform(60, max_compute);
         let mut serial = amo_platform(60, max_compute);
-        let mut parallel = amo_platform(60, max_compute);
-        let spent = serial.run_preemptible(BUDGET, false);
-        assert_eq!(spent, parallel.run_preemptible(BUDGET, true), "executors spent differently");
-        assert!(serial.is_idle() && parallel.is_idle(), "both executors must quiesce");
-        assert_eq!(serial.now(), parallel.now(), "stop cycle diverged");
-        assert_eq!(serial.snapshot().first_divergence(&parallel.snapshot()), None);
-        assert_eq!(serial.stats().to_string(), parallel.stats().to_string());
-        assert_eq!(serial.metrics().architectural(), parallel.metrics().architectural());
+        let spent = serial.run_preemptible(BUDGET);
+        assert!(serial.is_idle(), "the drive must quiesce");
+        assert_eq!(serial.now(), spent, "stop cycle");
         assert!(exact.run_until_idle(BUDGET), "serial run must quiesce");
         assert_eq!(spent, exact.now().next_multiple_of(exact.preemption_grain()));
         assert!(exact.now() > 1_000 && exact.stats().get("bpc.amo") == 8 * 60);

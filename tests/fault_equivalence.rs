@@ -3,9 +3,9 @@
 //! The invariant under test: injected faults are *timing* faults only.
 //! A faulted run must terminate with the same architectural state as the
 //! clean run — same per-core checksums, same console bytes, same final
-//! memory — and a faulted run replayed under the epoch-parallel stepper
-//! must be *bit-identical* (cycle count, every counter, memory) to the
-//! same plan replayed under the serial stepper. Unrecoverable faults
+//! memory — and a faulted run replayed under the epoch driver must be
+//! *bit-identical* (cycle count, every counter, memory) to the same plan
+//! replayed under the per-cycle reference. Unrecoverable faults
 //! (a blackholed link) must surface as a structured [`FaultReport`]
 //! from the Watchdog instead of a hang.
 
@@ -168,7 +168,7 @@ fn arch_state(p: &mut Platform) -> ArchState {
     }
 }
 
-/// Full bit-level snapshot for faulted-serial vs faulted-parallel
+/// Full bit-level snapshot for faulted epoch-driver vs faulted reference
 /// comparisons (same plan ⇒ everything must match, timing included).
 fn snapshot(p: &Platform) -> (u64, String, Vec<u8>, Vec<u8>) {
     (p.now(), p.stats().to_string(), p.read_mem(COUNTER, 8), p.read_mem(DONE, 8))
@@ -184,10 +184,10 @@ fn run_to_idle(p: &mut Platform, label: &str) {
 }
 
 /// To the first preemption-grain boundary at which the platform is idle —
-/// the stop both executors of the epoch driver share. Returns the cycles
-/// spent.
-fn run_preemptible_to_idle(p: &mut Platform, parallel: bool, label: &str) -> u64 {
-    let spent = p.run_preemptible(BUDGET, parallel);
+/// the stop the epoch driver and the per-cycle grain loop share. Returns
+/// the cycles spent.
+fn run_preemptible_to_idle(p: &mut Platform, label: &str) -> u64 {
+    let spent = p.run_preemptible(BUDGET);
     assert!(p.is_idle(), "{label}: workload failed to quiesce within {BUDGET} cycles");
     assert!(spent < BUDGET, "{label}: quiescence must cut the run short");
     spent
@@ -240,34 +240,36 @@ fn quiet_plan_is_bitwise_transparent() {
 }
 
 #[test]
-fn faulted_serial_matches_faulted_parallel_bit_for_bit() {
+fn faulted_epoch_driver_matches_faulted_reference_bit_for_bit() {
     // The heart of the differential suite: the same fault plan replayed
-    // under both steppers is one simulation — every cycle, counter, and
-    // byte identical. Fault decisions are stateless hashes, so epoch
-    // boundaries cannot change what fires.
+    // under the epoch driver and the per-cycle reference is one
+    // simulation — every cycle, counter, and byte identical, stopping at
+    // the same grain boundary. Fault decisions are stateless hashes, so
+    // epoch boundaries cannot change what fires.
     for fpgas in [1usize, 2, 4] {
         for seed in 0..4u64 {
             let plan = Arc::new(FaultPlan::seeded(seed, FaultProfile::light()));
-            let mut serial = chaos_platform(fpgas, 2, 3, seed, Some(FaultSpec::all(plan.clone())));
-            let mut parallel = chaos_platform(fpgas, 2, 3, seed, Some(FaultSpec::all(plan)));
-            let spent = run_preemptible_to_idle(&mut serial, false, "serial");
-            assert_eq!(spent, run_preemptible_to_idle(&mut parallel, true, "parallel"));
+            let mut driven = chaos_platform(fpgas, 2, 3, seed, Some(FaultSpec::all(plan.clone())));
+            let mut reference = chaos_platform(fpgas, 2, 3, seed, Some(FaultSpec::all(plan)));
+            reference.set_fast_path(false);
+            let spent = run_preemptible_to_idle(&mut driven, "epoch driver");
+            assert_eq!(spent, run_preemptible_to_idle(&mut reference, "reference"));
             assert_eq!(
-                snapshot(&serial),
-                snapshot(&parallel),
+                snapshot(&driven),
+                snapshot(&reference),
                 "steppers diverged: {fpgas} FPGAs, seed {seed}"
             );
-            assert_eq!(serial.snapshot().first_divergence(&parallel.snapshot()), None);
+            assert_eq!(driven.snapshot().first_divergence(&reference.snapshot()), None);
             assert_eq!(
-                arch_state(&mut serial),
-                arch_state(&mut parallel),
+                arch_state(&mut driven),
+                arch_state(&mut reference),
                 "architectural divergence: {fpgas} FPGAs, seed {seed}"
             );
             // Metrics — counters *and* every latency histogram — must be
             // bit-identical once the host-side stepper lane is stripped.
-            let (sm, pm) = (serial.metrics().architectural(), parallel.metrics().architectural());
-            assert_eq!(sm, pm, "faulted metrics diverged: {fpgas} FPGAs, seed {seed}");
-            assert_eq!(sm.snapshot_text(), pm.snapshot_text());
+            let (dm, rm) = (driven.metrics().architectural(), reference.metrics().architectural());
+            assert_eq!(dm, rm, "faulted metrics diverged: {fpgas} FPGAs, seed {seed}");
+            assert_eq!(dm.snapshot_text(), rm.snapshot_text());
         }
     }
 }
@@ -284,7 +286,6 @@ fn faulted_fast_path_matches_faulted_reference_bit_for_bit() {
         let plan = Arc::new(FaultPlan::seeded(seed, FaultProfile::light()));
         let mut fast = chaos_platform(2, 2, 3, seed, Some(FaultSpec::all(plan.clone())));
         let mut fast_cut = chaos_platform(2, 2, 3, seed, Some(FaultSpec::all(plan.clone())));
-        let mut fast_par = chaos_platform(2, 2, 3, seed, Some(FaultSpec::all(plan.clone())));
         let mut reference = chaos_platform(2, 2, 3, seed, Some(FaultSpec::all(plan)));
         reference.set_fast_path(false);
         run_to_idle(&mut fast, "fast-serial");
@@ -294,20 +295,13 @@ fn faulted_fast_path_matches_faulted_reference_bit_for_bit() {
             snapshot(&reference),
             "fast path diverged from reference under faults: seed {seed}"
         );
-        // Both executors of the epoch driver stop at the same grain
-        // boundary: the first one at or after the exact quiescent cycle.
-        let spent = run_preemptible_to_idle(&mut fast_cut, false, "fast-serial, preemptible");
-        assert_eq!(spent, run_preemptible_to_idle(&mut fast_par, true, "fast-parallel"));
+        // The preemptible drive stops at the first grain boundary at or
+        // after the exact quiescent cycle.
+        let spent = run_preemptible_to_idle(&mut fast_cut, "fast-serial, preemptible");
         assert_eq!(spent, fast.now().next_multiple_of(fast.preemption_grain()));
-        assert_eq!(
-            snapshot(&fast_cut),
-            snapshot(&fast_par),
-            "fast steppers diverged under faults: seed {seed}"
-        );
-        assert_eq!(fast_cut.snapshot().first_divergence(&fast_par.snapshot()), None);
         let want = arch_state(&mut reference);
         assert_eq!(want, arch_state(&mut fast), "fast-serial arch divergence: seed {seed}");
-        assert_eq!(want, arch_state(&mut fast_par), "fast-parallel arch divergence: seed {seed}");
+        assert_eq!(want, arch_state(&mut fast_cut), "preemptible arch divergence: seed {seed}");
         // Architectural metrics agree; the fast run must actually have
         // elided work, or this equivalence is vacuous.
         assert_eq!(
@@ -350,7 +344,7 @@ fn faulted_runs_preserve_architectural_state_vs_clean() {
             let mut clean = chaos_platform(fpgas, 2, 3, seed, None);
             let mut faulted = chaos_platform(fpgas, 2, 3, seed, Some(FaultSpec::all(plan)));
             run_to_idle(&mut clean, "clean");
-            run_preemptible_to_idle(&mut faulted, true, "faulted");
+            run_preemptible_to_idle(&mut faulted, "faulted");
             assert_eq!(
                 arch_state(&mut clean),
                 arch_state(&mut faulted),
@@ -429,16 +423,18 @@ fn watchdog_passes_clean_runs_through() {
 fn stats_survive_a_stepper_switch_mid_run() {
     // Regression for the Platform::stats() merge: Hard Shell and crossbar
     // counters must be identical whether the run used one stepper
-    // throughout or switched serial → epoch-parallel mid-flight (the
-    // counters live in the components, not the steppers; the old code
-    // dropped the crossbar's entirely).
+    // throughout or switched per-cycle reference → epoch driver
+    // mid-flight (the counters live in the components, not the steppers;
+    // the old code dropped the crossbar's entirely).
     let mut switched = chaos_platform(2, 2, 4, 13, None);
     let mut reference = chaos_platform(2, 2, 4, 13, None);
-    switched.run(25_000); // serial prefix...
-    switched.run_parallel(60_000); // ...then the parallel stepper
+    switched.set_fast_path(false);
+    switched.run(25_000); // per-cycle prefix...
+    switched.set_fast_path(true);
+    switched.run(60_000); // ...then the epoch driver
     reference.run(85_000);
-    let spent = run_preemptible_to_idle(&mut switched, true, "switched");
-    assert_eq!(spent, run_preemptible_to_idle(&mut reference, false, "reference"));
+    let spent = run_preemptible_to_idle(&mut switched, "switched");
+    assert_eq!(spent, run_preemptible_to_idle(&mut reference, "reference"));
     assert_eq!(switched.now(), reference.now());
     assert_eq!(switched.snapshot().first_divergence(&reference.snapshot()), None);
     let (s, r) = (switched.stats(), reference.stats());
@@ -510,33 +506,26 @@ fn run_until_idle_lands_where_stepping_does() {
 }
 
 #[test]
-fn faulted_ethernet_serial_matches_faulted_parallel_bit_for_bit() {
-    // The grouped drivers under fire: the same Ethernet fault plan
-    // replayed serial vs parallel (and against the per-cycle reference)
-    // is one simulation. Fault decisions key on frame identity and
-    // maturity cycles, so group-local windows cannot change what fires.
+fn faulted_ethernet_epoch_driver_matches_faulted_reference_bit_for_bit() {
+    // The grouped driver under fire: the same Ethernet fault plan replayed
+    // by the epoch driver and by the per-cycle reference is one
+    // simulation. Fault decisions key on frame identity and maturity
+    // cycles, so group-local windows cannot change what fires.
     for seed in [2u64, 5] {
         let plan = Arc::new(FaultPlan::seeded(seed, FaultProfile::light()));
         let spec = || Some(FaultSpec::links_only(plan.clone()));
         let topo = || Topology::Hybrid(rack_eth_params(2));
         let mut reference = rack_chaos_platform(4, 3, seed, topo(), spec());
         let mut serial = rack_chaos_platform(4, 3, seed, topo(), spec());
-        let mut parallel = rack_chaos_platform(4, 3, seed, topo(), spec());
         reference.set_fast_path(false);
         reference.run(30_000);
         serial.run(30_000);
-        parallel.run_parallel(30_000);
         assert_eq!(
             snapshot(&reference),
             snapshot(&serial),
             "faulted grouped-serial diverged from reference: seed {seed}"
         );
-        assert_eq!(
-            snapshot(&serial),
-            snapshot(&parallel),
-            "faulted grouped steppers diverged: seed {seed}"
-        );
-        assert_eq!(serial.stats().to_string(), parallel.stats().to_string());
+        assert_eq!(reference.snapshot().first_divergence(&serial.snapshot()), None);
     }
 }
 
@@ -563,8 +552,9 @@ fn watchdog_reports_a_blackholed_ethernet_fabric() {
     assert!(report.to_string().contains("LIVELOCK"));
 }
 
-/// The full acceptance matrix — 8 seeds × {serial, parallel} × {1, 2, 4}
-/// FPGAs, light *and* heavy profiles — run in release by the CI chaos
+/// The full acceptance matrix — 8 seeds × {1, 2, 4} FPGAs, light *and*
+/// heavy profiles, each faulted run cut at its first idle grain — run in
+/// release by the CI chaos
 /// job (`--include-ignored`). On failure the panic message carries the
 /// seed/topology coordinates for replay; Watchdog reports land in
 /// `target/chaos/` via [`watchdog_report_artifacts`].
@@ -577,26 +567,13 @@ fn full_chaos_matrix() {
                 let plan = Arc::new(FaultPlan::seeded(seed, profile));
                 let spec = FaultSpec::all(plan);
                 let mut clean = chaos_platform(fpgas, 2, 4, seed, None);
-                let mut serial = chaos_platform(fpgas, 2, 4, seed, Some(spec.clone()));
-                let mut parallel = chaos_platform(fpgas, 2, 4, seed, Some(spec));
+                let mut serial = chaos_platform(fpgas, 2, 4, seed, Some(spec));
                 run_to_idle(&mut clean, "clean");
-                let spent = run_preemptible_to_idle(&mut serial, false, "serial");
-                assert_eq!(spent, run_preemptible_to_idle(&mut parallel, true, "parallel"));
+                run_preemptible_to_idle(&mut serial, "serial");
                 assert_eq!(
-                    snapshot(&serial),
-                    snapshot(&parallel),
-                    "steppers diverged: {fpgas} FPGAs, seed {seed}"
-                );
-                let want = arch_state(&mut clean);
-                assert_eq!(
-                    want,
+                    arch_state(&mut clean),
                     arch_state(&mut serial),
                     "serial faulted run corrupted state: {fpgas} FPGAs, seed {seed}"
-                );
-                assert_eq!(
-                    want,
-                    arch_state(&mut parallel),
-                    "parallel faulted run corrupted state: {fpgas} FPGAs, seed {seed}"
                 );
             }
         }

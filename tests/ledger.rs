@@ -2,14 +2,13 @@
 //! canonical runs, compared byte for byte with `results/ledger/*.txt`.
 //!
 //! Each platform case runs under the per-cycle reference
-//! (`set_fast_path(false)`), fast-serial (`run`) and the epoch driver on
-//! worker threads (`run_parallel`). The file holds the fast-serial
-//! rendering: the cycle, `stats()`, `metrics().snapshot_text()`, the
-//! image's raw bytes, section count and state digest, and the epoch
-//! count. The other two steppers must render the same text apart from
-//! `host.`-prefixed lines, which hold what legitimately depends on the
-//! stepper (epoch widths, fabric hop meters, and the image digest, which
-//! covers the `host.stepper` section). The fleet case folds a mixed job
+//! (`set_fast_path(false)`) and fast-serial (`run`, the epoch driver). The
+//! file holds the fast-serial rendering: the cycle, `stats()`,
+//! `metrics().snapshot_text()`, the image's raw bytes, section count and
+//! state digest, and the epoch count. The reference must render the same
+//! text apart from `host.`-prefixed lines, which hold what legitimately
+//! depends on the stepper (epoch widths, fabric hop meters, and the image
+//! digest, which covers the `host.stepper` section). The fleet case folds a mixed job
 //! fleet's report digests under the serial scheduler and a two-worker
 //! preempting pool.
 //!
@@ -79,7 +78,7 @@ fn architectural(text: &str) -> String {
     text.lines().filter(|l| !l.starts_with("host.")).collect::<Vec<_>>().join("\n")
 }
 
-/// Runs `build()` for `cycles` under all three steppers, requires them to
+/// Runs `build()` for `cycles` under both steppers, requires them to
 /// agree, and checks the fast-serial rendering against the ledger.
 fn platform_case(name: &str, cycles: u64, build: impl Fn() -> Platform) {
     let mut reference = build();
@@ -87,21 +86,17 @@ fn platform_case(name: &str, cycles: u64, build: impl Fn() -> Platform) {
     reference.run(cycles);
     let mut fast = build();
     fast.run(cycles);
-    let mut parallel = build();
-    parallel.run_parallel(cycles);
     let want = render(&fast);
-    for (stepper, p) in [("reference", &reference), ("parallel", &parallel)] {
-        assert_eq!(
-            fast.snapshot().first_divergence(&p.snapshot()),
-            None,
-            "{name}: {stepper} state diverged from fast-serial"
-        );
-        assert_eq!(
-            architectural(&render(p)),
-            architectural(&want),
-            "{name}: {stepper} rendered differently from fast-serial"
-        );
-    }
+    assert_eq!(
+        fast.snapshot().first_divergence(&reference.snapshot()),
+        None,
+        "{name}: reference state diverged from fast-serial"
+    );
+    assert_eq!(
+        architectural(&render(&reference)),
+        architectural(&want),
+        "{name}: reference rendered differently from fast-serial"
+    );
     check(name, &want);
 }
 

@@ -1,6 +1,8 @@
-//! Differential tests: the epoch-parallel stepper must be bit-identical to
-//! the serial reference — same cycle count, same statistics, same memory,
-//! same console bytes — on multi-FPGA prototypes.
+//! Differential tests: the epoch driver, the conservative
+//! parallel-discrete-event scheme `run` uses on multi-FPGA prototypes,
+//! must be bit-identical to the per-cycle reference
+//! (`set_fast_path(false)`): same cycle count, same statistics, same
+//! memory, same snapshot bytes.
 
 use smappic::platform::{Config, Platform, DRAM_BASE};
 use smappic::sim::SimRng;
@@ -46,81 +48,91 @@ fn snapshot(p: &Platform) -> (u64, String, Vec<u8>) {
     (p.now(), p.stats().to_string(), p.read_mem(DRAM_BASE + 0x9000, 8))
 }
 
-fn assert_equivalent(serial: &Platform, parallel: &Platform, label: &str) {
-    let (sn, ss, sm) = snapshot(serial);
-    let (pn, ps, pm) = snapshot(parallel);
-    assert_eq!(sn, pn, "{label}: cycle counts diverged");
-    assert_eq!(ss, ps, "{label}: statistics diverged");
-    assert_eq!(sm, pm, "{label}: memory diverged");
+/// `build()` in reference mode: the fast path off, so `run` steps every
+/// cycle and never enters the epoch driver.
+fn per_cycle(build: impl FnOnce() -> Platform) -> Platform {
+    let mut p = build();
+    p.set_fast_path(false);
+    p
+}
+
+fn assert_equivalent(reference: &Platform, driven: &Platform, label: &str) {
+    let (rn, rs, rm) = snapshot(reference);
+    let (dn, ds, dm) = snapshot(driven);
+    assert_eq!(rn, dn, "{label}: cycle counts diverged");
+    assert_eq!(rs, ds, "{label}: statistics diverged");
+    assert_eq!(rm, dm, "{label}: memory diverged");
     // The full metrics registry — counters *and* latency histograms — must
     // be bit-identical once host-side stepper diagnostics are stripped.
-    let (sa, pa) = (serial.metrics().architectural(), parallel.metrics().architectural());
-    assert_eq!(sa, pa, "{label}: architectural metrics diverged");
-    assert_eq!(sa.snapshot_text(), pa.snapshot_text(), "{label}: metrics snapshots diverged");
+    let (ra, da) = (reference.metrics().architectural(), driven.metrics().architectural());
+    assert_eq!(ra, da, "{label}: architectural metrics diverged");
+    assert_eq!(ra.snapshot_text(), da.snapshot_text(), "{label}: metrics snapshots diverged");
+    assert_eq!(reference.snapshot().first_divergence(&driven.snapshot()), None, "{label}");
 }
 
 #[test]
 fn two_fpga_run_matches_serial_reference() {
     let cycles = 150_000;
-    let mut serial = contention_platform(2, 2, 12, 0xD1FF);
-    let mut parallel = contention_platform(2, 2, 12, 0xD1FF);
-    serial.run(cycles);
-    parallel.run_parallel(cycles);
-    assert_equivalent(&serial, &parallel, "2-FPGA");
+    let mut reference = per_cycle(|| contention_platform(2, 2, 12, 0xD1FF));
+    let mut driven = contention_platform(2, 2, 12, 0xD1FF);
+    reference.run(cycles);
+    driven.run(cycles);
+    assert_equivalent(&reference, &driven, "2-FPGA");
     // The workload must actually have crossed the fabric, or this test
     // proves nothing.
-    assert!(serial.stats().get("shell.out_req") > 0, "no cross-FPGA traffic exercised");
+    assert!(reference.stats().get("shell.out_req") > 0, "no cross-FPGA traffic exercised");
 }
 
 #[test]
 fn four_fpga_run_matches_serial_reference() {
     let cycles = 200_000;
-    let mut serial = contention_platform(4, 1, 8, 0x4F4F);
-    let mut parallel = contention_platform(4, 1, 8, 0x4F4F);
-    serial.run(cycles);
-    parallel.run_parallel(cycles);
-    assert_equivalent(&serial, &parallel, "4-FPGA");
-    assert!(serial.stats().get("shell.out_req") > 0, "no cross-FPGA traffic exercised");
+    let mut reference = per_cycle(|| contention_platform(4, 1, 8, 0x4F4F));
+    let mut driven = contention_platform(4, 1, 8, 0x4F4F);
+    reference.run(cycles);
+    driven.run(cycles);
+    assert_equivalent(&reference, &driven, "4-FPGA");
+    assert!(reference.stats().get("shell.out_req") > 0, "no cross-FPGA traffic exercised");
 }
 
 #[test]
-fn one_epoch_parallel_runs_tile_a_serial_run() {
-    let mut serial = contention_platform(2, 1, 6, 0x57E9);
-    let mut parallel = contention_platform(2, 1, 6, 0x57E9);
-    let l = parallel.lookahead();
+fn one_epoch_runs_tile_a_serial_run() {
+    let mut reference = per_cycle(|| contention_platform(2, 1, 6, 0x57E9));
+    let mut driven = contention_platform(2, 1, 6, 0x57E9);
+    let l = driven.lookahead();
     assert!(l > 0, "multi-FPGA platforms must expose PCIe lookahead");
-    // One drive (and one set of worker threads) per epoch.
+    // One drive per epoch.
     for _ in 0..40 {
-        parallel.run_parallel(l);
+        driven.run(l);
     }
-    assert_eq!(parallel.now(), 40 * l);
-    serial.run(40 * l);
-    assert_equivalent(&serial, &parallel, "one-epoch parallel runs");
+    assert_eq!(driven.now(), 40 * l);
+    reference.run(40 * l);
+    assert_equivalent(&reference, &driven, "one-epoch runs");
+    let epochs = driven.metrics().histogram("host.epoch_width").map_or(0, |h| h.count());
+    assert_eq!(epochs, 40, "one epoch per run");
 }
 
 #[test]
-fn parallel_handles_epoch_tails_and_odd_cycle_counts() {
+fn epoch_driver_handles_epoch_tails_and_odd_cycle_counts() {
     // A run length that is not a multiple of the lookahead exercises the
     // short trailing epoch.
-    let mut serial = contention_platform(2, 2, 5, 0x7A11);
-    let mut parallel = contention_platform(2, 2, 5, 0x7A11);
-    let cycles = 10 * parallel.lookahead() + 17;
-    serial.run(cycles);
-    parallel.run_parallel(cycles);
-    assert_equivalent(&serial, &parallel, "odd tail");
+    let mut reference = per_cycle(|| contention_platform(2, 2, 5, 0x7A11));
+    let mut driven = contention_platform(2, 2, 5, 0x7A11);
+    let cycles = 10 * driven.lookahead() + 17;
+    reference.run(cycles);
+    driven.run(cycles);
+    assert_equivalent(&reference, &driven, "odd tail");
 }
 
 #[test]
-fn preemptible_parallel_quiesces_where_preemptible_serial_does() {
+fn preemptible_drive_quiesces_where_the_preemptible_reference_does() {
     const BUDGET: u64 = 5_000_000;
     let mut exact = contention_platform(2, 2, 8, 0x1D1E);
-    let mut serial = contention_platform(2, 2, 8, 0x1D1E);
-    let mut parallel = contention_platform(2, 2, 8, 0x1D1E);
-    let spent = serial.run_preemptible(BUDGET, false);
-    assert_eq!(spent, parallel.run_preemptible(BUDGET, true), "executors spent differently");
-    assert!(serial.is_idle() && parallel.is_idle(), "both executors must reach quiescence");
-    assert_equivalent(&serial, &parallel, "preemptible until idle");
-    assert_eq!(serial.snapshot().first_divergence(&parallel.snapshot()), None);
+    let mut reference = per_cycle(|| contention_platform(2, 2, 8, 0x1D1E));
+    let mut driven = contention_platform(2, 2, 8, 0x1D1E);
+    let spent = reference.run_preemptible(BUDGET);
+    assert_eq!(spent, driven.run_preemptible(BUDGET), "the steppers spent differently");
+    assert!(reference.is_idle() && driven.is_idle(), "both steppers must reach quiescence");
+    assert_equivalent(&reference, &driven, "preemptible until idle");
     // The stop is the first grain boundary at or after the exact
     // quiescent cycle, which the per-cycle idle loop finds.
     assert!(exact.run_until_idle(BUDGET), "workload hung");
@@ -160,9 +172,7 @@ fn idle_ticks_are_observable_noops() {
 #[test]
 fn metrics_histograms_are_populated_and_host_lane_is_stepper_specific() {
     let mut serial = contention_platform(2, 2, 8, 0x3E7A);
-    let mut parallel = contention_platform(2, 2, 8, 0x3E7A);
     serial.run(120_000);
-    parallel.run_parallel(120_000);
 
     // The architectural equality above must not be vacuous: the cross-FPGA
     // workload has to populate the latency histograms.
@@ -173,8 +183,8 @@ fn metrics_histograms_are_populated_and_host_lane_is_stepper_specific() {
     }
 
     // The epoch-width histogram is a host-side diagnostic: populated by
-    // both epoch drivers (the fast serial path epoch-steps multi-FPGA
-    // prototypes too), absent in reference mode, and always stripped by
+    // the epoch driver (the fast serial path epoch-steps multi-FPGA
+    // prototypes), absent in reference mode, and always stripped by
     // `architectural()`.
     let mut reference = contention_platform(2, 2, 8, 0x3E7A);
     reference.set_fast_path(false);
@@ -182,10 +192,7 @@ fn metrics_histograms_are_populated_and_host_lane_is_stepper_specific() {
     assert_eq!(reference.metrics().histogram("host.epoch_width").map_or(0, |h| h.count()), 0);
     let sw = serial.metrics().histogram("host.epoch_width").map_or(0, |h| h.count());
     assert!(sw > 0, "fast serial run must epoch-step a multi-FPGA prototype");
-    let pw = parallel.metrics().histogram("host.epoch_width").map_or(0, |h| h.count());
-    assert!(pw > 0, "parallel stepper must record epoch widths");
-    assert!(parallel.metrics().architectural().histogram("host.epoch_width").is_none());
-    assert_eq!(serial.metrics().architectural(), parallel.metrics().architectural());
+    assert!(serial.metrics().architectural().histogram("host.epoch_width").is_none());
     assert_eq!(serial.metrics().architectural(), reference.metrics().architectural());
     assert_eq!(serial.stats().to_string(), reference.stats().to_string());
 }
@@ -204,14 +211,4 @@ fn link_index_table_covers_the_four_fpga_full_mesh() {
     }
     assert_eq!(p.link_index(0, 4), None, "out of range");
     assert_eq!(p.link_index(9, 1), None, "out of range");
-}
-
-#[test]
-fn parallel_is_a_noop_fallback_on_single_fpga() {
-    let mut serial = contention_platform(1, 2, 6, 0x0F0F);
-    let mut parallel = contention_platform(1, 2, 6, 0x0F0F);
-    assert_eq!(parallel.lookahead(), 0);
-    serial.run(50_000);
-    parallel.run_parallel(50_000);
-    assert_equivalent(&serial, &parallel, "1-FPGA fallback");
 }

@@ -4,8 +4,8 @@
 //! Two families of invariants:
 //!
 //! - **Bit-identity within a topology**: on a network-attached platform
-//!   the per-cycle reference, the serial grouped-epoch driver, and the
-//!   parallel grouped-epoch driver are one simulation — same cycle count,
+//!   the per-cycle reference and the grouped-epoch driver are one
+//!   simulation — same cycle count,
 //!   same counters, same memory, byte-identical architectural snapshots
 //!   ([`Snapshot::first_divergence`] finds nothing) — at 16 and 64 FPGAs.
 //! - **Architectural equivalence across topologies**: the same logical
@@ -135,18 +135,15 @@ fn arch_state(p: &mut Platform) -> ArchState {
     }
 }
 
-/// Fixed-cycle tri-stepper differential at `fpgas` FPGAs: per-cycle
-/// reference vs serial grouped driver vs parallel grouped driver.
-fn tri_stepper_check(cfg: impl Fn() -> Config, fpgas: usize, cycles: u64, label: &str) {
+/// Fixed-cycle stepper differential at `fpgas` FPGAs: per-cycle reference
+/// vs the grouped epoch driver.
+fn stepper_check(cfg: impl Fn() -> Config, fpgas: usize, cycles: u64, label: &str) {
     let mut reference = scale_platform(cfg(), 2, 0xE7B0);
     reference.set_fast_path(false);
     let mut serial = scale_platform(cfg(), 2, 0xE7B0);
-    let mut parallel = scale_platform(cfg(), 2, 0xE7B0);
     reference.run(cycles);
     serial.run(cycles);
-    parallel.run_parallel(cycles);
     assert_bit_identical(&reference, &serial, &format!("{label}: reference vs serial"));
-    assert_bit_identical(&reference, &parallel, &format!("{label}: reference vs parallel"));
     // The equivalence must not be vacuous: frames crossed the fabric and
     // (at 16+ FPGAs with group_size < fpgas) the spine.
     let s = reference.stats();
@@ -167,13 +164,13 @@ fn tri_stepper_check(cfg: impl Fn() -> Config, fpgas: usize, cycles: u64, label:
 }
 
 #[test]
-fn sixteen_fpga_ethernet_three_steppers_bit_identical() {
-    tri_stepper_check(|| eth_cfg(16, 8), 16, 12_000, "16-FPGA eth");
+fn sixteen_fpga_ethernet_reference_and_epoch_driver_bit_identical() {
+    stepper_check(|| eth_cfg(16, 8), 16, 12_000, "16-FPGA eth");
 }
 
 #[test]
-fn sixteen_fpga_hybrid_three_steppers_bit_identical() {
-    tri_stepper_check(|| hybrid_cfg(16, 4), 16, 12_000, "16-FPGA hybrid");
+fn sixteen_fpga_hybrid_reference_and_epoch_driver_bit_identical() {
+    stepper_check(|| hybrid_cfg(16, 4), 16, 12_000, "16-FPGA hybrid");
     // Hybrid must have used both transports, or the mixed routing path
     // was never exercised.
     let mut p = scale_platform(hybrid_cfg(16, 4), 2, 0xE7B0);
@@ -187,24 +184,25 @@ fn sixteen_fpga_hybrid_three_steppers_bit_identical() {
 }
 
 #[test]
-fn sixty_four_fpga_ethernet_three_steppers_bit_identical() {
-    tri_stepper_check(|| eth_cfg(64, 8), 64, 6_000, "64-FPGA eth");
+fn sixty_four_fpga_ethernet_reference_and_epoch_driver_bit_identical() {
+    stepper_check(|| eth_cfg(64, 8), 64, 6_000, "64-FPGA eth");
 }
 
 #[test]
-fn one_epoch_parallel_runs_tile_a_serial_run_on_ethernet() {
+fn one_epoch_runs_tile_a_reference_run_on_ethernet() {
     let mut serial = scale_platform(eth_cfg(8, 4), 2, 0x57EB);
+    serial.set_fast_path(false);
     let mut stepped = scale_platform(eth_cfg(8, 4), 2, 0x57EB);
     let (local, global) = stepped.grouped_lookaheads();
     assert_eq!(local, 12, "local lookahead is the NIC link latency");
     assert_eq!(global, 40, "global lookahead is the spine latency");
-    // One drive (and one set of worker threads) per epoch.
+    // One drive per epoch.
     for _ in 0..100 {
-        stepped.run_parallel(global);
+        stepped.run(global);
     }
     assert_eq!(stepped.now(), 100 * global);
     serial.run(100 * global);
-    assert_bit_identical(&serial, &stepped, "one-epoch parallel runs on eth");
+    assert_bit_identical(&serial, &stepped, "one-epoch runs on eth");
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Service-layer determinism proof: a job that is preempted, snapshotted,
 //! and resumed on whichever worker dispatches it next must be
 //! *bit-identical* — full [`Snapshot`] equality, every section byte, not
-//! just digest equality — to the same job run uninterrupted. Proven for the serial fast-path stepper,
-//! the epoch-parallel stepper, the per-cycle reference stepper, and an
+//! just digest equality — to the same job run uninterrupted. Proven for
+//! the serial fast-path stepper, the per-cycle reference stepper, and an
 //! Ethernet rack topology, all with a light deterministic `FaultPlan`
 //! active (faults must not break the preemption protocol: injector state
 //! rides in the snapshot like everything else).
@@ -91,7 +91,7 @@ fn assert_migrated_equals_uninterrupted(spec: JobSpec, label: &str) {
     // The scheduler is transparent over the bare platform: driving the
     // same spec directly produces the same bytes again.
     let mut p = spec.build();
-    p.run_preemptible(spec.budget, spec.parallel());
+    p.run_preemptible(spec.budget);
     assert!(p.snapshot() == bs, "[{label}] scheduler must match a directly-driven platform");
     assert_eq!(digest_platform(&p), b.digest, "[{label}] direct digest must agree");
 }
@@ -99,11 +99,6 @@ fn assert_migrated_equals_uninterrupted(spec: JobSpec, label: &str) {
 #[test]
 fn migrated_resume_is_bit_identical_serial_stepper() {
     assert_migrated_equals_uninterrupted(job(StepperSpec::Serial, TopoSpec::Star, 2), "serial");
-}
-
-#[test]
-fn migrated_resume_is_bit_identical_parallel_stepper() {
-    assert_migrated_equals_uninterrupted(job(StepperSpec::Parallel, TopoSpec::Star, 2), "parallel");
 }
 
 #[test]
@@ -140,7 +135,7 @@ fn parked_wire_bytes_resume_in_a_fresh_process_image() {
     let mut first = spec.build();
     let grain = first.preemption_grain();
     let cut = (spec.budget / 2 / grain).max(1) * grain;
-    first.run_preemptible(cut, spec.parallel());
+    first.run_preemptible(cut);
     let mut parked = Vec::new();
     first.snapshot_to(&mut StreamSink::new(&mut parked, true)).expect("parks to memory");
     drop(first);
@@ -152,7 +147,7 @@ fn parked_wire_bytes_resume_in_a_fresh_process_image() {
     let already = second.now();
     let mut spent = already;
     while spent < spec.budget && !second.is_idle() {
-        spent += second.run_preemptible(spec.budget - spent, replayed.parallel());
+        spent += second.run_preemptible(spec.budget - spent);
         if second.is_idle() {
             break;
         }

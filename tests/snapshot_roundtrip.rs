@@ -1,8 +1,9 @@
 //! Snapshot round-trip property suite: a platform restored from a
 //! mid-workload snapshot must be indistinguishable from one that never
 //! stopped — same architectural state, same `stats()`, same
-//! `architectural()` metrics — under the serial stepper, the
-//! epoch-parallel stepper, and a (quiet) fault-injected run. Plus the
+//! `architectural()` metrics — under the serial stepper, across the
+//! per-cycle reference and the epoch driver, and in a (quiet)
+//! fault-injected run. Plus the
 //! format-evolution guards: unknown trailing fields, unknown sections,
 //! version skew, and config skew are typed errors, never UB.
 
@@ -74,7 +75,7 @@ fn observe(p: &Platform) -> (u64, String, Vec<u8>, String) {
 
 /// The core property: run `total` cycles straight vs snapshot at `cut`,
 /// restore into a *fresh* platform, and finish there. `step` drives every
-/// run segment (serial or epoch-parallel).
+/// run segment.
 fn assert_resume_transparent(
     mk: impl Fn() -> Platform,
     cut: u64,
@@ -172,23 +173,6 @@ fn serial_roundtrip_at_random_mid_workload_cycles() {
 }
 
 #[test]
-fn epoch_parallel_roundtrip_at_random_mid_workload_cycles() {
-    let mk = || workload(2, 2, 10, 0xF00D, None);
-    let mut rng = SimRng::new(0xBEEF);
-    let total = 60_000;
-    for trial in 0..2 {
-        let cut = 1 + rng.gen_range(total - 1);
-        assert_resume_transparent(
-            mk,
-            cut,
-            total,
-            |p, n| p.run_parallel(n),
-            &format!("parallel#{trial}"),
-        );
-    }
-}
-
-#[test]
 fn quiet_fault_roundtrip_mid_workload() {
     // Fault machinery threaded through every transport, quiet profile:
     // the injectors and the shell sequence guard carry live state
@@ -205,15 +189,23 @@ fn light_fault_roundtrip_mid_workload() {
     assert_resume_transparent(mk, 17_777, 60_000, |p, n| p.run(n), "light-fault");
 }
 
+/// `mk()` in reference mode: `run` steps every cycle.
+fn per_cycle(mk: impl Fn() -> Platform) -> Platform {
+    let mut p = mk();
+    p.set_fast_path(false);
+    p
+}
+
 #[test]
-fn snapshot_under_serial_resumes_under_parallel() {
-    // Cross-stepper resume: checkpoint a serial run, finish it
-    // epoch-parallel. Architectural equality must still hold.
+fn snapshot_of_an_epoch_driven_run_resumes_to_the_reference_run() {
+    // Cut a run the epoch driver advances mid-epoch, finish it the same
+    // way from the restored image: the result is the per-cycle
+    // reference's uninterrupted run.
     let mk = || workload(2, 2, 8, 0xABCD, None);
     let total = 50_000;
     let cut = 23_456;
 
-    let mut reference = mk();
+    let mut reference = per_cycle(mk);
     reference.run(total);
 
     let mut first = mk();
@@ -222,15 +214,16 @@ fn snapshot_under_serial_resumes_under_parallel() {
 
     let mut resumed = mk();
     resumed.restore(&snap).expect("restore");
-    resumed.run_parallel(total - cut);
+    resumed.run(total - cut);
 
     assert_eq!(reference.now(), resumed.now());
     assert_eq!(reference.stats().to_string(), resumed.stats().to_string());
     assert_eq!(
         reference.metrics().architectural().snapshot_text(),
         resumed.metrics().architectural().snapshot_text(),
-        "cross-stepper resume diverged"
+        "cut-and-resumed epoch-driven run diverged from the reference"
     );
+    assert_eq!(reference.snapshot().first_divergence(&resumed.snapshot()), None);
 }
 
 #[test]
@@ -258,24 +251,24 @@ fn ethernet_serial_roundtrip_cuts_through_in_flight_switch_queues() {
 }
 
 #[test]
-fn ethernet_parallel_grouped_roundtrip_mid_workload() {
-    // Same property under the parallel grouped-epoch driver: snapshot a
-    // parallel run mid-flight, restore into a fresh platform, finish in
-    // parallel — indistinguishable from never having stopped.
+fn ethernet_grouped_roundtrip_mid_workload() {
+    // Same property under the grouped-epoch driver, cut mid-epoch:
+    // snapshot mid-flight, restore into a fresh platform, finish there —
+    // indistinguishable from never having stopped.
     let mk = || rack_workload(4, 10, 0x6E77, Topology::Ethernet(rack_eth_params()), None);
-    assert_resume_transparent(mk, 17_401, 40_000, |p, n| p.run_parallel(n), "eth-parallel");
+    assert_resume_transparent(mk, 17_401, 40_000, |p, n| p.run(n), "eth-grouped");
 }
 
 #[test]
-fn hybrid_snapshot_under_serial_resumes_under_parallel() {
-    // Cross-stepper resume on a mixed fabric: PCIe links inside each
-    // group, Ethernet between them. The snapshot covers both transports;
-    // the grouped-parallel driver must pick up exactly where the serial
-    // one stopped.
+fn hybrid_snapshot_of_an_epoch_driven_run_resumes_to_the_reference_run() {
+    // The same on a mixed fabric: PCIe links inside each group, Ethernet
+    // between them. The snapshot covers both transports; the grouped
+    // driver must pick up exactly where it stopped and land where the
+    // per-cycle reference does.
     let mk = || rack_workload(4, 8, 0x4B1D, Topology::Hybrid(rack_eth_params()), None);
     let (total, cut) = (40_000, 21_111);
 
-    let mut reference = mk();
+    let mut reference = per_cycle(mk);
     reference.run(total);
 
     let mut first = mk();
@@ -284,15 +277,16 @@ fn hybrid_snapshot_under_serial_resumes_under_parallel() {
 
     let mut resumed = mk();
     resumed.restore(&snap).expect("restore");
-    resumed.run_parallel(total - cut);
+    resumed.run(total - cut);
 
     assert_eq!(reference.now(), resumed.now());
     assert_eq!(reference.stats().to_string(), resumed.stats().to_string());
     assert_eq!(
         reference.metrics().architectural().snapshot_text(),
         resumed.metrics().architectural().snapshot_text(),
-        "hybrid cross-stepper resume diverged"
+        "hybrid cut-and-resumed run diverged from the reference"
     );
+    assert_eq!(reference.snapshot().first_divergence(&resumed.snapshot()), None);
 }
 
 #[test]
@@ -573,9 +567,9 @@ fn delta_chain_equals_full_at_16_fpgas_with_light_faults() {
 }
 
 #[test]
-fn delta_chain_equals_full_at_64_fpgas_under_the_parallel_stepper() {
+fn delta_chain_equals_full_at_64_fpgas_under_the_epoch_driver() {
     // The scale point the checkpoint layer was rebuilt for, driven by the
-    // grouped-epoch parallel stepper.
+    // grouped-epoch driver.
     let plan = Arc::new(FaultPlan::seeded(29, FaultProfile::light()));
     let mk = || {
         rack_workload(
@@ -586,8 +580,7 @@ fn delta_chain_equals_full_at_64_fpgas_under_the_parallel_stepper() {
             Some(FaultSpec::links_only(plan.clone())),
         )
     };
-    let p =
-        assert_delta_chain_equals_full(mk, 1_000, 3, 4_000, |p, n| p.run_parallel(n), "delta-64");
+    let p = assert_delta_chain_equals_full(mk, 1_000, 3, 4_000, |p, n| p.run(n), "delta-64");
 
     // The rack's image streams compressed and in bounded memory: the
     // stored payload stays below 40% of raw, and the sink never hands its
