@@ -212,3 +212,17 @@ fn link_index_table_covers_the_four_fpga_full_mesh() {
     assert_eq!(p.link_index(0, 4), None, "out of range");
     assert_eq!(p.link_index(9, 1), None, "out of range");
 }
+
+#[test]
+fn parallel_is_a_noop_fallback_on_single_fpga() {
+    // One FPGA has no PCIe lookahead, so there is no epoch to drive:
+    // `run_parallel`, which forwards to `run`, steps the prototype the
+    // way the per-cycle reference does.
+    let mut reference = per_cycle(|| contention_platform(1, 2, 6, 0x0F0F));
+    let mut parallel = contention_platform(1, 2, 6, 0x0F0F);
+    assert_eq!(parallel.lookahead(), 0);
+    reference.run(50_000);
+    parallel.run_parallel(50_000);
+    assert_equivalent(&reference, &parallel, "1-FPGA fallback");
+    assert_eq!(parallel.metrics().histogram("host.epoch_width").map_or(0, |h| h.count()), 0);
+}

@@ -102,6 +102,19 @@ fn migrated_resume_is_bit_identical_serial_stepper() {
 }
 
 #[test]
+fn migrated_resume_is_bit_identical_parallel_stepper() {
+    // A spec written as `stepper parallel`, the name of the retired
+    // threaded executor, parses as the serial stepper and migrates as
+    // bit-exactly as one, here on a four-FPGA star.
+    let text = job(StepperSpec::Serial, TopoSpec::Star, 4).to_text();
+    let old = text.replace("\nstepper serial\n", "\nstepper parallel\n");
+    assert_ne!(old, text, "the spec text names its stepper");
+    let spec = JobSpec::from_text(&old).expect("the old stepper name parses");
+    assert_eq!(spec.stepper, StepperSpec::Serial);
+    assert_migrated_equals_uninterrupted(spec, "parallel");
+}
+
+#[test]
 fn migrated_resume_is_bit_identical_reference_stepper() {
     let mut spec = job(StepperSpec::Reference, TopoSpec::Star, 2);
     // The per-cycle reference is the slowest stepper; keep the job short.

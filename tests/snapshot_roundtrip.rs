@@ -173,6 +173,25 @@ fn serial_roundtrip_at_random_mid_workload_cycles() {
 }
 
 #[test]
+fn epoch_parallel_roundtrip_at_random_mid_workload_cycles() {
+    // `run_parallel` is the name the benchmark drives the epoch driver
+    // by; a run it cuts at a random cycle resumes as if never stopped.
+    let mk = || workload(2, 2, 10, 0xF00D, None);
+    let mut rng = SimRng::new(0xBEEF);
+    let total = 60_000;
+    for trial in 0..2 {
+        let cut = 1 + rng.gen_range(total - 1);
+        assert_resume_transparent(
+            mk,
+            cut,
+            total,
+            |p, n| p.run_parallel(n),
+            &format!("parallel#{trial}"),
+        );
+    }
+}
+
+#[test]
 fn quiet_fault_roundtrip_mid_workload() {
     // Fault machinery threaded through every transport, quiet profile:
     // the injectors and the shell sequence guard carry live state
