@@ -157,7 +157,7 @@ pub fn bisect_first_divergence(
         let component = chain_a.base.first_divergence(&chain_b.base).expect("probed divergent");
         a.restore(&chain_a.base)?;
         b.restore(&chain_b.base)?;
-        return Ok(Some(BisectReport { epoch: 0, cycle: chain_a.base.cycle, component, probes }));
+        return Ok(Some(BisectReport { epoch: 0, cycle: chain_a.base.cycle(), component, probes }));
     }
 
     // Invariant: boundary `lo` equal, boundary `hi` divergent.
@@ -177,19 +177,19 @@ pub fn bisect_first_divergence(
     a.restore_chain(&chain_a.base, &chain_a.deltas[..lo])?;
     b.restore_chain(&chain_b.base, &chain_b.deltas[..lo])?;
     let (snap_a_hi, snap_b_hi) = (chain_a.materialize(hi)?, chain_b.materialize(hi)?);
-    let lo_cycle = if lo == 0 { chain_a.base.cycle } else { chain_a.deltas[lo - 1].cycle };
-    let stride = snap_a_hi.cycle - lo_cycle;
+    let lo_cycle = if lo == 0 { chain_a.base.cycle() } else { chain_a.deltas[lo - 1].cycle };
+    let (epoch, stride) = (lo as u64, snap_a_hi.cycle() - lo_cycle);
     for _ in 0..stride {
         a.run(1);
         b.run(1);
         let (x, y) = (a.snapshot(), b.snapshot());
         if let Some(component) = x.first_divergence(&y) {
-            return Ok(Some(BisectReport { epoch: lo as u64, cycle: x.cycle, component, probes }));
+            return Ok(Some(BisectReport { epoch, cycle: x.cycle(), component, probes }));
         }
     }
     // The boundary disagreed but no cycle inside the stride did — only
     // reachable if save/restore is not a fixed point. Fall back to the
     // boundary-level report rather than papering over it.
     let component = snap_a_hi.first_divergence(&snap_b_hi).expect("boundary probed divergent");
-    Ok(Some(BisectReport { epoch: lo as u64, cycle: snap_a_hi.cycle, component, probes }))
+    Ok(Some(BisectReport { epoch, cycle: snap_a_hi.cycle(), component, probes }))
 }

@@ -1137,33 +1137,21 @@ impl Platform {
     /// time, so a 64-FPGA rack checkpoints to a file (or a
     /// [`smappic_sim::CountingSink`]) in bounded memory.
     ///
-    /// A compressing [`smappic_sim::StreamSink`] writes each DRAM
-    /// channel's `pages` section as the payload
-    /// [`Platform::restore_from`] read it as, if no page has been written
-    /// since, instead of compressing it again; that save takes the payload,
-    /// so the next one compresses. Every other sink leaves it in place.
-    /// The pages are still walked and digested either way.
+    /// A DRAM channel restored by [`Platform::restore_from`] may hold the
+    /// [`smappic_sim::Restored`] record of its `pages` section (see
+    /// there). A compressing [`smappic_sim::StreamSink`] writes that
+    /// section as the payload the record holds instead of compressing it
+    /// again, and spends it, so the next save compresses; every other sink
+    /// leaves it in place. The pages are still walked and digested either
+    /// way.
     ///
     /// # Errors
     ///
     /// Propagates the first sink error (e.g. I/O failure of a file-backed
     /// [`smappic_sim::StreamSink`]).
     pub fn snapshot_to(&self, sink: &mut dyn SnapSink) -> Result<(), SnapError> {
-        self.stream_walk(sink, None)
-    }
-
-    /// [`Platform::save_walk`] into `sink`, framed by `begin`/`finish`; a
-    /// delta walk names its base's state digest.
-    fn stream_walk(
-        &self,
-        sink: &mut dyn SnapSink,
-        delta_base: Option<u64>,
-    ) -> Result<(), SnapError> {
         sink.begin(smappic_sim::SNAP_VERSION, self.config_digest(), self.now)?;
-        let mut w = match delta_base {
-            Some(digest) => SnapWriter::streaming_delta(sink, digest),
-            None => SnapWriter::streaming(sink),
-        };
+        let mut w = SnapWriter::streaming(sink);
         self.save_walk(&mut w);
         w.finish()?;
         sink.finish()
@@ -1177,18 +1165,19 @@ impl Platform {
     /// current state is never held as a whole snapshot; only the dirty
     /// sections are copied.
     ///
-    /// A DRAM channel whose pages have not been written since they were
-    /// restored from `base` (by [`Platform::restore_from`], or by
-    /// [`Platform::restore`] of a snapshot read from a stream) declares
-    /// its `pages` section unchanged: it is neither serialised nor
-    /// compared.
+    /// A DRAM channel whose [`smappic_sim::Restored`] record names `base`
+    /// declares its `pages` section unchanged: it is neither serialised
+    /// nor compared. A channel holds that record from a restore of `base`
+    /// (by [`Platform::restore_from`], or by [`Platform::restore`] of a
+    /// snapshot read from a stream) that read back exactly what save
+    /// writes, until its first page write.
     ///
     /// # Errors
     ///
     /// [`SnapError::ConfigMismatch`] when `base` came from a different
     /// config (delegated to [`SnapDelta::streamed`]).
     pub fn snapshot_delta(&self, base: &Snapshot) -> Result<SnapDelta, SnapError> {
-        SnapDelta::streamed(base, |sink, base_digest| self.stream_walk(sink, Some(base_digest)))
+        SnapDelta::streamed(base, |sink| self.snapshot_to(sink))
     }
 
     /// Restores a snapshot taken from a platform with the same [`Config`],
@@ -1203,29 +1192,34 @@ impl Platform {
     /// or a component-level validation failure. On error the platform's
     /// state is unspecified (possibly partially restored): rebuild it or
     /// restore a valid snapshot before further use.
+    ///
+    /// A snapshot read from a stream carries its verified state digest;
+    /// each DRAM channel whose `pages` section read back exactly what save
+    /// writes then records it, so [`Platform::snapshot_delta`] against
+    /// that snapshot skips the section until a page is written.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapError> {
-        if snap.version != smappic_sim::SNAP_VERSION {
+        if snap.version() != smappic_sim::SNAP_VERSION {
             return Err(SnapError::VersionMismatch {
-                found: snap.version,
+                found: snap.version(),
                 expected: smappic_sim::SNAP_VERSION,
             });
         }
         let expected = self.config_digest();
-        if snap.config_digest != expected {
-            return Err(SnapError::ConfigMismatch { found: snap.config_digest, expected });
+        if snap.config_digest() != expected {
+            return Err(SnapError::ConfigMismatch { found: snap.config_digest(), expected });
         }
         let mut r = SnapReader::new(snap);
         self.restore_walk(&mut r);
         r.finish()?;
-        self.now = snap.cycle;
+        self.now = snap.cycle();
         if let Some(digest) = snap.carried_digest() {
             self.note_pages_match(digest);
         }
         Ok(())
     }
 
-    /// Records in every DRAM channel that its pages equal their section in
-    /// the image with state digest `digest`, which was just restored.
+    /// Stamps `digest`, the state digest of the image just restored, on
+    /// every DRAM channel that kept the record of its `pages` section.
     fn note_pages_match(&mut self, digest: u64) {
         for f in &mut self.fpgas {
             for li in 0..f.nodes().len() {
@@ -1259,11 +1253,14 @@ impl Platform {
     /// restore walk consumes them, so memory stays bounded just like the
     /// [`Platform::snapshot_to`] capture path.
     ///
-    /// Each DRAM channel keeps the compressed payload its `pages` section
-    /// was stored as, until a page is written or the next compressed
-    /// [`Platform::snapshot_to`] writes the payload out again instead of
-    /// recompressing the pages. A re-saved image therefore carries the
-    /// payload it was restored from.
+    /// Each DRAM channel whose `pages` section read back exactly what save
+    /// writes keeps one [`smappic_sim::Restored`] record of it, until a
+    /// page is written: the image's state digest, which
+    /// [`Platform::snapshot_delta`] against that image skips the section
+    /// by, and the compressed payload the section was stored as, which
+    /// the next compressed [`Platform::snapshot_to`] writes out again
+    /// instead of recompressing the pages. A re-saved image therefore
+    /// carries the payload it was restored from.
     ///
     /// # Errors
     ///

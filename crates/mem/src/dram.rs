@@ -166,20 +166,24 @@ impl Dram {
         self.pages.insert(idx, Arc::clone(page));
     }
 
-    /// Records that the resident pages equal the `pages` section of the
-    /// image whose state digest is `digest`, which the caller has just
-    /// restored them from. Until the next write, a delta against that
-    /// image declares the section unchanged instead of serialising it
-    /// (see [`SnapWriter::scoped_matching`]).
+    /// Records that the resident pages came from the `pages` section of
+    /// the image whose state digest is `digest`, which the caller has just
+    /// restored and verified. Only a channel whose restore read back
+    /// exactly what save writes holds the [`smappic_sim::Restored`] record
+    /// this stamps; until the next write, a delta against that image
+    /// declares the section unchanged instead of serialising it (see
+    /// [`SnapWriter::scoped_restored`]).
     pub fn note_pages_match(&mut self, digest: u64) {
-        self.pages.note_match(digest);
+        if let Some(restored) = &mut self.pages.restored {
+            restored.image = Some(digest);
+        }
     }
 
     /// The state digest of the image whose `pages` section the resident
-    /// pages still equal: the one last given to
-    /// [`Dram::note_pages_match`], unless a page has been written since.
+    /// pages still equal: the one [`Dram::note_pages_match`] stamped,
+    /// unless a page has been written since.
     pub fn pages_match(&self) -> Option<u64> {
-        self.pages.matching_image()
+        self.pages.restored.as_ref().and_then(|restored| restored.image)
     }
 
     /// Submits an AXI request; the response appears after the modeled
@@ -273,27 +277,23 @@ impl Default for Dram {
 }
 
 /// The page map of one channel behind the only methods that mutate it,
-/// each of which bumps a write generation and drops the compressed
-/// `pages` payload kept from a restore. Pages are private to this module,
-/// so a write that forgets either cannot be written.
+/// each of which drops the `Restored` record of the `pages` section the
+/// map was restored from. Pages are private to this module, so a write
+/// that keeps the record cannot be written.
 mod page_store {
     use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, PoisonError};
+    use std::sync::Arc;
+
+    use smappic_sim::Restored;
 
     use super::{DramPage, PAGE_SIZE};
 
     #[derive(Debug, Default)]
     pub(super) struct PageStore {
         map: HashMap<u64, DramPage>,
-        /// Mutations so far.
-        generation: u64,
-        /// `(state digest, generation)`: the image whose `pages` section
-        /// this map equalled at that generation.
-        matched: Option<(u64, u64)>,
-        /// The compressed payload of the `pages` section this map was
-        /// restored from, until a write or a compressing save takes it.
-        /// Saves borrow the store shared, hence the lock.
-        compressed: Mutex<Option<Box<[u8]>>>,
+        /// The record of the `pages` section the map was restored from,
+        /// until the first write.
+        pub(super) restored: Option<Restored>,
     }
 
     impl PageStore {
@@ -313,8 +313,7 @@ mod page_store {
         /// Every mutation's first step.
         #[inline]
         fn wrote(&mut self) {
-            self.generation += 1;
-            *self.compressed.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+            self.restored = None;
         }
 
         /// A resident page, unshared for writing (copy-on-write).
@@ -334,29 +333,6 @@ mod page_store {
             self.wrote();
             self.map.clear();
         }
-
-        /// Keeps `compressed`, the payload the `pages` section the map
-        /// was just restored from was stored as, for the next save.
-        pub(super) fn keep_compressed(&mut self, compressed: Box<[u8]>) {
-            *self.compressed.get_mut().unwrap_or_else(PoisonError::into_inner) = Some(compressed);
-        }
-
-        /// Hands the kept payload over; the store no longer has it.
-        pub(super) fn take_compressed(&self) -> Option<Box<[u8]>> {
-            self.compressed.lock().unwrap_or_else(PoisonError::into_inner).take()
-        }
-
-        /// Records that the map equals the `pages` section of the image
-        /// with state digest `digest`.
-        pub(super) fn note_match(&mut self, digest: u64) {
-            self.matched = Some((digest, self.generation));
-        }
-
-        /// The state digest of the image whose `pages` section the map
-        /// still equals, if it has not been written since it was noted.
-        pub(super) fn matching_image(&self) -> Option<u64> {
-            self.matched.filter(|&(_, at)| at == self.generation).map(|(digest, _)| digest)
-        }
     }
 }
 
@@ -367,10 +343,7 @@ impl SaveState for Dram {
         // The injector is a pure function of (seed, stream, seq) and lives
         // in configuration; req_seq is the mutable cursor into its stream.
         let Self { cfg: _, pages, pending, responses, faults: _, req_seq, meters, slots: _ } = self;
-        w.scoped_matching("pages", self.pages_match(), |w| {
-            w.offer_compressed(|| pages.take_compressed());
-            save_pages(pages, w);
-        });
+        w.scoped_restored("pages", pages.restored.as_ref(), |w| save_pages(pages, w));
         pending.save(w);
         responses.pack(w);
         w.u64(*req_seq);
@@ -404,12 +377,11 @@ fn save_pages(pages: &PageStore, w: &mut SnapWriter) {
 
 /// Reads the `pages` section back. Only what [`save_pages`] writes is
 /// accepted: whole pages, inside the channel's capacity, in strictly
-/// ascending index order; anything else is a corrupt image.
+/// ascending index order; anything else is a corrupt image — except an
+/// all-zero page, which restore elides and save leaves out.
 ///
-/// The store keeps the compressed payload the section was stored as, if
-/// it was, for the next save to write instead of compressing the pages
-/// again — unless the section held an all-zero page, which restore elides
-/// and save leaves out, so the payload would not be what save writes.
+/// The store keeps the section's `Restored` record only when the section
+/// held no such page, so it is exactly what save writes.
 fn restore_pages(pages: &mut PageStore, capacity: u64, r: &mut SnapReader) {
     pages.clear();
     let page_count = capacity.div_ceil(PAGE_SIZE as u64);
@@ -434,9 +406,7 @@ fn restore_pages(pages: &mut PageStore, capacity: u64, r: &mut SnapReader) {
         }
     })
     .for_each(drop);
-    if let Some(compressed) = r.take_compressed().filter(|_| !elided) {
-        pages.keep_compressed(compressed);
-    }
+    pages.restored = r.restored().filter(|_| !elided);
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use smappic_core::{HostPerf, Platform, Watchdog, WatchdogConfig};
-use smappic_sim::{fnv1a, read_stream, Cycle, Histogram, MetricsRegistry, SnapError, StreamSink};
+use smappic_sim::{fnv1a, Cycle, Histogram, MetricsRegistry, SnapError, StreamSink, StreamSource};
 
 use crate::report::{JobExit, JobReport, RejectReason};
 use crate::spec::JobSpec;
@@ -1109,11 +1109,11 @@ fn recover_job(root: &Path, id: usize, spec: &JobSpec) -> Recovered {
         return Recovered::Fresh;
     };
     let Some((digest, meta)) = parse_meta(&meta_text) else { return Recovered::Fresh };
-    let Ok(snap) = read_stream(&state[..]) else { return Recovered::Fresh };
-    if snap.state_digest() != digest {
-        return Recovered::Fresh;
-    }
-    if !meta.fits(snap.cycle, spec.budget) {
+    let Ok(mut src) = StreamSource::open(&state[..]) else { return Recovered::Fresh };
+    // Each section is checked and dropped as it is read; the digest is
+    // known only once the trailer has verified all of them.
+    while let Ok(Some(_)) = src.next_section() {}
+    if src.verified_digest() != Some(digest) || !meta.fits(src.cycle(), spec.budget) {
         return Recovered::Fresh;
     }
     let mut task = Task::fresh(id, spec.clone());

@@ -401,14 +401,13 @@ impl JobSpec {
             tok.parse().map_err(|e| format!("bad number {tok:?}: {e}"))
         }
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let mut field = |key: &str| -> Result<Vec<String>, String> {
+        let mut field = |key: &str| {
             let line = lines.next().ok_or_else(|| format!("missing {key:?} line"))?;
-            let mut toks = line.split_whitespace().map(str::to_string);
-            let found = toks.next().unwrap_or_default();
-            if found != key {
+            let mut toks = line.split_whitespace();
+            if toks.next() != Some(key) {
                 return Err(format!("expected {key:?} line, found {line:?}"));
             }
-            Ok(toks.collect())
+            Ok(toks.collect::<Vec<_>>())
         };
 
         let header = field("smappic-jobspec")?;
@@ -425,20 +424,20 @@ impl JobSpec {
         };
         let (fpgas, nodes, tiles) = (parse_usize(f)?, parse_usize(n)?, parse_usize(t)?);
         let topo = field("topology")?;
-        let topology = match topo.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
+        let topology = match topo.as_slice() {
             ["star"] => TopoSpec::Star,
             ["eth", g] => TopoSpec::Ethernet { group_size: parse_usize(g)? },
             ["hybrid", g] => TopoSpec::Hybrid { group_size: parse_usize(g)? },
             _ => return Err(format!("bad topology {topo:?}")),
         };
         let st = field("stepper")?;
-        let stepper = match st.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
+        let stepper = match st.as_slice() {
             ["reference"] => StepperSpec::Reference,
             ["serial" | "parallel"] => StepperSpec::Serial,
             _ => return Err(format!("bad stepper {st:?}")),
         };
         let wl = field("workload")?;
-        let workload = match wl.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
+        let workload = match wl.as_slice() {
             ["amoheavy", ops, seed] => {
                 WorkloadSpec::AmoHeavy { ops: parse_u64(ops)?, seed: parse_u64(seed)? }
             }
@@ -452,7 +451,7 @@ impl JobSpec {
             _ => return Err(format!("bad workload {wl:?}")),
         };
         let fl = field("faults")?;
-        let faults = match fl.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
+        let faults = match fl.as_slice() {
             ["none"] => None,
             [profile, seed, scope] => {
                 let profile = match profile.split_once(':') {
@@ -479,7 +478,7 @@ impl JobSpec {
             return Err(format!("budget wants one number, got {bd:?}"));
         };
         let tr = field("trace")?;
-        let trace = match tr.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
+        let trace = match tr.as_slice() {
             ["on"] => true,
             ["off"] => false,
             _ => return Err(format!("bad trace flag {tr:?}")),
@@ -510,7 +509,7 @@ impl JobSpec {
             }
         }
         let spec = Self {
-            name: name.clone(),
+            name: name.to_string(),
             fpgas,
             nodes,
             tiles,

@@ -70,9 +70,9 @@ pub use port::{DelayPort, Port, Ring, ELASTIC_PREALLOC_CAP};
 pub use rng::SimRng;
 pub use shaper::TrafficShaper;
 pub use snap::{
-    fnv1a, read_stream, CountingSink, MemorySink, Pack, SaveState, SectionSource, Seq, SnapDelta,
-    SnapError, SnapReader, SnapSink, SnapWriter, Snapshot, StreamSection, StreamSink, StreamSource,
-    HOST_SECTION_PREFIX, SNAP_VERSION,
+    fnv1a, read_stream, CountingSink, MemorySink, Pack, Restored, SaveState, SectionSource, Seq,
+    SnapDelta, SnapError, SnapReader, SnapSink, SnapWriter, Snapshot, StreamSection, StreamSink,
+    StreamSource, HOST_SECTION_PREFIX, SNAP_VERSION,
 };
 pub use stats::{CounterSlot, Histogram, HistogramSlot, Meters, MetersBuilder, PortSlot, Stats};
 

@@ -47,6 +47,7 @@ use std::collections::VecDeque;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::io::{Read, Write};
+use std::sync::{Mutex, PoisonError};
 
 use crate::codec;
 
@@ -228,16 +229,12 @@ impl ScopePath {
 /// sections cannot be reopened; doing so is recorded as a
 /// [`SnapError::Corrupt`] surfaced by [`SnapWriter::finish`].
 ///
-/// A writer built with [`SnapWriter::streaming_delta`] streams a delta
-/// against a base image: a scope its owner opens with
-/// [`SnapWriter::scoped_matching`], naming that image, is handed to the
-/// sink as unchanged ([`SnapSink::unchanged`]) instead of being
-/// serialised.
-///
-/// A scope whose owner still holds the compressed payload its section was
-/// restored from can offer it ([`SnapWriter::offer_compressed`]); a
-/// compressing sink then writes those bytes instead of compressing the
-/// section again.
+/// A scope whose owner still holds the [`Restored`] record of its section
+/// opens with [`SnapWriter::scoped_restored`]. Streaming a delta against
+/// the image the record names ([`SnapSink::delta_base`]), the section is
+/// handed to the sink as unchanged ([`SnapSink::unchanged`]) instead of
+/// being serialised; streaming into a compressing sink, the record's
+/// payload is written instead of compressing the section again.
 pub struct SnapWriter<'s> {
     path: ScopePath,
     /// Index into `sections` of the innermost open scope's section.
@@ -250,13 +247,17 @@ pub struct SnapWriter<'s> {
     /// Sections below this slot have been handed to the sink.
     next_flush: usize,
     sink: Option<&'s mut dyn SnapSink>,
-    /// State digest of the image a delta writer streams against.
-    delta_base: Option<u64>,
-    /// Slots of the sections declared unchanged against `delta_base`.
-    unchanged: Vec<usize>,
-    /// Compressed payloads owners handed off, by slot, for the sink.
-    compressed: Vec<(usize, Box<[u8]>)>,
+    /// What the sink reuses instead of the bytes alone, by slot.
+    reuse: Vec<(usize, Reuse)>,
     error: Option<SnapError>,
+}
+
+/// What a [`Restored`] record lets the sink reuse for its section.
+enum Reuse {
+    /// The section equals the delta base's.
+    Unchanged,
+    /// The compressed payload the section was restored from.
+    Payload(Box<[u8]>),
 }
 
 impl Default for SnapWriter<'_> {
@@ -268,9 +269,7 @@ impl Default for SnapWriter<'_> {
             index: HashMap::new(),
             next_flush: 0,
             sink: None,
-            delta_base: None,
-            unchanged: Vec::new(),
-            compressed: Vec::new(),
+            reuse: Vec::new(),
             error: None,
         }
     }
@@ -299,14 +298,6 @@ impl<'s> SnapWriter<'s> {
     /// [`SnapWriter::finish`] after it.
     pub fn streaming(sink: &'s mut dyn SnapSink) -> Self {
         Self { sink: Some(sink), ..Self::default() }
-    }
-
-    /// Creates a streaming writer for a delta against the image whose
-    /// state digest is `base_digest`: like [`SnapWriter::streaming`], but
-    /// a [`SnapWriter::scoped_matching`] scope known to equal its section
-    /// in that image reaches `sink` as [`SnapSink::unchanged`].
-    pub fn streaming_delta(sink: &'s mut dyn SnapSink, base_digest: u64) -> Self {
-        Self { sink: Some(sink), delta_base: Some(base_digest), ..Self::default() }
     }
 
     fn fail(&mut self, e: SnapError) {
@@ -357,20 +348,18 @@ impl<'s> SnapWriter<'s> {
                 continue;
             }
             let Some(sink) = self.sink.as_deref_mut() else { continue };
-            let sent = if self.unchanged.contains(&slot) {
+            let reuse = self.reuse.iter().position(|&(at, _)| at == slot);
+            let sent = match reuse.map(|at| self.reuse.swap_remove(at).1) {
                 // Release builds leave `buf` empty; debug builds filled it
                 // to check the declaration against the base's bytes.
-                sink.unchanged(name).map(|base| {
+                Some(Reuse::Unchanged) => sink.unchanged(name).map(|base| {
                     debug_assert!(
                         base == &buf[..],
                         "section '{name}' was declared unchanged but differs from the delta base"
                     );
-                })
-            } else if let Some(at) = self.compressed.iter().position(|&(at, _)| at == slot) {
-                let (_, compressed) = self.compressed.swap_remove(at);
-                sink.section_compressed(name, &buf, compressed)
-            } else {
-                sink.section(name, &buf)
+                }),
+                Some(Reuse::Payload(payload)) => sink.section_compressed(name, &buf, payload),
+                None => sink.section(name, &buf),
             };
             if let Err(e) = sent {
                 self.error = Some(e);
@@ -396,39 +385,35 @@ impl<'s> SnapWriter<'s> {
     }
 
     /// Runs `f` under `name` like [`SnapWriter::scoped`], for a scope whose
-    /// owner knows it would write exactly its section in the image with
-    /// state digest `matches`. When this writer streams a delta against
-    /// that image ([`SnapWriter::streaming_delta`]), the section is
+    /// owner holds `rec`, the record of the image it was restored
+    /// from and still writes exactly the section of. Streaming a delta
+    /// against that image ([`SnapSink::delta_base`]), the section is
     /// declared unchanged and `f` does not run; debug builds run it anyway
-    /// and assert its bytes equal the base's. Any other writer runs `f`.
-    pub fn scoped_matching(&mut self, name: &str, matches: Option<u64>, f: impl FnOnce(&mut Self)) {
-        if matches.is_none() || matches != self.delta_base {
-            return self.scoped(name, f);
-        }
+    /// and assert its bytes equal the base's. Streaming into a compressing
+    /// sink ([`SnapSink::takes_compressed`]), the sink spends the record's
+    /// payload, if it still holds one, instead of compressing the section
+    /// again. Any other writer leaves the record as it is.
+    pub fn scoped_restored(
+        &mut self,
+        name: &str,
+        rec: Option<&Restored>,
+        f: impl FnOnce(&mut Self),
+    ) {
+        let reuse = match rec.zip(self.sink.as_deref()) {
+            Some((rec, sink)) if rec.image.is_some() && rec.image == sink.delta_base() => {
+                Some(Reuse::Unchanged)
+            }
+            Some((rec, sink)) if sink.takes_compressed() => rec.take_payload().map(Reuse::Payload),
+            _ => None,
+        };
+        let Some(reuse) = reuse else { return self.scoped(name, f) };
+        let serialise = matches!(reuse, Reuse::Payload(_)) || cfg!(debug_assertions);
         self.scoped(name, |w| {
-            w.unchanged.push(w.cur);
-            if cfg!(debug_assertions) {
+            w.reuse.push((w.cur, reuse));
+            if serialise {
                 f(w);
             }
         });
-    }
-
-    /// Offers the sink the compressed payload the owner of the innermost
-    /// open scope holds for its section: the bytes a stream stored the
-    /// section as ([`SnapReader::take_compressed`]), which the owner knows
-    /// still decode to exactly what the scope writes. Only a compressing
-    /// sink ([`SnapSink::takes_compressed`]) spends it: then `take` runs,
-    /// handing the payload over, and the sink writes it instead of
-    /// compressing the section again. Any other writer leaves `take`
-    /// uncalled, so the owner keeps the payload for a later save.
-    pub fn offer_compressed(&mut self, take: impl FnOnce() -> Option<Box<[u8]>>) {
-        if !self.sink.as_deref().is_some_and(|sink| sink.takes_compressed()) {
-            return;
-        }
-        if let Some(compressed) = take() {
-            self.ensure_section();
-            self.compressed.push((self.cur, compressed));
-        }
     }
 
     /// Finishes a streaming writer: flushes any remaining sections and
@@ -499,6 +484,29 @@ impl<'s> SnapWriter<'s> {
     }
 }
 
+/// What a section's owner keeps of the image the section was restored
+/// from ([`SnapReader::restored`]), only while it would save exactly that
+/// section again: created only by a restore that read back what save
+/// writes, dropped at the owner's first change. A delta against that
+/// image then declares the section unchanged, and the first compressed
+/// save spends the payload instead of compressing the section again
+/// ([`SnapWriter::scoped_restored`]).
+#[derive(Debug)]
+pub struct Restored {
+    /// The state digest of that image, once the restore has verified it.
+    pub image: Option<u64>,
+    /// The compressed payload the stream stored the section as, if it
+    /// was. Saves borrow the owner shared, hence the lock.
+    payload: Mutex<Option<Box<[u8]>>>,
+}
+
+impl Restored {
+    /// Hands the payload over; the record no longer has it.
+    fn take_payload(&self) -> Option<Box<[u8]>> {
+        self.payload.lock().unwrap_or_else(PoisonError::into_inner).take()
+    }
+}
+
 /// One section held by a [`SnapReader`]: its bytes and how far the
 /// restore walk has read into them.
 struct Frame<'a> {
@@ -507,7 +515,7 @@ struct Frame<'a> {
     /// A scope (or a read outside any scope) has opened this section.
     visited: bool,
     /// The compressed payload a stream stored the section as, until
-    /// [`SnapReader::take_compressed`] takes it or the scope closes.
+    /// [`SnapReader::restored`] takes it or the scope closes.
     compressed: Option<Box<[u8]>>,
 }
 
@@ -803,14 +811,14 @@ impl<'a> SnapReader<'a> {
         Seq { r: self, left, item }
     }
 
-    /// Takes the compressed payload the stream stored the innermost open
-    /// section as, for its owner to hand to a later save (see
-    /// [`SnapWriter::offer_compressed`]). It is returned only once the
-    /// section has been read to its end with no error recorded, so it
-    /// decodes to exactly the bytes the scope consumed; [`None`] for a
-    /// section stored raw or read from an in-memory [`Snapshot`], and on
-    /// every call after the first.
-    pub fn take_compressed(&mut self) -> Option<Box<[u8]>> {
+    /// The [`Restored`] record of the innermost open section, for its
+    /// owner to keep if what it read back is exactly what its save writes.
+    /// Returned only once the section has been read to its end with no
+    /// error recorded, so its payload, the one the stream stored the
+    /// section as, decodes to exactly the bytes the scope consumed; the
+    /// record holds no payload for a section stored raw or read from an
+    /// in-memory [`Snapshot`], or on every call after the first.
+    pub fn restored(&mut self) -> Option<Restored> {
         if self.error.is_some() {
             return None;
         }
@@ -818,7 +826,7 @@ impl<'a> SnapReader<'a> {
         if frame.at != frame.data.len() {
             return None;
         }
-        frame.compressed.take()
+        Some(Restored { image: None, payload: Mutex::new(frame.compressed.take()) })
     }
 
     /// Finishes the restore: the first recorded error, or an
@@ -891,26 +899,13 @@ impl<'a, T, F: FnMut(&mut SnapReader<'a>) -> T> Iterator for Seq<'_, 'a, F> {
 /// to parse it back.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    /// Snapshot format version ([`SNAP_VERSION`] when written by this build).
-    pub version: u32,
-    /// FNV-1a digest of the originating platform's configuration.
-    pub config_digest: u64,
-    /// Platform cycle at which the snapshot was taken.
-    pub cycle: u64,
-    sections: Vec<(String, Vec<u8>)>,
-    /// The state digest a stream's trailer carried, once [`StreamSource`]
-    /// has verified it against these sections.
-    verified: Option<VerifiedDigest>,
-}
-
-/// A state digest together with the header fields it covers. Those are
-/// public on [`Snapshot`], so the digest is trusted only while they still
-/// read what was hashed.
-#[derive(Debug, Clone, Copy)]
-struct VerifiedDigest {
+    version: u32,
     config_digest: u64,
     cycle: u64,
-    digest: u64,
+    sections: Vec<(String, Vec<u8>)>,
+    /// The state digest a stream's trailer carried, once [`StreamSource`]
+    /// has verified it against these (private) sections and header.
+    verified: Option<u64>,
 }
 
 /// Snapshots are equal when they hold the same state; where the state
@@ -935,6 +930,21 @@ impl Snapshot {
             sections: w.into_sections(),
             verified: None,
         }
+    }
+
+    /// Snapshot format version ([`SNAP_VERSION`] when written by this build).
+    pub fn version(&self) -> u32 {
+        self.version
+    }
+
+    /// FNV-1a digest of the originating platform's configuration.
+    pub fn config_digest(&self) -> u64 {
+        self.config_digest
+    }
+
+    /// Platform cycle at which the snapshot was taken.
+    pub fn cycle(&self) -> u64 {
+        self.cycle
     }
 
     /// The named sections in walk order.
@@ -998,15 +1008,11 @@ impl Snapshot {
 
     /// The state digest this snapshot's stream trailer carried, which
     /// [`read_stream`] verified against its sections; [`None`] for a
-    /// snapshot built any other way, or whose header no longer reads what
-    /// was hashed. Never hashes in release builds.
+    /// snapshot built any other way. Never hashes in release builds.
     pub fn carried_digest(&self) -> Option<u64> {
-        let v = self.verified?;
-        if (v.config_digest, v.cycle) != (self.config_digest, self.cycle) {
-            return None;
-        }
-        debug_assert_eq!(v.digest, self.compute_state_digest(), "carried digest is stale");
-        Some(v.digest)
+        let digest = self.verified?;
+        debug_assert_eq!(digest, self.compute_state_digest(), "carried digest is stale");
+        Some(digest)
     }
 
     fn compute_state_digest(&self) -> u64 {
@@ -1122,29 +1128,27 @@ impl SnapDelta {
     /// deltas cover content changes between checkpoints of one platform,
     /// never topology changes.
     pub fn between(base: &Snapshot, next: &Snapshot) -> Result<Self, SnapError> {
-        Self::streamed(base, |sink, _| next.write_to(sink))
+        Self::streamed(base, |sink| next.write_to(sink))
     }
 
     /// The delta [`SnapDelta::between`] `base` and the snapshot `save`
     /// streams into the sink it is given, computed as the sections arrive:
     /// a clean section is compared and dropped, so the successor is never
-    /// held in memory — only its dirty sections are copied. `save` also
-    /// gets `base`'s state digest, so a [`SnapWriter::streaming_delta`]
-    /// walk can declare sections unchanged instead of sending them.
+    /// held in memory — only its dirty sections are copied. The sink
+    /// names `base`'s state digest ([`SnapSink::delta_base`]), so a
+    /// [`SnapWriter::scoped_restored`] scope restored from `base` is
+    /// declared unchanged instead of sent.
     ///
     /// # Errors
     ///
     /// As for [`SnapDelta::between`], plus whatever `save` returns.
     pub fn streamed(
         base: &Snapshot,
-        save: impl FnOnce(&mut dyn SnapSink, u64) -> Result<(), SnapError>,
+        save: impl FnOnce(&mut dyn SnapSink) -> Result<(), SnapError>,
     ) -> Result<Self, SnapError> {
-        let base_digest = base.state_digest();
-        let mut sink = DeltaSink { base, seen: 0, delta: None };
-        save(&mut sink, base_digest)?;
-        let mut delta = sink.delta.ok_or_else(|| SnapError::Corrupt("no snapshot began".into()))?;
-        delta.base_digest = base_digest;
-        Ok(delta)
+        let mut sink = DeltaSink { base, base_digest: base.state_digest(), seen: 0, delta: None };
+        save(&mut sink)?;
+        sink.delta.ok_or_else(|| SnapError::Corrupt("no snapshot began".into()))
     }
 
     /// The dirty sections, in walk order.
@@ -1164,9 +1168,11 @@ impl SnapDelta {
 /// unchanged.
 struct DeltaSink<'b> {
     base: &'b Snapshot,
+    /// `base`'s state digest.
+    base_digest: u64,
     /// Sections received so far.
     seen: usize,
-    /// Set by `begin`; `base_digest` is filled in once the walk is done.
+    /// Set by `begin`.
     delta: Option<SnapDelta>,
 }
 
@@ -1202,8 +1208,8 @@ impl SnapSink for DeltaSink<'_> {
             });
         }
         self.seen = 0;
-        let sections = Vec::new();
-        self.delta = Some(SnapDelta { version, config_digest, base_digest: 0, cycle, sections });
+        let (base_digest, sections) = (self.base_digest, Vec::new());
+        self.delta = Some(SnapDelta { version, config_digest, base_digest, cycle, sections });
         Ok(())
     }
 
@@ -1214,6 +1220,10 @@ impl SnapSink for DeltaSink<'_> {
             delta.sections.push((name.to_owned(), data.to_vec()));
         }
         Ok(())
+    }
+
+    fn delta_base(&self) -> Option<u64> {
+        Some(self.base_digest)
     }
 
     fn unchanged(&mut self, name: &str) -> Result<&[u8], SnapError> {
@@ -1263,9 +1273,14 @@ pub trait SnapSink {
     ///
     /// Sink-specific; a [`StreamSink`] surfaces I/O failures.
     fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError>;
-    /// Emits one named section, in walk order, that a
-    /// [`SnapWriter::streaming_delta`] walk declared equal to its section
-    /// in the delta's base, without its bytes; returns the base's bytes.
+    /// The state digest of the image this sink takes a delta against;
+    /// [`None`] for every sink but the one behind [`SnapDelta::streamed`].
+    fn delta_base(&self) -> Option<u64> {
+        None
+    }
+    /// Emits one named section, in walk order, that a writer declared
+    /// equal to its section in [`SnapSink::delta_base`], without its
+    /// bytes; returns the base's bytes.
     ///
     /// # Errors
     ///
@@ -1278,14 +1293,15 @@ pub trait SnapSink {
     /// True for a sink that compresses what it stores and so can use a
     /// payload handed to [`SnapSink::section_compressed`]. A writer hands
     /// payloads over only to a sink that says so; every other sink leaves
-    /// them with their owners.
+    /// them in their owners' [`Restored`] records.
     fn takes_compressed(&self) -> bool {
         false
     }
     /// Emits one named section, in walk order, with `compressed`: a
-    /// payload that decodes to exactly `data`, handed over by the
-    /// section's owner ([`SnapWriter::offer_compressed`]), which the sink
-    /// may store instead of compressing `data` again. Called only when
+    /// payload that decodes to exactly `data`, handed over from the
+    /// section's [`Restored`] record ([`SnapWriter::scoped_restored`]),
+    /// which the sink may store instead of compressing `data` again.
+    /// Called only when
     /// [`SnapSink::takes_compressed`] is true; by default the payload is
     /// dropped and the section emitted as by [`SnapSink::section`].
     ///
@@ -1436,10 +1452,10 @@ fn io_err(e: std::io::Error) -> SnapError {
 ///
 /// The stream is a function of the captured state, with one exception: a
 /// compressing sink writes a section handed to
-/// [`SnapSink::section_compressed`] as the payload it was restored from,
-/// which is what the encoder wrote when this build wrote that stream, but
-/// is re-emitted as read when another writer produced a different valid
-/// payload. Either way it decodes to the same raw section, so the trailer
+/// [`SnapSink::section_compressed`] as the payload its [`Restored`] record
+/// kept from the stream it was restored from, which is what the encoder
+/// wrote when this build wrote that stream, but is re-emitted as read when
+/// another writer produced a different valid payload. Either way it decodes to the same raw section, so the trailer
 /// and every restore are unchanged; debug builds decode each such payload
 /// and assert it.
 pub struct StreamSink<W: Write> {
@@ -1797,12 +1813,15 @@ pub fn read_stream(r: impl Read) -> Result<Snapshot, SnapError> {
     while let Some(s) = src.next_section()? {
         sections.push((s.name, s.data));
     }
-    let (config_digest, cycle) = (src.config_digest(), src.cycle());
     // `next_section` returned `None`, so the trailer's digest has been
     // checked against exactly these sections.
-    let verified =
-        src.verified_digest().map(|digest| VerifiedDigest { config_digest, cycle, digest });
-    Ok(Snapshot { version: src.version(), config_digest, cycle, sections, verified })
+    Ok(Snapshot {
+        version: src.version(),
+        config_digest: src.config_digest(),
+        cycle: src.cycle(),
+        sections,
+        verified: src.verified_digest(),
+    })
 }
 
 /// The state digest: a word-at-a-time multiply–xorshift hash.
@@ -2457,10 +2476,16 @@ mod tests {
         Snapshot::new(42, cycle, w)
     }
 
-    /// The walk behind [`sample`], its `alpha` scope declared to match the
+    /// A [`Restored`] record naming `image` and holding `payload`.
+    fn record(image: Option<u64>, payload: Option<Box<[u8]>>) -> Restored {
+        Restored { image, payload: Mutex::new(payload) }
+    }
+
+    /// The walk behind [`sample`], its `alpha` scope restored from the
     /// image with state digest `alpha_matches`.
     fn sample_walk(w: &mut SnapWriter, x: u8, alpha_matches: Option<u64>) {
-        w.scoped_matching("alpha", alpha_matches, |w| {
+        let alpha = alpha_matches.map(|image| record(Some(image), None));
+        w.scoped_restored("alpha", alpha.as_ref(), |w| {
             w.u64(7);
             w.bytes(&vec![x; 4096]);
         });
@@ -2475,9 +2500,9 @@ mod tests {
         x: u8,
         alpha_matches: Option<u64>,
     ) -> Result<SnapDelta, SnapError> {
-        SnapDelta::streamed(base, |sink, base_digest| {
+        SnapDelta::streamed(base, |sink| {
             sink.begin(SNAP_VERSION, 42, 20)?;
-            let mut w = SnapWriter::streaming_delta(sink, base_digest);
+            let mut w = SnapWriter::streaming(sink);
             sample_walk(&mut w, x, alpha_matches);
             w.finish()?;
             sink.finish()
@@ -2648,10 +2673,11 @@ mod tests {
         assert_eq!(read.state_digest(), walked.state_digest());
         assert_eq!(read, walked, "where the digest came from is not part of equality");
 
-        // The header fields are public; a carried digest that no longer
-        // covers them is not returned.
-        let mut moved = read.clone();
-        moved.cycle += 1;
+        // The header fields are private; the one way to move them builds
+        // a new snapshot, which hashes its own digest.
+        let moved = SnapDelta::between(&read, &sample(3, 41)).and_then(|d| read.apply_delta(&d));
+        let moved = moved.expect("an empty delta advances the cycle");
+        assert_eq!(moved.cycle(), read.cycle() + 1);
         assert_eq!(moved.state_digest(), moved.compute_state_digest());
         assert_ne!(moved.state_digest(), read.state_digest());
 
@@ -2718,7 +2744,7 @@ mod tests {
         // A streaming walk of `sample(2, 20)`'s shape, cut to its first
         // `take` sections and followed by `extra` ones.
         let walk = |version: u32, take: usize, extra: &'static [&'static str]| {
-            move |sink: &mut dyn SnapSink, _| {
+            move |sink: &mut dyn SnapSink| {
                 sink.begin(version, 42, 20)?;
                 let next = sample(2, 20);
                 for (name, data) in next.sections().iter().take(take) {
@@ -2738,13 +2764,15 @@ mod tests {
         assert!(matches!(long, Err(SnapError::Corrupt(_))), "{long:?}");
         let skewed = SnapDelta::streamed(&base, walk(SNAP_VERSION + 1, 4, &[]));
         assert!(matches!(skewed, Err(SnapError::VersionMismatch { .. })), "{skewed:?}");
-        let silent = SnapDelta::streamed(&base, |_, _| Ok(()));
+        let silent = SnapDelta::streamed(&base, |_| Ok(()));
         assert!(matches!(silent, Err(SnapError::Corrupt(_))), "{silent:?}");
     }
 
-    /// Records what a writer hands it; answers `unchanged` with `base`.
+    /// Records what a writer hands it; names `delta_base` as its base and
+    /// answers `unchanged` with `base`.
     #[derive(Default)]
     struct Spy {
+        delta_base: Option<u64>,
         base: Vec<u8>,
         sent: Vec<String>,
         unchanged: Vec<String>,
@@ -2758,6 +2786,9 @@ mod tests {
             self.sent.push(name.to_owned());
             Ok(())
         }
+        fn delta_base(&self) -> Option<u64> {
+            self.delta_base
+        }
         fn unchanged(&mut self, name: &str) -> Result<&[u8], SnapError> {
             self.unchanged.push(name.to_owned());
             Ok(&self.base)
@@ -2769,31 +2800,51 @@ mod tests {
 
     #[test]
     fn only_a_delta_writer_naming_the_matched_image_declares_a_section_unchanged() {
-        let mut spy = Spy { base: vec![1], ..Spy::default() };
+        let mut spy = Spy { delta_base: Some(5), base: vec![1], ..Spy::default() };
         let mut ran = false;
-        let mut w = SnapWriter::streaming_delta(&mut spy, 5);
-        w.scoped_matching("a", Some(5), |w| {
+        let mut w = SnapWriter::streaming(&mut spy);
+        w.scoped_restored("a", Some(&record(Some(5), None)), |w| {
             ran = true;
             w.u8(1);
         });
-        w.scoped_matching("b", Some(6), |w| w.u8(1));
-        w.scoped_matching("c", None, |w| w.u8(1));
+        w.scoped_restored("b", Some(&record(Some(6), None)), |w| w.u8(1));
+        w.scoped_restored("c", Some(&record(None, None)), |w| w.u8(1));
         w.finish().expect("delta walk");
         assert_eq!((spy.sent, spy.unchanged), (vec!["b".into(), "c".into()], vec!["a".into()]));
         assert_eq!(ran, cfg!(debug_assertions), "only debug builds serialise it to check");
 
         let mut spy = Spy::default();
         let mut w = SnapWriter::streaming(&mut spy);
-        w.scoped_matching("a", Some(5), |w| w.u8(1));
+        w.scoped_restored("a", Some(&record(Some(5), None)), |w| w.u8(1));
         w.finish().expect("full walk");
         assert_eq!((spy.sent, spy.unchanged), (vec!["a".into()], vec![]));
     }
 
     #[test]
     fn only_the_delta_sink_accepts_a_section_declared_unchanged() {
+        /// Forwards to the sink it wraps, naming image 5 as its base.
+        struct ClaimsBase<'s>(&'s mut dyn SnapSink);
+        impl SnapSink for ClaimsBase<'_> {
+            fn begin(&mut self, v: u32, config: u64, cycle: u64) -> Result<(), SnapError> {
+                self.0.begin(v, config, cycle)
+            }
+            fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError> {
+                self.0.section(name, data)
+            }
+            fn delta_base(&self) -> Option<u64> {
+                Some(5)
+            }
+            fn unchanged(&mut self, name: &str) -> Result<&[u8], SnapError> {
+                self.0.unchanged(name)
+            }
+            fn finish(&mut self) -> Result<(), SnapError> {
+                self.0.finish()
+            }
+        }
         let walk = |sink: &mut dyn SnapSink| {
-            let mut w = SnapWriter::streaming_delta(sink, 5);
-            w.scoped_matching("a", Some(5), |_| {});
+            let mut claims = ClaimsBase(sink);
+            let mut w = SnapWriter::streaming(&mut claims);
+            w.scoped_restored("a", Some(&record(Some(5), None)), |_| {});
             w.finish()
         };
         let mut buf = Vec::new();
@@ -2833,19 +2884,20 @@ mod tests {
         let wire = snap.to_stream_bytes(true);
         let mut src = StreamSource::open(&wire[..]).expect("open");
         let mut r = SnapReader::from_source(Box::new(move || src.next_section()));
+        let payload = |r: &mut SnapReader| r.restored().and_then(|rec| rec.take_payload());
         let mut packed = None;
         r.scoped("alpha", |r| {
             assert_eq!(r.u64(), 7);
-            assert!(r.take_compressed().is_none(), "the section is not read to its end yet");
+            assert!(r.restored().is_none(), "the section is not read to its end yet");
             let _ = r.byte_slice();
-            packed = r.take_compressed();
-            assert!(r.take_compressed().is_none(), "taken once");
+            packed = payload(r);
+            assert!(payload(r).is_none(), "taken once");
         });
         let packed = packed.expect("alpha was stored compressed");
         assert_eq!(codec::decompress(&packed).ok().as_deref(), snap.section("alpha"));
         r.scoped("beta", |r| {
             let _ = r.u8();
-            assert!(r.take_compressed().is_none(), "one byte is stored raw");
+            assert!(r.restored().is_some() && payload(r).is_none(), "one byte is stored raw");
         });
         r.scoped("host", |r| r.scoped("stepper", |r| assert_eq!(r.u64(), 9)));
         r.finish().expect("streamed restore");
@@ -2853,7 +2905,7 @@ mod tests {
         let mut r = SnapReader::new(&snap);
         r.scoped("alpha", |r| {
             let _ = (r.u64(), r.byte_slice());
-            assert!(r.take_compressed().is_none(), "an in-memory snapshot has no payloads");
+            assert!(payload(r).is_none(), "an in-memory snapshot has no payloads");
         });
     }
 
@@ -2865,19 +2917,13 @@ mod tests {
         // Streams one section holding `page`, offering `offered`; returns
         // whether the sink took it.
         let walk = |sink: &mut dyn SnapSink, offered: &[u8]| {
-            let mut taken = false;
+            let rec = record(None, Some(offered.into()));
             sink.begin(SNAP_VERSION, 0, 0).expect("begin");
             let mut w = SnapWriter::streaming(sink);
-            w.scoped("a", |w| {
-                w.offer_compressed(|| {
-                    taken = true;
-                    Some(offered.into())
-                });
-                w.bytes(&page);
-            });
+            w.scoped_restored("a", Some(&rec), |w| w.bytes(&page));
             w.finish().expect("walk");
             sink.finish().expect("finish");
-            taken
+            rec.take_payload().is_none()
         };
         let mut raw = Vec::new();
         let sinks: [&mut dyn SnapSink; 3] = [
@@ -2906,22 +2952,16 @@ mod tests {
 
         // A delta writer never offers it either.
         let base = read_stream(&wire[..]).expect("base");
-        let mut taken = false;
-        let delta = SnapDelta::streamed(&base, |sink, digest| {
+        let rec = record(None, Some(packed.clone()));
+        let delta = SnapDelta::streamed(&base, |sink| {
             sink.begin(SNAP_VERSION, 0, 0)?;
-            let mut w = SnapWriter::streaming_delta(sink, digest);
-            w.scoped("a", |w| {
-                w.offer_compressed(|| {
-                    taken = true;
-                    Some(packed.clone())
-                });
-                w.bytes(&page);
-            });
+            let mut w = SnapWriter::streaming(sink);
+            w.scoped_restored("a", Some(&rec), |w| w.bytes(&page));
             w.finish()?;
             sink.finish()
         });
         assert!(delta.expect("delta").sections().is_empty());
-        assert!(!taken, "a delta writer leaves the payload with its owner");
+        assert!(rec.take_payload().is_some(), "a delta writer leaves the payload with its owner");
     }
 
     #[test]
@@ -2982,7 +3022,7 @@ mod tests {
                 snap.write_to(&mut sink).expect("stream");
                 assert_eq!(sink.state_digest(), digest, "StreamSink, tail {len}");
                 let read = read_stream(&wire[..]).expect("reads back");
-                let verified = read.verified.expect("the trailer was verified").digest;
+                let verified = read.verified.expect("the trailer was verified");
                 assert_eq!(verified, digest, "verified on read, tail {len}");
             }
         }

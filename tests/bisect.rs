@@ -42,7 +42,7 @@ fn linear_first_divergence(
         b.run(1);
         let (x, y) = (a.snapshot(), b.snapshot());
         if let Some(c) = x.first_divergence(&y) {
-            return Some((x.cycle, c));
+            return Some((x.cycle(), c));
         }
     }
     None

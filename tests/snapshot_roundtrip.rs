@@ -89,7 +89,7 @@ fn assert_resume_transparent(
     let mut first = mk();
     step(&mut first, cut);
     let snap = first.snapshot();
-    assert_eq!(snap.cycle, cut, "{label}: snapshot cycle");
+    assert_eq!(snap.cycle(), cut, "{label}: snapshot cycle");
 
     // Cross-process shape: the snapshot survives its wire form.
     let snap = read_stream(&snap.to_stream_bytes(true)[..]).expect("wire round-trip");
@@ -826,6 +826,81 @@ fn deltas_against_a_restored_image_skip_untouched_pages_on_the_16_fpga_rack() {
     };
     assert_untouched_pages_are_elided(mk, 2_000, 1_500, "rack16");
     assert_restored_rounds_chain_to_the_uninterrupted_run(mk, 2_000, 1_500, 3, "rack16 chain");
+}
+
+/// A real walk of a platform into a [`MemorySink`], with an all-zero page
+/// appended to the `pages` section `padded`: a valid image that restore
+/// reads back (it elides the page) but that no save writes.
+struct ZeroPagePadded<'a> {
+    inner: MemorySink,
+    padded: &'a str,
+}
+
+impl SnapSink for ZeroPagePadded<'_> {
+    fn begin(&mut self, version: u32, config_digest: u64, cycle: u64) -> Result<(), SnapError> {
+        self.inner.begin(version, config_digest, cycle)
+    }
+
+    fn section(&mut self, name: &str, data: &[u8]) -> Result<(), SnapError> {
+        if name != self.padded {
+            return self.inner.section(name, data);
+        }
+        // `count: u64`, then `(index: u64, len: u32, 4 KiB)` per page in
+        // ascending index order: append the page after the last one.
+        let record = 8 + 4 + 4096;
+        let count = u64::from_le_bytes(data[..8].try_into().expect("count"));
+        let last = &data[data.len() - record..][..8];
+        let idx = u64::from_le_bytes(last.try_into().expect("index")) + 1;
+        let mut grown = (count + 1).to_le_bytes().to_vec();
+        grown.extend_from_slice(&data[8..]);
+        grown.extend_from_slice(&idx.to_le_bytes());
+        grown.extend_from_slice(&4096u32.to_le_bytes());
+        grown.extend_from_slice(&[0; 4096]);
+        self.inner.section(name, &grown)
+    }
+
+    fn finish(&mut self) -> Result<(), SnapError> {
+        self.inner.finish()
+    }
+}
+
+/// An image whose `pages` section holds a page restore drops and save
+/// never writes names no DRAM that restores it: a delta against it, and a
+/// compressed re-save, treat that section like any written one, whether
+/// the image was restored from the stream or from the snapshot read back.
+#[test]
+fn a_pages_section_holding_a_zero_page_is_never_declared_unchanged() {
+    let mk = || with_patterned_dram(bursty_fleet());
+    let mut src = mk();
+    src.run(3_000);
+    let padded = pages_section(1, src.config().nodes_per_fpga);
+    let mut sink = ZeroPagePadded { inner: MemorySink::new(), padded: &padded };
+    src.snapshot_to(&mut sink).expect("memory capture");
+    let wire = sink.inner.into_snapshot().to_stream_bytes(true);
+    let base = read_stream(&wire[..]).expect("the padded image reads back");
+
+    let from_stream = {
+        let mut p = mk();
+        p.restore_from(&wire[..]).expect("restore_from accepts the padded image");
+        p
+    };
+    let from_snapshot = {
+        let mut p = mk();
+        p.restore(&read_stream(&wire[..]).expect("reads back")).expect("restore accepts it");
+        p
+    };
+    for (p, how) in [(from_stream, "restore_from"), (from_snapshot, "restore")] {
+        let delta = p.snapshot_delta(&read_stream(&wire[..]).expect("base")).expect("delta");
+        let full = p.snapshot();
+        assert_eq!(Ok(&delta), SnapDelta::between(&base, &full).as_ref(), "{how}: delta");
+        assert_eq!(pages_in(&delta), std::slice::from_ref(&padded), "{how}: pages in the delta");
+        assert!(base.apply_delta(&delta).expect("applies") == full, "{how}: base + delta");
+        let dram = |g: usize| p.node(g).chipset().memctl().dram().pages_match();
+        assert_eq!(dram(1), None, "{how}: the padded node claims the image");
+        assert_eq!(dram(0), Some(base.state_digest()), "{how}: an untouched node lost it");
+        let (resaved, _) = compressed_save(&p);
+        assert!(read_stream(&resaved[..]) == Ok(full), "{how}: the re-save reads back");
+    }
 }
 
 // ---------------------------------------------------------------------------
