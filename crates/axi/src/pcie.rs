@@ -71,8 +71,8 @@ struct Dir {
     drained: u64,
     /// Send cycles of the items still in the shaper, in send (== drain)
     /// order, so every delivery knows its wire latency. An unmetered
-    /// [`Ring`]: its occupancy trajectory depends on when epoch barriers
-    /// drain the shaper, so it must not feed stepper-compared metrics.
+    /// [`Ring`]: its occupancy trajectory depends on when the epoch
+    /// driver's windows drain the shaper, so it must not feed stepper-compared metrics.
     sent_at: Ring<Cycle>,
     faults: Option<DirFaults>,
 }
@@ -214,7 +214,7 @@ pub struct PcieLink {
     /// matched FIFO per AXI id against the response coming back the other
     /// way. Deterministic under both steppers because each direction
     /// delivers in release-cycle order and a response is always drained
-    /// at a later barrier than its request. Fault-injected duplicates can
+    /// in a later window than its request. Fault-injected duplicates can
     /// leave an unmatched entry behind (the guard drops the ghost before
     /// it is answered), skewing *which* pair a later same-id RTT reports
     /// — still deterministic, and faulted runs only ever compare against
@@ -224,7 +224,7 @@ pub struct PcieLink {
     /// the oldest entry with its id. Scan length is bounded by the
     /// in-flight count (and [`RTT_PENDING_CAP`] under blackhole faults),
     /// not the id space — bridge ids wrap through all of `u16`. Unmetered
-    /// [`Ring`]s: drain timing differs between steppers at epoch barriers.
+    /// [`Ring`]s: drain timing differs between steppers at window boundaries.
     pending_req_ab: Ring<(u16, Cycle)>,
     pending_req_ba: Ring<(u16, Cycle)>,
     trace: TraceBuf,
@@ -404,10 +404,11 @@ impl PcieLink {
     /// Drains every item headed for B that matures strictly before
     /// `horizon`, with its exact delivery cycle, oldest first.
     ///
-    /// Epoch extraction for the epoch driver: at an epoch barrier the
-    /// platform pulls out everything the next epoch will deliver so the
-    /// receiving FPGA can replay the deliveries cycle-accurately without
-    /// touching the link, which the barrier owns.
+    /// Window extraction for the epoch driver: at the start of each window
+    /// the platform pulls out everything the window will deliver, so the
+    /// receiving FPGA can replay the deliveries cycle-accurately while it
+    /// advances on its own. Anything sent inside the window matures at or
+    /// after its end, so nothing is missed.
     pub fn take_to_b_before(&mut self, horizon: Cycle) -> Vec<(Cycle, PcieItem)> {
         self.take_flights_to_b_before(horizon).into_iter().map(|(t, f)| (t, f.item)).collect()
     }

@@ -15,32 +15,29 @@
 //!   exploits link latency as *lookahead*. Anything sent at cycle `t` over
 //!   a link of one-way latency `L` cannot be observed before `t + L`, so
 //!   the two sides may each advance `L` cycles without looking at the
-//!   other; traffic is buffered with its send timestamp and exchanged at
-//!   the epoch barrier in a fixed order. The topology is cut into *units*
-//!   that advance independently for one epoch (`UnitPlan`), and the
-//!   calling thread walks them one after another: [`Platform::run`] for a
-//!   fixed budget, [`Platform::run_preemptible`] stopping early at the
-//!   first grain boundary where the platform is idle. Within an epoch no
-//!   unit can observe another, so the order they run in is immaterial:
-//!   same cycle count, same stats, same snapshot bytes as the reference.
-//!   Parallelism lives across runs instead (the service layer's worker
-//!   pool): a thread per unit lost to this inline walk on every measured
-//!   shape.
+//!   other. It cuts time into windows no longer than any link latency:
+//!   each window pulls what the links deliver inside it, advances every
+//!   FPGA through it on its own, and routes the sends, which cannot mature
+//!   before the window ends. [`Platform::run`] drives it for a fixed
+//!   budget, [`Platform::run_preemptible`] stopping early at the first
+//!   grain boundary where the platform is idle; same cycle count, same
+//!   stats, same snapshot bytes as the reference. It runs on the calling
+//!   thread; parallelism lives across runs instead (the service layer's
+//!   worker pool): a thread per FPGA or switch group lost to the inline
+//!   driver on every measured shape.
 //!
-//! # Topologies and units
+//! # Topologies and windows
 //!
 //! [`Topology::PcieStar`] joins every FPGA pair with a PCIe link — the
 //! paper's single-instance shape, capped by how many endpoints one host
-//! bridge fans out to. Each FPGA is a unit; every link crosses units, so
-//! the barrier owns them all and the epoch is the minimum PCIe one-way
-//! latency. [`Topology::Ethernet`] attaches every FPGA to a
+//! bridge fans out to. Its window and epoch are both the minimum PCIe
+//! one-way latency. [`Topology::Ethernet`] attaches every FPGA to a
 //! switched-Ethernet fabric instead, and [`Topology::Hybrid`] mixes the
 //! two: PCIe inside each instance-sized group, Ethernet across groups. On
-//! these a unit is a switch group, which owns its switch and its internal
-//! PCIe links: members rendezvous every NIC-link latency inside the unit,
-//! units synchronize only at spine-latency boundaries
-//! ([`Platform::grouped_lookaheads`]) — global coordination cost scales
-//! with the number of groups, not the number of FPGAs.
+//! these a window is the NIC-link latency (and any intra-group PCIe
+//! latency), and switch groups meet only at spine-latency epoch
+//! boundaries ([`Platform::grouped_lookaheads`]), where the spine is
+//! exchanged.
 //!
 //! Quiet stretches are warped over: when every FPGA is provably on its
 //! skip paths, the per-cycle stepper jumps straight to the next cycle that
@@ -54,9 +51,9 @@ use smappic_coherence::Homing;
 use smappic_isa::Image;
 use smappic_noc::{line_of, Gid, NodeId, TileId};
 use smappic_sim::{
-    fault_streams, fnv1a, Cycle, EthFabric, EthSwitch, FaultInjector, Histogram, Meters,
-    MetricsRegistry, SaveState, SnapDelta, SnapError, SnapReader, SnapSink, SnapWriter, Snapshot,
-    Stats, StreamSource, TraceBuf, TraceEventKind, TraceSink,
+    fault_streams, fnv1a, Cycle, EthFabric, FaultInjector, Histogram, Meters, MetricsRegistry,
+    SaveState, SnapDelta, SnapError, SnapReader, SnapSink, SnapWriter, Snapshot, Stats,
+    StreamSource, TraceBuf, TraceEventKind, TraceSink,
 };
 use smappic_tile::{AddrMap, Engine};
 
@@ -145,30 +142,27 @@ pub struct Platform {
     fast_path: bool,
 }
 
-/// How the topology decomposes into *units*: sets of FPGAs that advance
-/// one epoch without observing each other. Derived from the platform shape
-/// when a drive starts; the single owner of every lookahead figure.
+/// The lookahead figures of the platform's shape, derived when a drive
+/// starts; the single owner of every lookahead number.
 ///
-/// - PCIe star (no Ethernet fabric): every FPGA is a unit, `local ==
-///   global == pcie`, and every link crosses units, so the barrier owns
-///   all of them.
-/// - Ethernet / Hybrid: every switch group is a unit that owns its switch
-///   and its internal PCIe links; no link crosses units — groups interact
-///   only through the spine, which the barrier exchanges.
+/// - PCIe star (no Ethernet fabric): `local == global == pcie`, so every
+///   window is a whole epoch.
+/// - Ethernet / Hybrid: windows of `local` (the NIC-link latency, and any
+///   intra-group PCIe latency) inside epochs of `global` (the uplink
+///   latency): switch groups interact only through the spine, which is
+///   exchanged at epoch boundaries.
 #[derive(Debug, Clone, Copy)]
-struct UnitPlan {
-    /// FPGAs per unit (the last unit may be smaller).
-    unit_size: usize,
+struct EpochPlan {
     /// Minimum PCIe one-way latency over all links; 0 without links.
     pcie: u64,
-    /// Cycles a unit's members may advance between rendezvous inside the
-    /// unit; 0 when there is no lookahead to exploit.
+    /// Cycles every FPGA may advance between PCIe and switch rendezvous
+    /// (one window); 0 when there is no lookahead to exploit.
     local: u64,
-    /// Cycles all units may advance between barriers.
+    /// Cycles between spine exchanges (one epoch).
     global: u64,
 }
 
-impl UnitPlan {
+impl EpochPlan {
     /// [`Platform::preemption_grain`] of a platform with this plan.
     fn preemption_grain(&self) -> u64 {
         let natural = self.global.max(1);
@@ -180,56 +174,22 @@ impl UnitPlan {
 #[derive(Debug, Clone, Copy)]
 struct Stop {
     budget: u64,
-    /// Probe for quiescence at every barrier that closes a multiple of
-    /// this many cycles (a multiple of [`UnitPlan::global`]) or the budget,
-    /// and stop there when every FPGA, link and switch is idle.
+    /// Probe for quiescence at every epoch boundary that closes a multiple
+    /// of this many cycles (a multiple of [`EpochPlan::global`]) or the
+    /// budget, and stop there when every FPGA, link and switch is idle.
     idle_every: Option<u64>,
 }
 
 /// A PCIe link and the `(lower, higher)` FPGA pair it joins.
 type Link = ((usize, usize), PcieLink);
 
-/// What one unit exclusively owns for the length of a drive.
-struct Unit<'a> {
-    /// Global index of `fpgas[0]`.
-    first: usize,
-    fpgas: &'a mut [Fpga],
-    /// The unit's internal links; `links[0]` is platform link `link_base`.
-    links: &'a mut [Link],
-    link_base: usize,
-    link_idx: &'a [usize],
-    /// Total FPGAs: the row stride of `link_idx`.
-    nf: usize,
-    /// [`UnitPlan::local`].
-    local: u64,
-}
-
-/// One unit's share of an epoch: filled in by the barrier, advanced
-/// through by [`unit_epoch`], read back by the barrier.
-#[derive(Default)]
-struct Turn {
-    /// First cycle of the epoch.
-    start: Cycle,
-    /// Epoch length in cycles (at most [`UnitPlan::global`]).
-    len: u64,
-    /// In: deliveries off the cross-unit links as `(arrival, sending fpga,
-    /// flight)`, in link order. Cross-unit links join single-FPGA units,
-    /// so these are all for the sole member.
-    inbound: Vec<(Cycle, usize, Flight)>,
-    /// Out: sends over cross-unit links as `(cycle, from, to, item)`, in
-    /// send order per member. The barrier drains them into the links.
-    sends: Vec<(Cycle, usize, usize, PcieItem)>,
-    /// In: this epoch ends at an idle probe ([`Stop::idle_every`]). Out:
-    /// it does, and the unit's members and links were all idle after it.
-    idle: bool,
-}
-
-/// One FPGA's share of a unit's local window.
+/// One FPGA's share of a window.
 struct EpochJob {
     /// First cycle of the window.
     start: Cycle,
-    /// Window length in cycles (at most [`UnitPlan::local`]).
-    len: u64,
+    /// First cycle after the window (at most [`EpochPlan::local`] past
+    /// `start`).
+    end: Cycle,
     /// Pre-extracted PCIe deliveries as `(arrival, sending fpga, flight)`,
     /// sorted by `(arrival, from)` — the per-receiver order the serial
     /// pump produces. One flat list instead of a `Vec` per peer: at rack
@@ -298,8 +258,24 @@ fn deliver_flight(fpga: &mut Fpga, now: Cycle, from: usize, flight: Flight) {
     }
 }
 
-/// Sends `item` from endpoint `from` over `link`.
-fn link_send(((a, _), link): &mut Link, now: Cycle, from: usize, item: PcieItem) {
+/// Routes one send from FPGA `from` to FPGA `to` at cycle `now`: onto link
+/// `li` (the pair's `link_idx` entry) where the pair has one, into the
+/// Ethernet fabric otherwise. Both steppers route every send through this.
+fn route(
+    links: &mut [Link],
+    eth: Option<&mut EthFabric<PcieItem>>,
+    li: usize,
+    now: Cycle,
+    from: usize,
+    to: usize,
+    item: PcieItem,
+) {
+    if li == usize::MAX {
+        let eth = eth.expect("unlinked pair implies an Ethernet fabric");
+        eth.send(now, from, to, item.wire_bytes(), item);
+        return;
+    }
+    let ((a, _), link) = &mut links[li];
     if from == *a {
         link.send_from_a(now, item);
     } else {
@@ -307,35 +283,18 @@ fn link_send(((a, _), link): &mut Link, now: Cycle, from: usize, item: PcieItem)
     }
 }
 
-/// O(1) link send using the precomputed `(from, to) → link` table.
-fn link_send_indexed(
-    links: &mut [Link],
-    link_idx: &[usize],
-    nf: usize,
-    now: Cycle,
-    from: usize,
-    to: usize,
-    item: PcieItem,
-) {
-    let li = link_idx[from * nf + to];
-    debug_assert!(li != usize::MAX, "links form a full mesh over the FPGAs");
-    link_send(&mut links[li], now, from, item);
-}
-
 /// One FPGA's window: advance through `job` cycle by cycle (or in quiet
 /// warps), delivering the pre-extracted inbound flights at their exact
-/// cycles and buffering outbound sends for [`unit_epoch`] to route:
-/// `(cycle, to, item)` in send order.
-fn fpga_epoch(fpga: &mut Fpga, job: EpochJob) -> Vec<(Cycle, usize, PcieItem)> {
+/// cycles and handing each outbound send to `send` as `(cycle, to, item)`,
+/// in send order.
+fn fpga_epoch(fpga: &mut Fpga, job: EpochJob, mut send: impl FnMut(Cycle, usize, PcieItem)) {
     // Oldest-first lists, consumed from the front: flip them once so
     // each delivery is an O(1) pop from the back.
     let mut inbound = job.inbound;
     inbound.reverse();
     let mut eth_inbound = job.eth_inbound;
     eth_inbound.reverse();
-    let mut sends: Vec<(Cycle, usize, PcieItem)> = Vec::new();
-    let end = job.start + job.len;
-    let mut t = job.start;
+    let (end, mut t) = (job.end, job.start);
     // Whether to ask for a warp at `t`: at the window's start, and after
     // any cycle that ticked quietly. A busy cycle is almost always followed
     // by another, so asking after one buys nothing; not asking costs at
@@ -363,7 +322,7 @@ fn fpga_epoch(fpga: &mut Fpga, job: EpochJob) -> Vec<(Cycle, usize, PcieItem)> {
             }
         }
         probe = fpga.tick(t);
-        drain_shell_outbound(fpga, |to, item| sends.push((t, to, item)));
+        drain_shell_outbound(fpga, |to, item| send(t, to, item));
         // `(arrival, from)` sort order reproduces the serial pump's
         // ascending-peer order at each cycle; Ethernet releases follow
         // same-cycle PCIe flights, as in the serial fabric pump.
@@ -376,151 +335,6 @@ fn fpga_epoch(fpga: &mut Fpga, job: EpochJob) -> Vec<(Cycle, usize, PcieItem)> {
             deliver_flight(fpga, t, src as usize, Flight { seq, item });
         }
         t += 1;
-    }
-    sends
-}
-
-/// The unit body: advances one unit through `turn`, in local windows of at
-/// most [`UnitPlan::local`] cycles. Each window gathers every member's PCIe
-/// and Ethernet deliveries, advances the member with [`fpga_epoch`], and
-/// routes its sends: into the unit's switch (`sw`) where the pair shares no
-/// link, onto the unit's own link where it has one, back to the barrier
-/// otherwise. The switch forwards at the window boundary.
-///
-/// Within a window no member can observe a peer (the PCIe and NIC-link
-/// latencies both bound it), and units interact only through what the
-/// barrier exchanges, whose latency bounds the epoch — so this schedule is
-/// bit-identical to the per-cycle reference in any unit order.
-fn unit_epoch(unit: &mut Unit<'_>, mut sw: Option<&mut EthSwitch<PcieItem>>, turn: &mut Turn) {
-    let end = turn.start + turn.len;
-    debug_assert!(
-        turn.inbound.is_empty() || (unit.fpgas.len() == 1 && unit.local >= turn.len),
-        "cross-unit links join single-FPGA units whose window is the epoch"
-    );
-    let mut t = turn.start;
-    while t < end {
-        let horizon = end.min(t + unit.local);
-        for lm in 0..unit.fpgas.len() {
-            let m = unit.first + lm;
-            // A send routed below matures at or after `horizon` (link
-            // latency >= window), so interleaving extraction with member
-            // advancement changes nothing.
-            let mut inbound = std::mem::take(&mut turn.inbound);
-            for ((a, b), link) in unit.links.iter_mut() {
-                if *a == m {
-                    for (c, fl) in link.take_flights_to_a_before(horizon) {
-                        inbound.push((c, *b, fl));
-                    }
-                } else if *b == m {
-                    for (c, fl) in link.take_flights_to_b_before(horizon) {
-                        inbound.push((c, *a, fl));
-                    }
-                }
-            }
-            // Stable: same-(cycle, from) flights keep their send order.
-            inbound.sort_by_key(|&(c, f, _)| (c, f));
-            let eth_inbound = sw.as_mut().map_or_else(Vec::new, |sw| sw.take_delivered(m, horizon));
-            let job = EpochJob { start: t, len: horizon - t, inbound, eth_inbound };
-            for (u, to, item) in fpga_epoch(&mut unit.fpgas[lm], job) {
-                let li = unit.link_idx[m * unit.nf + to];
-                if li == usize::MAX {
-                    let sw = sw.as_mut().expect("unlinked pair implies an Ethernet fabric");
-                    sw.send(u, m, to, item.wire_bytes(), item);
-                } else if let Some(own) =
-                    li.checked_sub(unit.link_base).and_then(|i| unit.links.get_mut(i))
-                {
-                    link_send(own, u, m, item);
-                } else {
-                    turn.sends.push((u, m, to, item));
-                }
-            }
-        }
-        if let Some(sw) = sw.as_mut() {
-            sw.process(horizon);
-        }
-        t = horizon;
-    }
-    turn.idle = turn.idle
-        && unit.fpgas.iter().all(Fpga::is_idle)
-        && unit.links.iter().all(|(_, l)| l.is_idle());
-}
-
-/// What the barrier of the epoch driver owns for the length of a drive:
-/// everything units may not touch while they advance.
-struct Barrier<'a> {
-    plan: UnitPlan,
-    start_now: Cycle,
-    /// The cross-unit links (all of them on a star, none on a rack).
-    links: &'a mut [Link],
-    link_idx: &'a [usize],
-    nf: usize,
-    eth: Option<&'a mut EthFabric<PcieItem>>,
-    host_epochs: &'a mut Histogram,
-    host_trace: &'a mut TraceBuf,
-    epoch_count: &'a mut u64,
-}
-
-impl Barrier<'_> {
-    /// The epoch loop, once for every topology: record the epoch, exchange
-    /// the spine, pre-extract what the cross-unit links deliver inside it,
-    /// advance each unit through its turn with [`unit_epoch`], then replay
-    /// the units' buffered sends into the links and, at an idle probe, stop
-    /// if nothing is left to do.
-    ///
-    /// Returns the cycles advanced.
-    fn epochs(mut self, units: &mut [Unit<'_>], stop: Stop) -> u64 {
-        let mut turns: Vec<Turn> = units.iter().map(|_| Turn::default()).collect();
-        let mut spent = 0u64;
-        while spent < stop.budget {
-            let len = self.plan.global.min(stop.budget - spent);
-            let start = self.start_now + spent;
-            let horizon = start + len;
-            self.host_epochs.record(len);
-            let index = *self.epoch_count;
-            *self.epoch_count += 1;
-            self.host_trace.record(start, || TraceEventKind::Epoch { index, width: len });
-            if let Some(eth) = self.eth.as_deref_mut() {
-                // Complete even for a truncated epoch: a frame arriving
-                // before `horizon` left its source group an uplink latency
-                // earlier, i.e. before `start` — already forwarded by the
-                // previous epoch.
-                eth.exchange(horizon);
-            }
-            let probe = stop
-                .idle_every
-                .is_some_and(|g| (spent + len).is_multiple_of(g) || spent + len == stop.budget);
-            for turn in &mut turns {
-                (turn.start, turn.len, turn.idle) = (start, len, probe);
-            }
-            for ((a, b), link) in self.links.iter_mut() {
-                for (c, fl) in link.take_flights_to_b_before(horizon) {
-                    turns[*b / self.plan.unit_size].inbound.push((c, *a, fl));
-                }
-                for (c, fl) in link.take_flights_to_a_before(horizon) {
-                    turns[*a / self.plan.unit_size].inbound.push((c, *b, fl));
-                }
-            }
-            for (u, (unit, turn)) in units.iter_mut().zip(&mut turns).enumerate() {
-                unit_epoch(unit, self.eth.as_deref_mut().map(|e| e.switch_mut(u)), turn);
-            }
-            // Replay sends in fixed (unit, send) order. Each link direction
-            // has a single sending FPGA, so replaying one unit's buffer in
-            // timestamp order reproduces the serial shaper state exactly.
-            for turn in &mut turns {
-                for (t, from, to, item) in turn.sends.drain(..) {
-                    link_send_indexed(self.links, self.link_idx, self.nf, t, from, to, item);
-                }
-            }
-            spent += len;
-            if probe
-                && turns.iter().all(|t| t.idle)
-                && self.links.iter().all(|(_, l)| l.is_idle())
-                && self.eth.as_deref().is_none_or(EthFabric::is_idle)
-            {
-                break;
-            }
-        }
-        spent
     }
 }
 
@@ -803,14 +617,13 @@ impl Platform {
         delta
     }
 
-    /// The unit plan of this platform's topology; see [`UnitPlan`].
-    fn unit_plan(&self) -> UnitPlan {
+    /// The epoch plan of this platform's topology; see [`EpochPlan`].
+    fn plan(&self) -> EpochPlan {
         let min_pcie = self.links.iter().map(|(_, l)| l.one_way_latency()).min();
         let pcie = min_pcie.unwrap_or(0);
         match &self.eth {
-            None => UnitPlan { unit_size: 1, pcie, local: pcie, global: pcie },
-            Some(eth) => UnitPlan {
-                unit_size: eth.params().group_size,
+            None => EpochPlan { pcie, local: pcie, global: pcie },
+            Some(eth) => EpochPlan {
                 pcie,
                 local: eth.local_lookahead().min(min_pcie.unwrap_or(Cycle::MAX)),
                 global: eth.global_lookahead(),
@@ -818,11 +631,11 @@ impl Platform {
         }
     }
 
-    /// The unit plan the epoch driver advances this platform by, or `None`
+    /// The plan the epoch driver advances this platform by, or `None`
     /// when the per-cycle stepper must: no lookahead to exploit, or
     /// reference mode (fast path off), which stays strictly per-cycle.
-    fn epoch_plan(&self) -> Option<UnitPlan> {
-        let plan = self.unit_plan();
+    fn epoch_plan(&self) -> Option<EpochPlan> {
+        let plan = self.plan();
         (plan.local > 0 && self.fast_path).then_some(plan)
     }
 
@@ -833,7 +646,7 @@ impl Platform {
     /// all groups may advance between spine exchanges (the uplink
     /// latency). `(0, 0)` without an Ethernet fabric.
     pub fn grouped_lookaheads(&self) -> (u64, u64) {
-        let plan = self.unit_plan();
+        let plan = self.plan();
         if self.eth.is_some() {
             (plan.local, plan.global)
         } else {
@@ -842,47 +655,77 @@ impl Platform {
     }
 
     /// The epoch driver: advances until `stop` says so in epochs of at most
-    /// `plan.global`, the units of `plan` advanced one after another on the
-    /// calling thread; returns the cycles advanced.
+    /// `plan.global` cycles, each cut into windows of at most `plan.local`;
+    /// returns the cycles advanced.
     ///
-    /// Units are disjoint slices of the FPGAs and of the links between
-    /// their own members (links are ordered by lower endpoint, units are
-    /// FPGA ranges, so each unit's links are contiguous); the [`Barrier`]
-    /// keeps the rest.
-    fn drive(&mut self, plan: UnitPlan, stop: Stop) -> u64 {
+    /// An epoch records itself and exchanges the spine. A window extracts
+    /// what every PCIe link delivers before its end, in link order,
+    /// advances every FPGA through it with [`fpga_epoch`], routes each send
+    /// as it comes, and forwards the switches to its end. No window is
+    /// longer than a PCIe or NIC-link latency, so nothing sent inside it
+    /// is seen before it ends, and switch groups interact only through the
+    /// spine, at epoch boundaries: bit-identical to the per-cycle
+    /// reference.
+    fn drive(&mut self, plan: EpochPlan, stop: Stop) -> u64 {
         debug_assert!(plan.local > 0, "the epoch driver needs lookahead");
-        if stop.budget == 0 {
-            return 0;
+        let (start, nf) = (self.now, self.fpgas.len());
+        let mut inbound: Vec<Vec<(Cycle, usize, Flight)>> = (0..nf).map(|_| Vec::new()).collect();
+        while self.now - start < stop.budget {
+            let len = plan.global.min(stop.budget - (self.now - start));
+            let end = self.now + len;
+            self.host_epochs.record(len);
+            let index = self.epoch_count;
+            self.epoch_count += 1;
+            self.host_trace.record(self.now, || TraceEventKind::Epoch { index, width: len });
+            if let Some(eth) = &mut self.eth {
+                // Complete even for a truncated epoch: a frame arriving
+                // before `end` left its source group an uplink latency
+                // earlier, i.e. before this epoch — already forwarded.
+                eth.exchange(end);
+            }
+            while self.now < end {
+                let horizon = end.min(self.now + plan.local);
+                for ((a, b), link) in &mut self.links {
+                    for (c, fl) in link.take_flights_to_b_before(horizon) {
+                        inbound[*b].push((c, *a, fl));
+                    }
+                    for (c, fl) in link.take_flights_to_a_before(horizon) {
+                        inbound[*a].push((c, *b, fl));
+                    }
+                }
+                let (links, eth) = (&mut self.links, &mut self.eth);
+                for (m, fpga) in self.fpgas.iter_mut().enumerate() {
+                    let mut inbound = std::mem::take(&mut inbound[m]);
+                    // Stable: same-(cycle, from) flights keep their send order.
+                    inbound.sort_by_key(|&(c, f, _)| (c, f));
+                    let eth_inbound =
+                        eth.as_mut().map_or_else(Vec::new, |e| e.take_delivered(m, horizon));
+                    let job = EpochJob { start: self.now, end: horizon, inbound, eth_inbound };
+                    fpga_epoch(fpga, job, |at, to, item| {
+                        let li = self.link_idx[m * nf + to];
+                        route(links, eth.as_mut(), li, at, m, to, item);
+                        // The lookahead argument: nothing sent in this
+                        // window is due before it ends.
+                        debug_assert!(
+                            li == usize::MAX
+                                || links[li].1.next_delivery_at().is_none_or(|d| d >= horizon),
+                            "a PCIe send matures inside the window it was sent in"
+                        );
+                    });
+                }
+                if let Some(eth) = eth {
+                    eth.process_all(horizon);
+                }
+                self.now = horizon;
+            }
+            let spent = self.now - start;
+            let probe =
+                stop.idle_every.is_some_and(|g| spent.is_multiple_of(g) || spent == stop.budget);
+            if probe && self.is_idle() {
+                break;
+            }
         }
-        let (start_now, nf) = (self.now, self.fpgas.len());
-        let link_idx = &self.link_idx[..];
-        let owned = if self.eth.is_some() { self.links.len() } else { 0 };
-        let (mut own_links, cross_links) = self.links.split_at_mut(owned);
-        let mut units = Vec::with_capacity(nf.div_ceil(plan.unit_size));
-        let mut link_base = 0;
-        for fpgas in self.fpgas.chunks_mut(plan.unit_size) {
-            let first = units.len() * plan.unit_size;
-            let n = own_links.iter().take_while(|((a, _), _)| *a < first + fpgas.len()).count();
-            let (links, rest) = own_links.split_at_mut(n);
-            own_links = rest;
-            let local = plan.local;
-            units.push(Unit { first, fpgas, links, link_base, link_idx, nf, local });
-            link_base += n;
-        }
-        let barrier = Barrier {
-            plan,
-            start_now,
-            links: cross_links,
-            link_idx,
-            nf,
-            eth: self.eth.as_mut(),
-            host_epochs: &mut self.host_epochs,
-            host_trace: &mut self.host_trace,
-            epoch_count: &mut self.epoch_count,
-        };
-        let spent = barrier.epochs(&mut units, stop);
-        self.now = start_now + spent;
-        spent
+        self.now - start
     }
 
     /// How many upcoming cycles are provably skippable from the current
@@ -981,16 +824,10 @@ impl Platform {
         }
         // Outbound requests and responses onto the fabric, FPGA by FPGA.
         // PCIe-linked pairs use their link; everything else rides Ethernet.
-        for fi in 0..nf {
-            let (fpgas, links, eth) = (&mut self.fpgas, &mut self.links, &mut self.eth);
-            let link_idx = &self.link_idx;
-            drain_shell_outbound(&mut fpgas[fi], |to, item| {
-                if link_idx[fi * nf + to] != usize::MAX {
-                    link_send_indexed(links, link_idx, nf, now, fi, to, item);
-                } else {
-                    let eth = eth.as_mut().expect("unlinked pair implies an Ethernet fabric");
-                    eth.send(now, fi, to, item.wire_bytes(), item);
-                }
+        for (fi, fpga) in self.fpgas.iter_mut().enumerate() {
+            drain_shell_outbound(fpga, |to, item| {
+                let li = self.link_idx[fi * nf + to];
+                route(&mut self.links, self.eth.as_mut(), li, now, fi, to, item);
             });
         }
         // Deliveries off links, in lexicographic link order (which any
@@ -1021,7 +858,7 @@ impl Platform {
     /// each other. Zero when the platform has no usable lookahead (single
     /// FPGA, or a zero-latency link configuration).
     pub fn lookahead(&self) -> u64 {
-        self.unit_plan().pcie
+        self.plan().pcie
     }
 
     /// [`Platform::run`] under the name the benchmark harness still calls
@@ -1049,7 +886,7 @@ impl Platform {
     /// in whole-epoch multiples, so yield/idle checks stay off the hot
     /// path.
     pub fn preemption_grain(&self) -> u64 {
-        self.unit_plan().preemption_grain()
+        self.plan().preemption_grain()
     }
 
     /// Minimum cycles between cooperative preemption checkpoints; see
@@ -1059,9 +896,9 @@ impl Platform {
     /// Runs up to `budget` cycles, stopping early at the first multiple of
     /// [`Platform::preemption_grain`] where the platform is quiescent;
     /// returns the cycles actually advanced. Where [`Platform::run`] would
-    /// use the epoch driver this is one drive whose barrier probes for
-    /// idleness at grain boundaries; any other platform steps grain by
-    /// grain instead.
+    /// use the epoch driver this is one drive that probes for idleness at
+    /// the epoch boundaries closing a grain; any other platform steps
+    /// grain by grain instead.
     ///
     /// This is the service layer's execution primitive: a job advanced by
     /// any sequence of `run_preemptible` calls whose budgets are

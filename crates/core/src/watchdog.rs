@@ -20,7 +20,11 @@ pub struct WatchdogConfig {
     /// quiet stretch — PCIe + DRAM + injected delays).
     pub stall_limit: Cycle,
     /// How often (in cycles) the signature is sampled. Detection latency
-    /// is `stall_limit + check_interval` in the worst case.
+    /// is `stall_limit + check_interval` in the worst case. Read only by
+    /// [`Platform::run_until_idle_watched`]; the service scheduler samples
+    /// once per quantum instead and ignores it.
+    ///
+    /// [`Platform::run_until_idle_watched`]: crate::Platform::run_until_idle_watched
     pub check_interval: Cycle,
 }
 

@@ -158,6 +158,10 @@ pub struct SchedulerConfig {
     /// [`Platform::preemption_grain`] so cuts stay on epoch boundaries.
     pub quantum: u64,
     /// Per-job livelock detection (state persists across migrations).
+    /// The scheduler samples the progress signature once per quantum, so
+    /// only [`WatchdogConfig::stall_limit`] applies here; its
+    /// `check_interval` is read by [`Platform::run_until_idle_watched`]
+    /// alone.
     pub watchdog: WatchdogConfig,
     /// Preemption policy.
     pub preempt: PreemptMode,

@@ -222,8 +222,8 @@ meter_slots! {
 
 /// A top-of-rack switch: per-member ingress/egress hops, one spine uplink,
 /// the remote-arrival queue fed by [`EthFabric::exchange`], and the
-/// per-member fault jitter stage. Owns everything its group touches inside
-/// an epoch, so the epoch driver hands each unit its own switch.
+/// per-member fault jitter stage. Between spine exchanges nothing but its
+/// own group's members touches it.
 #[derive(Debug, Clone)]
 pub struct EthSwitch<T> {
     params: EthParams,
@@ -626,9 +626,9 @@ impl<T: Clone> EthFabric<T> {
     }
 
     /// Spine hand-off: moves every uplink frame arriving strictly before
-    /// `horizon` into its destination switch's remote queue. Must run at a
-    /// global barrier (all groups processed up to the previous horizon),
-    /// *before* the groups' local epochs resume.
+    /// `horizon` into its destination switch's remote queue. Must run at an
+    /// epoch boundary (all groups processed up to the previous horizon),
+    /// *before* the epoch's first window.
     pub fn exchange(&mut self, horizon: Cycle) {
         for s in 0..self.switches.len() {
             let moved = self.switches[s].uplink_take(horizon);
@@ -639,9 +639,8 @@ impl<T: Clone> EthFabric<T> {
         }
     }
 
-    /// Forwards matured frames below `horizon` on every switch (the
-    /// per-cycle reference pump; the epoch driver processes each group's
-    /// switch on its own instead).
+    /// Forwards matured frames below `horizon` on every switch: one cycle
+    /// of the per-cycle reference pump, or one window of the epoch driver.
     pub fn process_all(&mut self, horizon: Cycle) {
         for sw in &mut self.switches {
             sw.process(horizon);
@@ -653,11 +652,6 @@ impl<T: Clone> EthFabric<T> {
     pub fn take_delivered(&mut self, member: usize, horizon: Cycle) -> Vec<(Cycle, u32, u64, T)> {
         let g = self.group_of(member);
         self.switches[g].take_delivered(member, horizon)
-    }
-
-    /// Mutable access to group `g`'s switch (for the epoch driver).
-    pub fn switch_mut(&mut self, g: usize) -> &mut EthSwitch<T> {
-        &mut self.switches[g]
     }
 
     /// Every switch, in group order.
@@ -803,28 +797,25 @@ mod tests {
         build(&mut epoch);
         let (local, global) = (epoch.local_lookahead(), epoch.global_lookahead());
         let mut got = Vec::new();
-        let mut tg = 10; // all sends happened before the first barrier
+        let mut t = 10; // all sends happened before the first exchange
         for _ in 0..40 {
-            epoch.exchange(tg + global);
-            for g in 0..epoch.groups() {
-                let mut t = tg;
-                while t < tg + global {
-                    let step = local.min(tg + global - t);
-                    for m in epoch.group_members(g) {
-                        for (release, src, seq, payload) in epoch.take_delivered(m, t + step) {
-                            got.push((m, release, src, seq, payload));
-                        }
+            let end = t + global;
+            epoch.exchange(end);
+            while t < end {
+                let horizon = end.min(t + local);
+                for m in 0..epoch.members() {
+                    for (release, src, seq, payload) in epoch.take_delivered(m, horizon) {
+                        got.push((m, release, src, seq, payload));
                     }
-                    epoch.switch_mut(g).process(t + step);
-                    t += step;
                 }
+                epoch.process_all(horizon);
+                t = horizon;
             }
-            tg += global;
         }
         assert!(epoch.is_idle());
         let mut want = expected.clone();
         // The per-cycle pump emits in time order globally; the epoch driver
-        // emits per group — compare as sets ordered by (member, release).
+        // emits per window — compare as sets ordered by (member, release).
         want.sort();
         got.sort();
         assert_eq!(got, want);

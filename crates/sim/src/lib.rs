@@ -27,7 +27,8 @@
 //!
 //! Everything here is sequential and allocation-light; the platform crate
 //! ticks components in a fixed order each cycle, on the calling thread
-//! (for multi-FPGA prototypes, one epoch-driver unit after another).
+//! (for multi-FPGA prototypes, one FPGA after another in each epoch-driver
+//! window).
 //!
 //! ```
 //! use smappic_sim::{DelayPort, MetersBuilder, Port};

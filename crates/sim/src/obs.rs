@@ -23,7 +23,7 @@
 //! ticked by one thread at a time, so no locks are involved and the
 //! per-buffer event order is the component's own deterministic tick
 //! order. Histograms are order-insensitive accumulators, so metrics are
-//! bit-identical across steppers even where barrier drains reorder
+//! bit-identical across steppers even where window drains reorder
 //! work *between* components. Host-side measurements (epoch widths) are
 //! namespaced under `host.` and excluded by
 //! [`MetricsRegistry::architectural`] so architectural snapshots compare

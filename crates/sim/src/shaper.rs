@@ -98,11 +98,11 @@ impl<T> TrafficShaper<T> {
     /// Removes the oldest item maturing strictly before `horizon`, returning
     /// it with its delivery cycle.
     ///
-    /// This is the epoch-extraction primitive of the epoch driver: at an
-    /// epoch barrier the platform pulls every item that will arrive inside
-    /// the next epoch out of the link (with its exact timestamp) so the
-    /// receiving unit can replay the deliveries cycle-accurately without
-    /// touching link state the barrier owns.
+    /// This is the extraction primitive of the epoch driver: at the start
+    /// of each window the platform pulls every item that will arrive inside
+    /// it out of the link (with its exact timestamp) so the receiving FPGA
+    /// can replay the deliveries cycle-accurately while it advances on its
+    /// own.
     pub fn pop_before(&mut self, horizon: Cycle) -> Option<(Cycle, T)> {
         if self.inflight.front().is_some_and(|(ready, _)| *ready < horizon) {
             self.inflight.pop_front()

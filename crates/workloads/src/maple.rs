@@ -18,7 +18,7 @@ use smappic_noc::{Gid, NodeId};
 use smappic_sim::SimRng;
 use smappic_tile::{AddrMap, TraceCore, TraceOp};
 
-use crate::sync::{set_flag, wait_flag};
+use crate::sync::set_flag;
 
 /// The four kernels of Fig 11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,7 +172,6 @@ pub fn run_maple(kernel: Kernel, mode: MapleMode, elements: usize) -> u64 {
     }
 
     // A watcher is unnecessary — poll the trace cores directly.
-    let _ = wait_flag; // (flag helpers are used by multi-node variants)
     let all_done = move |p: &Platform| {
         done_targets.iter().all(|&(n, t)| {
             p.node(n)
