@@ -9,9 +9,10 @@
 //! says *that* they diverged; this module says *where*:
 //!
 //! 1. **Checkpoint pass.** Both platforms advance in `interval`-cycle
-//!    strides, checkpointing every boundary as a base snapshot plus a
-//!    [`SnapDelta`] chain ([`Platform::snapshot_delta`]) — only dirty
-//!    sections are retained per boundary, so long forward passes no
+//!    strides, taking a full [`Platform::snapshot`] at every boundary and
+//!    keeping it as a [`SnapDelta`] against the previous one
+//!    ([`SnapDelta::between`]): a base snapshot plus a delta chain. Only
+//!    dirty sections are retained per boundary, so long forward passes no
 //!    longer hold one full platform image per stride.
 //! 2. **Binary search.** Simulation is deterministic, so bit-equal states
 //!    have bit-equal futures: "boundary `i` diverged" is monotone in `i`,

@@ -5,12 +5,10 @@
 //! The platform has one reference stepper and one epoch driver:
 //!
 //! - **Reference** ([`Platform::step`]): every cycle ticks all FPGAs in
-//!   index order, then pumps the fabric. [`Platform::run`] falls back to it
-//!   (with globally quiet stretches warped) on single-FPGA and
-//!   zero-lookahead platforms and after [`Platform::set_fast_path`]`(false)`;
-//!   [`Platform::run_until`] and [`Platform::run_until_idle`] always use it
-//!   (the latter with the same quiet warps).
-//!   Everything else is proven bit-identical against it.
+//!   index order, then pumps the fabric. Runs without lookahead and
+//!   [`Platform::run_until`] use it, with globally quiet stretches warped;
+//!   after [`Platform::set_fast_path`]`(false)` every run uses it and
+//!   never warps. Everything else is proven bit-identical against it.
 //! - **Epoch driver**: a conservative parallel-discrete-event scheme that
 //!   exploits link latency as *lookahead*. Anything sent at cycle `t` over
 //!   a link of one-way latency `L` cannot be observed before `t + L`, so
@@ -19,12 +17,12 @@
 //!   each window pulls what the links deliver inside it, advances every
 //!   FPGA through it on its own, and routes the sends, which cannot mature
 //!   before the window ends. [`Platform::run`] drives it for a fixed
-//!   budget, [`Platform::run_preemptible`] stopping early at the first
-//!   grain boundary where the platform is idle; same cycle count, same
-//!   stats, same snapshot bytes as the reference. It runs on the calling
-//!   thread; parallelism lives across runs instead (the service layer's
-//!   worker pool): a thread per FPGA or switch group lost to the inline
-//!   driver on every measured shape.
+//!   budget, [`Platform::run_preemptible`] a grain at a time, stopping
+//!   early at the first grain boundary where the platform is idle; same
+//!   cycle count, same stats, same snapshot bytes as the reference. It
+//!   runs on the calling thread; parallelism lives across runs instead
+//!   (the service layer's worker pool): a thread per FPGA or switch group
+//!   lost to the inline driver on every measured shape.
 //!
 //! # Topologies and windows
 //!
@@ -170,14 +168,21 @@ impl EpochPlan {
     }
 }
 
-/// When a drive stops: after `budget` cycles, or earlier at an idle probe.
-#[derive(Debug, Clone, Copy)]
-struct Stop {
+/// When a run stops: after `budget` cycles, or where its probe holds.
+struct Stop<'p> {
     budget: u64,
-    /// Probe for quiescence at every epoch boundary that closes a multiple
-    /// of this many cycles (a multiple of [`EpochPlan::global`]) or the
-    /// budget, and stop there when every FPGA, link and switch is idle.
-    idle_every: Option<u64>,
+    probe: Probe<'p>,
+}
+
+/// What a run checks besides its budget, and where.
+enum Probe<'p> {
+    /// Nothing: the run spends its whole budget.
+    None,
+    /// Quiescence ([`Platform::is_idle`]) at every multiple of
+    /// [`Platform::preemption_grain`] past the start, and at the budget.
+    Idle,
+    /// A predicate, before every move and once at the budget.
+    Until(&'p mut dyn FnMut(&Platform) -> bool),
 }
 
 /// A PCIe link and the `(lower, higher)` FPGA pair it joins.
@@ -587,34 +592,71 @@ impl Platform {
     /// without touching every component every cycle. Reference mode
     /// (fast path off) never warps.
     pub fn run(&mut self, cycles: u64) {
-        // Multi-FPGA fast path: the epoch driver, on this thread. Inside an
-        // epoch each FPGA warps its own quiet stretches independently — the
-        // cycle-interleaved loop below can only warp when *every* FPGA is
-        // quiet at once, so one busy FPGA pins all of its peers to
-        // per-cycle stepping.
-        if let Some(plan) = self.epoch_plan() {
-            self.drive(plan, Stop { budget: cycles, idle_every: None });
-            return;
-        }
+        self.run_to(Stop { budget: cycles, probe: Probe::None });
+    }
+
+    /// The one run loop behind every `run*` entry point; returns the
+    /// cycles advanced and whether the probe held where it stopped. Each
+    /// move ends at the next probe point at the latest: a
+    /// [`Platform::drive`] when the fast path is on, the platform has
+    /// lookahead and the probe is not a predicate (inside an epoch each
+    /// FPGA warps its own quiet stretches), else a [`Platform::advance`]
+    /// (which warps only when every FPGA is quiet at once). Only aging
+    /// happens in a warp, so debug builds assert that it leaves a false
+    /// predicate false.
+    fn run_to(&mut self, stop: Stop) -> (u64, bool) {
+        let Stop { budget, mut probe } = stop;
+        let plan = self.plan();
+        let grain = plan.preemption_grain();
+        let drive = plan.local > 0 && self.fast_path && !matches!(probe, Probe::Until(_));
         let mut spent = 0u64;
-        while spent < cycles {
-            spent += self.advance(cycles - spent);
+        // Each pass starts at a probe point: the start, a grain multiple
+        // or the budget under `Idle`, every move under `Until`.
+        loop {
+            let held = match &mut probe {
+                Probe::None => false,
+                Probe::Idle => spent > 0 && self.is_idle(),
+                Probe::Until(pred) => pred(self),
+            };
+            if held || spent == budget {
+                return (spent, held);
+            }
+            let next = match probe {
+                Probe::Idle => (spent + 1).next_multiple_of(grain).min(budget),
+                _ => budget,
+            };
+            if drive {
+                self.drive(plan, next - spent);
+                spent = next;
+            }
+            while spent < next {
+                let (moved, warped) = self.advance(next - spent);
+                spent += moved;
+                if let Probe::Until(pred) = &mut probe {
+                    debug_assert!(
+                        !warped || !pred(self),
+                        "a quiet warp changed a run_until predicate"
+                    );
+                    break;
+                }
+            }
         }
     }
 
     /// One move of the per-cycle stepper: a quiet warp of at most `budget`
     /// cycles where [`Platform::quiet_delta`] proves one, otherwise one
-    /// [`Platform::step`]. Returns the cycles advanced.
-    fn advance(&mut self, budget: u64) -> u64 {
+    /// [`Platform::step`]. Returns the cycles advanced and whether they
+    /// were a warp.
+    fn advance(&mut self, budget: u64) -> (u64, bool) {
         let Some(delta) = self.quiet_delta(budget) else {
             self.step();
-            return 1;
+            return (1, false);
         };
         for f in &mut self.fpgas {
             f.warp_quiet(delta);
         }
         self.now += delta;
-        delta
+        (delta, true)
     }
 
     /// The epoch plan of this platform's topology; see [`EpochPlan`].
@@ -629,14 +671,6 @@ impl Platform {
                 global: eth.global_lookahead(),
             },
         }
-    }
-
-    /// The plan the epoch driver advances this platform by, or `None`
-    /// when the per-cycle stepper must: no lookahead to exploit, or
-    /// reference mode (fast path off), which stays strictly per-cycle.
-    fn epoch_plan(&self) -> Option<EpochPlan> {
-        let plan = self.plan();
-        (plan.local > 0 && self.fast_path).then_some(plan)
     }
 
     /// The grouped lookaheads of a network-attached platform as
@@ -654,9 +688,8 @@ impl Platform {
         }
     }
 
-    /// The epoch driver: advances until `stop` says so in epochs of at most
-    /// `plan.global` cycles, each cut into windows of at most `plan.local`;
-    /// returns the cycles advanced.
+    /// The epoch driver: advances `cycles` cycles in epochs of at most
+    /// `plan.global` cycles, each cut into windows of at most `plan.local`.
     ///
     /// An epoch records itself and exchanges the spine. A window extracts
     /// what every PCIe link delivers before its end, in link order,
@@ -666,12 +699,12 @@ impl Platform {
     /// is seen before it ends, and switch groups interact only through the
     /// spine, at epoch boundaries: bit-identical to the per-cycle
     /// reference.
-    fn drive(&mut self, plan: EpochPlan, stop: Stop) -> u64 {
+    fn drive(&mut self, plan: EpochPlan, cycles: u64) {
         debug_assert!(plan.local > 0, "the epoch driver needs lookahead");
-        let (start, nf) = (self.now, self.fpgas.len());
+        let (stop, nf) = (self.now + cycles, self.fpgas.len());
         let mut inbound: Vec<Vec<(Cycle, usize, Flight)>> = (0..nf).map(|_| Vec::new()).collect();
-        while self.now - start < stop.budget {
-            let len = plan.global.min(stop.budget - (self.now - start));
+        while self.now < stop {
+            let len = plan.global.min(stop - self.now);
             let end = self.now + len;
             self.host_epochs.record(len);
             let index = self.epoch_count;
@@ -718,14 +751,7 @@ impl Platform {
                 }
                 self.now = horizon;
             }
-            let spent = self.now - start;
-            let probe =
-                stop.idle_every.is_some_and(|g| spent.is_multiple_of(g) || spent == stop.budget);
-            if probe && self.is_idle() {
-                break;
-            }
         }
-        self.now - start
     }
 
     /// How many upcoming cycles are provably skippable from the current
@@ -764,34 +790,25 @@ impl Platform {
     }
 
     /// Runs until `pred` returns true, up to `max` cycles. Returns true
-    /// when the predicate fired.
+    /// when the predicate fired, with [`Platform::now`] at the first cycle
+    /// at which it holds.
+    ///
+    /// Globally quiet stretches are warped as in [`Platform::run`] (never
+    /// in reference mode) and `pred` is checked between moves, so it must
+    /// read only state that aging leaves alone (engine completion, exit
+    /// codes, console bytes, [`Platform::is_idle`]), not
+    /// [`Platform::now`] or a timer. Debug builds assert that a predicate
+    /// false before a warp is still false after it.
     pub fn run_until(&mut self, max: u64, mut pred: impl FnMut(&Platform) -> bool) -> bool {
-        for _ in 0..max {
-            if pred(self) {
-                return true;
-            }
-            self.step();
-        }
-        pred(self)
+        self.run_to(Stop { budget: max, probe: Probe::Until(&mut pred) }).1
     }
 
     /// Runs until every engine finished and all machinery drained, up to
-    /// `max` cycles of simulated time. Returns true on quiescence, with
+    /// `max` cycles of simulated time: [`Platform::run_until`] with
+    /// [`Platform::is_idle`]. Returns true on quiescence, with
     /// [`Platform::now`] at the exact first quiescent cycle.
-    ///
-    /// Quiet stretches are warped exactly as [`Platform::run`]'s per-cycle
-    /// loop warps them (never in reference mode). Nothing but aging
-    /// happens inside a warp, so quiescence cannot begin in the middle of
-    /// one.
     pub fn run_until_idle(&mut self, max: u64) -> bool {
-        let mut spent = 0u64;
-        while spent < max {
-            if self.is_idle() {
-                return true;
-            }
-            spent += self.advance(max - spent);
-        }
-        self.is_idle()
+        self.run_until(max, Platform::is_idle)
     }
 
     /// True when every FPGA, link, and switch is quiescent.
@@ -872,19 +889,11 @@ impl Platform {
     /// at which the platform may be cut, snapshotted, and later resumed
     /// with the *same* snapshot bytes an uninterrupted run would produce.
     ///
-    /// The epoch drivers record each epoch's width as
-    /// `lookahead.min(remaining_budget)`, so a run sliced at arbitrary
-    /// points would log truncated epochs at every slice boundary and the
-    /// `host.stepper` snapshot section would diverge from the unsliced
-    /// run. Cutting only at multiples of the natural epoch width (the
-    /// global lookahead for network-attached topologies, the PCIe
-    /// lookahead for star/hybrid, one cycle for a single FPGA) keeps the
-    /// epoch schedule — and therefore every snapshot byte — identical.
-    ///
-    /// Tiny natural grains (1-cycle single-FPGA, 62-cycle PCIe) are
-    /// batched up to at least [`Platform::PREEMPT_GRAIN_FLOOR`] cycles,
-    /// in whole-epoch multiples, so yield/idle checks stay off the hot
-    /// path.
+    /// A drive records each epoch's width in the `host.stepper` section,
+    /// so a cut inside an epoch would log a truncated one. The grain is a
+    /// whole number of epochs (one cycle for a single FPGA), at least
+    /// [`Platform::PREEMPT_GRAIN_FLOOR`] cycles so that idle and yield
+    /// checks stay off the hot path.
     pub fn preemption_grain(&self) -> u64 {
         self.plan().preemption_grain()
     }
@@ -895,10 +904,8 @@ impl Platform {
 
     /// Runs up to `budget` cycles, stopping early at the first multiple of
     /// [`Platform::preemption_grain`] where the platform is quiescent;
-    /// returns the cycles actually advanced. Where [`Platform::run`] would
-    /// use the epoch driver this is one drive that probes for idleness at
-    /// the epoch boundaries closing a grain; any other platform steps
-    /// grain by grain instead.
+    /// returns the cycles actually advanced. It moves as [`Platform::run`]
+    /// does.
     ///
     /// This is the service layer's execution primitive: a job advanced by
     /// any sequence of `run_preemptible` calls whose budgets are
@@ -906,21 +913,7 @@ impl Platform {
     /// bit-identical to a single uninterrupted call — the property
     /// `tests/service_equivalence.rs` proves.
     pub fn run_preemptible(&mut self, budget: u64) -> u64 {
-        if let Some(plan) = self.epoch_plan() {
-            let stop = Stop { budget, idle_every: Some(plan.preemption_grain()) };
-            return self.drive(plan, stop);
-        }
-        let grain = self.preemption_grain();
-        let mut spent = 0u64;
-        while spent < budget {
-            let step = grain.min(budget - spent);
-            self.run(step);
-            spent += step;
-            if self.is_idle() {
-                break;
-            }
-        }
-        spent
+        self.run_to(Stop { budget, probe: Probe::Idle }).0
     }
 
     /// FNV-1a digest of this platform's configuration, embedded in every
@@ -1348,8 +1341,9 @@ impl Platform {
     }
 
     /// [`Platform::run_until_idle`] under Watchdog supervision: runs in
-    /// `check_interval` chunks, sampling the progress signature between
-    /// chunks.
+    /// chunks of one [`Platform::preemption_grain`], sampling the progress
+    /// signature between chunks, so a livelock is reported at most
+    /// `stall_limit` plus one grain after the signature froze.
     ///
     /// Returns `Ok(true)` on quiescence, `Ok(false)` when `max` ran out
     /// while still making progress, and `Err(report)` when the signature
@@ -1361,18 +1355,16 @@ impl Platform {
         max: u64,
         wcfg: &WatchdogConfig,
     ) -> Result<bool, Box<FaultReport>> {
+        let grain = self.preemption_grain();
         let mut wd = Watchdog::new(wcfg.clone());
         wd.observe(self.now, self.progress_signature());
         let mut spent = 0u64;
         while spent < max {
-            let chunk = wcfg.check_interval.max(1).min(max - spent);
-            let before = self.now;
+            let chunk = grain.min(max - spent);
             if self.run_until_idle(chunk) {
                 return Ok(true);
             }
-            // Guarantee termination even if a stepper made no visible
-            // cycle progress (cannot happen today; belt and braces).
-            spent += (self.now - before).max(1);
+            spent += chunk;
             if let Some(stalled_since) = wd.observe(self.now, self.progress_signature()) {
                 return Err(Box::new(FaultReport {
                     detected_at: self.now,

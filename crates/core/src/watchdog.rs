@@ -4,33 +4,33 @@
 //! link, for example, leaves a core spinning on a flag that will never be
 //! written. The Watchdog samples the platform's *progress signature* (a
 //! hash of every monotone architectural-progress counter: engine
-//! retirement, shell traffic, NoC deliveries, link bytes) at a fixed
-//! interval; when the signature freezes for longer than the configured
-//! bound while the platform is not quiescent, the run is declared
-//! livelocked and a [`FaultReport`] describes the stuck state instead of
-//! the test timing out.
+//! retirement, shell traffic, NoC deliveries, link bytes) once per
+//! preemption grain or scheduler quantum; when the signature freezes for
+//! longer than the configured bound while the platform is not quiescent,
+//! the run is declared livelocked and a [`FaultReport`] describes the
+//! stuck state instead of the test timing out.
 
 use smappic_sim::Cycle;
 
-/// Watchdog tuning.
+/// Watchdog tuning. The sampling cadence is not a setting: the platform
+/// derives it. [`Platform::run_until_idle_watched`] samples every
+/// [`Platform::preemption_grain`] cycles and the service scheduler once per
+/// quantum, so detection lags a freeze by at most `stall_limit` plus one
+/// sampling period.
+///
+/// [`Platform::run_until_idle_watched`]: crate::Platform::run_until_idle_watched
+/// [`Platform::preemption_grain`]: crate::Platform::preemption_grain
 #[derive(Debug, Clone)]
 pub struct WatchdogConfig {
     /// Declare livelock after this many cycles without any change in the
     /// progress signature (must comfortably exceed the longest legitimate
     /// quiet stretch — PCIe + DRAM + injected delays).
     pub stall_limit: Cycle,
-    /// How often (in cycles) the signature is sampled. Detection latency
-    /// is `stall_limit + check_interval` in the worst case. Read only by
-    /// [`Platform::run_until_idle_watched`]; the service scheduler samples
-    /// once per quantum instead and ignores it.
-    ///
-    /// [`Platform::run_until_idle_watched`]: crate::Platform::run_until_idle_watched
-    pub check_interval: Cycle,
 }
 
 impl Default for WatchdogConfig {
     fn default() -> Self {
-        Self { stall_limit: 50_000, check_interval: 1_000 }
+        Self { stall_limit: 50_000 }
     }
 }
 
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn fires_only_after_the_limit() {
-        let mut wd = Watchdog::new(WatchdogConfig { stall_limit: 100, check_interval: 10 });
+        let mut wd = Watchdog::new(WatchdogConfig { stall_limit: 100 });
         assert_eq!(wd.observe(0, 7), None);
         assert_eq!(wd.observe(50, 7), None);
         assert_eq!(wd.observe(99, 7), None);
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn progress_resets_the_clock() {
-        let mut wd = Watchdog::new(WatchdogConfig { stall_limit: 100, check_interval: 10 });
+        let mut wd = Watchdog::new(WatchdogConfig { stall_limit: 100 });
         assert_eq!(wd.observe(0, 1), None);
         assert_eq!(wd.observe(90, 2), None); // progress
         assert_eq!(wd.observe(180, 2), None); // only 90 stalled

@@ -158,10 +158,9 @@ pub struct SchedulerConfig {
     /// [`Platform::preemption_grain`] so cuts stay on epoch boundaries.
     pub quantum: u64,
     /// Per-job livelock detection (state persists across migrations).
-    /// The scheduler samples the progress signature once per quantum, so
-    /// only [`WatchdogConfig::stall_limit`] applies here; its
-    /// `check_interval` is read by [`Platform::run_until_idle_watched`]
-    /// alone.
+    /// The scheduler samples the progress signature once per quantum, so a
+    /// frozen job is reported at most [`WatchdogConfig::stall_limit`] plus
+    /// one quantum after it froze.
     pub watchdog: WatchdogConfig,
     /// Preemption policy.
     pub preempt: PreemptMode,

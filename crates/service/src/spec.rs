@@ -168,7 +168,9 @@ impl JobSpec {
     /// Highest (most urgent) priority; aging saturates here.
     pub const MAX_PRIORITY: u8 = 7;
 
-    /// A small single-FPGA default: handy starting point for builders.
+    /// A small default: a two-FPGA PCIe star of one node with two tiles
+    /// per FPGA, serial stepper, 2M-cycle budget. Handy starting point for
+    /// builders; set `fpgas: 1` for a single-FPGA job.
     pub fn small(name: &str, workload: WorkloadSpec) -> Self {
         Self {
             name: name.to_string(),

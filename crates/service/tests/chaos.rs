@@ -94,7 +94,7 @@ fn a_livelocked_job_reports_structured_error_while_the_pool_drains() {
     let reports = Scheduler::new(SchedulerConfig {
         workers: 2,
         quantum: 4_000,
-        watchdog: WatchdogConfig { stall_limit: 30_000, check_interval: 1_000 },
+        watchdog: WatchdogConfig { stall_limit: 30_000 },
         preempt: PreemptMode::WhenOutranked,
         ..SchedulerConfig::default()
     })

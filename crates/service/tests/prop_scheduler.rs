@@ -206,7 +206,7 @@ fn livelock_detection_is_schedule_invariant() {
         priority: JobSpec::DEFAULT_PRIORITY,
         deadline_cycles: None,
     };
-    let wd = WatchdogConfig { stall_limit: 30_000, check_interval: 1_000 };
+    let wd = WatchdogConfig { stall_limit: 30_000 };
     let straight = Scheduler::new(SchedulerConfig {
         workers: 1,
         preempt: PreemptMode::Never,

@@ -706,3 +706,91 @@ fn snapshot_taken_mid_saturation_resumes_bit_exactly() {
     reference.run(live.now());
     assert_bit_identical(&live, &reference, "restored chain vs uninterrupted reference run");
 }
+
+// `run_until` and `run_until_idle` warp globally quiet stretches in fast
+// mode and check their predicate only between moves; the reference checks
+// it every cycle. Both must stop on the same cycle with the same answer.
+
+/// Every engine on the platform has finished.
+fn all_engines_done(p: &Platform) -> bool {
+    let cfg = p.config();
+    (0..cfg.total_nodes())
+        .all(|g| (0..cfg.tiles_per_node).all(|t| p.node(g).tile(t as u16).engine().is_done()))
+}
+
+/// Runs fresh `make()` platforms, fast and reference, once under
+/// `run_until(max, all_engines_done)` and once under `run_until_idle(max)`,
+/// and asserts each pair stops on the same cycle with the same answer and
+/// the same state. The fast `run_until` must check its predicate at least
+/// `min_warped` times fewer than the cycles it ran: the warps it took.
+fn assert_stops_agree(make: impl Fn() -> Platform, max: u64, min_warped: u64, label: &str) {
+    let (mut fast, mut reference) = (make(), make());
+    reference.set_fast_path(false);
+    let mut checks = 0u64;
+    let fired = fast.run_until(max, |p| {
+        checks += 1;
+        all_engines_done(p)
+    });
+    assert!(fired, "{label}: the workload must finish within {max} cycles");
+    assert_eq!(reference.run_until(max, all_engines_done), fired, "{label}: run_until answers");
+    assert_bit_identical(&fast, &reference, &format!("{label}, run_until"));
+    assert!(
+        checks + min_warped < fast.now(),
+        "{label}: {checks} predicate checks over {} cycles: nothing was warped",
+        fast.now()
+    );
+
+    let (mut fast, mut reference) = (make(), make());
+    reference.set_fast_path(false);
+    assert!(fast.run_until_idle(max), "{label}: the workload must quiesce");
+    assert!(reference.run_until_idle(max), "{label}: the reference must quiesce");
+    assert_bit_identical(&fast, &reference, &format!("{label}, run_until_idle"));
+}
+
+#[test]
+fn run_until_stops_where_the_reference_does_across_quiet_warps() {
+    // A 1x1x1 Ariane guest arms the CLINT timer 6000 cycles out and sleeps
+    // in `wfi` (interrupts globally off, so it resumes without trapping),
+    // then exits with the mtime it woke at.
+    const SLEEP: u64 = 6_000;
+    let src = format!(
+        r#"
+            li   s0, {MTIME:#x}
+            ld   t2, 0(s0)
+            li   t3, {SLEEP}
+            add  t2, t2, t3
+            li   s1, {MTIMECMP:#x}
+            sd   t2, 0(s1)
+            li   t0, 0x80            # MTIE
+            csrw mie, t0
+            wfi
+            ld   a0, 0(s0)
+            li   a7, 93
+            ecall
+        "#
+    );
+    assert_stops_agree(|| ariane_platform(&src), 1_000_000, SLEEP / 2, "wfi on the CLINT");
+    let mut p = ariane_platform(&src);
+    assert!(p.run_until(1_000_000, all_engines_done));
+    assert!(ariane_core(&p).exit_code().is_some_and(|mtime| mtime >= SLEEP), "woke early");
+
+    // A 2-FPGA PCIe star, a `TraceCore` on every tile: a cross-FPGA atomic,
+    // then a 5000-cycle compute burst every tile sleeps through at once,
+    // then another atomic.
+    let trace_star = || {
+        let mut p = Platform::new(Config::new(2, 1, 2));
+        let counter = DRAM_BASE + 0x9000;
+        for g in 0..2 {
+            for t in 0..2u16 {
+                let ops = vec![
+                    TraceOp::AmoAdd(counter, 1),
+                    TraceOp::Compute(5_000),
+                    TraceOp::AmoAdd(counter, 1),
+                ];
+                p.set_engine(g, t, Box::new(TraceCore::new(format!("c{g}.{t}"), ops)));
+            }
+        }
+        p
+    };
+    assert_stops_agree(trace_star, 1_000_000, 3_000, "2-FPGA trace star");
+}

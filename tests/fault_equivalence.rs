@@ -389,15 +389,15 @@ fn watchdog_converts_blackhole_livelock_into_a_report() {
     // structured FaultReport within the configured bound.
     let plan = Arc::new(FaultPlan::seeded(0, FaultProfile::blackhole(2_000)));
     let mut p = chaos_platform(2, 2, 4, 5, Some(FaultSpec::links_only(plan)));
-    let wcfg = WatchdogConfig { stall_limit: 30_000, check_interval: 1_000 };
+    let wcfg = WatchdogConfig { stall_limit: 30_000 };
     let report = p
         .run_until_idle_watched(BUDGET, &wcfg)
         .expect_err("a blackholed link must be reported as livelock, not quiescence");
-    // Detection latency bound: stall_limit plus one sampling interval
-    // (plus the chunk that straddles the freeze point).
+    // Detection latency bound: stall_limit plus one sampling interval, a
+    // preemption grain (plus the chunk that straddles the freeze point).
     assert!(report.stalled_for >= wcfg.stall_limit, "fired early: {report}");
     assert!(
-        report.detected_at - report.stalled_since <= wcfg.stall_limit + 2 * wcfg.check_interval,
+        report.detected_at - report.stalled_since <= wcfg.stall_limit + 2 * p.preemption_grain(),
         "fired late: {report}"
     );
     assert!(report.links_in_flight > 0, "blackholed items should be stuck in flight");
@@ -412,7 +412,7 @@ fn watchdog_passes_clean_runs_through() {
     // false livelock, and leave the result identical to an unwatched run.
     let mut watched = chaos_platform(2, 2, 4, 9, None);
     let mut plain = chaos_platform(2, 2, 4, 9, None);
-    let wcfg = WatchdogConfig { stall_limit: 200_000, check_interval: 1_000 };
+    let wcfg = WatchdogConfig { stall_limit: 200_000 };
     assert!(watched.run_until_idle_watched(BUDGET, &wcfg).expect("no livelock"));
     run_to_idle(&mut plain, "plain");
     assert_eq!(watched.now(), plain.now(), "supervision changed the simulation");
@@ -543,7 +543,7 @@ fn watchdog_reports_a_blackholed_ethernet_fabric() {
         Topology::Ethernet(rack_eth_params(2)),
         Some(FaultSpec::links_only(plan)),
     );
-    let wcfg = WatchdogConfig { stall_limit: 30_000, check_interval: 1_000 };
+    let wcfg = WatchdogConfig { stall_limit: 30_000 };
     let report = p
         .run_until_idle_watched(BUDGET, &wcfg)
         .expect_err("a blackholed fabric must be reported as livelock, not quiescence");
@@ -590,7 +590,7 @@ fn watchdog_report_artifacts() {
     for seed in 0..4u64 {
         let plan = Arc::new(FaultPlan::seeded(seed, FaultProfile::blackhole(1_500)));
         let mut p = chaos_platform(2, 2, 4, seed, Some(FaultSpec::links_only(plan)));
-        let wcfg = WatchdogConfig { stall_limit: 30_000, check_interval: 1_000 };
+        let wcfg = WatchdogConfig { stall_limit: 30_000 };
         let report = p.run_until_idle_watched(BUDGET, &wcfg).expect_err("blackhole must livelock");
         std::fs::write(dir.join(format!("fault_report_seed{seed}.txt")), report.to_string())
             .expect("write report");
